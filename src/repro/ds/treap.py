@@ -33,10 +33,15 @@ class _Missing:
 MISSING = _Missing()
 
 _EMPTY_HASH = 0x9E3779B97F4A7C15
+_NONE_HASH = stable_hash(None)  # the value of every PSet node
 
 
 class Node:
-    """One immutable treap node; ``None`` is the empty treap."""
+    """One immutable treap node; ``None`` is the empty treap.
+
+    ``prio`` must be ``stable_hash(key)``: it is also the key's share of
+    the subtree hash ``h``, so a path copy re-hashes no key.
+    """
 
     __slots__ = ("key", "value", "prio", "left", "right", "size", "h")
 
@@ -48,8 +53,8 @@ class Node:
         self.right = right
         self.size = 1 + size(left) + size(right)
         self.h = combine_hashes(
-            stable_hash(key),
-            stable_hash(value),
+            prio,
+            _NONE_HASH if value is None else stable_hash(value),
             left.h if left is not None else _EMPTY_HASH,
             right.h if right is not None else _EMPTY_HASH,
         )

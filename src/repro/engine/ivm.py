@@ -15,8 +15,9 @@ The maintenance problem is split exactly as the paper describes:
   rules; per-group aggregation state for P2P rules; recursive strata
   fall back to delete/rederive (:mod:`repro.engine.dred`).
 
-Sensitivity indices are *accumulated*: each delta pass records the new
-regions it explores and merges them into the rule's index.  The index
+Sensitivity indices are *accumulated*: each delta pass records the
+regions it explores into a pass-local recorder, which is then folded
+into the rule's index to give the next version's index.  The index
 therefore over-approximates the ideal trace sensitivities (a stale
 interval only costs a wasted pass, never a missed update).
 """
@@ -34,7 +35,7 @@ from repro.engine.evaluator import (
 from repro.engine.ir import AssignAtom, PredAtom, Var
 from repro.engine.rules import Rule
 from repro.engine.iterators import trie_iterator
-from repro.engine.sensitivity import SensitivityRecorder
+from repro.engine.sensitivity import SensitivityIndex, SensitivityRecorder
 from repro.storage.relation import Delta, Relation
 
 
@@ -45,22 +46,23 @@ class Materialization:
     materializations version and branch with workspaces.
     """
 
-    __slots__ = ("relations", "states", "rule_recorders", "_indexes")
+    __slots__ = ("relations", "states", "rule_indexes")
 
-    def __init__(self, relations, states, rule_recorders):
+    def __init__(self, relations, states, rule_indexes):
         self.relations = relations  # name -> Relation (base + derived)
         self.states = states  # name -> PredicateState
-        self.rule_recorders = rule_recorders  # rule index -> SensitivityRecorder
-        self._indexes = {}  # rule index -> frozen SensitivityIndex (lazy)
+        self.rule_indexes = rule_indexes  # rule index -> SensitivityIndex
 
     def sensitivity_index(self, rule_index):
-        """Frozen sensitivity index for one rule (cached)."""
-        index = self._indexes.get(rule_index)
-        if index is None:
-            recorder = self.rule_recorders.get(rule_index)
-            index = recorder.freeze() if recorder is not None else None
-            self._indexes[rule_index] = index
-        return index
+        """Sensitivity index of one rule (``None`` when untracked)."""
+        return self.rule_indexes.get(rule_index)
+
+
+def _fold_into(indexes, rule_index, recorder):
+    """Replace one rule's index by it folded with a finished pass."""
+    if recorder is not None:
+        index = indexes.get(rule_index) or SensitivityIndex()
+        indexes[rule_index] = index.fold(recorder)
 
 
 class IncrementalEngine:
@@ -85,14 +87,15 @@ class IncrementalEngine:
 
     # -- initial materialization --------------------------------------------
 
-    def initialize(self, base_relations, reuse=None, reuse_recorders=None):
+    def initialize(self, base_relations, reuse=None, reuse_indexes=None):
         """Full evaluation with per-rule sensitivity recording.
 
-        ``reuse`` / ``reuse_recorders`` carry over materializations and
-        sensitivity recorders for predicates/rules unaffected by a
+        ``reuse`` / ``reuse_indexes`` carry over materializations and
+        sensitivity indexes for predicates/rules unaffected by a
         program change (the live-programming path, §3.3).
         """
-        recorders = dict(reuse_recorders or {})
+        indexes = dict(reuse_indexes or {})
+        recorders = {}
 
         def recorder_for(rule):
             if not self.track_sensitivity:
@@ -106,7 +109,9 @@ class IncrementalEngine:
         relations, states = self.evaluator.evaluate(
             base_relations, recorder_for=recorder_for, reuse=reuse
         )
-        return Materialization(relations, states, recorders)
+        for index, recorder in recorders.items():
+            _fold_into(indexes, index, recorder)
+        return Materialization(relations, states, indexes)
 
     # -- maintenance ---------------------------------------------------------
 
@@ -124,7 +129,7 @@ class IncrementalEngine:
             old_relations = mat.relations
             new_relations = dict(old_relations)
             new_states = dict(mat.states)
-            recorders = dict(mat.rule_recorders)
+            indexes = dict(mat.rule_indexes)
             deltas = {}
             base_tuples = 0
             for pred, delta in base_deltas.items():
@@ -153,16 +158,15 @@ class IncrementalEngine:
                             new_relations,
                             new_states,
                             deltas,
-                            recorders,
-                            mat,
+                            indexes,
                         )
-            new_mat = Materialization(new_relations, new_states, recorders)
+            new_mat = Materialization(new_relations, new_states, indexes)
             if span_ is not None:
                 span_.attrs["base_tuples"] = base_tuples
                 span_.attrs["changed_preds"] = len(deltas)
             return new_mat, deltas
 
-    def _rule_affected(self, mat, rule_index, rule, deltas):
+    def _rule_affected(self, indexes, rule_index, rule, deltas):
         """Sensitivity short-circuit: may these deltas change this rule?"""
         body_preds = rule.body_preds()
         relevant = {p: d for p, d in deltas.items() if p in body_preds}
@@ -170,7 +174,7 @@ class IncrementalEngine:
             return False, relevant
         if not self.track_sensitivity:
             return True, relevant
-        index = mat.sensitivity_index(rule_index)
+        index = indexes.get(rule_index)
         if index is None:
             return True, relevant
         for pred, delta in relevant.items():
@@ -337,7 +341,7 @@ class IncrementalEngine:
                     yield sign, var_order, binding
 
     def _maintain_nonrecursive(
-        self, pred, old_relations, new_relations, new_states, deltas, recorders, mat
+        self, pred, old_relations, new_relations, new_states, deltas, indexes
     ):
         group = self.ruleset.rules_by_head[pred]
         if group[0].agg is not None:
@@ -348,8 +352,7 @@ class IncrementalEngine:
                 new_relations,
                 new_states,
                 deltas,
-                recorders,
-                mat,
+                indexes,
             )
             return
         # a predicate none of whose rule bodies read a changed predicate
@@ -362,15 +365,15 @@ class IncrementalEngine:
             count_changes = {}
             for rule in group:
                 rule_index = self._rule_index[id(rule)]
-                affected, relevant = self._rule_affected(mat, rule_index, rule, deltas)
+                affected, relevant = self._rule_affected(
+                    indexes, rule_index, rule, deltas
+                )
                 if not relevant:
                     continue
                 if not affected:
                     global_stats.bump("ivm.sensitivity_skips")
                     continue
-                recorder = recorders.get(rule_index)
-                if recorder is None and self.track_sensitivity:
-                    recorder = recorders[rule_index] = SensitivityRecorder()
+                recorder = SensitivityRecorder() if self.track_sensitivity else None
                 projectors = {}
                 for sign, var_order, binding in self._signed_bindings(
                     rule_index, rule, old_relations, new_relations, deltas, recorder
@@ -380,6 +383,7 @@ class IncrementalEngine:
                         projector = projectors[var_order] = _HeadProjector(rule, var_order)
                     head = projector(binding)
                     count_changes[head] = count_changes.get(head, 0) + sign
+                _fold_into(indexes, rule_index, recorder)
             state = new_states[pred]
             counts = state.counts
             added, removed = [], []
@@ -419,19 +423,17 @@ class IncrementalEngine:
             deltas[pred] = delta
 
     def _maintain_aggregate(
-        self, pred, rule, old_relations, new_relations, new_states, deltas, recorders, mat
+        self, pred, rule, old_relations, new_relations, new_states, deltas, indexes
     ):
         rule_index = self._rule_index[id(rule)]
-        affected, relevant = self._rule_affected(mat, rule_index, rule, deltas)
+        affected, relevant = self._rule_affected(indexes, rule_index, rule, deltas)
         if not relevant:
             return
         if not affected:
             global_stats.bump("ivm.sensitivity_skips")
             return
         with obs.span("ivm.maintain", pred=pred, agg=rule.agg.fn) as span_:
-            recorder = recorders.get(rule_index)
-            if recorder is None and self.track_sensitivity:
-                recorder = recorders[rule_index] = SensitivityRecorder()
+            recorder = SensitivityRecorder() if self.track_sensitivity else None
             aggregate = AGGREGATES[rule.agg.fn]
             state = new_states[pred]
             groups = state.groups
@@ -462,6 +464,7 @@ class IncrementalEngine:
                         groups = groups.remove(group_key)
                     else:
                         groups = groups.set(group_key, updated)
+            _fold_into(indexes, rule_index, recorder)
             if span_ is not None:
                 span_.attrs["groups_touched"] = len(touched_groups)
             if not touched_groups:

@@ -10,15 +10,23 @@ The recorded intervals — per atom occurrence, per trie level, under the
   by a delta needs no re-evaluation at all (§3.2); and
 * transaction repair: intersecting one transaction's *effects* with
   another's *sensitivities* detects conflicts without locks (§3.4).
+
+One evaluation pass records into a pass-local :class:`SensitivityRecorder`;
+:meth:`SensitivityIndex.fold` then merges what the pass saw into the
+contexts it touched and returns the next version's index.  An index is
+never modified after it is built, so versions share every untouched
+context and a commit's bookkeeping is proportional to what its passes
+recorded, not to the history before it.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
+from repro import stats as global_stats
 from repro.storage.datum import BOTTOM, TOP
 
 
 class _Tracker:
-    """Sink for one (occurrence, level, context); appends raw intervals."""
+    """Sink for one (occurrence, level, context); collects raw intervals."""
 
     __slots__ = ("intervals",)
 
@@ -27,7 +35,7 @@ class _Tracker:
 
     def record(self, low, high):
         """Record that changes within ``[low, high]`` may matter."""
-        self.intervals.append((low, high))
+        self.intervals.add((low, high))
 
 
 class _NullTracker:
@@ -60,31 +68,27 @@ def canonical_pred(name):
 
 
 class SensitivityRecorder:
-    """Collects sensitivity intervals during one evaluation run.
+    """Collects the sensitivity intervals of one evaluation pass.
 
-    Organized as ``occurrence -> level -> context -> [(low, high)]``
-    where an *occurrence* identifies one atom of one rule body together
-    with the storage permutation of its columns, and *context* is the
-    permuted prefix (constants included) under which the level was
-    explored.
+    Organized as ``pred -> perm -> level -> context -> {(low, high)}``
+    where ``(pred, perm)`` identifies an atom *occurrence* by the storage
+    permutation of its columns, and *context* is the permuted prefix
+    (constants included) under which the level was explored.
     """
 
-    __slots__ = ("_data", "_frozen")
+    __slots__ = ("_data",)
 
     def __init__(self):
-        self._data = {}  # (pred, perm) -> {level: {context: [intervals]}}
-        self._frozen = None  # cached SensitivityIndex; None when dirty
+        self._data = {}
 
     def tracker(self, pred, perm, level, context):
         """A ``record(low, high)`` sink for the given site."""
         pred = canonical_pred(pred)
         if pred is None:
             return _NULL_TRACKER
-        self._frozen = None
-        levels = self._data.setdefault((pred, tuple(perm)), {})
+        levels = self._data.setdefault(pred, {}).setdefault(tuple(perm), {})
         contexts = levels.setdefault(level, {})
-        intervals = contexts.setdefault(tuple(context), [])
-        return _Tracker(intervals)
+        return _Tracker(contexts.setdefault(tuple(context), set()))
 
     def record_point(self, pred, tup):
         """Record a point sensitivity on a full tuple (negation /
@@ -111,120 +115,116 @@ class SensitivityRecorder:
     def record_everything(self, pred):
         """Record total sensitivity on ``pred`` (conservative fallback,
         e.g. for aggregations that scan whole groups)."""
-        pred = canonical_pred(pred)
-        if pred is None:
-            return
         self.tracker(pred, (0,), 0, ()).record(BOTTOM, TOP)
 
     def predicates(self):
         """Names of predicates with recorded sensitivities."""
-        return {pred for pred, _ in self._data}
-
-    def freeze(self):
-        """Build the queryable :class:`SensitivityIndex` (cached until
-        the next recording)."""
-        if self._frozen is None:
-            self._frozen = SensitivityIndex(self._data)
-        return self._frozen
-
-    def merge_from(self, other):
-        """Fold another recorder's raw data into this one."""
-        self._frozen = None
-        for key, levels in other._data.items():
-            my_levels = self._data.setdefault(key, {})
-            for level, contexts in levels.items():
-                my_contexts = my_levels.setdefault(level, {})
-                for context, intervals in contexts.items():
-                    my_contexts.setdefault(context, []).extend(intervals)
+        return set(self._data)
 
 
-def _merge_intervals(intervals):
-    """Sort, deduplicate, and coalesce strictly-overlapping intervals.
+_NO_INTERVALS = ((), ())
 
-    Touching intervals (``[6,8]`` and ``[8,10]``) stay separate — the
-    paper reports them that way — and the bisect-based containment test
-    remains correct for them because lookups pick the last interval
-    whose low endpoint does not exceed the probed value.
+
+def _fold_context(entry, raw):
+    """One context's ``(lows, highs)`` extended by the ``raw`` intervals.
+
+    The lists stay sorted and pairwise non-overlapping: an interval is
+    coalesced with the stored ones it *strictly* overlaps.  Touching
+    intervals (``[6,8]`` and ``[8,10]``) stay separate — the paper
+    reports them that way — and lookups remain correct for them because
+    they pick the last interval whose low endpoint does not exceed the
+    probed value.  The result does not depend on the order intervals
+    arrive in.  ``entry`` is shared with older index versions, so it is
+    copied before the first change and returned as-is when ``raw`` adds
+    nothing.
     """
-    if not intervals:
-        return [], []
-    ordered = sorted(
-        set(intervals),
-        key=lambda iv: (_interval_sort_key(iv), _high_sort_key(iv)),
-    )
-    merged = [ordered[0]]
-    for low, high in ordered[1:]:
-        last_low, last_high = merged[-1]
-        if _strictly_less(low, last_high):  # true overlap
-            if _strictly_less(last_high, high):
-                merged[-1] = (last_low, high)
+    lows, highs = entry
+    owned = False
+    for low, high in raw:
+        # stored intervals overlapping (low, high) are contiguous: they
+        # start below ``high`` and end above ``low``
+        end = bisect_left(lows, high)
+        start = end
+        while start and low < highs[start - 1]:
+            start -= 1
+        if start == end:
+            if end < len(lows) and lows[end] == low and highs[end] == high:
+                continue  # a point recorded before
         else:
-            merged.append((low, high))
-    lows = [_interval_sort_key(interval) for interval in merged]
-    return lows, merged
-
-
-def _strictly_less(a, b):
-    if a is BOTTOM:
-        return b is not BOTTOM
-    if b is TOP:
-        return a is not TOP
-    if a is TOP or b is BOTTOM:
-        return False
-    return a < b
-
-
-def _interval_sort_key(interval):
-    low, _ = interval
-    if low is BOTTOM:
-        return (0, 0)
-    return (1, low)
-
-
-def _high_sort_key(interval):
-    _, high = interval
-    if high is TOP:
-        return (2, 0)
-    if high is BOTTOM:
-        return (0, 0)
-    return (1, high)
+            if lows[start] < low:
+                low = lows[start]
+            if high < highs[end - 1]:
+                high = highs[end - 1]
+            if end - start == 1 and low == lows[start] and high == highs[start]:
+                continue  # inside one stored interval
+        if not owned:
+            lows, highs, owned = list(lows), list(highs), True
+        lows[start:end] = [low]
+        highs[start:end] = [high]
+    return (lows, highs) if owned else entry
 
 
 class SensitivityIndex:
-    """Frozen, queryable sensitivity intervals of one evaluation run."""
+    """Queryable sensitivity intervals: per context, sorted and disjoint.
 
-    __slots__ = ("_index", "_total")
+    ``by_pred`` maps ``pred -> perm -> level -> context -> (lows, highs)``
+    (parallel lists) and is read-only once the index is built.
+    """
 
-    def __init__(self, raw):
-        # (pred, perm) -> {level: {context: (lows, merged_intervals)}}
-        self._index = {}
-        self._total = set()  # predicates with blanket sensitivity
-        for (pred, perm), levels in raw.items():
-            frozen_levels = {}
-            for level, contexts in levels.items():
-                frozen_levels[level] = {
-                    context: _merge_intervals(intervals)
-                    for context, intervals in contexts.items()
-                }
-                for context, intervals in contexts.items():
-                    if any(low is BOTTOM and high is TOP for low, high in intervals):
-                        if level == 0:
-                            self._total.add(pred)
-            self._index[(pred, perm)] = frozen_levels
+    __slots__ = ("by_pred", "_total")
 
-    @staticmethod
-    def _contains(lows, merged, value):
-        position = bisect_right(lows, _interval_sort_key((value, None)))
-        if position == 0:
-            return False
-        low, high = merged[position - 1]
-        if low is not BOTTOM and value < low:
-            return False
-        return high is TOP or not high < value
+    def __init__(self, by_pred=None, total=frozenset()):
+        self.by_pred = by_pred if by_pred is not None else {}
+        self._total = total  # predicates with blanket sensitivity
+
+    def fold(self, recorder):
+        """This index extended by one pass's recordings, as a new index.
+
+        Only the contexts the pass touched are visited; ``self`` is left
+        as it was and shares every context the pass added nothing to.
+        """
+        if not recorder._data:
+            return self
+        by_pred = dict(self.by_pred)
+        total = set()
+        folded = 0
+        for pred, perms in recorder._data.items():
+            new_perms = by_pred[pred] = dict(by_pred.get(pred, ()))
+            for perm, levels in perms.items():
+                new_levels = new_perms[perm] = dict(new_perms.get(perm, ()))
+                for level, contexts in levels.items():
+                    stored = new_levels.get(level, {})
+                    changed = {}
+                    for context, raw in contexts.items():
+                        folded += len(raw)
+                        entry = stored.get(context, _NO_INTERVALS)
+                        merged = _fold_context(entry, raw)
+                        if merged is not entry:
+                            changed[context] = merged
+                    if changed:
+                        new_levels[level] = {**stored, **changed}
+                    if level == 0 and (BOTTOM, TOP) in contexts.get((), ()):
+                        total.add(pred)
+        global_stats.bump("sensitivity.folded", folded)
+        return SensitivityIndex(by_pred, self._total | total)
+
+    @classmethod
+    def union(cls, indexes):
+        """One index covering everything any of ``indexes`` covers."""
+        recorder = SensitivityRecorder()
+        for index in indexes:
+            for pred, perms in index.by_pred.items():
+                for perm, levels in perms.items():
+                    for level, contexts in levels.items():
+                        for context, (lows, highs) in contexts.items():
+                            recorder.tracker(
+                                pred, perm, level, context
+                            ).intervals.update(zip(lows, highs))
+        return cls().fold(recorder)
 
     def predicates(self):
         """Names of predicates this run is sensitive to."""
-        return {pred for pred, _ in self._index} | set(self._total)
+        return set(self.by_pred)
 
     def tuple_affects(self, pred, tup):
         """May inserting or deleting ``tup`` in ``pred`` change the run?"""
@@ -233,18 +233,19 @@ class SensitivityIndex:
             return False
         if pred in self._total:
             return True
-        for (name, perm), levels in self._index.items():
-            if name != pred:
-                continue
-            permuted = tuple(tup[i] for i in perm) if perm != tuple(range(len(tup))) else tup
+        identity = tuple(range(len(tup)))
+        for perm, levels in self.by_pred.get(pred, {}).items():
+            permuted = tuple(tup[i] for i in perm) if perm != identity else tup
             for level, contexts in levels.items():
                 if level >= len(permuted):
                     continue
                 entry = contexts.get(permuted[:level])
                 if entry is None:
                     continue
-                lows, merged = entry
-                if self._contains(lows, merged, permuted[level]):
+                lows, highs = entry
+                value = permuted[level]
+                position = bisect_right(lows, value)
+                if position and not highs[position - 1] < value:
                     return True
         return False
 
@@ -259,20 +260,20 @@ class SensitivityIndex:
         return False
 
     def intervals_for(self, pred, perm=None):
-        """Raw merged intervals for inspection/testing.
+        """Merged intervals for inspection/testing.
 
         Returns ``{level: {context: [(low, high), ...]}}``; with
         ``perm=None`` the first recorded permutation for ``pred``.
         """
-        for (name, recorded_perm), levels in sorted(
-            self._index.items(), key=lambda kv: (kv[0][0], kv[0][1])
-        ):
-            if name != pred:
-                continue
+        perms = self.by_pred.get(pred, {})
+        for recorded_perm in sorted(perms):
             if perm is not None and tuple(perm) != recorded_perm:
                 continue
             return {
-                level: {context: merged for context, (lows, merged) in contexts.items()}
-                for level, contexts in levels.items()
+                level: {
+                    context: list(zip(lows, highs))
+                    for context, (lows, highs) in contexts.items()
+                }
+                for level, contexts in perms[recorded_perm].items()
             }
         return {}

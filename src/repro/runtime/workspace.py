@@ -416,14 +416,14 @@ class Workspace:
                 reuse_relations[pred] = old_mat.relations[pred]
                 reuse_states[pred] = old_mat.states[pred]
 
-        reuse_recorders = {}
+        reuse_indexes = {}
         old_index_of = {id(rule): i for i, rule in enumerate(old_artifacts.ruleset.rules)}
         for new_index, rule in enumerate(artifacts.ruleset.rules):
             old_index = old_index_of.get(id(rule))
             if old_index is not None:
-                recorder = old_mat.rule_recorders.get(old_index)
-                if recorder is not None:
-                    reuse_recorders[new_index] = recorder
+                index = old_mat.rule_indexes.get(old_index)
+                if index is not None:
+                    reuse_indexes[new_index] = index
 
         with _obs.span(
             "materialize",
@@ -433,7 +433,7 @@ class Workspace:
             mat = artifacts.engine.initialize(
                 base_env,
                 reuse=(reuse_relations, reuse_states),
-                reuse_recorders=reuse_recorders,
+                reuse_indexes=reuse_indexes,
             )
         from repro.ds.pmap import PMap
 

@@ -34,7 +34,7 @@ nodes — priorities and memoized hashes are recomputed and must agree
 with the stored addresses, which both verifies integrity and depends on
 :func:`repro.ds.hashing.stable_hash` being process-independent — and
 rebuilds relations, support counts, aggregation groups, and sensitivity
-recorders directly.  No derived predicate is re-derived from base data;
+indexes directly.  No derived predicate is re-derived from base data;
 only the program artifacts (compiled blocks) and the program-sized
 meta-materialization are rebuilt, deterministically, from block sources.
 """
@@ -488,9 +488,9 @@ class CheckpointStore:
         }
         record["recorders"] = {
             str(index): self._write_blob(
-                encode_value(_recorder_payload(recorder)), writer
+                encode_value(_index_payload(sensitivity)), writer
             ).hex()
-            for index, recorder in sorted(mat.rule_recorders.items())
+            for index, sensitivity in sorted(mat.rule_indexes.items())
         }
         meta = state.meta_state
         record["meta_facts"] = (
@@ -751,13 +751,13 @@ class CheckpointStore:
                 groups=PMap(self._load_tree(entry["groups"], node_cache)),
                 agg_fn=entry["agg_fn"],
             )
-        recorders = {
-            int(index): _recorder_from_payload(
+        indexes = {
+            int(index): _index_from_payload(
                 decode_value(self.store.get(bytes.fromhex(addr_hex)))
             )
             for index, addr_hex in record["recorders"].items()
         }
-        materialization = Materialization(relations, states, recorders)
+        materialization = Materialization(relations, states, indexes)
 
         meta_state = None
         if record.get("meta_facts") is not None:
@@ -851,7 +851,7 @@ def manifest_addresses(manifest):
     """``(tree_roots, blobs)`` referenced by a checkpoint manifest.
 
     ``tree_roots`` are treap roots (walk them via :func:`node_children`);
-    ``blobs`` are flat content-addressed records (sensitivity recorders)
+    ``blobs`` are flat content-addressed records (sensitivity indexes)
     fetched whole.  Both are sets of raw 16-byte addresses.
     """
     tree_roots = set()
@@ -875,35 +875,36 @@ def manifest_addresses(manifest):
     return tree_roots, blobs
 
 
-def _recorder_payload(recorder):
-    """Sensitivity recorder → codec-friendly nested structure."""
+def _index_payload(index):
+    """Sensitivity index → codec-friendly nested structure."""
     return [
         [pred, perm, [
             [level, [
-                [context, intervals]
-                for context, intervals in sorted(
+                [context, list(zip(lows, highs))]
+                for context, (lows, highs) in sorted(
                     contexts.items(), key=lambda kv: encode_value(kv[0])
                 )
             ]]
             for level, contexts in sorted(levels.items())
         ]]
-        for (pred, perm), levels in sorted(
-            recorder._data.items(), key=lambda kv: (kv[0][0], kv[0][1])
-        )
+        for pred, perms in sorted(index.by_pred.items())
+        for perm, levels in sorted(perms.items())
     ]
 
 
-def _recorder_from_payload(payload):
-    from repro.engine.sensitivity import SensitivityRecorder
+def _index_from_payload(payload):
+    """Rebuild an index; the intervals are folded, not trusted to be
+    merged, so checkpoints that stored every raw interval still open."""
+    from repro.engine.sensitivity import SensitivityIndex, SensitivityRecorder
 
     recorder = SensitivityRecorder()
     for pred, perm, levels in payload:
-        level_map = recorder._data.setdefault((pred, perm), {})
         for level, contexts in levels:
-            context_map = level_map.setdefault(level, {})
             for context, intervals in contexts:
-                context_map[context] = [tuple(iv) for iv in intervals]
-    return recorder
+                record = recorder.tracker(pred, perm, level, context).record
+                for low, high in intervals:
+                    record(low, high)
+    return SensitivityIndex().fold(recorder)
 
 
 def read_manifest(path):

@@ -26,7 +26,7 @@ from repro import stats as global_stats
 from repro.engine.evaluator import RuleSet
 from repro.engine.ir import PredAtom
 from repro.engine.ivm import IncrementalEngine
-from repro.engine.sensitivity import SensitivityRecorder
+from repro.engine.sensitivity import SensitivityIndex
 from repro.logiql.compiler import compile_program, start_pred
 from repro.runtime.errors import ConstraintViolation, TransactionAborted
 from repro.runtime.state import WorkspaceState
@@ -118,12 +118,11 @@ class PreparedTransaction:
             return self.effects
 
     def sensitivity(self):
-        """The merged, frozen sensitivity index of this transaction."""
+        """The sensitivity index of this transaction: all its rules' merged."""
         if self._sens_cache is None:
-            merged = SensitivityRecorder()
-            for recorder in self._mat.rule_recorders.values():
-                merged.merge_from(recorder)
-            self._sens_cache = merged.freeze()
+            self._sens_cache = SensitivityIndex.union(
+                self._mat.rule_indexes.values()
+            )
         return self._sens_cache
 
     def conflicts_with(self, corrections):

@@ -282,3 +282,61 @@ def test_diff_patch_roundtrip(initial, operations):
             patched = treap.insert(patched, key, new)
     assert treap.equal(patched, b)
     assert dict(treap.items(patched)) == dict(treap.items(b))
+
+
+# -- the subtree hash is built from the priority, and stays what it was ------
+
+
+def _nodes(node):
+    if node is not None:
+        yield node
+        yield from _nodes(node.left)
+        yield from _nodes(node.right)
+
+
+def test_golden_tree_hashes():
+    """``tree_hash`` values recorded at the commit before ``Node.h`` was
+    derived from ``prio``: checkpoint addresses, O(1) equality and
+    replica sync all assume they never move."""
+    from repro.ds.pmap import PMap
+    from repro.ds.pset import PSet
+
+    pmap = PMap.from_items(
+        ((i * 7919 % 1000, "k%d" % i), (i, float(i) / 4, "v%d" % (i % 13)))
+        for i in range(1000)
+    )
+    pset = PSet.from_iter(
+        (i * 31 % 1000, i % 17, "s%d" % (i % 5)) for i in range(1000)
+    )
+    assert (len(pmap), len(pset)) == (1000, 1000)
+    assert treap.tree_hash(pmap._root) == 0xA2A9E28FB7960E7F
+    assert treap.tree_hash(pset._root) == 0x45ECA555FFC324D2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(keys, max_size=40), st.lists(keys, max_size=40))
+def test_every_node_priority_is_the_hash_of_its_key(left, right):
+    a = build((k, None) for k in set(left))
+    b = treap.from_sorted_items((k, k) for k in sorted(set(right)))
+    for root in (a, b, treap.union(a, b), treap.difference(a, b)):
+        assert all(n.prio == treap.stable_hash(n.key) for n in _nodes(root))
+
+
+def test_insert_hashes_only_the_new_key(monkeypatch):
+    """A path copy reuses each copied node's priority: the one tuple
+    hashed is the inserted key, however deep the path."""
+    from repro.ds.pset import PSet
+
+    pset = PSet.from_sorted((i, i * 3) for i in range(1000))
+    hashed = []
+
+    def counting(key, _real=treap.stable_hash):
+        if isinstance(key, tuple):
+            hashed.append(key)
+        return _real(key)
+
+    monkeypatch.setattr(treap, "stable_hash", counting)
+    grown = pset.add((500, 7))
+    monkeypatch.undo()
+    assert hashed == [(500, 7)]
+    assert grown == PSet.from_sorted(sorted(list(pset) + [(500, 7)]))

@@ -247,7 +247,7 @@ def _sensitivity_data(ws):
     for rule_index in range(len(engine.ruleset.rules)):
         index = mat.sensitivity_index(rule_index)
         if index is not None:
-            out[rule_index] = index._index
+            out[rule_index] = index.by_pred
     return out
 
 

@@ -226,3 +226,122 @@ def test_property_ivm_equals_recompute(initial, updates):
         fresh = fresh_eval(rules, {"E": mat.relations["E"]})
         assert set(mat.relations["join"]) == set(fresh["join"])
         assert set(mat.relations["nonref"]) == set(fresh["nonref"])
+
+
+# -- versions own their sensitivity indexes; commit cost follows the delta ---
+
+IVM_VIEWS = (
+    "E(x, y) -> int(x), int(y).\n"
+    "tri(a, b, c) <- E(a, b), E(b, c), E(a, c), a < b, b < c.\n"
+    "outdeg[a] = n <- agg<<n = count(b)>> E(a, b).\n"
+    "reach2(a, c) <- E(a, b), E(b, c).\n"
+)
+
+
+def views_workspace(n_nodes=300):
+    """The ``ivm_views`` data set of ``benchmarks/e2e`` (labels unshuffled)."""
+    from repro import Workspace
+    from repro.datasets.graphs import powerlaw_graph
+
+    ws = Workspace()
+    ws.addblock(IVM_VIEWS, name="views")
+    ws.load("E", powerlaw_graph(n_nodes, 3, seed=20150531))
+    return ws
+
+
+def stored_intervals(mat):
+    """Per rule, per ``(pred, perm)``: what ``intervals_for`` reports."""
+    return {
+        rule: {
+            (pred, perm): index.intervals_for(pred, perm)
+            for pred, perms in index.by_pred.items()
+            for perm in perms
+        }
+        for rule, index in mat.rule_indexes.items()
+    }
+
+
+def interval_count(mat):
+    return {
+        rule: sum(
+            len(lows)
+            for perms in index.by_pred.values()
+            for levels in perms.values()
+            for contexts in levels.values()
+            for lows, _ in contexts.values()
+        )
+        for rule, index in mat.rule_indexes.items()
+    }
+
+
+class TestVersionsOwnTheirSensitivities:
+    def test_staging_on_a_snapshot_leaves_it_unchanged(self):
+        ws, control = views_workspace(60), views_workspace(60)
+        snapshot = ws.version()
+        before = stored_intervals(snapshot.state.materialization)
+        staged = {"E": Delta.from_iters([(500, 501), (501, 7), (7, 500)], ())}
+        new_state, _ = ws._stage_deltas(snapshot.state, staged)
+        assert stored_intervals(new_state.materialization) != before
+        assert stored_intervals(snapshot.state.materialization) == before
+        # the staged transaction never committed: later versions must not
+        # carry what it explored
+        for workspace in (ws, control):
+            workspace.exec("+E(3, 41).")
+        assert stored_intervals(ws.state.materialization) == stored_intervals(
+            control.state.materialization
+        )
+
+    def test_concurrent_staging_on_one_snapshot(self):
+        import sys
+        import threading
+
+        ws = views_workspace(60)
+        snapshot = ws.version()
+        before = stored_intervals(snapshot.state.materialization)
+        errors = []
+
+        def stage(offset):
+            try:
+                for step in range(200):
+                    edge = (offset + step, (offset + 7 * step) % 60)
+                    ws._stage_deltas(
+                        snapshot.state, {"E": Delta.from_iters([edge], ())}
+                    )
+            except BaseException as error:  # reported by the assert below
+                errors.append(error)
+                raise
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=stage, args=(offset,), daemon=True)
+                for offset in (1000, 2000)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert stored_intervals(snapshot.state.materialization) == before
+
+
+def test_commit_bookkeeping_does_not_grow_with_history():
+    """Alternating insert/delete of one edge: what a commit folds and
+    what the indexes hold stay where the first cycles left them."""
+    from repro import stats
+
+    ws = views_workspace()
+    folded, stored = {}, {}
+    for commit in range(1, 121):
+        before = stats.get("sensitivity.folded")
+        ws.exec("+E(17, 203)." if commit % 2 else "-E(17, 203).")
+        folded[commit] = stats.get("sensitivity.folded") - before
+        if commit in (20, 120):
+            stored[commit] = interval_count(ws.state.materialization)
+    assert stored[120] == stored[20]
+    assert 0 < folded[100] <= 2 * folded[10]
+    assert 0 < folded[10] <= 2 * folded[100]

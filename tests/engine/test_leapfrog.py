@@ -2,7 +2,7 @@
 
 from repro.ds.pset import PSet
 from repro.engine.leapfrog import LeapfrogJoin
-from repro.engine.sensitivity import SensitivityRecorder
+from repro.engine.sensitivity import SensitivityIndex, SensitivityRecorder
 from repro.storage.datum import BOTTOM, TOP
 
 
@@ -34,7 +34,7 @@ class TestFigure3:
     def test_sensitivity_intervals_match_paper(self):
         recorder = SensitivityRecorder()
         run_join(self.A, self.B, self.C, recorder=recorder, names="ABC")
-        index = recorder.freeze()
+        index = SensitivityIndex().fold(recorder)
         assert index.intervals_for("A")[0][()] == [
             (BOTTOM, 0), (2, 3), (8, 8), (10, 11),
         ]
@@ -48,7 +48,7 @@ class TestFigure3:
     def test_paper_claims_about_changes(self):
         recorder = SensitivityRecorder()
         run_join(self.A, self.B, self.C, recorder=recorder, names="ABC")
-        index = recorder.freeze()
+        index = SensitivityIndex().fold(recorder)
         # "inserting the fact C(3) or deleting the fact C(4) would not
         # affect the computation"
         assert not index.tuple_affects("C", (3,))

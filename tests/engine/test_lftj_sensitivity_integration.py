@@ -12,7 +12,7 @@ import random
 from repro.engine.ir import PredAtom, Var
 from repro.engine.lftj import LeapfrogTrieJoin
 from repro.engine.planner import build_plan
-from repro.engine.sensitivity import SensitivityRecorder
+from repro.engine.sensitivity import SensitivityIndex, SensitivityRecorder
 from repro.storage.relation import Relation
 
 
@@ -21,7 +21,7 @@ def run_with_recorder(atoms, relations, var_order=None):
                       output_vars=[v for v in (var_order or [])] or None)
     recorder = SensitivityRecorder()
     result = set(LeapfrogTrieJoin(plan, relations, recorder).run())
-    return result, recorder.freeze()
+    return result, SensitivityIndex().fold(recorder)
 
 
 def exhaustive_soundness(atoms, relations, domain, var_order):

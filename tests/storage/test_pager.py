@@ -9,7 +9,9 @@ skeleton — while repeated checkpoints write only the nodes that
 changed.
 """
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -231,6 +233,112 @@ class TestManifest:
             fh.write(bytes((byte[0] ^ 0xFF,)))
         with pytest.raises(ValueError, match="digest mismatch"):
             Workspace.open(str(tmp_path))
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def _head_state(path):
+    manifest = read_manifest(str(path))
+    return manifest["states"][str(manifest["branches"]["main"])]
+
+
+def _tree_nodes(node):
+    if node is not None:
+        yield node
+        yield from _tree_nodes(node.left)
+        yield from _tree_nodes(node.right)
+
+
+class TestSensitivityPayload:
+    def test_golden_root_addresses(self, tmp_path):
+        """Root addresses recorded at the commit before the treap hash
+        was derived from ``prio`` and the recorder payload was merged."""
+        ws = Workspace()
+        ws.addblock(
+            "edge(x, y) -> int(x), int(y). label(x, s) -> int(x), string(s).\n"
+            "tri(a,b,c) <- edge(a,b), edge(b,c), edge(a,c).\n"
+            "outdeg[a] = n <- agg<<n = count(b)>> edge(a, b)."
+        )
+        ws.load("edge", [(i, (i * 3 + 1) % 20) for i in range(20)]
+                + [(i, (i + 1) % 20) for i in range(20)]
+                + [(1, 2), (2, 3), (1, 3)])
+        ws.load("label", [(i, "n%d" % i) for i in range(10)])
+        ws.checkpoint(str(tmp_path))
+        state = _head_state(tmp_path)
+        assert state["base"] == {
+            "edge": [2, "158390c5015c72ef9070053ebd76df4b"],
+            "label": [2, "c393b936ddeab43af0c153cca3270663"],
+        }
+        assert state["relations"]["outdeg"] == [2, "16684766b84a9037f522407d812e79be"]
+        assert state["relations"]["tri"] == [3, "440606a3e0134795ab8e8fb55dc285a9"]
+        assert state["pred_states"]["outdeg"]["groups"] == "2ebe3c7e92ea265ad24f56f8b68bb311"
+        assert state["pred_states"]["tri"]["counts"] == "355a83a23074b337e4722167ee91e9b1"
+
+    def test_checkpoint_with_raw_intervals_still_opens(self, tmp_path):
+        """``fixtures/parent_checkpoint`` was written when checkpoints
+        stored every raw interval a rule ever recorded (1,784 here, 121
+        of them distinct); ``expected.json`` holds that commit's answers
+        to ``tuple_affects`` for every rule over a grid of probes."""
+        path = tmp_path / "checkpoint"
+        shutil.copytree(os.path.join(FIXTURES, "parent_checkpoint"), path)
+        with open(path / "expected.json") as fh:
+            expected = json.load(fh)
+        ws = Workspace.open(str(path))
+        mat = ws.state.materialization
+        probes = [(a, b) for a in range(-1, 45) for b in range(-1, 45)]
+        for pred, by_rule in expected["tuple_affects"].items():
+            for rule, answers in by_rule.items():
+                index = mat.sensitivity_index(int(rule))
+                got = "".join(
+                    "1" if index.tuple_affects(pred, probe) else "0"
+                    for probe in probes
+                )
+                assert got == answers, (pred, rule)
+        stored = sum(
+            len(lows)
+            for index in mat.rule_indexes.values()
+            for perms in index.by_pred.values()
+            for levels in perms.values()
+            for contexts in levels.values()
+            for lows, _ in contexts.values()
+        )
+        assert stored <= expected["distinct_intervals"] < expected["raw_intervals"]
+        # and maintenance carries on from the restored indexes
+        ws.exec("+E(3, 11).")
+        assert (11,) in ws.relation("from3")
+
+    def test_recorder_blobs_do_not_grow_with_history(self, tmp_path):
+        from repro.datasets.graphs import powerlaw_graph
+
+        ws = Workspace()
+        ws.addblock(
+            "E(x, y) -> int(x), int(y).\n"
+            "tri(a, b, c) <- E(a, b), E(b, c), E(a, c), a < b, b < c.\n"
+            "outdeg[a] = n <- agg<<n = count(b)>> E(a, b).\n"
+            "reach2(a, c) <- E(a, b), E(b, c).\n"
+        )
+        ws.load("E", powerlaw_graph(300, 3, seed=20150531))
+        sizes = {}
+        for commit in range(1, 121):
+            ws.exec("+E(17, 203)." if commit % 2 else "-E(17, 203).")
+            if commit in (20, 120):
+                ws.checkpoint(str(tmp_path))
+                store = CheckpointStore(str(tmp_path)).store
+                sizes[commit] = {
+                    rule: len(store.get(bytes.fromhex(addr)))
+                    for rule, addr in _head_state(tmp_path)["recorders"].items()
+                }
+        assert sizes[20] == sizes[120]
+        assert len(sizes[20]) == 3 and all(sizes[20].values())
+
+    def test_restored_nodes_carry_their_key_hash_as_priority(self, retail, tmp_path):
+        from repro.ds.hashing import stable_hash
+
+        ws = reopened(retail, tmp_path)
+        for relation in ws.state.materialization.relations.values():
+            nodes = list(_tree_nodes(relation.tuples()._root))
+            assert all(node.prio == stable_hash(node.key) for node in nodes)
 
 
 class TestCrossProcess:
