@@ -30,7 +30,7 @@ The network layer has five pieces, one module each:
   enforced from the watermark stamps.
 """
 
-from repro.net.client import NetSession, connect
+from repro.net.client import NetSession
 from repro.net.cluster import ClusterSession
 from repro.net.protocol import (
     DEFAULT_PORT,
@@ -41,6 +41,7 @@ from repro.net.protocol import (
     ProtocolError,
     ReplicaReadOnly,
     StaleRead,
+    VerbNotServed,
 )
 from repro.net.replica import Replica
 from repro.net.server import ReproServer
@@ -58,5 +59,5 @@ __all__ = [
     "ReplicaReadOnly",
     "ReproServer",
     "StaleRead",
-    "connect",
+    "VerbNotServed",
 ]

@@ -72,21 +72,12 @@ from repro.net.protocol import (
     FrameDecoder,
     ProtocolError,
     StaleRead,
-    deltas_from_wire,
-    deltas_to_wire,
+    VerbSurface,
     encode_frame,
     error_from_wire,
-    result_from_wire,
-    verb_spec,
 )
-from repro.runtime.errors import ReproError
 
 _session_counter = itertools.count(1)
-
-#: the data-read verbs the consistency mode guards; control verbs
-#: (``ping`` / ``status`` / ``watch`` / the sync feed) always answer
-#: from whatever the peer has — they are *how* staleness is measured
-_CONSISTENT_READS = frozenset(("query", "rows", "explain"))
 
 #: fallback reconnect policy until the server's HELLO supplies one
 _DEFAULT_POLICY = {
@@ -96,14 +87,14 @@ _DEFAULT_POLICY = {
 }
 
 
-class NetSession:
+class NetSession(VerbSurface):
     """One client's blocking connection to a :class:`ReproServer`.
 
-    Mirrors the local :class:`~repro.service.session.Session` verb
-    surface; every verb blocks until its response (or typed error)
-    frame arrives.  Requests carry ids, so the transport supports
-    pipelining — this synchronous client simply doesn't overlap its
-    own calls.
+    The verb methods are the shared
+    :class:`~repro.net.protocol.VerbSurface`; every verb blocks until
+    its response (or typed error) frame arrives.  Requests carry ids,
+    so the transport supports pipelining — this synchronous client
+    simply doesn't overlap its own calls.
     """
 
     def __init__(self, host="127.0.0.1", port=DEFAULT_PORT, *, name=None,
@@ -142,7 +133,7 @@ class NetSession:
         self._decoder = None
         self._inbox = []
         self._ids = itertools.count(1)
-        self._closed = False
+        self._txns = itertools.count(1)
         self._connect()
 
     # -- transport -------------------------------------------------------------
@@ -231,42 +222,47 @@ class NetSession:
 
     # -- request/response ------------------------------------------------------
 
-    def _call(self, op, **args):
+    def _verb(self, spec, args):
+        """One verb over the wire: stamp and encode the arguments,
+        round-trip, decode the result.  Whether a transport failure
+        reconnects and re-sends is the registry's call
+        (``spec.retryable``), not a per-call-site flag: read verbs
+        retry, write verbs never do."""
         self._check_open()
-        # retryability is the registry's call, not per-call-site flags:
-        # read verbs reconnect-and-retry, write verbs never do
-        idempotent = verb_spec(op).retryable
-        with _obs.span("net.call", op=op) as span_:
-            return self._call_inner(op, idempotent, args, span_)
+        self._stamp(spec, args)
+        args = spec.args_to_wire(args)
+        with _obs.span("net.call", op=spec.op) as span_:
+            result, rows = self._call_inner(spec, args, span_)
+        return spec.result.from_wire(result, rows)
 
-    def _call_inner(self, op, idempotent, args, span_):
+    def _call_inner(self, spec, args, span_):
         attempt = 0
         while True:
             attempt += 1
             try:
                 if self._sock is None:
                     self._connect()
-                outcome = self._roundtrip(op, args)
+                outcome = self._roundtrip(spec, args)
                 if span_ is not None:
                     span_.attrs["attempts"] = attempt
                 return outcome
             except (ConnectionLost, ProtocolError) as exc:
                 self._drop_connection()
                 max_retries = self.policy["max_retries"]
-                if not idempotent or attempt > max_retries:
+                if not spec.retryable or attempt > max_retries:
                     if isinstance(exc, ProtocolError):
                         raise
                     raise ConnectionLost(
                         "{} (op {}{})".format(
-                            exc, op,
-                            "" if idempotent else
+                            exc, spec.op,
+                            "" if spec.retryable else
                             "; not retried: commit status unknown")) from exc
                 _stats.bump("net.client.reconnects")
                 self._backoff(attempt)
 
-    def _roundtrip(self, op, args):
+    def _roundtrip(self, spec, args):
         rid = next(self._ids)
-        request = {"id": rid, "op": op, "args": args}
+        request = {"id": rid, "op": spec.op, "args": args}
         if self._server_trace:
             ctx = _obs.trace_context()
             if ctx is not None:
@@ -286,7 +282,7 @@ class NetSession:
                     # stitch the server's span tree under our net.call
                     # span: one client transaction, one trace
                     _obs.graft(trace, origin="server")
-                self._observe_watermark(op, payload.get("watermark"))
+                self._observe_watermark(spec, payload.get("watermark"))
                 return payload.get("result") or {}, rows
             if ftype == F_ERROR:
                 if payload.get("id") in (rid, None):
@@ -304,19 +300,21 @@ class NetSession:
         base = self.policy["backoff_base_s"] * (2 ** (attempt - 1))
         time.sleep(min(self.policy["backoff_cap_s"], base))
 
-    def _observe_watermark(self, op, wm):
+    def _observe_watermark(self, spec, wm):
         """Session-consistency bookkeeping on every stamped response.
 
-        A data read below the session's own watermark is refused
-        *before* the result reaches the caller; the error is typed
-        (:class:`StaleRead`) so the cluster client can route the retry
-        instead of surfacing stale rows.
+        A data read (routing class ``read``) below the session's own
+        watermark is refused *before* the result reaches the caller;
+        the error is typed (:class:`StaleRead`) so the cluster client
+        can route the retry instead of surfacing stale rows.  Every
+        other class answers from whatever the peer has — those verbs
+        are *how* staleness is measured.
         """
         if wm is None:  # pre-watermark peer: nothing to enforce
             return
         wm = int(wm)
         self.last_watermark = wm
-        if op in _CONSISTENT_READS:
+        if spec.route == "read":
             if self.consistency == "strong" and self.server_role not in (
                     None, "leader"):
                 _stats.bump("net.client.stale_reads")
@@ -333,182 +331,6 @@ class NetSession:
         if wm > self.watermark:
             self.watermark = wm
 
-    # -- verbs (the Session surface) -------------------------------------------
-
-    def exec(self, source, *, timeout=None):
-        """Submit a write transaction; blocks until committed/aborted."""
-        result, _ = self._call(
-            "exec", source=source, timeout=self._timeout(timeout),
-            name="{}/txn".format(self.name))
-        return result_from_wire(result["txn"])
-
-    def query(self, source, *, answer=None):
-        """Lock-free read returning plain rows (evaluated on the server's
-        head snapshot; large answers stream back in bounded chunks)."""
-        return self.query_result(source, answer=answer).rows
-
-    def query_result(self, source, *, answer=None):
-        """Lock-free read returning the structured :class:`TxnResult`."""
-        result, rows = self._call("query", source=source, answer=answer)
-        return result_from_wire(result["txn"], rows=rows)
-
-    def addblock(self, source, *, name=None, timeout=None):
-        """Install logic (serialized with the server's write stream)."""
-        result, _ = self._call(
-            "addblock", source=source, name=name,
-            timeout=self._timeout(timeout))
-        return result_from_wire(result["txn"])
-
-    def removeblock(self, name, *, timeout=None):
-        """Remove a block (serialized with the write stream)."""
-        result, _ = self._call(
-            "removeblock", name=str(name), timeout=self._timeout(timeout))
-        return result_from_wire(result["txn"])
-
-    def load(self, pred, tuples, remove=(), *, timeout=None):
-        """Bulk load (serialized with the write stream)."""
-        result, _ = self._call(
-            "load", pred=pred, tuples=[tuple(t) for t in tuples],
-            remove=[tuple(t) for t in remove],
-            timeout=self._timeout(timeout))
-        return result_from_wire(result["txn"])
-
-    def rows(self, pred):
-        """Current rows of a predicate at the server's head snapshot."""
-        result, _ = self._call("rows", pred=pred)
-        return result["rows"]
-
-    def checkpoint(self, *, timeout=None):
-        """Ask the server to write a durable checkpoint now; returns the
-        pager's counter dict (requires the server to be configured with
-        a checkpoint path)."""
-        result, _ = self._call(
-            "checkpoint", timeout=self._timeout(timeout))
-        return result["counters"]
-
-    def stats(self):
-        """The server's service counters (admission window, commits,
-        queue depth, ...)."""
-        result, _ = self._call("stats")
-        return result["stats"]
-
-    def telemetry(self, *, ring_tail=32):
-        """The server's live telemetry snapshot (counters, gauges,
-        histogram quantiles, span totals, slow-transaction log, and the
-        last ``ring_tail`` snapshot-ring entries)."""
-        result, _ = self._call("telemetry", ring_tail=ring_tail)
-        return result["telemetry"]
-
-    def explain(self, source, *, answer=None):
-        """EXPLAIN ANALYZE on the server: returns an
-        :class:`~repro.obs.ExplainReport` pairing the optimizer's
-        estimated per-rule join cost with the executed join's actual
-        movement counts."""
-        result, _ = self._call(
-            "explain", source=source, answer=answer)
-        return _obs.ExplainReport.from_dict(result["explain"])
-
-    def ping(self):
-        """Round-trip latency in seconds."""
-        started = time.perf_counter()
-        self._call("ping")
-        return time.perf_counter() - started
-
-    # -- fleet surface (roles, watermarks, heartbeat) --------------------------
-
-    def status(self):
-        """The server's fleet status: ``role`` (leader/replica),
-        ``watermark`` (last committed write it reflects),
-        ``checkpoint_seq`` / ``checkpoint_watermark`` (the durable
-        frontier), and ``endpoint``."""
-        result, _ = self._call("status")
-        return result["status"]
-
-    def watch(self, seq=0, *, timeout_s=10.0):
-        """Long-poll until the server owns a checkpoint with sequence
-        number above ``seq``, or ``timeout_s`` elapses (the server
-        clamps it to its ``net_watch_cap_s``); returns the server's
-        :meth:`status` either way.  One blocked round-trip doubles as
-        change notification *and* liveness heartbeat — this is how
-        replicas follow the leader without fixed-interval polling."""
-        result, _ = self._call("watch", seq=seq, timeout_s=timeout_s)
-        return result["status"]
-
-    def promote(self):
-        """Promote the peer to leader (idempotent on an existing
-        leader); returns its post-promotion :meth:`status`."""
-        result, _ = self._call("promote")
-        return result["status"]
-
-    # -- replica feed (used by repro.net.replica) ------------------------------
-
-    def sync_manifest(self):
-        """The leader's committed checkpoint manifest."""
-        result, _ = self._call("sync_manifest")
-        return result["manifest"]
-
-    def sync_records(self, addrs):
-        """Fetch content-addressed records by address; returns
-        ``[(addr, payload), ...]`` for the addresses the leader holds."""
-        result, _ = self._call("sync_records", addrs=list(addrs))
-        return result["records"]
-
-    # -- cross-shard commit circuit (used by repro.shard) ----------------------
-
-    def shard_prepare(self, source, *, name=None, partition=None,
-                      shard_index=None, shard_count=None, preflight=True,
-                      timeout=None):
-        """Execute a transaction on the shard's snapshot and park it;
-        returns ``{"token", "effects", "foreign", "watermark"}`` with
-        the deltas decoded back into :class:`Delta` maps."""
-        result, _ = self._call(
-            "shard_prepare", source=source, name=name, partition=partition,
-            shard_index=shard_index, shard_count=shard_count,
-            preflight=preflight, timeout=self._timeout(timeout))
-        return {
-            "token": result["token"],
-            "effects": deltas_from_wire(result["effects"]),
-            "foreign": deltas_from_wire(result["foreign"]),
-            "watermark": result["watermark"],
-        }
-
-    def shard_repair(self, token, corrections, *, partition=None,
-                     shard_index=None, shard_count=None):
-        """Repair a parked shard transaction against sibling shards'
-        corrections; returns its re-split effects."""
-        result, _ = self._call(
-            "shard_repair", token=token,
-            corrections=deltas_to_wire(corrections or {}),
-            partition=partition,
-            shard_index=shard_index, shard_count=shard_count)
-        return {
-            "effects": deltas_from_wire(result["effects"]),
-            "foreign": deltas_from_wire(result["foreign"]),
-            "repairs": result["repairs"],
-        }
-
-    def shard_commit(self, token, deltas, *, timeout=None):
-        """Commit a parked shard transaction with the coordinator's
-        final composed deltas."""
-        result, _ = self._call(
-            "shard_commit", token=token,
-            deltas=deltas_to_wire(deltas or {}),
-            timeout=self._timeout(timeout))
-        return result_from_wire(result["txn"])
-
-    def shard_abort(self, token):
-        """Drop a parked shard transaction (idempotent)."""
-        result, _ = self._call("shard_abort", token=token)
-        return result
-
-    def shard_apply(self, deltas, *, timeout=None):
-        """Apply raw deltas on the shard (serialized with its write
-        stream; IVM + constraint checked)."""
-        result, _ = self._call(
-            "shard_apply", deltas=deltas_to_wire(deltas or {}),
-            timeout=self._timeout(timeout))
-        return result_from_wire(result["txn"])
-
     # -- lifecycle -------------------------------------------------------------
 
     def close(self):
@@ -523,41 +345,7 @@ class NetSession:
                 pass
             self._drop_connection()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-    def _check_open(self):
-        if self._closed:
-            raise ReproError("session {} is closed".format(self.name))
-
-    def _timeout(self, timeout):
-        return timeout if timeout is not None else self.timeout
-
     def __repr__(self):
         return "NetSession({}:{}, {}, {})".format(
             self.host, self.port, self.name,
             "closed" if self._closed else "open")
-
-
-def connect(host="127.0.0.1", port=DEFAULT_PORT, *, name=None, timeout=None,
-            **kwargs):
-    """Deprecated: use ``repro.connect("tcp://host:port")``.
-
-    One entry point now spans every transport — a workspace path, a
-    single ``tcp://`` server, or a ``cluster://`` fleet — with the
-    ``consistency`` keyword honored by all of them.  This shim keeps
-    the old two-argument form working and returns the same
-    :class:`NetSession`.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.net.connect(host, port) is deprecated; use "
-        "repro.connect('tcp://{}:{}') — one entry point for local, "
-        "tcp, and cluster transports".format(host, port),
-        DeprecationWarning, stacklevel=2)
-    return NetSession(host, port, name=name, timeout=timeout, **kwargs)

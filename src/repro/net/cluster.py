@@ -48,14 +48,12 @@ from repro.net.protocol import (
     LeaderUnavailable,
     ProtocolError,
     ReplicaReadOnly,
-    verb_spec,
+    VerbNotServed,
+    VerbSurface,
 )
 from repro.runtime.errors import ReproError
 
 _session_counter = itertools.count(1)
-
-#: session-method name -> wire op, where they differ
-_VERB_OPS = {"query_result": "query"}
 
 
 def _parse_endpoint(endpoint):
@@ -90,7 +88,7 @@ class _Member:
         return time.monotonic() < self.excluded_until
 
 
-class ClusterSession:
+class ClusterSession(VerbSurface):
     """One client's consistency-aware view of a replica fleet."""
 
     def __init__(self, endpoints, *, name=None, timeout=None,
@@ -122,7 +120,6 @@ class ClusterSession:
         #: highest commit watermark this session has observed — its own
         #: writes included, so it anchors read-your-writes fleet-wide
         self.watermark = 0
-        self._closed = False
 
     # -- membership ------------------------------------------------------------
 
@@ -186,14 +183,27 @@ class ClusterSession:
 
     # -- routing ---------------------------------------------------------------
 
-    def _invoke(self, verb, *args, **kwargs):
+    def _verb(self, spec, args):
+        """Route one verb by its routing class: reads fan out over the
+        replicas, writes (and the shard circuit) go to the leader, and
+        ``leader-read`` verbs ask the leader, who speaks for the fleet.
+        ``member`` verbs address one specific endpoint — open a
+        ``tcp://`` session to it instead."""
         self._check_open()
-        # the registry keys wire ops; session *methods* add one alias
-        if verb_spec(_VERB_OPS.get(verb, verb)).write:
-            return self._write(verb, args, kwargs)
-        return self._read(verb, args, kwargs)
+        if spec.route == "read":
+            return self._read(spec, args)
+        if spec.write:
+            return self._write(spec, args)
+        if spec.route == "member":
+            raise VerbNotServed(
+                "{} addresses one endpoint, not a fleet: connect to the "
+                "member with tcp://host:port".format(spec.name))
+        member = self._resolve_leader()
+        out = self._session_for(member)._verb(spec, dict(args))
+        self._observe(member)
+        return out
 
-    def _read(self, verb, args, kwargs):
+    def _read(self, spec, args):
         """Round-robin across replicas, skip stale/excluded members,
         fall back to the leader (always current) last."""
         swept = 0
@@ -209,7 +219,9 @@ class ClusterSession:
                     # instead of discovering the lag via StaleRead
                     continue
                 try:
-                    out = getattr(session, verb)(*args, **kwargs)
+                    # a copy per attempt: the member session stamps and
+                    # encodes its arguments in place
+                    out = session._verb(spec, dict(args))
                 except (ConnectionLost, ProtocolError):
                     self._exclude(member)
                     continue
@@ -242,7 +254,7 @@ class ClusterSession:
         # all replicas down, stale, or excluded — the leader serves
         _stats.bump("fleet.leader_fallbacks")
         member = self._resolve_leader()
-        out = getattr(self._session_for(member), verb)(*args, **kwargs)
+        out = self._session_for(member)._verb(spec, dict(args))
         self._observe(member)
         _stats.bump("fleet.reads")
         return out
@@ -295,7 +307,7 @@ class ClusterSession:
             self._exclude(member)
             return None
 
-    def _write(self, verb, args, kwargs):
+    def _write(self, spec, args):
         """Route to the leader; on connection loss re-resolve it (a
         replica may have been promoted) and retry only when safe."""
         attempts = 0
@@ -311,7 +323,7 @@ class ClusterSession:
                 continue
             sent_nothing = False
             try:
-                out = getattr(session, verb)(*args, **kwargs)
+                out = session._verb(spec, dict(args))
             except ConnectionLost as exc:
                 # a connect-phase failure provably never sent the
                 # request; anything later may have committed
@@ -324,7 +336,7 @@ class ClusterSession:
                     continue
                 raise ConnectionLost(
                     "{} (write {} not retried: commit status "
-                    "unknown)".format(exc, verb)) from exc
+                    "unknown)".format(exc, spec.name)) from exc
             self._observe(member)
             _stats.bump("fleet.writes")
             return out
@@ -359,70 +371,6 @@ class ClusterSession:
                         ",".join(self._order), self.leader_wait_s))
             time.sleep(0.1)
 
-    # -- the session verb surface ----------------------------------------------
-
-    def exec(self, source, *, timeout=None):
-        """Write transaction, routed to the leader."""
-        return self._invoke("exec", source, timeout=timeout)
-
-    def addblock(self, source, *, name=None, timeout=None):
-        """Install logic on the leader."""
-        return self._invoke("addblock", source, name=name, timeout=timeout)
-
-    def removeblock(self, name, *, timeout=None):
-        """Remove a block on the leader."""
-        return self._invoke("removeblock", name, timeout=timeout)
-
-    def load(self, pred, tuples, remove=(), *, timeout=None):
-        """Bulk load on the leader."""
-        return self._invoke("load", pred, tuples, remove, timeout=timeout)
-
-    def checkpoint(self, *, timeout=None):
-        """Durable checkpoint on the leader."""
-        return self._invoke("checkpoint", timeout=timeout)
-
-    def query(self, source, *, answer=None):
-        """Read, fanned out across the replica fleet."""
-        return self._invoke("query", source, answer=answer)
-
-    def query_result(self, source, *, answer=None):
-        """Like :meth:`query` but the full ``TxnResult``."""
-        return self._invoke("query_result", source, answer=answer)
-
-    def rows(self, pred):
-        """Predicate rows from a replica (or the leader fallback)."""
-        return self._invoke("rows", pred)
-
-    def explain(self, source, *, answer=None):
-        """EXPLAIN ANALYZE on a replica (or the leader fallback)."""
-        return self._invoke("explain", source, answer=answer)
-
-    def stats(self):
-        """The leader's service counters."""
-        member = self._resolve_leader()
-        out = self._session_for(member).stats()
-        self._observe(member)
-        return out
-
-    def telemetry(self, *, ring_tail=32):
-        """Telemetry from a replica (or the leader fallback)."""
-        return self._invoke("telemetry", ring_tail=ring_tail)
-
-    def promote(self, endpoint):
-        """Ask one member to promote itself (failover drills); returns
-        its post-promotion status and re-learns the fleet's roles."""
-        member = self._members.get(
-            "{}:{}".format(*_parse_endpoint(endpoint)))
-        if member is None:
-            raise ValueError(
-                "{} is not a member of this cluster".format(endpoint))
-        status = self._session_for(member).promote()
-        for other in self._members.values():
-            if other.role == "leader":
-                other.role = None
-        member.role = status.get("role")
-        return status
-
     # -- lifecycle -------------------------------------------------------------
 
     def close(self):
@@ -433,28 +381,6 @@ class ClusterSession:
         for member in self._members.values():
             self._drop(member)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-    def _check_open(self):
-        if self._closed:
-            raise ReproError("session {} is closed".format(self.name))
-
     def __repr__(self):
         return "ClusterSession({}, {}, watermark={})".format(
             ",".join(self._order), self.consistency, self.watermark)
-
-
-def connect(endpoints, *, name=None, timeout=None, consistency="session",
-            **kwargs):
-    """Open a cluster session over ``endpoints`` (an iterable of
-    ``"host:port"`` strings, or one comma-separated string) — the
-    fleet counterpart of :func:`repro.connect`."""
-    if isinstance(endpoints, str):
-        endpoints = [e for e in endpoints.split(",") if e.strip()]
-    return ClusterSession(endpoints, name=name, timeout=timeout,
-                          consistency=consistency, **kwargs)

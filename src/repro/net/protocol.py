@@ -63,8 +63,10 @@ client — degrade to a plain :class:`ReproError` carrying the original
 type name, never a crash.
 """
 
+import inspect
 import io
 import struct
+import time
 
 from repro.runtime.errors import ReproError
 from repro.storage.pager import decode_value, encode_value
@@ -139,84 +141,6 @@ class LeaderUnavailable(NetError):
 #: only from the leader; ``session`` = read-your-writes against the
 #: session's observed watermark; ``eventual`` = any replica, any lag
 CONSISTENCY_MODES = ("strong", "session", "eventual")
-
-
-# -- the verb registry ---------------------------------------------------------
-
-
-class VerbSpec:
-    """One wire verb's routing/retry contract.
-
-    ``write``     — the verb mutates leader state: replicas refuse it
-                    with :class:`ReplicaReadOnly`, and cluster clients
-                    always route it to the leader.
-    ``retryable`` — the verb is idempotent: clients may transparently
-                    reconnect and re-send it after a transport failure.
-
-    Every routing decision derives from this one table: the server
-    validates ops against it, replicas refuse ``write`` verbs from it,
-    and the client takes its auto-retry policy from ``retryable`` —
-    a new verb cannot be routable on one layer and unknown to another.
-    """
-
-    __slots__ = ("name", "write", "retryable")
-
-    def __init__(self, name, *, write, retryable):
-        self.name = name
-        self.write = write
-        self.retryable = retryable
-
-    def __repr__(self):
-        return "VerbSpec({!r}, write={}, retryable={})".format(
-            self.name, self.write, self.retryable)
-
-
-VERBS = {spec.name: spec for spec in (
-    # -- writes: leader-only, never auto-retried (commit status of a
-    #    torn-connection attempt is unknown)
-    VerbSpec("exec", write=True, retryable=False),
-    VerbSpec("addblock", write=True, retryable=False),
-    VerbSpec("removeblock", write=True, retryable=False),
-    VerbSpec("load", write=True, retryable=False),
-    VerbSpec("checkpoint", write=True, retryable=False),
-    # -- reads: served by any role, idempotent, auto-retried
-    VerbSpec("query", write=False, retryable=True),
-    VerbSpec("rows", write=False, retryable=True),
-    VerbSpec("stats", write=False, retryable=True),
-    VerbSpec("telemetry", write=False, retryable=True),
-    VerbSpec("explain", write=False, retryable=True),
-    VerbSpec("ping", write=False, retryable=True),
-    VerbSpec("status", write=False, retryable=True),
-    VerbSpec("watch", write=False, retryable=True),
-    VerbSpec("sync_manifest", write=False, retryable=True),
-    VerbSpec("sync_records", write=False, retryable=True),
-    # -- control: *allowed* on replicas (it is how one becomes a
-    #    leader), a no-op on an existing leader, not auto-retried
-    VerbSpec("promote", write=False, retryable=False),
-    # -- sharding (repro.shard): the cross-shard commit circuit.
-    #    prepare/repair/commit mutate held transaction state and must
-    #    not be blindly re-sent; abort is an idempotent token drop
-    VerbSpec("shard_prepare", write=True, retryable=False),
-    VerbSpec("shard_repair", write=True, retryable=False),
-    VerbSpec("shard_commit", write=True, retryable=False),
-    VerbSpec("shard_abort", write=True, retryable=True),
-    VerbSpec("shard_apply", write=True, retryable=False),
-)}
-
-#: verbs a read-only replica refuses (derived — never listed twice)
-WRITE_VERBS = frozenset(n for n, s in VERBS.items() if s.write)
-#: verbs safe to re-send across a reconnect (derived)
-RETRYABLE_VERBS = frozenset(n for n, s in VERBS.items() if s.retryable)
-
-
-def verb_spec(op):
-    """The :class:`VerbSpec` for ``op``; raises a typed error for ops
-    outside the registry, so an unknown verb fails identically on every
-    layer that consults the table."""
-    spec = VERBS.get(op)
-    if spec is None:
-        raise ReproError("unknown op {!r}".format(op))
-    return spec
 
 
 # -- framing ------------------------------------------------------------------
@@ -447,14 +371,13 @@ def deltas_from_wire(record):
 # -- TxnResult over the wire --------------------------------------------------
 
 
-def result_to_wire(result, *, include_rows=True):
+def result_to_wire(result):
     """A :class:`~repro.runtime.result.TxnResult` as a codec-safe dict.
 
     Deltas ship as ``{pred: (added_rows, removed_rows)}``; stats are
-    already a flat counter dict.  ``include_rows=False`` omits the rows
-    (they stream separately as CHUNK frames) and records the total.
+    already a flat counter dict.
     """
-    record = {
+    return {
         "status": result.status,
         "kind": result.kind,
         "deltas": {
@@ -467,15 +390,20 @@ def result_to_wire(result, *, include_rows=True):
         "attempts": result.attempts,
         "repairs": result.repairs,
         "latency_s": result.latency_s,
+        "rows": None if result.rows is None else list(result.rows),
     }
-    if result.rows is None:
-        record["rows"] = None
-    elif include_rows:
-        record["rows"] = list(result.rows)
-    else:
-        record["rows"] = None
-        record["rows_total"] = len(result.rows)
-    return record
+
+
+def stream_rows(record, chunk_rows):
+    """Split an answer larger than ``chunk_rows`` off a
+    :func:`result_to_wire` record: the rows come back as bounded chunks
+    (to travel as CHUNK frames ahead of the RESPONSE) and the record
+    keeps only their total.  Smaller answers stay inline: ``[]``."""
+    rows = record["rows"] or ()
+    if len(rows) <= chunk_rows:
+        return []
+    record["rows"], record["rows_total"] = None, len(rows)
+    return [rows[i:i + chunk_rows] for i in range(0, len(rows), chunk_rows)]
 
 
 def result_from_wire(record, *, rows=None):
@@ -502,3 +430,385 @@ def result_from_wire(record, *, rows=None):
         repairs=record.get("repairs", 0),
         latency_s=record.get("latency_s"),
     )
+
+
+# -- the verb registry ---------------------------------------------------------
+
+
+class VerbNotServed(NetError):
+    """The verb is in the registry but this transport (or the service
+    behind it) cannot serve it -- ``explain`` on a ``shards://``
+    coordinator, a ``member`` verb on a ``cluster://`` session, the
+    replication feed on a service without checkpoints."""
+
+
+class Codec:
+    """One paired wire encoding: ``to_wire`` runs on the sending side,
+    ``from_wire`` on the receiving side.  Arguments are sent by the
+    client; results by the server, whose ``from_wire`` also receives
+    the rows that streamed ahead of the response as CHUNK frames."""
+
+    __slots__ = ("to_wire", "from_wire")
+
+    def __init__(self, to_wire=None, from_wire=None):
+        self.to_wire = to_wire or (lambda value: value)
+        self.from_wire = from_wire or (lambda value: value)
+
+
+def _keyed(key, to_wire=None, from_wire=None):
+    """A result that travels boxed as ``{key: payload}``."""
+    inner = Codec(to_wire, from_wire)
+    return Codec(lambda value: {key: inner.to_wire(value)},
+                 lambda result, rows: inner.from_wire(result[key]))
+
+
+def _effects(convert):
+    """A shard reply with ``convert`` applied to its two delta maps."""
+    return lambda reply, rows=None: {
+        key: convert(value) if key in ("effects", "foreign") else value
+        for key, value in reply.items()}
+
+
+def _explain_from_wire(record):
+    from repro.obs import ExplainReport
+
+    return ExplainReport.from_dict(record)
+
+
+_ROWS = Codec(lambda rows: [tuple(row) for row in rows],
+              lambda rows: rows or ())
+_ADDRS = Codec(list, lambda addrs: addrs or ())
+_DELTAS = Codec(deltas_to_wire, deltas_from_wire)
+_RAW = Codec(from_wire=lambda result, rows: result)
+_TXN = Codec(
+    lambda txn: {"txn": result_to_wire(txn)},
+    lambda result, rows: result_from_wire(result["txn"], rows=rows or None))
+_STATUS = _keyed("status")
+_EFFECTS = Codec(_effects(deltas_to_wire), _effects(deltas_from_wire))
+
+#: routing classes: who may answer a verb.  ``write`` -- the leader
+#: only (replicas refuse it, a cluster routes it to the leader);
+#: ``read`` -- any member, checked against the session's watermark
+#: under the consistency mode (a cluster fans it out over replicas);
+#: ``leader-read`` -- introspection of the authoritative endpoint,
+#: never consistency-checked (a cluster asks its leader, a shard
+#: coordinator asks every shard); ``member`` -- the replication and
+#: election protocol between two specific endpoints, meaningful only on
+#: a direct connection; ``shard-circuit`` -- the coordinator-to-shard
+#: commit protocol, routed like a write.
+ROUTES = ("write", "read", "leader-read", "member", "shard-circuit")
+
+VERBS = {}
+
+
+class VerbSpec:
+    """Everything the system knows about one verb.
+
+    ``op``         the wire op; ``name`` the session method (they
+                   differ only for ``query_result``, op ``query``).
+    ``signature``  the session method's :class:`inspect.Signature`;
+                   ``doc`` its one docstring.
+    ``route``      the routing class (see :data:`ROUTES`); ``write`` is
+                   derived from it.
+    ``retryable``  idempotent: a client may reconnect and re-send it
+                   after a transport failure (default: every non-write).
+    ``service``    the service method that serves it (default: the same
+                   name; ``None``: the endpoint itself is the answer).
+    ``stamp``      a service argument the *session* fills in with its
+                   per-transaction name instead of the caller.
+    ``streams``    the result's rows may travel as CHUNK frames.
+    ``result`` / ``args``  the result's and per-argument wire codecs.
+    """
+
+    __slots__ = ("op", "name", "signature", "doc", "route", "write",
+                 "retryable", "service", "stamp", "streams", "result",
+                 "has_timeout", "_encoders", "_wire_params")
+
+    def __init__(self, prototype, *, route, op=None, service="", stamp=None,
+                 retryable=None, streams=False, result=_RAW, args=()):
+        if route not in ROUTES:
+            raise ValueError("unknown routing class {!r}".format(route))
+        self.name = prototype.__name__
+        self.op = op or self.name
+        self.signature = inspect.signature(prototype)
+        self.doc = prototype.__doc__
+        self.route = route
+        self.write = route in ("write", "shard-circuit")
+        self.retryable = not self.write if retryable is None else retryable
+        self.service = self.name if service == "" else service
+        self.stamp = stamp
+        self.streams = streams
+        self.result = result
+        params = list(self.signature.parameters.values())[1:]  # not self
+        self.has_timeout = any(p.name == "timeout" for p in params)
+        args = dict(args)
+        self._encoders = tuple(
+            (name, codec.to_wire) for name, codec in args.items())
+        self._wire_params = tuple(
+            (p.name, p.default is p.empty,
+             args[p.name].from_wire if p.name in args else None)
+            for p in params)
+        if stamp:
+            self._wire_params += ((stamp, False, None),)
+
+    def args_to_wire(self, args):
+        """Encode a stub's by-name arguments in place for the REQUEST."""
+        for name, encode in self._encoders:
+            args[name] = encode(args[name])
+        return args
+
+    def args_from_wire(self, wire):
+        """The service call's keyword arguments from a REQUEST's
+        ``args``: unknown keys are ignored, absent optional ones take
+        the service's default, an absent required one is a typed error."""
+        kwargs = {}
+        for name, required, decode in self._wire_params:
+            if name in wire:
+                value = wire[name]
+                kwargs[name] = decode(value) if decode else value
+            elif required:
+                raise ReproError(
+                    "{} needs argument {!r}".format(self.op, name))
+        return kwargs
+
+    def __repr__(self):
+        return "VerbSpec({!r}, route={!r}, retryable={})".format(
+            self.op, self.route, self.retryable)
+
+
+def verb(*, table=VERBS, stub=True, **contract):
+    """Declare a verb: register the decorated prototype's
+    :class:`VerbSpec` in ``table`` under its wire op and replace the
+    prototype with the session stub compiled from it (``stub=False``
+    keeps a prototype that implements the session method itself)."""
+    def declare(prototype):
+        spec = VerbSpec(prototype, **contract)
+        table[spec.op] = spec
+        return _compile_stub(spec) if stub else prototype
+    return declare
+
+
+def _compile_stub(spec):
+    """A real function with the prototype's exact signature and
+    docstring whose body hands the arguments, by name, to the
+    transport's ``_verb`` -- compiled once here, so a call does no
+    signature binding and no attribute magic."""
+    names = list(spec.signature.parameters)[1:]
+    source = "def {}{}:\n    return self._verb(_spec, {{{}}})\n".format(
+        spec.name, spec.signature,
+        ", ".join("{0!r}: {0}".format(name) for name in names))
+    namespace = {"_spec": spec}
+    exec(source, namespace)
+    stub = namespace[spec.name]
+    stub.__doc__ = spec.doc
+    stub.__qualname__ = "VerbSurface." + spec.name
+    stub.__module__ = __name__
+    return stub
+
+
+def verb_spec(op, table=VERBS):
+    """The :class:`VerbSpec` for wire op ``op``; raises a typed error
+    for ops outside the registry, so an unknown verb fails identically
+    on every layer that consults the table."""
+    spec = table.get(op)
+    if spec is None:
+        raise ReproError("unknown op {!r}".format(op))
+    return spec
+
+
+def serve_verb(target, spec, kwargs):
+    """Serve ``spec`` from ``target`` (a service, a workspace): call
+    its service method by name.  A target without the method does not
+    serve the verb -- a typed refusal, never ``AttributeError``."""
+    if spec.service is None:
+        return {}
+    method = getattr(target, spec.service, None)
+    if method is None:
+        raise VerbNotServed("{} is not served by {}".format(
+            spec.name, type(target).__name__))
+    return method(**kwargs)
+
+
+class VerbSurface:
+    """The session verb surface, identical on every transport.
+
+    ``Session`` (in-process), ``NetSession`` (``tcp://``),
+    ``ClusterSession`` (``cluster://``), ``Replica`` and
+    ``ShardedWorkspace`` (``shards://``) all inherit these methods; a
+    transport supplies only ``_verb(spec, args)`` -- where a verb with
+    these by-name arguments goes -- plus real implementations of the
+    verbs it has logic of its own for.  A verb a transport cannot
+    serve raises :class:`VerbNotServed`.
+
+    Adding a verb: (1) declare its prototype here -- signature,
+    docstring, ``@verb(route=...)``; (2) name its ``result`` / ``args``
+    codecs if the value is not already codec-safe; (3) implement the
+    service method on ``TransactionService``; (4) nothing else -- the
+    stubs, the server's dispatch, the replica's refusal and the
+    cluster's routing follow from the table; (5) ``test_api_surface``
+    checks all five transports agree.
+    """
+
+    _closed = False
+
+    # -- transactions ----------------------------------------------------------
+
+    @verb(route="write", stamp="name", result=_TXN)
+    def exec(self, source, *, timeout=None):
+        """Submit a write transaction; blocks until it commits
+        (returning its :class:`TxnResult`) or aborts with a typed
+        error: :class:`Overloaded` (shed at admission),
+        :class:`TxnTimeout`, :class:`ConflictError` (after the retry
+        budget) or a constraint violation.  The session stamps each
+        transaction ``"<session>/txn-N"`` for tracing."""
+
+    @verb(route="write", result=_TXN)
+    def addblock(self, source, *, name=None, timeout=None):
+        """Install a block of logic (serialized with the write stream)."""
+
+    @verb(route="write", result=_TXN, args={"name": Codec(str)})
+    def removeblock(self, name, *, timeout=None):
+        """Remove a block by name, or by the :class:`TxnResult` that
+        installed it (serialized with the write stream)."""
+
+    @verb(route="write", result=_TXN, args={"tuples": _ROWS, "remove": _ROWS})
+    def load(self, pred, tuples, remove=(), *, timeout=None):
+        """Bulk load (and/or remove) rows of one base predicate
+        (serialized with the write stream)."""
+
+    @verb(route="write", result=_keyed("counters"))
+    def checkpoint(self, *, timeout=None):
+        """Write a durable checkpoint now (serialized with the write
+        stream); returns the pager's counter dict.  Requires a
+        ``checkpoint_path`` -- ``repro.connect("/path")`` locally,
+        ``--checkpoint-path`` on a server."""
+
+    # -- reads -----------------------------------------------------------------
+
+    @verb(op="query", route="read", streams=True, result=_TXN)
+    def query_result(self, source, *, answer=None):
+        """Lock-free read of the head snapshot returning the structured
+        :class:`TxnResult` (large answers stream back in bounded
+        chunks)."""
+
+    def query(self, source, *, answer=None):
+        """Lock-free read returning plain rows:
+        ``query_result(...).rows``."""
+        return self.query_result(source, answer=answer).rows
+
+    @verb(route="read", result=_keyed("rows"))
+    def rows(self, pred):
+        """Current rows of a predicate at the head snapshot."""
+
+    @verb(route="read", result=_keyed(
+        "explain", lambda report: trace_to_wire(report.to_dict()),
+        _explain_from_wire))
+    def explain(self, source, *, answer=None):
+        """EXPLAIN ANALYZE: run ``source`` as a query with the sampling
+        optimizer engaged and return an :class:`~repro.obs.ExplainReport`
+        pairing its estimated per-rule join cost with the executed
+        join's actual movement counts."""
+
+    # -- introspection ---------------------------------------------------------
+
+    @verb(route="leader-read", service="service_stats", result=_keyed("stats"))
+    def stats(self):
+        """The service's counters: commits, conflicts, repairs, the
+        admission window, queue depth, role and watermark."""
+
+    @verb(route="leader-read", result=_keyed("telemetry", trace_to_wire))
+    def telemetry(self, *, ring_tail=32):
+        """Live telemetry snapshot (counters, gauges, histogram
+        quantiles, span totals, the slow-transaction log, the last
+        ``ring_tail`` snapshot-ring entries) -- served without touching
+        the committer."""
+
+    @verb(route="leader-read", result=_STATUS)
+    def status(self):
+        """The endpoint's fleet coordinates: ``role``, commit
+        ``watermark``, ``checkpoint_seq`` / ``checkpoint_watermark``
+        (the durable frontier) and, over the wire, its ``endpoint``."""
+
+    @verb(route="leader-read", service=None, stub=False)
+    def ping(self):
+        """Round-trip latency through this transport, in seconds."""
+        started = time.perf_counter()
+        self._verb(VERBS["ping"], {})
+        return time.perf_counter() - started
+
+    # -- fleet protocol (replication feed, heartbeat, election) ----------------
+
+    @verb(route="member", result=_STATUS,
+          args={"seq": Codec(from_wire=lambda seq: int(seq or 0))})
+    def watch(self, seq=0, *, timeout_s=10.0):
+        """Long-poll until the endpoint owns a checkpoint newer than
+        ``seq`` or ``timeout_s`` elapses (a server clamps it to its
+        ``net_watch_cap_s``); returns :meth:`status` either way.  One
+        blocked round-trip is both change notification and liveness
+        heartbeat -- how replicas follow a leader without polling."""
+
+    @verb(route="member", retryable=False, result=_STATUS)
+    def promote(self):
+        """Promote the endpoint to leader (a no-op on one that already
+        is); returns its post-promotion :meth:`status`."""
+
+    @verb(route="member", result=_keyed("manifest"))
+    def sync_manifest(self):
+        """The leader's committed checkpoint manifest."""
+
+    @verb(route="member", result=_keyed("records"), args={"addrs": _ADDRS})
+    def sync_records(self, addrs):
+        """Fetch content-addressed records by address: ``[(addr,
+        payload), ...]`` for the addresses the endpoint holds."""
+
+    # -- cross-shard commit circuit (driven by repro.shard) --------------------
+
+    @verb(route="shard-circuit", result=_EFFECTS)
+    def shard_prepare(self, source, *, name=None, partition=None,
+                      shard_index=None, shard_count=None, preflight=True,
+                      timeout=None):
+        """Execute a transaction on the shard's snapshot and park it;
+        returns ``{"token", "effects", "foreign", "watermark"}`` --
+        the deltas the shard owns and the rows owned by siblings."""
+
+    @verb(route="shard-circuit", result=_EFFECTS,
+          args={"corrections": _DELTAS})
+    def shard_repair(self, token, corrections, *, partition=None,
+                     shard_index=None, shard_count=None):
+        """Repair a parked shard transaction against sibling shards'
+        corrections; returns its re-split ``effects`` / ``foreign``."""
+
+    @verb(route="shard-circuit", result=_TXN, args={"deltas": _DELTAS})
+    def shard_commit(self, token, deltas, *, timeout=None):
+        """Commit a parked shard transaction with the coordinator's
+        final composed deltas."""
+
+    @verb(route="shard-circuit", retryable=True)
+    def shard_abort(self, token):
+        """Drop a parked shard transaction (idempotent)."""
+
+    @verb(route="shard-circuit", result=_TXN, args={"deltas": _DELTAS})
+    def shard_apply(self, deltas, *, timeout=None):
+        """Apply raw deltas on the shard (serialized with its write
+        stream; IVM + constraint checked)."""
+
+    # -- what every session shares ---------------------------------------------
+
+    def _stamp(self, spec, args):
+        """Fill in what the session supplies rather than the caller:
+        its default deadline and the transaction name."""
+        if spec.has_timeout and args["timeout"] is None:
+            args["timeout"] = self.timeout
+        if spec.stamp:
+            args[spec.stamp] = "{}/txn-{}".format(self.name, next(self._txns))
+
+    def _check_open(self):
+        if self._closed:
+            raise ReproError("session {} is closed".format(self.name))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False

@@ -64,12 +64,17 @@ runs a standalone serving replica until SIGTERM.
 
 import threading
 import time
-import warnings
 
 from repro import stats as _stats
 from repro import obs as _obs
 from repro.net.client import NetSession
-from repro.net.protocol import DEFAULT_PORT, ReplicaReadOnly, WRITE_VERBS
+from repro.net.protocol import (
+    DEFAULT_PORT,
+    VERBS,
+    ReplicaReadOnly,
+    VerbSurface,
+    serve_verb,
+)
 from repro.runtime.errors import ReproError
 from repro.runtime.workspace import Workspace
 from repro.storage.pager import (
@@ -82,8 +87,14 @@ from repro.storage.pager import (
 _FETCH_BATCH = 256
 
 
-class Replica:
-    """A read-serving follower of one leader's checkpoint stream."""
+class Replica(VerbSurface):
+    """A read-serving follower of one leader's checkpoint stream.
+
+    Its session surface is the shared
+    :class:`~repro.net.protocol.VerbSurface`: reads answer from the
+    synced checkpoint, write verbs raise :class:`ReplicaReadOnly`
+    naming the leader, and after :meth:`promote` every verb is served
+    by the promoted service."""
 
     def __init__(self, host="127.0.0.1", port=DEFAULT_PORT, path=None, *,
                  name=None, peers=(), config=None, max_staleness_s=None,
@@ -108,7 +119,6 @@ class Replica:
         self._sync_cond = threading.Condition()
         self._poller = None
         self._stop = threading.Event()
-        self._closed = False
         self._seq = None
         self._server = None
         self._facade = None
@@ -239,7 +249,7 @@ class Replica:
 
     # -- following (watch-driven, with failover) -------------------------------
 
-    def follow(self, poll_s=None, *, heartbeat_s=5.0, leader_timeout_s=10.0):
+    def follow(self, *, heartbeat_s=5.0, leader_timeout_s=10.0):
         """Start the follower thread.
 
         One blocked ``watch`` round-trip on the leader is both change
@@ -257,20 +267,9 @@ class Replica:
         that simply has no checkpoint yet (a fresh fleet booting before
         its first write): the follower starts anyway and picks up
         checkpoint 1 when it lands.  Leaders that predate the ``watch``
-        verb are followed by fixed-interval polling as before.
-
-        ``poll_s`` is deprecated: the follower is notification-driven
-        now, so the knob only sets the heartbeat period (and the legacy
-        polling interval against an old leader).
+        verb are followed by polling every ``heartbeat_s`` instead.
         """
         self._check_open()
-        if poll_s is not None:
-            warnings.warn(
-                "Replica.follow(poll_s=...) is deprecated: following is "
-                "watch-driven (leader notify + heartbeat), not polled; "
-                "use heartbeat_s to tune the heartbeat period",
-                DeprecationWarning, stacklevel=2)
-            heartbeat_s = float(poll_s)
         if self._poller is not None:
             return
         try:
@@ -396,7 +395,7 @@ class Replica:
             self.host, self.port = host, int(port)
         _stats.bump("net.replica.repoints")
 
-    def promote(self):
+    def _serve_promote(self):
         """Promote this replica to a full write-serving leader.
 
         Builds a :class:`~repro.service.TransactionService` recovered
@@ -426,14 +425,14 @@ class Replica:
         still a follower)."""
         return self._promoted
 
-    # -- fleet status surface (mirrors TransactionService) ---------------------
+    # -- the verbs a following replica answers for itself -----------------------
+    #
+    # ``_serve_<verb>``: what :meth:`_verb` calls *before* promotion
+    # (afterwards the promoted service answers everything).
 
-    def status(self):
+    def _serve_status(self):
         """This endpoint's fleet coordinates (same shape as
         :meth:`TransactionService.status`), plus the leader it follows."""
-        svc = self._promoted
-        if svc is not None:
-            return svc.status()
         return {
             "role": "replica",
             "watermark": self._watermark,
@@ -454,13 +453,10 @@ class Replica:
             return 0.0
         return max(0.0, time.monotonic() - self._last_leader_contact)
 
-    def watch(self, seq=0, timeout_s=10.0):
+    def _serve_watch(self, seq=0, timeout_s=10.0):
         """Long-poll until this replica serves a checkpoint newer than
         ``seq`` (or the timeout elapses); returns :meth:`status`.
         Chained replicas and cluster clients heartbeat through this."""
-        svc = self._promoted
-        if svc is not None:
-            return svc.watch(seq=seq, timeout_s=timeout_s)
         deadline = time.monotonic() + max(0.0, float(timeout_s))
         with self._sync_cond:
             while (
@@ -474,6 +470,18 @@ class Replica:
                 self._sync_cond.wait(remaining)
         _stats.bump("replica.watches")
         return self.status()
+
+    def _serve_stats(self):
+        """A follower has no commit pipeline to count: its status plus
+        the electorate it would probe."""
+        status = self._serve_status()
+        status["peers"] = list(self.peers)
+        return status
+
+    def _serve_telemetry(self, ring_tail=32):
+        payload = _obs.telemetry_snapshot(ring_tail=ring_tail)
+        payload["service"] = self._serve_stats()
+        return payload
 
     # -- serving ---------------------------------------------------------------
 
@@ -508,39 +516,27 @@ class Replica:
         return ServiceConfig(
             checkpoint_path=self.path, checkpoint_every_n_commits=1)
 
-    # -- read-only session surface ---------------------------------------------
+    # -- the session surface ---------------------------------------------------
 
-    def query(self, source, *, answer=None):
-        """Evaluate a read-only query against the synced checkpoint."""
-        return self._ws().query(source, answer)
-
-    def query_result(self, source, *, answer=None):
-        """Like :meth:`query` but returns the full ``TxnResult``."""
-        return self._ws().query_result(source, answer)
-
-    def rows(self, pred):
-        """Rows of a predicate at the synced checkpoint."""
-        return self._ws().rows(pred)
-
-    def explain(self, source, *, answer=None):
-        """EXPLAIN ANALYZE against the synced checkpoint."""
-        return self._ws().explain(source, answer)
-
-    def exec(self, source, *, timeout=None):
-        raise self.read_only_error("exec")
-
-    def addblock(self, source, *, name=None, timeout=None):
-        raise self.read_only_error("addblock")
-
-    def removeblock(self, name, *, timeout=None):
-        raise self.read_only_error("removeblock")
-
-    def load(self, pred, tuples, remove=(), *, timeout=None):
-        raise self.read_only_error("load")
+    def _verb(self, spec, args):
+        """Serve one verb.  Once promoted, the promoted service serves
+        everything.  Before that, write verbs are refused, the fleet
+        verbs a replica answers for itself go to ``_serve_<verb>``,
+        and reads run against the synced checkpoint."""
+        svc = self._promoted
+        if svc is not None:
+            return serve_verb(svc, spec, args)
+        if spec.write:
+            raise self.read_only_error(spec.name)
+        own = getattr(self, "_serve_" + spec.name, None)
+        if own is not None:
+            return own(**args)
+        return serve_verb(self._ws(), spec, args)
 
     def read_only_error(self, verb):
-        """The typed refusal every write verb gets here — also used by
-        the serving facade so wire clients see the same error."""
+        """The typed refusal every write verb gets here — also what the
+        server answers wire clients with (``ReproServer`` asks the
+        service it fronts)."""
         return ReplicaReadOnly(
             "{} is read-only: {} must go to the leader at {}:{}".format(
                 self.name, verb, self.host, self.port))
@@ -563,13 +559,6 @@ class Replica:
         if self._client is not None:
             self._client.close()
             self._client = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
 
     def _session(self):
         if self._client is None:
@@ -596,125 +585,43 @@ class Replica:
 
 
 class _ReplicaService:
-    """The service facade a serving replica hands to ``ReproServer``.
-
-    Pre-promotion it answers read verbs from the replica's synced
-    workspace (role ``replica`` — the server's registry check refuses
-    write verbs with the replica's own :class:`ReplicaReadOnly` before
-    they get here); post-promotion every verb delegates to the
-    promoted :class:`TransactionService` and the advertised role flips
-    to ``leader``, so the *same socket* starts accepting writes.
+    """The service a serving replica hands to ``ReproServer``: the
+    fleet coordinates the server reads off a service (``role``,
+    ``commit_watermark``, the write refusal) plus one delegate per
+    service method in the registry, all into :meth:`Replica._verb` —
+    so the advertised role flips to ``leader`` on promotion and the
+    *same socket* starts accepting writes.
     """
 
-    role_when_following = "replica"
+    faults = None
 
     def __init__(self, replica, config):
         self._replica = replica
         self.config = config
-        self.faults = None
+        self.read_only_error = replica.read_only_error
 
-    # the server consults these for HELLO, response stamping, and the
-    # registry's write-verb refusal
     @property
     def role(self):
-        return ("leader" if self._replica.promoted is not None
-                else self.role_when_following)
+        return "leader" if self._replica.promoted is not None else "replica"
 
     @property
     def commit_watermark(self):
         return self._replica.watermark
 
-    def read_only_error(self, op):
-        return self._replica.read_only_error(op)
-
-    def _svc(self):
-        svc = self._replica.promoted
-        if svc is None:
-            # unreachable for wire traffic (the server refuses write
-            # verbs on non-leaders first); kept as a typed backstop
-            raise self._replica.read_only_error("write")
-        return svc
-
-    # -- read verbs (replica workspace, or the promoted leader) ----------------
-
-    def query_result(self, source, *, answer=None):
-        svc = self._replica.promoted
-        if svc is not None:
-            return svc.query_result(source, answer=answer)
-        return self._replica.query_result(source, answer=answer)
-
-    def rows(self, pred):
-        svc = self._replica.promoted
-        if svc is not None:
-            return svc.rows(pred)
-        return self._replica.rows(pred)
-
-    def explain(self, source, *, answer=None):
-        svc = self._replica.promoted
-        if svc is not None:
-            return svc.explain(source, answer=answer)
-        return self._replica.explain(source, answer=answer)
-
-    def service_stats(self):
-        svc = self._replica.promoted
-        if svc is not None:
-            return svc.service_stats()
-        status = self._replica.status()
-        status["peers"] = list(self._replica.peers)
-        return status
-
-    def telemetry(self, *, ring_tail=32):
-        svc = self._replica.promoted
-        if svc is not None:
-            return svc.telemetry(ring_tail=ring_tail)
-        payload = _obs.telemetry_snapshot(ring_tail=ring_tail)
-        payload["service"] = self.service_stats()
-        return payload
-
-    def status(self):
-        return self._replica.status()
-
-    def watch(self, seq=0, timeout_s=10.0):
-        return self._replica.watch(seq=seq, timeout_s=timeout_s)
-
-    def promote(self):
-        return self._replica.promote()
-
-    # -- write verbs (only reachable after promotion) --------------------------
-
-    def exec(self, source, *, timeout=None, name=None):
-        return self._svc().exec(source, timeout=timeout, name=name)
-
-    def addblock(self, source, *, name=None, timeout=None):
-        return self._svc().addblock(source, name=name, timeout=timeout)
-
-    def removeblock(self, name, *, timeout=None):
-        return self._svc().removeblock(name, timeout=timeout)
-
-    def load(self, pred, tuples, remove=(), *, timeout=None):
-        return self._svc().load(pred, tuples, remove, timeout=timeout)
-
-    def checkpoint(self, *, timeout=None):
-        return self._svc().checkpoint(timeout=timeout)
-
-    def shard_prepare(self, source, **kwargs):
-        return self._svc().shard_prepare(source, **kwargs)
-
-    def shard_repair(self, token, corrections, **kwargs):
-        return self._svc().shard_repair(token, corrections, **kwargs)
-
-    def shard_commit(self, token, deltas, *, timeout=None):
-        return self._svc().shard_commit(token, deltas, timeout=timeout)
-
-    def shard_abort(self, token):
-        return self._svc().shard_abort(token)
-
-    def shard_apply(self, deltas, *, timeout=None):
-        return self._svc().shard_apply(deltas, timeout=timeout)
+    def shard_identity(self):
+        return None
 
 
-assert all(hasattr(_ReplicaService, verb) for verb in WRITE_VERBS), \
-    "every registered write verb needs a (post-promotion) delegate"
+def _delegate(spec):
+    def method(self, **kwargs):
+        return self._replica._verb(spec, kwargs)
+    method.__name__ = spec.service
+    return method
+
+
+for _spec in VERBS.values():
+    if _spec.service:
+        setattr(_ReplicaService, _spec.service, _delegate(_spec))
 
 
 # -- CLI ----------------------------------------------------------------------

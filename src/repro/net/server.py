@@ -42,6 +42,7 @@ runs a standalone leader.
 import argparse
 import asyncio
 import concurrent.futures
+import contextlib
 import os
 import signal
 import struct
@@ -58,14 +59,13 @@ from repro.net.protocol import (
     F_REQUEST,
     F_RESPONSE,
     PROTOCOL_VERSION,
+    VERBS,
     ProtocolError,
-    ReplicaReadOnly,
     decode_frame_body,
-    deltas_from_wire,
-    deltas_to_wire,
     encode_frame,
     error_to_wire,
-    result_to_wire,
+    serve_verb,
+    stream_rows,
     trace_to_wire,
     verb_spec,
 )
@@ -97,7 +97,15 @@ class ReproServer:
     ``stop()``), so the server embeds in tests and REPLs as easily as
     it runs standalone.  ``address`` holds the bound ``(host, port)``
     after start — pass ``port=0`` to let the OS pick.
+
+    The service it fronts supplies ``config``, ``faults``, ``role``,
+    ``commit_watermark``, ``shard_identity()``, ``read_only_error(op)``
+    (consulted only while ``role`` is not ``"leader"``) and the service
+    methods the verb registry names.
     """
+
+    #: the verb registry requests are validated and dispatched against
+    verbs = VERBS
 
     def __init__(self, service, host="127.0.0.1", port=0, *, faults=None):
         self.service = service
@@ -125,9 +133,9 @@ class ReproServer:
         # watch long-polls park a thread for seconds at a time; they get
         # their own (lazily grown) pool so a fleet of heartbeating
         # replicas never starves the verb executor
-        self._watch_executor = concurrent.futures.ThreadPoolExecutor(
+        self._executors = {"watch": concurrent.futures.ThreadPoolExecutor(
             max_workers=64, thread_name_prefix="repro-net-watch",
-        )
+        )}
         self._sync_store = None
         self._sync_lock = threading.Lock()
 
@@ -194,7 +202,7 @@ class ReproServer:
         if self._thread is not None:
             self._thread.join(timeout=10.0)
         self._executor.shutdown(wait=False)
-        self._watch_executor.shutdown(wait=False)
+        self._executors["watch"].shutdown(wait=False)
         if getattr(self, "_owns_sampler", False):
             self._owns_sampler = False
             _obs.stop_sampler()
@@ -283,8 +291,8 @@ class ReproServer:
             "server": "repro",
             # fleet coordinates: a cluster client routes from the
             # handshake alone (reads to replicas, writes to the leader)
-            "role": getattr(self.service, "role", "leader"),
-            "watermark": getattr(self.service, "commit_watermark", 0),
+            "role": self.service.role,
+            "watermark": self.service.commit_watermark,
             "chunk_rows": self.chunk_rows,
             # trace-context negotiation: clients only attach trace_ctx
             # to requests after seeing this capability, so an old server
@@ -300,8 +308,7 @@ class ReproServer:
         # a shard server advertises its fleet identity up front so a
         # coordinator can verify its shard map against every member
         # before routing a single row
-        identity = getattr(self.service, "shard_identity", None)
-        identity = identity() if callable(identity) else None
+        identity = self.service.shard_identity()
         if identity is not None:
             reply["shard"] = {"index": identity[0], "count": identity[1]}
         return await self._send_frames(conn, [(F_HELLO, reply)], op="hello")
@@ -370,10 +377,9 @@ class ReproServer:
         _stats.gauge("net.inflight", self._inflight)
         try:
             try:
-                executor = (self._watch_executor if op == "watch"
-                            else self._executor)
                 frames = await self._loop.run_in_executor(
-                    executor, self._dispatch, rid, op, args, trace_ctx)
+                    self._executors.get(op, self._executor),
+                    self._dispatch, rid, op, args, trace_ctx)
             except ReproError as exc:
                 _stats.bump("net.request_errors")
                 frames = [(F_ERROR, {"id": rid, "error": error_to_wire(exc)})]
@@ -397,28 +403,16 @@ class ReproServer:
         server nothing between traced requests), and the finished span
         tree — including the committer's grafted batch span — is
         attached to the RESPONSE frame for the client to stitch."""
-        if trace_ctx is None:
+        traced = trace_ctx is not None
+        collector = (_obs.Profile() if traced and not _obs.tracing()
+                     else contextlib.nullcontext())
+        with _obs.remote_context(trace_ctx), collector:
             with _obs.span("net.request", op=op) as span_:
                 frames = self._dispatch_op(rid, op, args)
                 if span_ is not None:
                     span_.attrs["frames"] = len(frames)
-            return frames
-        collector = None if _obs.tracing() else _obs.Profile()
-        request_span = None
-        with _obs.remote_context(trace_ctx):
-            if collector is not None:
-                collector.__enter__()
-            try:
-                with _obs.span("net.request", op=op) as span_:
-                    request_span = span_
-                    frames = self._dispatch_op(rid, op, args)
-                    if span_ is not None:
-                        span_.attrs["frames"] = len(frames)
-            finally:
-                if collector is not None:
-                    collector.__exit__(None, None, None)
-        if request_span is not None:
-            self._attach_trace(frames, request_span)
+        if traced and span_ is not None:
+            self._attach_trace(frames, span_)
         return frames
 
     @staticmethod
@@ -430,159 +424,57 @@ class ReproServer:
                 payload["trace"] = record
 
     def _dispatch_op(self, rid, op, args):
+        """Decode the arguments, serve the verb, encode the result —
+        all from the verb's one registry entry."""
         svc = self.service
-        # one registry decides routability: an op outside VERBS fails
-        # here with the same typed error every layer raises for it, and
-        # a write verb on a read-only endpoint is refused *before* the
+        # one registry decides routability: an op outside it fails here
+        # with the same typed error every layer raises for it, and a
+        # write verb on a read-only endpoint is refused *before* the
         # backend sees it
-        spec = verb_spec(op)
-        if spec.write and getattr(svc, "role", "leader") != "leader":
-            raise self._read_only_error(op)
+        spec = verb_spec(op, self.verbs)
+        if spec.write and svc.role != "leader":
+            raise svc.read_only_error(op)
+        kwargs = spec.args_from_wire(args)
+        own = getattr(self, "_serve_" + op, None)
+        value = own(**kwargs) if own else serve_verb(svc, spec, kwargs)
+        result = spec.result.to_wire(value)
+        chunks = (stream_rows(result["txn"], self.chunk_rows)
+                  if spec.streams else ())
+        frames = [(F_CHUNK, {"id": rid, "rows": chunk}) for chunk in chunks]
+        if frames:
+            _stats.bump("net.chunked_queries")
+        # every response carries the commit watermark of the state it
+        # was served from — the session-consistency stamp
+        frames.append((F_RESPONSE, {
+            "id": rid, "result": result, "watermark": svc.commit_watermark}))
+        return frames
 
-        def respond(result_value):
-            # every response carries the commit watermark of the state
-            # it was served from — the session-consistency stamp
-            return [(F_RESPONSE, {
-                "id": rid,
-                "result": result_value,
-                "watermark": getattr(svc, "commit_watermark", 0),
-            })]
+    # -- verbs the server answers itself (``_serve_<op>``) ----------------------
 
-        if op == "exec":
-            result = svc.exec(
-                args["source"],
-                timeout=args.get("timeout"),
-                name=args.get("name"),
-            )
-            return respond({"txn": result_to_wire(result)})
-        if op == "query":
-            result = svc.query_result(
-                args["source"], answer=args.get("answer"))
-            rows = result.rows or []
-            if len(rows) > self.chunk_rows:
-                frames = [
-                    (F_CHUNK, {"id": rid, "rows": rows[i:i + self.chunk_rows]})
-                    for i in range(0, len(rows), self.chunk_rows)
-                ]
-                frames.extend(respond(
-                    {"txn": result_to_wire(result, include_rows=False)}))
-                _stats.bump("net.chunked_queries")
-                return frames
-            return respond({"txn": result_to_wire(result)})
-        if op == "addblock":
-            result = svc.addblock(
-                args["source"], name=args.get("name"),
-                timeout=args.get("timeout"))
-            return respond({"txn": result_to_wire(result)})
-        if op == "removeblock":
-            result = svc.removeblock(
-                args["name"], timeout=args.get("timeout"))
-            return respond({"txn": result_to_wire(result)})
-        if op == "load":
-            result = svc.load(
-                args["pred"], args.get("tuples") or (),
-                args.get("remove") or (), timeout=args.get("timeout"))
-            return respond({"txn": result_to_wire(result)})
-        if op == "rows":
-            return respond({"rows": svc.rows(args["pred"])})
-        if op == "checkpoint":
-            return respond(
-                {"counters": svc.checkpoint(timeout=args.get("timeout"))})
-        if op == "stats":
-            return respond({"stats": svc.service_stats()})
-        if op == "telemetry":
-            snapshot = svc.telemetry(ring_tail=args.get("ring_tail") or 0)
-            return respond({"telemetry": trace_to_wire(snapshot)})
-        if op == "explain":
-            report = svc.explain(args["source"], answer=args.get("answer"))
-            return respond({"explain": trace_to_wire(report.to_dict())})
-        if op == "ping":
-            return respond({})
-        if op == "status":
-            status = dict(svc.status()) if hasattr(svc, "status") else {
-                "role": getattr(svc, "role", "leader"),
-                "watermark": getattr(svc, "commit_watermark", 0),
-            }
-            status["endpoint"] = "{}:{}".format(*self.address)
-            return respond({"status": status})
-        if op == "watch":
-            cap = getattr(self.service.config, "net_watch_cap_s", 30.0)
-            timeout_s = min(float(args.get("timeout_s") or cap), cap)
-            status = svc.watch(
-                seq=int(args.get("seq") or 0), timeout_s=timeout_s)
-            _stats.bump("net.watches")
-            return respond({"status": status})
-        if op == "promote":
-            promote = getattr(svc, "promote", None)
-            if promote is None:
-                # already the leader: promotion is idempotent
-                status = dict(svc.status())
-            else:
-                status = promote()
-            status["endpoint"] = "{}:{}".format(*self.address)
-            return respond({"status": status})
-        if op == "sync_manifest":
-            return respond({"manifest": self._sync_manifest()})
-        if op == "sync_records":
-            return respond(
-                {"records": self._sync_records(args.get("addrs") or ())})
-        if op == "shard_prepare":
-            prepared = svc.shard_prepare(
-                args["source"],
-                name=args.get("name"),
-                partition=args.get("partition"),
-                shard_index=args.get("shard_index"),
-                shard_count=args.get("shard_count"),
-                preflight=args.get("preflight", True),
-                timeout=args.get("timeout"),
-            )
-            return respond({
-                "token": prepared["token"],
-                "effects": deltas_to_wire(prepared["effects"]),
-                "foreign": deltas_to_wire(prepared["foreign"]),
-                "watermark": prepared["watermark"],
-            })
-        if op == "shard_repair":
-            repaired = svc.shard_repair(
-                args["token"],
-                deltas_from_wire(args.get("corrections") or {}),
-                partition=args.get("partition"),
-                shard_index=args.get("shard_index"),
-                shard_count=args.get("shard_count"),
-            )
-            return respond({
-                "effects": deltas_to_wire(repaired["effects"]),
-                "foreign": deltas_to_wire(repaired["foreign"]),
-                "repairs": repaired["repairs"],
-            })
-        if op == "shard_commit":
-            result = svc.shard_commit(
-                args["token"],
-                deltas_from_wire(args.get("deltas") or {}),
-                timeout=args.get("timeout"),
-            )
-            return respond({"txn": result_to_wire(result)})
-        if op == "shard_abort":
-            return respond(svc.shard_abort(args["token"]))
-        if op == "shard_apply":
-            result = svc.shard_apply(
-                deltas_from_wire(args.get("deltas") or {}),
-                timeout=args.get("timeout"),
-            )
-            return respond({"txn": result_to_wire(result)})
-        raise ReproError("unhandled op {!r}".format(op))
+    def _stamped(self, status):
+        """A service's status plus the endpoint it was reached at."""
+        status = dict(status)
+        status["endpoint"] = "{}:{}".format(*self.address)
+        return status
 
-    def _read_only_error(self, op):
-        exc = getattr(self.service, "read_only_error", None)
-        if exc is not None:
-            return exc(op)
-        return ReplicaReadOnly(
-            "{}:{} is a read-only replica: {} must go to the "
-            "leader".format(self.host, self.port, op))
+    def _serve_status(self):
+        return self._stamped(self.service.status())
 
-    # -- replica feed ----------------------------------------------------------
+    def _serve_promote(self):
+        return self._stamped(self.service.promote())
 
-    def _sync_manifest(self):
+    def _serve_watch(self, seq=0, timeout_s=None):
+        """The long-poll runs on its own executor, clamped to the
+        configured ceiling so a client cannot park a thread forever."""
+        cap = self.service.config.net_watch_cap_s
+        status = self.service.watch(
+            seq=seq, timeout_s=min(float(timeout_s or cap), cap))
+        _stats.bump("net.watches")
+        return status
+
+    # the replica feed: served straight from the durable pack files
+
+    def _serve_sync_manifest(self):
         from repro.storage.pager import NodeStore, read_manifest
 
         path = self.service.config.checkpoint_path
@@ -601,7 +493,7 @@ class ReproServer:
             self._sync_store.load_packs(manifest["packs"])
             return manifest
 
-    def _sync_records(self, addrs):
+    def _serve_sync_records(self, addrs):
         with self._sync_lock:
             store = self._sync_store
             if store is None:

@@ -193,7 +193,10 @@ def explain_query(state, source, answer=None, *, parallel=None, backend=None,
     Mirrors :func:`repro.runtime.workspace.evaluate_query` but plans
     fresh (no plan cache) so the chooser is consulted for every rule,
     and collects the run under a private :class:`~repro.obs.Profile`
-    so it works with tracing globally off."""
+    so it works with tracing globally off.  The ``join`` spans are read
+    off the ``explain`` span itself, not the profile's roots: under an
+    ambient open span (a traced server request) ``explain`` is a child,
+    not a root, and the profile would never see it."""
     from repro.engine.evaluator import Evaluator, RuleSet
     from repro.engine.ir import PredAtom
     from repro.engine.optimizer import SamplingOptimizer
@@ -223,8 +226,8 @@ def explain_query(state, source, answer=None, *, parallel=None, backend=None,
         parallel=parallel,
         backend=backend,
     )
-    with _core.Profile() as prof:
-        with _core.span("explain", chars=len(source)):
+    with _core.Profile():
+        with _core.span("explain", chars=len(source)) as explain_span:
             relations, _ = evaluator.evaluate(env)
     wall_s = time.perf_counter() - started
     if answer is None:
@@ -232,7 +235,7 @@ def explain_query(state, source, answer=None, *, parallel=None, backend=None,
     rows = sorted(relations[answer])
 
     joins_by_rule = {}
-    for span_ in prof.find_all("join"):
+    for span_ in explain_span.find_all("join"):
         joins_by_rule.setdefault(span_.attrs.get("rule"), []).append(span_)
 
     report_rules = []

@@ -157,9 +157,9 @@ class Workspace:
         """Current extension of a predicate as a :class:`Relation`."""
         return self.state.relation(name)
 
-    def rows(self, name):
+    def rows(self, pred):
         """Current extension as a sorted list of tuples."""
-        return list(self.state.relation(name))
+        return list(self.state.relation(pred))
 
     def blocks(self):
         """Names of installed blocks."""

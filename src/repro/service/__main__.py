@@ -87,12 +87,11 @@ def soak(writers=4, txns=20, items=32, out=sys.stdout, net=None,
         def make_session(name):
             return service.session(name=name)
 
-    admin = None if service is not None else make_session("soak-admin")
-    front = service if service is not None else admin
+    admin = make_session("soak-admin")  # same verbs on every transport
     try:
-        front.addblock(INVENTORY, name="inventory")
+        admin.addblock(INVENTORY, name="inventory")
         pool = ["item-{}".format(i) for i in range(items)]
-        front.load("inventory", [(item, txns) for item in pool])
+        admin.load("inventory", [(item, txns) for item in pool])
 
         fds_before = _open_fds()
         held = [
@@ -148,7 +147,7 @@ def soak(writers=4, txns=20, items=32, out=sys.stdout, net=None,
         for thread in reader_threads:
             thread.join()
 
-        stats = service.service_stats() if service is not None else admin.stats()
+        stats = admin.stats()
         throughput = (writers * txns) / elapsed if elapsed else 0.0
         where = ""
         if cluster is not None:
@@ -165,7 +164,7 @@ def soak(writers=4, txns=20, items=32, out=sys.stdout, net=None,
         if errors:
             print("errors: {}".format([repr(e) for e in errors[:3]]), file=out)
             return stats, throughput, False
-        remaining = dict(front.rows("inventory"))
+        remaining = dict(admin.rows("inventory"))
         drained = all(
             remaining[item] == txns - decrements[item] for item in pool
         )
@@ -197,8 +196,7 @@ def soak(writers=4, txns=20, items=32, out=sys.stdout, net=None,
             drained = drained and dead == 0 and not leaked
         return stats, throughput, drained
     finally:
-        if admin is not None:
-            admin.close()
+        admin.close()
         if service is not None:
             service.close()
 

@@ -843,13 +843,16 @@ class TransactionService:
                         item.error = item.error or exc
                         item.event.set()
             self._merge_stats(sink)
-            self._maybe_auto_checkpoint()
 
     def _maybe_auto_checkpoint(self):
         """Committer-thread hook: checkpoint when enough commits have
-        accumulated.  A failing checkpoint (disk trouble, injected
-        fault) must not take down the commit pipeline — the previous
-        checkpoint is still intact, so we count the error and carry on."""
+        accumulated.  Runs *before* the commits' waiters are released,
+        so once a client has seen a watermark the checkpoint carrying
+        it is already published — a replica that syncs after the write
+        returned is never behind it.  A failing checkpoint (disk
+        trouble, injected fault) must not take down the commit
+        pipeline — the previous checkpoint is still intact, so we count
+        the error and carry on."""
         every = self.config.checkpoint_every_n_commits
         if not every or self._commits_since_checkpoint < every:
             return
@@ -888,6 +891,7 @@ class TransactionService:
                 # DDL moves state too: advance the watermark so
                 # read-your-writes covers schema changes and bulk loads
                 self._watermark = next(self._commit_seq)
+                self._maybe_auto_checkpoint()
         except Exception as exc:
             barrier.error = exc
         finally:
@@ -916,6 +920,8 @@ class TransactionService:
         else:
             committed, batch_span = self._commit_members(group)
         span_dict = batch_span.to_dict() if batch_span is not None else None
+        if committed:
+            self._maybe_auto_checkpoint()
         for pending in committed:
             pending.commit_span = span_dict
             pending.event.set()
@@ -1125,6 +1131,11 @@ class TransactionService:
                     break
                 self._ckpt_cond.wait(remaining)
         _stats.bump("service.watches")
+        return self.status()
+
+    def promote(self):
+        """A service is already the leader: promotion is a no-op that
+        reports the current :meth:`status`."""
         return self.status()
 
     def status(self):

@@ -20,15 +20,19 @@ by ``connect()`` *owns* its service and closes it with the session.
 
 import itertools
 
+from repro.net.protocol import CONSISTENCY_MODES, VerbSurface, serve_verb
+
 _session_counter = itertools.count(1)
 
 
-class Session:
+class Session(VerbSurface):
     """One client's handle onto a :class:`TransactionService`.
 
-    Thin by design: sessions add naming, default deadlines, and
-    lifecycle; all scheduling lives in the service.  Safe to use from
-    the owning thread; open one session per client thread.
+    Thin by design: the verb methods are the shared
+    :class:`~repro.net.protocol.VerbSurface`; a session adds naming,
+    default deadlines, and lifecycle, and all scheduling lives in the
+    service.  Safe to use from the owning thread; open one session per
+    client thread.
     """
 
     def __init__(self, service, *, name=None, timeout=None,
@@ -42,7 +46,6 @@ class Session:
         self.consistency = consistency
         self._owns_service = owns_service
         self._txns = itertools.count(1)
-        self._closed = False
 
     @property
     def watermark(self):
@@ -50,74 +53,13 @@ class Session:
         last committed write.  Local reads always see it (a single
         service has no replication lag), so this is the same
         read-your-writes anchor the network sessions track."""
-        return getattr(self.service, "commit_watermark", 0)
+        return self.service.commit_watermark
 
-    # -- verbs (all return TxnResult, except query which returns rows) --------
-
-    def exec(self, source, *, timeout=None):
-        """Submit a write transaction; blocks until committed/aborted."""
+    def _verb(self, spec, args):
+        """Every verb is one call on the service's method of that name."""
         self._check_open()
-        return self.service.exec(
-            source,
-            timeout=self._timeout(timeout),
-            name="{}/txn-{}".format(self.name, next(self._txns)),
-        )
-
-    def query(self, source, *, answer=None):
-        """Lock-free read returning plain rows."""
-        self._check_open()
-        return self.service.query(source, answer=answer)
-
-    def query_result(self, source, *, answer=None):
-        """Lock-free read returning the structured :class:`TxnResult`."""
-        self._check_open()
-        return self.service.query_result(source, answer=answer)
-
-    def addblock(self, source, *, name=None, timeout=None):
-        """Install logic (serialized with the write stream)."""
-        self._check_open()
-        return self.service.addblock(
-            source, name=name, timeout=self._timeout(timeout))
-
-    def removeblock(self, name, *, timeout=None):
-        """Remove a block (serialized with the write stream)."""
-        self._check_open()
-        return self.service.removeblock(name, timeout=self._timeout(timeout))
-
-    def load(self, pred, tuples, remove=(), *, timeout=None):
-        """Bulk load (serialized with the write stream)."""
-        self._check_open()
-        return self.service.load(
-            pred, tuples, remove, timeout=self._timeout(timeout))
-
-    def rows(self, pred):
-        """Current rows of a predicate at the head snapshot."""
-        self._check_open()
-        return self.service.rows(pred)
-
-    def checkpoint(self, *, timeout=None):
-        """Write a durable checkpoint now (serialized with the write
-        stream).  Requires the service to be configured with a
-        ``checkpoint_path`` — e.g. ``repro.connect(checkpoint_path=p)``,
-        which also recovers that path's state on startup."""
-        self._check_open()
-        return self.service.checkpoint(timeout=self._timeout(timeout))
-
-    def telemetry(self, *, ring_tail=32):
-        """Live telemetry snapshot (counters, gauges, histogram
-        quantiles, span totals, the slow-transaction log, and the last
-        ``ring_tail`` snapshot-ring entries) — served without touching
-        the committer."""
-        self._check_open()
-        return self.service.telemetry(ring_tail=ring_tail)
-
-    def explain(self, source, *, answer=None):
-        """EXPLAIN ANALYZE for a query: returns an
-        :class:`~repro.obs.ExplainReport` pairing the sampling
-        optimizer's estimated per-rule join cost against the executed
-        join's actual movement counts."""
-        self._check_open()
-        return self.service.explain(source, answer=answer)
+        self._stamp(spec, args)
+        return serve_verb(self.service, spec, args)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -128,22 +70,6 @@ class Session:
         self._closed = True
         if self._owns_service:
             self.service.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-    def _check_open(self):
-        if self._closed:
-            from repro.runtime.errors import ReproError
-
-            raise ReproError("session {} is closed".format(self.name))
-
-    def _timeout(self, timeout):
-        return timeout if timeout is not None else self.timeout
 
     def __repr__(self):
         return "Session({}, {})".format(self.name,
@@ -191,8 +117,6 @@ def connect(target=None, *, service=None, name=None, timeout=None,
     ``connect(checkpoint_path=p)``), constructor options for the
     network sessions (timeouts, frame limits, failover policy).
     """
-    from repro.net.protocol import CONSISTENCY_MODES
-
     if consistency not in CONSISTENCY_MODES:
         raise ValueError(
             "consistency must be one of {}, got {!r}".format(

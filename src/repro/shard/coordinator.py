@@ -47,12 +47,11 @@ process executing the same verbs (the equivalence suite's gate); for
 programs with interacting cross-shard writes it is the serializable
 left-to-right composition of the per-shard derivations.
 
-Backends are duck-typed: in-process
-:class:`~repro.service.TransactionService` objects
-(:meth:`ShardedWorkspace.local`) and
-:class:`~repro.net.client.NetSession` connections
-(``repro.connect("shards://h1:p1,h2:p2,...")``) drive the identical
-code path.  Like sessions, one coordinator serves one thread at a
+Backends are sessions: a :class:`~repro.service.session.Session` over
+each in-process service (:meth:`ShardedWorkspace.local`) or a
+:class:`~repro.net.client.NetSession` per shard server
+(``repro.connect("shards://h1:p1,h2:p2,...")``) — one verb surface,
+one code path.  Like sessions, one coordinator serves one thread at a
 time.
 
 Caveat: float sums fold in shard order, which may differ bitwise from
@@ -74,6 +73,7 @@ from repro.engine.planner import (
     classify_rules,
 )
 from repro.logiql.compiler import compile_program
+from repro.net.protocol import VerbNotServed, VerbSurface
 from repro.runtime.errors import ConflictError, ReproError
 from repro.runtime.result import TxnResult
 from repro.shard.executors import ShardExecutorPool
@@ -113,8 +113,13 @@ def _union_rows(row_lists):
     return sorted(merged)
 
 
-class ShardedWorkspace:
-    """Coordinator over ``n`` hash shards (see module docstring)."""
+class ShardedWorkspace(VerbSurface):
+    """Coordinator over ``n`` hash shards (see module docstring).
+
+    The verbs with placement logic — ``addblock`` / ``removeblock`` /
+    ``load`` / ``rows`` / ``query`` / ``exec`` — are implemented here;
+    the rest of the :class:`~repro.net.protocol.VerbSurface` fans out
+    to every shard or is refused (:meth:`_verb`)."""
 
     def __init__(self, backends, shard_map, *, owns_backends=False,
                  max_retries=3, verify=True):
@@ -129,7 +134,6 @@ class ShardedWorkspace:
         self._pool = ShardExecutorPool(backends)
         self._owns_backends = owns_backends
         self._max_retries = max_retries
-        self._closed = False
         # the compiled program (no data!): block name -> (source, rules)
         self._blocks = {}
         self._analysis = classify_rules([], shard_map.partition)
@@ -146,13 +150,12 @@ class ShardedWorkspace:
               **config_kwargs):
         """Spin up ``n_shards`` in-process
         :class:`~repro.service.TransactionService` shards (each with
-        its shard identity configured) — single-machine scale-up and
-        the test/benchmark harness."""
-        from repro.service import ServiceConfig, TransactionService
+        its shard identity configured, each behind its own session) —
+        single-machine scale-up and the test/benchmark harness."""
+        from repro.service import connect
 
         backends = [
-            TransactionService(config=ServiceConfig(
-                shard_index=index, shard_count=n_shards, **config_kwargs))
+            connect(shard_index=index, shard_count=n_shards, **config_kwargs)
             for index in range(n_shards)
         ]
         return cls(backends, ShardMap(n_shards, partition),
@@ -162,8 +165,8 @@ class ShardedWorkspace:
     def connect(cls, endpoints, partition=None, *, max_retries=3,
                 **client_kwargs):
         """Connect to shard server processes at ``endpoints`` (a list
-        of ``host:port``, index == shard index).  Each server's HELLO
-        shard advertisement is checked against its position."""
+        of ``host:port``, index == shard index).  Each server's
+        advertised shard identity is checked against its position."""
         from repro.net.client import NetSession
 
         endpoints = [str(e).strip() for e in endpoints if str(e).strip()]
@@ -187,17 +190,10 @@ class ShardedWorkspace:
         with its slot in the map — catching a mis-ordered endpoint list
         before a single row is routed."""
         for index in range(self.shard_map.n_shards):
-            advert = None
-            backend = self._pool.backend(index)
-            shard = getattr(backend, "server_shard", None)
-            if shard is not None:
-                advert = (shard.get("index"), shard.get("count"))
-            else:
-                identity = getattr(backend, "shard_identity", None)
-                if callable(identity):
-                    advert = identity()
-            if advert is None:
+            shard = self._pool.backend(index).status().get("shard")
+            if shard is None:
                 continue
+            advert = (shard["index"], shard["count"])
             if advert != (index, self.shard_map.n_shards):
                 raise ShardError(
                     "backend {} advertises shard {}/{} but the map "
@@ -213,11 +209,12 @@ class ShardedWorkspace:
             rules.extend(block_rules)
         return rules
 
-    def _classify(self, rules):
+    def _classify(self, rules, analysis=None):
         """Classification plus the coordinator-side placement checks
         the per-rule transfer function cannot do (it does not know N):
         literal partition keys must co-reside on one shard."""
-        analysis = classify_rules(rules, self.shard_map.partition)
+        if analysis is None:
+            analysis = classify_rules(rules, self.shard_map.partition)
         broken = list(analysis.broken)
         for rule in rules:
             anchor = analysis.anchors.get(id(rule))
@@ -231,7 +228,7 @@ class ShardedWorkspace:
                     "shards".format(list(anchor.consts))))
         return analysis, broken
 
-    def addblock(self, source, name=None, *, timeout=None):
+    def addblock(self, source, *, name=None, timeout=None):
         """Install a block on every shard — after proving the combined
         program shard-local-exact for the partition spec."""
         self._check_open()
@@ -280,10 +277,8 @@ class ShardedWorkspace:
         if name not in self._blocks:
             raise KeyError("no such block: {}".format(name))
         with _obs.span("shard.removeblock", block=name):
-            results, failed = self._collect(
+            results = self._pool.gather(
                 self._pool.broadcast("removeblock", name))
-            if failed:
-                raise failed[0][1]
         del self._blocks[name]
         self._analysis, _ = self._classify(self._installed_rules())
         return results[0]
@@ -354,9 +349,7 @@ class ShardedWorkspace:
         cls = self._class_of(pred)
         if cls.kind == KEY_REPLICATED and not self.shard_map.is_partitioned(pred):
             return [tuple(r) for r in self._pool.backend(0).rows(pred)]
-        row_lists, failed = self._collect(self._pool.broadcast("rows", pred))
-        if failed:
-            raise failed[0][1]
+        row_lists = self._pool.gather(self._pool.broadcast("rows", pred))
         if cls.kind == KEY_PARTIAL_AGG:
             return self._recombine(cls.fn, row_lists)
         return _union_rows(row_lists)
@@ -385,7 +378,14 @@ class ShardedWorkspace:
 
     # -- queries ---------------------------------------------------------------
 
-    def query(self, source, answer=None):
+    def query_result(self, source, *, answer=None):
+        """:meth:`query`, wrapped in the structured :class:`TxnResult`."""
+        started = time.perf_counter()
+        rows = self.query(source, answer=answer)
+        return TxnResult(status="committed", kind="query", rows=rows,
+                         latency_s=time.perf_counter() - started)
+
+    def query(self, source, *, answer=None):
         """Evaluate a query program against the sharded fleet; returns
         the answer predicate's sorted global rows."""
         self._check_open()
@@ -403,7 +403,7 @@ class ShardedWorkspace:
             "_" if any(r.head_pred == "_" for r in qrules)
             else qrules[-1].head_pred)
         cls = analysis.class_of(answer_pred)
-        _, broken = self._classify_query(qrules, analysis)
+        _, broken = self._classify(qrules, analysis)
         gatherable = bool(broken) or (
             cls.kind == KEY_PARTIAL_AGG and cls.fn not in RECOMBINABLE_AGGS)
         with _obs.span("shard.query", answer=answer_pred,
@@ -427,24 +427,11 @@ class ShardedWorkspace:
             _stats.bump("shard.scatter_queries")
             if span_ is not None:
                 span_.attrs["mode"] = "scatter"
-            row_lists, failed = self._collect(
+            row_lists = self._pool.gather(
                 self._pool.broadcast("query", source, answer=answer))
-            if failed:
-                raise failed[0][1]
             if cls.kind == KEY_PARTIAL_AGG:
                 return self._recombine(cls.fn, row_lists)
             return _union_rows(row_lists)
-
-    def _classify_query(self, qrules, analysis):
-        broken = list(analysis.broken)
-        for rule in qrules:
-            anchor = analysis.anchors.get(id(rule))
-            if anchor is not None and anchor.kind == "const":
-                owners = {
-                    self.shard_map.shard_of_key(c) for c in anchor.consts}
-                if len(owners) > 1:
-                    broken.append((rule, "literal keys cross shards"))
-        return analysis, broken
 
     def _const_owner(self, rules, analysis):
         """The single shard owning every literal partition key of the
@@ -808,19 +795,31 @@ class ShardedWorkspace:
         """The shard map manifest (wire/JSON form)."""
         return self.shard_map.manifest()
 
+    def _verb(self, spec, args):
+        """The verbs with no placement logic: a ``write`` (that is,
+        ``checkpoint``) or ``leader-read`` verb asks every shard — each
+        is the leader of its fragment — and returns the answers in
+        shard order; ``explain``, the ``member`` protocol and the
+        commit circuit itself are not served through a coordinator."""
+        self._check_open()
+        if spec.route not in ("write", "leader-read"):
+            raise VerbNotServed(
+                "{} is not served by a shards:// coordinator".format(
+                    spec.name))
+        return self._pool.gather(self._pool.broadcast(spec.name, **args))
+
     def status(self):
-        """Coordinator + per-member status."""
+        """Coordinator + per-member status (a member that cannot be
+        reached reports its error instead of failing the call)."""
         members, failed = self._collect(self._pool.broadcast("status"))
+        for index, error in failed:
+            members[index] = {"error": str(error)}
         return {
             "role": "coordinator",
             "shards": self.shard_map.n_shards,
             "map": self.manifest(),
             "blocks": list(self._blocks),
-            "members": [
-                member if member is not None else {"error": str(error)}
-                for member, (_, error) in itertools.zip_longest(
-                    members, failed, fillvalue=(None, None))
-            ] if failed else members,
+            "members": members,
         }
 
     def _collect(self, futures):
@@ -853,13 +852,6 @@ class ShardedWorkspace:
                 except BaseException:  # noqa: BLE001 - shutdown path
                     pass
         self._pool.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
 
     def _check_open(self):
         if self._closed:

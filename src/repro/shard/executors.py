@@ -35,10 +35,6 @@ class ShardExecutorPool:
             thread_name_prefix="repro-{}".format(name))
         self._closed = False
 
-    @property
-    def n_shards(self):
-        return len(self._backends)
-
     def backend(self, index):
         return self._backends[index]
 
@@ -55,15 +51,6 @@ class ShardExecutorPool:
         _stats.bump("shard.fanouts")
         return [self.submit(i, verb, *args, **kwargs)
                 for i in range(len(self._backends))]
-
-    def map(self, verb, per_shard_args):
-        """``verb`` against every shard with per-shard positional args
-        (``per_shard_args[i]`` is the tuple for shard ``i``); futures
-        in shard order."""
-        self._check_open()
-        _stats.bump("shard.fanouts")
-        return [self.submit(i, verb, *args)
-                for i, args in enumerate(per_shard_args)]
 
     @staticmethod
     def gather(futures):

@@ -216,3 +216,34 @@ def test_trace_to_wire_preserves_span_shape():
     assert wired["sid"] == 3 and wired["counters"] == {"join.seeks": 4}
     assert isinstance(wired["children"], list)  # tuples become lists
     assert isinstance(wired["attrs"]["weird"], str)  # repr-scrubbed
+
+
+# -- golden frames: the bytes on the wire did not move ------------------------
+
+
+def test_every_verb_encodes_byte_identically_to_the_golden_frames():
+    """One REQUEST and one RESPONSE (plus CHUNKs) per verb, recorded at
+    the commit before stubs and dispatch were derived from the verb
+    table, must come out of today's client and server unchanged."""
+    import json
+
+    from repro.net.protocol import VERBS
+    from tests.net import golden_frames
+
+    with open(golden_frames.FIXTURE) as fh:
+        golden = json.load(fh)
+    # every registered verb has a golden call
+    assert {golden_frames.CALLS[label][0] for label in golden_frames.CALLS} \
+        >= {spec.name for spec in VERBS.values()}
+    # the one deliberate change: a net session now numbers its
+    # transactions like a local one ("<session>/txn-N", was ".../txn")
+    _, request = decode_frame_body(bytes.fromhex(golden["exec"]["request"])[4:])
+    assert request["args"]["name"] == "golden/txn"
+    request["args"]["name"] = "golden/txn-1"
+    golden["exec"]["request"] = encode_frame(F_REQUEST, request).hex()
+
+    recorded = golden_frames.record()
+    assert sorted(recorded) == sorted(golden)
+    for label in sorted(golden):
+        for side in ("request", "response"):
+            assert recorded[label][side] == golden[label][side], (label, side)

@@ -46,6 +46,7 @@ class TestNegotiation:
         assert "trace" not in payload
 
     def test_traced_dispatch_attaches_closed_span(self, server):
+        ambient = obs.tracing()  # REPRO_TRACE=1 keeps tracing on throughout
         frames = server._dispatch(
             2, "ping", {}, {"trace": "T-test", "span": 11})
         (ftype, payload), = frames
@@ -55,9 +56,9 @@ class TestNegotiation:
         assert record["attrs"]["op"] == "ping"
         assert record["attrs"]["remote_parent"] == 11
         assert record["wall_s"] >= 0.0  # span closed before serialization
-        # the per-request collector is gone: the server thread is not
-        # left tracing
-        assert not obs.tracing()
+        # the per-request collector is gone: the server thread is left
+        # tracing exactly as much as it was before the request
+        assert obs.tracing() == ambient
 
 
 class TestStitchedTraces:
@@ -89,6 +90,17 @@ class TestStitchedTraces:
         sids = [s.sid for s in spans]
         assert len(sids) == len(set(sids))
 
+    def test_each_write_of_a_session_gets_its_own_trace_name(self, session):
+        # one naming rule on every transport: "<session>/txn-N" (a net
+        # session used to stamp every write "<session>/txn")
+        session.addblock("p(x) -> int(x).", name="b1")
+        names = []
+        for value in (1, 2):
+            with obs.Profile() as prof:
+                session.exec("+p({}).".format(value))
+            names.append(prof.find("service.exec").attrs["txn"])
+        assert names == [session.name + "/txn-1", session.name + "/txn-2"]
+
     def test_query_trace_carries_server_subtree(self, session):
         session.addblock("p(x) -> int(x).", name="b1")
         session.load("p", [(i,) for i in range(10)])
@@ -102,10 +114,14 @@ class TestStitchedTraces:
 
     def test_untraced_client_records_nothing(self, session):
         session.addblock("q(x) -> int(x).", name="b2")
-        before = len(obs.last_roots())
+        ambient = obs.tracing()  # REPRO_TRACE=1 keeps tracing on throughout
+        before = [root.sid for root in obs.last_roots()]
         session.exec("+q(1).")
-        assert not obs.tracing()
-        assert len(obs.last_roots()) == before
+        assert obs.tracing() == ambient
+        fresh = [r for r in obs.last_roots() if r.sid not in before]
+        # nothing is recorded unless tracing is ambient — and then it is
+        # the client's own call span, not a leaked server collector
+        assert [r.name for r in fresh] == (["net.call"] if ambient else [])
 
     def test_replica_sync_roots_a_distributed_trace(self, tmp_path):
         service = TransactionService(config=ServiceConfig(

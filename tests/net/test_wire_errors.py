@@ -15,6 +15,7 @@ from repro.net.protocol import (
     ProtocolError,
     ReplicaReadOnly,
     StaleRead,
+    VerbNotServed,
     _WireConstraint,
     error_from_wire,
     error_registry,
@@ -57,6 +58,7 @@ FACTORIES = {
     "ReplicaReadOnly": lambda: ReplicaReadOnly("writes go to the leader"),
     "StaleRead": lambda: StaleRead("replica fleet behind watermark 42"),
     "LeaderUnavailable": lambda: LeaderUnavailable("no leader among 3 endpoints"),
+    "VerbNotServed": lambda: VerbNotServed("explain is not served by shards://"),
     "ShardError": lambda: ShardError("block is not shard-local-exact"),
     "ShardCommitError": lambda: ShardCommitError(
         "compensation of committed shards failed"),

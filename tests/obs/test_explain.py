@@ -43,6 +43,18 @@ class TestExplainQuery:
         assert rule["error_ratio"] == pytest.approx(
             (rule["estimated_steps"] + 1.0) / (rule["actual_steps"] + 1.0))
 
+    def test_actuals_survive_an_ambient_open_span(self, triangle_ws):
+        # inside someone else's span (a traced server request) the
+        # explain span is a child, not a root: the report must still
+        # find its own join spans
+        with obs.Profile() as outer:
+            with obs.span("net.request"):
+                report = triangle_ws.explain(
+                    "_(x, z) <- edge(x, y), edge(y, z).")
+        (rule,) = report.rules
+        assert rule["executions"] >= 1 and rule["actual_steps"] > 0
+        assert outer.find("explain") is not None  # still in the ambient trace
+
     def test_error_ratio_feeds_histogram(self, triangle_ws):
         before = stats.histograms().get("optimizer.estimate_error", {})
         triangle_ws.explain("_(x, z) <- edge(x, y), edge(y, z).")

@@ -5,7 +5,7 @@ the :class:`TxnResult` field set, and the error taxonomy, so accidental
 surface changes fail loudly instead of breaking clients."""
 
 import dataclasses
-import warnings
+import inspect
 
 import pytest
 
@@ -111,6 +111,7 @@ class TestTxnResult:
         added = ws.addblock("p(x) -> int(x).", name="b1")
         assert isinstance(added, TxnResult)
         assert added.kind == "addblock" and added.block == "b1"
+        assert str(added) == "b1"
         loaded = ws.load("p", [(1,)])
         assert isinstance(loaded, TxnResult) and loaded.committed
         result = ws.exec("+p(2).")
@@ -119,6 +120,9 @@ class TestTxnResult:
         assert "p" in result.deltas
         assert result.changed_predicates() == ["p"]
         assert result.latency_s is not None and result.latency_s >= 0
+        # removeblock accepts the result object addblock returned
+        removed = ws.removeblock(ws.addblock("q(x) -> int(x).", name="b7"))
+        assert removed.kind == "removeblock" and removed.block == "b7"
 
     def test_query_result(self):
         ws = Workspace()
@@ -130,29 +134,6 @@ class TestTxnResult:
         assert sorted(result.rows) == [(1,), (2,)]
         # plain query still returns bare rows
         assert sorted(ws.query("_(x) <- p(x).")) == [(1,), (2,)]
-
-    def test_legacy_dict_shape_warns(self):
-        ws = Workspace()
-        ws.addblock("p(x) -> int(x).", name="b1")
-        result = ws.exec("+p(1).")
-        with pytest.warns(DeprecationWarning):
-            assert "p" in result
-        with pytest.warns(DeprecationWarning):
-            assert len(result) == 1
-        with pytest.warns(DeprecationWarning):
-            assert list(result) == ["p"]
-        with pytest.warns(DeprecationWarning):
-            assert result["p"] is result.deltas["p"]
-
-    def test_legacy_block_name_shape_warns(self):
-        ws = Workspace()
-        added = ws.addblock("p(x) -> int(x).", name="b7")
-        with pytest.warns(DeprecationWarning):
-            assert added == "b7"
-        assert str(added) == "b7"
-        # removeblock still accepts the result object (old name-string flow)
-        removed = ws.removeblock(added)
-        assert removed.kind == "removeblock" and removed.block == "b7"
 
     def test_to_dict(self):
         ws = Workspace()
@@ -167,11 +148,6 @@ class TestTxnResult:
 class TestNetSessionSurface:
     """The network session mirrors the local session: same verbs, same
     result shapes, so code written against one runs against the other."""
-
-    SESSION_VERBS = (
-        "exec", "query", "query_result", "addblock", "removeblock",
-        "load", "rows", "checkpoint", "close", "__enter__", "__exit__",
-    )
 
     def test_net_exports(self):
         import repro.net as net
@@ -189,19 +165,161 @@ class TestNetSessionSurface:
             "ReplicaReadOnly",
             "ReproServer",
             "StaleRead",
-            "connect",
+            "VerbNotServed",
         }
         for name in net.__all__:
             assert getattr(net, name) is not None
 
     def test_every_transport_has_every_session_verb(self):
-        from repro.net import ClusterSession, NetSession
+        # the registry is the surface: every verb it declares is a
+        # method with that exact signature on all five transports
+        from repro.net import ClusterSession, NetSession, Replica
+        from repro.net.protocol import VERBS
         from repro.service.session import Session
+        from repro.shard import ShardedWorkspace
 
-        for verb in self.SESSION_VERBS:
-            assert callable(getattr(Session, verb)), verb
-            assert callable(getattr(NetSession, verb)), verb
-            assert callable(getattr(ClusterSession, verb)), verb
+        transports = (
+            Session, NetSession, ClusterSession, Replica, ShardedWorkspace)
+        assert len(VERBS) == 21
+        surface = {spec.name: spec.signature for spec in VERBS.values()}
+        surface["query"] = surface["query_result"]
+        for verb, signature in surface.items():
+            for transport in transports:
+                method = getattr(transport, verb)
+                assert inspect.signature(method) == signature, (
+                    transport.__name__, verb)
+                assert method.__doc__, (transport.__name__, verb)
+        for transport in transports:
+            for name in ("close", "__enter__", "__exit__"):
+                assert callable(getattr(transport, name)), name
+
+    def test_every_verb_is_declared_once(self):
+        from repro.net.protocol import ROUTES, VERBS
+
+        for op, spec in VERBS.items():
+            assert spec.op == op and spec.route in ROUTES
+            assert spec.write == (spec.route in ("write", "shard-circuit"))
+            assert spec.doc and spec.signature is not None
+        # the only verbs whose retry contract is not their class default
+        assert {s.op for s in VERBS.values()
+                if s.retryable == s.write} == {"promote", "shard_abort"}
+        assert VERBS["query"].name == "query_result"
+        assert VERBS["stats"].service == "service_stats"
+        assert VERBS["exec"].stamp == "name"
+
+    def test_a_refused_verb_is_a_typed_error_on_every_transport(self, tmp_path):
+        from repro.net import ClusterSession, Replica, VerbNotServed
+        from repro.shard import ShardedWorkspace
+
+        with repro.connect() as session:
+            with pytest.raises(VerbNotServed):
+                session.sync_manifest()  # no checkpoint feed in-process
+        with ClusterSession(["127.0.0.1:7411"]) as cluster:
+            with pytest.raises(VerbNotServed, match="tcp://"):
+                cluster.promote()  # a member verb needs one endpoint
+        with ShardedWorkspace.local(2, partition={"p": 0}) as sharded:
+            for refused in (lambda: sharded.explain("_(x) <- p(x)."),
+                            lambda: sharded.watch(),
+                            lambda: sharded.shard_abort("token")):
+                with pytest.raises(VerbNotServed):
+                    refused()
+        with Replica("127.0.0.1", 1, str(tmp_path / "r")) as replica:
+            with pytest.raises(ReproError):
+                replica.exec("+p(1).")  # ReplicaReadOnly names the leader
+
+    def test_sharded_workspace_serves_the_admin_verbs(self):
+        from repro.shard import ShardedWorkspace
+
+        with ShardedWorkspace.local(2, partition={"p": 0}) as sharded:
+            with pytest.raises(TypeError):
+                sharded.addblock("p(x) -> int(x).", "positional-name")
+            sharded.addblock("p(x) -> int(x).", name="b1")
+            sharded.load("p", [(i,) for i in range(6)])
+            with pytest.raises(TypeError):
+                sharded.query("_(x) <- p(x).", "_")
+            result = sharded.query_result("_(x) <- p(x).", answer="_")
+            assert isinstance(result, TxnResult) and result.kind == "query"
+            assert result.rows == sharded.query("_(x) <- p(x).")
+            assert len(result.rows) == 6
+            stats = sharded.stats()
+            assert [s["role"] for s in stats] == ["leader", "leader"]
+            assert all("counters" in t for t in sharded.telemetry(ring_tail=2))
+            assert sharded.ping() >= 0.0
+            with pytest.raises(ReproError, match="checkpoint_path"):
+                sharded.checkpoint()
+
+    def test_adding_a_verb_is_one_table_entry(self, tmp_path):
+        # two throw-away verbs declared in a *copy* of the registry are
+        # routable on client, server, local session, cluster and
+        # replica with no other code: stubs, dispatch, refusal and
+        # routing all follow from the declaration
+        from repro.net import (
+            ClusterSession, NetSession, Replica, ReplicaReadOnly,
+            ReproServer, VerbNotServed)
+        from repro.net.protocol import VERBS, verb
+        from repro.service import ServiceConfig, Session, TransactionService
+
+        table = dict(VERBS)
+
+        class Extra:
+            @verb(table=table, route="read")
+            def echo(self, value, *, times=1):
+                """Throw-away read verb."""
+
+            @verb(table=table, route="write")
+            def poke(self, value):
+                """Throw-away write verb."""
+
+        assert set(table) - set(VERBS) == {"echo", "poke"}
+
+        class Service(TransactionService):
+            def echo(self, value, *, times=1):
+                return {"echo": [value] * times}
+
+            def poke(self, value):
+                return {"poked": value}
+
+        class Server(ReproServer):
+            verbs = table
+
+        class Local(Extra, Session): pass
+        class Client(Extra, NetSession): pass
+        class Cluster(Extra, ClusterSession): pass
+        class Follower(Extra, Replica): pass
+
+        service = Service(config=ServiceConfig(
+            checkpoint_path=str(tmp_path / "leader")))
+        try:
+            with Server(service) as server:
+                with Local(service) as local:
+                    assert local.echo("hi") == {"echo": ["hi"]}
+                endpoint = "{}:{}".format(server.host, server.port)
+                with Client(server.host, server.port) as client:
+                    assert str(inspect.signature(client.echo)) == \
+                        "(value, *, times=1)"
+                    assert client.echo("hi", times=2) == {"echo": ["hi", "hi"]}
+                    assert client.poke(3) == {"poked": 3}
+                    with pytest.raises(ReproError, match="needs argument"):
+                        client._verb(table["echo"], {})
+                    client.addblock("p(x) -> int(x).", name="b1")
+                    client.checkpoint()
+                with Cluster([endpoint]) as cluster:
+                    assert cluster.echo("fan") == {"echo": ["fan"]}
+                    assert cluster.poke(5) == {"poked": 5}
+                with Follower(server.host, server.port,
+                              str(tmp_path / "replica")) as follower:
+                    assert follower.sync()["ingested"]
+                    with pytest.raises(ReplicaReadOnly, match="poke"):
+                        follower.poke(1)
+                    with pytest.raises(VerbNotServed):
+                        follower.echo("a workspace has no echo")
+            # a server on the stock table has never heard of the verb
+            with ReproServer(service) as stock:
+                with Client(stock.host, stock.port) as client:
+                    with pytest.raises(ReproError, match="unknown op"):
+                        client.echo("hi")
+        finally:
+            service.close()
 
     def test_every_transport_tracks_a_watermark(self):
         # the session-consistency anchor is part of the surface: all
@@ -323,22 +441,6 @@ class TestUnifiedConnect:
             repro.connect(consistency="serializable-ish")
         with pytest.raises(ValueError):
             repro.connect("cluster://127.0.0.1:7411", consistency="nope")
-
-    def test_old_net_connect_still_works_but_warns(self):
-        import repro.net
-        from repro.net import NetSession
-        from repro.service import TransactionService
-
-        service = TransactionService()
-        server = service.serve()
-        try:
-            with pytest.warns(DeprecationWarning, match="repro.connect"):
-                session = repro.net.connect(server.host, server.port)
-            assert isinstance(session, NetSession)
-            session.close()
-        finally:
-            server.stop()
-            service.close()
 
 
 class TestKeywordOnlyConstructors:
