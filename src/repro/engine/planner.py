@@ -346,13 +346,16 @@ def build_plan(atoms, var_order=None, output_vars=()):
 # * ``scattered`` — the global extension is the union of the shard
 #   extensions, but the same row may appear on several shards (the
 #   partition variable was projected away);
-# * ``partial_agg(fn)`` — per-shard values are group-state partials that
-#   the coordinator must re-combine (sum/count add, min/max fold; avg is
-#   not recombinable from its partials).
+# * ``partial_agg(fn)`` — each shard holds group *state* over its
+#   fragment that the coordinator must re-combine (sum/count add,
+#   min/max fold, avg from its (sum, count) — never from per-shard
+#   means).
 #
 # A rule that cannot be evaluated shard-local-exactly under any of these
 # readings is *broken* for the given partition spec — the coordinator
-# either refuses to install it or falls back to gathering fragments.
+# refuses to install it, and answers a query containing it by exchange:
+# fetching the base predicates of the query's dependency cone
+# (:func:`repro.engine.rules.dependency_cone`) and evaluating there.
 
 KEY_REPLICATED = "replicated"
 KEY_KEYED = "keyed"

@@ -209,3 +209,27 @@ def stratify(rules, edb_preds=()):
                     )
         recursive_flags.append(recursive)
     return [list(component) for component in components], recursive_flags
+
+
+def dependency_cone(rules, library):
+    """``rules`` plus the ``library`` rules they transitively read.
+
+    A predicate headed by one of ``rules`` shadows a library definition
+    of the same name (a query's auxiliary views win over installed
+    ones, as they do in a workspace).  Whatever a cone body reads that
+    no cone rule derives is a *base* predicate — exactly the data that
+    evaluating ``rules`` can touch.
+    """
+    by_head = {}
+    for rule in library:
+        by_head.setdefault(rule.head_pred, []).append(rule)
+    cone = list(rules)
+    derived = {rule.head_pred for rule in cone}
+    frontier = list(cone)
+    while frontier:
+        for pred in frontier.pop().body_preds():
+            if pred not in derived and pred in by_head:
+                derived.add(pred)
+                cone.extend(by_head[pred])
+                frontier.extend(by_head[pred])
+    return cone

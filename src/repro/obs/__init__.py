@@ -4,7 +4,8 @@ The package splits the observability layer into:
 
 * :mod:`repro.obs.core` — spans, profiles, trace files, and the
   cross-process trace context (:func:`trace_context` /
-  :func:`remote_context` / :func:`graft`);
+  :func:`remote_context` / :func:`graft`), and the cross-thread one
+  (:func:`carry`);
 * :mod:`repro.obs.telemetry` — the snapshot ring, the background
   sampler, and the Prometheus text exposition with quantiles;
 * :mod:`repro.obs.explain` — EXPLAIN ANALYZE (estimated-vs-actual
@@ -29,6 +30,7 @@ from repro.obs.core import (
     Profile,
     Span,
     annotate,
+    carry,
     current,
     disable,
     enable,

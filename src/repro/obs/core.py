@@ -26,6 +26,10 @@ counters of :mod:`repro.stats`:
   serialized remote subtree (a :meth:`Span.to_dict` payload) back under
   the local open span, which is how the network client stitches the
   server/committer side of a transaction into one tree.
+* **Thread hand-off** — :func:`carry` captures the open spans and
+  counter sinks of the calling thread so a pool worker can run one task
+  *inside* them: a fan-out shows up as child spans of the span that
+  fanned out, not as unrelated roots on worker threads.
 * **Exporters** — a JSON-lines trace dump (one span per line, parent
   links included, trace id stamped on every line).
 
@@ -303,6 +307,57 @@ def graft(record, **extra_attrs):
         span_.attrs.update(extra_attrs)
     parent.children.append(span_)
     return span_
+
+
+# -- cross-thread context -----------------------------------------------------
+
+
+class _Carried:
+    """One thread's ambient context — its open spans, its collector and
+    its active :mod:`repro.stats` sinks — re-entered on a worker thread
+    for the length of a ``with`` block.  Spans the worker opens nest
+    under the captured innermost span (same trace, no second root) and
+    counters it bumps land in the captured sinks; the worker's own
+    context is restored on exit."""
+
+    __slots__ = ("_spans", "_collector", "_sinks", "_saved")
+
+    def __init__(self, spans, collector, sinks):
+        self._spans = spans
+        self._collector = collector
+        self._sinks = sinks
+        self._saved = None
+
+    def __enter__(self):
+        self._saved = (
+            getattr(_local, "spans", None),
+            getattr(_local, "collector", None),
+            stats.swap_scopes(list(self._sinks)),
+        )
+        # copies: the worker pushes and pops its own spans above the
+        # captured ones and must never pop those
+        _local.spans = list(self._spans)
+        _local.collector = self._collector
+        return self
+
+    def __exit__(self, *exc):
+        _local.spans, _local.collector, sinks = self._saved
+        stats.swap_scopes(sinks)
+        self._saved = None
+        return False
+
+
+def carry():
+    """Capture this thread's open spans and counter sinks for a worker
+    thread to re-enter (``with carried:``), or ``None`` when there is
+    nothing to carry — no span open and no scope active — so the
+    untraced path pays two attribute reads."""
+    spans = getattr(_local, "spans", None)
+    sinks = stats.active_scopes()
+    if not spans and not sinks:
+        return None
+    return _Carried(
+        tuple(spans or ()), getattr(_local, "collector", None), sinks)
 
 
 # -- streaming trace file -----------------------------------------------------

@@ -14,12 +14,18 @@ classification (:func:`repro.engine.planner.classify_rules`):
   shard; a partial installation is rolled back.
 * **load** fragments partitioned predicates by ``stable_hash`` key and
   broadcasts replicated ones.
-* **query** is planned by placement: co-partitioned answers run
-  shard-local and recombine coordinator-side (union for keyed and
-  scattered answers, per-group fold for sum/count/min/max partials);
-  literal-key programs route to the single owning shard; everything
-  else falls back to *gather* — fetch the global EDB extensions and
-  evaluate on a scratch workspace (always exact, never fast).
+* **query** costs what the query reads; placement picks one of four
+  modes.  ``route``: a literal-key (or all-replicated) program runs on
+  the one shard that owns it.  ``scatter``: a co-partitioned answer
+  runs shard-local everywhere and the rows union.  ``fold``: an
+  aggregate that loses the partition variable ships per-group *state*
+  per :data:`AGG_STATE` — ``avg`` as ``(sum, count)``, by rewriting
+  the query text — merged and finalised here, in one wave.
+  ``exchange``: anything no shard can answer from its fragment alone
+  fetches just the base predicates in the query's dependency cone,
+  narrowed shard-side by the query's literals, all shards at once, and
+  evaluates the cone over the fetched runs with a bare evaluator.
+  Every mode is exact; no mode builds a workspace or keeps data here.
 * **exec** routes literal-key co-partitioned writes to the owning
   shard as a plain transaction; anything else runs the **cross-shard
   commit circuit** — the transaction-repair composition of Figure 7(b)
@@ -54,44 +60,80 @@ each in-process service (:meth:`ShardedWorkspace.local`) or a
 one code path.  Like sessions, one coordinator serves one thread at a
 time.
 
-Caveat: float sums fold in shard order, which may differ bitwise from
-single-process accumulation order; integer workloads recombine
-bit-identically.
+Integer aggregates recombine bit-identically.  Float ``sum`` / ``avg``
+partials are folded with ``math.fsum`` (one rounding, independent of
+shard order); each shard still accumulated its own fragment in its own
+order, so a float result is not bit-equal to the single-process one
+but within ``math.isclose(rel_tol=1e-12)`` of it on same-sign data of
+a few thousand rows per group (the tested bound; cancellation in
+mixed-sign data loosens any relative bound, sharded or not).
 """
 
 import itertools
+import math
 import operator
 import time
 
 from repro import obs as _obs
 from repro import stats as _stats
+from repro.engine.evaluator import Evaluator, RuleSet
 from repro.engine.ir import Const, PredAtom
 from repro.engine.planner import (
+    KEY_KEYED,
     KEY_PARTIAL_AGG,
     KEY_REPLICATED,
+    PredClass,
     base_pred,
     classify_rules,
 )
+from repro.engine.rules import dependency_cone
+from repro.logiql import ast
 from repro.logiql.compiler import compile_program
+from repro.logiql.parser import parse_program
+from repro.logiql.printer import unparse
 from repro.net.protocol import VerbNotServed, VerbSurface
-from repro.runtime.errors import ConflictError, ReproError
+from repro.runtime.errors import ConflictError, ReproError, UnknownPredicate
 from repro.runtime.result import TxnResult
 from repro.shard.executors import ShardExecutorPool
 from repro.shard.shardmap import ShardMap
-from repro.storage.relation import Delta
+from repro.storage.relation import Delta, Relation
 
 _block_counter = itertools.count(1)
 
-#: per-shard aggregate partials the coordinator can fold back into the
-#: global value.  ``avg`` is deliberately absent: a mean is not
-#: recoverable from per-shard means, so avg heads that lose the
-#: partition variable are refused at addblock and gathered in queries.
-RECOMBINABLE_AGGS = {
-    "sum": operator.add,
-    "count": operator.add,
-    "min": min,
-    "max": max,
+
+def _add(values):
+    """One group's per-shard sums, added: integers exactly (so integer
+    workloads stay bit-identical to a single process), floats through
+    ``math.fsum`` (the fold itself rounds once, whatever the shard
+    order)."""
+    if any(isinstance(value, float) for value in values):
+        return math.fsum(values)
+    return sum(values)
+
+
+def _only(value):
+    return value
+
+
+#: The aggregate table: ``fn -> (partial fns every shard computes,
+#: how each partial merges across shards, how the merged state becomes
+#: the value)``.  A shard ships group *state*, never a finished value
+#: that cannot be combined further — the same ``SumState(total,
+#: count)`` that backs ``sum``, ``count`` and ``avg`` in
+#: :mod:`repro.engine.aggregates`, so ``avg`` travels as its ``(sum,
+#: count)`` and is divided once, coordinator-side.
+AGG_STATE = {
+    "sum": (("sum",), (_add,), _only),
+    "count": (("count",), (sum,), _only),
+    "min": (("min",), (min,), _only),
+    "max": (("max",), (max,), _only),
+    "avg": (("sum", "count"), (_add, sum), operator.truediv),
 }
+
+#: predicate names of a rewritten partial-state query (a reserved
+#: namespace: the lexer glues ``a:b`` into one identifier)
+_PARTIAL_PRED = "shard:partial:{}"
+_STATE_PRED = "shard:state"
 
 #: repair passes before the coordinator declares the circuit divergent
 _MAX_REPAIR_PASSES = 4
@@ -111,6 +153,65 @@ def _union_rows(row_lists):
     for rows in row_lists:
         merged.update(tuple(row) for row in rows)
     return sorted(merged)
+
+
+def _state_program(program, answer_pred, partials):
+    """``program`` with the aggregate rule heading ``answer_pred`` split
+    into one rule per partial (same head keys, same body — so every
+    partial ranges over the same satisfying assignments) plus a rule
+    lining the partials up per group.  Returns LogiQL text whose
+    ``_STATE_PRED`` rows are ``group keys + one column per partial``."""
+    clauses = []
+    for clause in program.clauses:
+        if not (isinstance(clause, ast.RuleClause)
+                and clause.head.pred == answer_pred):
+            clauses.append(clause)
+            continue
+        head, agg = clause.head, clause.agg
+        if isinstance(head, ast.FuncAtom):
+            head_keys, result = head.keys, head.value
+        else:
+            head_keys, result = head.terms[:-1], head.terms[-1]
+        for fn in partials:
+            clauses.append(ast.RuleClause(
+                ast.FuncAtom(_PARTIAL_PRED.format(fn), head_keys, result),
+                clause.body, ast.AggClause(agg.result_var, fn, agg.value)))
+        keys = [ast.VarT("g{}".format(i)) for i in range(len(head_keys))]
+        values = [ast.VarT("p{}".format(i)) for i in range(len(partials))]
+        clauses.append(ast.RuleClause(
+            ast.RelAtom(_STATE_PRED, keys + values),
+            [ast.FuncAtom(_PARTIAL_PRED.format(fn), keys, value)
+             for fn, value in zip(partials, values)]))
+    return unparse(ast.Program(clauses))
+
+
+def _literal(value):
+    if isinstance(value, bool):
+        return ast.BoolT(value)
+    if isinstance(value, str):
+        return ast.StrT(value)
+    return ast.NumT(value)
+
+
+def _selection(pred, patterns):
+    """The shard-local fetch for one base predicate of an exchange: the
+    rows *some* atom over it can match.  ``patterns`` holds one tuple
+    per atom — a ``Const`` where the atom pins a literal, ``None``
+    where it has a variable; an atom with no literal reads the whole
+    fragment, otherwise only the selected rows move."""
+    for pattern in patterns:
+        if all(const is None for const in pattern):
+            patterns = [pattern]
+            break
+    clauses = []
+    for pattern in sorted(patterns, key=repr):
+        terms = [
+            ast.VarT("v{}".format(col)) if const is None
+            else _literal(const.value)
+            for col, const in enumerate(pattern)]
+        clauses.append(ast.RuleClause(
+            ast.RelAtom("_", terms), [ast.RelAtom(pred, terms)]))
+    return unparse(ast.Program(clauses))
 
 
 class ShardedWorkspace(VerbSurface):
@@ -137,9 +238,6 @@ class ShardedWorkspace(VerbSurface):
         # the compiled program (no data!): block name -> (source, rules)
         self._blocks = {}
         self._analysis = classify_rules([], shard_map.partition)
-        # base predicates known to hold data (partition spec + loads +
-        # reactive write targets) — what the gather path must fetch
-        self._edb_preds = set(shard_map.partition)
         if verify:
             self._verify_members()
 
@@ -246,17 +344,20 @@ class ShardedWorkspace(VerbSurface):
                 "block is not shard-local-exact for this partition "
                 "spec ({})".format(reasons))
         for pred, cls in analysis.classes.items():
+            # an installed view materializes finished *values* on each
+            # shard: a mean is recoverable from per-shard state (which
+            # is how avg queries fold), not from per-shard means
             if (cls.kind == KEY_PARTIAL_AGG
-                    and cls.fn not in RECOMBINABLE_AGGS):
+                    and AGG_STATE[cls.fn][0] != (cls.fn,)):
                 raise ShardError(
-                    "aggregate {}({}) cannot be recombined from "
-                    "per-shard partials; keep the partition variable in "
+                    "installed aggregate {}({}) cannot be recombined from "
+                    "per-shard values; keep the partition variable in "
                     "its group keys".format(cls.fn, pred))
         with _obs.span("shard.addblock", block=name,
                        shards=self.shard_map.n_shards):
             futures = self._pool.broadcast(
                 "addblock", source, name=name)
-            results, failed = self._collect(futures)
+            results, failed = self._pool.settle(futures)
             if failed:
                 # roll the block back off the shards that took it
                 for index, result in enumerate(results):
@@ -265,7 +366,6 @@ class ShardedWorkspace(VerbSurface):
                 raise failed[0][1]
         self._blocks[name] = (source, rules)
         self._analysis = analysis
-        self._note_edb_preds(rules)
         _stats.bump("shard.addblocks")
         return results[0]
 
@@ -287,18 +387,6 @@ class ShardedWorkspace(VerbSurface):
         """Installed block names (insertion order)."""
         return list(self._blocks)
 
-    def _note_edb_preds(self, rules):
-        derived = {base_pred(r.head_pred) for r in rules}
-        derived.update(
-            base_pred(r.head_pred) for _, rs in self._blocks.values()
-            for r in rs)
-        for rule in rules:
-            for atom in rule.body:
-                if isinstance(atom, PredAtom):
-                    pred = base_pred(atom.pred)
-                    if pred not in derived:
-                        self._edb_preds.add(pred)
-
     # -- data ------------------------------------------------------------------
 
     def load(self, pred, tuples, remove=(), *, timeout=None):
@@ -307,7 +395,6 @@ class ShardedWorkspace(VerbSurface):
         self._check_open()
         tuples = [tuple(t) for t in tuples]
         remove = [tuple(t) for t in remove]
-        self._edb_preds.add(pred)
         with _obs.span("shard.load", pred=pred, rows=len(tuples)):
             if self.shard_map.is_partitioned(pred):
                 _stats.bump("shard.fragmented_loads")
@@ -324,7 +411,7 @@ class ShardedWorkspace(VerbSurface):
                 _stats.bump("shard.replicated_loads")
                 targets = list(range(self.shard_map.n_shards))
                 futures = self._pool.broadcast("load", pred, tuples, remove)
-            results, failed = self._collect(futures)
+            results, failed = self._pool.settle(futures)
             if failed:
                 # best-effort compensation: un-load the shards that
                 # committed their fragment, then surface the failure
@@ -347,7 +434,7 @@ class ShardedWorkspace(VerbSurface):
         deduplicated shard union, aggregate partials folded."""
         self._check_open()
         cls = self._class_of(pred)
-        if cls.kind == KEY_REPLICATED and not self.shard_map.is_partitioned(pred):
+        if cls.kind == KEY_REPLICATED:
             return [tuple(r) for r in self._pool.backend(0).rows(pred)]
         row_lists = self._pool.gather(self._pool.broadcast("rows", pred))
         if cls.kind == KEY_PARTIAL_AGG:
@@ -357,24 +444,25 @@ class ShardedWorkspace(VerbSurface):
     def _class_of(self, pred):
         pred = base_pred(pred)
         if self.shard_map.is_partitioned(pred):
-            from repro.engine.planner import PredClass, KEY_KEYED
-
             return PredClass(KEY_KEYED, col=self.shard_map.key_col(pred))
         return self._analysis.class_of(pred)
 
     def _recombine(self, fn, row_lists):
-        fold = RECOMBINABLE_AGGS[fn]
+        """Fold per-shard group state (``keys + one column per partial
+        of fn``) into ``keys + (value,)`` rows."""
+        partials, merges, finalize = AGG_STATE[fn]
+        width = len(partials)
         groups = {}
         for rows in row_lists:
             for row in rows:
                 row = tuple(row)
-                key, value = row[:-1], row[-1]
-                if key in groups:
-                    groups[key] = fold(groups[key], value)
-                else:
-                    groups[key] = value
+                groups.setdefault(row[:-width], []).append(row[-width:])
         _stats.bump("shard.recombined_groups", len(groups))
-        return sorted(key + (value,) for key, value in groups.items())
+        return sorted(
+            key + (finalize(*(
+                merge(column)
+                for merge, column in zip(merges, zip(*states)))),)
+            for key, states in groups.items())
 
     # -- queries ---------------------------------------------------------------
 
@@ -387,10 +475,13 @@ class ShardedWorkspace(VerbSurface):
 
     def query(self, source, *, answer=None):
         """Evaluate a query program against the sharded fleet; returns
-        the answer predicate's sorted global rows."""
+        the answer predicate's sorted global rows.  Planned by
+        placement into one of four modes (module docstring): ``route``,
+        ``scatter``, ``fold`` or ``exchange``."""
         self._check_open()
         _stats.bump("shard.queries")
-        block = compile_program(source)
+        program = parse_program(source)
+        block = compile_program(program)
         if block.reactive_rules:
             raise ShardError("queries cannot contain reactive rules")
         qrules = list(block.rules)
@@ -404,34 +495,32 @@ class ShardedWorkspace(VerbSurface):
             else qrules[-1].head_pred)
         cls = analysis.class_of(answer_pred)
         _, broken = self._classify(qrules, analysis)
-        gatherable = bool(broken) or (
-            cls.kind == KEY_PARTIAL_AGG and cls.fn not in RECOMBINABLE_AGGS)
+        owner = None if broken else self._const_owner(qrules, analysis)
+        if broken:
+            mode = "exchange"
+        elif owner is not None or cls.kind == KEY_REPLICATED:
+            mode = "route"
+        elif cls.kind == KEY_PARTIAL_AGG:
+            mode = "fold"
+        else:
+            mode = "scatter"
         with _obs.span("shard.query", answer=answer_pred,
-                       placement=cls.kind) as span_:
-            if gatherable:
-                if span_ is not None:
-                    span_.attrs["mode"] = "gather"
-                return self._query_gather(source, answer, qrules)
-            owner = self._const_owner(qrules, analysis)
-            if owner is not None:
-                _stats.bump("shard.single_shard_queries")
-                if span_ is not None:
-                    span_.attrs["mode"] = "route"
+                       placement=cls.kind, mode=mode) as span_:
+            if mode == "exchange":
+                return self._query_exchange(qrules, answer_pred, span_)
+            if mode == "route":
+                if owner is None:
+                    owner = 0  # replicated: any shard holds all of it
+                else:
+                    _stats.bump("shard.single_shard_queries")
                 return [tuple(r) for r in self._pool.backend(owner).query(
                     source, answer=answer)]
-            if cls.kind == KEY_REPLICATED:
-                if span_ is not None:
-                    span_.attrs["mode"] = "route"
-                return [tuple(r) for r in self._pool.backend(0).query(
-                    source, answer=answer)]
             _stats.bump("shard.scatter_queries")
-            if span_ is not None:
-                span_.attrs["mode"] = "scatter"
-            row_lists = self._pool.gather(
-                self._pool.broadcast("query", source, answer=answer))
-            if cls.kind == KEY_PARTIAL_AGG:
-                return self._recombine(cls.fn, row_lists)
-            return _union_rows(row_lists)
+            if mode == "fold":
+                return self._query_fold(
+                    source, answer, program, answer_pred, cls.fn)
+            return _union_rows(self._pool.gather(
+                self._pool.broadcast("query", source, answer=answer)))
 
     def _const_owner(self, rules, analysis):
         """The single shard owning every literal partition key of the
@@ -447,34 +536,71 @@ class ShardedWorkspace(VerbSurface):
             return next(iter(owners))
         return None
 
-    def _query_gather(self, source, answer, qrules):
-        """The always-exact fallback: fetch global EDB extensions,
-        rebuild on a scratch workspace, evaluate locally."""
-        from repro.runtime.workspace import Workspace
+    def _query_fold(self, source, answer, program, answer_pred, fn):
+        """Partial-state fold: every shard computes the aggregate's
+        partials over its fragment in one wave; the coordinator merges
+        them per group and finalises.  An aggregate whose only partial
+        is itself travels as the query it already is; ``avg`` is
+        rewritten to ship ``(sum, count)``."""
+        partials = AGG_STATE[fn][0]
+        if partials != (fn,):
+            source = _state_program(program, answer_pred, partials)
+            answer = _STATE_PRED
+        return self._recombine(fn, self._pool.gather(
+            self._pool.broadcast("query", source, answer=answer)))
 
+    def _query_exchange(self, qrules, answer_pred, span_):
+        """Pruned parallel exchange, for queries no shard can answer
+        from its fragment alone (non-co-located joins, negation or
+        aggregation over scattered rows).  Only the base predicates in
+        the query's dependency cone move, each narrowed shard-side by
+        the literals the cone's atoms pin, every ``(predicate, shard)``
+        fetch in one wave; the cone is then evaluated over the fetched
+        rows by a bare evaluator — a fetched run is just another
+        relation to Leapfrog Triejoin, so no workspace is built, no
+        block installed, no constraint checked and no view maintained.
+
+        A shard that does not know a predicate contributes no rows;
+        any other shard failure fails the query, after the whole wave
+        has settled."""
         _stats.bump("shard.gather_queries")
-        scratch = Workspace()
-        for name, (block_source, _) in self._blocks.items():
-            scratch.addblock(block_source, name=name)
-        derived = {base_pred(r.head_pred) for r in qrules}
-        derived.update(
-            base_pred(r.head_pred) for _, rs in self._blocks.values()
-            for r in rs)
-        wanted = set(self._edb_preds)
-        for rule in qrules:
+        cone = dependency_cone(qrules, self._installed_rules())
+        derived = {rule.head_pred for rule in cone}
+        wanted = {}  # base predicate -> its atoms' constant patterns
+        for rule in cone:
             for atom in rule.body:
-                if isinstance(atom, PredAtom):
-                    pred = base_pred(atom.pred)
-                    if pred not in derived:
-                        wanted.add(pred)
+                if isinstance(atom, PredAtom) and atom.pred not in derived:
+                    wanted.setdefault(atom.pred, set()).add(tuple(
+                        arg if isinstance(arg, Const) else None
+                        for arg in atom.args))
+        everywhere = range(self.shard_map.n_shards)
+        slots, futures = [], []
         for pred in sorted(wanted):
-            try:
-                extension = self.rows(pred)
-            except ReproError:
-                continue  # declared nowhere / never written
-            if extension:
-                scratch.load(pred, extension)
-        return scratch.query(source, answer)
+            text = _selection(pred, wanted[pred])
+            replicated = self._class_of(pred).kind == KEY_REPLICATED
+            for index in ((0,) if replicated else everywhere):
+                slots.append(pred)
+                futures.append(self._pool.submit(index, "query", text))
+        fetched, failed = self._pool.settle(futures)
+        for slot, error in failed:
+            if not isinstance(error, UnknownPredicate):
+                raise error
+            fetched[slot] = ()
+        rows = {pred: [] for pred in wanted}
+        for pred, part in zip(slots, fetched):
+            rows[pred].extend(part)
+        moved = sum(len(part) for part in fetched)
+        _stats.bump("shard.exchange_rows", moved)
+        if span_ is not None:
+            span_.attrs["preds_fetched"] = sorted(wanted)
+            span_.attrs["rows_fetched"] = moved
+        base = {
+            pred: Relation.from_iter(
+                len(next(iter(wanted[pred]))), rows[pred])
+            for pred in wanted}
+        relations, _ = Evaluator(
+            RuleSet(cone), prefer_array=False).evaluate(base)
+        return sorted(relations[answer_pred])
 
     # -- writes ----------------------------------------------------------------
 
@@ -486,14 +612,9 @@ class ShardedWorkspace(VerbSurface):
         if owner is not None:
             _stats.bump("shard.single_shard_execs")
             with _obs.span("shard.exec", mode="single", shard=owner):
-                result = self._pool.backend(owner).exec(
+                return self._pool.backend(owner).exec(
                     source, timeout=timeout)
-            self._note_edb_preds(block.reactive_rules)
-            return result
-        result = self._exec_circuit(source, timeout)
-        self._note_edb_preds(
-            list(block.reactive_rules) + list(block.rules))
-        return result
+        return self._exec_circuit(source, timeout)
 
     def _single_shard_owner(self, block):
         """The one shard a literal-key co-partitioned write program can
@@ -580,7 +701,7 @@ class ShardedWorkspace(VerbSurface):
                 shard_index=index, shard_count=n, timeout=timeout)
             for index in range(n)
         ]
-        results, failed = self._collect(futures)
+        results, failed = self._pool.settle(futures)
         if failed:
             prepared = {
                 i: r for i, r in enumerate(results) if r is not None}
@@ -811,7 +932,7 @@ class ShardedWorkspace(VerbSurface):
     def status(self):
         """Coordinator + per-member status (a member that cannot be
         reached reports its error instead of failing the call)."""
-        members, failed = self._collect(self._pool.broadcast("status"))
+        members, failed = self._pool.settle(self._pool.broadcast("status"))
         for index, error in failed:
             members[index] = {"error": str(error)}
         return {
@@ -821,19 +942,6 @@ class ShardedWorkspace(VerbSurface):
             "blocks": list(self._blocks),
             "members": members,
         }
-
-    def _collect(self, futures):
-        """Wait for every future; returns ``(results, failed)`` where
-        ``results[i]`` is ``None`` for a failed slot and ``failed`` is
-        ``[(slot, exception), ...]``."""
-        results = [None] * len(futures)
-        failed = []
-        for index, future in enumerate(futures):
-            try:
-                results[index] = future.result()
-            except BaseException as exc:  # noqa: BLE001 - reported upward
-                failed.append((index, exc))
-        return results, failed
 
     def _swallow(self, index, verb, *args):
         try:

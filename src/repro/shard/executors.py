@@ -11,14 +11,24 @@ are duck-typed — an in-process
 ``repro.connect("shards://...")`` (separate server processes) run the
 identical coordinator code path.
 
-Per-verb concurrency is one in-flight call per shard: the coordinator
-fans a wave out, folds the results, then fans out the next wave.  Like
-the sessions it wraps, a pool (and the coordinator above it) is a
-one-thread-at-a-time object.
+Concurrency is one in-flight call per shard, enforced by a lock per
+backend (a session is a one-thread-at-a-time object): a wave may hold
+several calls for the same shard — the exchange fetches one selection
+per predicate — and they run back to back while other shards proceed.
+The coordinator fans a wave out, folds the results, then fans out the
+next wave; like the sessions it wraps, the pool's *caller* side is
+one-thread-at-a-time.
+
+Each call runs inside the submitting thread's ambient context
+(:func:`repro.obs.carry`): when the caller is tracing, the call is a
+``shard.call`` child span of the span that submitted it, and counters
+bumped on the worker land in the caller's ``stats`` scopes.
 """
 
 import concurrent.futures
+import threading
 
+from repro import obs as _obs
 from repro import stats as _stats
 
 
@@ -30,6 +40,7 @@ class ShardExecutorPool:
         if not backends:
             raise ValueError("ShardExecutorPool needs at least one backend")
         self._backends = backends
+        self._locks = [threading.Lock() for _ in backends]
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=len(backends),
             thread_name_prefix="repro-{}".format(name))
@@ -41,9 +52,17 @@ class ShardExecutorPool:
     def submit(self, index, verb, *args, **kwargs):
         """One verb call against one shard; returns its future."""
         self._check_open()
-        backend = self._backends[index]
         _stats.bump("shard.calls")
-        return self._executor.submit(getattr(backend, verb), *args, **kwargs)
+        return self._executor.submit(
+            self._call, _obs.carry(), index, verb, args, kwargs)
+
+    def _call(self, carried, index, verb, args, kwargs):
+        call = getattr(self._backends[index], verb)
+        with self._locks[index]:
+            if carried is None:
+                return call(*args, **kwargs)
+            with carried, _obs.span("shard.call", shard=index, verb=verb):
+                return call(*args, **kwargs)
 
     def broadcast(self, verb, *args, **kwargs):
         """The same call against every shard; futures in shard order."""
@@ -53,21 +72,28 @@ class ShardExecutorPool:
                 for i in range(len(self._backends))]
 
     @staticmethod
-    def gather(futures):
-        """Results of ``futures`` in order.  Waits for *all* of them
-        before raising, so no shard call is left running when the
-        caller starts error handling; re-raises the first failure."""
-        done = [None] * len(futures)
-        first_error = None
-        for index, future in enumerate(futures):
+    def settle(futures):
+        """Wait for *every* future — no shard call is left running when
+        the caller starts error handling.  Returns ``(results, failed)``:
+        ``results[i]`` is ``None`` for a failed slot, ``failed`` is
+        ``[(slot, exception), ...]`` in slot order."""
+        results = [None] * len(futures)
+        failed = []
+        for slot, future in enumerate(futures):
             try:
-                done[index] = future.result()
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-        return done
+                results[slot] = future.result()
+            except BaseException as exc:  # noqa: BLE001 - handed to the caller
+                failed.append((slot, exc))
+        return results, failed
+
+    @classmethod
+    def gather(cls, futures):
+        """Results of ``futures`` in order; once all have settled,
+        re-raises the first failure."""
+        results, failed = cls.settle(futures)
+        if failed:
+            raise failed[0][1]
+        return results
 
     def close(self):
         if self._closed:

@@ -25,9 +25,9 @@ Three primitives:
   :func:`timer` is the context-manager form for wall-clock durations
   (named ``subsystem.verb.seconds``).
 
-A sink dict is only safe to share between threads through a scope if
-the caller serializes access (workspaces are single-transaction at a
-time by construction).
+A sink dict may be active on several threads at once (a fan-out
+caller hands its stack to worker threads with :func:`swap_scopes`):
+:func:`bump` updates sinks under the same lock as the global counters.
 """
 
 import threading
@@ -62,10 +62,10 @@ def bump(key, amount=1):
     if not amount:
         return
     stack = getattr(_scopes, "stack", None)
-    if stack:
-        for sink in stack:
-            sink[key] = sink.get(key, 0) + amount
     with _lock:
+        if stack:
+            for sink in stack:
+                sink[key] = sink.get(key, 0) + amount
         _counters[key] = _counters.get(key, 0) + amount
 
 
@@ -123,6 +123,21 @@ def pop_scope(sink):
         if stack[index] is sink:
             del stack[index:]
             return
+
+
+def active_scopes():
+    """The sinks active on this thread, outermost first."""
+    return tuple(getattr(_scopes, "stack", None) or ())
+
+
+def swap_scopes(stack):
+    """Install ``stack`` (a list of sink dicts, or ``None``) as this
+    thread's scope stack and return the one it replaces — how a worker
+    thread counts into its caller's sinks for the length of one task,
+    then puts its own stack back."""
+    previous = getattr(_scopes, "stack", None)
+    _scopes.stack = stack
+    return previous
 
 
 class scope:

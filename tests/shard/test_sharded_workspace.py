@@ -4,6 +4,7 @@ cross-shard commit circuit's failure modes."""
 
 import pytest
 
+from repro import obs, stats
 from repro.runtime.errors import ConflictError
 from repro.runtime.workspace import Workspace
 from repro.shard import ShardCommitError, ShardError, ShardedWorkspace
@@ -36,6 +37,29 @@ def oracle_rows(oracle, pred):
 
 def oracle_query(oracle, source, answer=None):
     return sorted(tuple(r) for r in oracle.query(source, answer))
+
+
+def traced_query(sharded, source):
+    """``(rows, the shard.query span, the counters it bumped)``."""
+    counters = {}
+    with obs.Profile() as profile, stats.scope(counters):
+        rows = sharded.query(source)
+    return rows, profile.find("shard.query"), counters
+
+
+def spy_fetches(sharded):
+    """Wrap every backend's ``query``; returns the list that collects
+    the ``(program text, answer)`` of each query a shard is sent."""
+    seen = []
+    for index in range(sharded.shard_map.n_shards):
+        backend = sharded._pool.backend(index)
+
+        def spy(source, _query=backend.query, **kwargs):
+            seen.append((source, kwargs.get("answer")))
+            return _query(source, **kwargs)
+
+        backend.query = spy
+    return seen
 
 
 class TestEquivalence:
@@ -101,19 +125,128 @@ class TestEquivalence:
         with sharded:
             assert sharded.query(q) == oracle_query(oracle, q)
 
-    def test_avg_falls_back_to_gather(self):
+    def test_avg_folds_partial_state(self):
         sharded, oracle = make_pair()
         q = "a[] = v <- agg<<v = avg(q)>> lineitem(o, l, q)."
         with sharded:
-            before = sharded.query(q)
-            assert before == oracle_query(oracle, q)
+            rows, span_, counters = traced_query(sharded, q)
+            assert rows == oracle_query(oracle, q)
+            assert span_.attrs["mode"] == "fold"
+            # one wave, no base data moved to the coordinator
+            assert counters.get("shard.gather_queries", 0) == 0
+            assert counters["shard.calls"] == 3
+            assert len(span_.find_all("shard.call")) == 3
 
-    def test_broken_query_falls_back_to_gather(self):
+    def test_broken_query_runs_the_pruned_exchange(self):
         sharded, oracle = make_pair()
-        # join keyed on different variables: not shard-local, must gather
+        # join keyed on different variables: not shard-local
         q = "pair(a, b) <- order(a, c), order(b, c), a < b."
         with sharded:
-            assert sharded.query(q) == oracle_query(oracle, q)
+            fetched = spy_fetches(sharded)
+            rows, span_, counters = traced_query(sharded, q)
+            assert rows == oracle_query(oracle, q)
+            assert span_.attrs["mode"] == "exchange"
+            assert counters["shard.gather_queries"] == 1
+            assert span_.attrs["preds_fetched"] == ["order"]
+            assert span_.attrs["rows_fetched"] == len(ORDERS)
+            # the spy saw every text a shard was sent: lineitem never moved
+            assert fetched and all("lineitem" not in t for t, _ in fetched)
+
+    def test_exchange_pushes_literals_into_the_fetch(self):
+        sharded, oracle = make_pair()
+        with sharded:
+            # one atom has no literal: order moves once, not per atom
+            q = "pair(b) <- order(7, c), order(b, c)."
+            rows, span_, _ = traced_query(sharded, q)
+            assert rows == oracle_query(oracle, q) and rows
+            assert span_.attrs["rows_fetched"] == len(ORDERS)
+            # every atom pins a literal: only matching rows move
+            q = ('pair(a, b) <- order(a, "c1"), order(b, "c2"), a < b.')
+            rows, span_, _ = traced_query(sharded, q)
+            assert rows == oracle_query(oracle, q) and rows
+            assert span_.attrs["mode"] == "exchange"
+            assert span_.attrs["rows_fetched"] == sum(
+                1 for _, c in ORDERS if c in ("c1", "c2"))
+
+    def test_exchange_over_a_view_fetches_only_its_base_predicates(self):
+        sharded, oracle = make_pair()
+        views = ("total[o] = s <- agg<<s = sum(q)>> lineitem(o, l, q).\n"
+                 "cust(c) <- order(o, c).\n")
+        # total is keyed by o, the join is on s: no shard holds both sides
+        q = "same(a, b) <- total[a] = s, total[b] = s, a < b."
+        with sharded:
+            for target in (sharded, oracle):
+                target.addblock(views, name="views")
+            rows, span_, _ = traced_query(sharded, q)
+            assert rows == oracle_query(oracle, q) and rows
+            assert span_.attrs["mode"] == "exchange"
+            assert span_.attrs["preds_fetched"] == ["lineitem"]
+            assert span_.attrs["rows_fetched"] == len(ITEMS)
+
+    def test_exchange_negation_and_replicated_base(self):
+        sharded, oracle = make_pair()
+        # negation over a scattered auxiliary view, joined with a
+        # replicated predicate (fetched from one shard, not three)
+        q = ("cust(c) <- order(o, c).\n"
+             "_(n) <- rate(n, v), !cust(n).")
+        with sharded:
+            sharded.load("rate", [("c1", 9)])
+            oracle.load("rate", [("c1", 9)])
+            rows, span_, counters = traced_query(sharded, q)
+            assert rows == oracle_query(oracle, q) == [("bulk",), ("std",)]
+            assert span_.attrs["preds_fetched"] == ["order", "rate"]
+            assert counters["shard.calls"] == 3 + 1
+
+    def test_exchange_fails_when_a_shard_fetch_fails(self):
+        from repro.net.client import ConnectionLost
+
+        sharded, _ = make_pair()
+        q = "pair(a, b) <- order(a, c), order(b, c), a < b."
+        with sharded:
+            victim = sharded._pool.backend(1)
+            original = victim.query
+            settled = []
+
+            def lost(source, **kwargs):
+                raise ConnectionLost("shard 1 went away")
+
+            def slow(source, **kwargs):
+                rows = original_last(source, **kwargs)
+                settled.append(len(rows))
+                return rows
+
+            last = sharded._pool.backend(2)
+            original_last = last.query
+            victim.query, last.query = lost, slow
+            try:
+                # a lost fragment is an error, never an empty relation
+                with pytest.raises(ConnectionLost):
+                    sharded.query(q)
+                assert settled  # the wave settled before the raise
+            finally:
+                victim.query, last.query = original, original_last
+
+    def test_exchange_treats_an_unknown_predicate_as_empty(self):
+        from repro.runtime.errors import UnknownPredicate
+
+        sharded, oracle = make_pair()
+        q = ("pair(a, b) <- order(a, c), order(b, c), !nowhere(a, b), "
+             "a < b.")
+        with sharded:
+            victim = sharded._pool.backend(0)
+            original = victim.query
+
+            def unknown(source, **kwargs):
+                if "nowhere" in source:
+                    raise UnknownPredicate("nowhere")
+                return original(source, **kwargs)
+
+            victim.query = unknown
+            try:
+                rows = sharded.query(q)
+                assert rows == oracle_query(oracle, q) and rows
+            finally:
+                victim.query = original
 
     def test_literal_key_query_routes_to_owner(self):
         sharded, oracle = make_pair()
@@ -222,6 +355,9 @@ class TestRefusals:
     def test_avg_partial_refused_at_addblock(self):
         sharded, _ = make_pair()
         with sharded:
+            # an installed view materializes per-shard *means*, which do
+            # not recombine; the per-shard *state* a query folds is not
+            # kept (keeping the partition variable is the way out)
             with pytest.raises(ShardError):
                 sharded.addblock(
                     "a[] = v <- agg<<v = avg(q)>> lineitem(o, l, q).")

@@ -14,12 +14,16 @@ recombined-aggregation scenario:
   proper, disjoint subset);
 * single-shard literal-key writes and cross-shard repair-circuit
   writes;
-* keyed, scattered, grouped-partial, and gather queries.
+* keyed, scattered, partial-state fold (``sum`` … ``avg``, grouped
+  and global, before and after deletes) and exchange queries.
 
 Every observable — per-predicate global extensions and every query
 answer — must be **bit-identical** to a single-process
 :class:`~repro.runtime.workspace.Workspace` fed the same verbs in the
-same order.  Exits non-zero on the first divergence.
+same order, and the coordinator's own counters must show that only the
+exchange cases moved base data to the coordinator
+(``shard.gather_queries``): no aggregate ever does.  Exits non-zero on
+the first divergence.
 """
 
 import argparse
@@ -36,21 +40,32 @@ SCHEMA = (
 )
 VIEW = "total[o] = s <- agg<<s = sum(q)>> lineitem(o, l, q).\n"
 PARTITION = {"order": 0, "lineitem": 0}
+#: (label, query, moves base data to the coordinator?)
 QUERIES = [
     ("keyed join",
-     "big(o, c, q) <- order(o, c), lineitem(o, l, q), q > 15."),
-    ("scattered projection", "cust(c) <- order(o, c)."),
+     "big(o, c, q) <- order(o, c), lineitem(o, l, q), q > 15.", False),
+    ("scattered projection", "cust(c) <- order(o, c).", False),
     ("grouped partial",
-     "perCust[c] = s <- agg<<s = sum(q)>> order(o, c), lineitem(o, l, q)."),
-    ("global sum", "g[] = s <- agg<<s = sum(q)>> lineitem(o, l, q)."),
-    ("global count", "n[] = c <- agg<<c = count(l)>> lineitem(o, l, q)."),
+     "perCust[c] = s <- agg<<s = sum(q)>> order(o, c), lineitem(o, l, q).",
+     False),
+    ("global sum", "g[] = s <- agg<<s = sum(q)>> lineitem(o, l, q).", False),
+    ("global count", "n[] = c <- agg<<c = count(l)>> lineitem(o, l, q).",
+     False),
     ("global min/max",
-     "m[] = v <- agg<<v = max(q)>> lineitem(o, l, q)."),
-    ("gather fallback (avg)",
-     "a[] = v <- agg<<v = avg(q)>> lineitem(o, l, q)."),
-    ("gather fallback (non-local join)",
-     "pair(a, b) <- order(a, c), order(b, c), a < b."),
+     "m[] = v <- agg<<v = max(q)>> lineitem(o, l, q).", False),
+    ("partial-state fold (avg)",
+     "a[] = v <- agg<<v = avg(q)>> lineitem(o, l, q).", False),
+    ("partial-state fold (grouped avg)",
+     "a[c] = v <- agg<<v = avg(q)>> order(o, c), lineitem(o, l, q).", False),
+    ("exchange (non-local join)",
+     "pair(a, b) <- order(a, c), order(b, c), a < b.", True),
+    ("exchange (non-local join, literal)",
+     "pair(b) <- order(7, c), order(b, c).", True),
 ]
+#: the aggregate cases re-run once more rows are gone
+AFTER_DELETES = [
+    (label + " after deletes", query, exchange)
+    for label, query, exchange in QUERIES if "avg" in label]
 
 
 def wait_port(port, deadline_s=20.0):
@@ -114,6 +129,7 @@ def main(argv=None):
 
     sys.path.insert(0, os.path.join(os.getcwd(), "src"))
     import repro
+    from repro import stats
     from repro.runtime.workspace import Workspace
 
     procs = start_shards(args.shards, args.base_port, args.logs)
@@ -150,14 +166,31 @@ def main(argv=None):
                 if got != want:
                     failures.append("rows({}) diverged".format(pred))
 
-            for label, query in QUERIES:
-                got = fleet.query(query)
-                want = sorted(tuple(r) for r in oracle.query(query))
-                status = "ok" if got == want else "MISMATCH"
-                print("query[{}]: {} rows -> {}".format(
-                    label, len(got), status))
-                if got != want:
-                    failures.append("query '{}' diverged".format(label))
+            def check(cases):
+                for label, query, exchange in cases:
+                    moved = {}
+                    with stats.scope(moved):
+                        got = fleet.query(query)
+                    want = sorted(tuple(r) for r in oracle.query(query))
+                    gathered = moved.get("shard.gather_queries", 0)
+                    status = "ok" if got == want else "MISMATCH"
+                    print("query[{}]: {} rows, {} moved -> {}".format(
+                        label, len(got),
+                        moved.get("shard.exchange_rows", 0), status))
+                    if got != want:
+                        failures.append("query '{}' diverged".format(label))
+                    if gathered != int(exchange):
+                        failures.append(
+                            "query '{}' bumped shard.gather_queries by {}, "
+                            "expected {}".format(
+                                label, gathered, int(exchange)))
+
+            check(QUERIES)
+            gone = [(i % 60, i, (i * 11) % 31) for i in range(0, 240, 3)]
+            for target in (oracle, fleet):
+                target.load("lineitem", [], remove=gone)
+                target.exec("-lineitem(500, 9001, 6).")
+            check(AFTER_DELETES)
     finally:
         for proc, log in procs:
             proc.terminate()
