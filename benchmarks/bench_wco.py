@@ -8,7 +8,6 @@ even on instances engineered to blow up binary plans.
 """
 
 import math
-import os
 import time
 
 import pytest
@@ -16,9 +15,7 @@ import pytest
 from repro.datasets.graphs import hub_graph, powerlaw_graph
 from repro.engine.ir import PredAtom, Var
 from repro.engine.lftj import LeapfrogTrieJoin
-from repro.engine.parallel import ParallelConfig, ParallelLeapfrogTrieJoin
 from repro.engine.planner import build_plan
-from repro.engine.pool import JoinWorkerPool
 from repro.storage.relation import Relation
 from conftest import SMOKE, pedantic, sizes
 
@@ -60,54 +57,6 @@ def test_wco_hub(benchmark, n_nodes):
     assert steps < wedges_estimate / 4, (steps, wedges_estimate)
     benchmark.extra_info.update(edges=len(edges), steps=steps,
                                 triangles=count)
-
-
-def test_wco_parallel_vs_serial(benchmark):
-    """Sharded LFTJ preserves the worst-case-optimal step budget: the
-    merged shard step counters stay within the AGM bound and the output
-    is bit-identical; serial/parallel wall times land in the JSON."""
-    edges = powerlaw_graph(sizes(800, 200), edges_per_node=5, seed=1)
-    relation = Relation.from_iter(2, edges)
-    relation.flat((0, 1))
-    pool = JoinWorkerPool()
-    try:
-        cfg = ParallelConfig(force=True, pool=pool)
-
-        def run_parallel():
-            run_stats = {}
-            rows = list(
-                ParallelLeapfrogTrieJoin(
-                    PLAN, {"E": relation}, config=cfg, stats=run_stats
-                ).run()
-            )
-            return rows, run_stats
-
-        run_parallel()  # warm the pool and the marshalled env
-        started = time.perf_counter()
-        serial_rows = list(
-            LeapfrogTrieJoin(PLAN, {"E": relation}, prefer_array=True).run()
-        )
-        serial_time = time.perf_counter() - started
-        started = time.perf_counter()
-        parallel_rows, run_stats = run_parallel()
-        parallel_time = time.perf_counter() - started
-        assert parallel_rows == serial_rows
-        agm = len(edges) ** 1.5
-        assert run_stats["steps"] <= 4 * agm + 10 * len(edges)
-        benchmark.extra_info.update(
-            edges=len(edges),
-            triangles=len(serial_rows),
-            steps=run_stats["steps"],
-            shards=run_stats.get("shards", 0),
-            serial_s=serial_time,
-            parallel_s=parallel_time,
-            speedup=serial_time / parallel_time,
-            workers=pool.max_workers,
-            cpu_count=os.cpu_count(),
-        )
-        pedantic(benchmark, lambda: run_parallel()[0], rounds=1)
-    finally:
-        pool.shutdown()
 
 
 def test_wco_columnar_vs_pure(benchmark):

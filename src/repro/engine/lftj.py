@@ -26,15 +26,8 @@ class LeapfrogTrieJoin:
     enumerates satisfying assignments, which are already distinct).
     """
 
-    def __init__(
-        self,
-        plan,
-        relations,
-        recorder=None,
-        prefer_array=False,
-        stats=None,
-        first_key_range=None,
-    ):
+    def __init__(self, plan, relations, recorder=None, prefer_array=False,
+                 stats=None):
         self.plan = plan
         self.relations = relations
         self.recorder = recorder
@@ -42,11 +35,6 @@ class LeapfrogTrieJoin:
         # optional dict: counts search steps for the optimizer plus
         # seek/next/open movements for the tracing layer (None = free)
         self.stats = stats
-        # half-open [lo, hi) restriction on the first variable's values
-        # (None = unbounded); domain partitioning for parallel LFTJ —
-        # concatenating the outputs of contiguous ranges in range order
-        # reproduces the serial enumeration exactly
-        self.first_key_range = first_key_range
 
     # -- filters -----------------------------------------------------------
 
@@ -166,16 +154,9 @@ class LeapfrogTrieJoin:
             trackers.append(None)
 
         join = LeapfrogJoin(level_iters, trackers, stats)
-        high = None
-        if level == 0 and self.first_key_range is not None:
-            low, high = self.first_key_range
-            if low is not None and not join.at_end() and join.key < low:
-                join.seek(low)
         filters = plan.filters[level]
         last = level == len(plan.var_order) - 1
         while not join.at_end():
-            if high is not None and not join.key < high:
-                break
             if stats is not None:
                 stats["steps"] = stats.get("steps", 0) + 1
             bindings[var] = join.key

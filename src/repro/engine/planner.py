@@ -68,20 +68,6 @@ class Plan:
         """True when the atom requires a non-identity secondary index."""
         return atom_plan.perm != tuple(range(len(atom_plan.perm)))
 
-    def body_preds(self):
-        """Every predicate name the executor will look up at run time
-        (joined atoms, filter probes, ground checks) — the environment a
-        parallel shard worker must be shipped."""
-        names = {atom_plan.pred for atom_plan in self.atom_plans}
-        for atoms in self.filters.values():
-            for atom in atoms:
-                if isinstance(atom, PredAtom):
-                    names.add(atom.pred)
-        for atom in self.ground_atoms:
-            if isinstance(atom, PredAtom):
-                names.add(atom.pred)
-        return names
-
     def __repr__(self):
         return "Plan(vars={}, atoms={})".format(self.var_order, self.atom_plans)
 

@@ -12,8 +12,8 @@ counters of :mod:`repro.stats`:
   attributes, and the exact counter deltas bumped inside their window
   (via the scope stack of :mod:`repro.stats`).  The transaction
   lifecycle is instrumented end to end: ``txn.*`` → ``compile`` /
-  ``plan`` / ``join`` (with per-execution seek/next/open counts and
-  shard fan-out) / ``ivm.apply`` / ``ivm.dred`` / ``meta.update`` /
+  ``plan`` / ``join`` (with per-execution seek/next/open counts) /
+  ``ivm.apply`` / ``ivm.dred`` / ``meta.update`` /
   ``constraints.check`` / ``repair.*``.
 * **Profiles** — :class:`Profile` collects the root spans produced on
   its thread; :meth:`~repro.runtime.workspace.Workspace.profile` is the
@@ -532,10 +532,10 @@ def traced_bindings(name, attrs, run, exec_stats, bump_prefix=None):
     """Wrap a bindings iterator in a span covering its consumption.
 
     ``exec_stats`` is the executor's live counter dict (seeks, nexts,
-    opens, steps, shard fan-out); on close it is folded into the span's
-    attributes and — when ``bump_prefix`` is given — into the global
-    counters (the parallel executor bumps its own, so only the serial
-    path passes a prefix).
+    opens, steps); on close it is folded into the span's attributes
+    and — when ``bump_prefix`` is given — into the global counters (the
+    columnar executor bumps its own, so only the pure path passes a
+    prefix).
     """
     with span(name, **attrs) as span_:
         rows = 0

@@ -386,7 +386,6 @@ class TransactionService:
                     source,
                     answer,
                     plan_cache=self.workspace._plan_cache,
-                    parallel=self.workspace._parallel,
                 )
             if span_ is not None:
                 span_.attrs["rows"] = len(rows)
@@ -1194,11 +1193,7 @@ class TransactionService:
         _stats.bump("service.explains")
         state = self.workspace.version().state  # pinned snapshot
         return _obs.explain_query(
-            state,
-            source,
-            answer,
-            parallel=self.workspace._parallel,
-            backend=self.workspace._engine_backend,
+            state, source, answer, backend=self.workspace._engine_backend
         )
 
     # -- sessions --------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Remote shard executors: the fan-out layer of :mod:`repro.shard`.
 
-A :class:`ShardExecutorPool` fronts one verb call per shard with the
-same futures discipline :class:`~repro.engine.pool.JoinWorkerPool`
-uses for in-process domain shards: submit one task per shard, get the
-futures back in shard order, consume results as they land.  Backends
+A :class:`ShardExecutorPool` fronts one verb call per shard: submit
+one task per shard, get the futures back in shard order, consume
+results as they land.  Backends
 are duck-typed — an in-process
 :class:`~repro.service.TransactionService` and a
 :class:`~repro.net.client.NetSession` expose the same verb surface, so

@@ -1,5 +1,5 @@
-"""Columnar LFTJ executor: equivalence with the pure backend, codegen,
-fallback rules, and backend resolution."""
+"""Columnar LFTJ executor: equivalence with the pure backend, fallback
+rules, and backend resolution."""
 
 import random
 
@@ -22,14 +22,7 @@ from repro.storage.relation import Relation
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
 
 
-@pytest.fixture(params=[True, False], ids=["codegen", "interpreter"])
-def codegen_mode(request, monkeypatch):
-    monkeypatch.setattr(columnar, "CODEGEN", request.param)
-    return request.param
-
-
-def both_runs(atoms, relations, var_order=None, output_vars=(),
-              first_key_range=None):
+def both_runs(atoms, relations, var_order=None, output_vars=()):
     """Rows from the pure and the columnar executor for one plan.
 
     Relations are rebuilt per executor so neither backend sees the
@@ -46,12 +39,8 @@ def both_runs(atoms, relations, var_order=None, output_vars=(),
             for name, rel in relations.items()
         }
 
-    pure_rows = list(
-        LeapfrogTrieJoin(plan, fresh(), first_key_range=first_key_range).run()
-    )
-    col = make_join(
-        plan, fresh(), backend="columnar", first_key_range=first_key_range
-    )
+    pure_rows = list(LeapfrogTrieJoin(plan, fresh()).run())
+    col = make_join(plan, fresh(), backend="columnar")
     assert isinstance(col, ColumnarTrieJoin)
     return pure_rows, list(col.run())
 
@@ -74,7 +63,7 @@ TRIANGLE = [
 
 
 class TestEquivalence:
-    def test_triangle_all_var_orders(self, codegen_mode):
+    def test_triangle_all_var_orders(self):
         env = {"E": Relation.from_iter(2, random_edges(7, 80, 12))}
         for order in (
             ("a", "b", "c"), ("b", "a", "c"), ("c", "b", "a"), ("a", "c", "b")
@@ -85,7 +74,7 @@ class TestEquivalence:
             )
             assert pure == col
 
-    def test_constants_in_atoms(self, codegen_mode):
+    def test_constants_in_atoms(self):
         env = {"E": Relation.from_iter(2, random_edges(11, 40, 8))}
         some_a = next(iter(env["E"]))[0]
         for pin in (some_a, 999):  # present and absent constant
@@ -96,7 +85,7 @@ class TestEquivalence:
             pure, col = both_runs(atoms, env, output_vars=("b", "c"))
             assert pure == col
 
-    def test_negation(self, codegen_mode):
+    def test_negation(self):
         env = {
             "E": Relation.from_iter(2, random_edges(13, 40, 8)),
             "M": Relation.from_iter(1, {(i,) for i in range(0, 8, 2)}),
@@ -108,7 +97,7 @@ class TestEquivalence:
         pure, col = both_runs(atoms, env, output_vars=("a", "b"))
         assert pure == col
 
-    def test_filters_and_assignments(self, codegen_mode):
+    def test_filters_and_assignments(self):
         env = {
             "E": Relation.from_iter(2, random_edges(17, 60, 9)),
             "S": Relation.from_iter(1, {(i,) for i in range(20)}),
@@ -122,7 +111,7 @@ class TestEquivalence:
         pure, col = both_runs(atoms, env, output_vars=("x", "y", "z"))
         assert pure == col
 
-    def test_wildcard_projection(self, codegen_mode):
+    def test_wildcard_projection(self):
         env = {"E": Relation.from_iter(2, random_edges(19, 40, 8))}
         atoms = [
             PredAtom("E", [Var("a"), Var("b")]),
@@ -131,7 +120,7 @@ class TestEquivalence:
         pure, col = both_runs(atoms, env, output_vars=("a", "b"))
         assert pure == col
 
-    def test_string_and_mixed_numeric_keys(self, codegen_mode):
+    def test_string_and_mixed_numeric_keys(self):
         env = {
             "R": Relation.from_iter(
                 2, [("x", 1), ("x", 1.5), ("y", 2.0), ("y", 2), ("z", -0.0)]
@@ -145,7 +134,7 @@ class TestEquivalence:
         pure, col = both_runs(atoms, env, output_vars=("k", "v"))
         assert pure == col
 
-    def test_empty_relation_short_circuits(self, codegen_mode):
+    def test_empty_relation_short_circuits(self):
         env = {
             "E": Relation.from_iter(2, random_edges(23, 20, 6)),
             "Z": Relation.empty(1),
@@ -156,45 +145,6 @@ class TestEquivalence:
         ]
         pure, col = both_runs(atoms, env, output_vars=("a", "b"))
         assert pure == col == []
-
-    def test_first_key_range_shards_partition_the_result(self, codegen_mode):
-        env = {"E": Relation.from_iter(2, random_edges(29, 90, 12))}
-        full_pure, full_col = both_runs(
-            TRIANGLE, env, output_vars=("a", "b", "c")
-        )
-        assert full_pure == full_col
-        sharded = []
-        for key_range in ((None, 4), (4, 8), (8, None)):
-            pure, col = both_runs(
-                TRIANGLE, env, output_vars=("a", "b", "c"),
-                first_key_range=key_range,
-            )
-            assert pure == col
-            sharded.extend(col)
-        assert sorted(sharded) == sorted(full_col)
-
-
-class TestCodegen:
-    def test_specialized_source_is_attached(self):
-        columnar._SETUP_CACHE.clear()
-        env = {"E": Relation.from_iter(2, random_edges(31, 40, 8))}
-        plan = build_plan(list(TRIANGLE), output_vars=("a", "b", "c"))
-        join = make_join(plan, env, backend="columnar")
-        rows = list(join.run())
-        assert rows
-        fn = columnar._specialized_for(plan)
-        assert fn is not None and "searchsorted" in fn.source
-
-    def test_codegen_and_interpreter_agree(self, monkeypatch):
-        env = {"E": Relation.from_iter(2, random_edges(37, 70, 10))}
-        plan = build_plan(list(TRIANGLE), output_vars=("a", "b", "c"))
-
-        def rows_with(flag):
-            monkeypatch.setattr(columnar, "CODEGEN", flag)
-            columnar._SETUP_CACHE.clear()
-            return list(make_join(plan, env, backend="columnar").run())
-
-        assert rows_with(True) == rows_with(False)
 
 
 class TestFallbacks:

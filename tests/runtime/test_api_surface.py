@@ -448,6 +448,15 @@ class TestKeywordOnlyConstructors:
         with pytest.raises(TypeError):
             Workspace(True)
 
+    @pytest.mark.parametrize(
+        "ctor, keywords",
+        [(Workspace.__init__, {"engine"}), (Workspace.open, {"engine"})],
+        ids=["init", "open"],
+    )
+    def test_workspace_keyword_sets(self, ctor, keywords):
+        params = inspect.signature(ctor).parameters.values()
+        assert {p.name for p in params if p.kind is p.KEYWORD_ONLY} == keywords
+
     def test_evaluator_flags_are_keyword_only(self):
         from repro.engine.evaluator import Evaluator, RuleSet
 

@@ -64,7 +64,10 @@ class TestWorkspaceIsolation:
 
         def worker(name):
             try:
-                ws = Workspace()
+                # pure: columnar join setups are cached process-wide by
+                # content, so which of two identical workspaces pays the
+                # build (setups vs setup_hits) would be a thread race
+                ws = Workspace(engine="pure")
                 ws.addblock(SCHEMA)
                 barrier.wait(timeout=30)
                 run_workload(ws)

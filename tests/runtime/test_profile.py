@@ -101,7 +101,6 @@ class TestProfileSpanTree:
             ws.exec("+edge(0, 3).")
         stats = ws.engine_stats()
         stats.pop("plan_cache", None)
-        stats.pop("pool", None)
         stats.pop("columnar", None)  # derived summary, not a raw counter
         assert stats == prof.counters()
         assert stats.get("ivm.applies", 0) >= 1
