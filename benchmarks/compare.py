@@ -8,7 +8,7 @@ Prints, per benchmark test, the old/new mean wall time and the relative
 change, followed by the engine counter deltas and the histogram
 quantile shifts (p50/p90/p99 per recorded distribution) — so a perf PR
 can show in one screen both *how much* a workload moved and *why*
-(plan-cache hits gained, seeks avoided, latency tail widened).
+(index hits gained, seeks avoided, latency tail widened).
 
 Exit status is 0 unless ``--fail-above PCT`` is given and some test's
 mean wall time regressed by more than ``PCT`` percent.
@@ -43,7 +43,7 @@ def _mean_by_test(payload):
 
 
 def _flat_counters(payload):
-    """The scalar engine counters (nested snapshots like ``plan_cache``
+    """The scalar engine counters (nested snapshots like ``columnar``
     and per-key histogram dicts are skipped — they are not deltas)."""
     flat = {}
     for key, value in (payload.get("engine_stats") or {}).items():

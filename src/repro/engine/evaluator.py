@@ -119,11 +119,8 @@ class Evaluator:
 
     ``order_chooser(rule, relations)`` may supply LFTJ variable orders
     (the sampling optimizer plugs in here); by default the planner's
-    first-appearance order is used.
-
-    ``plan_cache`` (a :class:`~repro.engine.plancache.PlanCache`) makes
-    compiled plans survive this evaluator — the workspace threads one
-    cache through every evaluator it creates.
+    first-appearance order is used.  Plans come from each rule's own
+    memo (:meth:`~repro.engine.rules.Rule.plan`).
 
     ``backend`` selects the join executor: ``"pure"`` (the per-tuple
     iterator oracle) or ``"columnar"`` (vectorized over
@@ -138,13 +135,11 @@ class Evaluator:
         *,
         order_chooser=None,
         prefer_array=True,
-        plan_cache=None,
         backend=None,
     ):
         self.ruleset = ruleset
         self.order_chooser = order_chooser
         self.prefer_array = prefer_array
-        self.plan_cache = plan_cache
         self.backend = resolve_backend(backend)
 
     def _order_for(self, rule, relations):
@@ -152,21 +147,19 @@ class Evaluator:
             return None
         return self.order_chooser(rule, relations)
 
-    def _plan_for(self, rule, var_order):
-        if self.plan_cache is not None:
-            return self.plan_cache.plan_for(rule, var_order)
-        return rule.plan(var_order)
-
     def rule_bindings(self, rule, relations, recorder=None, prefer_array=None):
         """Iterate satisfying assignments of ``rule``'s body.
 
-        Returns ``(var_order, iterator)``.  When tracing is active the
+        Returns ``(var_order, iterator)``.  When tracing is active a
+        ``plan`` span records whether the rule's plan memo hit, and the
         iterator is wrapped in a ``join`` span carrying the execution's
         seek/next/open counts; with tracing off the
         executor runs with ``stats=None`` and counts nothing.
         """
         var_order = self._order_for(rule, relations)
-        plan = self._plan_for(rule, var_order)
+        cache = "hit" if rule.has_plan(var_order) else "miss"
+        with obs.span("plan", rule=rule.head_pred, cache=cache):
+            plan = rule.plan(var_order)
         prefer = self.prefer_array if prefer_array is None else prefer_array
         traced = obs.tracing()
         exec_stats = {} if traced else None
@@ -271,6 +264,21 @@ class Evaluator:
 
     def _evaluate_recursive(self, stratum, relations, states, chooser):
         stratum_preds = set(stratum)
+        # one delta rule per (rule, recursive atom position), built before
+        # the rounds so its plan memo carries across every round
+        delta_rules = []
+        for pred in stratum:
+            for rule in self.ruleset.rules_by_head[pred]:
+                for position, atom in enumerate(rule.body):
+                    if (
+                        isinstance(atom, PredAtom)
+                        and not atom.negated
+                        and atom.pred in stratum_preds
+                    ):
+                        body = list(rule.body)
+                        body[position] = PredAtom("@delta:" + atom.pred, atom.args)
+                        delta_rules.append(
+                            (pred, rule, atom.pred, _clone_rule(rule, body)))
         for pred in stratum:
             relations[pred] = Relation.empty(self.ruleset.head_arity(pred))
         # round 0: all rules against the (empty) stratum relations
@@ -283,29 +291,17 @@ class Evaluator:
         # semi-naive rounds
         while any(bool(d) for d in delta.values()):
             next_delta = {pred: set() for pred in stratum}
-            for pred in stratum:
-                for rule in self.ruleset.rules_by_head[pred]:
-                    for position, atom in enumerate(rule.body):
-                        if (
-                            not isinstance(atom, PredAtom)
-                            or atom.negated
-                            or atom.pred not in stratum_preds
-                        ):
-                            continue
-                        if not delta[atom.pred]:
-                            continue
-                        env = dict(relations)
-                        body = list(rule.body)
-                        delta_name = "@delta:{}".format(atom.pred)
-                        body[position] = PredAtom(delta_name, atom.args)
-                        env[delta_name] = delta[atom.pred]
-                        delta_rule = _clone_rule(rule, body)
-                        var_order, bindings = self.rule_bindings(
-                            delta_rule, env, chooser(rule), prefer_array=False
-                        )
-                        project = _HeadProjector(delta_rule, var_order)
-                        for binding in bindings:
-                            next_delta[pred].add(project(binding))
+            for pred, rule, source, delta_rule in delta_rules:
+                if not delta[source]:
+                    continue
+                env = dict(relations)
+                env["@delta:" + source] = delta[source]
+                var_order, bindings = self.rule_bindings(
+                    delta_rule, env, chooser(rule), prefer_array=False
+                )
+                project = _HeadProjector(delta_rule, var_order)
+                for binding in bindings:
+                    next_delta[pred].add(project(binding))
             delta = {}
             for pred in stratum:
                 fresh = [t for t in next_delta[pred] if t not in relations[pred]]

@@ -68,18 +68,14 @@ def _fold_into(indexes, rule_index, recorder):
 class IncrementalEngine:
     """Materializes a rule set and maintains it under base-data deltas."""
 
-    def __init__(self, ruleset, *, track_sensitivity=True, plan_cache=None,
-                 backend=None):
+    def __init__(self, ruleset, *, track_sensitivity=True, backend=None):
         self.ruleset = ruleset
         self.track_sensitivity = track_sensitivity
-        self.evaluator = Evaluator(
-            ruleset, prefer_array=True, plan_cache=plan_cache, backend=backend
-        )
+        self.evaluator = Evaluator(ruleset, prefer_array=True, backend=backend)
         # delta passes stay columnar-capable too: recorder-carrying rule
         # joins fall back to the pure executor per join inside make_join
         self.delta_evaluator = Evaluator(
-            ruleset, prefer_array=False, plan_cache=plan_cache, backend=backend
-        )
+            ruleset, prefer_array=False, backend=backend)
         self._delta_rules = {}  # (rule index, position, kind) -> delta Rule
         self._local_vars_cache = {}  # rule index -> {atom idx: local positions}
         self._rule_index = {id(rule): i for i, rule in enumerate(ruleset.rules)}

@@ -39,7 +39,7 @@ class Rule:
     whose last head argument must be ``agg.result_var``.
     """
 
-    __slots__ = ("head_pred", "head_args", "body", "agg", "n_keys", "name", "_plan_cache")
+    __slots__ = ("head_pred", "head_args", "body", "agg", "n_keys", "name", "_plans")
 
     def __init__(self, head_pred, head_args, body, agg=None, n_keys=None, name=None):
         self.head_pred = head_pred
@@ -50,7 +50,7 @@ class Rule:
             n_keys = len(self.head_args) - 1 if agg is not None else len(self.head_args)
         self.n_keys = n_keys
         self.name = name
-        self._plan_cache = {}
+        self._plans = {}  # var order (tuple or None) -> Plan
         if agg is not None:
             last = self.head_args[-1]
             if not (isinstance(last, Var) and last.name == agg.result_var):
@@ -95,13 +95,18 @@ class Rule:
         return names
 
     def plan(self, var_order=None):
-        """The (cached) LFTJ plan for this body."""
+        """The LFTJ plan for this body, memoized per variable order —
+        the engine's one plan memo, which lives and dies with the rule."""
         key = tuple(var_order) if var_order is not None else None
-        plan = self._plan_cache.get(key)
+        plan = self._plans.get(key)
         if plan is None:
             plan = build_plan(self.body, var_order=var_order, output_vars=self.head_vars())
-            self._plan_cache[key] = plan
+            self._plans[key] = plan
         return plan
+
+    def has_plan(self, var_order=None):
+        """True when :meth:`plan` for ``var_order`` is already memoized."""
+        return (tuple(var_order) if var_order is not None else None) in self._plans
 
     def __repr__(self):
         head = "{}({})".format(self.head_pred, ", ".join(map(repr, self.head_args)))

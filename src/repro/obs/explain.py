@@ -184,61 +184,40 @@ class ExplainReport:
         return "\n".join(lines)
 
 
-def explain_query(state, source, answer=None, *, backend=None,
-                  sample_size=256, max_candidates=24):
+def explain_query(state, source, answer=None, *, sample_size=256,
+                  max_candidates=24):
     """Run ``source`` as a query with the sampling optimizer engaged
     and return an :class:`ExplainReport` pairing the optimizer's
     estimate with the executed join's movement counts per rule.
 
-    Mirrors :func:`repro.runtime.workspace.evaluate_query` but plans
-    fresh (no plan cache) so the chooser is consulted for every rule,
-    and collects the run under a private :class:`~repro.obs.Profile`
-    so it works with tracing globally off.  The ``join`` spans are read
-    off the ``explain`` span itself, not the profile's roots: under an
-    ambient open span (a traced server request) ``explain`` is a child,
-    not a root, and the profile would never see it."""
-    from repro.engine.evaluator import Evaluator, RuleSet
+    Evaluates through :func:`repro.runtime.workspace.run_query` with
+    the optimizer as its order chooser, on the backend of the state's
+    program, and collects the run under a private
+    :class:`~repro.obs.Profile` so it works with tracing globally off.
+    The ``join`` spans are read off the ``explain`` span itself, not the
+    profile's roots: under an ambient open span (a traced server
+    request) ``explain`` is a child, not a root, and the profile would
+    never see it."""
     from repro.engine.ir import PredAtom
     from repro.engine.optimizer import SamplingOptimizer
-    from repro.logiql.compiler import compile_program
-    from repro.runtime.errors import TransactionAborted
-    from repro.storage.relation import Relation
+    from repro.runtime.workspace import run_query
 
     started = time.perf_counter()
-    block = compile_program(source)
-    if block.reactive_rules:
-        raise TransactionAborted("queries cannot contain reactive rules")
-    ruleset = RuleSet(block.rules)
-    env = state.env_with_defaults()
-    for rule in block.rules:
-        for atom in rule.body:
-            if isinstance(atom, PredAtom) and atom.pred not in env:
-                if atom.pred not in ruleset.derived:
-                    env[atom.pred] = Relation.empty(len(atom.args))
     optimizer = SamplingOptimizer(
         sample_size=sample_size, max_candidates=max_candidates
     )
-    evaluator = Evaluator(
-        ruleset,
-        order_chooser=optimizer,
-        prefer_array=False,
-        plan_cache=None,
-        backend=backend,
-    )
     with _core.Profile():
         with _core.span("explain", chars=len(source)) as explain_span:
-            relations, _ = evaluator.evaluate(env)
+            rules, evaluator, relations, answer = run_query(
+                state, source, answer, optimizer)
     wall_s = time.perf_counter() - started
-    if answer is None:
-        answer = "_" if "_" in ruleset.derived else block.rules[-1].head_pred
-    rows = sorted(relations[answer])
 
     joins_by_rule = {}
     for span_ in explain_span.find_all("join"):
         joins_by_rule.setdefault(span_.attrs.get("rule"), []).append(span_)
 
     report_rules = []
-    for rule in block.rules:
+    for rule in rules:
         label = rule.name or rule.head_pred
         spans = joins_by_rule.get(label, ())
         if not spans and not any(
@@ -271,6 +250,6 @@ def explain_query(state, source, answer=None, *, backend=None,
         report_rules.append(entry)
 
     return ExplainReport(
-        source, answer, len(rows), wall_s,
+        source, answer, len(relations[answer]), wall_s,
         evaluator.backend, report_rules,
     )

@@ -11,7 +11,7 @@ returns one :class:`TxnResult` carrying:
 * ``deltas`` — the applied base-predicate deltas (``{pred: Delta}``);
 * ``rows`` — the answer rows for query-shaped verbs, else ``None``;
 * ``stats`` — the engine counters bumped inside this transaction's
-  window (plan-cache hits, join movement, IVM work, ...);
+  window (index hits, join movement, IVM work, ...);
 * ``span_id`` — the id of the transaction's root tracing span when
   tracing was on, else ``None``;
 * ``block`` — the block name for ``addblock``/``removeblock``;

@@ -38,13 +38,13 @@ def _base_name(name):
 class ProgramArtifacts:
     """Compiled program: combined rules, engines, checkers, metadata.
 
-    ``plan_cache`` / ``engine_backend`` are forwarded to the
-    incremental engine's evaluators; the workspace supplies one plan
-    cache for all artifact generations so compiled plans survive
-    program edits.
+    ``engine_backend`` is forwarded to the incremental engine's
+    evaluators and read by queries against states of this program.
+    The rules are the blocks' own :class:`Rule` objects, so their plan
+    memos survive every program edit that keeps their block.
     """
 
-    def __init__(self, blocks, plan_cache=None, engine_backend=None):
+    def __init__(self, blocks, engine_backend=None):
         self.blocks = blocks  # PMap name -> CompiledBlock
         self.rules = []
         self.reactive_rules = []
@@ -84,11 +84,8 @@ class ProgramArtifacts:
         self.derivation_rules = derivation_rules
 
         self.ruleset = RuleSet(derivation_rules)
-        self.plan_cache = plan_cache
         self.engine_backend = engine_backend
-        self.engine = IncrementalEngine(
-            self.ruleset, plan_cache=plan_cache, backend=engine_backend
-        )
+        self.engine = IncrementalEngine(self.ruleset, backend=engine_backend)
         self.reactive_ruleset = (
             RuleSet(self.reactive_rules) if self.reactive_rules else None
         )
@@ -182,11 +179,11 @@ class WorkspaceState:
         self.meta_state = meta_state
 
     @classmethod
-    def empty(cls, plan_cache=None, engine_backend=None):
+    def empty(cls, engine_backend=None):
         """The initial, empty workspace state."""
         from repro.meta.metaengine import MetaEngine
 
-        artifacts = ProgramArtifacts(PMap.EMPTY, plan_cache, engine_backend)
+        artifacts = ProgramArtifacts(PMap.EMPTY, engine_backend)
         mat = artifacts.engine.initialize({})
         return cls(artifacts, PMap.EMPTY, mat, MetaEngine().initial())
 

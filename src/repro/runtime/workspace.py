@@ -36,13 +36,16 @@ from repro.storage.relation import Delta, Relation
 _block_counter = itertools.count(1)
 
 
-def evaluate_query(state, source, answer=None, *, plan_cache=None, backend=None):
-    """Evaluate a query program against one pinned workspace state.
+def run_query(state, source, answer=None, order_chooser=None):
+    """Compile and evaluate a query program against one pinned state,
+    on the join backend of the state's program.
 
-    Shared by :meth:`Workspace.query` (which evaluates at the branch
-    head) and the service layer's lock-free readers (which pin a head
-    snapshot and evaluate while the head moves on).  Returns the sorted
-    rows of the designated answer predicate.
+    The body shared by :func:`evaluate_query` and
+    :func:`repro.obs.explain_query` (which passes its sampling
+    optimizer as ``order_chooser``).  Returns ``(rules, evaluator,
+    relations, answer)``: the compiled query rules, the evaluator that
+    ran them, every relation after evaluation, and the resolved answer
+    predicate.
     """
     with _obs.span("compile", chars=len(source)):
         block = compile_program(source)
@@ -55,14 +58,27 @@ def evaluate_query(state, source, answer=None, *, plan_cache=None, backend=None)
             if isinstance(atom, PredAtom) and atom.pred not in env:
                 if atom.pred not in ruleset.derived:
                     env[atom.pred] = Relation.empty(len(atom.args))
-    relations, _ = Evaluator(
+    evaluator = Evaluator(
         ruleset,
+        order_chooser=order_chooser,
         prefer_array=False,
-        plan_cache=plan_cache,
-        backend=backend,
-    ).evaluate(env)
+        backend=state.artifacts.engine_backend,
+    )
+    relations, _ = evaluator.evaluate(env)
     if answer is None:
         answer = "_" if "_" in ruleset.derived else block.rules[-1].head_pred
+    return block.rules, evaluator, relations, answer
+
+
+def evaluate_query(state, source, answer=None):
+    """Evaluate a query program against one pinned workspace state.
+
+    Shared by :meth:`Workspace.query` (which evaluates at the branch
+    head) and the service layer's lock-free readers (which pin a head
+    snapshot and evaluate while the head moves on).  Returns the sorted
+    rows of the designated answer predicate.
+    """
+    _, _, relations, answer = run_query(state, source, answer)
     return sorted(relations[answer])
 
 
@@ -106,10 +122,6 @@ class _TxnWindow:
 class Workspace:
     """A versioned LogiQL workspace with named branches.
 
-    One :class:`~repro.engine.plancache.PlanCache` is owned per workspace
-    and threaded through every evaluator, so compiled plans survive
-    transactions, IVM passes, and program edits.
-
     ``engine`` picks the join backend for every evaluator this
     workspace creates: ``"pure"`` or ``"columnar"`` (vectorized over
     dictionary-encoded numpy arrays); ``None`` defers to the
@@ -118,13 +130,9 @@ class Workspace:
 
     def __init__(self, *, engine=None):
         from repro.engine.columnar import resolve_backend
-        from repro.engine.plancache import PlanCache
 
-        self._plan_cache = PlanCache()
         self._engine_backend = resolve_backend(engine)
-        self._graph = VersionGraph(
-            WorkspaceState.empty(self._plan_cache, self._engine_backend)
-        )
+        self._graph = VersionGraph(WorkspaceState.empty(self._engine_backend))
         self.branch = "main"
         self._meta_engine = MetaEngine()
         # per-workspace counter sink: every transaction runs under a
@@ -300,8 +308,8 @@ class Workspace:
     def engine_stats(self):
         """Engine effectiveness counters accumulated *by this
         workspace's transactions* since creation (or the last
-        :meth:`reset_engine_stats`): plan-cache hits/misses, warm vs.
-        cold relation indexes and arrays, join seek/next movement,
+        :meth:`reset_engine_stats`): warm vs. cold relation indexes and
+        arrays, join seek/next movement,
         columnar joins and fallbacks, and IVM work.  Benchmarks export
         these next to wall times so speedups are attributable.
 
@@ -314,7 +322,6 @@ class Workspace:
             for key, value in self._counters.items()
             if value - baseline.get(key, 0)
         }
-        counters["plan_cache"] = self._plan_cache.stats_snapshot()
         counters["columnar"] = {
             "backend": self._engine_backend,
             "joins": counters.get("join.columnar_joins", 0),
@@ -354,14 +361,10 @@ class Workspace:
         estimated LFTJ steps against the executed join's actual
         seek/next movement per rule (the estimate-error ratio is
         recorded into the ``optimizer.estimate_error`` histogram)."""
-        return _obs.explain_query(
-            self.state, source, answer, backend=self._engine_backend
-        )
+        return _obs.explain_query(self.state, source, answer)
 
     def _rebuild(self, state, new_blocks, block_name, block):
-        artifacts = ProgramArtifacts(
-            new_blocks, self._plan_cache, self._engine_backend
-        )
+        artifacts = ProgramArtifacts(new_blocks, self._engine_backend)
         old_artifacts = state.artifacts
 
         # base relations: carry over, then reconcile block facts
@@ -468,8 +471,7 @@ class Workspace:
                         arity = len(atom.args)
                     env[atom.pred] = Relation.empty(arity)
         relations, _ = Evaluator(
-            ruleset, prefer_array=False, plan_cache=self._plan_cache,
-            backend=self._engine_backend,
+            ruleset, prefer_array=False, backend=self._engine_backend,
         ).evaluate(env)
         deltas = {}
         preds = set()
@@ -623,13 +625,7 @@ class Workspace:
         (rows plus the per-transaction engine stats and span id)."""
         with self._txn("query") as window:
             state = self.state
-            rows = evaluate_query(
-                state,
-                source,
-                answer,
-                plan_cache=self._plan_cache,
-                backend=self._engine_backend,
-            )
+            rows = evaluate_query(state, source, answer)
             if window.span is not None:
                 window.span.attrs["rows"] = len(rows)
             return window.result(rows=rows)

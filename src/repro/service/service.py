@@ -224,12 +224,6 @@ class TransactionService:
                     self._watermark = self._checkpoint_watermark
         self._commit_seq = itertools.count(self._watermark + 1)
         self._sessions = itertools.count(1)
-        # source text -> compiled RuleSet: repeated transaction shapes
-        # (retries, parameterized client templates) skip the parser and
-        # compiler entirely; plans are shared via the workspace's plan
-        # cache, so a warm source costs only its joins
-        self._ruleset_cache = {}
-        self._ruleset_lock = threading.Lock()
         # commits since the last durable checkpoint; touched only by the
         # committer thread (auto-checkpoint) and close()
         self._commits_since_checkpoint = 0
@@ -344,27 +338,6 @@ class TransactionService:
             for key, value in sink.items():
                 self._counters[key] = self._counters.get(key, 0) + value
 
-    def _prepare(self, source, name):
-        """Build a :class:`PreparedTransaction`, reusing the compiled
-        ruleset for previously-seen source text and the workspace's
-        cross-transaction plan cache."""
-        if not isinstance(source, str):
-            return PreparedTransaction(source, name=name)
-        with self._ruleset_lock:
-            ruleset = self._ruleset_cache.get(source)
-        if ruleset is None:
-            txn = PreparedTransaction(
-                source, name=name, plan_cache=self.workspace._plan_cache)
-            with self._ruleset_lock:
-                if len(self._ruleset_cache) >= 512:
-                    self._ruleset_cache.pop(next(iter(self._ruleset_cache)))
-                self._ruleset_cache[source] = txn.ruleset
-            return txn
-        _stats.bump("service.prepare_cache.hits")
-        return PreparedTransaction(
-            source, name=name, ruleset=ruleset,
-            plan_cache=self.workspace._plan_cache)
-
     # -- client surface: reads -------------------------------------------------
 
     def query(self, source, *, answer=None):
@@ -381,12 +354,7 @@ class TransactionService:
             with _stats.scope(sink):
                 _stats.bump("service.queries")
                 state = self.workspace.version().state  # pinned snapshot
-                rows = evaluate_query(
-                    state,
-                    source,
-                    answer,
-                    plan_cache=self.workspace._plan_cache,
-                )
+                rows = evaluate_query(state, source, answer)
             if span_ is not None:
                 span_.attrs["rows"] = len(rows)
         self._merge_stats(sink)
@@ -442,7 +410,7 @@ class TransactionService:
                 self._fire("admission", name)
             self._fire("execute", name)
             snapshot = self.workspace.version()  # O(1) branch of the head
-            txn = self._prepare(source, name)
+            txn = PreparedTransaction(source, name=name)
             # nested inside the call-level scope: these bumps reach the
             # service counters through it; the per-attempt sink is kept
             # only to become the TxnResult's stats field
@@ -648,7 +616,7 @@ class TransactionService:
                 try:
                     with _obs.span("shard.prepare", txn=name):
                         snapshot = self.workspace.version()
-                        txn = self._prepare(source, name)
+                        txn = PreparedTransaction(source, name=name)
                         txn.execute(snapshot.state)
                         own, foreign = self._split_effects(
                             txn.effects, partition, index, count)
@@ -1192,9 +1160,7 @@ class TransactionService:
         actual per-rule join cost."""
         _stats.bump("service.explains")
         state = self.workspace.version().state  # pinned snapshot
-        return _obs.explain_query(
-            state, source, answer, backend=self.workspace._engine_backend
-        )
+        return _obs.explain_query(state, source, answer)
 
     # -- sessions --------------------------------------------------------------
 

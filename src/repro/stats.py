@@ -9,7 +9,7 @@ storage must not import the engine, so the counters live above both.
 Three primitives:
 
 * **Counters** — plain monotonically increasing integers in one flat
-  dict, named ``subsystem.verb`` (``plan_cache.hits``, ``join.seeks``).
+  dict, named ``subsystem.verb`` (``relation.index_hits``, ``join.seeks``).
   Tests and benchmarks take a :func:`snapshot` before and after the
   region of interest and compare deltas, so concurrent suites never
   interfere through absolute values.

@@ -42,10 +42,8 @@ class PreparedTransaction:
     called any number of times with incoming corrections.
     """
 
-    def __init__(self, source, name=None, *, ruleset=None, plan_cache=None):
-        if ruleset is not None:
-            rules = ruleset.rules
-        elif isinstance(source, str):
+    def __init__(self, source, name=None):
+        if isinstance(source, str):
             block = compile_program(source)
             rules = block.reactive_rules
             if block.rules and any(r.body for r in block.rules):
@@ -54,8 +52,8 @@ class PreparedTransaction:
             rules = list(source)
         self.name = name
         self.rules = rules
-        self.ruleset = ruleset if ruleset is not None else RuleSet(rules)
-        self.engine = IncrementalEngine(self.ruleset, plan_cache=plan_cache)
+        self.ruleset = RuleSet(rules)
+        self.engine = IncrementalEngine(self.ruleset)
         self._mat = None
         self._sens_cache = None
         self._arities = {}

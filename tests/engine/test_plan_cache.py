@@ -1,9 +1,15 @@
-"""Plan memoization and the workspace-level plan/index cache hierarchy."""
+"""Where plans and indexes live: the per-rule plan memo and the
+version-carried relation caches."""
+
+import gc
+import tracemalloc
+
+import pytest
 
 from repro import stats as global_stats
+from repro.engine import rules as rules_module
 from repro.engine.evaluator import Evaluator, RuleSet
 from repro.engine.ir import PredAtom, Var
-from repro.engine.plancache import PlanCache, rule_schema_key
 from repro.engine.rules import Rule
 from repro.runtime.workspace import Workspace
 from repro.storage.relation import Delta, Relation
@@ -17,6 +23,21 @@ def chain_rule():
     )
 
 
+@pytest.fixture
+def planned(monkeypatch):
+    """Every ``build_plan`` call a rule makes, as the list of body
+    predicates it planned."""
+    calls = []
+    real = rules_module.build_plan
+
+    def spy(atoms, *args, **kwargs):
+        calls.append([getattr(atom, "pred", None) for atom in atoms])
+        return real(atoms, *args, **kwargs)
+
+    monkeypatch.setattr(rules_module, "build_plan", spy)
+    return calls
+
+
 def test_rule_plan_memoized_across_passes():
     """Regression: repeated evaluation passes must reuse one Plan object."""
     rule = chain_rule()
@@ -26,43 +47,43 @@ def test_rule_plan_memoized_across_passes():
     assert rule.plan(["y", "x", "z"]) is not rule.plan(["x", "y", "z"])
 
 
-def test_evaluator_reuses_plan_across_evaluations():
-    rule = chain_rule()
-    cache = PlanCache()
-    evaluator = Evaluator(RuleSet([rule]), plan_cache=cache)
+def test_evaluator_reuses_plan_across_evaluations(planned):
+    evaluator = Evaluator(RuleSet([chain_rule()]))
     edges = Relation.from_iter(2, [(1, 2), (2, 3)])
-    first, _ = evaluator.evaluate({"E": edges})
-    assert cache.misses == 1
+    evaluator.evaluate({"E": edges})
+    assert len(planned) == 1
     second, _ = evaluator.evaluate({"E": edges.insert((3, 4))})
     assert sorted(second["P"]) == [(1, 3), (2, 4)]
-    assert cache.misses == 1  # second pass: pure hit
-    assert cache.hits >= 1
+    assert len(planned) == 1  # second pass: the rule's memo
 
 
-def test_plan_cache_survives_rule_recompilation():
-    """Structurally identical rules (fresh objects, as produced by a
-    program re-install) share one cached plan."""
-    cache = PlanCache()
-    first = cache.plan_for(chain_rule())
-    again = cache.plan_for(chain_rule())
-    assert first is again
-    assert cache.stats_snapshot()["hits"] == 1
+def _closure_plans(n, planned):
+    rules = [
+        Rule("path", [Var("x"), Var("y")], [PredAtom("edge", [Var("x"), Var("y")])]),
+        Rule(
+            "path",
+            [Var("x"), Var("z")],
+            [PredAtom("path", [Var("x"), Var("y")]),
+             PredAtom("edge", [Var("y"), Var("z")])],
+        ),
+    ]
+    edges = Relation.from_iter(2, [(i, i + 1) for i in range(n)])
+    before = len(planned)
+    relations, _ = Evaluator(RuleSet(rules)).evaluate({"edge": edges})
+    assert len(relations["path"]) == n * (n + 1) // 2
+    return len(planned) - before
 
 
-def test_schema_key_distinguishes_arity():
-    narrow = chain_rule()
-    wide = Rule(
-        "P",
-        [Var("x"), Var("z")],
-        [
-            PredAtom("E", [Var("x"), Var("y"), Var("w")]),
-            PredAtom("E", [Var("y"), Var("z"), Var("w2")]),
-        ],
-    )
-    assert rule_schema_key(narrow) != rule_schema_key(wide)
+def test_recursive_rounds_plan_each_delta_rule_once(planned):
+    """Semi-naive evaluation builds each delta rule once per fixpoint,
+    so its plan memo carries across rounds: the number of plans built
+    does not grow with the number of rounds (one per chain node)."""
+    short = _closure_plans(30, planned)
+    long = _closure_plans(60, planned)
+    assert short == long <= 3
 
 
-def test_workspace_second_evaluation_hits_plan_cache():
+def test_installed_rule_planned_once_across_loads(planned):
     ws = Workspace()
     ws.addblock(
         """
@@ -71,22 +92,36 @@ def test_workspace_second_evaluation_hits_plan_cache():
         """
     )
     ws.load("edge", [(1, 2), (2, 3)])
-    baseline = ws.engine_stats()["plan_cache"]
+    assert any("edge" in body for body in planned)
+    before = len(planned)
     ws.load("edge", [(3, 4)])  # same rule, next transaction
-    after = ws.engine_stats()["plan_cache"]
-    assert after["hits"] > baseline["hits"]
-    assert after["misses"] == baseline["misses"]
+    ws.load("edge", [(4, 5)], remove=[(1, 2)])
+    assert planned[before:] == []
 
 
-def test_workspace_query_plans_survive_across_transactions():
+def test_distinct_point_queries_retain_no_plans():
+    """An ad-hoc query's plans go with its compiled rules: a stream of
+    distinct statements on one workspace retains (almost) nothing.  The
+    warm-up is longer than the bounded caches a query may fill — the
+    columnar join setups (64) and the ambient trace ring under
+    ``REPRO_TRACE=1`` (256 roots)."""
     ws = Workspace()
-    ws.addblock("edge(x, y) -> int(x), int(y).")
-    ws.load("edge", [(1, 2), (2, 3)])
-    query = "_(x, z) <- edge(x, y), edge(y, z)."
-    assert ws.query(query) == [(1, 3)]
-    hits_before = ws.engine_stats()["plan_cache"]["hits"]
-    assert ws.query(query) == [(1, 3)]
-    assert ws.engine_stats()["plan_cache"]["hits"] > hits_before
+    ws.addblock("inventory[s] = v -> string(s), int(v).")
+    ws.load("inventory", [("sku%05d" % i, i) for i in range(1000)])
+    query = '_(v) <- inventory["sku%05d"] = v.'
+    tracemalloc.start()
+    try:
+        for i in range(300):
+            ws.query(query % i)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(1000):
+            assert ws.query(query % i) == [(i,)]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 500 * 1024
 
 
 def test_rebranching_unchanged_relation_keeps_indexes_warm():

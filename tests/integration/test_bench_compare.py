@@ -38,17 +38,17 @@ class TestCompare:
         compare = _load_compare()
         old = write(tmp_path, "old.json", payload(
             {"test_a": 1.0, "test_b": 2.0},
-            {"plan_cache.hits": 10, "join.seeks": 100},
+            {"relation.index_hits": 10, "join.seeks": 100},
         ))
         new = write(tmp_path, "new.json", payload(
             {"test_a": 1.5, "test_b": 1.0},
-            {"plan_cache.hits": 30, "join.seeks": 100},
+            {"relation.index_hits": 30, "join.seeks": 100},
         ))
         assert compare.main([old, new]) == 0
         out = capsys.readouterr().out
         assert "test_a" in out and "+50.0%" in out
         assert "test_b" in out and "-50.0%" in out
-        assert "plan_cache.hits" in out and "(+20)" in out
+        assert "relation.index_hits" in out and "(+20)" in out
         # unchanged counters are not listed
         assert "join.seeks" not in out
 
@@ -70,7 +70,7 @@ class TestCompare:
 
     def test_nested_snapshots_are_skipped(self, tmp_path, capsys):
         compare = _load_compare()
-        counters = {"plan_cache": {"hits": 1}, "flat": 5}
+        counters = {"columnar": {"joins": 1}, "flat": 5}
         old = write(tmp_path, "old.json", payload({"t": 1.0}, counters))
         new = write(tmp_path, "new.json", payload({"t": 1.0}, {"flat": 9}))
         assert compare.main([old, new]) == 0

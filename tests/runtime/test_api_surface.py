@@ -21,6 +21,11 @@ from repro import (
     UnknownPredicate,
     Workspace,
 )
+from repro.engine.evaluator import Evaluator
+from repro.engine.ivm import IncrementalEngine
+from repro.obs import explain_query
+from repro.runtime.workspace import evaluate_query
+from repro.txn.repair import PreparedTransaction
 
 
 class TestExports:
@@ -455,6 +460,24 @@ class TestKeywordOnlyConstructors:
     )
     def test_workspace_keyword_sets(self, ctor, keywords):
         params = inspect.signature(ctor).parameters.values()
+        assert {p.name for p in params if p.kind is p.KEYWORD_ONLY} == keywords
+
+    @pytest.mark.parametrize(
+        "target, keywords",
+        [
+            (Evaluator, {"order_chooser", "prefer_array", "backend"}),
+            (IncrementalEngine, {"track_sensitivity", "backend"}),
+            (PreparedTransaction, set()),
+            (evaluate_query, set()),
+            (explain_query, {"sample_size", "max_candidates"}),
+        ],
+        ids=["evaluator", "incremental_engine", "prepared_transaction",
+             "evaluate_query", "explain_query"],
+    )
+    def test_engine_keyword_sets(self, target, keywords):
+        # a query's backend comes from the state's program and plans from
+        # each rule's memo: nothing here threads a cache or backend through
+        params = inspect.signature(target).parameters.values()
         assert {p.name for p in params if p.kind is p.KEYWORD_ONLY} == keywords
 
     def test_evaluator_flags_are_keyword_only(self):

@@ -72,14 +72,13 @@ class TestProfileSpanTree:
     def test_plan_span_records_cache_disposition(self):
         ws = triangle_workspace()
         load_edges(ws)
-        query = "_(a, b, c) <- edge(a, b), edge(b, c), edge(a, c)."
         with ws.profile() as prof:
-            ws.query(query)
-            ws.query(query)
-        plans = prof.find_all("plan")
-        assert plans
-        dispositions = {p.attrs["cache"] for p in plans}
-        assert "hit" in dispositions  # second run reuses the cached plan
+            ws.query("_(a, b, c) <- edge(a, b), edge(b, c), edge(a, c).")
+            ws.exec("+edge(0, 3).")
+        dispositions = {p.attrs["cache"] for p in prof.find_all("plan")}
+        # the ad-hoc query's fresh rule is planned cold; the installed
+        # tri rule's maintenance passes reuse the plans its rules memoized
+        assert dispositions == {"hit", "miss"}
 
     def test_ivm_spans_record_delta_sizes(self):
         ws = triangle_workspace()
@@ -100,7 +99,6 @@ class TestProfileSpanTree:
             ws.query("_(a, b, c) <- edge(a, b), edge(b, c), edge(a, c).")
             ws.exec("+edge(0, 3).")
         stats = ws.engine_stats()
-        stats.pop("plan_cache", None)
         stats.pop("columnar", None)  # derived summary, not a raw counter
         assert stats == prof.counters()
         assert stats.get("ivm.applies", 0) >= 1
