@@ -58,8 +58,8 @@ def _run_delta_pass(evaluator, rule, position, tuple_set, env_new, env_old, arit
 class _Derivability:
     """Cached existence checks: is tuple ``t`` derivable by ``rule``?
 
-    Binds head variables through virtual ``@bound:<var>`` singleton
-    predicates so the LFTJ plan is built once per rule.
+    Binds the head variables through one virtual single-tuple ``@head``
+    predicate so the LFTJ plan is built once per rule.
     """
 
     def __init__(self, rule):
@@ -67,7 +67,7 @@ class _Derivability:
         for arg in rule.head_args:
             if isinstance(arg, Var) and arg.name not in head_vars:
                 head_vars.append(arg.name)
-        body = [PredAtom("@bound:" + name, [Var(name)]) for name in head_vars]
+        body = [PredAtom("@head", [Var(name) for name in head_vars])] if head_vars else []
         body.extend(rule.body)
         self.rule = rule
         self.head_vars = head_vars
@@ -85,8 +85,8 @@ class _Derivability:
                     return False
                 values[arg.name] = value
         probe_env = dict(env)
-        for name in self.head_vars:
-            probe_env["@bound:" + name] = Relation.from_iter(1, [(values[name],)])
+        probe_env["@head"] = Relation.from_iter(
+            len(self.head_vars), [tuple(values[name] for name in self.head_vars)])
         plan = self.probe.plan()
         executor = LeapfrogTrieJoin(plan, probe_env, prefer_array=False)
         for _ in executor.run():

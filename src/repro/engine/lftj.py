@@ -81,6 +81,9 @@ class LeapfrogTrieJoin:
             self.recorder.tracker(
                 atom.pred, perm, len(prefix) - 1, prefix[:-1]
             ).record(prefix[-1], prefix[-1])
+        elif self.recorder is not None:
+            # a nullary atom: any change to it matters
+            self.recorder.record_everything(atom.pred)
         probe = trie_iterator(relation, perm, prefix, self.prefer_array)
         return probe.check_fixed_prefix()
 

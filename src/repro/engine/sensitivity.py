@@ -55,7 +55,7 @@ def canonical_pred(name):
 
     Incremental passes rename atoms to ``@new:P`` / ``@old:P``; their
     sensitivities belong to ``P``.  Purely virtual inputs (``@delta``,
-    ``@cand``, ``@bound:x``) carry no user-visible sensitivity and map
+    ``@cand``, ``@head``) carry no user-visible sensitivity and map
     to ``None``.
     """
     if name.startswith("@new:") or name.startswith("@old:"):

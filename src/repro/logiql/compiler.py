@@ -4,11 +4,14 @@ Lowers parsed clauses into:
 
 * :class:`~repro.engine.rules.Rule` objects (plain, aggregate, and
   reactive rules over delta predicates);
-* :class:`Constraint` objects — integrity constraints checked as
-  "every LHS binding extends to an RHS binding";
+* :class:`Constraint` objects — integrity constraints "every LHS
+  binding extends to an RHS binding", each with the hidden derived
+  rules whose view holds its violations;
 * schema declarations extracted from type-declaration constraints
   (``Stock[p] = v -> Product(p), float(v).``) and entity declarations
-  (``Product(p) -> .``);
+  (``Product(p) -> .``); a declaration whose right side is only
+  primitive types is *not* also a constraint — the workspace enforces
+  it per tuple;
 * solve directives, predict rules, and probabilistic (``Flip``) rules,
   interpreted by the solver / ml / prob subsystems.
 
@@ -21,10 +24,11 @@ otherwise-unbound variable and an expression becomes an assignment.
 
 import itertools
 
+from repro.ds.hashing import stable_hash
 from repro.engine import ir
 from repro.engine.rules import AggSpec, Rule
 from repro.logiql import ast
-from repro.storage.datum import PrimitiveType, type_from_name
+from repro.storage.datum import check_type, type_from_name
 from repro.storage.schema import EntityType, PredicateDecl
 
 
@@ -32,44 +36,144 @@ class CompileError(ValueError):
     """Semantic error during compilation."""
 
 
-DELTA_PLUS = "+"
-DELTA_MINUS = "-"
-
-
-def delta_pred(name, sign):
-    """Name of the delta predicate (``+R`` / ``-R``)."""
-    return sign + name
-
-
 def start_pred(name):
     """Name of the transaction-start version (``R@start``)."""
     return name + "@start"
+
+
+#: numeric slack for RHS comparisons: solver write-backs land exactly on
+#: constraint boundaries, and float round-trips must not flag them
+NUMERIC_TOLERANCE = 1e-6
+
+
+def _tolerant_holds(compare, bindings):
+    """``compare`` under ``bindings``, with numeric slack on its
+    must-hold side."""
+    left = ir.eval_expr(compare.left, bindings)
+    right = ir.eval_expr(compare.right, bindings)
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in (left, right)):
+        return compare.holds(bindings)
+    eps = NUMERIC_TOLERANCE * max(1.0, abs(left), abs(right))
+    if compare.op in ("=", "!="):
+        return (abs(left - right) <= eps) == (compare.op == "=")
+    return ir._COMPARE_OPS[compare.op](left, right + (eps if "<" in compare.op else -eps))
+
+
+class RhsTest(ir.CompareAtom):
+    """The filter part of a constraint's right-hand side as one body
+    atom: every comparison holds (with numeric slack) and every
+    ``(PrimitiveType, var)`` type test passes; ``negated`` makes it
+    ``¬(G)``.  The planner and both join executors see a comparison:
+    they only call :meth:`holds` and :meth:`var_names`.
+
+    It has no ``op``/``left``/``right`` (code that takes a comparison
+    apart, like the solver's grounding, would fail on it), so it only
+    ever appears in :attr:`Constraint.rules`, never in a block's rules.
+    """
+
+    __slots__ = ("comparisons", "type_checks", "negated")
+
+    def __init__(self, comparisons, type_checks, negated=False):
+        self.comparisons = tuple(comparisons)
+        self.type_checks = tuple(type_checks)
+        self.negated = negated
+
+    def holds(self, bindings):
+        # types first: a mistyped value must not reach a comparison
+        met = all(
+            check_type(bindings[name], primitive) for primitive, name in self.type_checks
+        ) and all(_tolerant_holds(c, bindings) for c in self.comparisons)
+        return met != self.negated
+
+    def var_names(self):
+        return {name for _, name in self.type_checks}.union(
+            *(c.var_names() for c in self.comparisons))
+
+    def __repr__(self):
+        parts = list(map(repr, self.comparisons)) + [
+            "{}({})".format(primitive.value, name) for primitive, name in self.type_checks]
+        return "{}{{{}}}".format("!" if self.negated else "", ", ".join(parts))
+
+
+def _atom_vars(atom):
+    if isinstance(atom, ir.PredAtom):
+        return {a.name for a in atom.args if isinstance(a, ir.Var)}
+    if isinstance(atom, ir.AssignAtom):
+        return atom.input_vars() | {atom.var}
+    return atom.var_names()
 
 
 class Constraint:
     """An integrity constraint: every LHS binding must extend to RHS.
 
     ``lhs`` and ``rhs`` are lists of engine IR atoms; ``type_checks``
-    holds ``(PrimitiveType, var_name)`` pairs from type atoms and
-    ``entity_checks`` holds ``(entity_name, var_name)`` pairs.  Soft
-    constraints carry a ``weight`` and are skipped by the enforcing
-    checker (they feed MAP inference instead, §2.3.3).
+    holds the ``(PrimitiveType, var_name)`` pairs of type atoms on
+    either side, all of which must hold.  Soft constraints carry a
+    ``weight`` and are never enforced (they feed MAP inference instead,
+    §2.3.3).
+
+    A hard constraint ``F -> G`` is the rule ``fail() <- F, !G``
+    (§2.2.1), so it also carries hidden derived ``rules`` whose head
+    ``fail_pred`` holds exactly the violating bindings of the LHS
+    variables ``fail_vars``; the workspace's incremental engine
+    maintains that view like any other.  A right side without predicate
+    atoms or assignments is one rule, ``fail <- F, ¬(G)``; otherwise two:
+    ``ok(shared) <- F, G`` and ``fail <- F, !ok(shared)``.  The hidden
+    predicate names hash the constraint text (so they are deterministic
+    across processes) and start with ``$`` (so no LogiQL can name them).
     """
 
-    __slots__ = ("lhs", "rhs", "type_checks", "entity_checks", "weight", "text")
+    __slots__ = ("lhs", "rhs", "type_checks", "weight", "text", "preds",
+                 "fail_pred", "fail_vars", "rules")
 
-    def __init__(self, lhs, rhs, type_checks, entity_checks, weight=None, text=None):
+    def __init__(self, lhs, rhs, type_checks, weight=None, text=None):
         self.lhs = list(lhs)
         self.rhs = list(rhs)
         self.type_checks = list(type_checks)
-        self.entity_checks = list(entity_checks)
         self.weight = weight
         self.text = text
+        self.preds = {
+            atom.pred for atom in self.lhs + self.rhs if isinstance(atom, ir.PredAtom)
+        }
+        self.fail_pred, self.fail_vars, self.rules = None, (), ()
+        if not self.is_soft:
+            self._compile_rules()
 
     @property
     def is_soft(self):
         """Soft constraints carry weights and are never enforced."""
         return self.weight is not None
+
+    def _compile_rules(self):
+        bound = set()
+        for atom in self.lhs:
+            if isinstance(atom, ir.PredAtom) and not atom.negated:
+                bound |= _atom_vars(atom)
+            elif isinstance(atom, ir.AssignAtom):
+                bound.add(atom.var)
+        tag = "{:016x}".format(stable_hash(self.text or repr(self)))
+        self.fail_pred = "$fail:" + tag
+        self.fail_vars = tuple(sorted(n for n in bound if not n.startswith("$")))
+        head = [ir.Var(name) for name in self.fail_vars]
+        comparisons = [a for a in self.rhs if isinstance(a, ir.CompareAtom)]
+        others = [a for a in self.rhs if not isinstance(a, ir.CompareAtom)]
+        if not others:
+            unless = RhsTest(comparisons, self.type_checks, negated=True)
+            self.rules = (Rule(self.fail_pred, head, self.lhs + [unless]),)
+            return
+        needed = {name for _, name in self.type_checks}
+        for atom in self.rhs:
+            needed |= _atom_vars(atom)
+        shared = [ir.Var(name) for name in sorted(bound & needed)]
+        ok_pred = "$ok:" + tag
+        if comparisons or self.type_checks:
+            others.append(RhsTest(comparisons, self.type_checks))
+        self.rules = (
+            Rule(ok_pred, shared, self.lhs + others),
+            Rule(self.fail_pred, head,
+                 self.lhs + [ir.PredAtom(ok_pred, shared, negated=True)]),
+        )
 
     def __repr__(self):
         return "Constraint({} -> {})".format(self.lhs, self.rhs)
@@ -131,7 +235,6 @@ class _Lowerer:
         self.fresh = itertools.count()
         self.reactive = reactive
         self.type_checks = []
-        self.entity_checks = []
 
     def fresh_var(self, hint="t"):
         return "${}{}".format(hint, next(self.fresh))
@@ -231,7 +334,7 @@ class _Lowerer:
                         isinstance(target, ir.Var)
                         and target.name not in bound
                         and target.name not in ir.expr_vars(source)
-                        and ir.expr_vars(source) <= bound | _const_closure(source)
+                        and ir.expr_vars(source) <= bound
                     ):
                         self.atoms[index] = ir.AssignAtom(target.name, source)
                         bound.add(target.name)
@@ -246,15 +349,7 @@ class _Lowerer:
         return self.atoms
 
 
-def _const_closure(expr):
-    # helper so fully-constant expressions qualify as sources
-    return set()
-
-
-_TYPE_NAMES = {t.value for t in PrimitiveType}
-
-
-def _is_declaration(clause, known_entities):
+def _is_declaration(clause):
     """Is this constraint a predicate type declaration?
 
     Pattern: single positive atom on the left with distinct plain
@@ -336,31 +431,27 @@ def _compile_constraint(clause, block):
             return
         raise CompileError("constraint with empty right-hand side must be "
                            "an entity declaration")
-    if _is_declaration(clause, block.entities):
+    if _is_declaration(clause):
         _extract_declaration(clause, block)
+        if all(isinstance(item, ast.TypeAtom) for item in clause.rhs):
+            # primitive types only: enforced per tuple by the workspace
+            return
     lhs_ctx = _Lowerer()
     for atom in clause.lhs:
         lhs_ctx.atom(atom)
     lhs = lhs_ctx.finish()
     rhs_ctx = _Lowerer()
+    # one fresh-variable namespace: a `_` or functional term on the
+    # right never aliases one on the left
+    rhs_ctx.fresh = lhs_ctx.fresh
     for atom in clause.rhs:
         rhs_ctx.atom(atom)
     rhs = rhs_ctx.finish()
-    entity_checks = []
-    rhs_atoms = []
-    for atom in rhs:
-        if isinstance(atom, ir.PredAtom) and len(atom.args) == 1:
-            # unary atoms over entity types become entity checks at
-            # enforcement time; kept as atoms otherwise
-            rhs_atoms.append(atom)
-        else:
-            rhs_atoms.append(atom)
     block.constraints.append(
         Constraint(
             lhs,
-            rhs_atoms,
+            rhs,
             lhs_ctx.type_checks + rhs_ctx.type_checks,
-            entity_checks,
             clause.weight,
             text=repr(clause),
         )

@@ -36,7 +36,10 @@ def block_meta_facts(block_name, block):
     def note_pred(name):
         facts["lang_predname"].add((name,))
 
-    all_rules = list(block.rules) + list(block.reactive_rules)
+    # constraint violation rules last: user rule ids keep their index
+    all_rules = list(block.rules) + list(block.reactive_rules) + [
+        rule for constraint in block.constraints for rule in constraint.rules
+    ]
     for index, rule in enumerate(all_rules):
         # content-hashed rule id: editing a formula (even without
         # changing the predicates involved) must register as a change
@@ -107,10 +110,20 @@ class MetaEngine:
 
     def initial(self):
         """Meta-state of the empty program."""
-        bases = {
-            pred: Relation.empty(arity) for pred, arity in META_BASE_PREDS.items()
-        }
-        return MetaState(self.engine.initialize(bases), {})
+        return self.of_blocks({})
+
+    def of_blocks(self, blocks):
+        """Meta-state of a whole program (``blocks``: name -> compiled
+        block) at once, as on restore."""
+        block_facts = {name: block_meta_facts(name, block) for name, block in blocks.items()}
+        bases = {pred: set() for pred in META_BASE_PREDS}
+        for facts in block_facts.values():
+            for pred, tuples in facts.items():
+                bases[pred] |= tuples
+        return MetaState(self.engine.initialize({
+            pred: Relation.from_iter(arity, bases[pred])
+            for pred, arity in META_BASE_PREDS.items()
+        }), block_facts)
 
     def _facts_delta(self, old_facts, new_facts):
         deltas = {}

@@ -1,194 +1,96 @@
 """Integrity constraint checking (paper §2.2.1).
 
-A hard constraint ``F -> G`` holds when every satisfying assignment of
-``F`` extends to one of ``G``.  The checker runs LFTJ over the LHS and,
-per binding, an existence query over the RHS with the shared variables
-pinned through virtual ``@bound:`` singletons (plan built once per
-constraint).  Type atoms check the Python-level primitive type of the
-bound value.
+A hard constraint ``F -> G`` is the rule ``fail() <- F, !G``: the
+compiler lowers each one to hidden derived rules
+(:class:`~repro.logiql.compiler.Constraint`), the program adds them to
+its rule set, and the incremental engine maintains the
+violation view under every commit at the cost of the delta joins.
+Checking is then reading those views: a constraint holds exactly when
+its view is empty.
 
-Soft (weighted) constraints are never enforced here — they define the
-MAP-inference objective in :mod:`repro.prob.mln`.
+Pure primitive-type declarations are not constraints; the workspace
+checks them per tuple.  Soft (weighted) constraints are never enforced
+here — they define the MAP-inference objective in
+:mod:`repro.prob.mln`.
 """
 
-from repro.engine import ir
-from repro.engine.lftj import LeapfrogTrieJoin
-from repro.engine.planner import PlanError, build_plan
-from repro.storage.datum import check_type
-from repro.storage.relation import Relation
+import itertools
 
-#: numeric slack for RHS comparisons: solver write-backs land exactly on
-#: constraint boundaries, and float round-trips must not flag them
-NUMERIC_TOLERANCE = 1e-6
+from repro.engine.planner import PlanError
+from repro.runtime.errors import TransactionAborted
+
+#: violating bindings reported per constraint
+VIOLATION_LIMIT = 10
 
 
-class _TolerantCompare(ir.CompareAtom):
-    """A comparison with numeric slack on its must-hold side."""
-
-    __slots__ = ()
-
-    def holds(self, bindings):
-        left = ir.eval_expr(self.left, bindings)
-        right = ir.eval_expr(self.right, bindings)
-        if isinstance(left, (int, float)) and isinstance(right, (int, float)) \
-                and not isinstance(left, bool) and not isinstance(right, bool):
-            scale = max(1.0, abs(left), abs(right))
-            eps = NUMERIC_TOLERANCE * scale
-            if self.op in ("<", "<="):
-                return left <= right + eps if self.op == "<=" else left < right + eps
-            if self.op in (">", ">="):
-                return left >= right - eps if self.op == ">=" else left > right - eps
-            if self.op == "=":
-                return abs(left - right) <= eps
-            if self.op == "!=":
-                return abs(left - right) > eps
-        return super().holds(bindings)
+def unchecked_reason(constraint):
+    """Why hard ``constraint`` could never be checked, or ``None``: its
+    rules cannot be planned, or it reads a transaction-local (delta or
+    ``@start``) predicate, which no state materializes."""
+    local = sorted(p for p in constraint.preds if p[0] in "+-" or p.endswith("@start"))
+    if local:
+        return "it reads transaction-local {}".format(local)
+    for rule in constraint.rules:
+        try:
+            rule.plan()
+        except PlanError as exc:
+            return str(exc)
+    return None
 
 
-def _tolerant_rhs(atoms):
-    out = []
-    for atom in atoms:
-        if isinstance(atom, ir.CompareAtom):
-            out.append(_TolerantCompare(atom.op, atom.left, atom.right))
-        else:
-            out.append(atom)
-    return out
-
-
-class _EnvView(dict):
-    """Relation environment that supplies empty relations on demand."""
-
-    def __init__(self, relations, arities):
-        super().__init__(relations)
-        self._arities = arities
-
-    def __missing__(self, name):
-        arity = self._arities.get(name)
-        if arity is None:
-            raise KeyError(name)
-        relation = Relation.empty(arity)
-        self[name] = relation
-        return relation
-
-
-def _atom_arities(atoms):
-    arities = {}
-    for atom in atoms:
-        if isinstance(atom, ir.PredAtom):
-            arities[atom.pred] = len(atom.args)
-    return arities
-
-
-class CompiledConstraint:
-    """Prepared plans for one constraint (cached per constraint)."""
-
-    def __init__(self, constraint):
-        self.constraint = constraint
-        lhs_vars = set()
-        for atom in constraint.lhs:
-            if isinstance(atom, ir.PredAtom):
-                lhs_vars |= {a.name for a in atom.args if isinstance(a, ir.Var)}
-            elif isinstance(atom, ir.AssignAtom):
-                lhs_vars.add(atom.var)
-        rhs_vars = set()
-        for atom in constraint.rhs:
-            if isinstance(atom, ir.PredAtom):
-                rhs_vars |= {a.name for a in atom.args if isinstance(a, ir.Var)}
-            elif isinstance(atom, ir.CompareAtom):
-                rhs_vars |= atom.var_names()
-            elif isinstance(atom, ir.AssignAtom):
-                rhs_vars |= atom.input_vars() | {atom.var}
-        typed_vars = {name for _, name in constraint.type_checks}
-        self.shared = sorted((lhs_vars & rhs_vars) | (lhs_vars & typed_vars) & lhs_vars)
-        self.check_vars = sorted(lhs_vars & (rhs_vars | typed_vars))
-        self.lhs_plan = build_plan(constraint.lhs, output_vars=sorted(lhs_vars))
-        bound_atoms = [
-            ir.PredAtom("@bound:" + name, [ir.Var(name)])
-            for name in sorted(lhs_vars & rhs_vars)
-        ]
-        self.rhs_plan = None
-        if constraint.rhs:
-            self.rhs_plan = build_plan(
-                bound_atoms + _tolerant_rhs(constraint.rhs), output_vars=()
-            )
-        self.rhs_bound_vars = sorted(lhs_vars & rhs_vars)
-        self.preds = _atom_arities(constraint.lhs + constraint.rhs)
-
-    def check(self, relations, limit=10):
-        """Return up to ``limit`` violating LHS bindings."""
-        constraint = self.constraint
-        env = _EnvView(relations, self.preds)
-        violations = []
-        var_order = self.lhs_plan.var_order
-        positions = {name: i for i, name in enumerate(var_order)}
-        type_checks = [
-            (primitive, positions[name])
-            for primitive, name in constraint.type_checks
-            if name in positions
-        ]
-        for binding in LeapfrogTrieJoin(self.lhs_plan, env).run():
-            ok = True
-            for primitive, position in type_checks:
-                if primitive is not None and not check_type(binding[position], primitive):
-                    ok = False
-                    break
-            if ok and self.rhs_plan is not None:
-                probe_env = dict(env)
-                for name in self.rhs_bound_vars:
-                    probe_env["@bound:" + name] = Relation.from_iter(
-                        1, [(binding[positions[name]],)]
-                    )
-                probe_env = _EnvView(probe_env, self.preds)
-                ok = False
-                for _ in LeapfrogTrieJoin(self.rhs_plan, probe_env).run():
-                    ok = True
-                    break
-            if not ok:
-                violations.append(
-                    {name: binding[positions[name]] for name in var_order
-                     if not name.startswith("$")}
-                )
-                if len(violations) >= limit:
-                    break
-        return violations
+def refuse_unchecked(constraints):
+    """Raise :class:`TransactionAborted` naming the first hard
+    constraint of ``constraints`` that could never be checked — the
+    program-edit path's refusal."""
+    for constraint in constraints:
+        reason = None if constraint.is_soft else unchecked_reason(constraint)
+        if reason is not None:
+            raise TransactionAborted(
+                "constraint {} cannot be checked: {}".format(constraint.text, reason))
 
 
 class ConstraintChecker:
-    """Checks a set of hard constraints against workspace relations.
+    """Reads the violation views of a set of hard constraints.
 
-    ``changed_preds`` narrows the check to constraints that mention a
-    changed predicate (the common transactional case); ``None`` checks
-    everything (addblock, initial load).
+    A constraint that could never be checked is set aside in
+    ``unchecked`` as ``(constraint, reason)`` and its rules are left
+    out of the program.  ``addblock`` refuses such constraints, so they
+    only come from a checkpoint written before it did; it still opens,
+    and removing the offending block restores full checking.
     """
 
     def __init__(self, constraints):
-        self.compiled = []
+        self.constraints, self.unchecked = [], []
         for constraint in constraints:
             if constraint.is_soft:
                 continue
-            try:
-                self.compiled.append(CompiledConstraint(constraint))
-            except PlanError:
-                # unplannable constraints (no positive LHS atom, e.g.
-                # pure-arithmetic tautologies) cannot be violated by data
-                continue
+            reason = unchecked_reason(constraint)
+            if reason is None:
+                self.constraints.append(constraint)
+            else:
+                self.unchecked.append((constraint, reason))
 
     def check(self, relations, changed_preds=None, exempt_preds=()):
-        """All violations as ``(constraint, binding)`` pairs.
+        """Violations as ``(constraint, binding)`` pairs, up to
+        :data:`VIOLATION_LIMIT` per constraint.
 
+        ``relations`` must hold the violation views (any state's
+        relations, or an evaluation of the program's rule set).
+        ``changed_preds`` narrows the check to constraints that mention
+        a changed predicate; ``None`` checks everything.
         ``exempt_preds`` suspends constraints mentioning those
         predicates — used for unsolved ``lang:solve:variable``
         predicates, which the system (not the user) must populate.
         """
         violations = []
-        exempt = set(exempt_preds)
-        for compiled in self.compiled:
-            if changed_preds is not None and not (
-                set(compiled.preds) & changed_preds
-            ):
+        for constraint in self.constraints:
+            if changed_preds is not None and not constraint.preds & changed_preds:
                 continue
-            if exempt and set(compiled.preds) & exempt:
+            if not constraint.preds.isdisjoint(exempt_preds):
                 continue
-            for binding in compiled.check(relations):
-                violations.append((compiled.constraint, binding))
+            failed = relations.get(constraint.fail_pred)
+            if not failed:
+                continue
+            for row in itertools.islice(failed, VIOLATION_LIMIT):
+                violations.append((constraint, dict(zip(constraint.fail_vars, row))))
         return violations

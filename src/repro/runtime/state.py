@@ -10,8 +10,9 @@ are immutable — transactions produce new states, the version graph
 records them, and branching shares everything (T4).
 
 :class:`ProgramArtifacts` holds everything derivable from the block map
-alone (rule sets, engines, constraint checkers); states with the same
-program share one artifacts object by reference.
+alone (rule sets — constraint violation views included — engines,
+constraint checkers); states with the same program share one artifacts
+object by reference.
 """
 
 from repro.ds.pmap import PMap
@@ -19,7 +20,7 @@ from repro.engine.evaluator import RuleSet
 from repro.engine.ir import PredAtom
 from repro.engine.ivm import IncrementalEngine
 from repro.engine.rules import Rule
-from repro.logiql.compiler import start_pred
+from repro.logiql.compiler import RhsTest, start_pred
 from repro.runtime.constraints import ConstraintChecker
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
@@ -82,14 +83,21 @@ class ProgramArtifacts:
             else:
                 derivation_rules.append(rule)
         self.derivation_rules = derivation_rules
+        assert not any(isinstance(atom, RhsTest) for rule in derivation_rules
+                       for atom in rule.body), "a constraint's filter in a user rule"
 
-        self.ruleset = RuleSet(derivation_rules)
+        # the engine also derives every constraint's violation view;
+        # those rules come last, so the indexes of the user rules (which
+        # key persisted sensitivity indexes) are the same without them
+        self.checker = ConstraintChecker(self.constraints)
+        self.ruleset = RuleSet(derivation_rules + [
+            rule for constraint in self.checker.constraints for rule in constraint.rules
+        ])
         self.engine_backend = engine_backend
         self.engine = IncrementalEngine(self.ruleset, backend=engine_backend)
         self.reactive_ruleset = (
             RuleSet(self.reactive_rules) if self.reactive_rules else None
         )
-        self.checker = ConstraintChecker(self.constraints)
         self.solve_variable_preds = {
             d.args[0].name
             for d in self.directives
@@ -141,20 +149,6 @@ class ProgramArtifacts:
         """Declared or inferred arity of a predicate."""
         return self.arities.get(_base_name(name))
 
-    def dependents_of(self, changed):
-        """Derived predicates transitively depending on ``changed``."""
-        dirty = set(changed)
-        grew = True
-        while grew:
-            grew = False
-            for rule in self.derivation_rules:
-                if rule.head_pred in dirty:
-                    continue
-                if rule.body_preds() & dirty:
-                    dirty.add(rule.head_pred)
-                    grew = True
-        return dirty & self.ruleset.derived
-
 
 def _is_ground(rule):
     from repro.engine.ir import Const
@@ -172,7 +166,7 @@ class WorkspaceState:
 
     __slots__ = ("artifacts", "base_relations", "materialization", "meta_state")
 
-    def __init__(self, artifacts, base_relations, materialization, meta_state=None):
+    def __init__(self, artifacts, base_relations, materialization, meta_state):
         self.artifacts = artifacts
         self.base_relations = base_relations  # PMap name -> Relation
         self.materialization = materialization

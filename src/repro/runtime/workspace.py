@@ -6,9 +6,10 @@ The transaction types of the paper:
   against the current state, without committing anything;
 * **exec** — reactive logic over delta predicates (``+R``, ``-R``,
   ``^R``) and versioned predicates (``R@start``); the resulting base
-  deltas flow through incremental view maintenance and the constraint
-  checker before the branch head advances (frame rules are applied
-  natively when the deltas hit the base relations);
+  deltas flow through incremental view maintenance — which also
+  maintains every constraint's violation view — and the constraint
+  checker reads those views before the branch head advances (frame
+  rules are applied natively when the deltas hit the base relations);
 * **addblock / removeblock** — live programming: install or remove
   named blocks of logic; only derived predicates affected by the change
   are re-materialized, everything else is reused (§3.3);
@@ -27,7 +28,9 @@ from repro.ds.versions import VersionGraph
 from repro.meta.metaengine import MetaEngine
 from repro.engine.evaluator import Evaluator, RuleSet
 from repro.engine.ir import PredAtom
+from repro.engine.ivm import Materialization
 from repro.logiql.compiler import compile_program
+from repro.runtime.constraints import refuse_unchecked
 from repro.runtime.errors import ConstraintViolation, TransactionAborted
 from repro.runtime.result import TxnResult
 from repro.runtime.state import ProgramArtifacts, WorkspaceState, _base_name
@@ -254,6 +257,7 @@ class Workspace:
             state = self.state
             with _obs.span("compile", chars=len(source)):
                 block = compile_program(source)
+            refuse_unchecked(block.constraints)
             if name is None:
                 name = "block-{}".format(next(_block_counter))
             if window.span is not None:
@@ -392,11 +396,8 @@ class Workspace:
 
         # the meta-engine maintains the execution graph incrementally and
         # reports which derived predicates the engine proper must revise
-        meta_state = state.meta_state
-        if meta_state is None:
-            meta_state = self._meta_engine.initial()
         meta_state, need_revision = self._meta_engine.update(
-            meta_state, block_name, block, changed_bases
+            state.meta_state, block_name, block, changed_bases
         )
         affected = need_revision & artifacts.ruleset.derived
         reuse_relations, reuse_states = {}, {}
@@ -506,18 +507,25 @@ class Workspace:
         with _obs.span("commit", preds=len(deltas)) as span_:
             artifacts = state.artifacts
             mat = state.materialization
-            known = set(mat.relations)
+            unseen = {}
             filtered = {}
             for pred, delta in deltas.items():
-                if pred not in known:
+                if pred not in mat.relations:
                     arity = artifacts.arity_of(pred)
                     if arity is None:
                         raise TransactionAborted("unknown predicate {}".format(pred))
-                    mat.relations[pred] = Relation.empty(arity)
+                    unseen[pred] = Relation.empty(arity)
                 self._validate_types(artifacts, pred, delta.added)
                 if delta:
                     filtered[pred] = delta
+            if unseen:
+                # the input state is pinned (and may be shared): extend a copy
+                mat = Materialization(
+                    {**mat.relations, **unseen}, mat.states, mat.rule_indexes)
             new_mat, all_deltas = artifacts.engine.apply(mat, filtered)
+            for pred, delta in all_deltas.items():
+                if pred not in filtered:
+                    self._validate_types(artifacts, pred, delta.added)
             new_bases = state.base_relations
             for pred in filtered:
                 new_bases = new_bases.set(pred, new_mat.relations[pred])
@@ -537,8 +545,10 @@ class Workspace:
     @staticmethod
     def _validate_types(artifacts, pred, tuples):
         """Reject tuples whose values contradict the declared primitive
-        types before they reach the sorted storage (mixed-type columns
-        would not even be comparable)."""
+        types — the only enforcement of type declarations.  Base tuples
+        are checked before they reach the sorted storage (mixed-type
+        columns would not even be comparable), derived ones as the
+        engine produces them, and whole relations on program edits."""
         from repro.storage.datum import PrimitiveType, check_type
 
         decl = artifacts.schema.get(pred)
@@ -558,6 +568,11 @@ class Workspace:
                     )
 
     def _check(self, state, changed_preds):
+        if changed_preds is None:
+            # a program edit: every declared relation meets its types
+            for decl in state.artifacts.schema.predicates():
+                self._validate_types(
+                    state.artifacts, decl.name, state.relations.get(decl.name, ()))
         # unsolved solve-variables are the system's responsibility:
         # constraints over them only bind once values are populated
         exempt = {
@@ -574,7 +589,7 @@ class Workspace:
         ):
             _stats.bump("constraints.checks")
             violations = state.artifacts.checker.check(
-                state.env_with_defaults(), changed_preds, exempt
+                state.relations, changed_preds, exempt
             )
         if violations:
             raise ConstraintViolation(violations)

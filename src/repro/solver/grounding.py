@@ -477,25 +477,6 @@ class Grounder:
                 rows.append(self._make_row(atom.op, _lift(left), _lift(right)))
         return rows, read_preds
 
-    def _data_atom_holds(self, atom, binding):
-        relation = self.relations.get(atom.pred)
-        if relation is None:
-            return atom.negated
-        values = []
-        free = 0
-        for arg in atom.args:
-            if isinstance(arg, ir.Const):
-                values.append(arg.value)
-            elif arg.name in binding:
-                values.append(binding[arg.name])
-            else:
-                free += 1
-        prefix = tuple(values)
-        exists = any(True for _ in relation.iter_prefix(prefix)) if free else (
-            prefix in relation
-        )
-        return not exists if atom.negated else exists
-
     @staticmethod
     def _make_row(op, left, right):
         diff = left - right

@@ -34,9 +34,11 @@ nodes — priorities and memoized hashes are recomputed and must agree
 with the stored addresses, which both verifies integrity and depends on
 :func:`repro.ds.hashing.stable_hash` being process-independent — and
 rebuilds relations, support counts, aggregation groups, and sensitivity
-indexes directly.  No derived predicate is re-derived from base data;
-only the program artifacts (compiled blocks) and the program-sized
-meta-materialization are rebuilt, deterministically, from block sources.
+indexes directly.  No stored derived predicate is re-derived from base
+data (only views the checkpoint predates, such as constraint violation
+views, are); the program artifacts (compiled blocks) and the
+program-sized meta-materialization are rebuilt, deterministically, from
+block sources.
 """
 
 import io
@@ -493,6 +495,8 @@ class CheckpointStore:
             for index, sensitivity in sorted(mat.rule_indexes.items())
         }
         meta = state.meta_state
+        # restore derives the meta-state from the blocks; the facts are
+        # still written for earlier versions, which read them back
         record["meta_facts"] = (
             {
                 block: {
@@ -705,24 +709,28 @@ class CheckpointStore:
         from repro.engine.evaluator import PredicateState
         from repro.engine.ivm import Materialization
         from repro.logiql.compiler import compile_program
-        from repro.meta.metaengine import MetaEngine, MetaState
-        from repro.meta.metarules import META_BASE_PREDS
+        from repro.meta.metaengine import MetaEngine
         from repro.runtime.state import ProgramArtifacts, WorkspaceState
         from repro.storage.relation import Relation
 
-        node_cache, relation_cache, artifact_cache = caches
+        node_cache, relation_cache, program_cache = caches
 
         blocks_key = tuple(sorted(record["blocks"].items()))
-        artifacts = artifact_cache.get(blocks_key)
-        if artifacts is None:
+        program = program_cache.get(blocks_key)
+        if program is None:
             blocks = PMap.from_dict(
                 {
                     name: compile_program(source)
                     for name, source in record["blocks"].items()
                 }
             )
-            artifacts = ProgramArtifacts(blocks, engine_backend)
-            artifact_cache[blocks_key] = artifacts
+            # the meta-state too is derived from the compiled blocks,
+            # never read back: the checkpoint may predate rules the
+            # compiler now emits (a constraint's violation rules), and
+            # program edits are revised through their edges
+            program = (ProgramArtifacts(blocks, engine_backend), MetaEngine().of_blocks(blocks))
+            program_cache[blocks_key] = program
+        artifacts, meta_state = program
 
         def load_relation(ref):
             arity, addr_hex = ref
@@ -756,30 +764,11 @@ class CheckpointStore:
             for index, addr_hex in record["recorders"].items()
         }
         materialization = Materialization(relations, states, indexes)
-
-        meta_state = None
-        if record.get("meta_facts") is not None:
-            # the manifest omits empty fact sets; block_meta_facts
-            # always produces every base predicate, so re-expand
-            block_facts = {
-                block: {
-                    pred: {tuple(t) for t in facts.get(pred, ())}
-                    for pred in META_BASE_PREDS
-                }
-                for block, facts in record["meta_facts"].items()
-            }
-            bases = {pred: set() for pred in META_BASE_PREDS}
-            for facts in block_facts.values():
-                for pred, tuples in facts.items():
-                    bases[pred] |= tuples
-            meta_mat = MetaEngine().engine.initialize(
-                {
-                    pred: Relation.from_iter(META_BASE_PREDS[pred], tuples)
-                    for pred, tuples in bases.items()
-                }
-            )
-            meta_state = MetaState(meta_mat, block_facts)
-
+        if not artifacts.ruleset.derived <= states.keys():
+            # written before some hidden view existed (a constraint's
+            # violation view): derive just the missing ones
+            materialization = artifacts.engine.initialize(
+                relations, reuse=(relations, states), reuse_indexes=indexes)
         return WorkspaceState(artifacts, base_relations, materialization, meta_state)
 
     def restore_into(self, workspace):

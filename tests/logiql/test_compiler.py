@@ -112,11 +112,18 @@ class TestDeclarations:
         assert not decl.is_functional
         assert decl.arg_types == (PrimitiveType.INT, PrimitiveType.INT)
 
-    def test_declaration_is_also_constraint(self):
-        block = compile_program("Stock[p] = v -> Product(p), float(v).")
-        assert len(block.constraints) == 1
+    def test_which_declarations_become_constraints(self):
+        block = compile_program(
+            "Product(p) -> .\n"
+            "edge(x, y) -> int(x), int(y).\n"
+            "Stock[p] = v -> Product(p), float(v).\n"
+        )
+        assert [d.name for d in block.decls] == ["Product", "edge", "Stock"]
+        # primitive types only: enforced per tuple, not a constraint;
+        # an entity atom needs a join, so that declaration is one
         [constraint] = block.constraints
-        assert constraint.type_checks
+        assert constraint.preds == {"Stock", "Product"}
+        assert constraint.type_checks and len(constraint.rules) == 2
 
 
 class TestConstraints:

@@ -3,6 +3,9 @@
 import pytest
 
 from repro import ConstraintViolation, TransactionAborted, UnknownPredicate, Workspace
+from repro.engine.ivm import Materialization
+from repro.runtime.state import WorkspaceState
+from repro.storage.relation import Delta
 
 
 @pytest.fixture
@@ -70,6 +73,20 @@ class TestExec:
         ws.addblock("a(x) -> int(x). b(x) -> int(x).", name="d")
         ws.exec("+a(1). +b(x) <- +a(x).")
         assert ws.rows("a") == [(1,)] and ws.rows("b") == [(1,)]
+
+    def test_staging_leaves_the_pinned_state_alone(self):
+        ws = Workspace()
+        ws.addblock("a(x) -> int(x). a(x) -> x >= 0.", name="d")
+        head = ws.state
+        mat = head.materialization
+        # a state whose materialization has never seen `a`
+        pinned = WorkspaceState(head.artifacts, head.base_relations, Materialization(
+            {k: v for k, v in mat.relations.items() if k != "a"},
+            mat.states, mat.rule_indexes), head.meta_state)
+        keys = set(pinned.materialization.relations)
+        staged, _ = ws._stage_deltas(pinned, {"a": Delta.from_iters([(1,)], ())})
+        assert set(pinned.materialization.relations) == keys
+        assert list(staged.relation("a")) == [(1,)]
 
 
 class TestQuery:

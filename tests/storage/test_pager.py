@@ -21,6 +21,7 @@ import pytest
 from repro.ds.pmap import PMap
 from repro.ds.pset import PSet
 from repro.engine.aggregates import MultisetState, SumState
+from repro.runtime.errors import ConstraintViolation, TransactionAborted
 from repro.runtime.workspace import Workspace
 from repro.storage.datum import BOTTOM, TOP
 from repro.storage.pager import (
@@ -233,6 +234,59 @@ class TestManifest:
             fh.write(bytes((byte[0] ^ 0xFF,)))
         with pytest.raises(ValueError, match="digest mismatch"):
             Workspace.open(str(tmp_path))
+
+    def test_checkpoint_without_violation_views_opens(self, tmp_path):
+        """A checkpoint written before constraints were views stores no
+        ``$`` relations and no meta-facts of their rules; opening
+        derives both, so data and program edits are both checked."""
+        ws = Workspace()
+        ws.addblock("n(v) -> int(v). n(v) -> v >= 0. d(v) <- n(v).", name="b")
+        ws.load("n", [(1,), (2,)])
+        ws.checkpoint(str(tmp_path))
+        manifest_path = os.path.join(str(tmp_path), "MANIFEST.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        for state in manifest["states"].values():
+            for key in ("relations", "pred_states"):
+                state[key] = {p: v for p, v in state[key].items() if p[0] != "$"}
+            state["recorders"] = {"0": state["recorders"]["0"]}  # the user rule's
+            for facts in state["meta_facts"].values():
+                hidden = {rid for rid, head in facts["rule_head_pred"] if head[0] == "$"}
+                for pred, rows in facts.items():
+                    facts[pred] = [row for row in rows if not any(
+                        value in hidden or str(value).startswith("$") for value in row)]
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        reopened = Workspace.open(str(tmp_path))
+        [constraint] = reopened.state.artifacts.constraints
+        assert reopened.rows(constraint.fail_pred) == []
+        with pytest.raises(ConstraintViolation):
+            reopened.addblock("n(0 - 1).", name="f")
+        with pytest.raises(ConstraintViolation):
+            reopened.load("n", [(-1,)])
+        reopened.load("n", [(3,)])
+        assert reopened.rows("d") == [(1,), (2,), (3,)]
+
+    def test_checkpoint_with_unchecked_constraint_opens(self, tmp_path, monkeypatch):
+        """A constraint that can never be checked, saved by a version
+        that accepted it: the workspace opens with it set aside, and its
+        block can be removed."""
+        ws = Workspace()
+        ws.addblock("p(x) -> int(x). q(x) -> int(x).", name="decl")
+        with monkeypatch.context() as patched:
+            patched.setattr("repro.runtime.workspace.refuse_unchecked", lambda _: None)
+            ws.addblock("p(x), x > y -> q(x).", name="bad")
+        ws.load("p", [(1,)])
+        ws.checkpoint(str(tmp_path))
+        reopened = Workspace.open(str(tmp_path))
+        assert reopened.rows("p") == [(1,)]
+        [(constraint, _)] = reopened.state.artifacts.checker.unchecked
+        assert "x > y" in constraint.text
+        reopened.removeblock("bad")
+        assert reopened.state.artifacts.checker.unchecked == []
+        with pytest.raises(TransactionAborted, match=r"x > y"):
+            reopened.addblock("p(x), x > y -> q(x).", name="bad")
+        assert reopened.blocks() == ["decl"]
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
