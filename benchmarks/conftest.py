@@ -56,7 +56,7 @@ def _numpy_version():
 def _engine_backend():
     from repro.engine.columnar import resolve_backend
 
-    return resolve_backend()
+    return resolve_backend() or "per-plan"
 
 
 def _json_safe(value):

@@ -17,9 +17,20 @@ equal prefixes mark the trie nodes per depth; a node's key is an
 composites are globally sorted, so "seek key ``v`` under this node"
 for an entire frontier is a single ``searchsorted``.
 
-One vectorized interpreter runs every plan shape: comparison
-filters, negations, and assignments are evaluated row-wise through the
-pure executor's filter logic, so their semantics cannot drift.
+One vectorized interpreter runs every plan shape.  Comparisons of
+variables and constants that are all plain ``int64`` integers run as
+numpy comparisons on the driver's candidates, before any other
+participant is probed; every other filter (negations, strings, floats,
+bools, big ints, expressions) and every assignment is evaluated
+row-wise through the pure executor's filter logic, so its semantics
+cannot drift.  Below the first variable the interpreter works on
+fixed-size chunks of the first level's bindings, which bounds its
+transient arrays.
+
+Which executor runs a join is decided per plan by :func:`make_join`
+unless the caller (or ``REPRO_ENGINE``) forces one: the columnar
+executor pays a setup per relation version that only a large join
+repays (:data:`COLUMNAR_MIN_ROWS`).
 
 Equivalence contract: bit-identical rows, in the pure executor's
 enumeration order (codes are order-preserving, so ascending code order
@@ -30,12 +41,12 @@ property test checks against.
 """
 
 import os
-from bisect import bisect_left
+import weakref
 
 from repro import stats as global_stats
+from repro.engine.ir import CompareAtom, Const, Var
 from repro.engine.lftj import LeapfrogTrieJoin
 from repro.storage.columnar import HAVE_NUMPY, ColumnarUnsupported
-from repro.storage.datum import TOP
 
 if HAVE_NUMPY:
     import numpy as np
@@ -45,11 +56,35 @@ else:  # pragma: no cover - numpy is part of the baked toolchain
 #: Recognized engine backends (the ``REPRO_ENGINE`` values).
 BACKENDS = ("pure", "columnar")
 
+#: Rows a plan's first variable level draws its bindings from (the
+#: smallest constant-prefix range among the atoms that take part in it)
+#: at which the columnar executor, setup included, overtakes the pure
+#: one.  Measured on the analytics join shapes and the OLTP point
+#: shape: EXPERIMENTS.md E17.
+COLUMNAR_MIN_ROWS = 1024
+
+#: First-level bindings per chunk of the deeper levels' expansion.
+_CHUNK_ROWS = 64
+
+_INT64_MIN, _INT64_MAX = -(2 ** 63), 2 ** 63 - 1
+
+_NUMPY_COMPARE = {
+    "=": "equal",
+    "!=": "not_equal",
+    "<": "less",
+    "<=": "less_equal",
+    ">": "greater",
+    ">=": "greater_equal",
+}
+
 
 def resolve_backend(explicit=None):
-    """The engine backend to use: an explicit choice, the
-    ``REPRO_ENGINE`` environment override, or ``"pure"``."""
-    backend = explicit or os.environ.get("REPRO_ENGINE") or "pure"
+    """The backend forced for every join: an explicit choice, else the
+    ``REPRO_ENGINE`` environment override, else ``None`` — each join
+    then picks its own executor (:func:`choose_backend`)."""
+    backend = explicit or os.environ.get("REPRO_ENGINE") or None
+    if backend is None:
+        return None
     if backend not in BACKENDS:
         raise ValueError(
             "unknown engine backend {!r}; expected one of {}".format(
@@ -62,24 +97,77 @@ def resolve_backend(explicit=None):
     return backend
 
 
-def make_join(plan, relations, recorder=None, prefer_array=True, stats=None,
-              backend="pure"):
-    """Build the best executor for one planned join.
+def first_level_rows(plan, relations):
+    """Rows the plan's first variable level draws its bindings from:
+    the smallest constant-prefix range among the atoms that take part
+    in it.  LFTJ intersects those atoms, so the first level has no more
+    bindings than that, and every deeper binding extends one of them."""
+    if not plan.var_order:
+        return 0
+    return min(
+        (
+            relations[plan.atom_plans[atom_index].pred].prefix_count(
+                plan.atom_plans[atom_index].perm,
+                plan.atom_plans[atom_index].const_prefix,
+            )
+            for atom_index, _ in plan.participants[0]
+        ),
+        default=0,
+    )
 
-    The columnar executor is used when the backend asks for it, no
-    sensitivity recorder is attached (incremental passes stay on the
-    pure path — they are exactly the small-input regime), and every
-    participating relation dictionary-encodes; otherwise the pure
-    executor runs.  Both honour the same ``run()`` contract.
+
+def choose_backend(plan, relations, recorder=None):
+    """``(backend, reason)`` for a join nothing forces: columnar when
+    its setup for these relation versions is already built or the
+    plan's first level draws on at least :data:`COLUMNAR_MIN_ROWS`
+    rows, pure otherwise — and always pure for a run that records
+    sensitivity intervals."""
+    if recorder is not None:
+        return "pure", "records sensitivity"
+    if not HAVE_NUMPY:
+        return "pure", "numpy absent"
+    if _built_setup_key(plan, relations) in _SETUP_CACHE:
+        return "columnar", "setup built"
+    rows = first_level_rows(plan, relations)
+    if rows >= COLUMNAR_MIN_ROWS:
+        return "columnar", "{} rows >= {}".format(rows, COLUMNAR_MIN_ROWS)
+    return "pure", "{} rows < {}".format(rows, COLUMNAR_MIN_ROWS)
+
+
+def make_join(plan, relations, recorder=None, prefer_array=True, stats=None,
+              backend=None):
+    """Build the executor for one planned join.
+
+    ``backend`` forces ``"pure"`` or ``"columnar"``; ``None`` lets
+    :func:`choose_backend` pick per plan.  The columnar executor runs
+    only without a sensitivity recorder and when every participating
+    relation dictionary-encodes; otherwise the pure executor runs.  Both
+    honour the same ``run()`` contract; the returned executor's
+    ``reason`` says why it was picked, and each pick bumps
+    ``join.backend.pure`` or ``join.backend.columnar``.
     """
+    if backend is None:
+        backend, reason = choose_backend(plan, relations, recorder)
+    else:
+        reason = "forced"
+    executor = None
     if backend == "columnar" and recorder is None and HAVE_NUMPY:
         try:
-            return ColumnarTrieJoin(
+            executor = ColumnarTrieJoin(
                 plan, relations, prefer_array=prefer_array, stats=stats
             )
         except ColumnarUnsupported:
             global_stats.bump("join.columnar_fallbacks")
-    return LeapfrogTrieJoin(plan, relations, recorder, prefer_array, stats=stats)
+            reason = "values do not encode"
+    if executor is None:
+        executor = LeapfrogTrieJoin(
+            plan, relations, recorder, prefer_array, stats=stats
+        )
+        if backend == "columnar" and recorder is not None:
+            reason = "records sensitivity"
+    executor.reason = reason
+    global_stats.bump("join.backend." + executor.backend)
+    return executor
 
 
 # -- join setup: per (plan, relation versions) columnar tries ----------------
@@ -147,7 +235,8 @@ class _AtomArrays:
 class _JoinSetup:
     """Everything the vectorized loops need for one (plan, versions)."""
 
-    __slots__ = ("atoms", "domains", "domain_arrays", "value_index", "sizes", "empty")
+    __slots__ = ("atoms", "domains", "domain_arrays", "int_arrays",
+                 "value_index", "sizes", "empty")
 
     def __init__(self, atoms, domains, value_index, sizes, empty):
         self.atoms = atoms
@@ -156,6 +245,7 @@ class _JoinSetup:
         self.sizes = sizes  # per level: len(domain) or 1
         self.empty = empty
         self.domain_arrays = [None] * len(domains)
+        self.int_arrays = {}
 
     def domain_array(self, level):
         """The level's decode table as an object ndarray (cached)."""
@@ -166,6 +256,22 @@ class _JoinSetup:
             array[:] = domain
             self.domain_arrays[level] = array
         return array
+
+    def int_array(self, level):
+        """The level's decode table as an ``int64`` array when every
+        value is a plain ``int`` that fits one (cached), else ``None``."""
+        if level not in self.int_arrays:
+            domain = self.domains[level]
+            fits = (
+                domain is not None
+                and all(type(value) is int for value in domain)
+                and (not domain
+                     or (domain[0] >= _INT64_MIN and domain[-1] <= _INT64_MAX))
+            )
+            self.int_arrays[level] = (
+                np.array(domain, dtype=np.int64) if fits else None
+            )
+        return self.int_arrays[level]
 
 
 def _plan_signature(plan):
@@ -178,34 +284,43 @@ def _plan_signature(plan):
     )
 
 
+#: (plan signature, ids of the layouts it reads) -> (setup, weakrefs to
+#: those layouts).  An entry goes with any of its layouts — a version
+#: drops its layouts when a write supersedes it, or when it is
+#: collected — or when the cache is full and it is the oldest.
 _SETUP_CACHE = {}
 _SETUP_CACHE_LIMIT = 64
 
 
-def _build_setup(plan, relations):
-    """Columnar tries + per-variable dictionaries for one join."""
+def _setup_key(plan, layouts):
+    return (_plan_signature(plan), tuple(id(layout) for layout in layouts))
+
+
+def _built_setup_key(plan, relations):
+    """The setup key when every layout the join reads is already
+    encoded, else ``None``."""
+    layouts = [relations[ap.pred].cached_columnar(ap.perm) for ap in plan.atom_plans]
+    return None if None in layouts else _setup_key(plan, layouts)
+
+
+def _build_setup(plan, layouts):
+    """Columnar tries + per-variable dictionaries for one join, from
+    each atom's layout."""
     n_levels = len(plan.var_order)
-    layouts = []
-    for atom_plan in plan.atom_plans:
-        relation = relations[atom_plan.pred]
-        layout = relation.columnar(atom_plan.perm)  # may raise Unsupported
-        if atom_plan.const_prefix:
-            rows = relation.flat(atom_plan.perm)
-            lo = bisect_left(rows, atom_plan.const_prefix)
-            hi = bisect_left(rows, atom_plan.const_prefix + (TOP,))
-        else:
-            lo, hi = 0, layout.n_rows
+    ranged = []
+    for atom_plan, layout in zip(plan.atom_plans, layouts):
+        lo, hi = layout.prefix_range(atom_plan.const_prefix)
         if lo >= hi:
             return _JoinSetup((), [None] * n_levels, [None] * n_levels,
                               [1] * n_levels, empty=True)
-        layouts.append((atom_plan, layout, lo, hi))
+        ranged.append((atom_plan, layout, lo, hi))
 
     # per-variable dictionaries: the ordered union of every participating
     # column's domain.  The first participant's representative wins for
     # values that compare equal across atoms, mirroring first-atom
     # iterator order in the pure leapfrog.
     level_values = [None] * n_levels
-    for atom_plan, layout, _, _ in layouts:
+    for atom_plan, layout, _, _ in ranged:
         n_const = len(atom_plan.const_prefix)
         for depth, level in enumerate(atom_plan.levels):
             seen = level_values[level]
@@ -234,26 +349,36 @@ def _build_setup(plan, relations):
 
     atoms = tuple(
         _AtomArrays(atom_plan, layout, lo, hi, value_index, sizes)
-        for atom_plan, layout, lo, hi in layouts
+        for atom_plan, layout, lo, hi in ranged
     )
     return _JoinSetup(atoms, domains, value_index, sizes, empty=False)
 
 
 def _setup_for(plan, relations):
-    preds = sorted({ap.pred for ap in plan.atom_plans})
-    key = (
-        _plan_signature(plan),
-        tuple((pred, relations[pred].structural_hash()) for pred in preds),
-    )
-    setup = _SETUP_CACHE.get(key)
-    if setup is None:
-        global_stats.bump("join.columnar_setups")
-        setup = _build_setup(plan, relations)
-        while len(_SETUP_CACHE) >= _SETUP_CACHE_LIMIT:
-            _SETUP_CACHE.pop(next(iter(_SETUP_CACHE)))
-        _SETUP_CACHE[key] = setup
-    else:
+    """The cached setup for these relation versions, built on a miss.
+    It lives no longer than the layouts it was built from, so no setup
+    outlives the version it encodes or survives a write over it."""
+    entry = _SETUP_CACHE.get(_built_setup_key(plan, relations))
+    if entry is not None:
         global_stats.bump("join.columnar_setup_hits")
+        return entry[0]
+    global_stats.bump("join.columnar_setups")
+    layouts = [  # may raise ColumnarUnsupported
+        relations[atom_plan.pred].columnar(atom_plan.perm)
+        for atom_plan in plan.atom_plans
+    ]
+    key = _setup_key(plan, layouts)
+    setup = _build_setup(plan, layouts)
+
+    def drop(_ref, key=key):
+        _SETUP_CACHE.pop(key, None)
+
+    # evict the oldest from a snapshot of the keys: a layout dying on
+    # another thread pops entries too
+    excess = len(_SETUP_CACHE) + 1 - _SETUP_CACHE_LIMIT
+    for oldest in list(_SETUP_CACHE)[:max(excess, 0)]:
+        _SETUP_CACHE.pop(oldest, None)
+    _SETUP_CACHE[key] = (setup, [weakref.ref(layout, drop) for layout in layouts])
     return setup
 
 
@@ -275,6 +400,19 @@ def _code_of(index, value):
     return code
 
 
+def _int_operand(expr, level_of, setup):
+    """``expr`` as a vectorizable comparison operand — ``("var", level)``
+    for a variable whose level decodes to ``int64``, ``("const", value)``
+    for a plain ``int64`` constant — else ``None``."""
+    if isinstance(expr, Var):
+        level = level_of[expr.name]
+        return ("var", level) if setup.int_array(level) is not None else None
+    if (isinstance(expr, Const) and type(expr.value) is int
+            and _INT64_MIN <= expr.value <= _INT64_MAX):
+        return ("const", expr.value)
+    return None
+
+
 # -- the executor ------------------------------------------------------------
 
 
@@ -287,6 +425,9 @@ class ColumnarTrieJoin:
     back to the pure executor).
     """
 
+    backend = "columnar"
+    reason = None
+
     def __init__(self, plan, relations, recorder=None, prefer_array=True,
                  stats=None):
         if recorder is not None:
@@ -296,6 +437,9 @@ class ColumnarTrieJoin:
         self.prefer_array = prefer_array
         self.stats = stats
         self._setup = _setup_for(plan, relations)
+        self._filters = [
+            self._split_filters(level) for level in range(len(plan.var_order))
+        ]
 
     # -- counters ---------------------------------------------------------
 
@@ -341,7 +485,47 @@ class ColumnarTrieJoin:
         self._count_batch(len(target))
         return comp[pos] == target, pos
 
-    # -- filter / assign support (row-wise, shared with pure semantics) ----
+    # -- filters -------------------------------------------------------------
+
+    def _split_filters(self, level):
+        """``(vectorized, row-wise)`` filters of one level.  The leading
+        comparisons whose operands are all ``int64`` variables or
+        constants are vectorized; the first filter that is not, and
+        everything after it, stays row-wise — so a filter that raises
+        sees exactly the rows it sees on the pure path."""
+        filters = self.plan.filters[level]
+        if level in self.plan.assigns:
+            return [], filters
+        level_of = {name: lvl for lvl, name in enumerate(self.plan.var_order)}
+        vectorized = []
+        for entry in filters:
+            # subclasses (constraint right-hand sides) carry their own logic
+            if type(entry) is not CompareAtom:
+                break
+            operands = [_int_operand(side, level_of, self._setup)
+                        for side in (entry.left, entry.right)]
+            if None in operands:
+                break
+            vectorized.append((getattr(np, _NUMPY_COMPARE[entry.op]), operands))
+        return vectorized, filters[len(vectorized):]
+
+    def _compare_mask(self, vectorized, columns, rows, level, vals):
+        """Mask over the driver's candidates (``rows`` into the frontier,
+        ``vals`` the level's codes) of the vectorized comparisons."""
+        setup = self._setup
+        keep = None
+        for compare, operands in vectorized:
+            sides = []
+            for kind, value in operands:
+                if kind == "const":
+                    sides.append(value)
+                elif value == level:
+                    sides.append(setup.int_array(value)[vals])
+                else:
+                    sides.append(setup.int_array(value)[columns[value][1][rows]])
+            holds = compare(sides[0], sides[1])
+            keep = holds if keep is None else keep & holds
+        return keep
 
     def _decode_column(self, level, column):
         tag, array = column
@@ -365,121 +549,132 @@ class ColumnarTrieJoin:
 
     def _apply_filters(self, adapter, filters, columns, level):
         """Row-wise filter mask via the pure executor's filter logic."""
-        names = self.plan.var_order
-        decoded = [
-            self._decode_column(lvl, columns[lvl]) for lvl in range(level + 1)
-        ]
-        frontier = len(decoded[0])
-        keep = np.ones(frontier, dtype=bool)
-        for row in range(frontier):
-            bindings = {
-                names[lvl]: decoded[lvl][row] for lvl in range(level + 1)
-            }
-            for entry in filters:
-                if not adapter._filter_holds(entry, bindings):
-                    keep[row] = False
-                    break
-        return keep
+        return np.fromiter(
+            (all(adapter._filter_holds(entry, bindings) for entry in filters)
+             for bindings in self._bindings_rows(columns, level + 1)),
+            bool, count=len(columns[0][1]),
+        )
 
     # -- the interpreter ---------------------------------------------------
 
-    def _interpret(self, adapter):
-        """Level-by-level vectorized expansion; returns decoded columns
-        (object arrays aligned with ``var_order``) or ``None``."""
+    def _level(self, adapter, level, cur, columns):
+        """Expand one variable level over the frontier ``columns``
+        (``cur`` holds each atom's trie node per frontier row); returns
+        the next ``(cur, columns)``, or ``None`` when nothing survives."""
         plan = self.plan
         setup = self._setup
         atoms = setup.atoms
-        cur = [None] * len(atoms)
-        columns = []
-        frontier = 1
-        for level in range(len(plan.var_order)):
-            parts = plan.participants[level]
-            assign = plan.assigns.get(level)
-            if assign is not None:
-                bindings_rows = self._bindings_rows(columns, level)
-                values = [assign.compute(b) for b in bindings_rows]
-                rows = np.arange(frontier, dtype=np.int64)
-                if parts:
-                    index = setup.value_index[level]
-                    vals = np.fromiter(
-                        (_code_of(index, v) for v in values),
-                        np.int64,
-                        count=frontier,
-                    )
-                    keep = vals >= 0
-                    column = ("code", vals)
-                else:
-                    raw = np.empty(frontier, object)
-                    raw[:] = values
-                    keep = None
-                    column = ("raw", raw)
-                cand = {}
-                if parts:
-                    safe_vals = np.where(keep, vals, 0)
-                    for atom_index, depth in parts:
-                        ok, pos = self._member(
-                            atoms[atom_index], depth, cur[atom_index],
-                            rows, safe_vals, setup.sizes[level],
-                        )
-                        cand[atom_index] = pos
-                        keep = keep & ok
-            else:
-                totals = [
-                    atoms[ai].r0 * frontier
-                    if depth == 0
-                    else int(atoms[ai].child_cnt[depth - 1][cur[ai]].sum())
-                    for ai, depth in parts
-                ]
-                driver = totals.index(min(totals))
-                driver_index, driver_depth = parts[driver]
-                rows, vals, driver_nodes = self._enumerate(
-                    atoms[driver_index], driver_depth, cur[driver_index],
-                    frontier,
+        frontier = len(columns[0][1]) if columns else 1
+        parts = plan.participants[level]
+        assign = plan.assigns.get(level)
+        vectorized, rowwise = self._filters[level]
+        if assign is not None:
+            bindings_rows = self._bindings_rows(columns, level)
+            values = [assign.compute(b) for b in bindings_rows]
+            rows = np.arange(frontier, dtype=np.int64)
+            if parts:
+                index = setup.value_index[level]
+                vals = np.fromiter(
+                    (_code_of(index, v) for v in values),
+                    np.int64,
+                    count=frontier,
                 )
-                if not len(vals):
-                    return None
-                cand = {driver_index: driver_nodes}
+                keep = vals >= 0
+                column = ("code", vals)
+            else:
+                raw = np.empty(frontier, object)
+                raw[:] = values
                 keep = None
-                for position, (atom_index, depth) in enumerate(parts):
-                    if position == driver:
-                        continue
+                column = ("raw", raw)
+            cand = {}
+            if parts:
+                safe_vals = np.where(keep, vals, 0)
+                for atom_index, depth in parts:
                     ok, pos = self._member(
                         atoms[atom_index], depth, cur[atom_index],
-                        rows, vals, setup.sizes[level],
+                        rows, safe_vals, setup.sizes[level],
                     )
                     cand[atom_index] = pos
-                    keep = ok if keep is None else keep & ok
-                column = ("code", vals)
-            if keep is not None and not keep.all():
-                rows = rows[keep]
-                column = (column[0], column[1][keep])
-                cand = {ai: c[keep] for ai, c in cand.items()}
-            if not len(column[1]):
+                    keep = keep & ok
+        else:
+            totals = [
+                atoms[ai].r0 * frontier
+                if depth == 0
+                else int(atoms[ai].child_cnt[depth - 1][cur[ai]].sum())
+                for ai, depth in parts
+            ]
+            driver = totals.index(min(totals))
+            driver_index, driver_depth = parts[driver]
+            rows, vals, driver_nodes = self._enumerate(
+                atoms[driver_index], driver_depth, cur[driver_index],
+                frontier,
+            )
+            if vectorized and len(vals):
+                # prune the candidates before probing anyone else
+                holds = self._compare_mask(vectorized, columns, rows, level, vals)
+                rows, vals, driver_nodes = (
+                    rows[holds], vals[holds], driver_nodes[holds])
+            if not len(vals):
                 return None
-            for atom_index in range(len(atoms)):
-                if atom_index in cand:
-                    cur[atom_index] = cand[atom_index]
-                elif cur[atom_index] is not None:
-                    cur[atom_index] = cur[atom_index][rows]
-            columns = [(tag, arr[rows]) for tag, arr in columns]
-            columns.append(column)
-            frontier = len(column[1])
-            filters = plan.filters[level]
-            if filters:
-                keep = self._apply_filters(adapter, filters, columns, level)
-                if not keep.all():
-                    columns = [(tag, arr[keep]) for tag, arr in columns]
-                    cur = [
-                        c[keep] if c is not None else None for c in cur
-                    ]
-                    frontier = len(columns[-1][1])
-                    if not frontier:
-                        return None
-            self._count_steps(frontier)
-        return [
-            self._decode_column(level, column)
-            for level, column in enumerate(columns)
+            cand = {driver_index: driver_nodes}
+            keep = None
+            for position, (atom_index, depth) in enumerate(parts):
+                if position == driver:
+                    continue
+                ok, pos = self._member(
+                    atoms[atom_index], depth, cur[atom_index],
+                    rows, vals, setup.sizes[level],
+                )
+                cand[atom_index] = pos
+                keep = ok if keep is None else keep & ok
+            column = ("code", vals)
+        if keep is not None and not keep.all():
+            rows = rows[keep]
+            column = (column[0], column[1][keep])
+            cand = {ai: c[keep] for ai, c in cand.items()}
+        if not len(column[1]):
+            return None
+        cur = [
+            cand[atom_index] if atom_index in cand
+            else c[rows] if c is not None else None
+            for atom_index, c in enumerate(cur)
         ]
+        columns = [(tag, arr[rows]) for tag, arr in columns]
+        columns.append(column)
+        if rowwise:
+            keep = self._apply_filters(adapter, rowwise, columns, level)
+            if not keep.all():
+                columns = [(tag, arr[keep]) for tag, arr in columns]
+                cur = [c[keep] if c is not None else None for c in cur]
+                if not len(columns[-1][1]):
+                    return None
+        self._count_steps(len(columns[-1][1]))
+        return cur, columns
+
+    def _interpret(self, adapter):
+        """Level-by-level vectorized expansion; yields decoded columns
+        (object arrays aligned with ``var_order``) per chunk of at most
+        :data:`_CHUNK_ROWS` first-level bindings, in enumeration order."""
+        n_levels = len(self.plan.var_order)
+        first = self._level(adapter, 0, [None] * len(self._setup.atoms), [])
+        if first is None:
+            return
+        cur0, columns0 = first
+        for start in range(0, len(columns0[0][1]), _CHUNK_ROWS):
+            chunk = slice(start, start + _CHUNK_ROWS)
+            state = (
+                [c[chunk] if c is not None else None for c in cur0],
+                [(tag, arr[chunk]) for tag, arr in columns0],
+            )
+            for level in range(1, n_levels):
+                state = self._level(adapter, level, *state)
+                if state is None:
+                    break
+            else:
+                yield [
+                    self._decode_column(level, column)
+                    for level, column in enumerate(state[1])
+                ]
 
     # -- run ---------------------------------------------------------------
 
@@ -502,14 +697,5 @@ class ColumnarTrieJoin:
             yield ()
             return
         global_stats.bump("join.columnar_joins")
-        result = self._interpret(adapter)
-        if result is None:
-            return
-        yield from zip(*result)
-
-
-def join_count(plan, relations, prefer_array=True):
-    """Number of satisfying assignments via the columnar executor."""
-    executor = ColumnarTrieJoin(plan, relations, prefer_array=prefer_array)
-    return sum(1 for _ in executor.run())
-
+        for columns in self._interpret(adapter):
+            yield from zip(*columns)

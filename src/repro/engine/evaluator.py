@@ -16,7 +16,7 @@ their evaluation state with them at O(1) branch cost.
 from repro import obs
 from repro.ds.pmap import PMap
 from repro.engine.aggregates import AGGREGATES, agg_add
-from repro.engine.columnar import ColumnarTrieJoin, make_join, resolve_backend
+from repro.engine.columnar import make_join, resolve_backend
 from repro.engine.ir import Const, PredAtom, Var
 from repro.engine.rules import stratify
 from repro.storage.relation import Relation
@@ -103,6 +103,11 @@ class RuleSet:
                 raise EvaluationError("predicate {} has inconsistent arity".format(pred))
         self.strata, self.recursive_flags = stratify(self.rules)
         self.derived = set(self.rules_by_head)
+        # predicates some rule body reads; a derived one no body reads
+        # is an answer, consumed only by whoever asked for the evaluation
+        self.read = set()
+        for rule in self.rules:
+            self.read |= rule.body_preds()
 
     def head_arity(self, pred):
         """Arity of a derived predicate's head."""
@@ -122,11 +127,13 @@ class Evaluator:
     first-appearance order is used.  Plans come from each rule's own
     memo (:meth:`~repro.engine.rules.Rule.plan`).
 
-    ``backend`` selects the join executor: ``"pure"`` (the per-tuple
+    ``backend`` forces the join executor: ``"pure"`` (the per-tuple
     iterator oracle) or ``"columnar"`` (vectorized over
     dictionary-encoded arrays, falling back to pure per join when a
     relation does not encode or sensitivity recording is on).  ``None``
-    resolves through the ``REPRO_ENGINE`` environment override.
+    defers to the ``REPRO_ENGINE`` environment override and, without
+    one, lets each join pick its executor from its input size
+    (:func:`~repro.engine.columnar.choose_backend`).
     """
 
     def __init__(
@@ -153,7 +160,8 @@ class Evaluator:
         Returns ``(var_order, iterator)``.  When tracing is active a
         ``plan`` span records whether the rule's plan memo hit, and the
         iterator is wrapped in a ``join`` span carrying the execution's
-        seek/next/open counts; with tracing off the
+        seek/next/open counts, the executor that ran (``backend``) and
+        why it was picked (``reason``); with tracing off the
         executor runs with ``stats=None`` and counts nothing.
         """
         var_order = self._order_for(rule, relations)
@@ -165,10 +173,8 @@ class Evaluator:
         exec_stats = {} if traced else None
         executor = make_join(plan, relations, recorder, prefer,
                              stats=exec_stats, backend=self.backend)
-        if isinstance(executor, ColumnarTrieJoin):
-            bump_prefix = None  # the columnar executor bumps join.* itself
-        else:
-            bump_prefix = "join."
+        # the columnar executor bumps join.* itself
+        bump_prefix = "join." if executor.backend == "pure" else None
         run = executor.run()
         if traced:
             run = obs.traced_bindings(
@@ -176,7 +182,8 @@ class Evaluator:
                 {
                     "rule": rule.name or rule.head_pred,
                     "vars": len(plan.var_order),
-                    "backend": type(executor).__name__,
+                    "backend": executor.backend,
+                    "reason": executor.reason,
                 },
                 run,
                 exec_stats,
@@ -186,7 +193,8 @@ class Evaluator:
 
     # -- full evaluation ---------------------------------------------------
 
-    def evaluate(self, base_relations, recorder=None, recorder_for=None, reuse=None):
+    def evaluate(self, base_relations, recorder=None, recorder_for=None, reuse=None,
+                 keep_state=True):
         """Materialize every derived predicate.
 
         ``base_relations`` maps predicate name to :class:`Relation`.
@@ -198,9 +206,16 @@ class Evaluator:
         predicates known to be unaffected by a program change (live
         programming, §3.3): those are copied instead of recomputed.  A
         recursive stratum is reused only when every member is reusable.
+
+        ``keep_state=False`` is for callers that read the rows and drop
+        the rest (queries, exec rules): ``states`` is ``None``, no
+        support counts or aggregate groups are built, and a
+        non-recursive head no rule reads is left as its sorted row list
+        instead of a :class:`Relation` (functional dependencies are
+        still enforced).
         """
         relations = dict(base_relations)
-        states = {}
+        states = {} if keep_state else None
         chooser = recorder_for if recorder_for is not None else (lambda rule: recorder)
         reuse_relations, reuse_states = reuse if reuse is not None else ({}, {})
         for stratum, recursive in zip(self.ruleset.strata, self.ruleset.recursive_flags):
@@ -232,12 +247,18 @@ class Evaluator:
             for binding in bindings:
                 head = project(binding)
                 counts[head] = counts.get(head, 0) + 1
+        if states is None and pred not in self.ruleset.read:
+            rows = sorted(counts)
+            _check_functional(pred, group[0], rows)
+            relations[pred] = rows
+            return
         relation = Relation.from_iter(self.ruleset.head_arity(pred), counts)
         _check_functional(pred, group[0], relation)
         relations[pred] = relation
-        states[pred] = PredicateState(
-            "count", counts=PMap.from_sorted_items(sorted(counts.items()))
-        )
+        if states is not None:
+            states[pred] = PredicateState(
+                "count", counts=PMap.from_sorted_items(sorted(counts.items()))
+            )
 
     def _evaluate_aggregate(self, pred, rule, relations, states, chooser):
         aggregate = AGGREGATES[rule.agg.fn]
@@ -255,12 +276,16 @@ class Evaluator:
             group_key + (aggregate.result(state),)
             for group_key, state in groups.items()
         ]
+        if states is None and pred not in self.ruleset.read:
+            relations[pred] = sorted(tuples)
+            return
         relations[pred] = Relation.from_iter(self.ruleset.head_arity(pred), tuples)
-        states[pred] = PredicateState(
-            "agg",
-            groups=PMap.from_sorted_items(sorted(groups.items())),
-            agg_fn=rule.agg.fn,
-        )
+        if states is not None:
+            states[pred] = PredicateState(
+                "agg",
+                groups=PMap.from_sorted_items(sorted(groups.items())),
+                agg_fn=rule.agg.fn,
+            )
 
     def _evaluate_recursive(self, stratum, relations, states, chooser):
         stratum_preds = set(stratum)
@@ -310,7 +335,8 @@ class Evaluator:
                 delta[pred] = new
         for pred in stratum:
             _check_functional(pred, self.ruleset.rules_by_head[pred][0], relations[pred])
-            states[pred] = PredicateState("recursive")
+            if states is not None:
+                states[pred] = PredicateState("recursive")
 
     def _fire_rules_once(self, pred, relations, chooser):
         tuples = set()

@@ -26,6 +26,9 @@ class LeapfrogTrieJoin:
     enumerates satisfying assignments, which are already distinct).
     """
 
+    backend = "pure"
+    reason = None
+
     def __init__(self, plan, relations, recorder=None, prefer_array=False,
                  stats=None):
         self.plan = plan

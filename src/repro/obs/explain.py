@@ -125,8 +125,10 @@ class ExplainReport:
 
     ``rules`` is a list of dicts with keys ``rule``, ``var_order``,
     ``estimated_steps``, ``actual_steps``, ``error_ratio``, ``rows``,
-    ``indexes``, ``executions`` — JSON/codec-safe so reports travel the
-    wire unchanged."""
+    ``indexes``, ``executions``, and the join path the rule took
+    (``backend``: ``pure`` / ``columnar``) with the ``reason`` it was
+    picked — JSON/codec-safe so reports travel the wire unchanged.
+    ``backend`` on the report is the forced backend, or ``per-plan``."""
 
     def __init__(self, source, answer, row_count, wall_s, backend, rules):
         self.source = source
@@ -164,20 +166,23 @@ class ExplainReport:
                 self.answer, self.row_count, self.wall_s * 1000.0, self.backend
             )
         ]
-        header = "  {:<20} {:<18} {:>12} {:>12} {:>10} {:>8}".format(
-            "rule", "var order", "est. steps", "actual", "est/act", "rows"
+        header = "  {:<20} {:<18} {:>12} {:>12} {:>10} {:>8}  {}".format(
+            "rule", "var order", "est. steps", "actual", "est/act", "rows",
+            "path"
         )
         lines.append(header)
         for rule in self.rules:
             order = rule.get("var_order")
             ratio = rule.get("error_ratio")
-            lines.append("  {:<20} {:<18} {:>12} {:>12} {:>10} {:>8}".format(
+            lines.append("  {:<20} {:<18} {:>12} {:>12} {:>10} {:>8}  {}".format(
                 str(rule.get("rule"))[:20],
                 ",".join(order)[:18] if order else "(default)",
                 rule.get("estimated_steps", "-"),
                 rule.get("actual_steps", "-"),
                 "{:.2f}".format(ratio) if ratio is not None else "-",
                 rule.get("rows", 0),
+                "{} ({})".format(rule["backend"], rule.get("reason"))
+                if rule.get("backend") else "-",
             ))
         if not self.rules:
             lines.append("  (no join rules)")
@@ -226,6 +231,7 @@ def explain_query(state, source, answer=None, *, sample_size=256,
             continue
         actual = sum(_actual_steps(s) for s in spans)
         produced = sum(s.attrs.get("rows", 0) for s in spans)
+        last = spans[-1].attrs if spans else {}
         prediction = optimizer.explain_rule(rule, relations)
         entry = {
             "rule": label,
@@ -236,6 +242,8 @@ def explain_query(state, source, answer=None, *, sample_size=256,
             "estimated_steps": None,
             "indexes": None,
             "error_ratio": None,
+            "backend": last.get("backend"),
+            "reason": last.get("reason"),
         }
         if prediction is not None:
             order, estimated, indexes = prediction
@@ -251,5 +259,5 @@ def explain_query(state, source, answer=None, *, sample_size=256,
 
     return ExplainReport(
         source, answer, len(relations[answer]), wall_s,
-        evaluator.backend, report_rules,
+        evaluator.backend or "per-plan", report_rules,
     )

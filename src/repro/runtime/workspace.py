@@ -48,7 +48,8 @@ def run_query(state, source, answer=None, order_chooser=None):
     optimizer as ``order_chooser``).  Returns ``(rules, evaluator,
     relations, answer)``: the compiled query rules, the evaluator that
     ran them, every relation after evaluation, and the resolved answer
-    predicate.
+    predicate.  The answer (any head no query rule reads) comes back
+    as its sorted row list, not a :class:`Relation`: nothing keeps it.
     """
     with _obs.span("compile", chars=len(source)):
         block = compile_program(source)
@@ -67,7 +68,7 @@ def run_query(state, source, answer=None, order_chooser=None):
         prefer_array=False,
         backend=state.artifacts.engine_backend,
     )
-    relations, _ = evaluator.evaluate(env)
+    relations, _ = evaluator.evaluate(env, keep_state=False)
     if answer is None:
         answer = "_" if "_" in ruleset.derived else block.rules[-1].head_pred
     return block.rules, evaluator, relations, answer
@@ -82,7 +83,7 @@ def evaluate_query(state, source, answer=None):
     rows of the designated answer predicate.
     """
     _, _, relations, answer = run_query(state, source, answer)
-    return sorted(relations[answer])
+    return list(relations[answer])  # rows and relations iterate sorted
 
 
 class _TypeViolation:
@@ -125,10 +126,12 @@ class _TxnWindow:
 class Workspace:
     """A versioned LogiQL workspace with named branches.
 
-    ``engine`` picks the join backend for every evaluator this
+    ``engine`` forces the join backend of every evaluator this
     workspace creates: ``"pure"`` or ``"columnar"`` (vectorized over
     dictionary-encoded numpy arrays); ``None`` defers to the
-    ``REPRO_ENGINE`` environment override, defaulting to pure.
+    ``REPRO_ENGINE`` environment override and, without one, lets each
+    join pick its executor from its input size (runs that record
+    sensitivity for view maintenance always take the pure one).
     """
 
     def __init__(self, *, engine=None):
@@ -313,8 +316,9 @@ class Workspace:
         """Engine effectiveness counters accumulated *by this
         workspace's transactions* since creation (or the last
         :meth:`reset_engine_stats`): warm vs. cold relation indexes and
-        arrays, join seek/next movement,
-        columnar joins and fallbacks, and IVM work.  Benchmarks export
+        arrays, join seek/next movement, the executor each join ran on
+        (``columnar["chosen"]``), columnar joins and fallbacks, and IVM
+        work.  Benchmarks export
         these next to wall times so speedups are attributable.
 
         Counters bumped by other workspaces — even concurrently on
@@ -327,7 +331,11 @@ class Workspace:
             if value - baseline.get(key, 0)
         }
         counters["columnar"] = {
-            "backend": self._engine_backend,
+            "backend": self._engine_backend or "per-plan",
+            "chosen": {
+                backend: counters.get("join.backend." + backend, 0)
+                for backend in ("pure", "columnar")
+            },
             "joins": counters.get("join.columnar_joins", 0),
             "fallbacks": counters.get("join.columnar_fallbacks", 0),
             "vector_seeks": counters.get("join.vector_seeks", 0),
@@ -471,9 +479,10 @@ class Workspace:
                     if arity is None:
                         arity = len(atom.args)
                     env[atom.pred] = Relation.empty(arity)
+        # the delta heads are read once below and dropped
         relations, _ = Evaluator(
             ruleset, prefer_array=False, backend=self._engine_backend,
-        ).evaluate(env)
+        ).evaluate(env, keep_state=False)
         deltas = {}
         preds = set()
         for head in ruleset.derived:

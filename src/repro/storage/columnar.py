@@ -23,7 +23,8 @@ pure-Python iterator backends.  ``numpy`` itself is imported lazily and
 its absence is reported the same way, so the pure path never needs it.
 """
 
-from repro import stats
+from bisect import bisect_left
+
 from repro.ds.hashing import canonical_key
 
 try:  # gate the accelerator dependency: absence means "pure path only"
@@ -78,7 +79,8 @@ class ColumnarLayout:
     array decodes to ``tuple(domains[j][codes[j][i]] for j)``.
     """
 
-    __slots__ = ("arity", "n_rows", "codes", "domains")
+    # weak-referenceable: join setups built from a layout go with it
+    __slots__ = ("arity", "n_rows", "codes", "domains", "__weakref__")
 
     def __init__(self, rows, arity):
         self.arity = arity
@@ -89,6 +91,21 @@ class ColumnarLayout:
             codes, domain = encode_column([row[position] for row in rows])
             self.codes.append(codes)
             self.domains.append(domain)
+
+    def prefix_range(self, prefix):
+        """Row range ``[lo, hi)`` of the tuples starting with ``prefix``:
+        per prefix column, a bisect into its dictionary and a vectorized
+        bisect over its codes inside the range narrowed so far."""
+        lo, hi = 0, self.n_rows
+        for position, value in enumerate(prefix):
+            domain = self.domains[position]
+            code = bisect_left(domain, value)
+            if code == len(domain) or domain[code] != value:
+                return lo, lo
+            column = self.codes[position][lo:hi]
+            lo, hi = (lo + int(column.searchsorted(code, side))
+                      for side in ("left", "right"))
+        return lo, hi
 
     def run_starts(self, depth, lo=0, hi=None):
         """Row indices (within ``[lo, hi)``) starting a run of equal

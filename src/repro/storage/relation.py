@@ -12,11 +12,13 @@ is applied, so a small write to a large indexed relation stays cheap.
 """
 
 import random
+from bisect import bisect_left
 
 from repro import stats
 from repro.ds import treap
 from repro.ds.pset import PSet
 from repro.ds.treap import MISSING
+from repro.storage.datum import TOP
 
 
 class Delta:
@@ -122,8 +124,8 @@ class Relation:
         # perm (tuple) -> list of permuted tuples, sorted; lazy cache
         self._flat = flats if flats is not None else {}
         # perm (tuple) -> ColumnarLayout | ColumnarUnsupported; lazy
-        # cache for the vectorized backend (per version, like _flat;
-        # rebuilt from the promoted flat array after a delta)
+        # cache for the vectorized backend, per version and never
+        # promoted: apply() drops it from the version it supersedes
         self._columnar = {}
 
     @classmethod
@@ -255,6 +257,10 @@ class Relation:
                 removed = {_permute(t, perm) for t in delta.removed}
             flats[perm] = _merge_sorted(rows, added, removed)
             stats.bump("relation.flat_promotions")
+        # a columnar layout cannot be merged cheaply; the superseded
+        # version drops its own (a later read of it re-encodes), so
+        # reads between writes leave no layout per write behind
+        self._columnar = {}
         return Relation(self.arity, tuples, indexes, flats)
 
     def diff(self, new):
@@ -332,22 +338,44 @@ class Relation:
         cached = self._flat.get(perm)
         if cached is None:
             stats.bump("relation.flat_misses")
-            if perm == tuple(range(self.arity)):
-                cached = list(self._tuples)
-            else:
-                cached = sorted(_permute(t, perm) for t in self._tuples)
-            self._flat[perm] = cached
+            cached = self._flat[perm] = self._sorted_rows(perm)
         else:
             stats.bump("relation.flat_hits")
         return cached
+
+    def _sorted_rows(self, perm):
+        if perm == tuple(range(self.arity)):
+            return list(self._tuples)
+        return sorted(_permute(t, perm) for t in self._tuples)
 
     def has_flat(self, perm):
         """True when the array backend is already materialized."""
         return tuple(perm) in self._flat
 
+    def prefix_count(self, perm, prefix):
+        """Number of tuples, permuted by ``perm``, that start with
+        ``prefix``: a bisect on a warm flat array, else a rank query on
+        the treap of that permutation (the primary store for the
+        identity, else the secondary index a pure scan would build)."""
+        perm = tuple(perm)
+        prefix = tuple(prefix)
+        if not prefix:
+            return len(self)
+        upper = prefix + (TOP,)
+        rows = self._flat.get(perm)
+        if rows is not None:
+            return bisect_left(rows, upper) - bisect_left(rows, prefix)
+        root = self.index_root(perm)
+        return treap.rank(root, upper) - treap.rank(root, prefix)
+
     def columnar(self, perm):
         """Column-encoded layout of the tuples permuted by ``perm``
         (cached per version, like :meth:`flat`).
+
+        Encodes from the flat array when one is already warm, else from
+        a sort it does not keep: a kept flat array would be merged into
+        every later version by :meth:`apply`, so one columnar read would
+        tax every write after it.
 
         Raises :class:`~repro.storage.columnar.ColumnarUnsupported`
         when the values do not dictionary-encode (or numpy is absent);
@@ -359,8 +387,11 @@ class Relation:
         cached = self._columnar.get(perm)
         if cached is None:
             stats.bump("relation.columnar_misses")
+            rows = self._flat.get(perm)
+            if rows is None:
+                rows = self._sorted_rows(perm)
             try:
-                cached = ColumnarLayout(self.flat(perm), self.arity)
+                cached = ColumnarLayout(rows, self.arity)
             except ColumnarUnsupported as exc:
                 cached = exc
             self._columnar[perm] = cached
@@ -369,6 +400,12 @@ class Relation:
         if isinstance(cached, ColumnarUnsupported):
             raise cached
         return cached
+
+    def cached_columnar(self, perm):
+        """The layout :meth:`columnar` already encoded for ``perm``, or
+        ``None`` (nothing is built)."""
+        cached = self._columnar.get(tuple(perm))
+        return None if isinstance(cached, Exception) else cached
 
     def __repr__(self):
         preview = ", ".join(repr(t) for t in list(self._tuples)[:3])

@@ -183,9 +183,9 @@ class TestResolveBackend:
         monkeypatch.setenv("REPRO_ENGINE", "columnar")
         assert resolve_backend() == "columnar"
 
-    def test_default_is_pure(self, monkeypatch):
+    def test_default_chooses_per_plan(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert resolve_backend() == "pure"
+        assert resolve_backend() is None
 
     def test_invalid_name_rejected(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
@@ -222,3 +222,125 @@ class TestCounters:
         # batch sizes feed the join.batch_sizes histogram
         histogram = global_stats.histograms().get("join.batch_sizes")
         assert histogram and histogram["count"] >= stats["batches"]
+
+
+def tri_all_plan():
+    return build_plan(
+        list(TRIANGLE) + [CompareAtom("<", Var("a"), Var("b")),
+                          CompareAtom("<", Var("b"), Var("c"))],
+        output_vars=("a", "b", "c"),
+    )
+
+
+class TestPerPlanChoice:
+    """Without a forced backend each join picks its executor from the
+    rows its first variable level draws on."""
+
+    def test_point_query_runs_pure(self):
+        inventory = Relation.from_iter(
+            2, [("sku{:05d}".format(i), i) for i in range(1000)])
+        plan = build_plan(
+            [PredAtom("inventory", [Const("sku00042"), Var("v")])],
+            output_vars=("v",))
+        before = global_stats.snapshot()
+        join = make_join(plan, {"inventory": inventory})
+        assert isinstance(join, LeapfrogTrieJoin)
+        assert join.reason == "1 rows < {}".format(columnar.COLUMNAR_MIN_ROWS)
+        assert global_stats.delta_since(before).get("join.backend.pure") == 1
+        assert list(join.run()) == [(42,)]
+
+    def test_small_three_atom_join_runs_pure(self):
+        env = {"E": Relation.from_iter(2, random_edges(51, 60, 12))}
+        plan = build_plan(list(TRIANGLE), output_vars=("a", "b", "c"))
+        assert isinstance(make_join(plan, env), LeapfrogTrieJoin)
+
+    def test_tri_all_above_the_crossover_runs_columnar(self):
+        columnar._SETUP_CACHE.clear()
+        n_edges = columnar.COLUMNAR_MIN_ROWS + 500
+        env = {"E": Relation.from_iter(2, random_edges(53, n_edges, 400))}
+        plan = tri_all_plan()
+        assert columnar.first_level_rows(plan, env) > columnar.COLUMNAR_MIN_ROWS
+        before = global_stats.snapshot()
+        join = make_join(plan, env)
+        assert isinstance(join, ColumnarTrieJoin)
+        assert join.reason.endswith(">= {}".format(columnar.COLUMNAR_MIN_ROWS))
+        assert global_stats.delta_since(before).get("join.backend.columnar") == 1
+        assert list(join.run()) == list(LeapfrogTrieJoin(plan, env).run())
+        # the setup is now built for this version: the next run reuses it
+        assert make_join(plan, env).reason == "setup built"
+
+    def test_recorder_keeps_a_large_join_pure(self):
+        env = {"E": Relation.from_iter(
+            2, random_edges(55, columnar.COLUMNAR_MIN_ROWS + 10, 400))}
+        join = make_join(tri_all_plan(), env, recorder=SensitivityRecorder())
+        assert isinstance(join, LeapfrogTrieJoin)
+        assert join.reason == "records sensitivity"
+
+    def test_constant_prefix_range_is_counted(self):
+        env = {"E": Relation.from_iter(
+            2, [(0, i) for i in range(3000)] + [(1, 0), (1, 1)])}
+        for pin, expected in ((0, 3000), (1, 2), (2, 0)):
+            plan = build_plan(
+                [PredAtom("E", [Const(pin), Var("b")]),
+                 PredAtom("E", [Var("b"), Var("c")])],
+                output_vars=("b", "c"))
+            assert columnar.first_level_rows(plan, env) == expected
+
+    def test_workspace_reports_each_decision(self, monkeypatch):
+        from repro import Workspace
+
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        ws = Workspace()
+        ws.addblock("E(x, y) -> int(x), int(y).")
+        ws.load("E", sorted(random_edges(57, columnar.COLUMNAR_MIN_ROWS + 500, 400)))
+        ws.reset_engine_stats()
+        with ws.profile() as prof:
+            ws.query("_(a, b, c) <- E(a, b), E(b, c), E(a, c), a < b, b < c.")
+            ws.query("_(b) <- E(3, b).")
+        paths = [(j.attrs["backend"], j.attrs["reason"])
+                 for j in prof.find_all("join")]
+        assert [backend for backend, _ in paths] == ["columnar", "pure"]
+        assert ws.engine_stats()["columnar"]["chosen"] == {
+            "pure": 1, "columnar": 1}
+        assert ws.engine_stats()["columnar"]["backend"] == "per-plan"
+        report = ws.explain("_(b) <- E(3, b).")
+        assert report.backend == "per-plan"
+        assert [rule["backend"] for rule in report.rules] == ["pure"]
+
+
+class TestVersionLifetime:
+    """A columnar read leaves nothing that a later write must carry or
+    that outlives the version it encodes."""
+
+    def test_columnar_read_then_write_promotes_no_flat(self):
+        relation = Relation.from_iter(2, random_edges(61, 200, 40))
+        plan = build_plan(list(TRIANGLE), output_vars=("a", "b", "c"))
+        list(make_join(plan, {"E": relation}, backend="columnar").run())
+        before = global_stats.snapshot()
+        relation.insert((1000, 1001))
+        assert not global_stats.delta_since(before).get("relation.flat_promotions")
+
+    def test_a_write_drops_the_superseded_setup(self):
+        columnar._SETUP_CACHE.clear()
+        relation = Relation.from_iter(2, random_edges(63, 200, 40))
+        plan = build_plan(list(TRIANGLE), output_vars=("a", "b", "c"))
+        rows = list(make_join(plan, {"E": relation}, backend="columnar").run())
+        assert len(columnar._SETUP_CACHE) == 1
+        relation.insert((1000, 1001))
+        # the old version is still alive (history keeps it) but a write
+        # superseded it, so its layouts and setup are gone ...
+        assert not columnar._SETUP_CACHE
+        # ... and rebuilt if it is read again
+        assert list(make_join(plan, {"E": relation}, backend="columnar").run()) == rows
+
+    def test_setup_is_dropped_with_its_version(self):
+        import gc
+
+        columnar._SETUP_CACHE.clear()
+        relation = Relation.from_iter(2, random_edges(65, 200, 40))
+        plan = build_plan(list(TRIANGLE), output_vars=("a", "b", "c"))
+        list(make_join(plan, {"E": relation}, backend="columnar").run())
+        assert len(columnar._SETUP_CACHE) == 1
+        del relation
+        gc.collect()
+        assert not columnar._SETUP_CACHE

@@ -56,7 +56,7 @@ class TestProfileSpanTree:
         assert join is not None
         assert join.attrs["rows"] == len(rows)
         root = prof.find("txn.query")
-        if join.attrs.get("backend") == "ColumnarTrieJoin":
+        if join.attrs.get("backend") == "columnar":
             # vectorized movements: batched seeks instead of opens/nexts
             assert join.attrs.get("vector_seeks", 0) > 0
             assert root.counters.get("join.vector_seeks", 0) == join.attrs[
