@@ -41,18 +41,23 @@ BASE = Relation.from_iter(2, EDGES)
 RULESET = RuleSet(RULES)
 
 
-def fresh_materialization():
-    engine = IncrementalEngine(RULESET)
-    return engine, engine.initialize({"E": BASE})
-
-
-_shared = fresh_materialization()
-
-
 def delta_of(k):
     removed = EDGES[: k // 2]
     added = [(10000 + i, i) for i in range(k - k // 2)]
     return Delta.from_iters(added, removed)
+
+
+def fresh_materialization():
+    engine = IncrementalEngine(RULESET)
+    mat = engine.initialize({"E": BASE})
+    # the first commit builds the secondary indexes the delta passes
+    # probe, which a workspace then carries into every later version;
+    # it is not one of the measured rounds
+    engine.apply(mat, {"E": delta_of(1)})
+    return engine, mat
+
+
+_shared = fresh_materialization()
 
 
 @pytest.mark.parametrize("k", sizes([1, 8, 64, 512], [1, 8]))

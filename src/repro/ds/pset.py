@@ -20,11 +20,9 @@ class PSet:
 
     @classmethod
     def from_iter(cls, elements):
-        """Build from arbitrary-order elements."""
-        root = None
-        for element in elements:
-            root = treap.insert(root, element, None)
-        return cls(root)
+        """Build from arbitrary-order elements: sorted, deduplicated and
+        bulk-loaded (the same tree repeated insertion would build)."""
+        return cls.from_sorted(sorted(set(elements)))
 
     @classmethod
     def from_sorted(cls, elements):

@@ -7,9 +7,11 @@ These are the workhorse structure of the whole system (paper §3.1):
 * Priorities are a deterministic function of the key (``stable_hash``),
   so the shape of the tree depends only on its *contents*, never on the
   operation history — the unique representation property of [37].
-* Every node memoizes a subtree hash, giving O(1) extensional equality
-  tests (paper: "with memoization, this permits extensional equality
-  testing in O(1) time, using pointer comparison").
+* Every node memoizes a subtree hash on first read, giving O(1)
+  amortized extensional equality tests (paper: "with memoization, this
+  permits extensional equality testing in O(1) time, using pointer
+  comparison").  Building a node hashes nothing: a path copy that no
+  one compares costs no hashing at all.
 * Set union / intersection / difference use the split-based divide and
   conquer of Blelloch & Reid-Miller [7], which is output-sensitive and
   preserves subtree sharing.
@@ -40,10 +42,12 @@ class Node:
     """One immutable treap node; ``None`` is the empty treap.
 
     ``prio`` must be ``stable_hash(key)``: it is also the key's share of
-    the subtree hash ``h``, so a path copy re-hashes no key.
+    the subtree hash, so hashing a path copy re-hashes no key.  ``_h``
+    memoizes that hash and stays ``None`` until :func:`tree_hash` reads
+    it.
     """
 
-    __slots__ = ("key", "value", "prio", "left", "right", "size", "h")
+    __slots__ = ("key", "value", "prio", "left", "right", "size", "_h")
 
     def __init__(self, key, value, prio, left, right):
         self.key = key
@@ -52,12 +56,7 @@ class Node:
         self.left = left
         self.right = right
         self.size = 1 + size(left) + size(right)
-        self.h = combine_hashes(
-            prio,
-            _NONE_HASH if value is None else stable_hash(value),
-            left.h if left is not None else _EMPTY_HASH,
-            right.h if right is not None else _EMPTY_HASH,
-        )
+        self._h = None
 
     def __repr__(self):
         return "Node({!r}, {!r}, size={})".format(self.key, self.value, self.size)
@@ -74,8 +73,20 @@ def size(node):
 
 
 def tree_hash(node):
-    """Memoized structural hash of the treap (content-determined)."""
-    return node.h if node is not None else _EMPTY_HASH
+    """Structural hash of the treap (content-determined), computed on
+    first read and memoized in each node's ``_h``."""
+    if node is None:
+        return _EMPTY_HASH
+    h = node._h
+    if h is None:
+        value = node.value
+        h = node._h = combine_hashes(
+            node.prio,
+            _NONE_HASH if value is None else stable_hash(value),
+            tree_hash(node.left),
+            tree_hash(node.right),
+        )
+    return h
 
 
 def _wins(a, b):
@@ -319,17 +330,6 @@ def from_sorted_items(pairs):
     immutable nodes.  The result is bit-identical to repeated insertion
     (unique representation).
     """
-
-    class _Mut:
-        __slots__ = ("key", "value", "prio", "left", "right")
-
-        def __init__(self, key, value, prio):
-            self.key = key
-            self.value = value
-            self.prio = prio
-            self.left = None
-            self.right = None
-
     spine = []
     last_key = MISSING
     for key, value in pairs:
@@ -338,35 +338,41 @@ def from_sorted_items(pairs):
         last_key = key
         mut = _Mut(key, value, stable_hash(key))
         dropped = None
-        while spine and not _mut_wins(spine[-1], mut):
+        while spine and not _wins(spine[-1], mut):
             dropped = spine.pop()
         mut.left = dropped
         if spine:
             spine[-1].right = mut
         spine.append(mut)
-    if not spine:
+    return _freeze(spine[0]) if spine else None
+
+
+class _Mut:
+    """A mutable node of a Cartesian tree under construction."""
+
+    __slots__ = ("key", "value", "prio", "left", "right")
+
+    def __init__(self, key, value, prio):
+        self.key = key
+        self.value = value
+        self.prio = prio
+        self.left = None
+        self.right = None
+
+
+def _freeze(mut):
+    if mut is None:
         return None
-
-    def freeze(mut):
-        if mut is None:
-            return None
-        return Node(mut.key, mut.value, mut.prio, freeze(mut.left), freeze(mut.right))
-
-    return freeze(spine[0])
-
-
-def _mut_wins(a, b):
-    if a.prio != b.prio:
-        return a.prio > b.prio
-    return a.key < b.key
+    return Node(mut.key, mut.value, mut.prio, _freeze(mut.left), _freeze(mut.right))
 
 
 def equal(a, b):
-    """O(1) extensional equality via memoized hashes.
+    """O(1) amortized extensional equality via memoized hashes.
 
     Hash equality is treated as equality (64-bit structural hashes;
     collision probability ~2^-64, the same trust the paper places in
-    its memoized pointer comparison).
+    its memoized pointer comparison).  The first comparison of a tree
+    nobody hashed yet pays for its unhashed nodes once.
     """
     if a is b:
         return True
@@ -379,13 +385,17 @@ def diff(a, b):
     """Yield ``(key, old_value, new_value)`` for keys differing between
     ``a`` (old) and ``b`` (new); absent values are ``MISSING``.
 
-    Shared subtrees are pruned by identity and by memoized hash, so the
-    cost is proportional to the edit distance (times log n), never to
-    the full size — the property incremental maintenance relies on
-    (paper §3.1: "changes between versions can be enumerated
-    efficiently").
+    Shared subtrees are pruned by identity, so the cost is proportional
+    to the edit distance (times log n), never to the full size — the
+    property incremental maintenance relies on (paper §3.1: "changes
+    between versions can be enumerated efficiently").  Two trees whose
+    roots hold the same key split their keys the same way, so both are
+    descended pairwise; by unique representation that is the common
+    case between related versions, and only differing root keys cost a
+    split.  No hash is computed: memoized hashes prune only where both
+    sides already have one.
     """
-    if a is b or tree_hash(a) == tree_hash(b):
+    if a is b:
         return
     if a is None:
         for key, value in items(b):
@@ -394,6 +404,14 @@ def diff(a, b):
     if b is None:
         for key, value in items(a):
             yield key, value, MISSING
+        return
+    if a._h is not None and a._h == b._h:
+        return
+    if a.key == b.key:
+        yield from diff(a.left, b.left)
+        if a.value != b.value or type(a.value) is not type(b.value):
+            yield a.key, a.value, b.value
+        yield from diff(a.right, b.right)
         return
     b_left, found, b_right = split(b, a.key)
     yield from diff(a.left, b_left)

@@ -25,30 +25,11 @@ from repro.engine.rules import Rule
 from repro.storage.relation import Delta, Relation
 
 
-def _delta_pass_rule(rule, position, tag_new, tag_old):
-    """Rewrite ``rule`` for a delta pass at body ``position``."""
-    body = []
-    for index, atom in enumerate(rule.body):
-        if not isinstance(atom, PredAtom):
-            body.append(atom)
-            continue
-        if index == position:
-            body.append(PredAtom("@delta", atom.args, negated=False))
-        elif index < position:
-            body.append(PredAtom(tag_new + atom.pred, atom.args, atom.negated))
-        else:
-            body.append(PredAtom(tag_old + atom.pred, atom.args, atom.negated))
-    return Rule(rule.head_pred, rule.head_args, body, rule.agg, rule.n_keys, rule.name)
-
-
-def _run_delta_pass(evaluator, rule, position, tuple_set, env_new, env_old, arity):
-    """Head tuples derived when atom ``position`` ranges over ``tuple_set``."""
-    delta_rule = _delta_pass_rule(rule, position, "@new:", "@old:")
-    env = {}
-    for atom in rule.body:
-        if isinstance(atom, PredAtom):
-            env["@new:" + atom.pred] = env_new[atom.pred]
-            env["@old:" + atom.pred] = env_old[atom.pred]
+def _run_delta_pass(evaluator, rule, position, tuple_set, env, arity):
+    """Head tuples derived when atom ``position`` ranges over
+    ``tuple_set`` and every other atom reads ``env``."""
+    delta_rule = rule.delta_pass(position, PredAtom("@delta", rule.body[position].args))
+    env = dict(env)
     env["@delta"] = Relation.from_iter(arity, tuple_set)
     var_order, bindings = evaluator.rule_bindings(delta_rule, env, prefer_array=False)
     projector = _HeadProjector(delta_rule, var_order)
@@ -127,7 +108,6 @@ def _dred_stratum(ruleset, stratum, old_relations, new_relations, deltas):
             "pos": set(delta.removed),
             "neg": set(delta.added),
         }
-    env_old = dict(old_relations)
 
     rounds = 0
     pending = True
@@ -150,8 +130,7 @@ def _dred_stratum(ruleset, stratum, old_relations, new_relations, deltas):
                     rule,
                     position,
                     tuple_set,
-                    env_old,
-                    env_old,
+                    old_relations,
                     old_relations[atom.pred].arity,
                 )
                 fresh = {
@@ -218,7 +197,6 @@ def _dred_stratum(ruleset, stratum, old_relations, new_relations, deltas):
                     rule,
                     position,
                     tuple_set,
-                    env,
                     env,
                     env[atom.pred].arity,
                 )

@@ -300,10 +300,9 @@ class Evaluator:
                         and not atom.negated
                         and atom.pred in stratum_preds
                     ):
-                        body = list(rule.body)
-                        body[position] = PredAtom("@delta:" + atom.pred, atom.args)
+                        lead = PredAtom("@delta", atom.args)
                         delta_rules.append(
-                            (pred, rule, atom.pred, _clone_rule(rule, body)))
+                            (pred, rule, atom.pred, rule.delta_pass(position, lead)))
         for pred in stratum:
             relations[pred] = Relation.empty(self.ruleset.head_arity(pred))
         # round 0: all rules against the (empty) stratum relations
@@ -320,7 +319,7 @@ class Evaluator:
                 if not delta[source]:
                     continue
                 env = dict(relations)
-                env["@delta:" + source] = delta[source]
+                env["@delta"] = delta[source]
                 var_order, bindings = self.rule_bindings(
                     delta_rule, env, chooser(rule), prefer_array=False
                 )
@@ -348,16 +347,25 @@ class Evaluator:
         return Relation.from_iter(self.ruleset.head_arity(pred), tuples)
 
 
-def _clone_rule(rule, body):
-    from repro.engine.rules import Rule
+def _check_functional(pred, rule, relation, added=None):
+    """Enforce the functional dependency of ``R[keys] = value`` heads.
 
-    return Rule(rule.head_pred, rule.head_args, body, rule.agg, rule.n_keys, rule.name)
-
-
-def _check_functional(pred, rule, relation):
-    """Enforce the functional dependency of ``R[keys] = value`` heads."""
+    With ``added`` (the tuples a delta just added to ``relation``) only
+    their keys are checked, each by one prefix lookup; without it the
+    whole relation is scanned.
+    """
     n_keys = rule.n_keys
     if n_keys >= len(rule.head_args):
+        return
+    if added is not None:
+        for tup in added:
+            key = tup[:n_keys]
+            rows = relation.iter_prefix(key)
+            next(rows)
+            if next(rows, None) is not None:
+                raise FunctionalDependencyViolation(
+                    "{}[{}] derived with conflicting values".format(pred, key)
+                )
         return
     previous_key = None
     for tup in relation:

@@ -33,7 +33,6 @@ from repro.engine.evaluator import (
     _HeadProjector,
 )
 from repro.engine.ir import AssignAtom, PredAtom, Var
-from repro.engine.rules import Rule
 from repro.engine.iterators import trie_iterator
 from repro.engine.sensitivity import SensitivityIndex, SensitivityRecorder
 from repro.storage.relation import Delta, Relation
@@ -184,34 +183,23 @@ class IncrementalEngine:
         ``@delta`` (exact tuple-level counting).  ``kind="cand"``: the
         atom becomes ``@cand`` over its bound argument positions
         (existence-diff passes for atoms with local existential
-        variables).  ``kind="drop"``: the atom is removed entirely
-        (no bound positions at all).  Earlier predicate atoms read
+        variables).  Either leads the body (:meth:`Rule.delta_pass`).
+        ``kind="drop"``: the atom is removed entirely (no bound
+        positions at all).  Earlier predicate atoms read
         ``@new:<pred>``, later ones ``@old:<pred>``.
         """
         key = (rule_index, position, kind)
         cached = self._delta_rules.get(key)
-        if cached is not None:
-            return cached
-        body = []
-        for index, atom in enumerate(rule.body):
-            if not isinstance(atom, PredAtom):
-                body.append(atom)
-                continue
-            if index == position:
-                if kind == "tuple":
-                    body.append(PredAtom("@delta", atom.args, negated=False))
-                elif kind == "cand":
-                    body.append(PredAtom("@cand", bound_args, negated=False))
-                # kind == "drop": omit the atom
-            elif index < position:
-                body.append(PredAtom("@new:" + atom.pred, atom.args, atom.negated))
+        if cached is None:
+            if kind == "tuple":
+                lead = PredAtom("@delta", rule.body[position].args)
+            elif kind == "cand":
+                lead = PredAtom("@cand", bound_args)
             else:
-                body.append(PredAtom("@old:" + atom.pred, atom.args, atom.negated))
-        delta_rule = Rule(
-            rule.head_pred, rule.head_args, body, rule.agg, rule.n_keys, rule.name
-        )
-        self._delta_rules[key] = delta_rule
-        return delta_rule
+                lead = None
+            cached = self._delta_rules[key] = rule.delta_pass(
+                position, lead, "@new:", "@old:")
+        return cached
 
     def _local_positions(self, rule_index, rule):
         """Per body atom: argument positions holding *local* existential
@@ -413,7 +401,7 @@ class IncrementalEngine:
             delta = Delta.from_iters(added, removed)
             global_stats.bump("ivm.delta_tuples", len(added) + len(removed))
             new_relations[pred] = new_relations[pred].apply(delta)
-            _check_functional(pred, group[0], new_relations[pred])
+            _check_functional(pred, group[0], new_relations[pred], delta.added)
             new_states[pred] = state.replace(counts=counts)
             deltas[pred] = delta
 

@@ -108,6 +108,28 @@ class Rule:
         """True when :meth:`plan` for ``var_order`` is already memoized."""
         return (tuple(var_order) if var_order is not None else None) in self._plans
 
+    def delta_pass(self, position, lead, new="", old=""):
+        """This rule rewritten for a delta pass over body atom ``position``.
+
+        The atom is replaced by ``lead`` — the pass's ``@delta`` /
+        ``@cand`` atom — placed *first* in the body, so the planner's
+        first-appearance order binds the delta's variables before any
+        other level opens and every other atom is only probed under them
+        (the semi-naive discipline: the delta drives the join).  With
+        ``lead=None`` the atom is dropped and the order kept.  Predicate
+        atoms before ``position`` read ``new + pred``, later ones
+        ``old + pred``.
+        """
+        body = [] if lead is None else [lead]
+        for index, atom in enumerate(self.body):
+            if index == position:
+                continue
+            if isinstance(atom, PredAtom) and (new or old):
+                tag = new if index < position else old
+                atom = PredAtom(tag + atom.pred, atom.args, atom.negated)
+            body.append(atom)
+        return Rule(self.head_pred, self.head_args, body, self.agg, self.n_keys, self.name)
+
     def __repr__(self):
         head = "{}({})".format(self.head_pred, ", ".join(map(repr, self.head_args)))
         agg = " {}".format(self.agg) if self.agg else ""

@@ -64,8 +64,8 @@ class Delta:
         result is exactly the edit set.
         """
         removed = self.removed - self.added
-        added = PSet.from_iter(t for t in self.added if t not in base)
-        removed = PSet.from_iter(t for t in removed if t in base)
+        added = PSet.from_sorted(t for t in self.added if t not in base)
+        removed = PSet.from_sorted(t for t in removed if t in base)
         return Delta(added, removed)
 
     def map_tuples(self, fn):

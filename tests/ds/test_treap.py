@@ -340,3 +340,110 @@ def test_insert_hashes_only_the_new_key(monkeypatch):
     monkeypatch.undo()
     assert hashed == [(500, 7)]
     assert grown == PSet.from_sorted(sorted(list(pset) + [(500, 7)]))
+
+
+# -- hashes are memoized lazily; diff needs none -------------------------------
+
+
+def _hash_cases():
+    from repro.ds.pmap import PMap
+    from repro.ds.pset import PSet
+
+    rng = random.Random(20150531)
+    yield "empty", None
+    yield "ints", PSet.from_iter(range(50))._root
+    yield "neg_ints", PSet.from_iter([-1, -2, 0, 2**70, -(2**70)])._root
+    yield "strings", PSet.from_iter("k%03d" % i for i in range(40))._root
+    yield "tuples", PSet.from_iter(
+        (rng.randrange(30), rng.randrange(30)) for _ in range(200))._root
+    yield "floats", PSet.from_iter([0.5, -0.0, 1e300, -2.25, 3.0])._root
+    yield "pmap", PMap.from_items(("k%d" % i, i * 1.5) for i in range(30))._root
+    yield "pmap_tuple_values", PMap.from_items(
+        ((i,), (i, "v", None)) for i in range(25))._root
+    yield "mixed_tuples", PSet.from_iter(
+        (i, "s%d" % (i % 7), float(i) / 3) for i in range(60))._root
+
+
+#: ``tree_hash`` of each case, recorded when every node hashed eagerly
+GOLDEN_LAZY = {
+    "empty": 0x9E3779B97F4A7C15,
+    "ints": 0xA50BE47D1634BA68,
+    "neg_ints": 0xEDA248D9CECF2754,
+    "strings": 0x3D455F10DE18F649,
+    "tuples": 0x0B7AB94161F70536,
+    "floats": 0x9E0C527690016F1D,
+    "pmap": 0xDE35031E9F6DC095,
+    "pmap_tuple_values": 0x654D4798E093860A,
+    "mixed_tuples": 0xA291524997637EAA,
+}
+
+
+def test_lazy_tree_hash_matches_eager_golden_values():
+    for name, root in _hash_cases():
+        assert all(node._h is None for node in _nodes(root)), name
+        assert treap.tree_hash(root) == GOLDEN_LAZY[name], name
+        assert all(node._h is not None for node in _nodes(root)), name
+
+
+def test_insert_hashes_no_node():
+    root = treap.from_sorted_items((k, None) for k in range(0, 200, 2))
+    treap.tree_hash(root)
+    grown = treap.insert(root, 101, None)
+    fresh = [node for node in _nodes(grown) if node._h is None]
+    assert 0 < len(fresh) < 40  # the copied path only
+    assert treap.tree_hash(grown) == treap.tree_hash(
+        treap.from_sorted_items((k, None) for k in sorted(list(range(0, 200, 2)) + [101])))
+
+
+edits = st.lists(
+    st.tuples(st.sampled_from(["insert", "remove"]), keys, st.integers(0, 3)),
+    max_size=60,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(keys, st.integers(0, 3)), max_size=60), edits,
+       st.booleans())
+def test_diff_matches_set_difference(initial, operations, hashed):
+    """On any edit stream, ``diff`` reports exactly the keys whose
+    presence or value differs — whether or not hashes were ever read."""
+    a = build(dict(initial).items())
+    b = a
+    for op, key, value in operations:
+        b = treap.insert(b, key, value) if op == "insert" else treap.remove(b, key)
+    if hashed:
+        treap.tree_hash(a), treap.tree_hash(b)
+    old, new = dict(treap.items(a)), dict(treap.items(b))
+    expected = {
+        k: (old.get(k, MISSING), new.get(k, MISSING))
+        for k in old.keys() | new.keys()
+        if old.get(k, MISSING) != new.get(k, MISSING)
+    }
+    got = {key: (o, n) for key, o, n in treap.diff(a, b)}
+    assert got == expected
+    assert {key: (n, o) for key, (o, n) in got.items()} == {
+        key: (o, n) for key, o, n in treap.diff(b, a)}
+
+
+def test_diff_of_a_grown_copy_leaves_untouched_memos_unset():
+    """Diffing a bulk-loaded root against a copy with a few inserts walks
+    the copied paths only: no subtree either side shares gets hashed."""
+    root = treap.from_sorted_items((k, True) for k in range(0, 4000, 2))
+    grown = root
+    for key in (1, 777, 2001, 3999):
+        grown = treap.insert(grown, key, True)
+    changes = list(treap.diff(root, grown))
+    assert [key for key, _, _ in changes] == [1, 777, 2001, 3999]
+    assert all(node._h is None for node in _nodes(root))
+    assert all(node._h is None for node in _nodes(grown))
+
+
+def test_bulk_loaded_pset_is_the_inserted_tree():
+    from repro.ds.pset import PSet
+
+    rng = random.Random(11)
+    elements = [(rng.randrange(100), "e%d" % rng.randrange(9)) for _ in range(500)]
+    inserted = build((e, None) for e in elements)
+    loaded = PSet.from_iter(elements)._root
+    assert _structure(loaded) == _structure(inserted)
+    assert treap.tree_hash(loaded) == treap.tree_hash(inserted)

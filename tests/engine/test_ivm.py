@@ -345,3 +345,89 @@ def test_commit_bookkeeping_does_not_grow_with_history():
     assert stored[120] == stored[20]
     assert 0 < folded[100] <= 2 * folded[10]
     assert 0 < folded[10] <= 2 * folded[100]
+
+
+# -- a commit pays for its delta ----------------------------------------------
+
+
+def _circulant_views(n_nodes):
+    """``IVM_VIEWS`` over a graph whose every node has out-degree 3, so a
+    one-edge change touches the same neighbourhood at any size."""
+    from repro import Workspace
+
+    ws = Workspace(engine="pure")
+    ws.addblock(IVM_VIEWS, name="views")
+    ws.load("E", [(i, (i + step) % n_nodes)
+                  for i in range(n_nodes) for step in (1, 3, 7)])
+    return ws
+
+
+def test_one_edge_insert_seeks_do_not_grow_with_the_graph():
+    """Each delta pass leads with its ``@delta`` atom, so no level opens
+    over every source node: the seeks of one edge insert into ``reach2``
+    and ``tri`` are about the same at 1,000 and 8,000 edges."""
+
+    def seeks(n_nodes):
+        ws = _circulant_views(n_nodes)
+        assert len(ws.relation("E")) == 3 * n_nodes
+        with ws.profile() as prof:
+            ws.exec("+E(10, 200).")
+        joins = [s for s in prof.find_all("join")
+                 if s.attrs["rule"] in ("reach2", "tri")]
+        assert {s.attrs["rule"] for s in joins} == {"reach2", "tri"}
+        return sum(s.attrs.get("seeks", 0) for s in joins)
+
+    small, large = seeks(334), seeks(2667)  # 1,002 and 8,001 edges
+    assert 0 < large <= 2 * small and small <= 2 * large
+
+
+def test_functional_check_reads_only_the_changed_keys(monkeypatch):
+    """A derived functional head checks its dependency per added key:
+    the rows the check reads are the same at 1,000 and 8,000 rows."""
+    from repro import Workspace
+    from repro.engine import ivm
+
+    real = ivm._check_functional
+    read = []
+
+    class Counting:
+        def __init__(self, relation):
+            self.relation = relation
+
+        def __iter__(self):
+            for row in self.relation:
+                read.append(row)
+                yield row
+
+        def iter_prefix(self, prefix):
+            for row in self.relation.iter_prefix(prefix):
+                read.append(row)
+                yield row
+
+    monkeypatch.setattr(
+        ivm, "_check_functional",
+        lambda pred, rule, relation, *rest: real(pred, rule, Counting(relation), *rest))
+
+    def work(rows):
+        ws = Workspace(engine="pure")
+        ws.addblock("src(k, v) -> int(k), int(v). f[k] = v <- src(k, v).")
+        ws.load("src", [(i, i * 2) for i in range(rows)])
+        del read[:]
+        ws.exec("+src(-1, 5). +src(-2, 6). -src(7, 14).")
+        assert ws.relation("f").lookup((-1,)) == 5
+        return len(read)
+
+    assert 0 < work(1000) == work(8000)
+
+
+def test_functional_violation_is_caught_per_key():
+    from repro import Workspace
+    from repro.engine.evaluator import FunctionalDependencyViolation
+
+    ws = Workspace()
+    ws.addblock("src(k, v) -> int(k), int(v). f[k] = v <- src(k, v).")
+    ws.load("src", [(i, i * 2) for i in range(100)])
+    with pytest.raises(FunctionalDependencyViolation,
+                       match=r"f\[\(7,\)\] derived with conflicting values"):
+        ws.exec("+src(7, 1). +src(9, 18).")
+    assert ws.relation("f").lookup((7,)) == 14

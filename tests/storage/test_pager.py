@@ -31,6 +31,7 @@ from repro.storage.pager import (
     has_checkpoint,
     read_manifest,
 )
+from repro.storage.relation import Relation
 
 RETAIL = """
 Product(p) -> string(p).
@@ -361,6 +362,21 @@ class TestSensitivityPayload:
         # and maintenance carries on from the restored indexes
         ws.exec("+E(3, 11).")
         assert (11,) in ws.relation("from3")
+
+    def test_older_checkpoint_relations_equal_fresh_loads(self, tmp_path):
+        """Restored nodes hash lazily with the formula fresh nodes use:
+        every relation of ``fixtures/parent_checkpoint`` equals the same
+        rows bulk-loaded now, and diffs against them to nothing."""
+        path = tmp_path / "checkpoint"
+        shutil.copytree(os.path.join(FIXTURES, "parent_checkpoint"), path)
+        ws = Workspace.open(str(path))
+        relations = ws.state.materialization.relations
+        assert {"E", "F", "tri", "outdeg"} <= set(relations)
+        for pred, relation in relations.items():
+            fresh = Relation.from_iter(relation.arity, list(relation))
+            assert relation == fresh, pred
+            assert relation.structural_hash() == fresh.structural_hash(), pred
+            assert not relation.diff(fresh), pred
 
     def test_recorder_blobs_do_not_grow_with_history(self, tmp_path):
         from repro.datasets.graphs import powerlaw_graph
