@@ -7,19 +7,20 @@ The maintenance problem is split exactly as the paper describes:
   changed atom position ``i``, join ``new_1 .. new_{i-1}, Δ_i,
   old_{i+1} .. old_k`` (the telescoping identity makes the signed union
   over ``i`` exactly the change in the satisfying-assignment multiset).
-  Negated atoms flip the sign of their deltas.  Rules whose recorded
-  *sensitivity intervals* are untouched by a delta are skipped outright,
-  at cost O(|Δ| log |index|) — the short-circuit that keeps OLTP-style
-  writes cheap under thousands of analytical views.
+  Negated atoms flip the sign of their deltas.  Every pass leads with
+  its delta atom, so its work is bounded by the delta; a rule is
+  visited only when its body reads a changed predicate.
 * **Rule-head maintenance**: support counts per derived tuple for plain
   rules; per-group aggregation state for P2P rules; recursive strata
   fall back to delete/rederive (:mod:`repro.engine.dred`).
 
-Sensitivity indices are *accumulated*: each delta pass records the
-regions it explores into a pass-local recorder, which is then folded
-into the rule's index to give the next version's index.  The index
-therefore over-approximates the ideal trace sensitivities (a stale
-interval only costs a wasted pass, never a missed update).
+Sensitivity intervals are recorded only by an engine built with
+``track_sensitivity=True`` — transaction repair (§3.4), which reads
+them to find conflicts.  There, each pass records the regions it
+explores into a pass-local recorder, which is then folded into the
+rule's index to give the next version's index.  The index therefore
+over-approximates the ideal trace sensitivities.  Maintenance never
+reads them: §3.2's whole-rule skip is not taken (DESIGN.md §3).
 """
 
 from repro import obs
@@ -39,7 +40,8 @@ from repro.storage.relation import Delta, Relation
 
 
 class Materialization:
-    """Relations + per-predicate state + per-rule sensitivities.
+    """Relations + per-predicate state (+ per-rule sensitivities when
+    the engine tracks them).
 
     Immutable snapshot: maintenance produces a new one, so
     materializations version and branch with workspaces.
@@ -47,14 +49,10 @@ class Materialization:
 
     __slots__ = ("relations", "states", "rule_indexes")
 
-    def __init__(self, relations, states, rule_indexes):
+    def __init__(self, relations, states, rule_indexes=None):
         self.relations = relations  # name -> Relation (base + derived)
         self.states = states  # name -> PredicateState
-        self.rule_indexes = rule_indexes  # rule index -> SensitivityIndex
-
-    def sensitivity_index(self, rule_index):
-        """Sensitivity index of one rule (``None`` when untracked)."""
-        return self.rule_indexes.get(rule_index)
+        self.rule_indexes = rule_indexes or {}  # rule index -> SensitivityIndex
 
 
 def _fold_into(indexes, rule_index, recorder):
@@ -65,14 +63,18 @@ def _fold_into(indexes, rule_index, recorder):
 
 
 class IncrementalEngine:
-    """Materializes a rule set and maintains it under base-data deltas."""
+    """Materializes a rule set and maintains it under base-data deltas.
 
-    def __init__(self, ruleset, *, track_sensitivity=True, backend=None):
+    ``track_sensitivity`` makes every pass record its sensitivity
+    intervals into the materialization's ``rule_indexes`` (transaction
+    repair reads them); recording keeps those joins on the pure
+    executor.
+    """
+
+    def __init__(self, ruleset, *, track_sensitivity=False, backend=None):
         self.ruleset = ruleset
         self.track_sensitivity = track_sensitivity
         self.evaluator = Evaluator(ruleset, prefer_array=True, backend=backend)
-        # delta passes stay columnar-capable too: recorder-carrying rule
-        # joins fall back to the pure executor per join inside make_join
         self.delta_evaluator = Evaluator(
             ruleset, prefer_array=False, backend=backend)
         self._delta_rules = {}  # (rule index, position, kind) -> delta Rule
@@ -81,19 +83,16 @@ class IncrementalEngine:
 
     # -- initial materialization --------------------------------------------
 
-    def initialize(self, base_relations, reuse=None, reuse_indexes=None):
-        """Full evaluation with per-rule sensitivity recording.
+    def initialize(self, base_relations, reuse=None):
+        """Full evaluation.
 
-        ``reuse`` / ``reuse_indexes`` carry over materializations and
-        sensitivity indexes for predicates/rules unaffected by a
-        program change (the live-programming path, §3.3).
+        ``reuse`` carries over the relations and states of predicates
+        unaffected by a program change (the live-programming path,
+        §3.3).
         """
-        indexes = dict(reuse_indexes or {})
         recorders = {}
 
         def recorder_for(rule):
-            if not self.track_sensitivity:
-                return None
             index = self._rule_index[id(rule)]
             recorder = recorders.get(index)
             if recorder is None:
@@ -101,11 +100,13 @@ class IncrementalEngine:
             return recorder
 
         relations, states = self.evaluator.evaluate(
-            base_relations, recorder_for=recorder_for, reuse=reuse
+            base_relations, reuse=reuse,
+            recorder_for=recorder_for if self.track_sensitivity else None,
         )
-        for index, recorder in recorders.items():
-            _fold_into(indexes, index, recorder)
-        return Materialization(relations, states, indexes)
+        return Materialization(relations, states, {
+            index: SensitivityIndex().fold(recorder)
+            for index, recorder in recorders.items()
+        })
 
     # -- maintenance ---------------------------------------------------------
 
@@ -159,22 +160,6 @@ class IncrementalEngine:
                 span_.attrs["base_tuples"] = base_tuples
                 span_.attrs["changed_preds"] = len(deltas)
             return new_mat, deltas
-
-    def _rule_affected(self, indexes, rule_index, rule, deltas):
-        """Sensitivity short-circuit: may these deltas change this rule?"""
-        body_preds = rule.body_preds()
-        relevant = {p: d for p, d in deltas.items() if p in body_preds}
-        if not relevant:
-            return False, relevant
-        if not self.track_sensitivity:
-            return True, relevant
-        index = indexes.get(rule_index)
-        if index is None:
-            return True, relevant
-        for pred, delta in relevant.items():
-            if index.delta_affects(pred, delta):
-                return True, relevant
-        return False, relevant
 
     def _delta_rule(self, rule_index, position, rule, kind="tuple", bound_args=None):
         """The rewritten rule for a delta pass at ``position`` (cached).
@@ -340,22 +325,14 @@ class IncrementalEngine:
             return
         # a predicate none of whose rule bodies read a changed predicate
         # cannot change; skipping before opening a span keeps traces to
-        # the predicates actually visited (matches the old ``touched``
-        # early return exactly — ``relevant`` is this same intersection)
+        # the predicates actually visited (a rule reading no changed
+        # predicate has no delta pass, so it yields nothing below)
         if not any(p in deltas for rule in group for p in rule.body_preds()):
             return
         with obs.span("ivm.maintain", pred=pred, rules=len(group)) as span_:
             count_changes = {}
             for rule in group:
                 rule_index = self._rule_index[id(rule)]
-                affected, relevant = self._rule_affected(
-                    indexes, rule_index, rule, deltas
-                )
-                if not relevant:
-                    continue
-                if not affected:
-                    global_stats.bump("ivm.sensitivity_skips")
-                    continue
                 recorder = SensitivityRecorder() if self.track_sensitivity else None
                 projectors = {}
                 for sign, var_order, binding in self._signed_bindings(
@@ -408,13 +385,9 @@ class IncrementalEngine:
     def _maintain_aggregate(
         self, pred, rule, old_relations, new_relations, new_states, deltas, indexes
     ):
+        if not any(p in deltas for p in rule.body_preds()):
+            return
         rule_index = self._rule_index[id(rule)]
-        affected, relevant = self._rule_affected(indexes, rule_index, rule, deltas)
-        if not relevant:
-            return
-        if not affected:
-            global_stats.bump("ivm.sensitivity_skips")
-            return
         with obs.span("ivm.maintain", pred=pred, agg=rule.agg.fn) as span_:
             recorder = SensitivityRecorder() if self.track_sensitivity else None
             aggregate = AGGREGATES[rule.agg.fn]

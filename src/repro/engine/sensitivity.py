@@ -4,12 +4,12 @@ As LFTJ runs, every ``seek``/``next`` skips a region of each input
 predicate; a change landing inside a skipped region *cannot* affect the
 result, while a change inside a recorded *sensitivity interval* may.
 The recorded intervals — per atom occurrence, per trie level, under the
-*context* of the values bound at earlier levels — serve two purposes:
-
-* incremental maintenance: a rule whose sensitivity index is untouched
-  by a delta needs no re-evaluation at all (§3.2); and
-* transaction repair: intersecting one transaction's *effects* with
-  another's *sensitivities* detects conflicts without locks (§3.4).
+*context* of the values bound at earlier levels — serve transaction
+repair: intersecting one transaction's *effects* with another's
+*sensitivities* detects conflicts without locks (§3.4).  (The paper
+also skips untouched rules during view maintenance, §3.2; this engine
+does not — its delta passes are already bounded by the delta, see
+DESIGN.md §3.)
 
 One evaluation pass records into a pass-local :class:`SensitivityRecorder`;
 :meth:`SensitivityIndex.fold` then merges what the pass saw into the
@@ -247,16 +247,6 @@ class SensitivityIndex:
                 position = bisect_right(lows, value)
                 if position and not highs[position - 1] < value:
                     return True
-        return False
-
-    def delta_affects(self, pred, delta):
-        """May the given :class:`Delta` on ``pred`` change the run?"""
-        for tup in delta.added:
-            if self.tuple_affects(pred, tup):
-                return True
-        for tup in delta.removed:
-            if self.tuple_affects(pred, tup):
-                return True
         return False
 
     def intervals_for(self, pred, perm=None):

@@ -7,8 +7,8 @@ content-addressed record store:
 
 1. The follower fetches the leader's committed checkpoint manifest
    (``sync_manifest``).  A manifest names the treap *roots* of every
-   relation/index plus a handful of flat blobs — all 16-byte
-   blake2b addresses of immutable records.
+   relation and predicate state — 16-byte blake2b addresses of
+   immutable records.
 2. Starting from those roots, the follower walks the trees top-down,
    fetching **only addresses it does not already hold**
    (``sync_records``, batched).  Children are discovered from the
@@ -198,35 +198,30 @@ class Replica(VerbSurface):
         """The Merkle walk: fetch every record reachable from the
         manifest's roots that the local store lacks, discovering tree
         children from the fetched payloads themselves."""
-        tree_roots, blobs = manifest_addresses(manifest)
         records = {}
 
         def missing(addr):
             return addr and addr not in records \
                 and not self._store.known(addr)
 
-        # (addr, is_tree): blobs are fetched whole, never walked
-        frontier = [(a, True) for a in tree_roots if missing(a)]
-        frontier += [(a, False) for a in blobs if missing(a)]
+        frontier = [a for a in manifest_addresses(manifest) if missing(a)]
         client = self._session()
         while frontier:
             batch, frontier = frontier[:_FETCH_BATCH], frontier[_FETCH_BATCH:]
             # the same subtree can be reachable from two parents; drop
             # addresses a previous batch already brought home
-            want = {addr: is_tree for addr, is_tree in batch
-                    if addr not in records}
+            want = list(dict.fromkeys(a for a in batch if a not in records))
             if not want:
                 continue
-            fetched = client.sync_records(list(want))
+            fetched = client.sync_records(want)
             _stats.bump("pager.sync.fetched_records", len(fetched))
             got = set()
             for addr, payload in fetched:
                 got.add(addr)
                 records[addr] = payload
-                if want[addr]:
-                    for child in node_children(payload):
-                        if missing(child):
-                            frontier.append((child, True))
+                for child in node_children(payload):
+                    if missing(child):
+                        frontier.append(child)
             lost = set(want) - got
             if lost:
                 raise ValueError(

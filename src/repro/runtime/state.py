@@ -86,9 +86,7 @@ class ProgramArtifacts:
         assert not any(isinstance(atom, RhsTest) for rule in derivation_rules
                        for atom in rule.body), "a constraint's filter in a user rule"
 
-        # the engine also derives every constraint's violation view;
-        # those rules come last, so the indexes of the user rules (which
-        # key persisted sensitivity indexes) are the same without them
+        # the engine also derives every constraint's violation view
         self.checker = ConstraintChecker(self.constraints)
         self.ruleset = RuleSet(derivation_rules + [
             rule for constraint in self.checker.constraints for rule in constraint.rules

@@ -130,8 +130,8 @@ class Workspace:
     workspace creates: ``"pure"`` or ``"columnar"`` (vectorized over
     dictionary-encoded numpy arrays); ``None`` defers to the
     ``REPRO_ENGINE`` environment override and, without one, lets each
-    join pick its executor from its input size (runs that record
-    sensitivity for view maintenance always take the pure one).
+    join — view maintenance included — pick its executor from its input
+    size.
     """
 
     def __init__(self, *, engine=None):
@@ -209,10 +209,10 @@ class Workspace:
     def open(cls, path, *, engine=None):
         """Reconstruct a workspace from the checkpoint at ``path``.
 
-        Bit-identical restore: relation contents, support counts,
-        aggregation state, and sensitivity indices are read back
-        directly (no re-derivation); compiled program artifacts are
-        rebuilt deterministically from the stored block sources.
+        Bit-identical restore: relation contents, support counts and
+        aggregation state are read back directly (no re-derivation);
+        compiled program artifacts are rebuilt deterministically from
+        the stored block sources.
         """
         from repro.storage.pager import CheckpointStore
 
@@ -253,8 +253,7 @@ class Workspace:
 
         Re-materializes only derived predicates affected by the change
         (new/changed rules and their transitive dependents); everything
-        else — relations, support counts, sensitivity indices — is
-        carried over.
+        else — relations and support counts — is carried over.
         """
         with self._txn("addblock") as window:
             state = self.state
@@ -417,25 +416,13 @@ class Workspace:
                 reuse_relations[pred] = old_mat.relations[pred]
                 reuse_states[pred] = old_mat.states[pred]
 
-        reuse_indexes = {}
-        old_index_of = {id(rule): i for i, rule in enumerate(old_artifacts.ruleset.rules)}
-        for new_index, rule in enumerate(artifacts.ruleset.rules):
-            old_index = old_index_of.get(id(rule))
-            if old_index is not None:
-                index = old_mat.rule_indexes.get(old_index)
-                if index is not None:
-                    reuse_indexes[new_index] = index
-
         with _obs.span(
             "materialize",
             affected=len(affected),
             reused=len(reuse_relations),
         ):
             mat = artifacts.engine.initialize(
-                base_env,
-                reuse=(reuse_relations, reuse_states),
-                reuse_indexes=reuse_indexes,
-            )
+                base_env, reuse=(reuse_relations, reuse_states))
         from repro.ds.pmap import PMap
 
         return WorkspaceState(
@@ -529,8 +516,7 @@ class Workspace:
                     filtered[pred] = delta
             if unseen:
                 # the input state is pinned (and may be shared): extend a copy
-                mat = Materialization(
-                    {**mat.relations, **unseen}, mat.states, mat.rule_indexes)
+                mat = Materialization({**mat.relations, **unseen}, mat.states)
             new_mat, all_deltas = artifacts.engine.apply(mat, filtered)
             for pred, delta in all_deltas.items():
                 if pred not in filtered:

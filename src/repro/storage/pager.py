@@ -23,8 +23,8 @@ recovery.  This module is that subsystem:
 
 * **Atomic manifest** — after the new pack is fsynced, a manifest
   naming the root address of every predicate (plus support counts,
-  aggregation state, sensitivity indices, meta-facts, and the version
-  DAG skeleton) is written to a temp file, fsynced, and atomically
+  aggregation state, block sources, meta-facts, and the version DAG
+  skeleton) is written to a temp file, fsynced, and atomically
   renamed over ``MANIFEST.json``.  A crash at *any* point leaves the
   previous manifest — and therefore the previous checkpoint — intact;
   an orphaned partial pack is simply never referenced.
@@ -33,12 +33,12 @@ Restore (``Workspace.open``) decodes the node records back into treap
 nodes — priorities and memoized hashes are recomputed and must agree
 with the stored addresses, which both verifies integrity and depends on
 :func:`repro.ds.hashing.stable_hash` being process-independent — and
-rebuilds relations, support counts, aggregation groups, and sensitivity
-indexes directly.  No stored derived predicate is re-derived from base
-data (only views the checkpoint predates, such as constraint violation
-views, are); the program artifacts (compiled blocks) and the
-program-sized meta-materialization are rebuilt, deterministically, from
-block sources.
+rebuilds relations, support counts and aggregation groups directly.  No
+stored derived predicate is re-derived from base data (only views the
+checkpoint predates, such as constraint violation views, are); the
+program artifacts (compiled blocks) and the program-sized
+meta-materialization are rebuilt, deterministically, from block
+sources.
 """
 
 import io
@@ -446,16 +446,6 @@ class CheckpointStore:
         writer.memo[id(node)] = (node, addr)
         return addr
 
-    def _write_blob(self, payload, writer):
-        """A content-addressed non-tree record (sensitivity data)."""
-        addr = _addr_of(payload)
-        if addr in self.store or addr in writer.pending:
-            _stats.bump("pager.nodes_skipped")
-        else:
-            writer.add(addr, payload)
-            _stats.bump("pager.nodes_written")
-        return addr
-
     def _relation_ref(self, relation, writer):
         return [relation.arity, self._write_tree(relation.tuples()._root, writer).hex()]
 
@@ -488,12 +478,8 @@ class CheckpointStore:
             }
             for pred, pstate in sorted(mat.states.items())
         }
-        record["recorders"] = {
-            str(index): self._write_blob(
-                encode_value(_index_payload(sensitivity)), writer
-            ).hex()
-            for index, sensitivity in sorted(mat.rule_indexes.items())
-        }
+        # earlier versions read this field on restore; nothing reads it now
+        record["recorders"] = {}
         meta = state.meta_state
         # restore derives the meta-state from the blocks; the facts are
         # still written for earlier versions, which read them back
@@ -757,18 +743,13 @@ class CheckpointStore:
                 groups=PMap(self._load_tree(entry["groups"], node_cache)),
                 agg_fn=entry["agg_fn"],
             )
-        indexes = {
-            int(index): _index_from_payload(
-                decode_value(self.store.get(bytes.fromhex(addr_hex)))
-            )
-            for index, addr_hex in record["recorders"].items()
-        }
-        materialization = Materialization(relations, states, indexes)
+        # an older checkpoint's ``recorders`` (sensitivity blobs) are ignored
+        materialization = Materialization(relations, states)
         if not artifacts.ruleset.derived <= states.keys():
             # written before some hidden view existed (a constraint's
             # violation view): derive just the missing ones
             materialization = artifacts.engine.initialize(
-                relations, reuse=(relations, states), reuse_indexes=indexes)
+                relations, reuse=(relations, states))
         return WorkspaceState(artifacts, base_relations, materialization, meta_state)
 
     def restore_into(self, workspace):
@@ -833,14 +814,11 @@ def node_children(payload):
 
 
 def manifest_addresses(manifest):
-    """``(tree_roots, blobs)`` referenced by a checkpoint manifest.
-
-    ``tree_roots`` are treap roots (walk them via :func:`node_children`);
-    ``blobs`` are flat content-addressed records (sensitivity indexes)
-    fetched whole.  Both are sets of raw 16-byte addresses.
-    """
+    """The treap root addresses (raw 16 bytes) a checkpoint manifest
+    references; walk them via :func:`node_children`.  An older
+    manifest's ``recorders`` blobs are not among them: nothing reads
+    them."""
     tree_roots = set()
-    blobs = set()
 
     def add_tree(addr_hex):
         if addr_hex:
@@ -854,42 +832,7 @@ def manifest_addresses(manifest):
         for entry in record.get("pred_states", {}).values():
             add_tree(entry["counts"])
             add_tree(entry["groups"])
-        for addr_hex in record.get("recorders", {}).values():
-            if addr_hex:
-                blobs.add(bytes.fromhex(addr_hex))
-    return tree_roots, blobs
-
-
-def _index_payload(index):
-    """Sensitivity index → codec-friendly nested structure."""
-    return [
-        [pred, perm, [
-            [level, [
-                [context, list(zip(lows, highs))]
-                for context, (lows, highs) in sorted(
-                    contexts.items(), key=lambda kv: encode_value(kv[0])
-                )
-            ]]
-            for level, contexts in sorted(levels.items())
-        ]]
-        for pred, perms in sorted(index.by_pred.items())
-        for perm, levels in sorted(perms.items())
-    ]
-
-
-def _index_from_payload(payload):
-    """Rebuild an index; the intervals are folded, not trusted to be
-    merged, so checkpoints that stored every raw interval still open."""
-    from repro.engine.sensitivity import SensitivityIndex, SensitivityRecorder
-
-    recorder = SensitivityRecorder()
-    for pred, perm, levels in payload:
-        for level, contexts in levels:
-            for context, intervals in contexts:
-                record = recorder.tracker(pred, perm, level, context).record
-                for low, high in intervals:
-                    record(low, high)
-    return SensitivityIndex().fold(recorder)
+    return tree_roots
 
 
 def read_manifest(path):

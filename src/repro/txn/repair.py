@@ -19,6 +19,7 @@ Figure 7; a whole batch commits together, serializable in circuit
 order.
 """
 
+import itertools
 import time
 
 from repro import obs
@@ -53,7 +54,7 @@ class PreparedTransaction:
         self.name = name
         self.rules = rules
         self.ruleset = RuleSet(rules)
-        self.engine = IncrementalEngine(self.ruleset)
+        self.engine = IncrementalEngine(self.ruleset, track_sensitivity=True)
         self._mat = None
         self._sens_cache = None
         self._arities = {}
@@ -128,18 +129,18 @@ class PreparedTransaction:
         return bool(self.relevant_corrections(corrections))
 
     def relevant_corrections(self, corrections):
-        """Restrict corrections to the tuples inside this transaction's
-        sensitivity intervals — the only changes that can alter its
-        effects.  Repair work is then proportional to the conflict, not
-        to the other transactions' total footprint."""
+        """The corrections this transaction must be repaired with: all
+        of them when any tuple lands inside its sensitivity intervals,
+        none otherwise.  Changes outside the intervals cannot alter the
+        run, but once one inside does, the repaired run may read where
+        the others landed (for ``A(x), B(x)``: ``A(7)`` outside, then
+        ``B(7)`` inside)."""
         index = self.sensitivity()
-        relevant = {}
         for pred, delta in corrections.items():
-            added = [t for t in delta.added if index.tuple_affects(pred, t)]
-            removed = [t for t in delta.removed if index.tuple_affects(pred, t)]
-            if added or removed:
-                relevant[pred] = Delta.from_iters(added, removed)
-        return relevant
+            for tup in itertools.chain(delta.added, delta.removed):
+                if index.tuple_affects(pred, tup):
+                    return dict(corrections)
+        return {}
 
     def correct(self, corrections):
         """Incrementally repair under corrections (a dict of base

@@ -239,16 +239,17 @@ updates_strategy = st.lists(
 )
 
 
-def _sensitivity_data(ws):
-    """Raw recorded sensitivity intervals of the current materialization."""
-    engine = ws.state.artifacts.engine
-    mat = ws.state.materialization
-    out = {}
-    for rule_index in range(len(engine.ruleset.rules)):
-        index = mat.sensitivity_index(rule_index)
-        if index is not None:
-            out[rule_index] = index.by_pred
-    return out
+def _predicate_states(ws):
+    """Support counts and (``count``) aggregation groups of the current
+    materialization."""
+    return {
+        pred: (
+            state.kind,
+            list(state.counts.items()),
+            [(key, group.total, group.count) for key, group in state.groups.items()],
+        )
+        for pred, state in ws.state.materialization.states.items()
+    }
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
@@ -257,7 +258,7 @@ def _sensitivity_data(ws):
 def test_workspace_ivm_equivalence_across_backends(edges, updates):
     """The full stack — loads, IVM deltas with deletes, recursion, and
     aggregates — produces bit-identical states under both backends,
-    sensitivity intervals included."""
+    support counts and aggregation groups included."""
     from repro import Workspace
 
     program = """
@@ -280,7 +281,7 @@ def test_workspace_ivm_equivalence_across_backends(edges, updates):
         assert sorted(pure_ws.relation(pred)) == sorted(col_ws.relation(pred))
     query = "_(a, c) <- edge(a, b), edge(b, c), a != c."
     assert pure_ws.query(query) == col_ws.query(query)
-    assert _sensitivity_data(pure_ws) == _sensitivity_data(col_ws)
+    assert _predicate_states(pure_ws) == _predicate_states(col_ws)
 
 
 # -- columnar comparison filters: vectorized where exact, row-wise else ----

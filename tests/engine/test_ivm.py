@@ -1,5 +1,5 @@
 """Incremental view maintenance: equivalence with recomputation, cost
-proportionality, and the sensitivity short-circuit."""
+proportionality, and the rule-level short-circuit."""
 
 import random
 
@@ -79,31 +79,13 @@ class TestSensitivityShortCircuit:
         rules = TRIANGLE_RULES + [
             Rule("other", [Var("x")], [PredAtom("F", [Var("x")])]),
         ]
-        engine = IncrementalEngine(RuleSet(rules))
+        engine = IncrementalEngine(RuleSet(rules), track_sensitivity=True)
         mat = engine.initialize({"E": E, "F": Relation.empty(1)})
-        index = mat.sensitivity_index(1)
+        index = mat.rule_indexes[1]
         assert not index.tuple_affects("E", (5, 6))
         mat, deltas = engine.apply(mat, {"F": Delta.from_iters([(7,)], ())})
         assert set(mat.relations["other"]) == {(7,)}
         assert "tri" not in deltas
-
-    def test_skip_is_sound_under_later_changes(self):
-        """Inserting outside intervals, then making it relevant."""
-        A = Relation.from_iter(1, [(5,)])
-        B = Relation.empty(1)
-        rules = [Rule("both", [Var("x")],
-                      [PredAtom("A", [Var("x")]), PredAtom("B", [Var("x")])])]
-        engine = IncrementalEngine(RuleSet(rules))
-        mat = engine.initialize({"A": A, "B": B})
-        # A(7): B is empty, nothing can change
-        mat, _ = engine.apply(mat, {"A": Delta.from_iters([(7,)], ())})
-        assert len(mat.relations["both"]) == 0
-        # B(7): now the earlier insert must surface
-        mat, _ = engine.apply(mat, {"B": Delta.from_iters([(7,)], ())})
-        assert set(mat.relations["both"]) == {(7,)}
-        # and deleting A(7) must retract it
-        mat, _ = engine.apply(mat, {"A": Delta.from_iters((), [(7,)])})
-        assert len(mat.relations["both"]) == 0
 
 
 class TestAggregateMaintenance:
@@ -228,7 +210,7 @@ def test_property_ivm_equals_recompute(initial, updates):
         assert set(mat.relations["nonref"]) == set(fresh["nonref"])
 
 
-# -- versions own their sensitivity indexes; commit cost follows the delta ---
+# -- versions own their materializations; commit cost follows the delta ------
 
 IVM_VIEWS = (
     "E(x, y) -> int(x), int(y).\n"
@@ -249,47 +231,36 @@ def views_workspace(n_nodes=300):
     return ws
 
 
-def stored_intervals(mat):
-    """Per rule, per ``(pred, perm)``: what ``intervals_for`` reports."""
+def materialized(mat):
+    """Per predicate: its rows and, when it has them, its support counts."""
     return {
-        rule: {
-            (pred, perm): index.intervals_for(pred, perm)
-            for pred, perms in index.by_pred.items()
-            for perm in perms
-        }
-        for rule, index in mat.rule_indexes.items()
-    }
-
-
-def interval_count(mat):
-    return {
-        rule: sum(
-            len(lows)
-            for perms in index.by_pred.values()
-            for levels in perms.values()
-            for contexts in levels.values()
-            for lows, _ in contexts.values()
-        )
-        for rule, index in mat.rule_indexes.items()
+        pred: (list(relation), list(mat.states[pred].counts.items())
+               if pred in mat.states else None)
+        for pred, relation in mat.relations.items()
     }
 
 
 class TestVersionsOwnTheirSensitivities:
+    """A version's materialization — rows and support counts; the
+    workspace records no sensitivity intervals — is never changed by
+    work staged on it."""
+
     def test_staging_on_a_snapshot_leaves_it_unchanged(self):
         ws, control = views_workspace(60), views_workspace(60)
         snapshot = ws.version()
-        before = stored_intervals(snapshot.state.materialization)
+        before = materialized(snapshot.state.materialization)
         staged = {"E": Delta.from_iters([(500, 501), (501, 7), (7, 500)], ())}
         new_state, _ = ws._stage_deltas(snapshot.state, staged)
-        assert stored_intervals(new_state.materialization) != before
-        assert stored_intervals(snapshot.state.materialization) == before
+        assert materialized(new_state.materialization) != before
+        assert materialized(snapshot.state.materialization) == before
         # the staged transaction never committed: later versions must not
-        # carry what it explored
+        # carry what it derived
         for workspace in (ws, control):
             workspace.exec("+E(3, 41).")
-        assert stored_intervals(ws.state.materialization) == stored_intervals(
+        assert materialized(ws.state.materialization) == materialized(
             control.state.materialization
         )
+        assert ws.state.materialization.rule_indexes == {}
 
     def test_concurrent_staging_on_one_snapshot(self):
         import sys
@@ -297,7 +268,7 @@ class TestVersionsOwnTheirSensitivities:
 
         ws = views_workspace(60)
         snapshot = ws.version()
-        before = stored_intervals(snapshot.state.materialization)
+        before = materialized(snapshot.state.materialization)
         errors = []
 
         def stage(offset):
@@ -326,25 +297,50 @@ class TestVersionsOwnTheirSensitivities:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
-        assert stored_intervals(snapshot.state.materialization) == before
+        assert materialized(snapshot.state.materialization) == before
 
 
 def test_commit_bookkeeping_does_not_grow_with_history():
-    """Alternating insert/delete of one edge: what a commit folds and
-    what the indexes hold stay where the first cycles left them."""
-    from repro import stats
-
+    """Alternating insert/delete of one edge: no commit folds a
+    sensitivity interval, and the materialization after 120 commits is
+    the one after 20."""
     ws = views_workspace()
-    folded, stored = {}, {}
+    ws.reset_engine_stats()
+    stored = {}
     for commit in range(1, 121):
-        before = stats.get("sensitivity.folded")
         ws.exec("+E(17, 203)." if commit % 2 else "-E(17, 203).")
-        folded[commit] = stats.get("sensitivity.folded") - before
         if commit in (20, 120):
-            stored[commit] = interval_count(ws.state.materialization)
+            stored[commit] = materialized(ws.state.materialization)
     assert stored[120] == stored[20]
-    assert 0 < folded[100] <= 2 * folded[10]
-    assert 0 < folded[10] <= 2 * folded[100]
+    assert ws.engine_stats()["ivm.applies"] == 120
+    assert "sensitivity.folded" not in ws.engine_stats()
+    assert ws.state.materialization.rule_indexes == {}
+
+
+def test_bulk_load_through_views_picks_columnar(monkeypatch):
+    """Maintenance carries no sensitivity recorder, so a load of over
+    1,024 edges through installed views runs its large delta passes on
+    the columnar executor, and derives what the pure executor does."""
+    from repro import Workspace
+    from repro.datasets.graphs import powerlaw_graph
+    from repro.storage.columnar import HAVE_NUMPY
+
+    if not HAVE_NUMPY:
+        pytest.skip("numpy not available")
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    edges = powerlaw_graph(300, 3, seed=20150531)
+    assert len(edges) >= 1024
+    views, chosen = {}, {}
+    for engine in (None, "pure"):
+        ws = Workspace(engine=engine)
+        ws.addblock(IVM_VIEWS, name="views")
+        ws.reset_engine_stats()
+        ws.load("E", edges)
+        chosen[engine] = ws.engine_stats()["columnar"]["chosen"]
+        views[engine] = {pred: ws.rows(pred) for pred in ("tri", "reach2", "outdeg")}
+    assert chosen[None]["columnar"] > 0
+    assert chosen["pure"]["columnar"] == 0
+    assert views[None] == views["pure"]
 
 
 # -- a commit pays for its delta ----------------------------------------------

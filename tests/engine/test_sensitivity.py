@@ -9,7 +9,6 @@ from repro.engine.sensitivity import (
     canonical_pred,
 )
 from repro.storage.datum import BOTTOM, TOP
-from repro.storage.relation import Delta
 
 
 class TestCanonicalNames:
@@ -109,15 +108,6 @@ class TestRecorder:
         assert not index.tuple_affects("R", (5,))
         assert index.tuple_affects("S", (5,))
         assert index.predicates() == {"R", "S"}
-
-    def test_delta_affects(self):
-        recorder = SensitivityRecorder()
-        recorder.tracker("R", (0,), 0, ()).record(10, 20)
-        index = SensitivityIndex().fold(recorder)
-        assert index.delta_affects("R", Delta.from_iters([(15,)], ()))
-        assert index.delta_affects("R", Delta.from_iters((), [(10,)]))
-        assert not index.delta_affects("R", Delta.from_iters([(5,)], [(25,)]))
-        assert not index.delta_affects("S", Delta.from_iters([(15,)], ()))
 
 
 class TestIntervalRepresentation:

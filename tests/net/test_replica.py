@@ -3,6 +3,7 @@ delta sync (asserted on pager counters), read-only enforcement,
 restart from local disk, and background following."""
 
 import os
+import shutil
 import time
 
 import pytest
@@ -11,6 +12,7 @@ from repro import stats as _stats
 from repro.net import NetSession, Replica, ReproServer
 from repro.net.protocol import ReplicaReadOnly
 from repro.service import ServiceConfig, TransactionService
+from repro.storage.pager import read_manifest
 
 N = 2000
 
@@ -115,6 +117,30 @@ def test_follow_picks_up_new_checkpoints(leader):
         assert rep.seq > first
         assert rep.query("_(v) <- item[5] = v.") == [(555,)]
         rep.stop()
+
+
+def test_sync_from_a_manifest_listing_recorders(tmp_path):
+    """A leader serving a checkpoint whose manifest still lists
+    sensitivity ``recorders`` blobs: the replica walks the treap roots
+    only, never fetches a blob, and serves the leader's rows."""
+    fixture = os.path.join(os.path.dirname(__file__), os.pardir, "storage",
+                           "fixtures", "parent_checkpoint")
+    path = str(tmp_path / "leader")
+    shutil.copytree(fixture, path)
+    blobs = {bytes.fromhex(addr)
+             for state in read_manifest(path)["states"].values()
+             for addr in state["recorders"].values()}
+    assert blobs
+    service = TransactionService(config=ServiceConfig(checkpoint_path=path))
+    try:
+        with ReproServer(service) as server:
+            with Replica(server.host, server.port, str(tmp_path / "r")) as rep:
+                assert rep.sync()["ingested"]
+                assert not any(rep._store.known(addr) for addr in blobs)
+                for pred in ("E", "F", "tri", "outdeg", "from3", "hop", "lonely"):
+                    assert rep.rows(pred) == service.workspace.rows(pred)
+    finally:
+        service.close()
 
 
 def test_unsynced_replica_refuses_reads(leader):

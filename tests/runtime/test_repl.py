@@ -111,9 +111,9 @@ class TestObservabilityCommands:
         blob = output[output.index("{"):]
         stats = json.loads(blob[: blob.rindex("}") + 1])
         assert stats["columnar"]["backend"] in ("per-plan", "pure", "columnar")
-        # addblock's meta-engine maintains views, recording sensitivity,
-        # so those joins run pure whatever the backend setting
-        assert stats["columnar"]["chosen"]["pure"] >= 1
+        # addblock's meta-engine maintains views: its joins are counted
+        # on whichever executor the backend setting picks
+        assert sum(stats["columnar"]["chosen"].values()) >= 1
 
     def test_stats_prom_emits_exposition_text(self):
         output, _ = session(

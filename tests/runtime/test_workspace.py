@@ -82,7 +82,7 @@ class TestExec:
         # a state whose materialization has never seen `a`
         pinned = WorkspaceState(head.artifacts, head.base_relations, Materialization(
             {k: v for k, v in mat.relations.items() if k != "a"},
-            mat.states, mat.rule_indexes), head.meta_state)
+            mat.states), head.meta_state)
         keys = set(pinned.materialization.relations)
         staged, _ = ws._stage_deltas(pinned, {"a": Delta.from_iters([(1,)], ())})
         assert set(pinned.materialization.relations) == keys

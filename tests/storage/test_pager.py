@@ -4,7 +4,7 @@ The contract under test (paper §3: unique representation makes
 durability log-free): ``Workspace.checkpoint`` → ``Workspace.open``
 reproduces the workspace bit-identically — relation contents AND treap
 structure (structural hashes), support counts, aggregation state,
-sensitivity-driven IVM behavior, installed blocks, and the version-DAG
+IVM behavior, installed blocks, and the version-DAG
 skeleton — while repeated checkpoints write only the nodes that
 changed.
 """
@@ -29,6 +29,8 @@ from repro.storage.pager import (
     decode_value,
     encode_value,
     has_checkpoint,
+    manifest_addresses,
+    node_children,
     read_manifest,
 )
 from repro.storage.relation import Relation
@@ -196,6 +198,52 @@ class TestIncrementality:
         result = ws2.checkpoint(str(tmp_path))
         assert result["nodes_written"] == 0
 
+    def test_one_key_commit_checkpoint_encodes_only_spines(self, tmp_path, monkeypatch):
+        """After a one-key ``^inventory`` commit a checkpoint encodes the
+        treap nodes above that key and no other record, at 1,000 keys
+        as at 4,000."""
+        from repro.storage import pager
+
+        def encoded(keys):
+            ws = Workspace()
+            ws.addblock(
+                "inventory[s] = v -> string(s), int(v).\n"
+                "inventory[s] = v -> v >= 0.\n"
+                "cat[s] = c -> string(s), string(c).\n"
+                "bycat[c] = t <- agg<<t = sum(v)>> inventory[s] = v, cat[s] = c.\n"
+            )
+            ws.load("inventory", [("sku%05d" % i, 500 + i) for i in range(keys)])
+            ws.load("cat", [("sku%05d" % i, "c%d" % (i % 7)) for i in range(keys)])
+            path = str(tmp_path / str(keys))
+            ws.checkpoint(path)
+            ws.exec('^inventory["sku00017"] = x <- inventory@start["sku00017"] = y, '
+                    "x = y - 1.")
+            counts = {"nodes": 0, "values": 0}
+
+            def counting(kind, real):
+                def wrapper(*args):
+                    counts[kind] += 1
+                    return real(*args)
+                return wrapper
+
+            with monkeypatch.context() as patched:
+                patched.setattr(pager, "_encode_node", counting("nodes", pager._encode_node))
+                patched.setattr(pager, "encode_value", counting("values", pager.encode_value))
+                ws.checkpoint(path)
+            return counts
+
+        small, large = encoded(1000), encoded(4000)
+        assert small["values"] == large["values"] == 0
+        assert 0 < small["nodes"] <= large["nodes"] <= 2 * small["nodes"]
+
+    def test_exec_and_checkpoint_fold_no_sensitivity(self, retail, tmp_path):
+        retail.reset_engine_stats()
+        retail.exec('^Stock["c"] = 5.0 <- .')
+        retail.checkpoint(str(tmp_path))
+        stats = retail.engine_stats()
+        assert stats["ivm.applies"] == 1 and stats["pager.checkpoints"] == 1
+        assert "sensitivity.folded" not in stats
+
 
 class TestManifest:
     def test_crash_before_first_manifest_leaves_nothing(self, tmp_path):
@@ -250,7 +298,6 @@ class TestManifest:
         for state in manifest["states"].values():
             for key in ("relations", "pred_states"):
                 state[key] = {p: v for p, v in state[key].items() if p[0] != "$"}
-            state["recorders"] = {"0": state["recorders"]["0"]}  # the user rule's
             for facts in state["meta_facts"].values():
                 hidden = {rid for rid, head in facts["rule_head_pred"] if head[0] == "$"}
                 for pred, rows in facts.items():
@@ -331,37 +378,34 @@ class TestSensitivityPayload:
         assert state["pred_states"]["tri"]["counts"] == "355a83a23074b337e4722167ee91e9b1"
 
     def test_checkpoint_with_raw_intervals_still_opens(self, tmp_path):
-        """``fixtures/parent_checkpoint`` was written when checkpoints
-        stored every raw interval a rule ever recorded (1,784 here, 121
-        of them distinct); ``expected.json`` holds that commit's answers
-        to ``tuple_affects`` for every rule over a grid of probes."""
+        """``fixtures/parent_checkpoint`` was written when manifests
+        listed each rule's sensitivity intervals as a ``recorders``
+        blob (every raw interval, 1,784 of them).  The field is ignored:
+        the workspace opens with the relations and support counts a
+        fresh load of its base rows derives, and maintenance carries on
+        from them."""
         path = tmp_path / "checkpoint"
         shutil.copytree(os.path.join(FIXTURES, "parent_checkpoint"), path)
-        with open(path / "expected.json") as fh:
-            expected = json.load(fh)
+        assert all(state["recorders"] for state in read_manifest(str(path))["states"].values())
         ws = Workspace.open(str(path))
-        mat = ws.state.materialization
-        probes = [(a, b) for a in range(-1, 45) for b in range(-1, 45)]
-        for pred, by_rule in expected["tuple_affects"].items():
-            for rule, answers in by_rule.items():
-                index = mat.sensitivity_index(int(rule))
-                got = "".join(
-                    "1" if index.tuple_affects(pred, probe) else "0"
-                    for probe in probes
-                )
-                assert got == answers, (pred, rule)
-        stored = sum(
-            len(lows)
-            for index in mat.rule_indexes.values()
-            for perms in index.by_pred.values()
-            for levels in perms.values()
-            for contexts in levels.values()
-            for lows, _ in contexts.values()
-        )
-        assert stored <= expected["distinct_intervals"] < expected["raw_intervals"]
-        # and maintenance carries on from the restored indexes
-        ws.exec("+E(3, 11).")
+        fresh = Workspace()
+        fresh.addblock(_head_state(path)["blocks"]["views"], name="views")
+        for pred in ("E", "F"):
+            fresh.load(pred, ws.rows(pred))
+
+        def contents(workspace):
+            mat = workspace.state.materialization
+            return (
+                {pred: list(relation) for pred, relation in mat.relations.items()},
+                {pred: list(state.counts.items()) for pred, state in mat.states.items()},
+            )
+
+        assert contents(ws) == contents(fresh)
+        assert ws.state.materialization.rule_indexes == {}
+        for workspace in (ws, fresh):
+            workspace.exec("+E(3, 11).")
         assert (11,) in ws.relation("from3")
+        assert contents(ws) == contents(fresh)
 
     def test_older_checkpoint_relations_equal_fresh_loads(self, tmp_path):
         """Restored nodes hash lazily with the formula fresh nodes use:
@@ -378,29 +422,25 @@ class TestSensitivityPayload:
             assert relation.structural_hash() == fresh.structural_hash(), pred
             assert not relation.diff(fresh), pred
 
-    def test_recorder_blobs_do_not_grow_with_history(self, tmp_path):
-        from repro.datasets.graphs import powerlaw_graph
-
-        ws = Workspace()
-        ws.addblock(
-            "E(x, y) -> int(x), int(y).\n"
-            "tri(a, b, c) <- E(a, b), E(b, c), E(a, c), a < b, b < c.\n"
-            "outdeg[a] = n <- agg<<n = count(b)>> E(a, b).\n"
-            "reach2(a, c) <- E(a, b), E(b, c).\n"
-        )
-        ws.load("E", powerlaw_graph(300, 3, seed=20150531))
-        sizes = {}
-        for commit in range(1, 121):
-            ws.exec("+E(17, 203)." if commit % 2 else "-E(17, 203).")
-            if commit in (20, 120):
-                ws.checkpoint(str(tmp_path))
-                store = CheckpointStore(str(tmp_path)).store
-                sizes[commit] = {
-                    rule: len(store.get(bytes.fromhex(addr)))
-                    for rule, addr in _head_state(tmp_path)["recorders"].items()
-                }
-        assert sizes[20] == sizes[120]
-        assert len(sizes[20]) == 3 and all(sizes[20].values())
+    def test_manifest_references_no_blob_records(self, retail, tmp_path):
+        """Every record a manifest names is a treap root: the
+        ``recorders`` field is still written, empty, for earlier
+        versions that read it on restore."""
+        retail.exec('^Stock["c"] = 5.0 <- .')
+        retail.checkpoint(str(tmp_path))
+        manifest = read_manifest(str(tmp_path))
+        store = CheckpointStore(str(tmp_path)).store
+        assert all(state["recorders"] == {} for state in manifest["states"].values())
+        roots = manifest_addresses(manifest)
+        assert roots and all(addr in store for addr in roots)
+        reachable = set()
+        frontier = list(roots)
+        while frontier:
+            addr = frontier.pop()
+            if addr and addr not in reachable:
+                reachable.add(addr)
+                frontier.extend(node_children(store.get(addr)))
+        assert reachable == set(store.addresses())
 
     def test_restored_nodes_carry_their_key_hash_as_priority(self, retail, tmp_path):
         from repro.ds.hashing import stable_hash

@@ -73,6 +73,35 @@ class TestPreparedTransaction:
             accumulated = compose_corrections(accumulated, txn.effects)
         assert set(accumulated["inventory"].added) == {(item_name(0), 1)}
 
+    def test_later_correction_makes_a_skipped_one_relevant(self):
+        """``A(7)`` lies outside the run's sensitivity; ``B(7)`` then
+        makes it matter.  Each repair equals re-executing on the
+        corrected state."""
+        ws = Workspace()
+        ws.addblock("A(x) -> int(x). B(x) -> int(x). out(x) -> int(x).")
+        ws.load("A", [(5,)])
+        ws.load("B", [(1,), (9,)])
+        source = "+out(x) <- A@start(x), B@start(x)."
+        txn = PreparedTransaction(source)
+        assert txn.execute(ws.state) == {}
+
+        def serial(change):
+            ws.exec(change)
+            return PreparedTransaction(source).execute(ws.state)
+
+        def rows(effects):
+            return {p: (set(d.added), set(d.removed)) for p, d in effects.items()}
+
+        first = {"A": Delta.from_iters([(7,)], ())}
+        assert txn.relevant_corrections(first) == {}
+        accumulated = compose_corrections(first, {"B": Delta.from_iters([(7,)], ())})
+        txn.correct(txn.relevant_corrections(accumulated))
+        assert rows(txn.effects) == rows(serial("+A(7). +B(7).")) == {"out": ({(7,)}, set())}
+        # and deleting A(7) retracts it
+        retract = {"A": Delta.from_iters((), [(7,)])}
+        txn.correct(txn.relevant_corrections(retract))
+        assert rows(txn.effects) == rows(serial("-A(7).")) == {}
+
     def test_non_reactive_source_rejected(self):
         from repro.runtime.errors import TransactionAborted
 

@@ -1,0 +1,105 @@
+"""A checkpoint written by one source tree opens in the other.
+
+CI's durability job runs::
+
+    git archive <previous-commit> src | tar -x -C ci-ckpt/previous
+    python tools/check_checkpoint_compat.py --other-src ci-ckpt/previous/src
+
+which, in both directions, checkpoints a workspace of views (a
+triangle join, an aggregate, a constant-anchored rule and a
+constraint) from one tree, opens it from the other, and compares every
+relation's rows, before and after one more maintained write.  Exits
+non-zero on the first mismatch.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+
+HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+PREDS = ("E", "tri", "outdeg", "from3", "score")
+
+WRITE = r'''
+import sys
+from repro import Workspace
+ws = Workspace()
+ws.addblock("""
+E(x, y) -> int(x), int(y).
+score[x] = v -> int(x), int(v).
+score[x] = v -> v >= 0.
+tri(a, b, c) <- E(a, b), E(b, c), E(a, c), a < b, b < c.
+outdeg[a] = n <- agg<<n = count(b)>> E(a, b).
+from3(b) <- E(3, b).
+""", name="views")
+ws.load("E", [(i, (i + step) % 60) for i in range(60) for step in (1, 2, 5)])
+ws.load("score", [(i, i * 2) for i in range(40)])
+ws.exec("-E(5, 6). ^score[7] = 1.")
+ws.checkpoint(sys.argv[1])
+'''
+
+READ = r'''
+import json, sys
+from repro import Workspace
+ws = Workspace.open(sys.argv[1])
+before = {p: ws.rows(p) for p in sys.argv[2:]}
+ws.exec("+E(3, 11). ^score[8] = 3.")
+print(json.dumps([before, {p: ws.rows(p) for p in sys.argv[2:]}]))
+'''
+
+
+def _run(src, script, *args):
+    done = subprocess.run(
+        [sys.executable, "-c", script] + list(args),
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+        capture_output=True, text=True, timeout=300)
+    if done.returncode:
+        sys.stderr.write(done.stdout + done.stderr)
+        return None
+    return done.stdout
+
+
+def write_and_open(writer_src, reader_src, workdir):
+    """Rows ``reader_src`` reads from a checkpoint ``writer_src`` wrote
+    must be the ones ``writer_src`` reads back (opening writes nothing,
+    so both open the same directory)."""
+    path = os.path.join(workdir, "checkpoint")
+    if _run(writer_src, WRITE, path) is None:
+        return False
+    own = _run(writer_src, READ, path, *PREDS)
+    other = _run(reader_src, READ, path, *PREDS)
+    if own is None or other is None:
+        return False
+    differ = [
+        "{} {}".format(stage, pred)
+        for stage, mine, theirs in zip(("opened", "after a write"),json.loads(own), json.loads(other))
+        for pred in PREDS if mine[pred] != theirs[pred]
+    ]
+    if differ:
+        sys.stderr.write("rows differ: {}\n".format(", ".join(differ)))
+    return not differ
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--other-src", required=True,
+                        help="src/ directory of the other revision")
+    args = parser.parse_args(argv)
+    ok = True
+    for writer_src, reader_src in ((args.other_src, HERE), (HERE, args.other_src)):
+        started = time.perf_counter()
+        with tempfile.TemporaryDirectory() as workdir:
+            passed = write_and_open(writer_src, reader_src, workdir)
+        print("written by {} -> opened by {}: {} ({:.1f}s)".format(
+            os.path.relpath(writer_src), os.path.relpath(reader_src),
+            "ok" if passed else "FAILED", time.perf_counter() - started))
+        ok = ok and passed
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
