@@ -14,6 +14,7 @@ and aggregate group state.
 
 import os
 import shutil
+import statistics
 import time
 
 import pytest
@@ -88,7 +89,9 @@ def test_incremental_shape(benchmark, tmp_path):
     * an unchanged workspace re-checkpoints with **zero** writes;
     * a single-tuple delta writes < 10% of the initial node count
       (the root path and touched derived state, not the database);
-    * the incremental write is also faster than a full rewrite.
+    * the incremental write is also faster than a full rewrite;
+    * a one-tuple re-checkpoint after 2,000 commits takes ≤ 2× the one
+      after 20 (the manifest lists the branch heads, not the history).
     """
     ws = build_workspace()
     path = str(tmp_path / "cp")
@@ -110,11 +113,36 @@ def test_incremental_shape(benchmark, tmp_path):
         first, delta)
     assert delta_time < full_time, (full_time, delta_time)
 
+    extra = (N + 2, 3)
+    commits = [0]
+
+    def recheckpoint_after(history):
+        """Median of 7 one-tuple re-checkpoints, taken once ``history``
+        commits (each toggling one tuple) have been made."""
+        samples = []
+        while len(samples) < 7:
+            present = commits[0] % 2
+            ws.load("item", [] if present else [extra], remove=[extra] if present else [])
+            commits[0] += 1
+            if commits[0] >= history:
+                started = time.perf_counter()
+                ws.checkpoint(path)
+                samples.append(time.perf_counter() - started)
+        return statistics.median(samples)
+
+    short_history = recheckpoint_after(20)
+    long_history = recheckpoint_after(2000)
+    assert long_history <= 2 * short_history, (short_history, long_history)
+
     print("\ncheckpoint: full {} nodes {:.4f}s  delta {} nodes {:.4f}s".format(
         first["nodes_written"], full_time,
         delta["nodes_written"], delta_time))
+    print("one-tuple re-checkpoint: after 20 commits {:.4f}s  after 2,000 {:.4f}s".format(
+        short_history, long_history))
     benchmark.extra_info.update(
         full_nodes=first["nodes_written"], delta_nodes=delta["nodes_written"],
         full_s=full_time, delta_s=delta_time,
+        recheckpoint_after_20_commits_s=short_history,
+        recheckpoint_after_2000_commits_s=long_history,
     )
     pedantic(benchmark, ws.checkpoint, path, rounds=2)

@@ -20,8 +20,9 @@ _version_counter = itertools.count(1)
 def ensure_version_counter(minimum):
     """Guarantee that future version ids exceed ``minimum``.
 
-    Called after restoring a checkpointed version DAG so ids minted by
-    new transactions never collide with restored ones.
+    Called after restoring a checkpoint's branch heads, with the
+    highest head id, so ids minted by new transactions never collide
+    with restored ones (or with the ancestors they had, all lower).
     """
     global _version_counter
     current = next(_version_counter)
@@ -40,19 +41,18 @@ class Version:
         self.label = label
 
     @classmethod
-    def restore(cls, vid, state, parents=(), label=None):
-        """Rebuild a version with an explicit id (checkpoint restore).
+    def restore(cls, vid, state):
+        """Rebuild a branch head with its checkpointed id.
 
-        Non-head versions restore with ``state=None``: the DAG skeleton
-        (ids, parentage, labels) survives durably, but only branch-head
-        states are persisted — time-traveling to a pre-checkpoint
-        interior version requires the original process.
+        A checkpoint persists branch heads only, so a restored head has
+        no parents: time-traveling to a version committed before the
+        checkpoint requires the original process.
         """
         version = cls.__new__(cls)
         version.id = vid
         version.state = state
-        version.parents = tuple(parents)
-        version.label = label
+        version.parents = ()
+        version.label = None
         return version
 
     def branch(self, label=None):

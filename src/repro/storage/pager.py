@@ -22,12 +22,14 @@ recovery.  This module is that subsystem:
   version-DAG diffing of §3.
 
 * **Atomic manifest** — after the new pack is fsynced, a manifest
-  naming the root address of every predicate (plus support counts,
-  aggregation state, block sources, meta-facts, and the version DAG
-  skeleton) is written to a temp file, fsynced, and atomically
-  renamed over ``MANIFEST.json``.  A crash at *any* point leaves the
-  previous manifest — and therefore the previous checkpoint — intact;
-  an orphaned partial pack is simply never referenced.
+  naming the branch heads and, per distinct head, the root address of
+  every predicate (plus support counts, aggregation state and block
+  sources) is written to a temp file, fsynced, and atomically renamed
+  over ``MANIFEST.json``.  It holds nothing restore does not read, so
+  its size follows the heads, not the history behind them.  A crash at
+  *any* point leaves the previous manifest — and therefore the
+  previous checkpoint — intact; an orphaned partial pack is simply
+  never referenced.
 
 Restore (``Workspace.open``) decodes the node records back into treap
 nodes — priorities and memoized hashes are recomputed and must agree
@@ -38,7 +40,8 @@ stored derived predicate is re-derived from base data (only views the
 checkpoint predates, such as constraint violation views, are); the
 program artifacts (compiled blocks) and the program-sized
 meta-materialization are rebuilt, deterministically, from block
-sources.
+sources.  Each head restores as a version without parents: the
+in-memory version DAG behind it lives only as long as the process.
 """
 
 import io
@@ -478,23 +481,6 @@ class CheckpointStore:
             }
             for pred, pstate in sorted(mat.states.items())
         }
-        # earlier versions read this field on restore; nothing reads it now
-        record["recorders"] = {}
-        meta = state.meta_state
-        # restore derives the meta-state from the blocks; the facts are
-        # still written for earlier versions, which read them back
-        record["meta_facts"] = (
-            {
-                block: {
-                    pred: sorted(list(t) for t in tuples)
-                    for pred, tuples in facts.items()
-                    if tuples
-                }
-                for block, facts in meta.block_facts.items()
-            }
-            if meta is not None
-            else None
-        )
         return record
 
     def checkpoint(self, workspace, *, fault_fire=None, watermark=None):
@@ -525,14 +511,11 @@ class CheckpointStore:
         writer = _PackWriter()
         graph = workspace._graph
         heads = graph.heads()
-        versions = {}
-        for head in heads.values():
-            for version in head.ancestors():
-                versions[version.id] = version
-        head_ids = {version.id for version in heads.values()}
-        states = {}
-        for vid in sorted(head_ids):
-            states[str(vid)] = self._state_record(versions[vid].state, writer)
+        head_states = {version.id: version.state for version in heads.values()}
+        states = {
+            str(vid): self._state_record(state, writer)
+            for vid, state in sorted(head_states.items())
+        }
 
         locations = None
         if writer.pending:
@@ -557,16 +540,29 @@ class CheckpointStore:
             "root_name": graph.root_name,
             "current_branch": workspace.branch,
             "branches": {name: version.id for name, version in heads.items()},
+            # restore reads only branches + states; older readers look
+            # each head up in this list
             "versions": [
-                {
-                    "id": version.id,
-                    "parents": [parent.id for parent in version.parents],
-                    "label": version.label,
-                }
-                for version in sorted(versions.values(), key=lambda v: v.id)
+                {"id": vid, "parents": [], "label": None} for vid in sorted(head_states)
             ],
             "states": states,
         }
+        self._commit_manifest(manifest, pack_name, locations)
+        # only now, with the attempt durable, may later walks prune at
+        # its nodes
+        self._memo.update(writer.memo)
+        _stats.bump("pager.checkpoints")
+        return {
+            "seq": seq,
+            "nodes_written": len(writer.pending),
+            "bytes_written": writer.bytes_written,
+            "store_nodes": len(self.store),
+        }
+
+    def _commit_manifest(self, manifest, pack_name, locations):
+        """Atomically swap in ``manifest`` (its pack already durable):
+        fsync a temp file, rename it over the manifest, fsync the
+        directory, and only then index the new pack's records."""
         tmp_path = os.path.join(self.path, MANIFEST_NAME + ".tmp")
         with open(tmp_path, "w") as fh:
             json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -575,19 +571,9 @@ class CheckpointStore:
             os.fsync(fh.fileno())
         os.replace(tmp_path, os.path.join(self.path, MANIFEST_NAME))
         _fsync_dir(self.path)
-        # the attempt is durable — only now do its records and memo
-        # entries become visible to future walks
         if locations is not None:
             self.store.commit_pack(pack_name, locations)
-        self._memo.update(writer.memo)
         self._manifest = manifest
-        _stats.bump("pager.checkpoints")
-        return {
-            "seq": seq,
-            "nodes_written": len(writer.pending),
-            "bytes_written": writer.bytes_written,
-            "store_nodes": len(self.store),
-        }
 
     # -- replica ingest ------------------------------------------------------
 
@@ -623,12 +609,12 @@ class CheckpointStore:
         into a local pack, then commit a local manifest.
 
         The manifest is the leader's except for ``packs``, which must
-        name *local* pack files; everything else (states, versions,
-        branches, seq) transfers verbatim because records are content
+        name *local* pack files; everything else (states, branches,
+        seq) transfers verbatim because records are content
         addressed — the same addresses resolve on either side.  The
-        staged-commit protocol matches :meth:`checkpoint`: pack fsync →
-        dir fsync → atomic manifest replace, so a replica crash
-        mid-sync leaves its previous checkpoint intact.
+        staged commit is :meth:`checkpoint`'s: pack fsync → dir fsync →
+        :meth:`_commit_manifest`, so a replica crash mid-sync leaves its
+        previous checkpoint intact.
         """
         for addr, payload in records.items():
             if _addr_of(payload) != addr:
@@ -647,19 +633,8 @@ class CheckpointStore:
             packs.append(pack_name)
             _stats.bump("pager.sync.records_ingested", len(records))
             _stats.bump("pager.sync.bytes_ingested", writer.bytes_written)
-        local_manifest = dict(manifest)
-        local_manifest["packs"] = packs
-        tmp_path = os.path.join(self.path, MANIFEST_NAME + ".tmp")
-        with open(tmp_path, "w") as fh:
-            json.dump(local_manifest, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_path, os.path.join(self.path, MANIFEST_NAME))
-        _fsync_dir(self.path)
-        if locations is not None:
-            self.store.commit_pack(pack_name, locations)
-        self._manifest = local_manifest
+        local_manifest = dict(manifest, packs=packs)
+        self._commit_manifest(local_manifest, pack_name, locations)
         _stats.bump("pager.sync.ingests")
         return {
             "seq": local_manifest["seq"],
@@ -763,20 +738,14 @@ class CheckpointStore:
             )
         with _obs.span("restore", path=self.path):
             caches = ({}, {}, {})
-            states = {
-                int(vid): self._restore_state(
-                    record, caches, workspace._engine_backend)
+            # one version per distinct head; an older manifest's list of
+            # every ancestor is ignored (no ancestor id exceeds its head's)
+            versions = {
+                int(vid): Version.restore(int(vid), self._restore_state(
+                    record, caches, workspace._engine_backend))
                 for vid, record in manifest["states"].items()
             }
-            versions = {}
-            for entry in manifest["versions"]:
-                versions[entry["id"]] = Version.restore(
-                    entry["id"],
-                    states.get(entry["id"]),
-                    tuple(versions[pid] for pid in entry["parents"]),
-                    entry["label"],
-                )
-            ensure_version_counter(max(versions) if versions else 0)
+            ensure_version_counter(max(versions, default=0))
             heads = {
                 name: versions[vid]
                 for name, vid in manifest["branches"].items()

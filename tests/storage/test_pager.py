@@ -4,9 +4,9 @@ The contract under test (paper §3: unique representation makes
 durability log-free): ``Workspace.checkpoint`` → ``Workspace.open``
 reproduces the workspace bit-identically — relation contents AND treap
 structure (structural hashes), support counts, aggregation state,
-IVM behavior, installed blocks, and the version-DAG
-skeleton — while repeated checkpoints write only the nodes that
-changed.
+IVM behavior, installed blocks, and the branch heads — while repeated
+checkpoints write only the nodes that changed, and the manifest grows
+with the heads, not with the history behind them.
 """
 
 import json
@@ -128,18 +128,20 @@ class TestRoundTrip:
         ws2.switch("scratch")
         assert ws2.rows("Product") == [("a",), ("b",), ("c",), ("d",)]
 
-    def test_version_dag_skeleton_restored(self, retail, tmp_path):
-        head = retail.version()
+    def test_branch_heads_restored(self, retail, tmp_path):
+        retail.create_branch("scratch")
+        retail.switch("scratch")
         ws2 = reopened(retail, tmp_path)
-        head2 = ws2.version()
-        assert head2.id == head.id
-        chain = [v.id for v in head.ancestors()]
-        chain2 = [v.id for v in head2.ancestors()]
-        assert chain2 == chain
+        assert ws2.branches() == retail.branches()
+        assert ws2.branch == "scratch"
+        for name in retail.branches():
+            head, head2 = retail._graph.head(name), ws2._graph.head(name)
+            assert head2.id == head.id
+            assert head2.parents == ()
 
     def test_new_versions_do_not_collide(self, retail, tmp_path):
         ws2 = reopened(retail, tmp_path)
-        restored_ids = {v.id for v in ws2.version().ancestors()}
+        restored_ids = {v.id for v in ws2._graph.heads().values()}
         ws2.load("Product", [("z",)])
         assert ws2.version().id not in restored_ids
 
@@ -263,6 +265,45 @@ class TestManifest:
         assert "inStock" in state["relations"]
         assert "retail" in state["blocks"]
 
+    def test_manifest_lists_heads_not_history(self, tmp_path):
+        """A one-branch workspace checkpointed after 20 and after 2,000
+        commits: each manifest lists its head alone, and the second is
+        larger only by the pack name its checkpoint added."""
+        ws = Workspace()
+        ws.addblock("n(v) -> int(v).", name="b")
+        ws.load("n", [(0,)])
+        path = str(tmp_path)
+        manifests, sizes, done = [], [], 0
+        for commits in (20, 2000):
+            for i in range(done, commits):
+                ws.load("n", [(i + 1,)], remove=[(i,)])
+            done = commits
+            ws.checkpoint(path)
+            manifests.append(read_manifest(path))
+            sizes.append(os.path.getsize(os.path.join(path, "MANIFEST.json")))
+        first, second = manifests
+        for manifest in manifests:
+            head = manifest["branches"]["main"]
+            assert [entry["id"] for entry in manifest["versions"]] == [head]
+            assert list(manifest["states"]) == [str(head)]
+        assert second["packs"] == first["packs"] + ["nodes-000002.pack"]
+        # the head id is written three times: branches, states, versions
+        id_growth = 3 * (len(str(second["branches"]["main"]))
+                         - len(str(first["branches"]["main"])))
+        assert sizes[1] - sizes[0] == len(',\n  "nodes-000002.pack"') + id_growth
+
+    def test_heads_sharing_a_version_share_a_state_record(self, retail, tmp_path):
+        retail.create_branch("twin")
+        retail._graph.move_head("twin", retail.version())
+        retail.checkpoint(str(tmp_path))
+        manifest = read_manifest(str(tmp_path))
+        head = retail.version().id
+        assert manifest["branches"] == {"main": head, "twin": head}
+        assert list(manifest["states"]) == [str(head)]
+        assert [entry["id"] for entry in manifest["versions"]] == [head]
+        ws2 = Workspace.open(str(tmp_path))
+        assert ws2._graph.head("twin") is ws2._graph.head("main")
+
     def test_unsupported_format_rejected(self, retail, tmp_path):
         retail.checkpoint(str(tmp_path))
         manifest_path = os.path.join(str(tmp_path), "MANIFEST.json")
@@ -286,8 +327,8 @@ class TestManifest:
 
     def test_checkpoint_without_violation_views_opens(self, tmp_path):
         """A checkpoint written before constraints were views stores no
-        ``$`` relations and no meta-facts of their rules; opening
-        derives both, so data and program edits are both checked."""
+        ``$`` relations; opening derives them, and the meta-state comes
+        from the blocks, so data and program edits are both checked."""
         ws = Workspace()
         ws.addblock("n(v) -> int(v). n(v) -> v >= 0. d(v) <- n(v).", name="b")
         ws.load("n", [(1,), (2,)])
@@ -298,11 +339,6 @@ class TestManifest:
         for state in manifest["states"].values():
             for key in ("relations", "pred_states"):
                 state[key] = {p: v for p, v in state[key].items() if p[0] != "$"}
-            for facts in state["meta_facts"].values():
-                hidden = {rid for rid, head in facts["rule_head_pred"] if head[0] == "$"}
-                for pred, rows in facts.items():
-                    facts[pred] = [row for row in rows if not any(
-                        value in hidden or str(value).startswith("$") for value in row)]
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh)
         reopened = Workspace.open(str(tmp_path))
@@ -423,14 +459,13 @@ class TestSensitivityPayload:
             assert not relation.diff(fresh), pred
 
     def test_manifest_references_no_blob_records(self, retail, tmp_path):
-        """Every record a manifest names is a treap root: the
-        ``recorders`` field is still written, empty, for earlier
-        versions that read it on restore."""
+        """Every record a manifest names is a treap root, and a state
+        record carries no ``recorders`` field."""
         retail.exec('^Stock["c"] = 5.0 <- .')
         retail.checkpoint(str(tmp_path))
         manifest = read_manifest(str(tmp_path))
         store = CheckpointStore(str(tmp_path)).store
-        assert all(state["recorders"] == {} for state in manifest["states"].values())
+        assert not any("recorders" in state for state in manifest["states"].values())
         roots = manifest_addresses(manifest)
         assert roots and all(addr in store for addr in roots)
         reachable = set()
