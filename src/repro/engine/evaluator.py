@@ -35,7 +35,9 @@ class PredicateState:
 
     ``kind`` is ``"count"`` (support counts per tuple), ``"agg"``
     (per-group aggregation state), or ``"recursive"`` (set only,
-    maintained by delete/rederive).
+    maintained by delete/rederive).  ``counts`` stores only counts
+    above one: a tuple of the relation with no entry has exactly one
+    derivation.
     """
 
     __slots__ = ("kind", "counts", "groups", "agg_fn")
@@ -256,9 +258,8 @@ class Evaluator:
         _check_functional(pred, group[0], relation)
         relations[pred] = relation
         if states is not None:
-            states[pred] = PredicateState(
-                "count", counts=PMap.from_sorted_items(sorted(counts.items()))
-            )
+            states[pred] = PredicateState("count", counts=PMap.from_sorted_items(
+                sorted((head, n) for head, n in counts.items() if n > 1)))
 
     def _evaluate_aggregate(self, pred, rule, relations, states, chooser):
         aggregate = AGGREGATES[rule.agg.fn]

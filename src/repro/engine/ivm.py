@@ -11,8 +11,10 @@ The maintenance problem is split exactly as the paper describes:
   its delta atom, so its work is bounded by the delta; a rule is
   visited only when its body reads a changed predicate.
 * **Rule-head maintenance**: support counts per derived tuple for plain
-  rules; per-group aggregation state for P2P rules; recursive strata
-  fall back to delete/rederive (:mod:`repro.engine.dred`).
+  rules, stored only above one (a tuple derived once is counted by its
+  presence in the relation); per-group aggregation state for P2P
+  rules; recursive strata fall back to delete/rederive
+  (:mod:`repro.engine.dred`).
 
 Sensitivity intervals are recorded only by an engine built with
 ``track_sensitivity=True`` — transaction repair (§3.4), which reads
@@ -313,15 +315,8 @@ class IncrementalEngine:
     ):
         group = self.ruleset.rules_by_head[pred]
         if group[0].agg is not None:
-            self._maintain_aggregate(
-                pred,
-                group[0],
-                old_relations,
-                new_relations,
-                new_states,
-                deltas,
-                indexes,
-            )
+            self._maintain_aggregate(pred, group[0], old_relations, new_relations,
+                                     new_states, deltas, indexes)
             return
         # a predicate none of whose rule bodies read a changed predicate
         # cannot change; skipping before opening a span keeps traces to
@@ -345,41 +340,44 @@ class IncrementalEngine:
                     count_changes[head] = count_changes.get(head, 0) + sign
                 _fold_into(indexes, rule_index, recorder)
             state = new_states[pred]
-            counts = state.counts
+            # only counts above one are stored: a head of the (pre-pass)
+            # relation without an entry has one derivation
+            counts, present = state.counts, new_relations[pred]
             added, removed = [], []
-            support_updates = 0
+            support_updates = count_writes = 0
             for head, change in count_changes.items():
                 if change == 0:
                     continue
                 support_updates += 1
-                old_count = counts.get(head, 0)
+                stored = counts.get(head)
+                old_count = stored if stored is not None else int(head in present)
                 new_count = old_count + change
                 if new_count < 0:
-                    raise AssertionError(
-                        "negative support count for {} {}".format(pred, head)
-                    )
-                if new_count == 0:
-                    counts = counts.remove(head)
-                    removed.append(head)
-                else:
+                    raise AssertionError("negative support count for {} {}".format(pred, head))
+                if new_count > 1:
                     counts = counts.set(head, new_count)
-                    if old_count == 0:
-                        added.append(head)
+                    count_writes += 1
+                elif stored is not None:
+                    counts = counts.remove(head)
+                    count_writes += 1
+                if new_count == 0:
+                    removed.append(head)
+                elif old_count == 0:
+                    added.append(head)
             if support_updates:
                 global_stats.bump("ivm.support_updates", support_updates)
+            if count_writes:
+                global_stats.bump("ivm.count_writes", count_writes)
+                new_states[pred] = state.replace(counts=counts)
             if span_ is not None:
-                span_.attrs["support_updates"] = support_updates
-                span_.attrs["added"] = len(added)
-                span_.attrs["removed"] = len(removed)
+                span_.attrs.update(support_updates=support_updates, count_writes=count_writes,
+                                   added=len(added), removed=len(removed))
             if not added and not removed:
-                if count_changes:
-                    new_states[pred] = state.replace(counts=counts)
                 return
             delta = Delta.from_iters(added, removed)
             global_stats.bump("ivm.delta_tuples", len(added) + len(removed))
             new_relations[pred] = new_relations[pred].apply(delta)
             _check_functional(pred, group[0], new_relations[pred], delta.added)
-            new_states[pred] = state.replace(counts=counts)
             deltas[pred] = delta
 
     def _maintain_aggregate(

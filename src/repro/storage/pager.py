@@ -23,9 +23,9 @@ recovery.  This module is that subsystem:
 
 * **Atomic manifest** — after the new pack is fsynced, a manifest
   naming the branch heads and, per distinct head, the root address of
-  every predicate (plus support counts, aggregation state and block
-  sources) is written to a temp file, fsynced, and atomically renamed
-  over ``MANIFEST.json``.  It holds nothing restore does not read, so
+  every predicate (plus support counts above one, aggregation state
+  and block sources) is written to a temp file, fsynced, and
+  atomically renamed over ``MANIFEST.json``.  It holds nothing restore does not read, so
   its size follows the heads, not the history behind them.  A crash at
   *any* point leaves the previous manifest — and therefore the
   previous checkpoint — intact; an orphaned partial pack is simply
@@ -59,7 +59,11 @@ from repro.ds.pset import PSet
 from repro.storage.datum import BOTTOM, TOP
 
 MANIFEST_NAME = "MANIFEST.json"
-FORMAT_VERSION = 1
+# format 2: a state record's ``counts`` holds only support counts above
+# one.  A format-1 record's full counts still read right (its explicit
+# ones are stored counts, dropped as those tuples change).
+FORMAT_VERSION = 2
+READABLE_FORMATS = (1, 2)
 
 _ADDR_BYTES = 16
 
@@ -811,7 +815,7 @@ def read_manifest(path):
         return None
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != FORMAT_VERSION:
+    if manifest.get("format") not in READABLE_FORMATS:
         raise ValueError(
             "unsupported checkpoint format {} in {}".format(
                 manifest.get("format"), manifest_path

@@ -210,6 +210,82 @@ def test_property_ivm_equals_recompute(initial, updates):
         assert set(mat.relations["nonref"]) == set(fresh["nonref"])
 
 
+# -- support counts are stored only above one ---------------------------------
+
+SUPPORT_RULES = [
+    # reach2: one derivation per middle node b
+    Rule("reach2", [Var("a"), Var("c")],
+         [PredAtom("E", [Var("a"), Var("b")]), PredAtom("E", [Var("b"), Var("c")])]),
+    # two rules for one head: (x, y) and (y, x) both edges, or x == y
+    Rule("sym", [Var("x"), Var("y")], [PredAtom("E", [Var("x"), Var("y")])]),
+    Rule("sym", [Var("x"), Var("y")], [PredAtom("E", [Var("y"), Var("x")])]),
+    # existential projection: c is local, so one derivation per b
+    Rule("hop", [Var("a")],
+         [PredAtom("E", [Var("a"), Var("b")]), PredAtom("E", [Var("b"), Var("c")])]),
+    # negation: one derivation per y without a back edge
+    Rule("oneway", [Var("x")],
+         [PredAtom("E", [Var("x"), Var("y")]),
+          PredAtom("E", [Var("y"), Var("x")], negated=True)]),
+]
+
+
+def derivations(edges):
+    """Per view and head: its number of derivations, counted naively."""
+    out = {"reach2": {}, "sym": {}, "hop": {}, "oneway": {}}
+
+    def count(pred, head):
+        out[pred][head] = out[pred].get(head, 0) + 1
+
+    for a, b in edges:
+        for b2, c in edges:
+            if b == b2:
+                count("reach2", (a, c))
+        count("sym", (a, b))
+        count("sym", (b, a))
+        if (b, a) not in edges:
+            count("oneway", (a,))
+    for a, b in edges:
+        if any(b == b2 for b2, _ in edges):
+            count("hop", (a,))
+    return out
+
+
+def assert_support_matches(mat, expected):
+    """Rows are the heads with a derivation; stored counts are exactly
+    the counts above one."""
+    for pred, support in expected.items():
+        assert set(mat.relations[pred]) == set(support), pred
+        stored = dict(mat.states[pred].counts.items())
+        assert stored == {h: n for h, n in support.items() if n > 1}, pred
+
+
+@pytest.mark.parametrize("backend", ["pure", "columnar"])
+@settings(max_examples=30, deadline=None)
+@given(
+    initial=st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=12),
+    updates=st.lists(
+        st.tuples(
+            st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=3),
+            st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=3),
+        ),
+        max_size=8,
+    ),
+)
+def test_property_stored_counts_are_the_ones_above_one(backend, initial, updates):
+    ruleset = RuleSet(SUPPORT_RULES)
+    engine = IncrementalEngine(ruleset, backend=backend)
+    mat = engine.initialize({"E": Relation.from_iter(2, initial)})
+    assert_support_matches(mat, derivations(set(initial)))
+    for added, removed in updates:
+        delta = Delta.from_iters(added - removed, removed)
+        mat, _ = engine.apply(mat, {"E": delta})
+        edges = set(mat.relations["E"])
+        fresh = Evaluator(ruleset, backend=backend).evaluate({"E": mat.relations["E"]})[0]
+        for pred in ("reach2", "sym", "hop", "oneway"):
+            assert list(mat.relations[pred]) == list(fresh[pred]), pred
+        assert_support_matches(mat, derivations(edges))
+
+
 # -- versions own their materializations; commit cost follows the delta ------
 
 IVM_VIEWS = (
@@ -315,6 +391,35 @@ def test_commit_bookkeeping_does_not_grow_with_history():
     assert ws.engine_stats()["ivm.applies"] == 120
     assert "sensitivity.folded" not in ws.engine_stats()
     assert ws.state.materialization.rule_indexes == {}
+
+
+def test_views_graph_stores_only_multi_derivation_counts():
+    """After a seeded stream of inserts and deletes on the ``ivm_views``
+    graph, ``reach2`` stores one count per head with two or more middle
+    nodes and ``tri`` (every triangle derived once) stores none; most
+    support updates write nothing to the map (about three in four)."""
+    ws = views_workspace()
+    rng = random.Random(28)
+    ws.reset_engine_stats()
+    for _ in range(40):
+        edges = ws.rows("E")
+        removed = rng.sample(edges, rng.choice((1, 8)))
+        added = {(rng.randrange(300), rng.randrange(300)) for _ in range(rng.choice((1, 8)))}
+        ws.exec("".join("+E({}, {}).".format(*e) for e in added - set(edges))
+                + "".join("-E({}, {}).".format(*e) for e in removed))
+    stats = ws.engine_stats()
+    assert 0 < 2 * stats["ivm.count_writes"] < stats["ivm.support_updates"]
+    edges = ws.rows("E")
+    middles = {}
+    for a, b in edges:
+        for c in (c for b2, c in edges if b2 == b):
+            middles[a, c] = middles.get((a, c), 0) + 1
+    states = ws.state.materialization.states
+    assert ws.rows("reach2") == sorted(middles)
+    assert dict(states["reach2"].counts.items()) == {
+        head: n for head, n in middles.items() if n > 1}
+    assert len(states["reach2"].counts) < len(middles)
+    assert ws.rows("tri") and len(states["tri"].counts) == 0
 
 
 def test_bulk_load_through_views_picks_columnar(monkeypatch):

@@ -308,10 +308,11 @@ class TestManifest:
         retail.checkpoint(str(tmp_path))
         manifest_path = os.path.join(str(tmp_path), "MANIFEST.json")
         with open(manifest_path) as fh:
-            text = fh.read()
+            manifest = json.load(fh)
+        manifest["format"] = 99
         with open(manifest_path, "w") as fh:
-            fh.write(text.replace('"format": 1', '"format": 99'))
-        with pytest.raises(ValueError, match="format"):
+            json.dump(manifest, fh)
+        with pytest.raises(ValueError, match="unsupported checkpoint format 99"):
             read_manifest(str(tmp_path))
 
     def test_corrupt_record_detected(self, retail, tmp_path):
@@ -411,15 +412,19 @@ class TestSensitivityPayload:
         assert state["relations"]["outdeg"] == [2, "16684766b84a9037f522407d812e79be"]
         assert state["relations"]["tri"] == [3, "440606a3e0134795ab8e8fb55dc285a9"]
         assert state["pred_states"]["outdeg"]["groups"] == "2ebe3c7e92ea265ad24f56f8b68bb311"
-        assert state["pred_states"]["tri"]["counts"] == "355a83a23074b337e4722167ee91e9b1"
+        # re-recorded when support counts of one stopped being stored:
+        # every triangle has one derivation, so the map is empty
+        assert state["pred_states"]["tri"]["counts"] == ""
 
     def test_checkpoint_with_raw_intervals_still_opens(self, tmp_path):
         """``fixtures/parent_checkpoint`` was written when manifests
         listed each rule's sensitivity intervals as a ``recorders``
-        blob (every raw interval, 1,784 of them).  The field is ignored:
-        the workspace opens with the relations and support counts a
-        fresh load of its base rows derives, and maintenance carries on
-        from them."""
+        blob (every raw interval, 1,784 of them), and in format 1, which
+        stored every support count, ones included.  The field is
+        ignored: the workspace opens with the relations and the
+        per-row support a fresh load of its base rows derives, and
+        maintenance carries on from them, dropping a stored one when
+        its row goes."""
         path = tmp_path / "checkpoint"
         shutil.copytree(os.path.join(FIXTURES, "parent_checkpoint"), path)
         assert all(state["recorders"] for state in read_manifest(str(path))["states"].values())
@@ -433,14 +438,26 @@ class TestSensitivityPayload:
             mat = workspace.state.materialization
             return (
                 {pred: list(relation) for pred, relation in mat.relations.items()},
-                {pred: list(state.counts.items()) for pred, state in mat.states.items()},
+                {
+                    pred: {row: state.counts.get(row, 1) for row in mat.relations[pred]}
+                    for pred, state in mat.states.items() if state.kind == "count"
+                },
             )
 
+        assert read_manifest(str(path))["format"] == 1
+        from3 = ws.state.materialization.states["from3"]
+        assert dict(from3.counts.items()) == {(4,): 1}
         assert contents(ws) == contents(fresh)
         assert ws.state.materialization.rule_indexes == {}
         for workspace in (ws, fresh):
             workspace.exec("+E(3, 11).")
         assert (11,) in ws.relation("from3")
+        assert contents(ws) == contents(fresh)
+        # E(3, 4) is from3(4)'s one derivation, stored as an explicit 1
+        for workspace in (ws, fresh):
+            workspace.exec("-E(3, 4).")
+        assert (4,) not in ws.relation("from3")
+        assert dict(ws.state.materialization.states["from3"].counts.items()) == {}
         assert contents(ws) == contents(fresh)
 
     def test_older_checkpoint_relations_equal_fresh_loads(self, tmp_path):

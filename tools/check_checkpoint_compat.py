@@ -6,10 +6,16 @@ CI's durability job runs::
     python tools/check_checkpoint_compat.py --other-src ci-ckpt/previous/src
 
 which, in both directions, checkpoints a workspace of views (a
-triangle join, an aggregate, a constant-anchored rule and a
-constraint) from one tree, opens it from the other, and compares every
-relation's rows, before and after one more maintained write.  Exits
-non-zero on the first mismatch.
+triangle join, a two-hop join whose heads can have several
+derivations, an aggregate, a constant-anchored rule and a constraint)
+from one tree, opens it from the other, and compares every relation's
+rows, once opened and after each of three maintained writes.  The
+writes take a two-hop head from one derivation to two and back, and
+delete and re-insert an edge, so support counts a checkpoint stored
+are read and dropped again.  A reader whose checkpoint format is
+older than the writer's must refuse the checkpoint with its
+``unsupported checkpoint format`` error instead.  Exits non-zero on
+the first mismatch.
 """
 
 import argparse
@@ -22,7 +28,7 @@ import time
 
 HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
-PREDS = ("E", "tri", "outdeg", "from3", "score")
+PREDS = ("E", "tri", "reach2", "outdeg", "from3", "score")
 
 WRITE = r'''
 import sys
@@ -33,6 +39,7 @@ E(x, y) -> int(x), int(y).
 score[x] = v -> int(x), int(v).
 score[x] = v -> v >= 0.
 tri(a, b, c) <- E(a, b), E(b, c), E(a, c), a < b, b < c.
+reach2(a, c) <- E(a, b), E(b, c).
 outdeg[a] = n <- agg<<n = count(b)>> E(a, b).
 from3(b) <- E(3, b).
 """, name="views")
@@ -46,18 +53,30 @@ READ = r'''
 import json, sys
 from repro import Workspace
 ws = Workspace.open(sys.argv[1])
-before = {p: ws.rows(p) for p in sys.argv[2:]}
-ws.exec("+E(3, 11). ^score[8] = 3.")
-print(json.dumps([before, {p: ws.rows(p) for p in sys.argv[2:]}]))
+stages = [{p: ws.rows(p) for p in sys.argv[2:]}]
+# reach2(3, 13) goes from one derivation (via 8) to two (via 11) and
+# back; deleting E(21, 22) leaves reach2(20, 22) without one
+for text in ("+E(3, 11). ^score[8] = 3.", "-E(3, 11). -E(21, 22).", "+E(21, 22)."):
+    ws.exec(text)
+    stages.append({p: ws.rows(p) for p in sys.argv[2:]})
+print(json.dumps(stages))
 '''
 
+FORMAT = "from repro.storage.pager import FORMAT_VERSION; print(FORMAT_VERSION)"
 
-def _run(src, script, *args):
+STAGES = ("opened", "after an insert", "after a delete", "after a re-insert")
+
+
+def _run(src, script, *args, refusal=None):
+    """``script``'s stdout, or ``None`` when it fails — unless its
+    stderr carries ``refusal``, the failure expected of it."""
     done = subprocess.run(
         [sys.executable, "-c", script] + list(args),
         env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
         capture_output=True, text=True, timeout=300)
-    if done.returncode:
+    if refusal is not None and done.returncode and refusal in done.stderr:
+        return refusal
+    if done.returncode or refusal is not None:
         sys.stderr.write(done.stdout + done.stderr)
         return None
     return done.stdout
@@ -66,17 +85,22 @@ def _run(src, script, *args):
 def write_and_open(writer_src, reader_src, workdir):
     """Rows ``reader_src`` reads from a checkpoint ``writer_src`` wrote
     must be the ones ``writer_src`` reads back (opening writes nothing,
-    so both open the same directory)."""
+    so both open the same directory).  A reader of an older format
+    must refuse it instead."""
     path = os.path.join(workdir, "checkpoint")
     if _run(writer_src, WRITE, path) is None:
         return False
+    written, readable = (int(_run(src, FORMAT) or 0) for src in (writer_src, reader_src))
+    if written > readable:
+        refusal = "unsupported checkpoint format {}".format(written)
+        return _run(reader_src, READ, path, *PREDS, refusal=refusal) == refusal
     own = _run(writer_src, READ, path, *PREDS)
     other = _run(reader_src, READ, path, *PREDS)
     if own is None or other is None:
         return False
     differ = [
         "{} {}".format(stage, pred)
-        for stage, mine, theirs in zip(("opened", "after a write"),json.loads(own), json.loads(other))
+        for stage, mine, theirs in zip(STAGES, json.loads(own), json.loads(other))
         for pred in PREDS if mine[pred] != theirs[pred]
     ]
     if differ:
