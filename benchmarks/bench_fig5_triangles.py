@@ -52,15 +52,12 @@ def graph(kind, n_nodes):
         else:
             edges = powerlaw_graph(n_nodes, edges_per_node=5, seed=42)
         relation = Relation.from_iter(2, edges)
-        relation.flat((0, 1))  # pre-materialize the array backend
         _cache[key] = (relation, len(edges))
     return _cache[key]
 
 
 def run_lftj(relation):
-    return sum(
-        1 for _ in LeapfrogTrieJoin(PLAN, {"E": relation}, prefer_array=True).run()
-    )
+    return sum(1 for _ in LeapfrogTrieJoin(PLAN, {"E": relation}).run())
 
 
 @pytest.mark.parametrize("n_nodes", HUB_SIZES)
@@ -120,12 +117,12 @@ def _backend_times(kind, n_nodes):
     plan = build_plan(ATOMS, var_order=list(order))
 
     def run_pure():
-        return list(LeapfrogTrieJoin(plan, env, prefer_array=True).run())
+        return list(LeapfrogTrieJoin(plan, env).run())
 
     def run_columnar():
         return list(make_join(plan, env, backend="columnar").run())
 
-    pure_rows = run_pure()  # warm the flat arrays
+    pure_rows = run_pure()  # warm the secondary treap indexes
     assert run_columnar() == pure_rows  # warm the encoded setup
 
     def best_of(fn, rounds=2):
@@ -147,8 +144,7 @@ def test_fig5_columnar_vs_pure(benchmark):
     graph is also measured and recorded *ungated*: its celebrity-hub
     skew is the adversarial case where pure LFTJ's adaptive leapfrogging
     sidesteps the wedge blowup that batched expand-then-probe must wade
-    through, so the vectorized win shrinks there by design (see
-    DESIGN.md, "Engine backends")."""
+    through (see DESIGN.md, "Engine backends")."""
     from repro.engine.columnar import make_join  # noqa: F401 - import gate
     from repro.storage.columnar import HAVE_NUMPY
 

@@ -29,10 +29,8 @@ PLAN = build_plan(ATOMS, var_order=["a", "b", "c"])
 
 def steps_for(edges):
     relation = Relation.from_iter(2, edges)
-    relation.flat((0, 1))
     stats = {}
-    executor = LeapfrogTrieJoin(PLAN, {"E": relation}, prefer_array=True,
-                                stats=stats)
+    executor = LeapfrogTrieJoin(PLAN, {"E": relation}, stats=stats)
     count = sum(1 for _ in executor.run())
     return stats["steps"], count
 
@@ -83,12 +81,12 @@ def test_wco_columnar_vs_pure(benchmark):
     plan = build_plan(ATOMS, var_order=list(order))
 
     def run_pure():
-        return list(LeapfrogTrieJoin(plan, env, prefer_array=True).run())
+        return list(LeapfrogTrieJoin(plan, env).run())
 
     def run_columnar():
         return list(make_join(plan, env, backend="columnar").run())
 
-    pure_rows = run_pure()  # also warms the flat arrays
+    pure_rows = run_pure()  # also warms the secondary treap indexes
     columnar_rows = run_columnar()  # also warms the encoded setup
     assert columnar_rows == pure_rows
 

@@ -134,8 +134,7 @@ def choose_backend(plan, relations, recorder=None):
     return "pure", "{} rows < {}".format(rows, COLUMNAR_MIN_ROWS)
 
 
-def make_join(plan, relations, recorder=None, prefer_array=True, stats=None,
-              backend=None):
+def make_join(plan, relations, recorder=None, *, stats=None, backend=None):
     """Build the executor for one planned join.
 
     ``backend`` forces ``"pure"`` or ``"columnar"``; ``None`` lets
@@ -153,16 +152,12 @@ def make_join(plan, relations, recorder=None, prefer_array=True, stats=None,
     executor = None
     if backend == "columnar" and recorder is None and HAVE_NUMPY:
         try:
-            executor = ColumnarTrieJoin(
-                plan, relations, prefer_array=prefer_array, stats=stats
-            )
+            executor = ColumnarTrieJoin(plan, relations, stats=stats)
         except ColumnarUnsupported:
             global_stats.bump("join.columnar_fallbacks")
             reason = "values do not encode"
     if executor is None:
-        executor = LeapfrogTrieJoin(
-            plan, relations, recorder, prefer_array, stats=stats
-        )
+        executor = LeapfrogTrieJoin(plan, relations, recorder, stats=stats)
         if backend == "columnar" and recorder is not None:
             reason = "records sensitivity"
     executor.reason = reason
@@ -428,13 +423,11 @@ class ColumnarTrieJoin:
     backend = "columnar"
     reason = None
 
-    def __init__(self, plan, relations, recorder=None, prefer_array=True,
-                 stats=None):
+    def __init__(self, plan, relations, recorder=None, *, stats=None):
         if recorder is not None:
             raise ColumnarUnsupported("sensitivity recording is a pure-path run")
         self.plan = plan
         self.relations = relations
-        self.prefer_array = prefer_array
         self.stats = stats
         self._setup = _setup_for(plan, relations)
         self._filters = [
@@ -682,9 +675,7 @@ class ColumnarTrieJoin:
         """Yield all satisfying assignments as ``var_order``-aligned
         tuples — the pure executor's output, bit for bit."""
         plan = self.plan
-        adapter = LeapfrogTrieJoin(
-            plan, self.relations, None, self.prefer_array
-        )
+        adapter = LeapfrogTrieJoin(plan, self.relations)
         for comparison in plan.ground_filters:
             if not comparison.holds({}):
                 return

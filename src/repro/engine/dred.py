@@ -31,7 +31,7 @@ def _run_delta_pass(evaluator, rule, position, tuple_set, env, arity):
     delta_rule = rule.delta_pass(position, PredAtom("@delta", rule.body[position].args))
     env = dict(env)
     env["@delta"] = Relation.from_iter(arity, tuple_set)
-    var_order, bindings = evaluator.rule_bindings(delta_rule, env, prefer_array=False)
+    var_order, bindings = evaluator.rule_bindings(delta_rule, env)
     projector = _HeadProjector(delta_rule, var_order)
     return {projector(binding) for binding in bindings}
 
@@ -69,7 +69,7 @@ class _Derivability:
         probe_env["@head"] = Relation.from_iter(
             len(self.head_vars), [tuple(values[name] for name in self.head_vars)])
         plan = self.probe.plan()
-        executor = LeapfrogTrieJoin(plan, probe_env, prefer_array=False)
+        executor = LeapfrogTrieJoin(plan, probe_env)
         for _ in executor.run():
             return True
         return False
@@ -95,7 +95,7 @@ def maintain_recursive_stratum(ruleset, stratum, old_relations, new_relations, d
 
 
 def _dred_stratum(ruleset, stratum, old_relations, new_relations, deltas):
-    evaluator = Evaluator(ruleset, prefer_array=False)
+    evaluator = Evaluator(ruleset)
     stratum_preds = set(stratum)
     rules = [rule for pred in stratum for rule in ruleset.rules_by_head[pred]]
 
@@ -255,7 +255,7 @@ class DRedEngine:
 
     def __init__(self, ruleset):
         self.ruleset = ruleset
-        self.evaluator = Evaluator(ruleset, prefer_array=True)
+        self.evaluator = Evaluator(ruleset)
 
     def initialize(self, base_relations):
         """Full evaluation (no auxiliary state)."""
@@ -279,9 +279,7 @@ class DRedEngine:
             if has_agg:
                 # DRed does not handle aggregates; recompute them
                 for pred in stratum:
-                    sub = Evaluator(
-                        RuleSubset(self.ruleset, pred), prefer_array=False
-                    )
+                    sub = Evaluator(RuleSubset(self.ruleset, pred))
                     out, _ = sub.evaluate(new_relations)
                     delta = old_relations[pred].diff(out[pred])
                     new_relations[pred] = out[pred]

@@ -143,12 +143,10 @@ class Evaluator:
         ruleset,
         *,
         order_chooser=None,
-        prefer_array=True,
         backend=None,
     ):
         self.ruleset = ruleset
         self.order_chooser = order_chooser
-        self.prefer_array = prefer_array
         self.backend = resolve_backend(backend)
 
     def _order_for(self, rule, relations):
@@ -156,7 +154,7 @@ class Evaluator:
             return None
         return self.order_chooser(rule, relations)
 
-    def rule_bindings(self, rule, relations, recorder=None, prefer_array=None):
+    def rule_bindings(self, rule, relations, recorder=None):
         """Iterate satisfying assignments of ``rule``'s body.
 
         Returns ``(var_order, iterator)``.  When tracing is active a
@@ -170,10 +168,9 @@ class Evaluator:
         cache = "hit" if rule.has_plan(var_order) else "miss"
         with obs.span("plan", rule=rule.head_pred, cache=cache):
             plan = rule.plan(var_order)
-        prefer = self.prefer_array if prefer_array is None else prefer_array
         traced = obs.tracing()
         exec_stats = {} if traced else None
-        executor = make_join(plan, relations, recorder, prefer,
+        executor = make_join(plan, relations, recorder,
                              stats=exec_stats, backend=self.backend)
         # the columnar executor bumps join.* itself
         bump_prefix = "join." if executor.backend == "pure" else None
@@ -321,9 +318,7 @@ class Evaluator:
                     continue
                 env = dict(relations)
                 env["@delta"] = delta[source]
-                var_order, bindings = self.rule_bindings(
-                    delta_rule, env, chooser(rule), prefer_array=False
-                )
+                var_order, bindings = self.rule_bindings(delta_rule, env, chooser(rule))
                 project = _HeadProjector(delta_rule, var_order)
                 for binding in bindings:
                     next_delta[pred].add(project(binding))

@@ -8,21 +8,13 @@ The paper's iterator contract:
   ``up()`` (return to the parent), presenting an n-ary relation as a
   trie whose levels are argument positions.
 
-Two interchangeable backends implement the contract over a relation:
-
-* :class:`TreapTrieIterator` navigates the persistent treap directly
-  (seek = O(log N) root descent).  Fresh versions produced by small
-  deltas are iterable immediately — nothing is re-materialized, which
-  the incremental-maintenance cost model depends on.
-* :class:`ArrayTrieIterator` runs over a cached sorted array with
-  bisect (C-speed comparisons); the evaluator requests it for full,
-  non-incremental runs over large static relations.
-
-Both expose *levels* through :class:`TrieLevel` handles so the leapfrog
-loops never care which backend they drive.
+One backend implements the trie contract over a relation:
+:class:`TreapTrieIterator` navigates the persistent treap of the wanted
+permutation directly (seek = O(log N) root descent).  Fresh versions
+produced by small deltas are iterable immediately — nothing is
+re-materialized, which the incremental-maintenance cost model depends
+on.  Large joins run vectorized instead (:mod:`repro.engine.columnar`).
 """
-
-from bisect import bisect_left
 
 from repro.storage.datum import TOP
 
@@ -116,83 +108,6 @@ class TreapTrieIterator:
         return found is not None and found[: len(self._fixed)] == self._fixed
 
 
-class ArrayTrieIterator:
-    """Same contract as :class:`TreapTrieIterator` over a sorted list."""
-
-    __slots__ = ("_rows", "arity", "_fixed", "_values", "_at_end")
-
-    def __init__(self, rows, arity, fixed_prefix=()):
-        self._rows = rows
-        self.arity = arity
-        self._fixed = tuple(fixed_prefix)
-        self._values = []
-        self._at_end = False
-
-    @property
-    def depth(self):
-        """Number of currently open levels (0 = at root)."""
-        return len(self._values)
-
-    def _position(self, seek_key):
-        depth = len(self._fixed) + len(self._values) - 1
-        rows = self._rows
-        index = bisect_left(rows, seek_key)
-        if index >= len(rows):
-            self._at_end = True
-            self._values[-1] = None
-            return
-        found = rows[index]
-        if found[:depth] != seek_key[:depth]:
-            self._at_end = True
-            self._values[-1] = None
-        else:
-            self._at_end = False
-            self._values[-1] = found[depth]
-
-    def open(self):
-        """Descend to the first value at the next level."""
-        context = self._fixed + tuple(self._values)
-        self._values.append(None)
-        self._position(context)
-
-    def up(self):
-        """Return to the parent level (its position is unchanged)."""
-        self._values.pop()
-        self._at_end = False
-
-    def at_end(self):
-        """True when the current level is exhausted."""
-        return self._at_end
-
-    def key(self):
-        """Value at the current level position."""
-        return self._values[-1]
-
-    def next(self):
-        """Advance to the next distinct value at the current level."""
-        context = self._fixed + tuple(self._values[:-1])
-        self._position(context + (self._values[-1], TOP))
-
-    def seek(self, value):
-        """Least-upper-bound seek at the current level."""
-        context = self._fixed + tuple(self._values[:-1])
-        self._position(context + (value,))
-
-    def context(self):
-        """Permuted prefix under which the current level is explored
-        (fixed constants plus values bound at earlier levels)."""
-        return self._fixed + tuple(self._values[:-1])
-
-    def check_fixed_prefix(self):
-        """True iff a tuple with the fixed constant prefix exists."""
-        if not self._fixed:
-            return bool(self._rows)
-        index = bisect_left(self._rows, self._fixed)
-        if index >= len(self._rows):
-            return False
-        return self._rows[index][: len(self._fixed)] == self._fixed
-
-
 class SingletonIterator:
     """A virtual one-value linear iterator.
 
@@ -256,13 +171,7 @@ class RangeIterator:
             self._current = value
 
 
-def trie_iterator(relation, perm, fixed_prefix=(), prefer_array=False):
-    """Build the best trie iterator for ``relation`` permuted by ``perm``.
-
-    Uses the array backend when it is already materialized (or when the
-    caller asks for it); otherwise navigates the treap directly.
-    """
-    perm = tuple(perm)
-    if prefer_array or relation.has_flat(perm):
-        return ArrayTrieIterator(relation.flat(perm), relation.arity, fixed_prefix)
+def trie_iterator(relation, perm, fixed_prefix=()):
+    """The trie iterator over ``relation`` permuted by ``perm`` (its
+    secondary treap index, built once per version and then promoted)."""
     return TreapTrieIterator(relation.index_root(perm), relation.arity, fixed_prefix)

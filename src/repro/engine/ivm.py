@@ -76,9 +76,7 @@ class IncrementalEngine:
     def __init__(self, ruleset, *, track_sensitivity=False, backend=None):
         self.ruleset = ruleset
         self.track_sensitivity = track_sensitivity
-        self.evaluator = Evaluator(ruleset, prefer_array=True, backend=backend)
-        self.delta_evaluator = Evaluator(
-            ruleset, prefer_array=False, backend=backend)
+        self.evaluator = Evaluator(ruleset, backend=backend)
         self._delta_rules = {}  # (rule index, position, kind) -> delta Rule
         self._local_vars_cache = {}  # rule index -> {atom idx: local positions}
         self._rule_index = {id(rule): i for i, rule in enumerate(ruleset.rules)}
@@ -258,7 +256,7 @@ class IncrementalEngine:
                     if not tuple_set:
                         continue
                     env["@delta"] = Relation(arity, tuple_set)
-                    var_order, bindings = self.delta_evaluator.rule_bindings(
+                    var_order, bindings = self.evaluator.rule_bindings(
                         delta_rule, dict(env), recorder
                     )
                     for binding in bindings:
@@ -289,7 +287,7 @@ class IncrementalEngine:
                 if diff == 0:
                     continue
                 delta_rule = self._delta_rule(rule_index, position, rule, kind="drop")
-                var_order, bindings = self.delta_evaluator.rule_bindings(
+                var_order, bindings = self.evaluator.rule_bindings(
                     delta_rule, dict(env), recorder
                 )
                 for binding in bindings:
@@ -304,7 +302,7 @@ class IncrementalEngine:
                 if not matching:
                     continue
                 env["@cand"] = Relation.from_iter(len(bound_positions), matching)
-                var_order, bindings = self.delta_evaluator.rule_bindings(
+                var_order, bindings = self.evaluator.rule_bindings(
                     delta_rule, dict(env), recorder
                 )
                 for binding in bindings:

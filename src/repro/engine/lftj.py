@@ -29,12 +29,10 @@ class LeapfrogTrieJoin:
     backend = "pure"
     reason = None
 
-    def __init__(self, plan, relations, recorder=None, prefer_array=False,
-                 stats=None):
+    def __init__(self, plan, relations, recorder=None, *, stats=None):
         self.plan = plan
         self.relations = relations
         self.recorder = recorder
-        self.prefer_array = prefer_array
         # optional dict: counts search steps for the optimizer plus
         # seek/next/open movements for the tracing layer (None = free)
         self.stats = stats
@@ -64,7 +62,7 @@ class LeapfrogTrieJoin:
             self.recorder.record_everything(atom.pred)
         if not free and perm == tuple(range(len(atom.args))):
             return prefix not in relation
-        probe = trie_iterator(relation, perm, prefix, self.prefer_array)
+        probe = trie_iterator(relation, perm, prefix)
         return not probe.check_fixed_prefix()
 
     def _positive_ground_holds(self, atom, bindings):
@@ -87,7 +85,7 @@ class LeapfrogTrieJoin:
         elif self.recorder is not None:
             # a nullary atom: any change to it matters
             self.recorder.record_everything(atom.pred)
-        probe = trie_iterator(relation, perm, prefix, self.prefer_array)
+        probe = trie_iterator(relation, perm, prefix)
         return probe.check_fixed_prefix()
 
     def _filter_holds(self, entry, bindings):
@@ -113,9 +111,7 @@ class LeapfrogTrieJoin:
         iters = []
         for atom_plan in plan.atom_plans:
             relation = self.relations[atom_plan.pred]
-            it = trie_iterator(
-                relation, atom_plan.perm, atom_plan.const_prefix, self.prefer_array
-            )
+            it = trie_iterator(relation, atom_plan.perm, atom_plan.const_prefix)
             if atom_plan.const_prefix:
                 if self.recorder is not None:
                     prefix = atom_plan.const_prefix
@@ -177,7 +173,6 @@ class LeapfrogTrieJoin:
         bindings.pop(var, None)
 
 
-def join_count(plan, relations, prefer_array=False):
+def join_count(plan, relations):
     """Number of satisfying assignments (used by tests and benches)."""
-    executor = LeapfrogTrieJoin(plan, relations, prefer_array=prefer_array)
-    return sum(1 for _ in executor.run())
+    return sum(1 for _ in LeapfrogTrieJoin(plan, relations).run())

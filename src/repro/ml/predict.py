@@ -95,7 +95,7 @@ def evaluate_predict_rule(rule, relations):
         return tuple(binding[positions[name]] for name in names)
 
     groups = {}
-    for binding in LeapfrogTrieJoin(plan, relations, prefer_array=False).run():
+    for binding in LeapfrogTrieJoin(plan, relations).run():
         group = values(binding, group_vars)
         example = values(binding, example_vars)
         feature_name = values(binding, feature_name_vars)

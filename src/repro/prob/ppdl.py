@@ -106,7 +106,7 @@ class PPDLProgram:
             order = list(plan.var_order)
             sites = []
             seen = set()
-            for values in LeapfrogTrieJoin(plan, env, prefer_array=False).run():
+            for values in LeapfrogTrieJoin(plan, env).run():
                 binding = dict(zip(order, values))
                 keys = tuple(
                     a.value if isinstance(a, ir.Const) else binding[a.name]
@@ -132,9 +132,7 @@ class PPDLProgram:
 
         def expand(rule_idx, env, probability):
             if rule_idx == len(self._ordered_rules):
-                relations, _ = Evaluator(
-                    artifacts.ruleset, prefer_array=False
-                ).evaluate(env)
+                relations, _ = Evaluator(artifacts.ruleset).evaluate(env)
                 violations = checker.check(relations)
                 if not violations:
                     yield probability, relations
@@ -208,7 +206,7 @@ class PPDLProgram:
                 env[rule.head_pred] = Relation.from_iter(
                     len(rule.head_args) + 1, tuples
                 )
-            relations, _ = Evaluator(artifacts.ruleset, prefer_array=False).evaluate(env)
+            relations, _ = Evaluator(artifacts.ruleset).evaluate(env)
             if artifacts.checker.check(relations):
                 continue
             accepted += 1

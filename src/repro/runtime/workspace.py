@@ -65,7 +65,6 @@ def run_query(state, source, answer=None, order_chooser=None):
     evaluator = Evaluator(
         ruleset,
         order_chooser=order_chooser,
-        prefer_array=False,
         backend=state.artifacts.engine_backend,
     )
     relations, _ = evaluator.evaluate(env, keep_state=False)
@@ -315,9 +314,9 @@ class Workspace:
         """Engine effectiveness counters accumulated *by this
         workspace's transactions* since creation (or the last
         :meth:`reset_engine_stats`): warm vs. cold relation indexes and
-        arrays, join seek/next movement, the executor each join ran on
-        (``columnar["chosen"]``), columnar joins and fallbacks, and IVM
-        work.  Benchmarks export
+        columnar layouts, join seek/next movement, the executor each
+        join ran on (``columnar["chosen"]``), columnar joins and
+        fallbacks, and IVM work.  Benchmarks export
         these next to wall times so speedups are attributable.
 
         Counters bumped by other workspaces — even concurrently on
@@ -468,7 +467,7 @@ class Workspace:
                     env[atom.pred] = Relation.empty(arity)
         # the delta heads are read once below and dropped
         relations, _ = Evaluator(
-            ruleset, prefer_array=False, backend=self._engine_backend,
+            ruleset, backend=self._engine_backend,
         ).evaluate(env, keep_state=False)
         deltas = {}
         preds = set()

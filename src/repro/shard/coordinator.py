@@ -598,8 +598,7 @@ class ShardedWorkspace(VerbSurface):
             pred: Relation.from_iter(
                 len(next(iter(wanted[pred]))), rows[pred])
             for pred in wanted}
-        relations, _ = Evaluator(
-            RuleSet(cone), prefer_array=False).evaluate(base)
+        relations, _ = Evaluator(RuleSet(cone)).evaluate(base)
         return sorted(relations[answer_pred])
 
     # -- writes ----------------------------------------------------------------

@@ -298,7 +298,7 @@ class Grounder:
         plan = build_plan(atoms, output_vars=sorted(needed_vars))
         read_preds = {a.pred for a in atoms if isinstance(a, ir.PredAtom)}
         bindings = []
-        executor = LeapfrogTrieJoin(plan, env, prefer_array=False)
+        executor = LeapfrogTrieJoin(plan, env)
         order = plan.var_order
         for values in executor.run():
             bindings.append(dict(zip(order, values)))

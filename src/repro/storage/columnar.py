@@ -1,16 +1,15 @@
 """Columnar (dictionary-encoded) relation storage for vectorized LFTJ.
 
-The flat-array promotion path in :mod:`repro.storage.relation` already
-materializes each permutation of a relation as one sorted list of
-tuples.  This module takes the next step for the raw-speed engine
-backend: each *column* of that sorted list is dictionary-encoded into a
-contiguous ``numpy`` ``int64`` array of codes, where the per-column
-dictionary (the *domain*) is the sorted list of distinct values.
+A layout is built from one permutation of a relation version, sorted
+once into a list of tuples that is not kept.  Each *column* of that
+sorted list is dictionary-encoded into a contiguous ``numpy`` ``int64``
+array of codes, where the per-column dictionary (the *domain*) is the
+sorted list of distinct values.
 
 The encoding is **order-preserving per column**: ``code(u) < code(v)``
 iff ``u < v``.  Lexicographic order of the code rows therefore equals
 lexicographic order of the value rows, so every structure the pure
-backends derive from sorted tuples (trie levels, run boundaries, seek
+backend derives from sorted tuples (trie levels, run boundaries, seek
 targets) has an exact integer twin that ``numpy`` can batch-process.
 
 Canonicalization follows the :func:`repro.ds.hashing.canonical_key`
@@ -19,7 +18,7 @@ so the columnar and pure backends sort, compare, and hash identically.
 
 Values that do not encode (mutually incomparable or unhashable column
 contents) raise :class:`ColumnarUnsupported`; callers fall back to the
-pure-Python iterator backends.  ``numpy`` itself is imported lazily and
+pure-Python treap iterators.  ``numpy`` itself is imported lazily and
 its absence is reported the same way, so the pure path never needs it.
 """
 
@@ -75,8 +74,8 @@ class ColumnarLayout:
 
     ``codes[j]`` is the ``int64`` code array of column ``j`` over the
     permuted, lexicographically sorted tuple list; ``domains[j]`` is
-    that column's sorted dictionary.  Row ``i`` of the underlying flat
-    array decodes to ``tuple(domains[j][codes[j][i]] for j)``.
+    that column's sorted dictionary.  Row ``i`` of the sorted tuple list
+    decodes to ``tuple(domains[j][codes[j][i]] for j)``.
     """
 
     # weak-referenceable: join setups built from a layout go with it

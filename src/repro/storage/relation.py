@@ -12,7 +12,6 @@ is applied, so a small write to a large indexed relation stays cheap.
 """
 
 import random
-from bisect import bisect_left
 
 from repro import stats
 from repro.ds import treap
@@ -89,40 +88,16 @@ def _invert_perm(perm):
     return tuple(inverse)
 
 
-def _merge_sorted(rows, added, removed):
-    """``rows`` minus ``removed`` merged with sorted ``added`` (one linear
-    pass; removal wins first, re-insertion via ``added`` wins last, which
-    matches ``(tuples - removed) | added``)."""
-    out = []
-    position = 0
-    count = len(added)
-    for row in rows:
-        while position < count and added[position] < row:
-            out.append(added[position])
-            position += 1
-        if position < count and added[position] == row:
-            out.append(row)
-            position += 1
-            continue
-        if row in removed:
-            continue
-        out.append(row)
-    out.extend(added[position:])
-    return out
-
-
 class Relation:
     """One immutable version of a predicate's extension."""
 
-    __slots__ = ("arity", "_tuples", "_indexes", "_flat", "_columnar")
+    __slots__ = ("arity", "_tuples", "_indexes", "_columnar")
 
-    def __init__(self, arity, tuples=None, indexes=None, flats=None):
+    def __init__(self, arity, tuples=None, indexes=None):
         self.arity = arity
         self._tuples = tuples if tuples is not None else PSet.EMPTY
         # perm (tuple) -> PSet of permuted tuples; identity perm excluded
         self._indexes = indexes if indexes is not None else {}
-        # perm (tuple) -> list of permuted tuples, sorted; lazy cache
-        self._flat = flats if flats is not None else {}
         # perm (tuple) -> ColumnarLayout | ColumnarUnsupported; lazy
         # cache for the vectorized backend, per version and never
         # promoted: apply() drops it from the version it supersedes
@@ -229,39 +204,23 @@ class Relation:
 
     def apply(self, delta):
         """Apply a :class:`Delta`, maintaining cached secondary indexes
-        incrementally (treap indexes at O(|delta| log n); flat arrays by
-        a linear merge, never a re-sort), so the new version starts with
-        every cache of its parent already warm."""
+        incrementally at O(|delta| log n), so the new version starts with
+        every treap index of its parent already warm."""
         if not delta:
             return self
         tuples = (self._tuples - delta.removed) | delta.added
         if tuples == self._tuples:
             return self
-        identity = tuple(range(self.arity))
         indexes = {}
-        flats = {}
         for perm, index in self._indexes.items():
             permuted = delta.map_tuples(lambda t, p=perm: _permute(t, p))
             indexes[perm] = (index - permuted.removed) | permuted.added
             stats.bump("relation.index_promotions")
-        for perm, rows in self._flat.items():
-            # promoting a huge edit through a linear merge would cost
-            # more than a lazy rebuild; drop the cache instead
-            if len(delta) * 4 > len(rows) + 16:
-                continue
-            if perm == identity:
-                added = sorted(delta.added)
-                removed = set(delta.removed)
-            else:
-                added = sorted(_permute(t, perm) for t in delta.added)
-                removed = {_permute(t, perm) for t in delta.removed}
-            flats[perm] = _merge_sorted(rows, added, removed)
-            stats.bump("relation.flat_promotions")
         # a columnar layout cannot be merged cheaply; the superseded
         # version drops its own (a later read of it re-encodes), so
         # reads between writes leave no layout per write behind
         self._columnar = {}
-        return Relation(self.arity, tuples, indexes, flats)
+        return Relation(self.arity, tuples, indexes)
 
     def diff(self, new):
         """The :class:`Delta` turning this version into ``new``.
@@ -280,8 +239,8 @@ class Relation:
     def union(self, other):
         """Set union of two same-arity relations.
 
-        Routed through :meth:`apply` so the receiver's warm indexes and
-        arrays are promoted into the result instead of starting cold;
+        Routed through :meth:`apply` so the receiver's warm indexes are
+        promoted into the result instead of starting cold;
         a no-op union returns ``self`` unchanged."""
         if not other:
             return self
@@ -326,56 +285,30 @@ class Relation:
             stats.bump("relation.index_hits")
         return index._root
 
-    def flat(self, perm):
-        """Sorted list of tuples permuted by ``perm`` (cached).
-
-        The array backend for trie iterators: bisect-based seeks are
-        several times faster than treap descents in CPython.  Only
-        worth materializing for relations that will be scanned a lot
-        (the evaluator requests it for full, non-incremental runs).
-        """
-        perm = tuple(perm)
-        cached = self._flat.get(perm)
-        if cached is None:
-            stats.bump("relation.flat_misses")
-            cached = self._flat[perm] = self._sorted_rows(perm)
-        else:
-            stats.bump("relation.flat_hits")
-        return cached
-
     def _sorted_rows(self, perm):
         if perm == tuple(range(self.arity)):
             return list(self._tuples)
         return sorted(_permute(t, perm) for t in self._tuples)
 
-    def has_flat(self, perm):
-        """True when the array backend is already materialized."""
-        return tuple(perm) in self._flat
-
     def prefix_count(self, perm, prefix):
         """Number of tuples, permuted by ``perm``, that start with
-        ``prefix``: a bisect on a warm flat array, else a rank query on
-        the treap of that permutation (the primary store for the
-        identity, else the secondary index a pure scan would build)."""
+        ``prefix``: a rank query on the treap of that permutation (the
+        primary store for the identity, else the secondary index a pure
+        scan would build)."""
         perm = tuple(perm)
         prefix = tuple(prefix)
         if not prefix:
             return len(self)
         upper = prefix + (TOP,)
-        rows = self._flat.get(perm)
-        if rows is not None:
-            return bisect_left(rows, upper) - bisect_left(rows, prefix)
         root = self.index_root(perm)
         return treap.rank(root, upper) - treap.rank(root, prefix)
 
     def columnar(self, perm):
         """Column-encoded layout of the tuples permuted by ``perm``
-        (cached per version, like :meth:`flat`).
+        (cached per version, never promoted by :meth:`apply`).
 
-        Encodes from the flat array when one is already warm, else from
-        a sort it does not keep: a kept flat array would be merged into
-        every later version by :meth:`apply`, so one columnar read would
-        tax every write after it.
+        Encodes from a sort of the tuples it does not keep, so one
+        columnar read taxes no write after it.
 
         Raises :class:`~repro.storage.columnar.ColumnarUnsupported`
         when the values do not dictionary-encode (or numpy is absent);
@@ -387,11 +320,8 @@ class Relation:
         cached = self._columnar.get(perm)
         if cached is None:
             stats.bump("relation.columnar_misses")
-            rows = self._flat.get(perm)
-            if rows is None:
-                rows = self._sorted_rows(perm)
             try:
-                cached = ColumnarLayout(rows, self.arity)
+                cached = ColumnarLayout(self._sorted_rows(perm), self.arity)
             except ColumnarUnsupported as exc:
                 cached = exc
             self._columnar[perm] = cached

@@ -312,14 +312,6 @@ class TestVersionLifetime:
     """A columnar read leaves nothing that a later write must carry or
     that outlives the version it encodes."""
 
-    def test_columnar_read_then_write_promotes_no_flat(self):
-        relation = Relation.from_iter(2, random_edges(61, 200, 40))
-        plan = build_plan(list(TRIANGLE), output_vars=("a", "b", "c"))
-        list(make_join(plan, {"E": relation}, backend="columnar").run())
-        before = global_stats.snapshot()
-        relation.insert((1000, 1001))
-        assert not global_stats.delta_since(before).get("relation.flat_promotions")
-
     def test_a_write_drops_the_superseded_setup(self):
         columnar._SETUP_CACHE.clear()
         relation = Relation.from_iter(2, random_edges(63, 200, 40))

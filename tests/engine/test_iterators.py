@@ -1,9 +1,8 @@
-"""Tests for trie iterators: treap and array backends, virtual iterators."""
+"""Tests for the treap trie iterator and the virtual iterators."""
 
 import pytest
 
 from repro.engine.iterators import (
-    ArrayTrieIterator,
     RangeIterator,
     SingletonIterator,
     TreapTrieIterator,
@@ -14,20 +13,23 @@ from repro.storage.relation import Relation
 TUPLES = [(1, 3, 4), (1, 3, 5), (1, 4, 6), (1, 4, 8), (1, 4, 9), (1, 5, 2), (3, 5, 2)]
 
 
-def backends():
+def iterator(version):
+    """A trie iterator over ``TUPLES``: version 0 is loaded whole,
+    version 1 is reached from another relation by a delta, as a commit
+    reaches it."""
     relation = Relation.from_iter(3, TUPLES)
-    return [
-        TreapTrieIterator(relation.index_root((0, 1, 2)), 3),
-        ArrayTrieIterator(relation.flat((0, 1, 2)), 3),
-    ]
+    if version == 1:
+        other = Relation.from_iter(3, TUPLES[::2] + [(2, 0, 0), (9, 9, 9)])
+        relation = other.apply(other.diff(relation))
+    return TreapTrieIterator(relation.index_root((0, 1, 2)), 3)
 
 
-@pytest.mark.parametrize("backend_index", [0, 1])
+@pytest.mark.parametrize("version", [0, 1])
 class TestTrieNavigation:
     """The paper's Figure 4 trie, navigated level by level."""
 
-    def test_first_level(self, backend_index):
-        it = backends()[backend_index]
+    def test_first_level(self, version):
+        it = iterator(version)
         it.open()
         assert it.key() == 1
         it.next()
@@ -35,8 +37,8 @@ class TestTrieNavigation:
         it.next()
         assert it.at_end()
 
-    def test_open_descends_to_children(self, backend_index):
-        it = backends()[backend_index]
+    def test_open_descends_to_children(self, version):
+        it = iterator(version)
         it.open()  # 1
         it.open()  # 3
         assert it.key() == 3
@@ -47,8 +49,8 @@ class TestTrieNavigation:
         it.next()
         assert it.at_end()
 
-    def test_up_restores_parent(self, backend_index):
-        it = backends()[backend_index]
+    def test_up_restores_parent(self, version):
+        it = iterator(version)
         it.open()
         it.open()
         it.next()  # at (1, 4)
@@ -61,8 +63,8 @@ class TestTrieNavigation:
         it.next()
         assert it.key() == 5
 
-    def test_seek_within_level(self, backend_index):
-        it = backends()[backend_index]
+    def test_seek_within_level(self, version):
+        it = iterator(version)
         it.open()
         it.open()  # level 2 of prefix (1,): 3, 4, 5
         it.seek(4)
@@ -70,8 +72,8 @@ class TestTrieNavigation:
         it.seek(9)
         assert it.at_end()
 
-    def test_full_enumeration(self, backend_index):
-        it = backends()[backend_index]
+    def test_full_enumeration(self, version):
+        it = iterator(version)
         seen = []
 
         def walk(depth):
@@ -87,8 +89,8 @@ class TestTrieNavigation:
         walk(0)
         assert seen == TUPLES
 
-    def test_context(self, backend_index):
-        it = backends()[backend_index]
+    def test_context(self, version):
+        it = iterator(version)
         it.open()
         assert it.context() == ()
         it.open()
@@ -129,14 +131,6 @@ class TestPermutedIterators:
         assert it.key() == 1
         it.next()
         assert it.key() == 3
-
-    def test_prefer_array(self):
-        relation = Relation.from_iter(2, [(1, 2)])
-        it = trie_iterator(relation, (0, 1), prefer_array=True)
-        assert isinstance(it, ArrayTrieIterator)
-        # once cached, the array backend is reused automatically
-        it2 = trie_iterator(relation, (0, 1))
-        assert isinstance(it2, ArrayTrieIterator)
 
 
 class TestVirtualIterators:

@@ -12,7 +12,7 @@ from repro.engine.evaluator import Evaluator, RuleSet
 from repro.engine.ir import PredAtom, Var
 from repro.engine.rules import Rule
 from repro.runtime.workspace import Workspace
-from repro.storage.relation import Delta, Relation
+from repro.storage.relation import Relation
 
 
 def chain_rule():
@@ -156,15 +156,3 @@ def test_rebranching_unchanged_relation_keeps_indexes_warm():
     assert bumped.get("relation.index_misses", 0) == 0
     assert bumped.get("relation.columnar_misses", 0) == 0
 
-
-def test_delta_application_promotes_flat_arrays():
-    relation = Relation.from_iter(2, [(i, i % 7) for i in range(128)])
-    relation.flat((1, 0))  # materialize the array backend
-    before = global_stats.snapshot()
-    updated = relation.apply(Delta.from_iters([(999, 0)], [(0, 0)]))
-    assert updated.has_flat((1, 0))
-    bumped = global_stats.delta_since(before)
-    assert bumped.get("relation.flat_promotions", 0) >= 1
-    assert updated.flat((1, 0)) == sorted(
-        (b, a) for a, b in updated
-    )

@@ -21,8 +21,10 @@ from repro import (
     UnknownPredicate,
     Workspace,
 )
+from repro.engine.columnar import make_join
 from repro.engine.evaluator import Evaluator
 from repro.engine.ivm import IncrementalEngine
+from repro.engine.lftj import LeapfrogTrieJoin
 from repro.obs import explain_query
 from repro.runtime.workspace import evaluate_query
 from repro.txn.repair import PreparedTransaction
@@ -465,18 +467,23 @@ class TestKeywordOnlyConstructors:
     @pytest.mark.parametrize(
         "target, keywords",
         [
-            (Evaluator, {"order_chooser", "prefer_array", "backend"}),
+            (Evaluator, {"order_chooser", "backend"}),
             (IncrementalEngine, {"track_sensitivity", "backend"}),
             (PreparedTransaction, set()),
             (evaluate_query, set()),
             (explain_query, {"sample_size", "max_candidates"}),
+            (LeapfrogTrieJoin, {"stats"}),
+            (make_join, {"stats", "backend"}),
         ],
         ids=["evaluator", "incremental_engine", "prepared_transaction",
-             "evaluate_query", "explain_query"],
+             "evaluate_query", "explain_query", "leapfrog_trie_join",
+             "make_join"],
     )
     def test_engine_keyword_sets(self, target, keywords):
         # a query's backend comes from the state's program and plans from
-        # each rule's memo: nothing here threads a cache or backend through
+        # each rule's memo: nothing here threads a cache or backend
+        # through, and every join reads relations through treap iterators
+        # (no caller picks a storage representation)
         params = inspect.signature(target).parameters.values()
         assert {p.name for p in params if p.kind is p.KEYWORD_ONLY} == keywords
 

@@ -134,13 +134,6 @@ class TestSecondaryIndexes:
         assert (100, 0) not in keys
         assert len(keys) == 50
 
-    def test_flat_cache(self):
-        r = Relation.from_iter(2, [(2, "a"), (1, "b")])
-        flat = r.flat((0, 1))
-        assert flat == [(1, "b"), (2, "a")]
-        assert r.has_flat((0, 1))
-        assert r.flat((1, 0)) == [("a", 2), ("b", 1)]
-
 
 @settings(max_examples=60, deadline=None)
 @given(
