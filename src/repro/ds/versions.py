@@ -7,8 +7,11 @@ creating a branch is allocating one small object holding a reference to
 the shared state (paper §1.1 T4: "each transaction starts by branching a
 version of the database in O(1) time").
 
-The graph may be an arbitrary DAG: merges record both parents, and any
-past version can be branched again (time travel).  Aborting a branch is
+The graph may be an arbitrary DAG: merges record both parents.  The DAG
+is recorded as ids (``parent_ids``), not references, so a version never
+keeps its ancestors alive: a superseded state is freed as soon as no
+head, snapshot, pending transaction or caller holds it.  Time travel
+branches any version a caller still holds.  Aborting a branch is
 dropping the reference; there is no undo log.
 """
 
@@ -32,12 +35,12 @@ def ensure_version_counter(minimum):
 class Version:
     """One immutable snapshot in the version DAG."""
 
-    __slots__ = ("id", "state", "parents", "label")
+    __slots__ = ("id", "state", "parent_ids", "label")
 
-    def __init__(self, state, parents=(), label=None):
+    def __init__(self, state, parent_ids=(), label=None):
         self.id = next(_version_counter)
         self.state = state
-        self.parents = tuple(parents)
+        self.parent_ids = tuple(parent_ids)
         self.label = label
 
     @classmethod
@@ -46,38 +49,26 @@ class Version:
 
         A checkpoint persists branch heads only, so a restored head has
         no parents: time-traveling to a version committed before the
-        checkpoint requires the original process.
+        checkpoint requires a caller of the original process to hold it.
         """
         version = cls.__new__(cls)
         version.id = vid
         version.state = state
-        version.parents = ()
+        version.parent_ids = ()
         version.label = None
         return version
 
     def branch(self, label=None):
         """O(1): a child version sharing this version's state."""
-        return Version(self.state, parents=(self,), label=label)
+        return Version(self.state, parent_ids=(self.id,), label=label)
 
     def commit(self, new_state, label=None):
         """A child version carrying updated state."""
-        return Version(new_state, parents=(self,), label=label)
+        return Version(new_state, parent_ids=(self.id,), label=label)
 
     def merge(self, other, merged_state, label=None):
         """A version with two parents (workbook merge, repair commit)."""
-        return Version(merged_state, parents=(self, other), label=label)
-
-    def ancestors(self):
-        """Iterate all ancestor versions (self included), deduplicated."""
-        seen = set()
-        stack = [self]
-        while stack:
-            version = stack.pop()
-            if version.id in seen:
-                continue
-            seen.add(version.id)
-            yield version
-            stack.extend(version.parents)
+        return Version(merged_state, parent_ids=(self.id, other.id), label=label)
 
     def __repr__(self):
         tag = self.label or "v{}".format(self.id)
@@ -88,10 +79,13 @@ class VersionGraph:
     """Named heads over a version DAG (the branch namespace).
 
     Mirrors the paper's workbook/branch facility: named branches that
-    can be created, advanced, merged, and deleted; deleting a branch is
-    dropping its head reference (garbage collection reclaims unshared
-    structure automatically — Python's GC plays the role of the paper's
-    internal persistence framework).
+    can be created, advanced, merged, and deleted.  The graph holds its
+    heads only; versions name their parents by id.  Advancing a branch
+    or deleting it drops a head reference, and the unshared structure of
+    a state nobody else holds is reclaimed automatically —
+    Python's memory management plays the role of the paper's internal
+    persistence framework.  :meth:`branch_version` time-travels to any
+    version a caller holds.
     """
 
     def __init__(self, initial_state, root_name="main"):
@@ -127,7 +121,7 @@ class VersionGraph:
         return self._heads[new_name]
 
     def branch_version(self, version, new_name):
-        """Branch directly from any past version (time travel)."""
+        """Branch directly from a past version the caller holds (time travel)."""
         if new_name in self._heads:
             raise ValueError("branch exists: {}".format(new_name))
         self._heads[new_name] = version.branch(label=new_name)

@@ -40,9 +40,12 @@ seek/next counting in the executors stays off (their ``stats`` dicts
 are simply not requested).  ``REPRO_TRACE=1`` force-enables tracing
 process-wide; finished root spans then land in a bounded per-thread
 ring buffer (:func:`last_roots`) so long test runs cannot accumulate
-unbounded trace state.
+unbounded trace state.  Forced tracing also installs one ``gc.callbacks``
+hook counting the cyclic garbage collector's runs and wall time
+(``runtime.gc_*``), which no span would show.
 """
 
+import gc
 import itertools
 import json
 import os
@@ -153,16 +156,17 @@ class Span:
 
 
 def enable():
-    """Force-enable tracing process-wide (the ``REPRO_TRACE=1`` path)."""
-    global _forced
-    _forced = True
+    """Force-enable tracing process-wide (the ``REPRO_TRACE=1`` path).
+
+    Forced tracing also counts the cyclic garbage collector's work:
+    see :func:`_count_gc`."""
+    _set_forced(True)
 
 
 def disable():
     """Undo :func:`enable` (collectors installed by :func:`Profile`
     keep tracing their own thread regardless)."""
-    global _forced
-    _forced = False
+    _set_forced(False)
 
 
 def _set_forced(value):
@@ -171,6 +175,42 @@ def _set_forced(value):
     attribute, not this module's global)."""
     global _forced
     _forced = bool(value)
+    _hook_gc(_forced)
+
+
+_gc_started = [0.0]
+_gc_hook_lock = threading.Lock()
+
+
+def _count_gc(phase, info):
+    """The ``gc.callbacks`` hook of forced tracing: counts collections
+    (``runtime.gc_collections``, ``runtime.gc_full_collections`` for
+    generation 2) and adds their wall time to ``runtime.gc_ms``.
+
+    A collection starts inside whatever allocation triggered it, on any
+    thread, so the hook opens no span and takes no lock: it only updates
+    global counters."""
+    if phase == "start":
+        _gc_started[0] = time.perf_counter()
+        return
+    started, _gc_started[0] = _gc_started[0], 0.0
+    if started:  # else the hook was installed mid-collection
+        stats.bump_unlocked("runtime.gc_ms", (time.perf_counter() - started) * 1e3)
+    stats.bump_unlocked("runtime.gc_collections", 1)
+    if info["generation"] == 2:
+        stats.bump_unlocked("runtime.gc_full_collections", 1)
+
+
+def _hook_gc(on):
+    """Install (``on``) or remove the one :func:`_count_gc` hook."""
+    with _gc_hook_lock:
+        if on and _count_gc not in gc.callbacks:
+            gc.callbacks.append(_count_gc)
+        elif not on and _count_gc in gc.callbacks:
+            gc.callbacks.remove(_count_gc)
+
+
+_hook_gc(_forced)
 
 
 def tracing():

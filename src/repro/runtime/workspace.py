@@ -13,9 +13,13 @@ The transaction types of the paper:
 * **addblock / removeblock** — live programming: install or remove
   named blocks of logic; only derived predicates affected by the change
   are re-materialized, everything else is reused (§3.3);
-* **branch / delete-branch** — O(1) branches over persistent state.
+* **branch / delete-branch** — O(1) branches over persistent state;
+  a past version can be branched again (time travel) while a caller
+  holds it.
 
 Aborting is simply not advancing the head: there is no undo log (T4).
+A version names its parents by id and keeps none of them alive, so a
+state no head, snapshot or caller holds is freed when it is superseded.
 """
 
 import contextlib
@@ -158,7 +162,10 @@ class Workspace:
         return self._graph.head(self.branch).state
 
     def version(self):
-        """The current branch head version object."""
+        """The current branch head version object.
+
+        Holding it is what keeps its state for time travel: the head
+        that supersedes it records only its id."""
         return self._graph.head(self.branch)
 
     def relation(self, name):

@@ -69,6 +69,15 @@ def bump(key, amount=1):
         _counters[key] = _counters.get(key, 0) + amount
 
 
+def bump_unlocked(key, amount):
+    """Add ``amount`` to global counter ``key`` without the lock and
+    without the scope sinks.  Only for the garbage-collector hook of
+    :mod:`repro.obs`, which can fire inside any allocation — one made
+    while :func:`bump` holds the lock included.  Nothing else writes its
+    keys and collections never overlap, so no update is lost."""
+    _counters[key] = _counters.get(key, 0) + amount
+
+
 def get(key):
     """Current value of one counter (0 if never bumped)."""
     return _counters.get(key, 0)

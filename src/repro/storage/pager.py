@@ -40,8 +40,9 @@ stored derived predicate is re-derived from base data (only views the
 checkpoint predates, such as constraint violation views, are); the
 program artifacts (compiled blocks) and the program-sized
 meta-materialization are rebuilt, deterministically, from block
-sources.  Each head restores as a version without parents: the
-in-memory version DAG behind it lives only as long as the process.
+sources.  Each head restores as a version without parents (a version
+records its parents by id and holds none of them, so there is no
+in-memory history to rebuild).
 """
 
 import io

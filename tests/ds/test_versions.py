@@ -13,12 +13,12 @@ class TestVersion:
         v1 = Version(state)
         v2 = v1.branch()
         assert v2.state is v1.state
-        assert v2.parents == (v1,)
+        assert v2.parent_ids == (v1.id,)
 
     def test_commit_creates_child(self):
         v1 = Version(PMap.from_dict({1: "a"}))
         v2 = v1.commit(v1.state.set(2, "b"))
-        assert v2.parents == (v1,)
+        assert v2.parent_ids == (v1.id,)
         assert dict(v1.state.items()) == {1: "a"}
         assert dict(v2.state.items()) == {1: "a", 2: "b"}
 
@@ -27,16 +27,8 @@ class TestVersion:
         a = v1.commit(PMap.from_dict({1: 1}))
         b = v1.commit(PMap.from_dict({2: 2}))
         merged = a.merge(b, a.state.update(b.state))
-        assert set(merged.parents) == {a, b}
+        assert merged.parent_ids == (a.id, b.id)
         assert dict(merged.state.items()) == {1: 1, 2: 2}
-
-    def test_ancestors_dag(self):
-        v1 = Version(PMap.EMPTY)
-        a = v1.commit(PMap.EMPTY)
-        b = v1.commit(PMap.EMPTY)
-        merged = a.merge(b, PMap.EMPTY)
-        ids = {v.id for v in merged.ancestors()}
-        assert ids == {v1.id, a.id, b.id, merged.id}
 
     def test_branching_is_fast(self):
         # the paper measures 80k branches/core/sec for a C++ engine;

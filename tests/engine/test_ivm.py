@@ -1,6 +1,7 @@
 """Incremental view maintenance: equivalence with recomputation, cost
 proportionality, and the rule-level short-circuit."""
 
+import gc
 import random
 
 import pytest
@@ -391,6 +392,23 @@ def test_commit_bookkeeping_does_not_grow_with_history():
     assert ws.engine_stats()["ivm.applies"] == 120
     assert "sensitivity.folded" not in ws.engine_stats()
     assert ws.state.materialization.rule_indexes == {}
+
+
+def test_live_objects_track_data_not_commits():
+    """A head does not pin the states it superseded: after 40 and after
+    440 alternating insert/delete commits of one edge, the data is the
+    same, and so (within 5 %) is the number of live gc-tracked objects."""
+    ws = views_workspace()
+
+    def live_after(commits):
+        for commit in range(commits):
+            ws.exec("+E(17, 203)." if commit % 2 == 0 else "-E(17, 203).")
+        gc.collect()
+        return len(gc.get_objects())
+
+    warm = live_after(40)
+    later = live_after(400)
+    assert later <= 1.05 * warm, (warm, later)
 
 
 def test_views_graph_stores_only_multi_derivation_counts():

@@ -1,7 +1,9 @@
 """The tracing layer itself: spans, scopes, exporters, overhead."""
 
+import gc
 import io
 import json
+import sys
 import threading
 
 import pytest
@@ -109,6 +111,91 @@ class TestForcedMode:
             assert len(obs.last_roots()) <= obs._AMBIENT_LIMIT
         finally:
             obs._set_forced(was_forced)
+
+    def test_enable_counts_garbage_collections(self):
+        """Forced tracing hooks the cyclic GC once: a forced full
+        collection bumps both collection counters and adds its time;
+        :func:`obs.disable` removes the hook."""
+        was_forced = obs._forced
+        obs.enable()
+        try:
+            obs.enable()
+            assert gc.callbacks.count(obs.core._count_gc) == 1
+            before = global_stats.snapshot()
+            gc.collect()
+            counted = global_stats.delta_since(before)
+            assert counted["runtime.gc_collections"] == 1
+            assert counted["runtime.gc_full_collections"] == 1
+            assert counted["runtime.gc_ms"] > 0
+            obs.disable()
+            assert obs.core._count_gc not in gc.callbacks
+            before = global_stats.snapshot()
+            gc.collect()
+            assert "runtime.gc_collections" not in global_stats.delta_since(before)
+        finally:
+            obs._set_forced(was_forced)
+
+    def test_gc_hook_takes_no_lock(self, monkeypatch):
+        """A collection can start inside :func:`stats.bump`'s locked
+        region; the hook, run there, must still return."""
+        monkeypatch.setattr(global_stats, "_lock", threading.Lock())
+
+        def collect_while_locked():
+            with global_stats._lock:
+                obs.core._count_gc("start", {"generation": 0})
+                obs.core._count_gc("stop", {"generation": 0})
+
+        thread = threading.Thread(target=collect_while_locked, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_gc_counting_under_concurrent_bumps(self):
+        """Four threads bumping under a scope while making cyclic
+        garbage: every collection, whichever thread ran it, is counted
+        once (the interpreter's own count is the reference)."""
+        errors = []
+
+        def work():
+            try:
+                with global_stats.scope():
+                    for _ in range(20000):
+                        global_stats.bump("obs_test.gc_stress")
+                        cycle = []
+                        cycle.append(cycle)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        def counts():
+            gc.disable()  # no collection between the two readings
+            try:
+                return (sum(gen["collections"] for gen in gc.get_stats()),
+                        global_stats.snapshot())
+            finally:
+                gc.enable()
+
+        was_forced = obs._forced
+        interval = sys.getswitchinterval()
+        obs.enable()
+        sys.setswitchinterval(1e-5)
+        try:
+            collections, before = counts()
+            threads = [threading.Thread(target=work, daemon=True) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            collections_after, after = counts()
+        finally:
+            sys.setswitchinterval(interval)
+            obs._set_forced(was_forced)
+        assert not errors
+        counted = {key: after.get(key, 0) - before.get(key, 0)
+                   for key in ("runtime.gc_collections", "obs_test.gc_stress")}
+        assert counted == {"runtime.gc_collections": collections_after - collections,
+                           "obs_test.gc_stress": 4 * 20000}
+        assert collections_after > collections
 
 
 class TestThreadIsolation:

@@ -137,7 +137,7 @@ class TestRoundTrip:
         for name in retail.branches():
             head, head2 = retail._graph.head(name), ws2._graph.head(name)
             assert head2.id == head.id
-            assert head2.parents == ()
+            assert head2.parent_ids == ()
 
     def test_new_versions_do_not_collide(self, retail, tmp_path):
         ws2 = reopened(retail, tmp_path)
