@@ -9,6 +9,8 @@ Three artifacts, all in ``BENCH_net.json``:
   ratio (the wire tax on the write path).
 * **query latency** — p50/p99 of a point query over TCP vs in-process
   (per-request framing + loopback round trip vs a function call).
+* **ping latency** — p50/p99 of a ``ping``, which does no work: over
+  TCP it is the request path alone (codec, socket, server thread).
 * **replica sync** — records fetched by a cold sync of an N-tuple
   workspace vs by a delta sync after a one-tuple change; structural
   sharing should make the delta O(log n), and the gate below asserts
@@ -112,8 +114,9 @@ def test_commit_throughput(benchmark, transport):
     benchmark.extra_info.update(**extra)
 
 
-def run_query_latency(transport):
-    """Point-query latencies; returns (p50, p99) seconds."""
+def run_query_latency(transport, verb="query"):
+    """Latencies of a point query (or a ``ping``) per transport;
+    returns the p50 and p99 in microseconds."""
     service = TransactionService()
     server = service.serve() if transport == "tcp" else None
     try:
@@ -126,9 +129,11 @@ def run_query_latency(transport):
         latencies = []
         for _ in range(QUERY_REPS):
             started = time.perf_counter()
-            rows = session.query("_(x) <- p(x), x = 7.")
+            if verb == "ping":
+                session.ping()
+            else:
+                assert session.query("_(x) <- p(x), x = 7.") == [(7,)]
             latencies.append(time.perf_counter() - started)
-            assert rows == [(7,)]
         session.close()
         latencies.sort()
         return {
@@ -149,6 +154,17 @@ def test_query_latency(benchmark, transport):
         transport=transport,
         query_p50_us=round(outcome["p50_us"], 1),
         query_p99_us=round(outcome["p99_us"], 1),
+    )
+
+
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+def test_ping_latency(benchmark, transport):
+    outcome = pedantic(
+        benchmark, run_query_latency, transport, "ping", rounds=2)
+    benchmark.extra_info.update(
+        transport=transport,
+        ping_p50_us=round(outcome["p50_us"], 1),
+        ping_p99_us=round(outcome["p99_us"], 1),
     )
 
 

@@ -7,9 +7,9 @@ The network layer has five pieces, one module each:
   (the same deterministic encoding checkpoints use), and server-side
   failures travel as *typed error frames* that reconstruct the exact
   :class:`~repro.runtime.errors.ReproError` subclass client-side.
-* :mod:`repro.net.server` — an asyncio TCP server fronting a
-  :class:`~repro.service.TransactionService`: per-connection sessions,
-  request pipelining with per-connection bounds, chunked streaming of
+* :mod:`repro.net.server` — a TCP server fronting a
+  :class:`~repro.service.TransactionService`: one thread per
+  connection serving its requests in order, chunked streaming of
   large query results, and graceful drain on SIGTERM.  Run one with
   ``python -m repro.net.server --checkpoint-path DIR``.
 * :mod:`repro.net.client` — the blocking client:

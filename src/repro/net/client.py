@@ -242,7 +242,7 @@ class NetSession(VerbSurface):
             try:
                 if self._sock is None:
                     self._connect()
-                outcome = self._roundtrip(spec, args)
+                outcome = self._roundtrip(spec, args, span_)
                 if span_ is not None:
                     span_.attrs["attempts"] = attempt
                 return outcome
@@ -260,15 +260,21 @@ class NetSession(VerbSurface):
                 _stats.bump("net.client.reconnects")
                 self._backoff(attempt)
 
-    def _roundtrip(self, spec, args):
+    def _roundtrip(self, spec, args, span_):
+        """Send one request and collect its reply.  A traced call's
+        span gets ``encode_us`` (the request frame) and ``wait_us``
+        (writing it until the reply is decoded)."""
         rid = next(self._ids)
         request = {"id": rid, "op": spec.op, "args": args}
         if self._server_trace:
             ctx = _obs.trace_context()
             if ctx is not None:
                 request["trace_ctx"] = ctx
-        self._send_raw(encode_frame(
-            F_REQUEST, request, max_frame_bytes=self.max_frame_bytes))
+        started = time.perf_counter()
+        data = encode_frame(
+            F_REQUEST, request, max_frame_bytes=self.max_frame_bytes)
+        sent = time.perf_counter()
+        self._send_raw(data)
         _stats.bump("net.client.requests")
         rows = []
         while True:
@@ -277,6 +283,9 @@ class NetSession(VerbSurface):
                 rows.extend(payload.get("rows") or ())
                 continue
             if ftype == F_RESPONSE and payload.get("id") == rid:
+                if span_ is not None:
+                    span_.attrs["encode_us"] = (sent - started) * 1e6
+                    span_.attrs["wait_us"] = (time.perf_counter() - sent) * 1e6
                 trace = payload.get("trace")
                 if trace is not None:
                     # stitch the server's span tree under our net.call

@@ -4,24 +4,23 @@
 :mod:`repro.net.protocol`, turning the in-process
 :class:`~repro.service.TransactionService` into a database *server*:
 
-* **Per-connection sessions** — each accepted connection handshakes
-  (HELLO exchange, which also hands the client the service's
-  retry/backoff policy) and then submits pipelined requests; responses
-  carry request ids and may complete out of order, so one connection
-  can have many transactions in flight.
-* **Blocking verbs off the loop** — the event loop never runs LogiQL.
-  Requests dispatch to a thread pool where the service's verbs execute
-  (and where their ``obs`` spans are recorded, thread-locally and
-  therefore correctly); the loop only frames bytes.
-* **Backpressure, twice** — per-connection in-flight requests are
-  bounded by a semaphore: past the bound the server simply stops
-  reading that socket, pushing back through TCP.  Past that, the
-  service's own :class:`AdmissionController` sheds load with typed
-  ``Overloaded`` frames carrying a retry-after hint.  Writes go through
-  ``drain()`` so a slow reader stalls its own responses, not the server.
+* **One thread per connection** — an accept thread hands every
+  accepted socket to a thread of its own, which handshakes (HELLO
+  exchange, which also hands the client the service's retry/backoff
+  policy), then reads a request, runs its verb inline and writes the
+  reply.  A version is immutable, so serving a request needs no lock
+  and no coordinator: it crosses no thread from socket to reply, and
+  its ``obs`` spans are recorded on that one thread.
+* **Backpressure through TCP** — a connection serves its requests in
+  order, one at a time; requests a client pipelines wait in the
+  socket, so a fast writer fills its own TCP window, not the server.
+  Past that, the service's :class:`AdmissionController` sheds load
+  with typed ``Overloaded`` frames carrying a retry-after hint, and
+  connections past ``net_max_connections`` are refused the same way.
 * **Streaming results** — query answers larger than
-  ``net_chunk_rows`` stream as bounded CHUNK frames, so a million-row
-  answer never materializes as one frame on either side.
+  ``net_chunk_rows`` stream as bounded CHUNK frames, written one by
+  one, so a million-row answer never materializes as one frame on
+  either side.
 * **Graceful drain** — ``stop()`` (wired to SIGTERM in the CLI) stops
   accepting, sends GOODBYE to every connection, lets in-flight requests
   finish within the drain budget, then closes.
@@ -40,14 +39,13 @@ runs a standalone leader.
 """
 
 import argparse
-import asyncio
-import concurrent.futures
 import contextlib
-import os
 import signal
+import socket
 import struct
 import sys
 import threading
+import time
 
 from repro import obs as _obs
 from repro import stats as _stats
@@ -75,28 +73,32 @@ _HANDSHAKE_TIMEOUT_S = 10.0
 
 
 class _Conn:
-    """Per-connection state: transport, pipelining bound, in-flight tasks."""
+    """One accepted connection: its socket, a buffered reader over it,
+    and the lock that keeps reply frames and the drain's GOODBYE from
+    interleaving."""
 
-    __slots__ = ("reader", "writer", "write_lock", "sem", "tasks", "peer",
-                 "alive")
+    __slots__ = ("sock", "rfile", "write_lock", "thread")
 
-    def __init__(self, reader, writer, inflight_bound):
-        self.reader = reader
-        self.writer = writer
-        self.write_lock = asyncio.Lock()
-        self.sem = asyncio.Semaphore(inflight_bound)
-        self.tasks = set()
-        self.peer = writer.get_extra_info("peername")
-        self.alive = True
+    def __init__(self, sock):
+        self.sock = sock
+        self.rfile = sock.makefile("rb", buffering=65536)
+        self.write_lock = threading.Lock()
+        self.thread = None
+
+    def abort(self):
+        """Cut the connection from any thread: a thread blocked reading
+        or writing it wakes with EOF or an error, and closes it."""
+        with contextlib.suppress(OSError):
+            self.sock.shutdown(socket.SHUT_RDWR)
 
 
 class ReproServer:
-    """Asyncio TCP server fronting one :class:`TransactionService`.
+    """Threaded TCP server fronting one :class:`TransactionService`.
 
-    The event loop runs in a dedicated thread (``start()`` /
-    ``stop()``), so the server embeds in tests and REPLs as easily as
-    it runs standalone.  ``address`` holds the bound ``(host, port)``
-    after start — pass ``port=0`` to let the OS pick.
+    ``start()`` binds the listening socket and starts the accept
+    thread, so the server embeds in tests and REPLs as easily as it
+    runs standalone; ``stop()`` drains it.  ``address`` holds the bound
+    ``(host, port)`` after start — pass ``port=0`` to let the OS pick.
 
     The service it fronts supplies ``config``, ``faults``, ``role``,
     ``commit_watermark``, ``shard_identity()``, ``read_only_error(op)``
@@ -115,95 +117,77 @@ class ReproServer:
         cfg = service.config
         self.chunk_rows = cfg.net_chunk_rows
         self.max_connections = cfg.net_max_connections
-        self.inflight_per_conn = cfg.net_inflight_per_conn
         self.max_frame_bytes = cfg.net_max_frame_bytes
         self.address = None
-        self._loop = None
+        self._listener = None
         self._thread = None
-        self._server = None
+        # guards _conns, _inflight and the gauges that publish them
+        self._lock = threading.Lock()
         self._conns = set()
-        self._draining = False
         self._inflight = 0
-        self._started = threading.Event()
-        self._startup_error = None
-        self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(32, (os.cpu_count() or 4) * 4),
-            thread_name_prefix="repro-net",
-        )
-        # watch long-polls park a thread for seconds at a time; they get
-        # their own (lazily grown) pool so a fleet of heartbeating
-        # replicas never starves the verb executor
-        self._executors = {"watch": concurrent.futures.ThreadPoolExecutor(
-            max_workers=64, thread_name_prefix="repro-net-watch",
-        )}
+        self._draining = False
+        self._owns_sampler = False
         self._sync_store = None
         self._sync_lock = threading.Lock()
 
     # -- lifecycle -------------------------------------------------------------
 
     def start(self):
-        """Start serving on a dedicated event-loop thread; returns self
-        once the listening socket is bound."""
+        """Bind the listening socket and start accepting; returns self."""
         if self._thread is not None:
             raise ReproError("server already started")
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+        try:
+            self._listener = socket.create_server(
+                (self.host, self.port), family=family, backlog=128)
+        except OSError as exc:
+            raise ReproError("could not bind {}:{}: {}".format(
+                self.host, self.port, exc)) from None
+        self.address = self._listener.getsockname()[:2]
+        # publish the kernel-chosen port when bound with port=0
+        self.host, self.port = self.address
         cfg = self.service.config
         if cfg.telemetry_interval_s > 0:
             _obs.start_sampler(cfg.telemetry_interval_s,
                                capacity=cfg.telemetry_ring)
             self._owns_sampler = True
         self._thread = threading.Thread(
-            target=self._run, name="repro-net-server", daemon=True)
+            target=self._accept_loop, name="repro-net-accept", daemon=True)
         self._thread.start()
-        self._started.wait()
-        if self._startup_error is not None:
-            raise self._startup_error
         return self
-
-    def _run(self):
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self._start_async())
-        except Exception as exc:
-            self._startup_error = ReproError(
-                "could not bind {}:{}: {}".format(self.host, self.port, exc))
-            self._started.set()
-            loop.close()
-            return
-        self._started.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-
-    async def _start_async(self):
-        self._server = await asyncio.start_server(
-            self._handle_conn, self.host, self.port)
-        self.address = self._server.sockets[0].getsockname()[:2]
-        # publish the kernel-chosen port when bound with port=0
-        self.host, self.port = self.address
 
     def stop(self, *, drain_s=5.0):
         """Graceful drain from any thread: stop accepting, GOODBYE every
         connection, wait up to ``drain_s`` for in-flight requests, then
         close.  Idempotent."""
-        loop = self._loop
-        if loop is None or not loop.is_running():
-            return
-        future = asyncio.run_coroutine_threadsafe(
-            self._shutdown(drain_s), loop)
-        try:
-            future.result(timeout=drain_s + 10.0)
-        except concurrent.futures.TimeoutError:  # pragma: no cover
-            pass
-        loop.call_soon_threadsafe(loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-        self._executor.shutdown(wait=False)
-        self._executors["watch"].shutdown(wait=False)
-        if getattr(self, "_owns_sampler", False):
+        with self._lock:
+            if self._listener is None or self._draining:
+                return
+            self._draining = True
+        # close() alone does not wake a thread blocked in accept() on
+        # Linux: the endpoint would go on accepting (and refusing)
+        with contextlib.suppress(OSError):
+            self._listener.shutdown(socket.SHUT_RDWR)
+        self._listener.close()
+        self._thread.join(timeout=10.0)
+        goodbye = encode_frame(F_GOODBYE, {"reason": "draining"})
+        with self._lock:
+            conns = list(self._conns)
+        for conn in conns:
+            with conn.write_lock, contextlib.suppress(OSError):
+                conn.sock.sendall(goodbye)
+        deadline = time.monotonic() + drain_s
+        while self._inflight and time.monotonic() < deadline:
+            time.sleep(0.02)
+        with self._lock:
+            conns = list(self._conns)
+        for conn in conns:
+            conn.abort()
+        deadline = time.monotonic() + 1.0
+        for conn in conns:
+            if conn.thread is not threading.current_thread():
+                conn.thread.join(max(0.0, deadline - time.monotonic()))
+        if self._owns_sampler:
             self._owns_sampler = False
             _obs.stop_sampler()
 
@@ -216,72 +200,74 @@ class ReproServer:
         self.stop()
         return False
 
-    async def _shutdown(self, drain_s):
-        if self._draining:
-            return
-        self._draining = True
-        self._server.close()
-        await self._server.wait_closed()
-        goodbye = encode_frame(F_GOODBYE, {"reason": "draining"})
-        for conn in list(self._conns):
-            try:
-                async with conn.write_lock:
-                    conn.writer.write(goodbye)
-                    await conn.writer.drain()
-            except (ConnectionError, RuntimeError):
-                pass
-        deadline = self._loop.time() + drain_s
-        while self._loop.time() < deadline:
-            if not any(conn.tasks for conn in self._conns):
-                break
-            await asyncio.sleep(0.02)
-        for conn in list(self._conns):
-            await self._abort_conn(conn)
-
     # -- connection handling ---------------------------------------------------
 
-    async def _handle_conn(self, reader, writer):
-        if self._draining or len(self._conns) >= self.max_connections:
-            error = Overloaded(
-                "server draining" if self._draining else
-                "server at connection capacity ({})".format(len(self._conns)),
-                depth=len(self._conns),
-                limit=self.max_connections,
-                retry_after_s=self.service.config.backoff_cap_s,
-            )
-            _stats.bump("net.connections_refused")
+    def _accept_loop(self):
+        while True:
             try:
-                writer.write(encode_frame(
-                    F_ERROR, {"id": None, "error": error_to_wire(error)}))
-                await writer.drain()
-            except ConnectionError:
-                pass
-            writer.close()
-            return
-        conn = _Conn(reader, writer, self.inflight_per_conn)
-        self._conns.add(conn)
-        _stats.bump("net.connections_accepted")
-        _stats.gauge("net.connections", len(self._conns))
+                sock, _ = self._listener.accept()
+            except OSError:
+                if self._draining:
+                    return
+                time.sleep(0.01)  # a peer reset before accept, or EMFILE
+                continue
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with self._lock:
+                count = len(self._conns)
+                refused = self._draining or count >= self.max_connections
+                if not refused:
+                    conn = _Conn(sock)
+                    self._conns.add(conn)
+                    _stats.gauge("net.connections", count + 1)
+            if refused:
+                self._refuse(sock, count)
+                continue
+            _stats.bump("net.connections_accepted")
+            conn.thread = threading.Thread(
+                target=self._serve_conn, args=(conn,),
+                name="repro-net-conn", daemon=True)
+            conn.thread.start()
+
+    def _refuse(self, sock, count):
+        error = Overloaded(
+            "server draining" if self._draining else
+            "server at connection capacity ({})".format(count),
+            depth=count,
+            limit=self.max_connections,
+            retry_after_s=self.service.config.backoff_cap_s,
+        )
+        _stats.bump("net.connections_refused")
+        with contextlib.suppress(OSError):
+            sock.sendall(encode_frame(
+                F_ERROR, {"id": None, "error": error_to_wire(error)}))
+        sock.close()
+
+    def _serve_conn(self, conn):
+        """The connection's thread: handshake, then read a request, run
+        it and write its reply, one at a time, until EOF, GOODBYE, a
+        transport fault or the drain."""
         try:
-            if await self._handshake(conn):
-                await self._read_loop(conn)
-        except (asyncio.IncompleteReadError, ConnectionError):
+            if self._handshake(conn):
+                while self._serve_next(conn):
+                    pass
+        except OSError:
             pass
         except ProtocolError as exc:
-            await self._send_error(conn, None, exc)
+            self._send_error(conn, None, exc)
         finally:
-            if conn.tasks:
-                await asyncio.wait(conn.tasks, timeout=5.0)
-            self._conns.discard(conn)
-            _stats.gauge("net.connections", len(self._conns))
-            await self._abort_conn(conn)
+            with self._lock:
+                self._conns.discard(conn)
+                _stats.gauge("net.connections", len(self._conns))
+            conn.rfile.close()
+            conn.sock.close()
 
-    async def _handshake(self, conn):
-        frame = await asyncio.wait_for(
-            self._read_frame(conn), timeout=_HANDSHAKE_TIMEOUT_S)
+    def _handshake(self, conn):
+        conn.sock.settimeout(_HANDSHAKE_TIMEOUT_S)
+        frame = self._read_frame(conn)
+        conn.sock.settimeout(None)
         if frame is None:
             return False
-        ftype, payload = frame
+        (ftype, _), _ = frame
         if ftype != F_HELLO:
             raise ProtocolError(
                 "expected HELLO, got {}".format(ftype))
@@ -311,90 +297,79 @@ class ReproServer:
         identity = self.service.shard_identity()
         if identity is not None:
             reply["shard"] = {"index": identity[0], "count": identity[1]}
-        return await self._send_frames(conn, [(F_HELLO, reply)], op="hello")
+        return self._send_frames(conn, [(F_HELLO, reply)], op="hello")
 
-    async def _read_frame(self, conn):
-        """One frame off the socket, or ``None`` on clean EOF."""
-        try:
-            header = await conn.reader.readexactly(4)
-        except asyncio.IncompleteReadError:
+    def _read_frame(self, conn):
+        """``((ftype, payload), recv_us)`` for the next frame, or
+        ``None`` at EOF (a torn frame included).  ``recv_us`` times the
+        read and decode from the moment the header arrived."""
+        header = conn.rfile.read(4)
+        if len(header) < 4:
             return None
+        started = time.perf_counter()
         (length,) = struct.unpack("<I", header)
         if length > self.max_frame_bytes:
             raise ProtocolError(
                 "incoming frame of {} bytes exceeds the {} byte limit".format(
                     length, self.max_frame_bytes))
-        body = await conn.reader.readexactly(length)
+        body = conn.rfile.read(length)
+        if len(body) < length:
+            return None
         _stats.bump("net.bytes_in", 4 + length)
         _stats.bump("net.frames_in")
-        return decode_frame_body(body)
+        frame = decode_frame_body(body)
+        return frame, (time.perf_counter() - started) * 1e6
 
-    async def _read_loop(self, conn):
-        while conn.alive and not self._draining:
-            frame = await self._read_frame(conn)
-            if frame is None:
-                return
-            ftype, payload = frame
-            op = payload.get("op") if isinstance(payload, dict) else None
-            if self.faults is not None:
-                try:
-                    action = self.faults.fire("net_recv", op)
-                except ReproError as exc:
-                    await self._send_error(
-                        conn,
-                        payload.get("id") if isinstance(payload, dict) else None,
-                        exc)
-                    continue
-                if action == "drop":
-                    _stats.bump("net.faults.recv_dropped")
-                    continue
-                if action == "truncate":
-                    _stats.bump("net.faults.recv_torn")
-                    await self._abort_conn(conn)
-                    return
-            if ftype == F_GOODBYE:
-                return
-            if ftype != F_REQUEST:
-                raise ProtocolError(
-                    "unexpected frame type {} from client".format(ftype))
-            # pipelining bound: block the read loop (and thus the
-            # socket) until a slot frees — backpressure through TCP
-            await conn.sem.acquire()
-            task = self._loop.create_task(self._serve_request(conn, payload))
-            conn.tasks.add(task)
-            task.add_done_callback(
-                lambda t, c=conn: (c.tasks.discard(t), c.sem.release()))
+    def _serve_next(self, conn):
+        """Read one frame and answer it; False once the connection is
+        done."""
+        frame = None if self._draining else self._read_frame(conn)
+        if frame is None or self._draining:
+            return False
+        (ftype, payload), recv_us = frame
+        payload = payload if isinstance(payload, dict) else {}
+        rid, op = payload.get("id"), payload.get("op")
+        if self.faults is not None:
+            try:
+                action = self.faults.fire("net_recv", op)
+            except ReproError as exc:
+                return self._send_error(conn, rid, exc)
+            if action == "drop":
+                _stats.bump("net.faults.recv_dropped")
+                return True
+            if action == "truncate":
+                _stats.bump("net.faults.recv_torn")
+                return False
+        if ftype == F_GOODBYE:
+            return False
+        if ftype != F_REQUEST:
+            raise ProtocolError(
+                "unexpected frame type {} from client".format(ftype))
+        _stats.bump("net.requests")
+        self._count_inflight(1)
+        try:
+            try:
+                frames = self._dispatch(
+                    rid, op, payload.get("args") or {},
+                    payload.get("trace_ctx"), recv_us)
+            except Exception as exc:
+                _stats.bump("net.request_errors")
+                if not isinstance(exc, ReproError):
+                    exc = ReproError("internal server error: {!r}".format(exc))
+                frames = [(F_ERROR, {"id": rid, "error": error_to_wire(exc)})]
+            return self._send_frames(conn, frames, op=op)
+        finally:
+            self._count_inflight(-1)
+
+    def _count_inflight(self, step):
+        with self._lock:
+            self._inflight += step
+            _stats.gauge("net.inflight", self._inflight)
 
     # -- request dispatch ------------------------------------------------------
 
-    async def _serve_request(self, conn, payload):
-        rid = payload.get("id")
-        op = payload.get("op")
-        args = payload.get("args") or {}
-        trace_ctx = payload.get("trace_ctx")
-        _stats.bump("net.requests")
-        self._inflight += 1
-        _stats.gauge("net.inflight", self._inflight)
-        try:
-            try:
-                frames = await self._loop.run_in_executor(
-                    self._executors.get(op, self._executor),
-                    self._dispatch, rid, op, args, trace_ctx)
-            except ReproError as exc:
-                _stats.bump("net.request_errors")
-                frames = [(F_ERROR, {"id": rid, "error": error_to_wire(exc)})]
-            except Exception as exc:
-                _stats.bump("net.request_errors")
-                frames = [(F_ERROR, {"id": rid, "error": error_to_wire(
-                    ReproError("internal server error: {!r}".format(exc)))})]
-            await self._send_frames(conn, frames, op=op)
-        finally:
-            self._inflight -= 1
-            _stats.gauge("net.inflight", self._inflight)
-
-    def _dispatch(self, rid, op, args, trace_ctx=None):
-        """Run one verb on the service (worker thread, blocking) and
-        build the response frames.
+    def _dispatch(self, rid, op, args, trace_ctx=None, recv_us=None):
+        """Run one verb on the service and build the response frames.
 
         When the request carried a ``trace_ctx``, the whole dispatch
         *continues the client's trace*: the ``net.request`` root adopts
@@ -411,6 +386,8 @@ class ReproServer:
                 frames = self._dispatch_op(rid, op, args)
                 if span_ is not None:
                     span_.attrs["frames"] = len(frames)
+                    if recv_us is not None:
+                        span_.attrs["recv_us"] = recv_us
         if traced and span_ is not None:
             self._attach_trace(frames, span_)
         return frames
@@ -464,8 +441,8 @@ class ReproServer:
         return self._stamped(self.service.promote())
 
     def _serve_watch(self, seq=0, timeout_s=None):
-        """The long-poll runs on its own executor, clamped to the
-        configured ceiling so a client cannot park a thread forever."""
+        """The long-poll parks only this connection's thread, clamped
+        to the configured ceiling so a client cannot park it forever."""
         cap = self.service.config.net_watch_cap_s
         status = self.service.watch(
             seq=seq, timeout_s=min(float(timeout_s or cap), cap))
@@ -508,51 +485,51 @@ class ReproServer:
 
     # -- frame writing ---------------------------------------------------------
 
-    async def _send_frames(self, conn, frames, *, op=None):
-        """Write frames under the connection's write lock; returns False
-        when a transport fault (injected or real) killed the connection."""
+    def _send_frames(self, conn, frames, *, op=None):
+        """Write frames one by one under the connection's write lock;
+        returns False when a transport fault (injected or real) killed
+        the connection.
+
+        A traced reply's span tree rides in its RESPONSE frame, so its
+        ``send_us`` is stamped just before that frame is encoded: the
+        frames ahead of it, written, and the RESPONSE encoded without
+        the trace (what an untraced reply encodes), not its write."""
+        started = time.perf_counter()
         try:
-            async with conn.write_lock:
+            with conn.write_lock:
                 for ftype, payload in frames:
                     action = None
                     if self.faults is not None:
                         action = self.faults.fire("net_send", op)
+                    trace = payload.get("trace") if ftype == F_RESPONSE else None
+                    if trace is not None:
+                        untraced = dict(payload)
+                        del untraced["trace"]
+                        encode_frame(ftype, untraced)
+                        trace["attrs"]["send_us"] = (
+                            time.perf_counter() - started) * 1e6
                     data = encode_frame(
                         ftype, payload, max_frame_bytes=self.max_frame_bytes)
                     if action == "drop":
                         _stats.bump("net.faults.send_dropped")
-                        await self._abort_conn(conn)
+                        conn.abort()
                         return False
                     if action == "truncate":
                         _stats.bump("net.faults.send_torn")
-                        conn.writer.write(data[:max(1, len(data) // 2)])
-                        try:
-                            await conn.writer.drain()
-                        except ConnectionError:
-                            pass
-                        await self._abort_conn(conn)
+                        conn.sock.sendall(data[:max(1, len(data) // 2)])
+                        conn.abort()
                         return False
-                    conn.writer.write(data)
+                    conn.sock.sendall(data)
                     _stats.bump("net.bytes_out", len(data))
                     _stats.bump("net.frames_out")
-                await conn.writer.drain()
             return True
-        except (ConnectionError, RuntimeError):
-            await self._abort_conn(conn)
+        except OSError:
+            conn.abort()
             return False
 
-    async def _send_error(self, conn, rid, exc):
-        await self._send_frames(
+    def _send_error(self, conn, rid, exc):
+        return self._send_frames(
             conn, [(F_ERROR, {"id": rid, "error": error_to_wire(exc)})])
-
-    async def _abort_conn(self, conn):
-        if not conn.alive:
-            return
-        conn.alive = False
-        try:
-            conn.writer.close()
-        except (ConnectionError, RuntimeError):  # pragma: no cover
-            pass
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -21,8 +21,10 @@ read/write soak CI runs against a live 1-leader + N-replica fleet.
 With ``--connections N`` the soak additionally opens N idle sessions
 and holds them while the writers hammer: the high-connection-count
 smoke (CI holds 500 against a ``--max-connections`` raised server),
-asserting every held connection still answers afterwards and that
-closing them returns the process to its starting FD count.
+asserting every held connection still answers afterwards, that
+closing them returns the process to its starting FD count, and (over
+``--net``) that the server's ``net.connections`` gauge falls back to
+the admin session alone within 5 s.
 """
 
 import argparse
@@ -46,6 +48,11 @@ def _open_fds():
         return 0
 
 
+def _server_connections(session):
+    """The server's ``net.connections`` gauge, read over the wire."""
+    return session.telemetry(ring_tail=0)["gauges"].get("net.connections", 0)
+
+
 def soak(writers=4, txns=20, items=32, out=sys.stdout, net=None,
          cluster=None, readers=1, connections=0):
     """Run the soak; returns (service stats, commits/sec, drained ok).
@@ -64,7 +71,9 @@ def soak(writers=4, txns=20, items=32, out=sys.stdout, net=None,
     Every held session must still answer a read when the writers
     finish (no connection starved out by the busy ones), and in net
     mode closing them must return the process to its pre-open file
-    descriptor count (no FD leak); either failure fails the soak.
+    descriptor count (no FD leak) and bring the server's
+    ``net.connections`` gauge back to 1 within 5 s (no connection
+    thread leak); any failure fails the soak.
     """
     if cluster is not None:
         from repro.net.cluster import ClusterSession
@@ -194,6 +203,18 @@ def soak(writers=4, txns=20, items=32, out=sys.stdout, net=None,
                     len(held) - dead, dead, probe_s, fds_before, fds_after,
                     " (LEAK)" if leaked else ""), file=out)
             drained = drained and dead == 0 and not leaked
+            if net is not None:
+                # a server connection is a thread: every closed session
+                # must give its thread back (only admin stays connected)
+                open_conns = _server_connections(admin)
+                deadline = time.monotonic() + 5.0
+                while open_conns > 1 and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                    open_conns = _server_connections(admin)
+                print("server connections after close: {}{}".format(
+                    open_conns, " (LEAK)" if open_conns > 1 else ""),
+                    file=out)
+                drained = drained and open_conns <= 1
         return stats, throughput, drained
     finally:
         admin.close()

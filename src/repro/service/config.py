@@ -60,9 +60,6 @@ class ServiceConfig:
       both sides).
     * ``net_max_connections`` — accepted-connection cap; excess
       connections are refused with a typed ``Overloaded`` frame.
-    * ``net_inflight_per_conn`` — pipelining bound: how many requests
-      one connection may have in flight before the server stops
-      reading its socket (backpressure through TCP).
     * ``net_max_frame_bytes`` — hard frame-size limit; an oversized
       frame is a protocol error, not an allocation.
     * ``net_watch_cap_s`` — server-side ceiling on one ``watch``
@@ -115,7 +112,6 @@ class ServiceConfig:
     checkpoint_on_shutdown: bool = True
     net_chunk_rows: int = 512
     net_max_connections: int = 64
-    net_inflight_per_conn: int = 32
     net_max_frame_bytes: int = 16 * 1024 * 1024
     net_watch_cap_s: float = 30.0
     telemetry_interval_s: float = 0.0
@@ -153,8 +149,7 @@ class ServiceConfig:
             raise ValueError(
                 "checkpoint_every_n_commits requires checkpoint_path")
         for knob in ("net_chunk_rows", "net_max_connections",
-                     "net_inflight_per_conn", "net_max_frame_bytes",
-                     "telemetry_ring"):
+                     "net_max_frame_bytes", "telemetry_ring"):
             if getattr(self, knob) < 1:
                 raise ValueError("{} must be >= 1".format(knob))
         if self.telemetry_interval_s < 0:

@@ -729,9 +729,11 @@ class ShardedWorkspace(VerbSurface):
 
     def _corrections_for(self, index, own, incoming):
         """Everything shard ``index`` must learn from its siblings:
-        their replicated-predicate writes (minus deltas identical to
-        its own — one logical write) plus the redistributed rows it now
-        owns.  Returned as ``{pred: (added_set, removed_set)}``."""
+        their replicated-predicate writes plus the redistributed rows
+        it now owns, minus what its own effects already hold (every
+        shard runs the whole write program, so a sibling's row is often
+        one this shard derived itself).  Returned as
+        ``{pred: (added_set, removed_set)}``."""
         partition = self.shard_map.partition
         totals = {}
         mine = own[index]
@@ -750,14 +752,15 @@ class ShardedWorkspace(VerbSurface):
                 raise ShardError(
                     "shards disagree on replicated {}: {} both added "
                     "and removed".format(pred, sorted(conflict)[:3]))
-            own_delta = mine.get(pred)
-            if own_delta is not None:
-                added.difference_update(own_delta.added)
-                removed.difference_update(own_delta.removed)
         for pred, (added, removed) in incoming[index].items():
             tadded, tremoved = totals.setdefault(pred, (set(), set()))
             tadded.update(added)
             tremoved.update(removed)
+        for pred, (added, removed) in totals.items():
+            own_delta = mine.get(pred)
+            if own_delta is not None:
+                added.difference_update(own_delta.added)
+                removed.difference_update(own_delta.removed)
         return {
             pred: pair for pred, pair in totals.items()
             if pair[0] or pair[1]

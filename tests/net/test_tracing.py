@@ -90,6 +90,22 @@ class TestStitchedTraces:
         sids = [s.sid for s in spans]
         assert len(sids) == len(set(sids))
 
+    def test_stitched_trace_times_the_request_path(self, session):
+        with obs.Profile() as prof:
+            session.ping()
+        (root,) = prof.roots
+        assert root.name == "net.call"
+        served = root.find("net.request")
+        assert served.attrs["origin"] == "server"
+        for attrs, keys in ((root.attrs, ("encode_us", "wait_us")),
+                            (served.attrs, ("recv_us", "send_us"))):
+            for key in keys:
+                assert attrs[key] > 0, key
+        # the server's parts run one after another inside the client's wait
+        server_us = (served.attrs["recv_us"] + served.wall_s * 1e6
+                     + served.attrs["send_us"])
+        assert server_us < root.attrs["wait_us"]
+
     def test_each_write_of_a_session_gets_its_own_trace_name(self, session):
         # one naming rule on every transport: "<session>/txn-N" (a net
         # session used to stamp every write "<session>/txn")

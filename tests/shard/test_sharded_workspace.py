@@ -8,6 +8,7 @@ from repro import obs, stats
 from repro.runtime.errors import ConflictError
 from repro.runtime.workspace import Workspace
 from repro.shard import ShardCommitError, ShardError, ShardedWorkspace
+from repro.storage.relation import Delta
 
 SCHEMA = (
     "order(o, c) -> int(o), string(c).\n"
@@ -309,6 +310,24 @@ class TestExecRouting:
             oracle.exec(src)
             assert sharded.rows("order") == oracle_rows(oracle, "order")
 
+    def test_cross_write_sends_no_repair(self):
+        # every shard runs the whole program, so the rows a sibling
+        # redistributes to it are already in its own effects
+        sharded, oracle = make_pair(2)
+        src = "".join(
+            '+order({0}, "cx"). +lineitem({0}, 1, 2).'.format(2000 + i)
+            for i in range(6))
+        with sharded:
+            counters = {}
+            with stats.scope(counters):
+                result = sharded.exec(src)
+            assert counters.get("shard.circuits") == 1
+            assert counters.get("shard.repaired_members", 0) == 0
+            assert result.repairs == 0
+            oracle.exec(src)
+            for pred in ("order", "lineitem"):
+                assert sharded.rows(pred) == oracle_rows(oracle, pred)
+
     def test_rule_driven_write_matches_oracle(self):
         sharded, oracle = make_pair()
         # derived write fanning out from partitioned reads into the
@@ -468,3 +487,12 @@ class TestConnectRouting:
 
         with pytest.raises(ValueError):
             repro.connect("shards://")
+
+
+def test_corrections_skip_rows_the_shard_derived_itself():
+    r1, r2 = (1, "a"), (2, "b")
+    with ShardedWorkspace.local(2, {"order": 0}) as sharded:
+        own = {0: {"order": Delta.from_iters([r1], [])}, 1: {}}
+        incoming = {0: {"order": ({r1, r2}, set())}, 1: {}}
+        assert sharded._corrections_for(0, own, incoming) == {
+            "order": ({r2}, set())}
