@@ -17,7 +17,7 @@ from repro import obs
 from repro.ds.pmap import PMap
 from repro.engine.aggregates import AGGREGATES, agg_add
 from repro.engine.columnar import make_join, resolve_backend
-from repro.engine.ir import Const, PredAtom, Var
+from repro.engine.ir import Const, PredAtom
 from repro.engine.rules import stratify
 from repro.storage.relation import Relation
 
@@ -56,15 +56,6 @@ class PredicateState:
             groups if groups is not None else self.groups,
             self.agg_fn,
         )
-
-
-def project_head(rule, var_order, binding):
-    """Head tuple for one satisfying assignment."""
-    index = {name: position for position, name in enumerate(var_order)}
-    return tuple(
-        arg.value if isinstance(arg, Const) else binding[index[arg.name]]
-        for arg in rule.head_args
-    )
 
 
 class _HeadProjector:

@@ -765,8 +765,7 @@ class VerbSurface:
 
     @verb(route="shard-circuit", result=_EFFECTS)
     def shard_prepare(self, source, *, name=None, partition=None,
-                      shard_index=None, shard_count=None, preflight=True,
-                      timeout=None):
+                      shard_index=None, shard_count=None, timeout=None):
         """Execute a transaction on the shard's snapshot and park it;
         returns ``{"token", "effects", "foreign", "watermark"}`` --
         the deltas the shard owns and the rows owned by siblings."""

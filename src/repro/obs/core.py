@@ -651,10 +651,6 @@ class Profile:
             return "(no spans recorded)"
         return "\n".join(root.format() for root in self.roots)
 
-    def to_dicts(self):
-        """JSON-safe nested representation of all roots."""
-        return [root.to_dict() for root in self.roots]
-
     def to_jsonl(self, path):
         """Write one JSON line per span (``id``/``parent`` links flatten
         the tree) — the trace-exchange format CI uploads."""
@@ -664,27 +660,7 @@ class Profile:
 
     def jsonl_lines(self):
         """The JSONL export as a list of strings."""
-        lines = []
-        next_id = [0]
-
-        def emit(span_, parent_id, trace_id):
-            span_id = next_id[0]
-            next_id[0] += 1
-            lines.append(json.dumps({
-                "id": span_id,
-                "parent": parent_id,
-                "trace": trace_id,
-                "name": span_.name,
-                "wall_s": span_.wall_s,
-                "attrs": span_.attrs,
-                "counters": span_.counters,
-            }, sort_keys=True, default=repr))
-            for child in span_.children:
-                emit(child, span_id, trace_id)
-
-        for root in self.roots:
-            emit(root, None, root.trace_id)
-        return lines
+        return [line for root in self.roots for line in root_jsonl_lines(root)]
 
 
 def span_totals():

@@ -52,22 +52,18 @@ def import_data(workspace, text, replace=False):
 
     Atomicity matters: imported predicates typically reference each
     other's entities, so they must arrive together (and a constraint
-    violation aborts the whole import).  With ``replace=True`` each
-    imported predicate's prior contents are removed first.  Returns the
-    set of predicates written.
+    violation aborts the whole import, as does a derived predicate in
+    the document: :class:`~repro.runtime.errors.TransactionAborted`).
+    With ``replace=True`` each imported predicate's prior contents are
+    removed first.  Returns the set of predicates written.
     """
     from repro.storage.relation import Delta
 
     document = json.loads(text)
     if document.get("version") != 1:
         raise ValueError("unsupported export version")
-    derived = workspace.state.artifacts.ruleset.derived
     deltas = {}
     for name, rows in sorted(document["data"].items()):
-        if name in derived:
-            raise ValueError(
-                "cannot import into derived predicate {}".format(name)
-            )
         tuples = [tuple(_decode_value(value) for value in row) for row in rows]
         removals = list(workspace.relation(name)) if replace else ()
         deltas[name] = Delta.from_iters(tuples, removals)

@@ -8,7 +8,10 @@ returns one :class:`TxnResult` carrying:
   return; aborts raise) or, through the service, the terminal status of
   a scheduled transaction;
 * ``kind`` — which verb produced it;
-* ``deltas`` — the applied base-predicate deltas (``{pred: Delta}``);
+* ``deltas`` — ``{pred: Delta}``: a Workspace ``exec`` / ``load``
+  returns every predicate its commit changed, base and derived; the
+  service ``exec`` (every session and network transport) returns the
+  written base deltas only;
 * ``rows`` — the answer rows for query-shaped verbs, else ``None``;
 * ``stats`` — the engine counters bumped inside this transaction's
   window (index hits, join movement, IVM work, ...);

@@ -22,7 +22,7 @@ from repro.engine.ivm import IncrementalEngine
 from repro.engine.rules import Rule
 from repro.logiql.compiler import RhsTest, start_pred
 from repro.runtime.constraints import ConstraintChecker
-from repro.storage.relation import Relation
+from repro.storage.relation import Delta, Relation
 from repro.storage.schema import Schema
 
 
@@ -210,3 +210,34 @@ class WorkspaceState:
         for name, relation in self.env_with_defaults().items():
             env[start_pred(name)] = relation
         return env
+
+
+def reactive_env(state, ruleset):
+    """The environment the reactive ``ruleset`` runs against on
+    ``state``: its :meth:`~WorkspaceState.start_env`, plus an empty
+    relation for every predicate a body reads that neither the state
+    nor the ruleset supplies (a ``+p`` / ``-p`` no rule here derives)."""
+    env = state.start_env()
+    for rule in ruleset.rules:
+        for atom in rule.body:
+            if (isinstance(atom, PredAtom) and atom.pred not in env
+                    and atom.pred not in ruleset.derived):
+                arity = state.artifacts.arity_of(atom.pred)
+                if arity is None:
+                    arity = len(atom.args)
+                env[atom.pred] = Relation.empty(arity)
+    return env
+
+
+def reactive_effects(relations, heads):
+    """Read the evaluated ``+p`` / ``-p`` ``heads`` into one base delta
+    per written predicate, empty ones included, in name order.  A row
+    both inserted and deleted is deleted."""
+    effects = {}
+    for pred in sorted({head[1:] for head in heads}):
+        plus = relations.get("+" + pred)
+        minus = relations.get("-" + pred)
+        added = set(plus) if plus is not None else set()
+        removed = set(minus) if minus is not None else set()
+        effects[pred] = Delta.from_iters(added - removed, removed)
+    return effects

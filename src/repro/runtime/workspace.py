@@ -37,7 +37,9 @@ from repro.logiql.compiler import compile_program
 from repro.runtime.constraints import refuse_unchecked
 from repro.runtime.errors import ConstraintViolation, TransactionAborted
 from repro.runtime.result import TxnResult
-from repro.runtime.state import ProgramArtifacts, WorkspaceState, _base_name
+from repro.runtime.state import (
+    ProgramArtifacts, WorkspaceState, reactive_effects, reactive_env,
+)
 from repro.storage.relation import Delta, Relation
 
 _block_counter = itertools.count(1)
@@ -439,7 +441,10 @@ class Workspace:
 
     def exec(self, source):
         """Run a reactive transaction; returns a :class:`TxnResult`
-        whose ``deltas`` are the applied base-predicate deltas.
+        whose ``deltas`` hold every predicate the commit changed: the
+        written base predicates and the derived ones (hidden ``$``
+        constraint views included) that maintenance moved.  The service
+        ``exec`` returns the written base deltas only.
 
         Raises :class:`TransactionAborted` (leaving the head untouched)
         on writes to derived predicates or constraint violations.
@@ -459,42 +464,12 @@ class Workspace:
     def _reactive_deltas(self, state, reactive_rules):
         if not reactive_rules:
             return {}
-        artifacts = state.artifacts
         ruleset = RuleSet(list(reactive_rules))
-        env = state.start_env()
-        # referenced delta predicates not derived here default to empty
-        for rule in reactive_rules:
-            for atom in rule.body:
-                if isinstance(atom, PredAtom) and atom.pred not in env:
-                    if atom.pred in ruleset.derived:
-                        continue
-                    arity = artifacts.arity_of(atom.pred)
-                    if arity is None:
-                        arity = len(atom.args)
-                    env[atom.pred] = Relation.empty(arity)
         # the delta heads are read once below and dropped
         relations, _ = Evaluator(
             ruleset, backend=self._engine_backend,
-        ).evaluate(env, keep_state=False)
-        deltas = {}
-        preds = set()
-        for head in ruleset.derived:
-            if head[0] not in "+-":
-                raise TransactionAborted(
-                    "exec rules must derive delta predicates, got {}".format(head)
-                )
-            preds.add(head[1:])
-        for pred in preds:
-            if pred in artifacts.ruleset.derived:
-                raise TransactionAborted(
-                    "cannot write to derived predicate {}".format(pred)
-                )
-            plus = relations.get("+" + pred)
-            minus = relations.get("-" + pred)
-            added = set(plus) if plus is not None else set()
-            removed = set(minus) if minus is not None else set()
-            deltas[pred] = Delta.from_iters(added - removed, removed)
-        return deltas
+        ).evaluate(reactive_env(state, ruleset), keep_state=False)
+        return reactive_effects(relations, ruleset.derived)
 
     def _stage_deltas(self, state, deltas):
         """Validate, maintain, and constraint-check one delta map
@@ -508,6 +483,13 @@ class Workspace:
         """
         with _obs.span("commit", preds=len(deltas)) as span_:
             artifacts = state.artifacts
+            # the one write-target check: IVM alone maintains derived
+            # predicates, whichever verb, executor or transport wrote
+            refused = artifacts.ruleset.derived.intersection(deltas)
+            if refused:
+                raise TransactionAborted(
+                    "cannot write to derived predicate {}".format(
+                        ", ".join(sorted(refused))))
             mat = state.materialization
             unseen = {}
             filtered = {}
@@ -602,14 +584,11 @@ class Workspace:
 
         Convenience equivalent of an ``exec`` with one ``+pred`` fact
         per tuple; goes through the same maintenance and constraint
-        checking.
+        checking, and returns the same ``deltas``: ``pred``'s and every
+        derived predicate's that changed.
         """
         with self._txn("load", pred=pred) as window:
             state = self.state
-            if pred in state.artifacts.ruleset.derived:
-                raise TransactionAborted(
-                    "cannot write to derived predicate {}".format(pred)
-                )
             tuples = [
                 tuple(t) if isinstance(t, (tuple, list)) else (t,) for t in tuples
             ]

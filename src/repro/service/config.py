@@ -29,14 +29,6 @@ class ServiceConfig:
       backoff between retries, with deterministic jitter drawn from a
       service-owned PRNG seeded by ``jitter_seed``.
 
-    Commit pipeline:
-
-    * ``group_commit`` — when True (default) the committer drains every
-      transaction queued at that moment and commits them as one
-      composed group (one IVM pass + one constraint check), the
-      Figure 7(b) batch discipline; when False each transaction is
-      applied individually.
-
     Durability (:mod:`repro.storage.pager`):
 
     * ``checkpoint_path`` — directory for durable checkpoints.  When
@@ -105,7 +97,6 @@ class ServiceConfig:
     backoff_base_s: float = 0.001
     backoff_cap_s: float = 0.05
     jitter_seed: int = 0
-    group_commit: bool = True
     mode: str = "repair"
     checkpoint_path: str = None
     checkpoint_every_n_commits: int = 0

@@ -62,9 +62,9 @@ from repro.runtime.errors import (
 )
 from repro.runtime.result import TxnResult
 from repro.runtime.workspace import Workspace, evaluate_query
-from repro.ds.hashing import stable_hash
 from repro.service.admission import AdmissionController
 from repro.service.config import ServiceConfig
+from repro.shard.shardmap import ShardMap
 from repro.storage.relation import Delta, Relation
 from repro.txn.repair import PreparedTransaction, compose_corrections
 
@@ -424,24 +424,9 @@ class TransactionService:
                     deadline_s=ticket.deadline,
                 )
             pending = _Pending(txn, source, snapshot, ticket, attempt, sink)
-            self._enqueue(pending)
-            self._await(pending)
-            if pending.committed:
-                if pending.commit_span is not None:
-                    # stitch the committer-side span tree (closed, with
-                    # final counters) under this writer's exec span
-                    _obs.graft(pending.commit_span, origin="committer")
-                _stats.observe("service.commit.seconds",
-                               time.perf_counter() - started)
-                return TxnResult(
-                    status="committed",
-                    kind="exec",
-                    deltas=dict(txn.effects),
-                    stats=sink,
-                    attempts=attempt,
-                    repairs=txn.repair_count,
-                    latency_s=time.perf_counter() - started,
-                )
+            result = self._commit_pending(pending, started)
+            if result is not None:
+                return result
             error = pending.error
             if isinstance(error, ConflictError) and attempt <= self.config.max_retries:
                 _stats.bump("service.retries")
@@ -455,6 +440,29 @@ class TransactionService:
                 continue
             _stats.bump("service.aborts")
             raise error
+
+    def _commit_pending(self, pending, started):
+        """Queue an executed transaction for the committer and wait for
+        it.  Returns its :class:`TxnResult` once committed, else
+        ``None`` with the reason in ``pending.error``."""
+        self._enqueue(pending)
+        self._await(pending)
+        if not pending.committed:
+            return None
+        if pending.commit_span is not None:
+            # stitch the committer-side span tree (closed, with final
+            # counters) under the submitter's span
+            _obs.graft(pending.commit_span, origin="committer")
+        _stats.observe("service.commit.seconds", time.perf_counter() - started)
+        return TxnResult(
+            status="committed",
+            kind="exec",
+            deltas=dict(pending.txn.effects),
+            stats=pending.sink,
+            attempts=pending.attempt,
+            repairs=pending.txn.repair_count,
+            latency_s=time.perf_counter() - started,
+        )
 
     def _backoff(self, attempt, ticket):
         base = self.config.backoff_base_s * (2 ** (attempt - 1))
@@ -547,33 +555,26 @@ class TransactionService:
     @staticmethod
     def _split_effects(effects, partition, index, count):
         """Split a delta map into rows this shard owns (replicated
-        predicates, plus partitioned rows hashing here) and *foreign*
-        rows the coordinator must redistribute to their owners."""
-        partition = partition or {}
+        predicates, plus partitioned rows the shard map places here)
+        and *foreign* rows the coordinator must redistribute to their
+        owners."""
+        shard_map = ShardMap(count, partition)
         own = {}
         foreign = {}
         for pred, delta in effects.items():
-            col = partition.get(pred)
-            if col is None:
+            if not shard_map.is_partitioned(pred):
                 if delta.added or delta.removed:
                     own[pred] = delta
                 continue
-            mine_added, mine_removed = [], []
-            theirs_added, theirs_removed = [], []
-            for row in delta.added:
-                if stable_hash(row[col]) % count == index:
-                    mine_added.append(row)
-                else:
-                    theirs_added.append(row)
-            for row in delta.removed:
-                if stable_hash(row[col]) % count == index:
-                    mine_removed.append(row)
-                else:
-                    theirs_removed.append(row)
-            if mine_added or mine_removed:
-                own[pred] = Delta.from_iters(mine_added, mine_removed)
-            if theirs_added or theirs_removed:
-                foreign[pred] = Delta.from_iters(theirs_added, theirs_removed)
+            mine, theirs = ([], []), ([], [])
+            for side, rows in enumerate((delta.added, delta.removed)):
+                for row in rows:
+                    owner = shard_map.shard_of(pred, row)
+                    (mine if owner == index else theirs)[side].append(row)
+            if mine[0] or mine[1]:
+                own[pred] = Delta.from_iters(*mine)
+            if theirs[0] or theirs[1]:
+                foreign[pred] = Delta.from_iters(*theirs)
         return own, foreign
 
     def _shard_pop(self, token):
@@ -588,8 +589,7 @@ class TransactionService:
         return held
 
     def shard_prepare(self, source, *, name=None, partition=None,
-                      shard_index=None, shard_count=None, preflight=True,
-                      timeout=None):
+                      shard_index=None, shard_count=None, timeout=None):
         """Phase 1 of a cross-shard commit: execute ``source`` against
         this shard's head snapshot and park the prepared transaction
         under a token.
@@ -597,10 +597,10 @@ class TransactionService:
         Returns ``{"token", "effects", "foreign", "watermark"}`` where
         ``effects`` holds the deltas this shard owns and ``foreign``
         the partitioned rows owned by sibling shards (the coordinator
-        redistributes those).  With ``preflight`` (default) the owned
-        deltas are staged — maintenance plus constraint check — against
-        the snapshot, so obvious violations surface before any shard
-        commits; nothing is applied to the head either way.
+        redistributes those).  The owned deltas are staged — the
+        write-target check, maintenance and constraint check — against
+        the snapshot, so those aborts surface before any shard commits;
+        nothing is applied to the head.
         """
         self._ensure_open()
         index, count = self._resolve_shard_identity(shard_index, shard_count)
@@ -620,10 +620,10 @@ class TransactionService:
                         txn.execute(snapshot.state)
                         own, foreign = self._split_effects(
                             txn.effects, partition, index, count)
-                        if preflight and own:
+                        if own:
                             # stage (validate + maintain + check) without
-                            # touching the head: constraint violations
-                            # abort the circuit before any shard commits
+                            # touching the head: a refused write aborts
+                            # the circuit before any shard commits
                             self.workspace._stage_deltas(snapshot.state, own)
                         token = "shard-{}-{}".format(
                             index, next(self._shard_seq))
@@ -694,29 +694,12 @@ class TransactionService:
                 _stats.bump("shard.commits")
                 try:
                     with _obs.span("shard.commit", txn=held.txn.name):
-                        txn = _ShardTxn(held.txn, dict(deltas))
-                        sink = {}
                         pending = _Pending(
-                            txn, held.source, held.snapshot, held.ticket,
-                            1, sink)
-                        self._enqueue(pending)
-                        self._await(pending)
-                        if pending.committed:
-                            if pending.commit_span is not None:
-                                _obs.graft(
-                                    pending.commit_span, origin="committer")
-                            _stats.observe(
-                                "service.commit.seconds",
-                                time.perf_counter() - started)
-                            return TxnResult(
-                                status="committed",
-                                kind="exec",
-                                deltas=dict(txn.effects),
-                                stats=sink,
-                                attempts=1,
-                                repairs=txn.repair_count,
-                                latency_s=time.perf_counter() - started,
-                            )
+                            _ShardTxn(held.txn, dict(deltas)), held.source,
+                            held.snapshot, held.ticket, 1, {})
+                        result = self._commit_pending(pending, started)
+                        if result is not None:
+                            return result
                         _stats.bump("service.aborts")
                         raise pending.error
                 finally:
@@ -834,10 +817,6 @@ class TransactionService:
         for item in batch:
             if isinstance(item, _Pending):
                 group.append(item)
-                if self.config.group_commit:
-                    continue
-                self._commit_group([item])
-                group = []
                 continue
             if group:
                 self._commit_group(group)

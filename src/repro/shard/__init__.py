@@ -24,8 +24,6 @@ or, in-process (tests, oracles)::
     ws = ShardedWorkspace.local(3, partition={"ballot": 0})
 """
 
-from repro.shard.coordinator import ShardedWorkspace, ShardError, ShardCommitError
-from repro.shard.executors import ShardExecutorPool
 from repro.shard.shardmap import ShardMap
 
 __all__ = [
@@ -35,3 +33,14 @@ __all__ = [
     "ShardExecutorPool",
     "ShardMap",
 ]
+
+
+def __getattr__(name):
+    # a shard server's service needs only the placement map; the
+    # coordinator and its executor pool load on first use
+    if name in __all__:
+        from repro.shard import coordinator
+
+        return getattr(coordinator, name)
+    raise AttributeError(
+        "module {!r} has no attribute {!r}".format(__name__, name))

@@ -81,13 +81,6 @@ def _permute(tup, perm):
     return tuple(tup[i] for i in perm)
 
 
-def _invert_perm(perm):
-    inverse = [0] * len(perm)
-    for position, source in enumerate(perm):
-        inverse[source] = position
-    return tuple(inverse)
-
-
 class Relation:
     """One immutable version of a predicate's extension."""
 

@@ -65,10 +65,6 @@ class PredicateDecl:
         """A copy of this declaration with the predicate kind fixed."""
         return PredicateDecl(self.name, self.arg_types, self.n_keys, kind, self.is_functional)
 
-    def with_types(self, arg_types):
-        """A copy of this declaration with refined argument types."""
-        return PredicateDecl(self.name, arg_types, self.n_keys, self.kind, self.is_functional)
-
     def __eq__(self, other):
         return (
             isinstance(other, PredicateDecl)

@@ -25,79 +25,39 @@ import time
 from repro import obs
 from repro import stats as global_stats
 from repro.engine.evaluator import RuleSet
-from repro.engine.ir import PredAtom
 from repro.engine.ivm import IncrementalEngine
 from repro.engine.sensitivity import SensitivityIndex
 from repro.logiql.compiler import compile_program, start_pred
-from repro.runtime.errors import ConstraintViolation, TransactionAborted
-from repro.runtime.state import WorkspaceState
-from repro.storage.relation import Delta, Relation
+from repro.runtime.errors import TransactionAborted
+from repro.runtime.state import reactive_effects, reactive_env
 
 
 class PreparedTransaction:
     """One transaction in the repair framework (Figure 7a).
 
-    Built from LogiQL reactive source (or precompiled reactive rules);
-    ``execute`` runs it against a workspace state, after which
-    ``effects`` / ``sensitivity`` are available and ``correct`` may be
-    called any number of times with incoming corrections.
+    Built from LogiQL reactive source; ``execute`` runs it against a
+    workspace state, after which ``effects`` / ``sensitivity`` are
+    available and ``correct`` may be called any number of times with
+    incoming corrections.
     """
 
     def __init__(self, source, name=None):
-        if isinstance(source, str):
-            block = compile_program(source)
-            rules = block.reactive_rules
-            if block.rules and any(r.body for r in block.rules):
-                raise TransactionAborted("transactions must be reactive logic")
-        else:
-            rules = list(source)
+        block = compile_program(source)
+        if block.rules and any(r.body for r in block.rules):
+            raise TransactionAborted("transactions must be reactive logic")
         self.name = name
-        self.rules = rules
-        self.ruleset = RuleSet(rules)
+        self.ruleset = RuleSet(block.reactive_rules)
         self.engine = IncrementalEngine(self.ruleset, track_sensitivity=True)
         self._mat = None
         self._sens_cache = None
-        self._arities = {}
         self.effects = {}
         self.repair_count = 0
         self.execute_seconds = 0.0
         self.repair_seconds = 0.0
 
-    # -- helpers -----------------------------------------------------------
-
-    def _build_env(self, state):
-        env = state.start_env()
-        self._arities = dict(state.artifacts.arities)
-        for rule in self.rules:
-            head = rule.head_pred
-            base = head[1:]
-            self._arities.setdefault(base, len(rule.head_args))
-            for atom in rule.body:
-                if isinstance(atom, PredAtom) and atom.pred not in env:
-                    if atom.pred in self.ruleset.derived:
-                        continue
-                    raw = atom.pred
-                    if raw.endswith("@start"):
-                        raw = raw[: -len("@start")]
-                    if raw and raw[0] in "+-":
-                        raw = raw[1:]
-                    arity = self._arities.get(raw, len(atom.args))
-                    env[atom.pred] = Relation.empty(arity)
-        return env
-
     def _extract_effects(self):
-        relations = self._mat.relations
-        preds = {head[1:] for head in self.ruleset.derived}
-        effects = {}
-        for pred in sorted(preds):
-            plus = relations.get("+" + pred)
-            minus = relations.get("-" + pred)
-            added = set(plus) if plus is not None else set()
-            removed = set(minus) if minus is not None else set()
-            delta = Delta.from_iters(added - removed, removed)
-            if delta:
-                effects[pred] = delta
-        self.effects = effects
+        effects = reactive_effects(self._mat.relations, self.ruleset.derived)
+        self.effects = {pred: delta for pred, delta in effects.items() if delta}
 
     # -- the transaction interface (Figure 7a) --------------------------------
 
@@ -106,8 +66,8 @@ class PreparedTransaction:
         with obs.span("repair.execute", txn=self.name) as span_:
             global_stats.bump("repair.executes")
             started = time.perf_counter()
-            env = self._build_env(state)
-            self._mat = self.engine.initialize(env)
+            self._mat = self.engine.initialize(
+                reactive_env(state, self.ruleset))
             self._sens_cache = None
             self._extract_effects()
             self.execute_seconds = time.perf_counter() - started

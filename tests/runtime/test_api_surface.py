@@ -4,8 +4,10 @@ These tests pin the names exported from ``repro`` / ``repro.service``,
 the :class:`TxnResult` field set, and the error taxonomy, so accidental
 surface changes fail loudly instead of breaking clients."""
 
+import contextlib
 import dataclasses
 import inspect
+import time
 
 import pytest
 
@@ -392,6 +394,134 @@ class TestNetSessionSurface:
             local.close()
             server.stop()
             service.close()
+
+
+@contextlib.contextmanager
+def _transport(kind):
+    """A fresh target of one transport kind: a bare workspace, an
+    in-process session, ``tcp://`` or ``cluster://`` to a served
+    service, or two in-process shards behind the coordinator."""
+    from repro.service import TransactionService
+    from repro.shard import ShardedWorkspace
+
+    if kind == "workspace":
+        yield Workspace()
+    elif kind == "session":
+        with repro.connect() as session:
+            yield session
+    elif kind == "shards":
+        with ShardedWorkspace.local(
+                2, partition={"E": 0, "lineitem": 0}) as sharded:
+            yield sharded
+    else:
+        service = TransactionService()
+        server = service.serve()
+        try:
+            url = "{}://{}:{}".format(kind, server.host, server.port)
+            with repro.connect(url) as remote:
+                yield remote
+        finally:
+            server.stop()
+            service.close()
+
+
+class TestDerivedWrites:
+    """IVM alone maintains derived predicates: whichever transport
+    carries it, a write to one aborts with the same typed error and
+    leaves every view equal to a fresh evaluation of its rule."""
+
+    SCHEMA = (
+        "E(x, y) -> int(x), int(y).\n"
+        "lineitem(o, l, q) -> int(o), int(l), int(q).\n"
+    )
+    VIEWS = (
+        "R(x) <- E(x, _).\n"
+        "cnt[] = n <- agg<<n = count(y)>> E(_, y).\n"
+        "total[o] = s <- agg<<s = sum(q)>> lineitem(o, l, q).\n"
+    )
+    #: view -> a query of its defining rule
+    RULES = {
+        "R": "_(x) <- E(x, _).",
+        "cnt": "_(n) <- agg<<n = count(y)>> E(_, y).",
+        "total": "_(o, s) <- agg<<s = sum(q)>> lineitem(o, l, q).",
+    }
+    WRITES = (
+        "+R(5).",
+        "-R(1).",
+        "+cnt[] = 9.",
+        "+total[o] = 7 <- lineitem@start(o, _, _).",
+    )
+
+    def _install(self, target):
+        target.addblock(self.SCHEMA, name="schema")
+        target.addblock(self.VIEWS, name="views")
+        target.load("E", [(1, 2), (2, 3), (3, 4)])
+        target.load("lineitem", [(o, 10 * o, o + 1) for o in range(6)])
+
+    def _assert_views_hold(self, target):
+        for view, rule in self.RULES.items():
+            rows = sorted(tuple(r) for r in target.rows(view))
+            assert rows == sorted(tuple(r) for r in target.query(rule)), view
+
+    @pytest.mark.parametrize(
+        "kind", ["workspace", "session", "tcp", "cluster", "shards"])
+    def test_a_derived_write_is_refused_on_every_transport(self, kind):
+        with _transport(kind) as target:
+            self._install(target)
+            for write in self.WRITES:
+                with pytest.raises(TransactionAborted,
+                                   match="cannot write to derived predicate"):
+                    target.exec(write)
+            self._assert_views_hold(target)
+
+    def test_a_derived_write_aborts_alone_in_its_commit_group(self):
+        import threading
+
+        from repro.service import TransactionService
+
+        with TransactionService() as service:
+            self._install(service)
+            held, release = threading.Event(), threading.Event()
+
+            def hold(ws):
+                held.set()
+                release.wait(10)
+
+            # park the committer in a barrier so both writes queue
+            # behind it and are drained as one commit group
+            holder = threading.Thread(
+                target=service._barrier, args=(hold, "hold", 10))
+            holder.start()
+            assert held.wait(10)
+            outcomes = {}
+
+            def write(label, source):
+                try:
+                    outcomes[label] = service.exec(source, timeout=10).status
+                except TransactionAborted as exc:
+                    outcomes[label] = str(exc)
+
+            writers = [
+                threading.Thread(target=write, args=("derived", "+R(9).")),
+                threading.Thread(target=write, args=("base", "+E(7, 8).")),
+            ]
+            for writer in writers:
+                writer.start()
+            deadline = time.time() + 10
+            while (service.service_stats()["queued"] < 2
+                   and time.time() < deadline):
+                time.sleep(0.005)
+            release.set()
+            for thread in [holder] + writers:
+                thread.join(10)
+            assert outcomes == {
+                "derived": "cannot write to derived predicate R",
+                "base": "committed",
+            }
+            assert service.service_stats()["service.batch_fallbacks"] == 1
+            assert (7, 8) in service.rows("E")
+            assert (9,) not in service.rows("R")
+            self._assert_views_hold(service)
 
 
 class TestUnifiedConnect:

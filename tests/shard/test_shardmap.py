@@ -34,6 +34,27 @@ class TestPlacement:
         with pytest.raises(ValueError):
             smap.shard_of("wide", ("only", "three"))
 
+    def test_a_shard_splits_its_effects_through_the_map(self):
+        # the partition a coordinator sends with shard_prepare gets the
+        # map's column and row-width checks
+        from repro.service import TransactionService
+
+        with TransactionService() as service:
+            service.addblock("p(x) -> int(x).")
+            for partition in ({"p": -1}, {"p": 3}):
+                with pytest.raises(ValueError):
+                    service.shard_prepare(
+                        "+p(1).", partition=partition,
+                        shard_index=0, shard_count=2)
+            owned = service.shard_prepare(
+                "+p(1). +p(2). +p(3).", partition={"p": 0},
+                shard_index=0, shard_count=2)
+            service.shard_abort(owned["token"])
+            for index, rows in ((0, owned["effects"]),
+                                (1, owned["foreign"])):
+                for (key,) in rows["p"].added:
+                    assert stable_hash(key) % 2 == index
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ShardMap(0)

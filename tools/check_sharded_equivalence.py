@@ -14,6 +14,8 @@ recombined-aggregation scenario:
   proper, disjoint subset);
 * single-shard literal-key writes and cross-shard repair-circuit
   writes;
+* writes to the derived ``total`` view (a fact and a rule-driven
+  write), which the fleet must refuse with the oracle's error class;
 * keyed, scattered, partial-state fold (``sum`` … ``avg``, grouped
   and global, before and after deletes) and exchange queries.
 
@@ -62,6 +64,12 @@ QUERIES = [
     ("exchange (non-local join, literal)",
      "pair(b) <- order(7, c), order(b, c).", True),
 ]
+#: writes to the derived view: IVM alone maintains it, so every one is
+#: refused, by the fleet with the same error class as by the oracle
+DERIVED_WRITES = [
+    "+total[500] = 7.",
+    "+total[o] = 7 <- lineitem@start(o, _, _), o < 3.",
+]
 #: the aggregate cases re-run once more rows are gone
 AFTER_DELETES = [
     (label + " after deletes", query, exchange)
@@ -100,7 +108,9 @@ def start_shards(n_shards, base_port, logs_dir):
 
 
 def drive(target):
-    """The scenario, verb by verb; identical for fleet and oracle."""
+    """The scenario, verb by verb; identical for fleet and oracle.
+    Returns the error class name each derived write raised (``None``
+    for one that committed)."""
     orders = [(i, "c{}".format(i % 7)) for i in range(60)]
     items = [(i % 60, i, (i * 11) % 31) for i in range(240)]
     target.addblock(SCHEMA, name="schema")
@@ -116,8 +126,17 @@ def drive(target):
             600 + i, 9100 + i) for i in range(8)))
     # rule-driven replicated write derived on every shard: dedup check
     target.exec('+rate(c, 1) <- order(o, c).')
+    refused = []
+    for write in DERIVED_WRITES:
+        try:
+            target.exec(write)
+        except Exception as exc:
+            refused.append(type(exc).__name__)
+        else:
+            refused.append(None)
     # removal through a fragmented load
     target.load("order", [], remove=orders[::9])
+    return refused
 
 
 def main(argv=None):
@@ -144,10 +163,19 @@ def main(argv=None):
             "127.0.0.1:{}".format(args.base_port + i)
             for i in range(args.shards))
         oracle = Workspace()
-        drive(oracle)
+        want_refused = drive(oracle)
         with repro.connect("shards://" + endpoints,
                            partition=dict(PARTITION)) as fleet:
-            drive(fleet)
+            got_refused = drive(fleet)
+            for write, got, want in zip(
+                    DERIVED_WRITES, got_refused, want_refused):
+                refused_alike = got is not None and got == want
+                print("derived write {!r}: fleet {} / oracle {} -> {}".format(
+                    write, got, want, "ok" if refused_alike else "MISMATCH"))
+                if not refused_alike:
+                    failures.append(
+                        "derived write {!r} was not refused like the "
+                        "oracle refuses it".format(write))
 
             frag_counts = []
             for index in range(args.shards):
