@@ -183,7 +183,7 @@ class Evaluator:
 
     # -- full evaluation ---------------------------------------------------
 
-    def evaluate(self, base_relations, recorder=None, recorder_for=None, reuse=None,
+    def evaluate(self, base_relations, recorder_for=None, reuse=None,
                  keep_state=True):
         """Materialize every derived predicate.
 
@@ -206,7 +206,7 @@ class Evaluator:
         """
         relations = dict(base_relations)
         states = {} if keep_state else None
-        chooser = recorder_for if recorder_for is not None else (lambda rule: recorder)
+        chooser = recorder_for or (lambda rule: None)
         reuse_relations, reuse_states = reuse if reuse is not None else ({}, {})
         for stratum, recursive in zip(self.ruleset.strata, self.ruleset.recursive_flags):
             if recursive:

@@ -140,37 +140,6 @@ class SingletonIterator:
             self._at_end = True
 
 
-class RangeIterator:
-    """A virtual linear iterator over ``range(start, stop)`` integers.
-
-    Used by virtual arithmetic predicates such as ``int:range`` and in
-    tests; demonstrates that any monotone generator fits the contract.
-    """
-
-    __slots__ = ("_current", "_stop")
-
-    def __init__(self, start, stop):
-        self._current = start
-        self._stop = stop
-
-    def at_end(self):
-        """True when past the last integer."""
-        return self._current >= self._stop
-
-    def key(self):
-        """Current integer."""
-        return self._current
-
-    def next(self):
-        """Advance by one."""
-        self._current += 1
-
-    def seek(self, value):
-        """Jump forward to ``value``."""
-        if value > self._current:
-            self._current = value
-
-
 def trie_iterator(relation, perm, fixed_prefix=()):
     """The trie iterator over ``relation`` permuted by ``perm`` (its
     secondary treap index, built once per version and then promoted)."""

@@ -71,23 +71,6 @@ def candidate_orders(rule, limit=120):
     return orders
 
 
-def anchored_orders(rule, anchor, limit=120):
-    """Candidate orders that bind ``anchor`` first, for shard-local
-    execution of a co-partitioned join (:mod:`repro.shard`).
-
-    With the partition variable outermost, each shard's LFTJ walks
-    exactly the level-0 key range it owns — the hash partition and the
-    domain partition of §3.2 coincide, so shard-local enumeration is
-    the serial enumeration restricted to owned keys.  Falls back to
-    the unconstrained candidates when no valid order can lead with
-    ``anchor`` (it may be an assignment output, which must follow its
-    inputs)."""
-    candidates = candidate_orders(rule, max(limit * 4, 480))
-    anchored = [
-        order for order in candidates if order and order[0] == anchor]
-    return anchored[:limit] or candidates[:limit]
-
-
 def sample_relations(relations, sample_size, seed=0):
     """Down-sample every relation to at most ``sample_size`` tuples.
 

@@ -743,7 +743,7 @@ class VerbSurface:
     def watch(self, seq=0, *, timeout_s=10.0):
         """Long-poll until the endpoint owns a checkpoint newer than
         ``seq`` or ``timeout_s`` elapses (a server clamps it to its
-        ``net_watch_cap_s``); returns :meth:`status` either way.  One
+        30 s ceiling); returns :meth:`status` either way.  One
         blocked round-trip is both change notification and liveness
         heartbeat -- how replicas follow a leader without polling."""
 

@@ -261,8 +261,7 @@ class Replica(VerbSurface):
         misconfiguration surfaces at the call site — except a leader
         that simply has no checkpoint yet (a fresh fleet booting before
         its first write): the follower starts anyway and picks up
-        checkpoint 1 when it lands.  Leaders that predate the ``watch``
-        verb are followed by polling every ``heartbeat_s`` instead.
+        checkpoint 1 when it lands.
         """
         self._check_open()
         if self._poller is not None:
@@ -280,27 +279,17 @@ class Replica(VerbSurface):
 
     def _follow_loop(self, heartbeat_s, leader_timeout_s):
         last_ok = time.monotonic()
-        legacy_poll = False
         while not self._stop.is_set() and self._promoted is None:
             try:
-                if legacy_poll:
-                    if self._stop.wait(heartbeat_s):
-                        return
+                status = self._session().watch(
+                    seq=self._seq or 0, timeout_s=heartbeat_s)
+                if status.get("checkpoint_seq", 0) > (self._seq or 0):
                     self.sync()
-                else:
-                    status = self._session().watch(
-                        seq=self._seq or 0, timeout_s=heartbeat_s)
-                    if status.get("checkpoint_seq", 0) > (self._seq or 0):
-                        self.sync()
                 last_ok = time.monotonic()
                 # a watch reply is leader contact even when nothing
                 # changed: the heartbeat bounds our staleness
                 self._last_leader_contact = last_ok
-            except ReproError as exc:
-                if not legacy_poll and "unknown op" in str(exc):
-                    # pre-watch leader: degrade to interval polling
-                    legacy_poll = True
-                    continue
+            except ReproError:
                 # transient leader outage: keep serving the last synced
                 # checkpoint, keep probing — until the timeout says the
                 # leader is dead, not slow

@@ -56,6 +56,7 @@ from repro.net.protocol import (
     F_HELLO,
     F_REQUEST,
     F_RESPONSE,
+    DEFAULT_MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     VERBS,
     ProtocolError,
@@ -68,8 +69,12 @@ from repro.net.protocol import (
     verb_spec,
 )
 from repro.runtime.errors import Overloaded, ReproError
+from repro.service.config import BACKOFF_BASE_S, BACKOFF_CAP_S
 
 _HANDSHAKE_TIMEOUT_S = 10.0
+#: ceiling on one ``watch`` long-poll: a client asking for more is
+#: clamped, so a dead replica's request never parks its thread for long
+_WATCH_CAP_S = 30.0
 
 
 class _Conn:
@@ -117,7 +122,6 @@ class ReproServer:
         cfg = service.config
         self.chunk_rows = cfg.net_chunk_rows
         self.max_connections = cfg.net_max_connections
-        self.max_frame_bytes = cfg.net_max_frame_bytes
         self.address = None
         self._listener = None
         self._thread = None
@@ -234,7 +238,7 @@ class ReproServer:
             "server at connection capacity ({})".format(count),
             depth=count,
             limit=self.max_connections,
-            retry_after_s=self.service.config.backoff_cap_s,
+            retry_after_s=BACKOFF_CAP_S,
         )
         _stats.bump("net.connections_refused")
         with contextlib.suppress(OSError):
@@ -271,7 +275,6 @@ class ReproServer:
         if ftype != F_HELLO:
             raise ProtocolError(
                 "expected HELLO, got {}".format(ftype))
-        cfg = self.service.config
         reply = {
             "proto": PROTOCOL_VERSION,
             "server": "repro",
@@ -286,9 +289,9 @@ class ReproServer:
             # simply ignores the key — interop both ways
             "trace": True,
             "policy": {
-                "max_retries": cfg.max_retries,
-                "backoff_base_s": cfg.backoff_base_s,
-                "backoff_cap_s": cfg.backoff_cap_s,
+                "max_retries": self.service.config.max_retries,
+                "backoff_base_s": BACKOFF_BASE_S,
+                "backoff_cap_s": BACKOFF_CAP_S,
             },
         }
         # a shard server advertises its fleet identity up front so a
@@ -308,10 +311,10 @@ class ReproServer:
             return None
         started = time.perf_counter()
         (length,) = struct.unpack("<I", header)
-        if length > self.max_frame_bytes:
+        if length > DEFAULT_MAX_FRAME_BYTES:
             raise ProtocolError(
                 "incoming frame of {} bytes exceeds the {} byte limit".format(
-                    length, self.max_frame_bytes))
+                    length, DEFAULT_MAX_FRAME_BYTES))
         body = conn.rfile.read(length)
         if len(body) < length:
             return None
@@ -442,10 +445,9 @@ class ReproServer:
 
     def _serve_watch(self, seq=0, timeout_s=None):
         """The long-poll parks only this connection's thread, clamped
-        to the configured ceiling so a client cannot park it forever."""
-        cap = self.service.config.net_watch_cap_s
-        status = self.service.watch(
-            seq=seq, timeout_s=min(float(timeout_s or cap), cap))
+        to a ceiling so a client cannot park it forever."""
+        status = self.service.watch(seq=seq, timeout_s=min(
+            float(timeout_s or _WATCH_CAP_S), _WATCH_CAP_S))
         _stats.bump("net.watches")
         return status
 
@@ -508,8 +510,7 @@ class ReproServer:
                         encode_frame(ftype, untraced)
                         trace["attrs"]["send_us"] = (
                             time.perf_counter() - started) * 1e6
-                    data = encode_frame(
-                        ftype, payload, max_frame_bytes=self.max_frame_bytes)
+                    data = encode_frame(ftype, payload)
                     if action == "drop":
                         _stats.bump("net.faults.send_dropped")
                         conn.abort()
@@ -549,7 +550,6 @@ def main(argv=None):
     parser.add_argument("--checkpoint-every", type=int, default=0,
                         help="auto-checkpoint every N commits")
     parser.add_argument("--max-pending", type=int, default=64)
-    parser.add_argument("--mode", default="repair", choices=("repair", "occ"))
     parser.add_argument("--trace", default=None,
                         help="stream obs spans to this JSONL file")
     parser.add_argument("--telemetry-interval", type=float, default=1.0,
@@ -561,26 +561,22 @@ def main(argv=None):
                         help="this server's index in a sharded fleet")
     parser.add_argument("--shard-count", type=int, default=None,
                         help="total shard count of the fleet")
-    parser.add_argument("--max-connections", type=int, default=None,
-                        help="accepted-connection cap (default {})".format(
-                            ServiceConfig.net_max_connections))
+    parser.add_argument("--max-connections", type=int,
+                        default=ServiceConfig.net_max_connections,
+                        help="accepted-connection cap (default %(default)s)")
     args = parser.parse_args(argv)
 
     if args.trace:
         _obs.trace_to(args.trace)
-    knobs = {}
-    if args.max_connections is not None:
-        knobs["net_max_connections"] = args.max_connections
     service = TransactionService(config=ServiceConfig(
         max_pending=args.max_pending,
-        mode=args.mode,
         checkpoint_path=args.checkpoint_path,
         checkpoint_every_n_commits=args.checkpoint_every,
         telemetry_interval_s=args.telemetry_interval,
         slow_txn_s=args.slow_txn,
         shard_index=args.shard_index,
         shard_count=args.shard_count,
-        **knobs,
+        net_max_connections=args.max_connections,
     ))
     server = ReproServer(service, host=args.host, port=args.port)
     server.start()

@@ -2,6 +2,11 @@
 
 from dataclasses import dataclass
 
+#: Retry backoff of the service, also advertised to clients in HELLO's
+#: ``policy``: truncated exponential from the base, capped at the cap.
+BACKOFF_BASE_S = 0.001
+BACKOFF_CAP_S = 0.05
+
 
 @dataclass(kw_only=True)
 class ServiceConfig:
@@ -16,18 +21,16 @@ class ServiceConfig:
     * ``default_timeout_s`` — per-transaction deadline when the caller
       does not pass one; ``None`` disables deadlines.
 
-    Conflict handling:
+    Conflict handling: every commit-time conflict is repaired against
+    the moved head (transaction repair, paper §3.4).  A transaction
+    whose repair fails, a conflict injected by a fault, and a conflict
+    under a cross-shard commit (whose deltas are coordinator-final)
+    raise :class:`ConflictError` and are retried from a fresh snapshot.
 
-    * ``mode`` — ``"repair"`` (default): commit-time conflicts are
-      absorbed by incrementally repairing the transaction against the
-      moved head; ``"occ"``: first-committer-wins, conflicting
-      transactions raise :class:`ConflictError` and are retried from a
-      fresh snapshot (the classical optimistic baseline, useful for
-      exercising the retry machinery and as a comparison point).
     * ``max_retries`` — bounded retry budget after retryable conflicts.
-    * ``backoff_base_s`` / ``backoff_cap_s`` — truncated exponential
-      backoff between retries, with deterministic jitter drawn from a
-      service-owned PRNG seeded by ``jitter_seed``.
+      Retries back off exponentially from :data:`BACKOFF_BASE_S`,
+      capped at :data:`BACKOFF_CAP_S`, with jitter from a service-owned
+      PRNG of fixed seed.
 
     Durability (:mod:`repro.storage.pager`):
 
@@ -52,12 +55,6 @@ class ServiceConfig:
       both sides).
     * ``net_max_connections`` — accepted-connection cap; excess
       connections are refused with a typed ``Overloaded`` frame.
-    * ``net_max_frame_bytes`` — hard frame-size limit; an oversized
-      frame is a protocol error, not an allocation.
-    * ``net_watch_cap_s`` — server-side ceiling on one ``watch``
-      long-poll (the replica heartbeat/notify verb); a client asking
-      for more is clamped, so a dead replica's request can never park
-      a server thread indefinitely.
 
     Observability (:mod:`repro.obs`):
 
@@ -94,17 +91,11 @@ class ServiceConfig:
     max_pending: int = 64
     default_timeout_s: float = 30.0
     max_retries: int = 5
-    backoff_base_s: float = 0.001
-    backoff_cap_s: float = 0.05
-    jitter_seed: int = 0
-    mode: str = "repair"
     checkpoint_path: str = None
     checkpoint_every_n_commits: int = 0
     checkpoint_on_shutdown: bool = True
     net_chunk_rows: int = 512
     net_max_connections: int = 64
-    net_max_frame_bytes: int = 16 * 1024 * 1024
-    net_watch_cap_s: float = 30.0
     telemetry_interval_s: float = 0.0
     telemetry_ring: int = 128
     slow_txn_s: float = None
@@ -130,8 +121,6 @@ class ServiceConfig:
                 raise ValueError(
                     "engine must be one of {}, got {!r}".format(
                         "/".join(BACKENDS), self.engine))
-        if self.mode not in ("repair", "occ"):
-            raise ValueError("mode must be 'repair' or 'occ', got {!r}".format(self.mode))
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         if self.checkpoint_every_n_commits < 0:
@@ -140,12 +129,10 @@ class ServiceConfig:
             raise ValueError(
                 "checkpoint_every_n_commits requires checkpoint_path")
         for knob in ("net_chunk_rows", "net_max_connections",
-                     "net_max_frame_bytes", "telemetry_ring"):
+                     "telemetry_ring"):
             if getattr(self, knob) < 1:
                 raise ValueError("{} must be >= 1".format(knob))
         if self.telemetry_interval_s < 0:
             raise ValueError("telemetry_interval_s must be >= 0")
-        if self.net_watch_cap_s <= 0:
-            raise ValueError("net_watch_cap_s must be positive")
         if self.slow_txn_s is not None and self.slow_txn_s <= 0:
             raise ValueError("slow_txn_s must be positive (or None)")

@@ -11,11 +11,10 @@ branch-merge discipline:
   committer *diffs the snapshot against the moved head* (structural
   diffing via :mod:`repro.ds.diff`, cost proportional to what actually
   changed), restricts the diff to the transaction's recorded
-  sensitivities, and — in ``repair`` mode — merge-commits by
-  incrementally repairing the transaction under those corrections
-  (:mod:`repro.txn.repair`).  Irreconcilable conflicts (``occ`` mode,
-  repair failures, injected faults) surface as
-  :class:`~repro.runtime.errors.ConflictError`; the submitting thread
+  sensitivities, and merge-commits by incrementally repairing the
+  transaction under those corrections (:mod:`repro.txn.repair`).
+  Irreconcilable conflicts (repair failures, injected faults) surface
+  as :class:`~repro.runtime.errors.ConflictError`; the submitting thread
   retries on a fresh snapshot with truncated exponential backoff and
   deterministic jitter, up to the configured budget.
 
@@ -63,7 +62,7 @@ from repro.runtime.errors import (
 from repro.runtime.result import TxnResult
 from repro.runtime.workspace import Workspace, evaluate_query
 from repro.service.admission import AdmissionController
-from repro.service.config import ServiceConfig
+from repro.service.config import BACKOFF_BASE_S, BACKOFF_CAP_S, ServiceConfig
 from repro.shard.shardmap import ShardMap
 from repro.storage.relation import Delta, Relation
 from repro.txn.repair import PreparedTransaction, compose_corrections
@@ -113,48 +112,42 @@ class _Barrier:
         self.result = None
 
 
-class _ShardHeld:
-    """A prepared cross-shard transaction parked between ``shard_prepare``
-    and the coordinator's ``shard_commit``/``shard_abort`` order."""
+class _ShardTxn:
+    """A cross-shard transaction parked between ``shard_prepare`` and
+    the coordinator's ``shard_commit`` / ``shard_abort`` order.
 
-    __slots__ = ("txn", "source", "snapshot", "ticket")
+    ``shard_prepare`` parks the executed transaction ``txn``;
+    ``shard_commit`` sets ``effects`` to the coordinator's final
+    composed deltas and queues this object as the commit-stage
+    transaction.  The coordinator has already run the cross-shard
+    repair circuit over every shard's branch diff, so those deltas are
+    final.  If the local head moved under the prepared snapshot in a
+    way that touches the transaction's reads *or* its composed writes,
+    the only safe outcome is a :class:`ConflictError` — a local repair
+    here would diverge this shard from the siblings the coordinator
+    already reconciled, so the coordinator re-runs the whole circuit
+    instead.
+    """
+
+    __slots__ = ("txn", "source", "snapshot", "ticket", "name", "effects")
 
     def __init__(self, txn, source, snapshot, ticket):
         self.txn = txn
         self.source = source
         self.snapshot = snapshot
         self.ticket = ticket
-
-
-class _ShardTxn:
-    """Commit-stage stand-in for a coordinator-composed transaction.
-
-    The coordinator has already run the cross-shard repair circuit over
-    every shard's branch diff; the deltas it orders committed are final.
-    If the local head moved under the prepared snapshot in a way that
-    touches the transaction's reads *or* its composed writes, the only
-    safe outcome is a :class:`ConflictError` — a local repair here would
-    diverge this shard from the siblings the coordinator already
-    reconciled, so the coordinator re-runs the whole circuit instead.
-    """
-
-    __slots__ = ("name", "effects", "_inner")
-
-    def __init__(self, inner, effects):
-        self._inner = inner
-        self.name = inner.name
-        self.effects = effects
+        self.name = txn.name
+        self.effects = None
 
     @property
     def repair_count(self):
-        return self._inner.repair_count
+        return self.txn.repair_count
 
     def relevant_corrections(self, corrections):
-        relevant = dict(self._inner.relevant_corrections(corrections))
-        for pred, delta in corrections.items():
-            if pred in self.effects and pred not in relevant:
-                relevant[pred] = delta
-        return relevant
+        # the prepared run's reads take every correction or none
+        return self.txn.relevant_corrections(corrections) or {
+            pred: delta for pred, delta in corrections.items()
+            if pred in self.effects}
 
     def correct(self, relevant):
         raise ConflictError(
@@ -193,15 +186,16 @@ class TransactionService:
         self._admission = AdmissionController(
             max_pending=self.config.max_pending,
             default_timeout_s=self.config.default_timeout_s,
-            retry_after_s=self.config.backoff_cap_s,
+            retry_after_s=BACKOFF_CAP_S,
         )
         self._queue = []
         self._queue_cond = threading.Condition()
         self._committer = None
         self._closed = False
+        # this service's counters: every verb and the committer run
+        # under ``_stats.scope(self._counters)``
         self._counters = {}
-        self._counters_lock = threading.Lock()
-        self._rng = random.Random(self.config.jitter_seed)
+        self._rng = random.Random(0)  # fixed seed: backoff jitter replays
         self._rng_lock = threading.Lock()
         self._history = []
         # the commit watermark: highest committed transaction sequence
@@ -229,7 +223,7 @@ class TransactionService:
         self._commits_since_checkpoint = 0
         self._checkpoint_count = 0
         # prepared cross-shard transactions parked for the coordinator
-        # (token -> _ShardHeld); see the shard_* verbs below
+        # (token -> _ShardTxn); see the shard_* verbs below
         self._shard_held = {}
         self._shard_lock = threading.Lock()
         self._shard_seq = itertools.count(1)
@@ -331,13 +325,6 @@ class TransactionService:
         if self.faults is not None:
             self.faults.fire(point, txn_name)
 
-    def _merge_stats(self, sink):
-        if not sink:
-            return
-        with self._counters_lock:
-            for key, value in sink.items():
-                self._counters[key] = self._counters.get(key, 0) + value
-
     # -- client surface: reads -------------------------------------------------
 
     def query(self, source, *, answer=None):
@@ -350,14 +337,13 @@ class TransactionService:
         """Lock-free read returning a full :class:`TxnResult`."""
         started = time.perf_counter()
         sink = {}
-        with _obs.span("service.query") as span_:
+        with _stats.scope(self._counters), _obs.span("service.query") as span_:
             with _stats.scope(sink):
                 _stats.bump("service.queries")
                 state = self.workspace.version().state  # pinned snapshot
                 rows = evaluate_query(state, source, answer)
             if span_ is not None:
                 span_.attrs["rows"] = len(rows)
-        self._merge_stats(sink)
         return TxnResult(
             status="committed",
             kind="query",
@@ -386,21 +372,17 @@ class TransactionService:
         if name is None:
             name = "txn-{}".format(next(_txn_counter))
         started = time.perf_counter()
-        call_sink = {}
-        try:
-            with _stats.scope(call_sink):
-                ticket = self._admission.admit(kind="exec", timeout_s=timeout)
-                try:
-                    with _obs.span("service.exec", txn=name) as span_:
-                        result = self._run_write(source, name, ticket, started)
-                        if span_ is not None:
-                            span_.attrs["attempts"] = result.attempts
-                            result.span_id = span_.sid
-                        return result
-                finally:
-                    self._admission.release(ticket)
-        finally:
-            self._merge_stats(call_sink)
+        with _stats.scope(self._counters):
+            ticket = self._admission.admit(kind="exec", timeout_s=timeout)
+            try:
+                with _obs.span("service.exec", txn=name) as span_:
+                    result = self._run_write(source, name, ticket, started)
+                    if span_ is not None:
+                        span_.attrs["attempts"] = result.attempts
+                        result.span_id = span_.sid
+                    return result
+            finally:
+                self._admission.release(ticket)
 
     def _run_write(self, source, name, ticket, started):
         attempt = 0
@@ -411,9 +393,8 @@ class TransactionService:
             self._fire("execute", name)
             snapshot = self.workspace.version()  # O(1) branch of the head
             txn = PreparedTransaction(source, name=name)
-            # nested inside the call-level scope: these bumps reach the
-            # service counters through it; the per-attempt sink is kept
-            # only to become the TxnResult's stats field
+            # nested inside the service scope: the per-attempt sink only
+            # becomes the TxnResult's stats field
             sink = {}
             with _stats.scope(sink):
                 txn.execute(snapshot.state)
@@ -465,10 +446,10 @@ class TransactionService:
         )
 
     def _backoff(self, attempt, ticket):
-        base = self.config.backoff_base_s * (2 ** (attempt - 1))
+        base = BACKOFF_BASE_S * (2 ** (attempt - 1))
         with self._rng_lock:
             jitter = self._rng.random()
-        delay = min(self.config.backoff_cap_s, base) * (0.5 + jitter)
+        delay = min(BACKOFF_CAP_S, base) * (0.5 + jitter)
         remaining = ticket.remaining()
         delay = max(0.0, min(delay, remaining))
         if delay:
@@ -495,22 +476,18 @@ class TransactionService:
 
     def _barrier(self, fn, kind, timeout):
         self._ensure_open()
-        call_sink = {}
-        try:
-            with _stats.scope(call_sink):
-                ticket = self._admission.admit(kind=kind, timeout_s=timeout)
-                try:
-                    barrier = _Barrier(fn, kind, ticket)
-                    self._enqueue(barrier)
-                    self._await(barrier)
-                    if barrier.error is not None:
-                        _stats.bump("service.aborts")
-                        raise barrier.error
-                    return barrier.result
-                finally:
-                    self._admission.release(ticket)
-        finally:
-            self._merge_stats(call_sink)
+        with _stats.scope(self._counters):
+            ticket = self._admission.admit(kind=kind, timeout_s=timeout)
+            try:
+                barrier = _Barrier(fn, kind, ticket)
+                self._enqueue(barrier)
+                self._await(barrier)
+                if barrier.error is not None:
+                    _stats.bump("service.aborts")
+                    raise barrier.error
+                return barrier.result
+            finally:
+                self._admission.release(ticket)
 
     # -- client surface: cross-shard commit circuit ----------------------------
     #
@@ -563,8 +540,7 @@ class TransactionService:
         foreign = {}
         for pred, delta in effects.items():
             if not shard_map.is_partitioned(pred):
-                if delta.added or delta.removed:
-                    own[pred] = delta
+                own[pred] = delta
                 continue
             mine, theirs = ([], []), ([], [])
             for side, rows in enumerate((delta.added, delta.removed)):
@@ -577,13 +553,11 @@ class TransactionService:
                 foreign[pred] = Delta.from_iters(*theirs)
         return own, foreign
 
-    def _shard_pop(self, token):
-        with self._shard_lock:
-            return self._shard_held.pop(token, None)
-
-    def _shard_get(self, token):
+    def _shard_get(self, token, *, pop=False):
         with self._shard_lock:
             held = self._shard_held.get(token)
+            if pop and held is not None:
+                del self._shard_held[token]
         if held is None:
             raise ReproError("unknown shard transaction token {!r}".format(token))
         return held
@@ -606,42 +580,38 @@ class TransactionService:
         index, count = self._resolve_shard_identity(shard_index, shard_count)
         if name is None:
             name = "shard-txn-{}".format(next(_txn_counter))
-        call_sink = {}
-        try:
-            with _stats.scope(call_sink):
-                _stats.bump("shard.prepares")
-                ticket = self._admission.admit(
-                    kind="shard_prepare", timeout_s=timeout)
-                parked = False
-                try:
-                    with _obs.span("shard.prepare", txn=name):
-                        snapshot = self.workspace.version()
-                        txn = PreparedTransaction(source, name=name)
-                        txn.execute(snapshot.state)
-                        own, foreign = self._split_effects(
-                            txn.effects, partition, index, count)
-                        if own:
-                            # stage (validate + maintain + check) without
-                            # touching the head: a refused write aborts
-                            # the circuit before any shard commits
-                            self.workspace._stage_deltas(snapshot.state, own)
-                        token = "shard-{}-{}".format(
-                            index, next(self._shard_seq))
-                        with self._shard_lock:
-                            self._shard_held[token] = _ShardHeld(
-                                txn, source, snapshot, ticket)
-                        parked = True
-                        return {
-                            "token": token,
-                            "effects": own,
-                            "foreign": foreign,
-                            "watermark": self._watermark,
-                        }
-                finally:
-                    if not parked:
-                        self._admission.release(ticket)
-        finally:
-            self._merge_stats(call_sink)
+        with _stats.scope(self._counters):
+            _stats.bump("shard.prepares")
+            ticket = self._admission.admit(
+                kind="shard_prepare", timeout_s=timeout)
+            parked = False
+            try:
+                with _obs.span("shard.prepare", txn=name):
+                    snapshot = self.workspace.version()
+                    txn = PreparedTransaction(source, name=name)
+                    txn.execute(snapshot.state)
+                    own, foreign = self._split_effects(
+                        txn.effects, partition, index, count)
+                    if own:
+                        # stage (validate + maintain + check) without
+                        # touching the head: a refused write aborts
+                        # the circuit before any shard commits
+                        self.workspace._stage_deltas(snapshot.state, own)
+                    token = "shard-{}-{}".format(
+                        index, next(self._shard_seq))
+                    with self._shard_lock:
+                        self._shard_held[token] = _ShardTxn(
+                            txn, source, snapshot, ticket)
+                    parked = True
+                    return {
+                        "token": token,
+                        "effects": own,
+                        "foreign": foreign,
+                        "watermark": self._watermark,
+                    }
+            finally:
+                if not parked:
+                    self._admission.release(ticket)
 
     def shard_repair(self, token, corrections, *, partition=None,
                      shard_index=None, shard_count=None):
@@ -651,26 +621,19 @@ class TransactionService:
         self._ensure_open()
         index, count = self._resolve_shard_identity(shard_index, shard_count)
         held = self._shard_get(token)
-        call_sink = {}
-        try:
-            with _stats.scope(call_sink):
-                with _obs.span("shard.repair", txn=held.txn.name):
-                    relevant = (
-                        held.txn.relevant_corrections(corrections)
-                        if corrections else {}
-                    )
-                    if relevant:
-                        _stats.bump("shard.repairs")
-                        held.txn.correct(relevant)
-                    own, foreign = self._split_effects(
-                        held.txn.effects, partition, index, count)
-                    return {
-                        "effects": own,
-                        "foreign": foreign,
-                        "repairs": held.txn.repair_count,
-                    }
-        finally:
-            self._merge_stats(call_sink)
+        with _stats.scope(self._counters), \
+                _obs.span("shard.repair", txn=held.name):
+            relevant = held.txn.relevant_corrections(corrections)
+            if relevant:
+                _stats.bump("shard.repairs")
+                held.txn.correct(relevant)
+            own, foreign = self._split_effects(
+                held.txn.effects, partition, index, count)
+            return {
+                "effects": own,
+                "foreign": foreign,
+                "repairs": held.txn.repair_count,
+            }
 
     def shard_commit(self, token, deltas, *, timeout=None):
         """Phase 3: commit a parked shard transaction with the
@@ -683,40 +646,32 @@ class TransactionService:
         it raises :class:`ConflictError` and the coordinator re-runs
         the whole circuit."""
         self._ensure_open()
-        held = self._shard_pop(token)
-        if held is None:
-            raise ReproError(
-                "unknown shard transaction token {!r}".format(token))
+        held = self._shard_get(token, pop=True)
         started = time.perf_counter()
-        call_sink = {}
-        try:
-            with _stats.scope(call_sink):
-                _stats.bump("shard.commits")
-                try:
-                    with _obs.span("shard.commit", txn=held.txn.name):
-                        pending = _Pending(
-                            _ShardTxn(held.txn, dict(deltas)), held.source,
-                            held.snapshot, held.ticket, 1, {})
-                        result = self._commit_pending(pending, started)
-                        if result is not None:
-                            return result
-                        _stats.bump("service.aborts")
-                        raise pending.error
-                finally:
-                    self._admission.release(held.ticket)
-        finally:
-            self._merge_stats(call_sink)
+        held.effects = dict(deltas)
+        with _stats.scope(self._counters):
+            _stats.bump("shard.commits")
+            try:
+                with _obs.span("shard.commit", txn=held.name):
+                    pending = _Pending(held, held.source, held.snapshot,
+                                       held.ticket, 1, {})
+                    result = self._commit_pending(pending, started)
+                    if result is not None:
+                        return result
+                    _stats.bump("service.aborts")
+                    raise pending.error
+            finally:
+                self._admission.release(held.ticket)
 
     def shard_abort(self, token):
         """Drop a parked shard transaction (idempotent)."""
-        held = self._shard_pop(token)
+        with self._shard_lock:
+            held = self._shard_held.pop(token, None)
         if held is None:
             return {"aborted": False}
         self._admission.release(held.ticket)
-        call_sink = {}
-        with _stats.scope(call_sink):
+        with _stats.scope(self._counters):
             _stats.bump("shard.aborts")
-        self._merge_stats(call_sink)
         return {"aborted": True}
 
     def shard_apply(self, deltas, *, timeout=None):
@@ -774,25 +729,23 @@ class TransactionService:
                 raise ReproError("service closed before the transaction finished")
 
     def _committer_loop(self):
-        while True:
-            with self._queue_cond:
-                while not self._queue and not self._closed:
-                    self._queue_cond.wait()
-                if not self._queue and self._closed:
-                    return
-                batch = self._queue
-                self._queue = []
-            _stats.gauge("service.queue_depth", 0)
-            sink = {}
-            try:
-                with _stats.scope(sink):
+        with _stats.scope(self._counters):
+            while True:
+                with self._queue_cond:
+                    while not self._queue and not self._closed:
+                        self._queue_cond.wait()
+                    if not self._queue and self._closed:
+                        return
+                    batch = self._queue
+                    self._queue = []
+                _stats.gauge("service.queue_depth", 0)
+                try:
                     self._process_batch(batch)
-            except BaseException as exc:  # defensive: never strand writers
-                for item in batch:
-                    if not item.event.is_set():
-                        item.error = item.error or exc
-                        item.event.set()
-            self._merge_stats(sink)
+                except BaseException as exc:  # defensive: never strand writers
+                    for item in batch:
+                        if not item.event.is_set():
+                            item.error = item.error or exc
+                            item.event.set()
 
     def _maybe_auto_checkpoint(self):
         """Committer-thread hook: checkpoint when enough commits have
@@ -879,17 +832,14 @@ class TransactionService:
         closed.  Members that abort or time out get their events set
         immediately (there is nothing to graft for them).
 
-        Members are repaired (or conflicted, in ``occ`` mode) against
-        the head diff plus the accumulated effects of earlier members,
-        then the composite delta is applied through one IVM pass and
-        one constraint check (the Figure 7(b) batch).  A constraint
-        violation in the composite falls back to serial re-execution so
-        only the violating member aborts.
+        Members are repaired against the head diff plus the accumulated
+        effects of earlier members, then the composite delta is applied
+        through one IVM pass and one constraint check (the Figure 7(b)
+        batch).  A constraint violation in the composite falls back to
+        serial re-execution so only the violating member aborts.
         """
         committed = []
-        batch_span = None
-        with _obs.span("service.commit_batch", batch=len(group)) as span_:
-            batch_span = span_
+        with _obs.span("service.commit_batch", batch=len(group)) as batch_span:
             _stats.bump("service.batches")
             _stats.observe("service.batch.size", len(group))
             head = self.workspace.version()
@@ -917,10 +867,6 @@ class TransactionService:
                     )
                     if relevant:
                         _stats.bump("service.conflicts")
-                        if self.config.mode == "occ":
-                            raise ConflictError(
-                                "snapshot invalidated by a committed "
-                                "transaction", preds=relevant)
                         self._fire("repair", pending.txn.name)
                         _stats.bump("service.repair_merges")
                         repaired += 1
@@ -938,24 +884,22 @@ class TransactionService:
                 except Exception as exc:
                     pending.error = exc
                     pending.event.set()
-            if span_ is not None:
-                span_.attrs["repaired"] = repaired
-            applied = bool(members)
-            if members and accumulated:
+            if batch_span is not None:
+                batch_span.attrs["repaired"] = repaired
+            if members:
                 try:
-                    self.workspace._apply_deltas(head.state, accumulated)
+                    if accumulated:
+                        self.workspace._apply_deltas(head.state, accumulated)
                 except TransactionAborted:
                     _stats.bump("service.batch_fallbacks")
                     committed = self._commit_serially(members)
-                    applied = False
                 except Exception as exc:
                     for pending in members:
                         pending.error = exc
                         pending.event.set()
-                    applied = False
-            if applied:
-                self._record_commits(members)
-                committed = members
+                else:
+                    self._record_commits(members)
+                    committed = members
         return committed, batch_span
 
     def _commit_serially(self, members):
@@ -1109,8 +1053,7 @@ class TransactionService:
     def service_stats(self):
         """Counters attributed to this service's transactions, plus the
         admission window and commit-queue levels."""
-        with self._counters_lock:
-            counters = dict(self._counters)
+        counters = dict(self._counters)
         with self._queue_cond:
             queued = len(self._queue)
         counters["in_flight"] = self._admission.depth

@@ -113,7 +113,7 @@ def connect(target=None, *, service=None, name=None, timeout=None,
     modes hold there trivially.
 
     Extra keyword arguments go to the transport: ServiceConfig fields
-    for local sessions (e.g. ``connect(max_pending=8, mode="occ")``,
+    for local sessions (e.g. ``connect(max_pending=8, max_retries=2)``,
     ``connect(checkpoint_path=p)``), constructor options for the
     network sessions (timeouts, frame limits, failover policy).
     """

@@ -545,11 +545,6 @@ class CheckpointStore:
             "root_name": graph.root_name,
             "current_branch": workspace.branch,
             "branches": {name: version.id for name, version in heads.items()},
-            # restore reads only branches + states; older readers look
-            # each head up in this list
-            "versions": [
-                {"id": vid, "parents": [], "label": None} for vid in sorted(head_states)
-            ],
             "states": states,
         }
         self._commit_manifest(manifest, pack_name, locations)

@@ -56,8 +56,9 @@ class PreparedTransaction:
         self.repair_seconds = 0.0
 
     def _extract_effects(self):
-        effects = reactive_effects(self._mat.relations, self.ruleset.derived)
-        self.effects = {pred: delta for pred, delta in effects.items() if delta}
+        # empty deltas included: a write matching no row still names its
+        # target, so committing it meets the derived-predicate check
+        self.effects = reactive_effects(self._mat.relations, self.ruleset.derived)
 
     # -- the transaction interface (Figure 7a) --------------------------------
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine.iterators import (
-    RangeIterator,
     SingletonIterator,
     TreapTrieIterator,
     trie_iterator,
@@ -149,13 +148,3 @@ class TestVirtualIterators:
         it.next()
         assert it.at_end()
 
-    def test_range_iterator(self):
-        it = RangeIterator(2, 6)
-        seen = []
-        while not it.at_end():
-            seen.append(it.key())
-            it.next()
-        assert seen == [2, 3, 4, 5]
-        it = RangeIterator(0, 100)
-        it.seek(42)
-        assert it.key() == 42

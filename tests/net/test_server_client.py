@@ -29,10 +29,9 @@ def session(server):
 
 
 def test_hello_carries_service_policy(server, session):
-    config = server.service.config
-    assert session.policy["max_retries"] == config.max_retries
-    assert session.policy["backoff_base_s"] == config.backoff_base_s
-    assert session.policy["backoff_cap_s"] == config.backoff_cap_s
+    assert session.policy["max_retries"] == server.service.config.max_retries
+    assert session.policy["backoff_base_s"] == 0.001
+    assert session.policy["backoff_cap_s"] == 0.05
 
 
 def test_exec_returns_txnresult_with_deltas(session):

@@ -450,6 +450,8 @@ class TestDerivedWrites:
         "-R(1).",
         "+cnt[] = 9.",
         "+total[o] = 7 <- lineitem@start(o, _, _).",
+        # matches no row: refused all the same, not an empty commit
+        "+R(x) <- E@start(x, _), x > 100.",
     )
 
     def _install(self, target):
@@ -629,8 +631,16 @@ class TestKeywordOnlyConstructors:
         with pytest.raises(TypeError):
             TransactionService(None, ServiceConfig())
 
-    def test_service_config_rejects_unknown_mode(self):
+    def test_service_config_has_one_conflict_policy(self):
         from repro.service import ServiceConfig
 
-        with pytest.raises(ValueError):
-            ServiceConfig(mode="hope")
+        assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
+            "max_pending", "default_timeout_s", "max_retries",
+            "checkpoint_path", "checkpoint_every_n_commits",
+            "checkpoint_on_shutdown", "net_chunk_rows",
+            "net_max_connections", "telemetry_interval_s", "telemetry_ring",
+            "slow_txn_s", "shard_index", "shard_count", "engine",
+        ]
+        # conflicts are always repaired: there is no mode to pick
+        with pytest.raises(TypeError):
+            repro.connect(mode="occ")

@@ -171,12 +171,11 @@ class TestAdmissionControl:
 
 class TestBackoffDeterminism:
     def test_jitter_is_seeded(self):
-        def run(seed):
+        def run():
             faults = FaultInjector()
             faults.script("commit", "conflict", times=2)
-            with make_service(
-                    faults=faults, jitter_seed=seed, max_retries=5) as service:
+            with make_service(faults=faults, max_retries=5) as service:
                 result = service.exec(BUMP)
                 return result.attempts
 
-        assert run(7) == run(7) == 3
+        assert run() == run() == 3

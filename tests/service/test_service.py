@@ -157,26 +157,6 @@ class TestConcurrency:
 
 
 class TestOccMode:
-    def test_occ_conflicts_retry_then_commit(self):
-        with make_service(mode="occ", max_pending=16, max_retries=10) as service:
-            threads = []
-
-            def writer():
-                for _ in range(3):
-                    service.exec(BUMP)
-
-            for _ in range(4):
-                threads.append(threading.Thread(target=writer))
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert service.rows("counter") == [("hits", 12)]
-            stats = service.service_stats()
-            # first-committer-wins: the losers must have retried
-            assert stats.get("service.retries", 0) > 0
-            assert stats.get("service.repair_merges", 0) == 0
-
     def test_occ_exhausted_retries_raise_conflict(self):
         from repro.service import FaultInjector
 
@@ -184,7 +164,7 @@ class TestOccMode:
         # every commit attempt conflicts (2 attempts = 1 + max_retries)
         faults.script("commit", "conflict", times=2)
         service = TransactionService(
-            config=ServiceConfig(mode="occ", max_retries=1), faults=faults)
+            config=ServiceConfig(max_retries=1), faults=faults)
         with service:
             service.addblock(COUNTER, name="schema")
             service.load("counter", [("hits", 0)])

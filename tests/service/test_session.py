@@ -30,9 +30,9 @@ class TestConnect:
         assert ws.rows("c") == [("k", 2)]
 
     def test_connect_config_kwargs(self):
-        with connect(max_pending=2, mode="occ") as session:
+        with connect(max_pending=2, max_retries=7) as session:
             assert session.service.config.max_pending == 2
-            assert session.service.config.mode == "occ"
+            assert session.service.config.max_retries == 7
 
     def test_connect_rejects_config_with_shared_service(self):
         with TransactionService() as service:

@@ -1,7 +1,5 @@
-"""Co-partition classification (:func:`repro.engine.planner.classify_rules`)
-and the partition-anchored order helper."""
+"""Co-partition classification (:func:`repro.engine.planner.classify_rules`)."""
 
-from repro.engine.optimizer import anchored_orders
 from repro.engine.planner import (
     KEY_BROKEN,
     KEY_KEYED,
@@ -119,18 +117,3 @@ class TestPlacements:
             "reach(c, c2) <- reach(c, m), link(m, c2).")
         assert analysis.class_of("link").kind == KEY_SCATTERED
         assert analysis.class_of("reach").kind == KEY_SCATTERED
-
-
-class TestAnchoredOrders:
-    def test_anchor_leads_when_possible(self):
-        block = compile_program(
-            "big(o, l) <- order(o, c), lineitem(o, l, q).")
-        orders = anchored_orders(block.rules[0], "o")
-        assert orders and all(order[0] == "o" for order in orders)
-
-    def test_falls_back_when_anchor_cannot_lead(self):
-        block = compile_program(
-            "w(o, y) <- order(o, c), y = o + 1.")
-        # y is an assignment output; it can never lead
-        orders = anchored_orders(block.rules[0], "y")
-        assert orders  # unconstrained candidates returned instead

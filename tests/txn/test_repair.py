@@ -82,8 +82,6 @@ class TestPreparedTransaction:
         ws.load("A", [(5,)])
         ws.load("B", [(1,), (9,)])
         source = "+out(x) <- A@start(x), B@start(x)."
-        txn = PreparedTransaction(source)
-        assert txn.execute(ws.state) == {}
 
         def serial(change):
             ws.exec(change)
@@ -91,6 +89,10 @@ class TestPreparedTransaction:
 
         def rows(effects):
             return {p: (set(d.added), set(d.removed)) for p, d in effects.items()}
+
+        txn = PreparedTransaction(source)
+        # nothing matches, but the effects still name the written target
+        assert rows(txn.execute(ws.state)) == {"out": (set(), set())}
 
         first = {"A": Delta.from_iters([(7,)], ())}
         assert txn.relevant_corrections(first) == {}
@@ -100,7 +102,7 @@ class TestPreparedTransaction:
         # and deleting A(7) retracts it
         retract = {"A": Delta.from_iters((), [(7,)])}
         txn.correct(txn.relevant_corrections(retract))
-        assert rows(txn.effects) == rows(serial("-A(7).")) == {}
+        assert rows(txn.effects) == rows(serial("-A(7).")) == {"out": (set(), set())}
 
     def test_non_reactive_source_rejected(self):
         from repro.runtime.errors import TransactionAborted
