@@ -27,6 +27,17 @@ cannot drift.  Below the first variable the interpreter works on
 fixed-size chunks of the first level's bindings, which bounds its
 transient arrays.
 
+A variable level that one atom column reads takes that column's
+dictionary and codes as they are; a level several columns share gets
+the merged dictionary and remaps each column's codes into it.
+
+An aggregate rule whose join runs here does not decode its bindings:
+:meth:`ColumnarTrieJoin.fold` groups the final frontier's code columns
+by the head keys and reduces them in numpy (``count``, ``min``,
+``max`` on codes, ``sum`` / ``avg`` on ``int64`` values), decoding one
+key per group.  Float sums, sums that could overflow ``int64`` and
+assigned (unencoded) variables fold row by row in the evaluator.
+
 Which executor runs a join is decided per plan by :func:`make_join`
 unless the caller (or ``REPRO_ENGINE``) forces one: the columnar
 executor pays a setup per relation version that only a large join
@@ -44,6 +55,8 @@ import os
 import weakref
 
 from repro import stats as global_stats
+from repro.ds.pmap import PMap
+from repro.engine.aggregates import MultisetState, SumState
 from repro.engine.ir import CompareAtom, Const, Var
 from repro.engine.lftj import LeapfrogTrieJoin
 from repro.storage.columnar import HAVE_NUMPY, ColumnarUnsupported
@@ -65,6 +78,10 @@ COLUMNAR_MIN_ROWS = 1024
 
 #: First-level bindings per chunk of the deeper levels' expansion.
 _CHUNK_ROWS = 64
+
+#: The same for an aggregate fold, which keeps every row's codes until
+#: it groups them anyway: wider chunks spend fewer interpreter passes.
+_FOLD_CHUNK_ROWS = 1024
 
 _INT64_MIN, _INT64_MAX = -(2 ** 63), 2 ** 63 - 1
 
@@ -181,7 +198,7 @@ class _AtomArrays:
 
     __slots__ = ("keys", "comp", "child_lo", "child_cnt", "r0", "n_levels")
 
-    def __init__(self, atom_plan, layout, lo, hi, value_index, sizes):
+    def __init__(self, atom_plan, layout, lo, hi, setup):
         n_const = len(atom_plan.const_prefix)
         n_levels = len(atom_plan.levels)
         starts = [
@@ -196,15 +213,18 @@ class _AtomArrays:
         self.child_cnt = []
         for depth in range(n_levels):
             level = atom_plan.levels[depth]
-            level_size = sizes[level]
+            level_size = setup.sizes[level]
             local_domain = layout.domains[n_const + depth]
-            index = value_index[level]
-            remap = np.fromiter(
-                (index[value] for value in local_domain),
-                np.int64,
-                count=len(local_domain),
-            )
-            keys = remap[layout.codes[n_const + depth][starts[depth]]]
+            keys = layout.codes[n_const + depth][starts[depth]]
+            if setup.domains[level] is not local_domain:
+                # a shared level: map local codes into the merged domain
+                index = setup.code_index(level)
+                remap = np.fromiter(
+                    (index[value] for value in local_domain),
+                    np.int64,
+                    count=len(local_domain),
+                )
+                keys = remap[keys]
             self.keys.append(keys)
             if depth == 0:
                 self.comp.append(keys)
@@ -231,16 +251,26 @@ class _JoinSetup:
     """Everything the vectorized loops need for one (plan, versions)."""
 
     __slots__ = ("atoms", "domains", "domain_arrays", "int_arrays",
-                 "value_index", "sizes", "empty")
+                 "code_indexes", "sizes", "empty")
 
-    def __init__(self, atoms, domains, value_index, sizes, empty):
-        self.atoms = atoms
+    def __init__(self, domains, empty):
+        self.atoms = ()
         self.domains = domains  # per level: sorted value list | None
-        self.value_index = value_index  # per level: {value: code} | None
-        self.sizes = sizes  # per level: len(domain) or 1
+        # per level: len(domain) or 1
+        self.sizes = [len(domain or ()) or 1 for domain in domains]
         self.empty = empty
         self.domain_arrays = [None] * len(domains)
         self.int_arrays = {}
+        self.code_indexes = {}
+
+    def code_index(self, level):
+        """The level's ``{value: code}`` dictionary (cached)."""
+        index = self.code_indexes.get(level)
+        if index is None:
+            index = self.code_indexes[level] = {
+                value: code for code, value in enumerate(self.domains[level])
+            }
+        return index
 
     def domain_array(self, level):
         """The level's decode table as an object ndarray (cached)."""
@@ -306,47 +336,41 @@ def _build_setup(plan, layouts):
     for atom_plan, layout in zip(plan.atom_plans, layouts):
         lo, hi = layout.prefix_range(atom_plan.const_prefix)
         if lo >= hi:
-            return _JoinSetup((), [None] * n_levels, [None] * n_levels,
-                              [1] * n_levels, empty=True)
+            return _JoinSetup([None] * n_levels, empty=True)
         ranged.append((atom_plan, layout, lo, hi))
 
-    # per-variable dictionaries: the ordered union of every participating
-    # column's domain.  The first participant's representative wins for
-    # values that compare equal across atoms, mirroring first-atom
-    # iterator order in the pure leapfrog.
-    level_values = [None] * n_levels
+    # per-variable dictionaries.  A level one atom column reads takes
+    # that column's domain as is, and its codes as keys.  A shared
+    # level takes the ordered union of its columns' domains; the first
+    # participant's representative wins for values that compare equal
+    # across atoms, mirroring first-atom iterator order in the pure
+    # leapfrog.
+    columns = [[] for _ in range(n_levels)]
     for atom_plan, layout, _, _ in ranged:
         n_const = len(atom_plan.const_prefix)
         for depth, level in enumerate(atom_plan.levels):
-            seen = level_values[level]
-            if seen is None:
-                seen = level_values[level] = ({}, [])
-            index, ordered = seen
-            for value in layout.domains[n_const + depth]:
-                if value not in index:
-                    index[value] = True
-                    ordered.append(value)
-    domains = [None] * n_levels
-    value_index = [None] * n_levels
-    sizes = [1] * n_levels
-    for level in range(n_levels):
-        if level_values[level] is None:
-            continue  # assign-only level: raw values, no dictionary
-        try:
-            merged = sorted(level_values[level][1])
-        except TypeError as exc:
-            raise ColumnarUnsupported(
-                "join key values do not merge-sort: {}".format(exc)
-            )
-        domains[level] = merged
-        value_index[level] = {value: code for code, value in enumerate(merged)}
-        sizes[level] = len(merged) or 1
-
-    atoms = tuple(
-        _AtomArrays(atom_plan, layout, lo, hi, value_index, sizes)
+            columns[level].append(layout.domains[n_const + depth])
+    domains = [None] * n_levels  # assign-only level: raw values
+    for level, level_columns in enumerate(columns):
+        if len(level_columns) == 1:
+            domains[level] = level_columns[0]
+        elif level_columns:
+            index = {}
+            for domain in level_columns:
+                for value in domain:
+                    index.setdefault(value, value)
+            try:
+                domains[level] = sorted(index.values())
+            except TypeError as exc:
+                raise ColumnarUnsupported(
+                    "join key values do not merge-sort: {}".format(exc)
+                )
+    setup = _JoinSetup(domains, empty=False)
+    setup.atoms = tuple(
+        _AtomArrays(atom_plan, layout, lo, hi, setup)
         for atom_plan, layout, lo, hi in ranged
     )
-    return _JoinSetup(atoms, domains, value_index, sizes, empty=False)
+    return setup
 
 
 def _setup_for(plan, relations):
@@ -566,7 +590,7 @@ class ColumnarTrieJoin:
             values = [assign.compute(b) for b in bindings_rows]
             rows = np.arange(frontier, dtype=np.int64)
             if parts:
-                index = setup.value_index[level]
+                index = setup.code_index(level)
                 vals = np.fromiter(
                     (_code_of(index, v) for v in values),
                     np.int64,
@@ -644,17 +668,18 @@ class ColumnarTrieJoin:
         self._count_steps(len(columns[-1][1]))
         return cur, columns
 
-    def _interpret(self, adapter):
-        """Level-by-level vectorized expansion; yields decoded columns
-        (object arrays aligned with ``var_order``) per chunk of at most
-        :data:`_CHUNK_ROWS` first-level bindings, in enumeration order."""
+    def _interpret(self, adapter, chunk_rows=_CHUNK_ROWS):
+        """Level-by-level vectorized expansion; yields the final
+        frontier's coded ``(tag, array)`` columns (aligned with
+        ``var_order``) per chunk of at most ``chunk_rows`` first-level
+        bindings, in enumeration order."""
         n_levels = len(self.plan.var_order)
         first = self._level(adapter, 0, [None] * len(self._setup.atoms), [])
         if first is None:
             return
         cur0, columns0 = first
-        for start in range(0, len(columns0[0][1]), _CHUNK_ROWS):
-            chunk = slice(start, start + _CHUNK_ROWS)
+        for start in range(0, len(columns0[0][1]), chunk_rows):
+            chunk = slice(start, start + chunk_rows)
             state = (
                 [c[chunk] if c is not None else None for c in cur0],
                 [(tag, arr[chunk]) for tag, arr in columns0],
@@ -664,29 +689,160 @@ class ColumnarTrieJoin:
                 if state is None:
                     break
             else:
-                yield [
-                    self._decode_column(level, column)
-                    for level, column in enumerate(state[1])
-                ]
+                yield state[1]
+
+    def _satisfiable(self, adapter):
+        """False when a ground filter or ground atom fails or a constant
+        prefix matches nothing: the join has no bindings."""
+        plan = self.plan
+        return (
+            all(comparison.holds({}) for comparison in plan.ground_filters)
+            and all(adapter._filter_holds(atom, {}) for atom in plan.ground_atoms)
+            and not self._setup.empty
+        )
+
+    def _decoded(self, chunks):
+        """The bindings of coded chunks, as ``var_order``-aligned tuples."""
+        for columns in chunks:
+            yield from zip(*(
+                self._decode_column(level, column)
+                for level, column in enumerate(columns)
+            ))
 
     # -- run ---------------------------------------------------------------
 
     def run(self):
         """Yield all satisfying assignments as ``var_order``-aligned
         tuples — the pure executor's output, bit for bit."""
-        plan = self.plan
-        adapter = LeapfrogTrieJoin(plan, self.relations)
-        for comparison in plan.ground_filters:
-            if not comparison.holds({}):
-                return
-        for atom in plan.ground_atoms:
-            if not adapter._filter_holds(atom, {}):
-                return
-        if self._setup.empty:
+        adapter = LeapfrogTrieJoin(self.plan, self.relations)
+        if not self._satisfiable(adapter):
             return
-        if not plan.var_order:
+        if not self.plan.var_order:
             yield ()
             return
         global_stats.bump("join.columnar_joins")
-        for columns in self._interpret(adapter):
-            yield from zip(*columns)
+        yield from self._decoded(self._interpret(adapter))
+
+    # -- aggregate fold ----------------------------------------------------
+
+    def _fold_refusal(self, fn, key_levels, value_level):
+        """Why aggregate ``fn`` cannot fold over this join's codes, or
+        ``None`` when it can."""
+        setup = self._setup
+        if any(setup.domains[level] is None for level in key_levels):
+            return "assigned group key"
+        if setup.domains[value_level] is None:
+            return "assigned value"
+        if fn in ("sum", "avg") and setup.int_array(value_level) is None:
+            return "values not int64"
+        scale = 1
+        for level in key_levels:
+            scale *= setup.sizes[level]
+        if scale > 2 ** 63:
+            return "group keys overflow int64"
+        return None
+
+    def fold(self, fn, key_spec, value_level, keep_state):
+        """Fold aggregate ``fn`` over the join's bindings in numpy,
+        without decoding them.
+
+        ``key_spec`` gives the head's group key columns — ``("c",
+        value)`` for a constant, ``("v", level)`` for a variable — and
+        ``value_level`` the aggregated variable.  Rows group by the
+        mixed-radix composite of their key codes (one stable sort); a
+        group's ``count`` is its size, ``min`` / ``max`` its extreme
+        code (codes preserve order), and ``sum`` / ``avg`` an ``int64``
+        ``reduceat`` whose total goes back to a Python ``int``.  Each
+        group key decodes once.
+
+        Returns ``(fold, result)``.  ``fold`` is ``"vector"`` and
+        ``result`` a list of ``(group key, aggregate value, state)``
+        (``state`` the :class:`~repro.engine.aggregates.SumState` or
+        :class:`~repro.engine.aggregates.MultisetState` the row-wise
+        fold would build, ``None`` unless ``keep_state``); or ``fold``
+        is ``"rows: <reason>"`` and ``result`` the decoded bindings, for
+        the caller to fold row by row.  That happens for a value column
+        not all ``int64`` under ``sum`` / ``avg`` (floats included:
+        pairwise summation would change the bits), for a sum that could
+        overflow ``int64`` (``n * max|v| >= 2**63``) and for assigned
+        (unencoded) variables.
+        """
+        setup = self._setup
+        key_levels = [value for tag, value in key_spec if tag == "v"]
+        refusal = None if setup.empty else self._fold_refusal(
+            fn, key_levels, value_level)
+        if refusal is not None:
+            return "rows: " + refusal, self.run()
+        adapter = LeapfrogTrieJoin(self.plan, self.relations)
+        if not self._satisfiable(adapter):
+            return "vector", []
+        global_stats.bump("join.columnar_joins")
+        chunks = list(self._interpret(adapter, _FOLD_CHUNK_ROWS))
+        if not chunks:
+            return "vector", []
+        codes = {
+            level: np.concatenate([columns[level][1] for columns in chunks])
+            for level in set(key_levels) | {value_level}
+        }
+        n_rows = len(codes[value_level])
+        values = codes[value_level]
+        if fn in ("sum", "avg"):
+            values = setup.int_array(value_level)[values]
+            bound = max(-int(values.min()), int(values.max()))
+            if n_rows * bound >= 2 ** 63:
+                return "rows: sum may overflow int64", self._decoded(chunks)
+        global_stats.bump("join.vector_folds")
+        if self.stats is not None:
+            self.stats["rows"] = n_rows
+
+        group = np.zeros(n_rows, np.int64)
+        for level in key_levels:
+            group = group * setup.sizes[level] + codes[level]
+        if fn in ("min", "max"):  # by group, then by value within one
+            order = np.lexsort((values, group))
+        else:
+            order = np.argsort(group, kind="stable")
+        group, values = group[order], values[order]
+        starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+        ends = np.r_[starts[1:], n_rows]
+        sizes = (ends - starts).tolist()
+
+        key_columns = [
+            [value] * len(sizes) if tag == "c"
+            else setup.domain_array(value)[codes[value][order[starts]]].tolist()
+            for tag, value in key_spec
+        ]
+        keys = list(zip(*key_columns)) if key_columns else [()] * len(sizes)
+        states = [None] * len(sizes)
+        if fn == "count":
+            results = sizes
+            if keep_state:
+                states = [SumState(size, size) for size in sizes]
+        elif fn in ("sum", "avg"):
+            totals = np.add.reduceat(values, starts).tolist()
+            results = (totals if fn == "sum"
+                       else [total / size for total, size in zip(totals, sizes)])
+            if keep_state:
+                states = [SumState(total, size)
+                          for total, size in zip(totals, sizes)]
+        else:
+            decode = setup.domain_array(value_level)
+            results = decode[values[starts if fn == "min" else ends - 1]].tolist()
+            if keep_state:
+                states = self._multisets(decode, group, values, starts, sizes)
+        return "vector", list(zip(keys, results, states))
+
+    @staticmethod
+    def _multisets(decode, group, values, starts, sizes):
+        """Per group (rows sorted by group, then value), the
+        :class:`MultisetState` of its values."""
+        runs = np.flatnonzero(
+            np.r_[True, (group[1:] != group[:-1]) | (values[1:] != values[:-1])])
+        counts = np.diff(np.r_[runs, len(values)]).tolist()
+        distinct = decode[values[runs]].tolist()
+        bounds = np.searchsorted(runs, np.r_[starts, len(values)]).tolist()
+        return [
+            MultisetState(
+                PMap.from_sorted_items(zip(distinct[lo:hi], counts[lo:hi])), size)
+            for lo, hi, size in zip(bounds, bounds[1:], sizes)
+        ]

@@ -59,21 +59,23 @@ class PredicateState:
 
 
 class _HeadProjector:
-    """Precomputed head projection for a fixed variable order."""
+    """Precomputed head projection for a fixed variable order: per head
+    column, ``("c", value)`` for a constant or ``("v", position)`` for
+    a variable's position in that order."""
 
-    __slots__ = ("_spec",)
+    __slots__ = ("spec",)
 
     def __init__(self, rule, var_order, drop_last=False):
         index = {name: position for position, name in enumerate(var_order)}
         args = rule.head_args[:-1] if drop_last else rule.head_args
-        self._spec = tuple(
+        self.spec = tuple(
             ("c", arg.value) if isinstance(arg, Const) else ("v", index[arg.name])
             for arg in args
         )
 
     def __call__(self, binding):
         return tuple(
-            value if tag == "c" else binding[value] for tag, value in self._spec
+            value if tag == "c" else binding[value] for tag, value in self.spec
         )
 
 
@@ -145,40 +147,42 @@ class Evaluator:
             return None
         return self.order_chooser(rule, relations)
 
-    def rule_bindings(self, rule, relations, recorder=None):
-        """Iterate satisfying assignments of ``rule``'s body.
-
-        Returns ``(var_order, iterator)``.  When tracing is active a
-        ``plan`` span records whether the rule's plan memo hit, and the
-        iterator is wrapped in a ``join`` span carrying the execution's
-        seek/next/open counts, the executor that ran (``backend``) and
-        why it was picked (``reason``); with tracing off the
-        executor runs with ``stats=None`` and counts nothing.
-        """
+    def _executor(self, rule, relations, recorder):
+        """``(plan, executor, exec_stats, join span attrs)`` for one run
+        of ``rule``'s join.  When tracing is active a ``plan`` span
+        records whether the rule's plan memo hit; with tracing off the
+        executor runs with ``stats=None`` and counts nothing, and the
+        attrs are empty."""
         var_order = self._order_for(rule, relations)
         cache = "hit" if rule.has_plan(var_order) else "miss"
         with obs.span("plan", rule=rule.head_pred, cache=cache):
             plan = rule.plan(var_order)
-        traced = obs.tracing()
-        exec_stats = {} if traced else None
+        exec_stats = {} if obs.tracing() else None
         executor = make_join(plan, relations, recorder,
                              stats=exec_stats, backend=self.backend)
-        # the columnar executor bumps join.* itself
-        bump_prefix = "join." if executor.backend == "pure" else None
+        attrs = {} if exec_stats is None else {
+            "rule": rule.name or rule.head_pred,
+            "vars": len(plan.var_order),
+            "backend": executor.backend,
+            "reason": executor.reason,
+        }
+        return plan, executor, exec_stats, attrs
+
+    def rule_bindings(self, rule, relations, recorder=None):
+        """Iterate satisfying assignments of ``rule``'s body.
+
+        Returns ``(var_order, iterator)``.  When tracing is active the
+        iterator is wrapped in a ``join`` span carrying the execution's
+        seek/next/open counts, the executor that ran (``backend``) and
+        why it was picked (``reason``).
+        """
+        plan, executor, exec_stats, attrs = self._executor(
+            rule, relations, recorder)
         run = executor.run()
-        if traced:
-            run = obs.traced_bindings(
-                "join",
-                {
-                    "rule": rule.name or rule.head_pred,
-                    "vars": len(plan.var_order),
-                    "backend": executor.backend,
-                    "reason": executor.reason,
-                },
-                run,
-                exec_stats,
-                bump_prefix,
-            )
+        if exec_stats is not None:
+            # the columnar executor bumps join.* itself
+            bump_prefix = "join." if executor.backend == "pure" else None
+            run = obs.traced_bindings("join", attrs, run, exec_stats, bump_prefix)
         return plan.var_order, run
 
     # -- full evaluation ---------------------------------------------------
@@ -250,21 +254,44 @@ class Evaluator:
                 sorted((head, n) for head, n in counts.items() if n > 1)))
 
     def _evaluate_aggregate(self, pred, rule, relations, states, chooser):
-        aggregate = AGGREGATES[rule.agg.fn]
-        var_order, bindings = self.rule_bindings(rule, relations, chooser(rule))
-        project = _HeadProjector(rule, var_order, drop_last=True)
-        value_position = list(var_order).index(rule.agg.value_var)
-        groups = {}
-        for binding in bindings:
-            group_key = project(binding)
-            state = groups.get(group_key)
-            if state is None:
-                state = aggregate.empty()
-            groups[group_key] = agg_add(rule.agg.fn, state, binding[value_position])
-        tuples = [
-            group_key + (aggregate.result(state),)
-            for group_key, state in groups.items()
-        ]
+        """One P2P aggregate rule.  A columnar join folds its code
+        columns in numpy (:meth:`ColumnarTrieJoin.fold`); any other
+        folds its bindings one at a time.  The ``join`` span's ``fold``
+        says which ran: ``"vector"``, or ``"rows: <reason>"``."""
+        fn = rule.agg.fn
+        aggregate = AGGREGATES[fn]
+        plan, executor, exec_stats, attrs = self._executor(
+            rule, relations, chooser(rule))
+        project = _HeadProjector(rule, plan.var_order, drop_last=True)
+        value_position = plan.var_order.index(rule.agg.value_var)
+        bump_prefix = "join." if executor.backend == "pure" else None
+        with obs.traced_join("join", attrs, exec_stats, bump_prefix) as span_:
+            if executor.backend == "columnar":
+                fold, result = executor.fold(
+                    fn, project.spec, value_position, states is not None)
+            else:
+                fold, result = "rows: pure join", executor.run()
+            if fold == "vector":
+                entries = result
+            else:
+                groups = {}
+                rows = 0
+                for binding in result:
+                    rows += 1
+                    group_key = project(binding)
+                    state = groups.get(group_key)
+                    if state is None:
+                        state = aggregate.empty()
+                    groups[group_key] = agg_add(fn, state, binding[value_position])
+                entries = [
+                    (group_key, aggregate.result(state), state)
+                    for group_key, state in groups.items()
+                ]
+                if span_ is not None:
+                    span_.attrs["rows"] = rows
+            if span_ is not None:
+                span_.attrs["fold"] = fold
+        tuples = [group_key + (value,) for group_key, value, _ in entries]
         if states is None and pred not in self.ruleset.read:
             relations[pred] = sorted(tuples)
             return
@@ -272,8 +299,9 @@ class Evaluator:
         if states is not None:
             states[pred] = PredicateState(
                 "agg",
-                groups=PMap.from_sorted_items(sorted(groups.items())),
-                agg_fn=rule.agg.fn,
+                groups=PMap.from_sorted_items(
+                    sorted((group_key, state) for group_key, _, state in entries)),
+                agg_fn=fn,
             )
 
     def _evaluate_recursive(self, stratum, relations, states, chooser):

@@ -46,6 +46,7 @@ from repro.obs.core import (
     trace_file_off,
     trace_to,
     traced_bindings,
+    traced_join,
     tracing,
     _set_forced,
 )

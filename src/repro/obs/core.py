@@ -45,6 +45,7 @@ hook counting the cyclic garbage collector's runs and wall time
 (``runtime.gc_*``), which no span would show.
 """
 
+import contextlib
 import gc
 import itertools
 import json
@@ -568,8 +569,10 @@ def last_roots():
     return list(getattr(_local, "ambient", ()) or ())
 
 
-def traced_bindings(name, attrs, run, exec_stats, bump_prefix=None):
-    """Wrap a bindings iterator in a span covering its consumption.
+@contextlib.contextmanager
+def traced_join(name, attrs, exec_stats, bump_prefix=None):
+    """A span around one join's execution; yields it (``None`` when
+    tracing is off).
 
     ``exec_stats`` is the executor's live counter dict (seeks, nexts,
     opens, steps); on close it is folded into the span's attributes
@@ -578,19 +581,28 @@ def traced_bindings(name, attrs, run, exec_stats, bump_prefix=None):
     prefix).
     """
     with span(name, **attrs) as span_:
+        try:
+            yield span_
+        finally:
+            if bump_prefix and exec_stats:
+                for key, value in exec_stats.items():
+                    stats.bump(bump_prefix + key, value)
+            if span_ is not None and exec_stats:
+                span_.attrs.update(exec_stats)
+
+
+def traced_bindings(name, attrs, run, exec_stats, bump_prefix=None):
+    """Wrap a bindings iterator in a :func:`traced_join` span covering
+    its consumption, with the number of bindings as ``rows``."""
+    with traced_join(name, attrs, exec_stats, bump_prefix) as span_:
         rows = 0
         try:
             for item in run:
                 rows += 1
                 yield item
         finally:
-            if bump_prefix and exec_stats:
-                for key, value in exec_stats.items():
-                    stats.bump(bump_prefix + key, value)
             if span_ is not None:
                 span_.attrs["rows"] = rows
-                if exec_stats:
-                    span_.attrs.update(exec_stats)
 
 
 # -- collectors --------------------------------------------------------------

@@ -127,7 +127,9 @@ class ExplainReport:
     ``estimated_steps``, ``actual_steps``, ``error_ratio``, ``rows``,
     ``indexes``, ``executions``, and the join path the rule took
     (``backend``: ``pure`` / ``columnar``) with the ``reason`` it was
-    picked — JSON/codec-safe so reports travel the wire unchanged.
+    picked, and for an aggregate rule the ``fold`` that ran
+    (``"vector"`` or ``"rows: <reason>"``, else ``None``) —
+    JSON/codec-safe so reports travel the wire unchanged.
     ``backend`` on the report is the forced backend, or ``per-plan``."""
 
     def __init__(self, source, answer, row_count, wall_s, backend, rules):
@@ -181,7 +183,9 @@ class ExplainReport:
                 rule.get("actual_steps", "-"),
                 "{:.2f}".format(ratio) if ratio is not None else "-",
                 rule.get("rows", 0),
-                "{} ({})".format(rule["backend"], rule.get("reason"))
+                "{} ({}){}".format(
+                    rule["backend"], rule.get("reason"),
+                    ", fold " + rule["fold"] if rule.get("fold") else "")
                 if rule.get("backend") else "-",
             ))
         if not self.rules:
@@ -244,6 +248,7 @@ def explain_query(state, source, answer=None, *, sample_size=256,
             "error_ratio": None,
             "backend": last.get("backend"),
             "reason": last.get("reason"),
+            "fold": last.get("fold"),
         }
         if prediction is not None:
             order, estimated, indexes = prediction

@@ -325,7 +325,9 @@ class Workspace:
         :meth:`reset_engine_stats`): warm vs. cold relation indexes and
         columnar layouts, join seek/next movement, the executor each
         join ran on (``columnar["chosen"]``), columnar joins and
-        fallbacks, and IVM work.  Benchmarks export
+        fallbacks, aggregates folded in numpy (``vector_folds``),
+        layouts patched instead of re-encoded (``patches``), and IVM
+        work.  Benchmarks export
         these next to wall times so speedups are attributable.
 
         Counters bumped by other workspaces — even concurrently on
@@ -347,6 +349,8 @@ class Workspace:
             "fallbacks": counters.get("join.columnar_fallbacks", 0),
             "vector_seeks": counters.get("join.vector_seeks", 0),
             "setups": counters.get("join.columnar_setups", 0),
+            "vector_folds": counters.get("join.vector_folds", 0),
+            "patches": counters.get("relation.columnar_patches", 0),
         }
         return counters
 

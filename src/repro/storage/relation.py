@@ -9,12 +9,19 @@ Secondary indexes are column permutations of the tuple set (paper §3.2:
 "a secondary index is required on one of the two predicates").  They are
 cached per relation version and maintained *incrementally* when a delta
 is applied, so a small write to a large indexed relation stays cheap.
+Columnar layouts are handed on too, as patches applied on first read.
+
+Every tuple enters a relation canonical per
+:func:`~repro.ds.hashing.canonical_key`: a relation stores ``0.0``,
+never ``-0.0``, whichever writer wrote it.
 """
 
 import random
+from math import copysign
 
 from repro import stats
 from repro.ds import treap
+from repro.ds.hashing import canonical_key
 from repro.ds.pset import PSet
 from repro.ds.treap import MISSING
 from repro.storage.datum import TOP
@@ -60,10 +67,11 @@ class Delta:
         A tuple in both ``added`` and ``removed`` resolves to "added"
         (``apply`` removes first, then adds); insertions of present
         tuples and deletions of absent tuples are dropped, so the
-        result is exactly the edit set.
+        result is exactly the edit set, its added tuples canonical.
         """
         removed = self.removed - self.added
-        added = PSet.from_sorted(t for t in self.added if t not in base)
+        added = PSet.from_sorted(
+            _canonical(t) for t in self.added if t not in base)
         removed = PSet.from_sorted(t for t in removed if t in base)
         return Delta(added, removed)
 
@@ -81,20 +89,46 @@ def _permute(tup, perm):
     return tuple(tup[i] for i in perm)
 
 
+def _negative_zero(value):
+    return isinstance(value, float) and value == 0.0 and copysign(1.0, value) < 0
+
+
+def _canonical(tup):
+    """``tup`` with its values canonical (``-0.0`` stored as ``0.0``),
+    ``tup`` itself when they already are.  ``0.0 in tup`` is true for
+    every zero, so a tuple without one costs one C-level scan."""
+    if 0.0 in tup and any(_negative_zero(value) for value in tup):
+        return tuple(canonical_key(value) for value in tup)
+    return tup
+
+
+class _Patch:
+    """A columnar layout of an earlier version, pending: the rows that
+    version held and the summed size of the deltas written since."""
+
+    __slots__ = ("layout", "tuples", "size")
+
+    def __init__(self, layout, tuples, size):
+        self.layout = layout
+        self.tuples = tuples
+        self.size = size
+
+
 class Relation:
     """One immutable version of a predicate's extension."""
 
     __slots__ = ("arity", "_tuples", "_indexes", "_columnar")
 
-    def __init__(self, arity, tuples=None, indexes=None):
+    def __init__(self, arity, tuples=None, indexes=None, columnar=None):
         self.arity = arity
         self._tuples = tuples if tuples is not None else PSet.EMPTY
         # perm (tuple) -> PSet of permuted tuples; identity perm excluded
         self._indexes = indexes if indexes is not None else {}
-        # perm (tuple) -> ColumnarLayout | ColumnarUnsupported; lazy
-        # cache for the vectorized backend, per version and never
-        # promoted: apply() drops it from the version it supersedes
-        self._columnar = {}
+        # perm (tuple) -> ColumnarLayout | ColumnarUnsupported | _Patch;
+        # lazy cache for the vectorized backend: apply() hands each
+        # layout on as a _Patch and drops it from the version it
+        # supersedes, and columnar() applies a _Patch on first read
+        self._columnar = columnar if columnar is not None else {}
 
     @classmethod
     def empty(cls, arity):
@@ -104,7 +138,7 @@ class Relation:
     @classmethod
     def from_iter(cls, arity, tuples):
         """Build from an iterable of tuples (deduplicated, validated)."""
-        materialized = sorted({tuple(t) for t in tuples})
+        materialized = sorted({_canonical(tuple(t)) for t in tuples})
         for t in materialized:
             if len(t) != arity:
                 raise ValueError(
@@ -198,9 +232,25 @@ class Relation:
     def apply(self, delta):
         """Apply a :class:`Delta`, maintaining cached secondary indexes
         incrementally at O(|delta| log n), so the new version starts with
-        every treap index of its parent already warm."""
+        every treap index of its parent already warm.
+
+        Each columnar layout this version holds, encoded or pending, is
+        handed to the new version as a pending patch in O(1): the
+        layout, the rows it encodes and the summed size of the deltas
+        since.  :meth:`columnar` applies it on first read, so a write
+        pays nothing for a layout nobody reads.  A patch whose deltas
+        reach the layout's row count is dropped (encoding afresh is as
+        cheap), and so is a cached encoding failure.  This version drops
+        its own layouts, so reads between writes leave no layout per
+        write behind."""
         if not delta:
             return self
+        for t in delta.added:
+            if 0.0 in t and _canonical(t) is not t:
+                delta = Delta(
+                    PSet.from_sorted(_canonical(t) for t in delta.added),
+                    delta.removed)
+                break
         tuples = (self._tuples - delta.removed) | delta.added
         if tuples == self._tuples:
             return self
@@ -209,11 +259,20 @@ class Relation:
             permuted = delta.map_tuples(lambda t, p=perm: _permute(t, p))
             indexes[perm] = (index - permuted.removed) | permuted.added
             stats.bump("relation.index_promotions")
-        # a columnar layout cannot be merged cheaply; the superseded
-        # version drops its own (a later read of it re-encodes), so
-        # reads between writes leave no layout per write behind
+        columnar = {}
+        # a snapshot: a reader on another thread may add a layout
+        for perm, cached in tuple(self._columnar.items()):
+            if isinstance(cached, _Patch):
+                cached = _Patch(cached.layout, cached.tuples,
+                                cached.size + len(delta))
+            elif isinstance(cached, Exception):
+                continue
+            else:
+                cached = _Patch(cached, self._tuples, len(delta))
+            if cached.size < cached.layout.n_rows:
+                columnar[perm] = cached
         self._columnar = {}
-        return Relation(self.arity, tuples, indexes)
+        return Relation(self.arity, tuples, indexes, columnar)
 
     def diff(self, new):
         """The :class:`Delta` turning this version into ``new``.
@@ -298,10 +357,15 @@ class Relation:
 
     def columnar(self, perm):
         """Column-encoded layout of the tuples permuted by ``perm``
-        (cached per version, never promoted by :meth:`apply`).
+        (cached per version).
 
-        Encodes from a sort of the tuples it does not keep, so one
-        columnar read taxes no write after it.
+        A layout handed on by :meth:`apply` is patched with the rows
+        this version and the patch's differ by — a treap diff, which
+        costs their edit distance — and counts in
+        ``relation.columnar_patches``; with nothing handed on, the
+        layout is encoded from a sort of the tuples it does not keep
+        (``relation.columnar_misses``), so one columnar read taxes no
+        write after it.
 
         Raises :class:`~repro.storage.columnar.ColumnarUnsupported`
         when the values do not dictionary-encode (or numpy is absent);
@@ -311,10 +375,15 @@ class Relation:
 
         perm = tuple(perm)
         cached = self._columnar.get(perm)
-        if cached is None:
-            stats.bump("relation.columnar_misses")
+        if cached is None or isinstance(cached, _Patch):
             try:
-                cached = ColumnarLayout(self._sorted_rows(perm), self.arity)
+                layout = None if cached is None else self._patched(perm, cached)
+                if layout:
+                    stats.bump("relation.columnar_patches")
+                else:
+                    stats.bump("relation.columnar_misses")
+                    layout = ColumnarLayout(self._sorted_rows(perm), self.arity)
+                cached = layout
             except ColumnarUnsupported as exc:
                 cached = exc
             self._columnar[perm] = cached
@@ -324,11 +393,25 @@ class Relation:
             raise cached
         return cached
 
+    def _patched(self, perm, patch):
+        """``patch``'s layout moved to this version, or ``None`` when
+        it cannot be (see :meth:`ColumnarLayout.patched`)."""
+        added, removed = [], []
+        for row, in_old, in_new in patch.tuples.diff(self._tuples):
+            if in_new and not in_old:
+                added.append(row)
+            elif in_old and not in_new:
+                removed.append(row)
+        if perm != tuple(range(self.arity)):
+            added = sorted(_permute(t, perm) for t in added)
+            removed = sorted(_permute(t, perm) for t in removed)
+        return patch.layout.patched(added, removed)
+
     def cached_columnar(self, perm):
         """The layout :meth:`columnar` already encoded for ``perm``, or
-        ``None`` (nothing is built)."""
+        ``None`` (nothing is built; a pending patch is not applied)."""
         cached = self._columnar.get(tuple(perm))
-        return None if isinstance(cached, Exception) else cached
+        return None if isinstance(cached, (Exception, _Patch)) else cached
 
     def __repr__(self):
         preview = ", ".join(repr(t) for t in list(self._tuples)[:3])

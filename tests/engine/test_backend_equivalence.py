@@ -333,3 +333,163 @@ def test_columnar_int_comparisons_match_pure(edges, comparisons):
     env = {"E": Relation.from_iter(2, edges)}
     pure, columnar = pure_and_columnar(atoms, env)
     assert columnar == pure
+
+
+# -- aggregates: the vectorized fold against the row-wise one --------------
+
+
+AGG_SCHEMA = """
+    r(k, v) -> int(k), int(v).
+    f(k, x) -> int(k), float(x).
+    s(k, w) -> int(k), string(w).
+"""
+AGG_VIEWS = """
+    vsum[k] = t <- agg<<t = sum(v)>> r(k, v).
+    vcount[k] = n <- agg<<n = count(v)>> r(k, v).
+    vmin[k] = m <- agg<<m = min(v)>> r(k, v).
+    vmax[k] = m <- agg<<m = max(w)>> s(k, w).
+    vavg[] = a <- agg<<a = avg(v)>> r(k, v).
+    fmin[k] = m <- agg<<m = min(x)>> f(k, x).
+    rsmax[k] = m <- agg<<m = max(v)>> r(k, v), s(k, w).
+"""
+AGG_QUERIES = [
+    "_[] = t <- agg<<t = sum(v)>> r(k, v).",
+    "_[k] = t <- agg<<t = sum(v)>> r(k, v).",
+    "_[] = a <- agg<<a = avg(v)>> r(k, v).",
+    "_[k] = a <- agg<<a = avg(v)>> r(k, v).",
+    "_[] = n <- agg<<n = count(v)>> r(k, v).",
+    "_[v] = n <- agg<<n = count(k)>> r(k, v).",
+    "_[k] = m <- agg<<m = min(v)>> r(k, v).",
+    "_[] = m <- agg<<m = max(v)>> r(k, v).",
+    "_[k] = t <- agg<<t = sum(x)>> f(k, x).",
+    "_[] = a <- agg<<a = avg(x)>> f(k, x).",
+    "_[k] = m <- agg<<m = max(x)>> f(k, x).",
+    "_[k] = m <- agg<<m = min(w)>> s(k, w).",
+    "_[] = n <- agg<<n = count(w)>> s(k, w).",
+    "_[k, w] = t <- agg<<t = sum(v)>> r(k, v), s(k, w).",
+]
+
+# small keys so groups share and empty; values at the int64 edges, so
+# some sums overflow int64 (the fold must go row-wise for those)
+agg_value = st.one_of(
+    st.integers(-5, 5), st.sampled_from([INT64 - 1, -INT64, INT64 // 3]))
+agg_float = st.sampled_from([0.1, 0.2, -0.0, 0.3, 1e16, -1e16, 2.5])
+agg_word = st.sampled_from(["", "a", "b", "ba", "z"])
+agg_writes = st.lists(
+    st.tuples(st.sampled_from(["+", "-"]), st.sampled_from("rfs"),
+              st.integers(0, 3), st.integers(0, 6)),
+    min_size=1, max_size=8)
+
+
+def _agg_states(ws):
+    """Every aggregate view's groups, with each state's full content."""
+    out = {}
+    for pred, state in ws.state.materialization.states.items():
+        if state.kind != "agg":
+            continue
+        out[pred] = [
+            (key, group.count,
+             repr(group.total) if hasattr(group, "total")
+             else repr(list(group.values.items())))
+            for key, group in state.groups.items()
+        ]
+    return out
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.tuples(st.integers(0, 3), agg_value), min_size=1, max_size=12),
+       st.sets(st.tuples(st.integers(0, 3), agg_float), max_size=8),
+       st.sets(st.tuples(st.integers(0, 3), agg_word), max_size=8),
+       agg_writes)
+def test_aggregates_fold_alike_on_every_backend(r_rows, f_rows, s_rows, writes):
+    """Pure, per-plan and columnar workspaces answer every aggregate
+    with the same bits (``repr``: ints stay ints, ``-0.0`` stays apart),
+    and their installed views hold the same aggregate states — after
+    the first evaluation and after writes with deletes between reads,
+    so the columnar reads go through patched layouts."""
+    from repro import Workspace
+
+    pools = {"r": sorted(r_rows), "f": sorted(f_rows), "s": sorted(s_rows)}
+    workspaces = []
+    for backend in ("pure", None, "columnar"):
+        ws = Workspace(engine=backend)
+        ws.addblock(AGG_SCHEMA)
+        for pred, rows in pools.items():
+            ws.load(pred, rows)
+        ws.addblock(AGG_VIEWS)
+        workspaces.append(ws)
+
+    def observe():
+        return [(_agg_states(ws), [repr(ws.query(q)) for q in AGG_QUERIES])
+                for ws in workspaces]
+
+    pure, *others = observe()
+    assert all(other == pure for other in others)
+    for sign, pred, key, pick in writes:
+        pool = pools[pred] or [(key, {"r": 0, "f": 2.5, "s": "a"}[pred])]
+        row = (key, pool[pick % len(pool)][1])
+        for ws in workspaces:
+            ws.load(pred, [row] if sign == "+" else [], remove=[row] if sign == "-" else [])
+        pure, *others = observe()
+        assert all(other == pure for other in others)
+    counted = workspaces[2].engine_stats()["columnar"]
+    assert counted["vector_folds"] > 0
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
+@pytest.mark.parametrize("engine, values, query, fold", [
+    ("columnar", [(1, 2), (1, 3), (2, 5)],
+     "_[k] = t <- agg<<t = sum(v)>> r(k, v).", "vector"),
+    ("columnar", [(1, 2), (1, 3), (2, 5)],
+     "_[] = m <- agg<<m = max(v)>> r(k, v).", "vector"),
+    ("columnar", [(1, INT64 - 1), (2, INT64 - 1)],
+     "_[] = t <- agg<<t = sum(v)>> r(k, v).", "rows: sum may overflow int64"),
+    ("columnar", [(1, INT64), (2, 1)],
+     "_[] = t <- agg<<t = sum(v)>> r(k, v).", "rows: values not int64"),
+    ("columnar", [(1, 2), (1, 3)],
+     "_[] = t <- agg<<t = sum(w)>> r(k, v), w = v * 2.", "rows: assigned value"),
+    ("pure", [(1, 2), (1, 3)],
+     "_[] = t <- agg<<t = sum(v)>> r(k, v).", "rows: pure join"),
+])
+def test_the_join_span_and_explain_say_which_fold_ran(engine, values, query, fold):
+    from repro import Workspace, obs
+
+    ws = Workspace(engine=engine)
+    ws.addblock("r(k, v) -> int(k), int(v).")
+    ws.load("r", values)
+    before = ws.engine_stats()["columnar"]["vector_folds"]
+    with obs.Profile() as prof:
+        ws.query(query)
+    [join] = [s for root in prof.roots for s in root.find_all("join")]
+    assert join.attrs["fold"] == fold
+    assert join.attrs["rows"] == len(values)
+    folded = ws.engine_stats()["columnar"]["vector_folds"] - before
+    assert folded == (1 if fold == "vector" else 0)
+    [rule] = ws.explain(query).rules
+    assert rule["fold"] == fold
+
+
+@pytest.mark.parametrize("engine", ["pure", "columnar"])
+def test_a_relation_never_stores_negative_zero(engine):
+    """Every writer stores ``0.0`` for ``-0.0``, so the backends and
+    the order of writes agree bit for bit, base rows and derived heads
+    (copied or computed) alike."""
+    import struct
+
+    from repro import Workspace
+
+    def bits(rows):
+        return [struct.pack("<d", x) for _, x in rows]
+
+    zero = struct.pack("<d", 0.0)
+    ws = Workspace(engine=engine)
+    ws.addblock("r(k, x) -> int(k), float(x). d(k, x) <- r(k, x). "
+                "n(k, y) <- r(k, x), y = x * -1.0.")
+    ws.load("r", [(1, -0.0)])
+    ws.load("r", [(2, 0.0)])
+    ws.load("r", [(1, 0.0), (2, -0.0)])  # both histories
+    assert bits(ws.rows("r")) == [zero, zero]
+    assert bits(ws.query("_(k, x) <- r(k, x).")) == [zero, zero]
+    assert bits(ws.rows("d")) == [zero, zero]
+    assert bits(ws.rows("n")) == [zero, zero]

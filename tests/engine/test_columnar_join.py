@@ -336,3 +336,23 @@ class TestVersionLifetime:
         del relation
         gc.collect()
         assert not columnar._SETUP_CACHE
+
+
+def test_a_level_one_column_reads_keeps_that_columns_domain():
+    """A variable read by one atom column takes its domain and codes as
+    they are; only a level two columns share builds a merged domain."""
+    path = [PredAtom("E", [Var("a"), Var("b")]),
+            PredAtom("E", [Var("b"), Var("c")])]
+    relation = Relation.from_iter(2, random_edges(67, 120, 30))
+    plan = build_plan(list(path), output_vars=("a", "b", "c"))
+    assert plan.var_order == ("a", "b", "c")
+    columnar._SETUP_CACHE.clear()
+    executor = make_join(plan, {"E": relation}, backend="columnar")
+    layout = relation.columnar((0, 1))
+    domains = executor._setup.domains
+    assert domains[0] is layout.domains[0]
+    assert domains[2] is layout.domains[1]
+    assert domains[1] == sorted(set(layout.domains[0]) | set(layout.domains[1]))
+    pure_rows, columnar_rows = both_runs(path, {"E": relation},
+                                         output_vars=("a", "b", "c"))
+    assert columnar_rows == pure_rows
