@@ -76,7 +76,7 @@ def run_soak(writers):
         "batches": stats.get("service.batches", 0),
         "retries": stats.get("service.retries", 0),
         "aborts": stats.get("service.aborts", 0),
-        "repair_merges": stats.get("service.repair_merges", 0),
+        "repair_merges": stats.get("repair.corrects", 0),
         "errors": len(errors),
     }
     best = BEST.get(writers)

@@ -18,7 +18,7 @@ _CLEAR = "\x1b[2J\x1b[H"
 #: Counters whose per-second rate headlines the dashboard.
 _RATE_KEYS = (
     ("service.commits", "commits/s"),
-    ("service.conflicts", "conflicts/s"),
+    ("repair.corrects", "conflicts/s"),
     ("net.requests", "requests/s"),
     ("join.seeks", "seeks/s"),
     ("join.vector_seeks", "vseeks/s"),

@@ -17,7 +17,7 @@ import threading
 import time
 
 from repro import stats as _stats
-from repro.runtime.errors import Overloaded
+from repro.runtime.errors import Overloaded, TxnTimeout
 
 
 class Ticket:
@@ -38,6 +38,13 @@ class Ticket:
     def expired(self):
         """True once the deadline has passed."""
         return time.monotonic() >= self.deadline
+
+    def check(self, message, *args):
+        """Raise :class:`TxnTimeout` (``message.format(*args)``), counted
+        as ``service.timeouts``, once the deadline has passed."""
+        if self.expired():
+            _stats.bump("service.timeouts")
+            raise TxnTimeout(message.format(*args), deadline_s=self.deadline)
 
 
 class AdmissionController:

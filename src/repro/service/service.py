@@ -8,11 +8,11 @@ branch-merge discipline:
   head version — execution never blocks other writers or readers.
   Executed transactions queue for commit; a single committer thread
   drains the queue in arrival order.  For each transaction the
-  committer *diffs the snapshot against the moved head* (structural
-  diffing via :mod:`repro.ds.diff`, cost proportional to what actually
-  changed), restricts the diff to the transaction's recorded
-  sensitivities, and merge-commits by incrementally repairing the
-  transaction under those corrections (:mod:`repro.txn.repair`).
+  committer *diffs the snapshot against the moved head* (a structural
+  ``PMap.diff``, cost proportional to what actually changed) and
+  merge-commits by incrementally repairing the transaction when that
+  diff meets its recorded sensitivities
+  (:func:`repro.txn.repair.repair_circuit`).
   Irreconcilable conflicts (repair failures, injected faults) surface
   as :class:`~repro.runtime.errors.ConflictError`; the submitting thread
   retries on a fresh snapshot with truncated exponential backoff and
@@ -40,11 +40,15 @@ branch-merge discipline:
   with typed :class:`Overloaded` errors; per-transaction deadlines
   abort with :class:`TxnTimeout` at whichever stage they expire.
 
+The ``shard_*`` verbs a shard coordinator drives come from
+:class:`repro.shard.participant.ShardParticipant`.
+
 Instrumentation: ``service.*`` counters/histograms/gauges through
 :mod:`repro.stats`, and ``service.exec`` / ``service.commit_batch`` /
 ``service.query`` spans through :mod:`repro.obs`.
 """
 
+import contextlib
 import itertools
 import random
 import threading
@@ -52,27 +56,23 @@ import time
 
 from repro import obs as _obs
 from repro import stats as _stats
-from repro.ds.diff import diff_pmap
-from repro.runtime.errors import (
-    ConflictError,
-    ReproError,
-    TransactionAborted,
-    TxnTimeout,
-)
+from repro.ds.treap import MISSING
+from repro.runtime.errors import ConflictError, ReproError, TransactionAborted
 from repro.runtime.result import TxnResult
 from repro.runtime.workspace import Workspace, evaluate_query
 from repro.service.admission import AdmissionController
 from repro.service.config import BACKOFF_BASE_S, BACKOFF_CAP_S, ServiceConfig
-from repro.shard.shardmap import ShardMap
-from repro.storage.relation import Delta, Relation
-from repro.txn.repair import PreparedTransaction, compose_corrections
+from repro.shard.participant import ShardParticipant
+from repro.storage.relation import Relation
+from repro.txn.repair import PreparedTransaction, repair_circuit
 
 _txn_counter = itertools.count(1)
 _WAIT_SLICE_S = 0.05
 
 
 class _Pending:
-    """One executed write transaction queued for commit.
+    """One executed write transaction queued for commit: the member the
+    committer's :func:`~repro.txn.repair.repair_circuit` composes.
 
     ``traced`` snapshots whether the *submitting* thread was tracing
     when the transaction was queued — the committer uses it to decide
@@ -82,9 +82,10 @@ class _Pending:
     span tree after commit, for grafting into the submitter's trace."""
 
     __slots__ = ("txn", "source", "snapshot", "ticket", "event", "error",
-                 "committed", "attempt", "sink", "traced", "commit_span")
+                 "committed", "attempt", "sink", "traced", "commit_span",
+                 "fire")
 
-    def __init__(self, txn, source, snapshot, ticket, attempt, sink):
+    def __init__(self, txn, source, snapshot, ticket, attempt, sink, fire):
         self.txn = txn
         self.source = source
         self.snapshot = snapshot
@@ -96,6 +97,26 @@ class _Pending:
         self.sink = sink
         self.traced = _obs.tracing()
         self.commit_span = None
+        self.fire = fire
+
+    @property
+    def effects(self):
+        return self.txn.effects
+
+    def relevant_corrections(self, corrections):
+        return self.txn.relevant_corrections(corrections)
+
+    def correct(self, relevant):
+        """Repair at the ``repair`` fault point; a failure that is not an
+        abort becomes a retryable :class:`ConflictError`."""
+        self.fire("repair", self.txn.name)
+        try:
+            return self.txn.correct(relevant)
+        except TransactionAborted:
+            raise
+        except Exception as exc:
+            raise ConflictError(
+                "repair failed: {}".format(exc), preds=relevant) from exc
 
 
 class _Barrier:
@@ -112,57 +133,7 @@ class _Barrier:
         self.result = None
 
 
-class _ShardTxn:
-    """A cross-shard transaction parked between ``shard_prepare`` and
-    the coordinator's ``shard_commit`` / ``shard_abort`` order.
-
-    ``shard_prepare`` parks the executed transaction ``txn``;
-    ``shard_commit`` sets ``effects`` to the coordinator's final
-    composed deltas and queues this object as the commit-stage
-    transaction.  The coordinator has already run the cross-shard
-    repair circuit over every shard's branch diff, so those deltas are
-    final.  If the local head moved under the prepared snapshot in a
-    way that touches the transaction's reads *or* its composed writes,
-    the only safe outcome is a :class:`ConflictError` — a local repair
-    here would diverge this shard from the siblings the coordinator
-    already reconciled, so the coordinator re-runs the whole circuit
-    instead.
-    """
-
-    __slots__ = ("txn", "source", "snapshot", "ticket", "name", "effects")
-
-    def __init__(self, txn, source, snapshot, ticket):
-        self.txn = txn
-        self.source = source
-        self.snapshot = snapshot
-        self.ticket = ticket
-        self.name = txn.name
-        self.effects = None
-
-    @property
-    def repair_count(self):
-        return self.txn.repair_count
-
-    def relevant_corrections(self, corrections):
-        # the prepared run's reads take every correction or none
-        return self.txn.relevant_corrections(corrections) or {
-            pred: delta for pred, delta in corrections.items()
-            if pred in self.effects}
-
-    def correct(self, relevant):
-        raise ConflictError(
-            "cross-shard transaction {} invalidated by a local commit; "
-            "the coordinator must re-run the circuit".format(self.name),
-            preds=relevant,
-        )
-
-    def execute(self, state):
-        """No-op for the serial-commit fallback: the composed deltas are
-        coordinator-final and must be applied verbatim or not at all."""
-        return self.effects
-
-
-class TransactionService:
+class TransactionService(ShardParticipant):
     """Concurrent transaction manager + session layer over a workspace.
 
     All constructor flags are keyword-only.  The service owns the
@@ -222,11 +193,7 @@ class TransactionService:
         # committer thread (auto-checkpoint) and close()
         self._commits_since_checkpoint = 0
         self._checkpoint_count = 0
-        # prepared cross-shard transactions parked for the coordinator
-        # (token -> _ShardTxn); see the shard_* verbs below
-        self._shard_held = {}
-        self._shard_lock = threading.Lock()
-        self._shard_seq = itertools.count(1)
+        self._init_participant()
         if self.config.slow_txn_s is not None:
             _obs.set_slow_txn_threshold(self.config.slow_txn_s)
 
@@ -254,12 +221,7 @@ class TransactionService:
             self._queue_cond.notify_all()
         if self._committer is not None:
             self._committer.join()
-        # drop any shard transactions still parked for a coordinator
-        # (its circuit can't complete once this shard is gone)
-        with self._shard_lock:
-            held, self._shard_held = list(self._shard_held.values()), {}
-        for item in held:
-            self._admission.release(item.ticket)
+        self._drop_parked()
         if (
             self.config.checkpoint_path
             and self.config.checkpoint_on_shutdown
@@ -398,38 +360,31 @@ class TransactionService:
             sink = {}
             with _stats.scope(sink):
                 txn.execute(snapshot.state)
-            if ticket.expired():
-                _stats.bump("service.timeouts")
-                raise TxnTimeout(
-                    "transaction {} missed its deadline before commit".format(name),
-                    deadline_s=ticket.deadline,
-                )
-            pending = _Pending(txn, source, snapshot, ticket, attempt, sink)
-            result = self._commit_pending(pending, started)
+            ticket.check("transaction {} missed its deadline before commit",
+                         name)
+            result, error = self._commit_pending(
+                txn, source, snapshot, ticket, started, attempt, sink)
             if result is not None:
                 return result
-            error = pending.error
             if isinstance(error, ConflictError) and attempt <= self.config.max_retries:
                 _stats.bump("service.retries")
                 self._backoff(attempt, ticket)
-                if ticket.expired():
-                    _stats.bump("service.timeouts")
-                    raise TxnTimeout(
-                        "transaction {} timed out while retrying".format(name),
-                        deadline_s=ticket.deadline,
-                    ) from error
+                ticket.check("transaction {} timed out while retrying", name)
                 continue
             _stats.bump("service.aborts")
             raise error
 
-    def _commit_pending(self, pending, started):
+    def _commit_pending(self, txn, source, snapshot, ticket, started,
+                        attempt=1, sink=None):
         """Queue an executed transaction for the committer and wait for
-        it.  Returns its :class:`TxnResult` once committed, else
-        ``None`` with the reason in ``pending.error``."""
+        it.  Returns ``(TxnResult, None)`` once committed, else
+        ``(None, error)``."""
+        pending = _Pending(txn, source, snapshot, ticket, attempt,
+                           {} if sink is None else sink, self._fire)
         self._enqueue(pending)
         self._await(pending)
         if not pending.committed:
-            return None
+            return None, pending.error
         if pending.commit_span is not None:
             # stitch the committer-side span tree (closed, with final
             # counters) under the submitter's span
@@ -443,7 +398,7 @@ class TransactionService:
             attempts=pending.attempt,
             repairs=pending.txn.repair_count,
             latency_s=time.perf_counter() - started,
-        )
+        ), None
 
     def _backoff(self, attempt, ticket):
         base = BACKOFF_BASE_S * (2 ** (attempt - 1))
@@ -488,216 +443,6 @@ class TransactionService:
                 return barrier.result
             finally:
                 self._admission.release(ticket)
-
-    # -- client surface: cross-shard commit circuit ----------------------------
-    #
-    # A sharded commit is not 2PC: there is no blocking prepared state
-    # holding locks.  The coordinator runs the transaction-repair
-    # circuit of Figure 7(b) *across* shards: every shard executes the
-    # transaction against its own snapshot (shard_prepare), the
-    # coordinator composes the shards' effects into corrections and
-    # repairs each shard against the others' writes (shard_repair),
-    # then commits the final composed deltas shard by shard
-    # (shard_commit).  A local commit racing the circuit invalidates
-    # the token's snapshot; the shard refuses to repair locally (that
-    # would diverge it from its siblings) and the coordinator re-runs
-    # the whole circuit from fresh snapshots.
-
-    def shard_identity(self):
-        """This service's ``(index, count)`` in a sharded fleet, or
-        ``None`` when unsharded."""
-        if self.config.shard_count is None:
-            return None
-        return (self.config.shard_index, self.config.shard_count)
-
-    def _resolve_shard_identity(self, shard_index, shard_count):
-        configured = self.shard_identity()
-        if shard_index is None and shard_count is None:
-            if configured is None:
-                raise ReproError(
-                    "service has no shard identity configured and the "
-                    "coordinator supplied none")
-            return configured
-        if shard_index is None or shard_count is None:
-            raise ReproError(
-                "shard_index and shard_count must be supplied together")
-        supplied = (int(shard_index), int(shard_count))
-        if configured is not None and supplied != configured:
-            raise ReproError(
-                "shard identity mismatch: coordinator says {}/{} but this "
-                "service is configured as {}/{}".format(
-                    supplied[0], supplied[1], configured[0], configured[1]))
-        return supplied
-
-    @staticmethod
-    def _split_effects(effects, partition, index, count):
-        """Split a delta map into rows this shard owns (replicated
-        predicates, plus partitioned rows the shard map places here)
-        and *foreign* rows the coordinator must redistribute to their
-        owners."""
-        shard_map = ShardMap(count, partition)
-        own = {}
-        foreign = {}
-        for pred, delta in effects.items():
-            if not shard_map.is_partitioned(pred):
-                own[pred] = delta
-                continue
-            mine, theirs = ([], []), ([], [])
-            for side, rows in enumerate((delta.added, delta.removed)):
-                for row in rows:
-                    owner = shard_map.shard_of(pred, row)
-                    (mine if owner == index else theirs)[side].append(row)
-            if mine[0] or mine[1]:
-                own[pred] = Delta.from_iters(*mine)
-            if theirs[0] or theirs[1]:
-                foreign[pred] = Delta.from_iters(*theirs)
-        return own, foreign
-
-    def _shard_get(self, token, *, pop=False):
-        with self._shard_lock:
-            held = self._shard_held.get(token)
-            if pop and held is not None:
-                del self._shard_held[token]
-        if held is None:
-            raise ReproError("unknown shard transaction token {!r}".format(token))
-        return held
-
-    def shard_prepare(self, source, *, name=None, partition=None,
-                      shard_index=None, shard_count=None, timeout=None):
-        """Phase 1 of a cross-shard commit: execute ``source`` against
-        this shard's head snapshot and park the prepared transaction
-        under a token.
-
-        Returns ``{"token", "effects", "foreign", "watermark"}`` where
-        ``effects`` holds the deltas this shard owns and ``foreign``
-        the partitioned rows owned by sibling shards (the coordinator
-        redistributes those).  The owned deltas are staged — the
-        write-target check, maintenance and constraint check — against
-        the snapshot, so those aborts surface before any shard commits;
-        nothing is applied to the head.
-        """
-        self._ensure_open()
-        index, count = self._resolve_shard_identity(shard_index, shard_count)
-        if name is None:
-            name = "shard-txn-{}".format(next(_txn_counter))
-        with _stats.scope(self._counters):
-            _stats.bump("shard.prepares")
-            ticket = self._admission.admit(
-                kind="shard_prepare", timeout_s=timeout)
-            parked = False
-            try:
-                with _obs.span("shard.prepare", txn=name):
-                    snapshot = self.workspace.version()
-                    txn = PreparedTransaction(source, name=name)
-                    txn.execute(snapshot.state)
-                    own, foreign = self._split_effects(
-                        txn.effects, partition, index, count)
-                    if own:
-                        # stage (validate + maintain + check) without
-                        # touching the head: a refused write aborts
-                        # the circuit before any shard commits
-                        self.workspace._stage_deltas(snapshot.state, own)
-                    token = "shard-{}-{}".format(
-                        index, next(self._shard_seq))
-                    with self._shard_lock:
-                        self._shard_held[token] = _ShardTxn(
-                            txn, source, snapshot, ticket)
-                    parked = True
-                    return {
-                        "token": token,
-                        "effects": own,
-                        "foreign": foreign,
-                        "watermark": self._watermark,
-                    }
-            finally:
-                if not parked:
-                    self._admission.release(ticket)
-
-    def shard_repair(self, token, corrections, *, partition=None,
-                     shard_index=None, shard_count=None):
-        """Phase 2: repair a parked shard transaction against sibling
-        shards' corrections (their owned effects plus redistributed
-        rows), re-split the repaired effects, and return them."""
-        self._ensure_open()
-        index, count = self._resolve_shard_identity(shard_index, shard_count)
-        held = self._shard_get(token)
-        with _stats.scope(self._counters), \
-                _obs.span("shard.repair", txn=held.name):
-            relevant = held.txn.relevant_corrections(corrections)
-            if relevant:
-                _stats.bump("shard.repairs")
-                held.txn.correct(relevant)
-            own, foreign = self._split_effects(
-                held.txn.effects, partition, index, count)
-            return {
-                "effects": own,
-                "foreign": foreign,
-                "repairs": held.txn.repair_count,
-            }
-
-    def shard_commit(self, token, deltas, *, timeout=None):
-        """Phase 3: commit a parked shard transaction with the
-        coordinator's final composed deltas.
-
-        The commit rides the ordinary pipeline from the parked
-        snapshot; if a local write slipped in since prepare, the
-        conflict is *not* repaired locally (that would diverge this
-        shard from its siblings, which already agreed on ``deltas``) —
-        it raises :class:`ConflictError` and the coordinator re-runs
-        the whole circuit."""
-        self._ensure_open()
-        held = self._shard_get(token, pop=True)
-        started = time.perf_counter()
-        held.effects = dict(deltas)
-        with _stats.scope(self._counters):
-            _stats.bump("shard.commits")
-            try:
-                with _obs.span("shard.commit", txn=held.name):
-                    pending = _Pending(held, held.source, held.snapshot,
-                                       held.ticket, 1, {})
-                    result = self._commit_pending(pending, started)
-                    if result is not None:
-                        return result
-                    _stats.bump("service.aborts")
-                    raise pending.error
-            finally:
-                self._admission.release(held.ticket)
-
-    def shard_abort(self, token):
-        """Drop a parked shard transaction (idempotent)."""
-        with self._shard_lock:
-            held = self._shard_held.pop(token, None)
-        if held is None:
-            return {"aborted": False}
-        self._admission.release(held.ticket)
-        with _stats.scope(self._counters):
-            _stats.bump("shard.aborts")
-        return {"aborted": True}
-
-    def shard_apply(self, deltas, *, timeout=None):
-        """Apply raw deltas through the barrier path (serialized with
-        the write stream, IVM + constraint checked).  The coordinator
-        uses this to redistribute misplaced rows to their owning shard
-        and to compensate committed shards when a sibling's commit
-        fails mid-circuit."""
-        started = time.perf_counter()
-
-        def run(ws):
-            sink = {}
-            with _stats.scope(sink):
-                applied = ws._apply_deltas(ws.version().state, deltas)
-            _stats.bump("shard.applies")
-            return TxnResult(
-                status="committed",
-                kind="exec",
-                deltas=dict(applied),
-                stats=sink,
-                attempts=1,
-                repairs=0,
-                latency_s=time.perf_counter() - started,
-            )
-
-        return self._barrier(run, "shard_apply", timeout)
 
     # -- the commit pipeline ---------------------------------------------------
 
@@ -780,10 +525,7 @@ class TransactionService:
 
     def _run_barrier(self, barrier):
         try:
-            if barrier.ticket.expired():
-                _stats.bump("service.timeouts")
-                raise TxnTimeout(
-                    "{} barrier missed its deadline".format(barrier.kind))
+            barrier.ticket.check("{} barrier missed its deadline", barrier.kind)
             barrier.result = barrier.fn(self.workspace)
             if barrier.kind in ("addblock", "removeblock", "load", "shard_apply"):
                 self._commits_since_checkpoint += 1
@@ -807,16 +549,11 @@ class TransactionService:
         writers graft it into their own traces, which is how one
         distributed transaction becomes one span tree.
         """
-        needs_collector = (
-            not _obs.tracing() and any(p.traced for p in group)
-        )
-        if needs_collector:
-            # a throwaway collector: it makes tracing() true on this
-            # thread so real spans are recorded; the root is exported
-            # via the captured span object, not the profile
-            with _obs.Profile():
-                committed, batch_span = self._commit_members(group)
-        else:
+        # a throwaway collector makes tracing() true on this thread so
+        # real spans are recorded; the root is exported via the
+        # captured span object, not the profile
+        needs_collector = not _obs.tracing() and any(p.traced for p in group)
+        with _obs.Profile() if needs_collector else contextlib.nullcontext():
             committed, batch_span = self._commit_members(group)
         span_dict = batch_span.to_dict() if batch_span is not None else None
         if committed:
@@ -826,70 +563,38 @@ class TransactionService:
             pending.event.set()
 
     def _commit_members(self, group):
-        """The batch commit itself.  Returns ``(committed_members,
+        """The batch commit itself: :func:`repair_circuit` over the
+        group, then one apply of the composite (serial re-execution if
+        it violates a constraint).  Returns ``(committed_members,
         batch_span)`` — committed members have ``committed`` set but
         their events NOT fired; the caller fires them once the span is
         closed.  Members that abort or time out get their events set
-        immediately (there is nothing to graft for them).
-
-        Members are repaired against the head diff plus the accumulated
-        effects of earlier members, then the composite delta is applied
-        through one IVM pass and one constraint check (the Figure 7(b)
-        batch).  A constraint violation in the composite falls back to
-        serial re-execution so only the violating member aborts.
-        """
+        here (there is nothing to graft for them)."""
         committed = []
         with _obs.span("service.commit_batch", batch=len(group)) as batch_span:
             _stats.bump("service.batches")
             _stats.observe("service.batch.size", len(group))
             head = self.workspace.version()
-            accumulated = {}
-            members = []
             diff_cache = {}
-            repaired = 0
-            for pending in group:
-                if pending.ticket.expired():
-                    _stats.bump("service.timeouts")
-                    pending.error = TxnTimeout(
-                        "transaction {} missed its deadline in the commit "
-                        "queue".format(pending.txn.name))
-                    pending.event.set()
-                    continue
-                try:
-                    self._fire("commit", pending.txn.name)
-                    corrections = self._corrections_since(
-                        pending.snapshot, head, diff_cache)
-                    if accumulated:
-                        corrections = compose_corrections(corrections, accumulated)
-                    relevant = (
-                        pending.txn.relevant_corrections(corrections)
-                        if corrections else {}
-                    )
-                    if relevant:
-                        _stats.bump("service.conflicts")
-                        self._fire("repair", pending.txn.name)
-                        _stats.bump("service.repair_merges")
-                        repaired += 1
-                        try:
-                            pending.txn.correct(relevant)
-                        except TransactionAborted:
-                            raise
-                        except Exception as exc:
-                            raise ConflictError(
-                                "repair failed: {}".format(exc),
-                                preds=relevant) from exc
-                    accumulated = compose_corrections(
-                        accumulated, pending.txn.effects)
-                    members.append(pending)
-                except Exception as exc:
-                    pending.error = exc
-                    pending.event.set()
+
+            def start(pending):
+                pending.ticket.check("transaction {} missed its deadline in "
+                                     "the commit queue", pending.txn.name)
+                self._fire("commit", pending.txn.name)
+                return self._corrections_since(
+                    pending.snapshot, head, diff_cache)
+
+            composite, repaired, failed = repair_circuit(group, start)
+            for pending, exc in failed:
+                pending.error = exc
+                pending.event.set()
+            members = [pending for pending in group if pending.error is None]
             if batch_span is not None:
-                batch_span.attrs["repaired"] = repaired
+                batch_span.attrs["repaired"] = len(repaired)
             if members:
                 try:
-                    if accumulated:
-                        self.workspace._apply_deltas(head.state, accumulated)
+                    if composite:
+                        self.workspace._apply_deltas(head.state, composite)
                 except TransactionAborted:
                     _stats.bump("service.batch_fallbacks")
                     committed = self._commit_serially(members)
@@ -947,50 +652,35 @@ class TransactionService:
     def _corrections_since(self, snapshot, head, cache):
         """Base + derived deltas turning ``snapshot`` into ``head``.
 
-        The base map is diffed structurally (:func:`diff_pmap` prunes
-        shared subtrees, so cost tracks the edit distance, not the
-        database size); derived views are walked by identity, which the
-        IVM engine preserves for untouched predicates.
+        Base relations come from a structural :meth:`PMap.diff` (it
+        prunes shared subtrees, so cost tracks the edit distance, not
+        the database size); derived views are compared by identity,
+        which the IVM engine preserves for untouched predicates.
         """
-        if snapshot is head or snapshot.state is head.state:
+        old_state, new_state = snapshot.state, head.state
+        if old_state is new_state:
             return {}
-        key = id(snapshot.state)
-        cached = cache.get(key)
+        cached = cache.get(id(old_state))
         if cached is not None:
             return cached
-        old_state, new_state = snapshot.state, head.state
-        corrections = {}
-        base_delta = diff_pmap(old_state.base_relations, new_state.base_relations)
-        for pred, new_rel in base_delta.inserted.items():
-            delta = Relation.empty(new_rel.arity).diff(new_rel)
-            if delta:
-                corrections[pred] = delta
-        for pred, old_rel in base_delta.deleted.items():
-            delta = old_rel.diff(Relation.empty(old_rel.arity))
-            if delta:
-                corrections[pred] = delta
-        for pred, (old_rel, new_rel) in base_delta.updated.items():
-            delta = old_rel.diff(new_rel)
-            if delta:
-                corrections[pred] = delta
-        derived = (
-            set(new_state.artifacts.ruleset.derived)
-            | set(old_state.artifacts.ruleset.derived)
-        )
+        pairs = list(old_state.base_relations.diff(new_state.base_relations))
         old_rels, new_rels = old_state.relations, new_state.relations
-        for pred in derived:
-            old_rel = old_rels.get(pred)
-            new_rel = new_rels.get(pred)
+        for pred in (set(new_state.artifacts.ruleset.derived)
+                     | set(old_state.artifacts.ruleset.derived)):
+            pairs.append((pred, old_rels.get(pred, MISSING),
+                          new_rels.get(pred, MISSING)))
+        corrections = {}
+        for pred, old_rel, new_rel in pairs:
             if old_rel is new_rel:
                 continue
-            if old_rel is None:
+            if old_rel is MISSING:
                 old_rel = Relation.empty(new_rel.arity)
-            if new_rel is None:
+            elif new_rel is MISSING:
                 new_rel = Relation.empty(old_rel.arity)
             delta = old_rel.diff(new_rel)
             if delta:
                 corrections[pred] = delta
-        cache[key] = corrections
+        cache[id(old_state)] = corrections
         return corrections
 
     # -- fleet surface ---------------------------------------------------------

@@ -92,7 +92,12 @@ from repro.logiql.compiler import compile_program
 from repro.logiql.parser import parse_program
 from repro.logiql.printer import unparse
 from repro.net.protocol import VerbNotServed, VerbSurface
-from repro.runtime.errors import ConflictError, ReproError, UnknownPredicate
+from repro.runtime.errors import (
+    ConflictError,
+    ReproError,
+    TransactionAborted,
+    UnknownPredicate,
+)
 from repro.runtime.result import TxnResult
 from repro.shard.executors import ShardExecutorPool
 from repro.shard.shardmap import ShardMap
@@ -398,8 +403,15 @@ class ShardedWorkspace(VerbSurface):
         with _obs.span("shard.load", pred=pred, rows=len(tuples)):
             if self.shard_map.is_partitioned(pred):
                 _stats.bump("shard.fragmented_loads")
-                added = self.shard_map.fragment(pred, tuples)
-                removed = self.shard_map.fragment(pred, remove)
+                try:
+                    added = self.shard_map.fragment(pred, tuples)
+                except ValueError as exc:  # as a workspace refuses it
+                    raise TransactionAborted(
+                        "arity mismatch for {}: {}".format(pred, exc)) from exc
+                # no stored row is too narrow: removing one is a no-op
+                col = self.shard_map.key_col(pred)
+                removed = self.shard_map.fragment(
+                    pred, [row for row in remove if col < len(row)])
                 futures, targets = [], []
                 for index in range(self.shard_map.n_shards):
                     if added[index] or removed[index]:
@@ -676,8 +688,11 @@ class ShardedWorkspace(VerbSurface):
             _stats.bump("shard.circuits")
             try:
                 own = {i: dict(p["effects"]) for i, p in prepared.items()}
-                incoming = self._redistribute(
-                    {i: p["foreign"] for i, p in prepared.items()})
+                incoming = {i: {} for i in prepared}
+                moved = sum(self._route(incoming, p["foreign"])
+                            for p in prepared.values())
+                if moved:
+                    _stats.bump("shard.redistributed_rows", moved)
                 repairs = self._repair_circuit(
                     prepared, own, incoming, partition)
                 final = self._compose_final(own, incoming)
@@ -708,41 +723,31 @@ class ShardedWorkspace(VerbSurface):
             raise failed[0][1]
         return dict(enumerate(results))
 
-    def _redistribute(self, foreign):
-        """Foreign rows (written by one shard, owned by another) routed
-        to their owners; returns per-shard ``{pred: (added, removed)}``
-        row sets."""
-        incoming = {i: {} for i in range(self.shard_map.n_shards)}
+    def _route(self, incoming, foreign):
+        """Route foreign rows (``{pred: Delta}`` written by one shard,
+        owned by others) into their owners' ``incoming`` row sets
+        (``{pred: (added, removed)}`` per shard); returns the rows
+        moved."""
         moved = 0
-        for index, effects in foreign.items():
-            for pred, delta in effects.items():
-                for owner, part in self.shard_map.split_delta(
-                        pred, delta).items():
-                    added, removed = incoming[owner].setdefault(
-                        pred, (set(), set()))
-                    added.update(part.added)
-                    removed.update(part.removed)
-                    moved += len(part)
-        if moved:
-            _stats.bump("shard.redistributed_rows", moved)
-        return incoming
+        for pred, delta in foreign.items():
+            for owner, part in self.shard_map.split_delta(pred, delta).items():
+                added, removed = incoming[owner].setdefault(
+                    pred, (set(), set()))
+                added.update(part.added)
+                removed.update(part.removed)
+                moved += len(part)
+        return moved
 
-    def _corrections_for(self, index, own, incoming):
-        """Everything shard ``index`` must learn from its siblings:
-        their replicated-predicate writes plus the redistributed rows
-        it now owns, minus what its own effects already hold (every
-        shard runs the whole write program, so a sibling's row is often
-        one this shard derived itself).  Returned as
-        ``{pred: (added_set, removed_set)}``."""
+    def _replicated(self, effects_iter):
+        """The union of replicated-predicate writes over ``effects_iter``
+        as ``{pred: (added_set, removed_set)}``; shards that disagree on
+        a row raise :class:`ShardError`."""
         partition = self.shard_map.partition
         totals = {}
-        mine = own[index]
-        for other, effects in own.items():
-            if other == index:
-                continue
+        for effects in effects_iter:
             for pred, delta in effects.items():
                 if pred in partition:
-                    continue  # partitioned rows travel via redistribute
+                    continue  # partitioned rows travel via _route
                 added, removed = totals.setdefault(pred, (set(), set()))
                 added.update(delta.added)
                 removed.update(delta.removed)
@@ -752,10 +757,22 @@ class ShardedWorkspace(VerbSurface):
                 raise ShardError(
                     "shards disagree on replicated {}: {} both added "
                     "and removed".format(pred, sorted(conflict)[:3]))
+        return totals
+
+    def _corrections_for(self, index, own, incoming):
+        """Everything shard ``index`` must learn from its siblings:
+        their replicated-predicate writes plus the redistributed rows
+        it now owns, minus what its own effects already hold (every
+        shard runs the whole write program, so a sibling's row is often
+        one this shard derived itself).  Returned as
+        ``{pred: (added_set, removed_set)}``."""
+        totals = self._replicated(
+            effects for other, effects in own.items() if other != index)
         for pred, (added, removed) in incoming[index].items():
             tadded, tremoved = totals.setdefault(pred, (set(), set()))
             tadded.update(added)
             tremoved.update(removed)
+        mine = own[index]
         for pred, (added, removed) in totals.items():
             own_delta = mine.get(pred)
             if own_delta is not None:
@@ -767,9 +784,13 @@ class ShardedWorkspace(VerbSurface):
         }
 
     def _repair_circuit(self, prepared, own, incoming, partition):
-        """Left-to-right repair until no shard learns anything new
-        (Figure 7(b) composed across processes).  Mutates ``own`` and
-        ``incoming`` in place; returns the repair count."""
+        """Repair passes until no shard learns anything new (Figure
+        7(b) composed across processes).  Not :func:`repair_circuit`:
+        each shard is fed every sibling's writes minus what it was
+        already sent, a fixpoint, not a left-to-right prefix (DESIGN
+        §4i); each shard runs that function on its own member inside
+        ``shard_repair``.  Mutates ``own`` and ``incoming`` in place;
+        returns the repair count."""
         n = self.shard_map.n_shards
         delivered = {i: {} for i in range(n)}
         repairs = 0
@@ -797,13 +818,7 @@ class ShardedWorkspace(VerbSurface):
                     prepared[index]["token"], fresh,
                     partition=partition, shard_index=index, shard_count=n)
                 own[index] = dict(reply["effects"])
-                for pred, delta in reply["foreign"].items():
-                    for owner, part in self.shard_map.split_delta(
-                            pred, delta).items():
-                        added, removed = incoming[owner].setdefault(
-                            pred, (set(), set()))
-                        added.update(part.added)
-                        removed.update(part.removed)
+                self._route(incoming, reply["foreign"])
             if not changed:
                 return repairs
         raise ShardError(
@@ -816,27 +831,14 @@ class ShardedWorkspace(VerbSurface):
         partitioned writes are each shard's owned rows plus what was
         redistributed to it."""
         partition = self.shard_map.partition
-        replicated = {}
-        for effects in own.values():
-            for pred, delta in effects.items():
-                if pred in partition:
-                    continue
-                added, removed = replicated.setdefault(pred, (set(), set()))
-                added.update(delta.added)
-                removed.update(delta.removed)
-        for pred, (added, removed) in replicated.items():
-            conflict = added & removed
-            if conflict:
-                raise ShardError(
-                    "shards disagree on replicated {}: {} both added "
-                    "and removed".format(pred, sorted(conflict)[:3]))
+        replicated = {
+            pred: Delta.from_iters(sorted(added), sorted(removed))
+            for pred, (added, removed) in self._replicated(own.values()).items()
+            if added or removed
+        }
         final = {}
         for index in range(self.shard_map.n_shards):
-            deltas = {}
-            for pred, (added, removed) in replicated.items():
-                if added or removed:
-                    deltas[pred] = Delta.from_iters(
-                        sorted(added), sorted(removed))
+            deltas = dict(replicated)
             owned = {}
             for pred, delta in own[index].items():
                 if pred in partition:
@@ -861,7 +863,6 @@ class ShardedWorkspace(VerbSurface):
         """Commit shard by shard in ascending order; compensate the
         committed prefix if a later shard fails."""
         committed = []
-        combined = {}
         try:
             for index in sorted(prepared):
                 token = prepared.pop(index)["token"]
@@ -874,15 +875,12 @@ class ShardedWorkspace(VerbSurface):
             self._compensate(committed, exc)
             raise
         partition = self.shard_map.partition
+        combined = {}
         for index, deltas in committed:
             for pred, delta in deltas.items():
-                if pred in partition:
-                    if pred in combined:
-                        combined[pred] = Delta(
-                            combined[pred].added | delta.added,
-                            combined[pred].removed | delta.removed)
-                    else:
-                        combined[pred] = delta
+                if pred in partition and pred in combined:
+                    # shards own disjoint rows: composing is union
+                    combined[pred] = combined[pred].then(delta)
                 else:
                     combined.setdefault(pred, delta)  # identical everywhere
         return combined

@@ -63,6 +63,11 @@ class ShardMap:
         col = self.partition.get(pred)
         if col is None:
             return None
+        return self._owner(pred, col, row)
+
+    def _owner(self, pred, col, row):
+        # every placement goes through here: a row narrower than its
+        # partition column is refused, never indexed past its end
         if col >= len(row):
             raise ValueError(
                 "row {!r} of {} is narrower than partition column {}".format(
@@ -79,7 +84,7 @@ class ShardMap:
             raise ValueError("{} is not partitioned".format(pred))
         fragments = [[] for _ in range(self.n_shards)]
         for row in rows:
-            fragments[stable_hash(row[col]) % self.n_shards].append(row)
+            fragments[self._owner(pred, col, row)].append(row)
         return fragments
 
     def split_delta(self, pred, delta):
@@ -88,18 +93,12 @@ class ShardMap:
         empty shards omitted."""
         from repro.storage.relation import Delta
 
-        col = self.partition[pred]
-        added = [[] for _ in range(self.n_shards)]
-        removed = [[] for _ in range(self.n_shards)]
-        for row in delta.added:
-            added[stable_hash(row[col]) % self.n_shards].append(row)
-        for row in delta.removed:
-            removed[stable_hash(row[col]) % self.n_shards].append(row)
-        out = {}
-        for index in range(self.n_shards):
-            if added[index] or removed[index]:
-                out[index] = Delta.from_iters(added[index], removed[index])
-        return out
+        added = self.fragment(pred, delta.added)
+        removed = self.fragment(pred, delta.removed)
+        return {
+            index: Delta.from_iters(added[index], removed[index])
+            for index in range(self.n_shards) if added[index] or removed[index]
+        }
 
     # -- manifest --------------------------------------------------------------
 

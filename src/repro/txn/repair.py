@@ -85,10 +85,6 @@ class PreparedTransaction:
             )
         return self._sens_cache
 
-    def conflicts_with(self, corrections):
-        """Do incoming corrections intersect this txn's sensitivities?"""
-        return bool(self.relevant_corrections(corrections))
-
     def relevant_corrections(self, corrections):
         """The corrections this transaction must be repaired with: all
         of them when any tuple lands inside its sensitivity intervals,
@@ -140,16 +136,42 @@ def compose_corrections(first, second):
     return composed
 
 
+def repair_circuit(members, start=None):
+    """The Figure 7(b) circuit: compose ``members`` (anything with
+    ``relevant_corrections``, ``correct`` and ``effects``) left to
+    right, repairing member *i* when ``start(member)`` (what changed
+    since its snapshot) followed by the effects of members ``0..i-1``
+    meets its sensitivities.  Returns ``(composite, repaired,
+    failed)``; a member whose step raises is in ``failed`` as
+    ``(member, error)`` and its effects do not compose."""
+    composite = {}
+    repaired = []
+    failed = []
+    for member in members:
+        try:
+            corrections = start(member) if start is not None else {}
+            if composite:
+                corrections = compose_corrections(corrections, composite)
+            relevant = (
+                member.relevant_corrections(corrections) if corrections else {})
+            if relevant:
+                member.correct(relevant)
+                repaired.append(member)
+        except Exception as exc:
+            failed.append((member, exc))
+            continue
+        composite = compose_corrections(composite, member.effects)
+    return composite, repaired, failed
+
+
 class RepairScheduler:
     """Commits a batch of concurrent transactions serializably (Fig 7b).
 
     All transactions execute against the same initial workspace version
-    (each on its own conceptual branch — O(1)).  They are then composed
-    left-to-right: transaction *i* receives the accumulated effects of
-    transactions ``0..i-1`` as corrections, repairing only when its
-    sensitivities are actually touched.  Finally the combined effects
-    commit through the workspace's incremental maintenance and
-    constraint checking as one group.
+    (each on its own conceptual branch — O(1)).  :func:`repair_circuit`
+    then composes them left to right, and the combined effects commit
+    through the workspace's incremental maintenance and constraint
+    checking as one group.
     """
 
     def __init__(self, workspace):
@@ -186,21 +208,16 @@ class RepairScheduler:
                     self.stats["transactions"] += 1
                     self.stats["execute_seconds"] += txn.execute_seconds
                 # Phase 2: compose left-to-right, repairing on conflict.
-                accumulated = {}
-                for txn in prepared:
-                    relevant = (
-                        txn.relevant_corrections(accumulated) if accumulated else {}
-                    )
-                    if relevant:
-                        self.stats["conflicts"] += 1
-                        global_stats.bump("repair.conflicts")
-                        txn.correct(relevant)
-                        self.stats["repairs"] += 1
-                        self.stats["repair_seconds"] += txn.repair_seconds
-                    accumulated = compose_corrections(accumulated, txn.effects)
+                composite, repaired, failed = repair_circuit(prepared)
+                if failed:
+                    raise failed[0][1]
+                self.stats["conflicts"] += len(repaired)
+                self.stats["repairs"] += len(repaired)
+                self.stats["repair_seconds"] += sum(
+                    txn.repair_seconds for txn in repaired)
                 if span_ is not None:
-                    span_.attrs["conflicts"] = self.stats["conflicts"]
+                    span_.attrs["conflicts"] = len(repaired)
                 # Phase 3: commit the composite effects as one group.
-                if commit and accumulated:
-                    self.workspace._apply_deltas(state, accumulated)
+                if commit and composite:
+                    self.workspace._apply_deltas(state, composite)
                 return prepared

@@ -5,7 +5,9 @@ import time
 
 import pytest
 
-from repro import Overloaded, TxnTimeout
+from repro import Overloaded, TxnTimeout, Workspace
+from repro.datasets.txnload import alpha_transactions, setup_inventory
+from repro.runtime.errors import ConflictError
 from repro.service import (
     AdmissionController,
     FaultInjector,
@@ -13,15 +15,19 @@ from repro.service import (
     ServiceConfig,
     TransactionService,
 )
+from repro.txn.repair import PreparedTransaction, RepairScheduler
 
 COUNTER = 'counter[s] = v -> string(s), int(v).\n'
 BUMP = '^counter["hits"] = x <- counter@start["hits"] = y, x = y + 1.'
 
 
+NOTE = "note(n) -> int(n).\n"
+
+
 def make_service(faults=None, **config):
     service = TransactionService(
         config=ServiceConfig(**config), faults=faults)
-    service.addblock(COUNTER, name="schema")
+    service.addblock(COUNTER + NOTE, name="schema")
     service.load("counter", [("hits", 0)])
     return service
 
@@ -108,6 +114,140 @@ class TestFaultInjector:
             # batch one: the held writer; batch two: the two that queued
             # up while it was held — a deterministic group commit
             assert service.service_stats()["service.batches"] == 2
+
+
+def commit_as_one_group(service, faults, sources):
+    """Commit ``sources`` as one group, in order.  A ``holder`` write of
+    ``note(1)`` blocks the committer at its ``commit`` point while each
+    source executes and queues; then all are released together.
+    Returns each source's ``TxnResult`` or error, in order."""
+    release = threading.Event()
+    faults.script("commit", "block", event=release, match="holder")
+    outcomes = {}
+
+    def run(name, source):
+        try:
+            outcomes[name] = service.exec(source, name=name, timeout=30)
+        except Exception as exc:
+            outcomes[name] = exc
+
+    deadline = time.time() + 10
+    threads = [threading.Thread(target=run, args=("holder", "+note(1)."))]
+    threads[0].start()
+    while not faults.fired and time.time() < deadline:
+        time.sleep(0.005)
+    names = ["m{}".format(i) for i in range(len(sources))]
+    for count, (name, source) in enumerate(zip(names, sources), 1):
+        threads.append(threading.Thread(target=run, args=(name, source)))
+        threads[-1].start()
+        while (service.service_stats()["queued"] < count
+               and time.time() < deadline):
+            time.sleep(0.005)
+    release.set()
+    for thread in threads:
+        thread.join()
+    assert outcomes["holder"].committed
+    return [outcomes[name] for name in names]
+
+
+def repair_firings(faults):
+    return [(action, txn) for point, action, txn in faults.fired
+            if point == "repair"]
+
+
+class TestRepairFaultPoint:
+    """The ``repair`` point fires inside the group circuit, for the one
+    member whose snapshot missed an earlier member's write."""
+
+    def test_repair_conflict_is_retried(self):
+        faults = FaultInjector()
+        faults.script("repair", "conflict")
+        with make_service(faults=faults, max_pending=8,
+                          max_retries=3) as service:
+            first, second = commit_as_one_group(service, faults, [BUMP, BUMP])
+            assert first.committed and first.repairs == 0
+            assert first.attempts == 1
+            # retried on a fresh snapshot, where nothing needs repair
+            assert second.committed and second.attempts == 2
+            assert service.service_stats()["service.retries"] == 1
+            assert service.rows("counter") == [("hits", 2)]
+        assert repair_firings(faults) == [("conflict", "m1")]
+
+    def test_repair_crash_aborts_only_the_matched_member(self):
+        faults = FaultInjector()
+        faults.script("repair", "crash", match="m1")
+        # m1 adds 10: had its unrepaired effects composed, m2 would see them
+        bump_ten = BUMP.replace("y + 1", "y + 10")
+        with make_service(faults=faults, max_pending=8,
+                          max_retries=3) as service:
+            outcomes = commit_as_one_group(
+                service, faults, [BUMP, bump_ten, BUMP])
+            assert isinstance(outcomes[1], InjectedCrash)
+            assert outcomes[0].committed and outcomes[0].repairs == 0
+            # m2 composes after m0 alone: m1's effects never joined
+            assert outcomes[2].committed and outcomes[2].repairs == 1
+            assert service.service_stats()["service.aborts"] == 1
+            assert service.rows("counter") == [("hits", 2)]
+        assert repair_firings(faults) == [("crash", "m1")]
+
+    def test_failed_repair_surfaces_as_a_conflict(self, monkeypatch):
+        original = PreparedTransaction.correct
+
+        def correct(txn, corrections):
+            if txn.name == "m1":
+                raise RuntimeError("boom")
+            return original(txn, corrections)
+
+        monkeypatch.setattr(PreparedTransaction, "correct", correct)
+        faults = FaultInjector()
+        with make_service(faults=faults, max_pending=8,
+                          max_retries=0) as service:
+            first, second = commit_as_one_group(service, faults, [BUMP, BUMP])
+            assert first.committed
+            assert isinstance(second, ConflictError)
+            assert "repair failed: boom" in str(second)
+            assert "counter" in second.preds
+            assert service.rows("counter") == [("hits", 1)]
+
+
+class TestGroupCommitIsTheCircuit:
+    def test_one_group_commits_like_the_scheduler_and_serially(self):
+        """One ``alpha_transactions`` batch committed as a single
+        service group ends where ``RepairScheduler.run`` and serial
+        ``Workspace.exec`` end, with the same repair per member."""
+        batch = alpha_transactions(30, 8, 2.0, seed=37)
+        scheduler_ws, serial_ws = Workspace(), Workspace()
+        for ws in (scheduler_ws, serial_ws):
+            setup_inventory(ws, 30)
+        prepared = RepairScheduler(scheduler_ws).run(batch)
+        for source in batch:
+            serial_ws.exec(source)
+        faults = FaultInjector()
+        service = TransactionService(
+            config=ServiceConfig(max_pending=len(batch) + 1), faults=faults)
+        with service:
+            setup_inventory(service, 30)
+            service.addblock(NOTE)
+            results = commit_as_one_group(service, faults, batch)
+            for pred in ("inventory", "place_order"):
+                assert (sorted(service.rows(pred))
+                        == sorted(scheduler_ws.rows(pred))
+                        == sorted(serial_ws.rows(pred)))
+            assert [r.repairs for r in results] == [
+                txn.repair_count for txn in prepared]
+            assert any(r.repairs for r in results)
+            # the batch was one group: holder's, then the batch's
+            assert service.service_stats()["service.batches"] == 2
+
+    def test_a_moved_view_repairs_a_member_that_read_it(self):
+        # the holder's note(1) reaches the member only through the view
+        # it reads: the derived side of the snapshot-to-head diff
+        with make_service(faults=FaultInjector(), max_pending=8) as service:
+            service.addblock("seen(n) <- note(n).\ncopy(n) -> int(n).")
+            [result] = commit_as_one_group(
+                service, service.faults, ["+copy(n) <- seen@start(n)."])
+            assert result.committed and result.repairs == 1
+            assert service.rows("copy") == [(1,)]
 
 
 class TestAdmissionControl:

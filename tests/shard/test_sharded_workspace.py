@@ -5,7 +5,7 @@ cross-shard commit circuit's failure modes."""
 import pytest
 
 from repro import obs, stats
-from repro.runtime.errors import ConflictError
+from repro.runtime.errors import ConflictError, TransactionAborted
 from repro.runtime.workspace import Workspace
 from repro.shard import ShardCommitError, ShardError, ShardedWorkspace
 from repro.storage.relation import Delta
@@ -399,6 +399,19 @@ class TestRefusals:
             for index in range(3):
                 assert sharded._pool.backend(index).query(
                     "_(s) <- report(s).") == []
+
+    def test_narrow_row_aborts_like_the_oracle(self):
+        # the row is narrower than its partition column: placement
+        # refuses it with the oracle's error class, not an IndexError
+        with ShardedWorkspace.local(2, partition={"p": 1}) as sharded:
+            for target in (sharded, Workspace()):
+                target.addblock("p(x, y) -> int(x), int(y).")
+                with pytest.raises(TransactionAborted, match="arity mismatch"):
+                    target.load("p", [(1,)])
+                target.load("p", [(1, 2)])
+                # no stored row is that narrow: removing one changes nothing
+                target.load("p", [], remove=[(1,)])
+                assert [tuple(r) for r in target.rows("p")] == [(1, 2)]
 
     def test_closed_coordinator_rejects_verbs(self):
         sharded, _ = make_pair()

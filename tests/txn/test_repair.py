@@ -7,7 +7,12 @@ import pytest
 from repro import Workspace
 from repro.datasets.txnload import alpha_transactions, item_name, setup_inventory
 from repro.txn.locking import LockingScheduler, lock_rows_of
-from repro.txn.repair import PreparedTransaction, RepairScheduler, compose_corrections
+from repro.txn.repair import (
+    PreparedTransaction,
+    RepairScheduler,
+    compose_corrections,
+    repair_circuit,
+)
 from repro.storage.relation import Delta
 
 
@@ -46,8 +51,8 @@ class TestPreparedTransaction:
         a.execute(ws.state)
         b_same.execute(ws.state)
         b_other.execute(ws.state)
-        assert b_same.conflicts_with(a.effects)
-        assert not b_other.conflicts_with(a.effects)
+        assert b_same.relevant_corrections(a.effects) == a.effects
+        assert b_other.relevant_corrections(a.effects) == {}
 
     def test_repair_updates_effects(self):
         ws = make_ws()
@@ -65,13 +70,9 @@ class TestPreparedTransaction:
         txns = [PreparedTransaction(decrement(item_name(0))) for _ in range(4)]
         for txn in txns:
             txn.execute(ws.state)
-        accumulated = {}
-        for txn in txns:
-            relevant = txn.relevant_corrections(accumulated)
-            if relevant:
-                txn.correct(relevant)
-            accumulated = compose_corrections(accumulated, txn.effects)
-        assert set(accumulated["inventory"].added) == {(item_name(0), 1)}
+        composite, repaired, failed = repair_circuit(txns)
+        assert set(composite["inventory"].added) == {(item_name(0), 1)}
+        assert repaired == txns[1:] and failed == []
 
     def test_later_correction_makes_a_skipped_one_relevant(self):
         """``A(7)`` lies outside the run's sensitivity; ``B(7)`` then
