@@ -59,7 +59,6 @@ def test_repair_batch(benchmark, alpha):
     scheduler, _ = pedantic(benchmark, run_repair, alpha, rounds=2)
     benchmark.extra_info.update(
         alpha=alpha,
-        conflicts=scheduler.stats["conflicts"],
         repairs=scheduler.stats["repairs"],
     )
 
@@ -76,7 +75,7 @@ def test_locking_batch(benchmark, alpha):
 def test_speedup_curves(benchmark):
     """The paper's speedup-vs-cores contrast across α."""
     print("\nspeedup at 16 cores (repair vs locking), measured costs:")
-    print("  alpha  conflicts  repair@16  locking@16")
+    print("  alpha    repairs  repair@16  locking@16")
     final = {}
     for alpha in (0.1, 1.0, 10.0):
         scheduler, prepared = run_repair(alpha)
@@ -94,7 +93,7 @@ def test_speedup_curves(benchmark):
         )
         final[alpha] = (repair_speedup, lock_speedup)
         print("  %5.1f  %9d  %9.2f  %10.2f" % (
-            alpha, scheduler.stats["conflicts"], repair_speedup, lock_speedup))
+            alpha, scheduler.stats["repairs"], repair_speedup, lock_speedup))
     # shapes from the paper: locking collapses as alpha grows;
     # repair keeps scaling even at alpha = 10
     assert final[0.1][1] > 2.0, "locking should scale at alpha = 0.1"

@@ -3,21 +3,19 @@
 This package is the bottom layer of the system (paper §3.1, theme T4):
 deterministic treaps with the unique-representation property, persistent
 sorted maps and sets built on them, version graphs with O(1) branching,
-and structural diffing that prunes shared subtrees.
+and structural diffing that prunes shared subtrees (``PMap.diff`` /
+``PSet.diff``).
 """
 
 from repro.ds.hashing import stable_hash
 from repro.ds.pmap import PMap
 from repro.ds.pset import PSet
-from repro.ds.diff import diff_pmap, diff_pset
 from repro.ds.versions import Version, VersionGraph
 
 __all__ = [
     "stable_hash",
     "PMap",
     "PSet",
-    "diff_pmap",
-    "diff_pset",
     "Version",
     "VersionGraph",
 ]

@@ -18,7 +18,7 @@ additions over the new state.
 
 from repro import obs
 from repro import stats as global_stats
-from repro.engine.evaluator import Evaluator, _HeadProjector
+from repro.engine.evaluator import Evaluator
 from repro.engine.ir import Const, PredAtom, Var
 from repro.engine.lftj import LeapfrogTrieJoin
 from repro.engine.rules import Rule
@@ -32,7 +32,7 @@ def _run_delta_pass(evaluator, rule, position, tuple_set, env, arity):
     env = dict(env)
     env["@delta"] = Relation.from_iter(arity, tuple_set)
     var_order, bindings = evaluator.rule_bindings(delta_rule, env)
-    projector = _HeadProjector(delta_rule, var_order)
+    projector = evaluator.head_projector(delta_rule, var_order)
     return {projector(binding) for binding in bindings}
 
 
@@ -40,10 +40,11 @@ class _Derivability:
     """Cached existence checks: is tuple ``t`` derivable by ``rule``?
 
     Binds the head variables through one virtual single-tuple ``@head``
-    predicate so the LFTJ plan is built once per rule.
+    predicate so the LFTJ plan is built once per rule (and bound to a
+    cached shape's ``params``).
     """
 
-    def __init__(self, rule):
+    def __init__(self, rule, params=()):
         head_vars = []
         for arg in rule.head_args:
             if isinstance(arg, Var) and arg.name not in head_vars:
@@ -53,13 +54,14 @@ class _Derivability:
         self.rule = rule
         self.head_vars = head_vars
         self.probe = Rule(rule.head_pred, rule.head_args, body, None, rule.n_keys)
+        self.params = params
 
     def derivable(self, tup, env):
         """True when ``tup`` has a derivation through this rule."""
         values = {}
         for arg, value in zip(self.rule.head_args, tup):
             if isinstance(arg, Const):
-                if arg.value != value:
+                if arg.value_in(self.params) != value:
                     return False
             else:
                 if arg.name in values and values[arg.name] != value:
@@ -68,20 +70,22 @@ class _Derivability:
         probe_env = dict(env)
         probe_env["@head"] = Relation.from_iter(
             len(self.head_vars), [tuple(values[name] for name in self.head_vars)])
-        plan = self.probe.plan()
+        plan = self.probe.plan().bind(self.params)
         executor = LeapfrogTrieJoin(plan, probe_env)
         for _ in executor.run():
             return True
         return False
 
 
-def maintain_recursive_stratum(ruleset, stratum, old_relations, new_relations, deltas):
+def maintain_recursive_stratum(ruleset, stratum, old_relations, new_relations, deltas,
+                               params=()):
     """DRed maintenance of one recursive stratum.
 
     ``new_relations`` holds updated lower strata and base predicates;
     the stratum's own entries are still the old versions.  ``deltas``
-    holds the lower-level deltas.  Returns per-predicate deltas for the
-    stratum (not yet applied).
+    holds the lower-level deltas; ``params`` bind a cached shape's
+    literals.  Returns per-predicate deltas for the stratum (not yet
+    applied).
 
     Each run is traced as an ``ivm.dred`` span whose attributes and the
     ``dred.*`` counters record the three phases' work: fixpoint rounds,
@@ -90,12 +94,12 @@ def maintain_recursive_stratum(ruleset, stratum, old_relations, new_relations, d
     with obs.span("ivm.dred", preds=len(stratum)):
         global_stats.bump("dred.runs")
         return _dred_stratum(
-            ruleset, stratum, old_relations, new_relations, deltas
+            ruleset, stratum, old_relations, new_relations, deltas, params
         )
 
 
-def _dred_stratum(ruleset, stratum, old_relations, new_relations, deltas):
-    evaluator = Evaluator(ruleset)
+def _dred_stratum(ruleset, stratum, old_relations, new_relations, deltas, params):
+    evaluator = Evaluator(ruleset, params=params)
     stratum_preds = set(stratum)
     rules = [rule for pred in stratum for rule in ruleset.rules_by_head[pred]]
 
@@ -164,7 +168,7 @@ def _dred_stratum(ruleset, stratum, old_relations, new_relations, deltas):
                 for rule in ruleset.rules_by_head[pred]:
                     checker = checkers.get(id(rule))
                     if checker is None:
-                        checker = checkers[id(rule)] = _Derivability(rule)
+                        checker = checkers[id(rule)] = _Derivability(rule, params)
                     if checker.derivable(tup, env):
                         rederived[pred].add(tup)
                         env[pred] = env[pred].insert(tup)
@@ -207,7 +211,7 @@ def _dred_stratum(ruleset, stratum, old_relations, new_relations, deltas):
                     # still fail on another tuple); verify derivability
                     checker = checkers.get(id(rule))
                     if checker is None:
-                        checker = checkers[id(rule)] = _Derivability(rule)
+                        checker = checkers[id(rule)] = _Derivability(rule, params)
                     fresh = {t for t in fresh if checker.derivable(t, env)}
                 if fresh:
                     inserted[rule.head_pred] |= fresh

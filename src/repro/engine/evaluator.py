@@ -17,7 +17,8 @@ from repro import obs
 from repro.ds.pmap import PMap
 from repro.engine.aggregates import AGGREGATES, agg_add
 from repro.engine.columnar import make_join, resolve_backend
-from repro.engine.ir import Const, PredAtom
+from repro.engine.ir import Const, PredAtom, bind
+from repro.engine.planner import PlanError, build_plan
 from repro.engine.rules import stratify
 from repro.storage.relation import Relation
 
@@ -60,16 +61,18 @@ class PredicateState:
 
 class _HeadProjector:
     """Precomputed head projection for a fixed variable order: per head
-    column, ``("c", value)`` for a constant or ``("v", position)`` for
-    a variable's position in that order."""
+    column, ``("c", value)`` for a constant (a shape parameter bound to
+    its value in ``params``) or ``("v", position)`` for a variable's
+    position in that order."""
 
     __slots__ = ("spec",)
 
-    def __init__(self, rule, var_order, drop_last=False):
+    def __init__(self, rule, var_order, drop_last=False, params=()):
         index = {name: position for position, name in enumerate(var_order)}
         args = rule.head_args[:-1] if drop_last else rule.head_args
         self.spec = tuple(
-            ("c", arg.value) if isinstance(arg, Const) else ("v", index[arg.name])
+            ("c", arg.value_in(params)) if isinstance(arg, Const)
+            else ("v", index[arg.name])
             for arg in args
         )
 
@@ -129,6 +132,11 @@ class Evaluator:
     defers to the ``REPRO_ENGINE`` environment override and, without
     one, lets each join pick its executor from its input size
     (:func:`~repro.engine.columnar.choose_backend`).
+
+    ``params`` are the values of a cached query shape's literals
+    (:mod:`repro.logiql.shapes`): every plan and head projection of this
+    evaluation binds them, while the rules and their plan memos stay
+    shared by every call of the shape.
     """
 
     def __init__(
@@ -137,10 +145,12 @@ class Evaluator:
         *,
         order_chooser=None,
         backend=None,
+        params=(),
     ):
         self.ruleset = ruleset
         self.order_chooser = order_chooser
         self.backend = resolve_backend(backend)
+        self.params = params
 
     def _order_for(self, rule, relations):
         if self.order_chooser is None:
@@ -156,7 +166,7 @@ class Evaluator:
         var_order = self._order_for(rule, relations)
         cache = "hit" if rule.has_plan(var_order) else "miss"
         with obs.span("plan", rule=rule.head_pred, cache=cache):
-            plan = rule.plan(var_order)
+            plan = self._bound_plan(rule, var_order)
         exec_stats = {} if obs.tracing() else None
         executor = make_join(plan, relations, recorder,
                              stats=exec_stats, backend=self.backend)
@@ -167,6 +177,24 @@ class Evaluator:
             "reason": executor.reason,
         }
         return plan, executor, exec_stats, attrs
+
+    def _bound_plan(self, rule, var_order):
+        """``rule``'s memoized plan with this evaluation's parameters
+        bound.  A body that does not plan raises as its literal text
+        would: the error names the values, not the slots."""
+        try:
+            plan = rule.plan(var_order)
+        except PlanError:
+            if self.params:
+                build_plan([bind(atom, self.params) for atom in rule.body],
+                           var_order=var_order, output_vars=rule.head_vars())
+            raise
+        return plan.bind(self.params)
+
+    def head_projector(self, rule, var_order, drop_last=False):
+        """The :class:`_HeadProjector` of ``rule`` under this
+        evaluation's parameters."""
+        return _HeadProjector(rule, var_order, drop_last, self.params)
 
     def rule_bindings(self, rule, relations, recorder=None):
         """Iterate satisfying assignments of ``rule``'s body.
@@ -237,7 +265,7 @@ class Evaluator:
         counts = {}
         for rule in group:
             var_order, bindings = self.rule_bindings(rule, relations, chooser(rule))
-            project = _HeadProjector(rule, var_order)
+            project = self.head_projector(rule, var_order)
             for binding in bindings:
                 head = project(binding)
                 counts[head] = counts.get(head, 0) + 1
@@ -262,7 +290,7 @@ class Evaluator:
         aggregate = AGGREGATES[fn]
         plan, executor, exec_stats, attrs = self._executor(
             rule, relations, chooser(rule))
-        project = _HeadProjector(rule, plan.var_order, drop_last=True)
+        project = self.head_projector(rule, plan.var_order, drop_last=True)
         value_position = plan.var_order.index(rule.agg.value_var)
         bump_prefix = "join." if executor.backend == "pure" else None
         with obs.traced_join("join", attrs, exec_stats, bump_prefix) as span_:
@@ -338,7 +366,7 @@ class Evaluator:
                 env = dict(relations)
                 env["@delta"] = delta[source]
                 var_order, bindings = self.rule_bindings(delta_rule, env, chooser(rule))
-                project = _HeadProjector(delta_rule, var_order)
+                project = self.head_projector(delta_rule, var_order)
                 for binding in bindings:
                     next_delta[pred].add(project(binding))
             delta = {}
@@ -356,7 +384,7 @@ class Evaluator:
         tuples = set()
         for rule in self.ruleset.rules_by_head[pred]:
             var_order, bindings = self.rule_bindings(rule, relations, chooser(rule))
-            project = _HeadProjector(rule, var_order)
+            project = self.head_projector(rule, var_order)
             for binding in bindings:
                 tuples.add(project(binding))
         return Relation.from_iter(self.ruleset.head_arity(pred), tuples)

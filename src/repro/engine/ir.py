@@ -10,6 +10,10 @@ planner and LFTJ executor consume it.  A rule body is a conjunction of:
 * :class:`AssignAtom` — functional bindings ``var := expr`` evaluated
   as singleton iterators at the variable's level (the paper's virtual
   arithmetic predicates).
+
+A rule compiled for a cached query shape (:mod:`repro.logiql.shapes`)
+holds :class:`Param` where the text had a literal; each call binds the
+values (:func:`bind`, :meth:`Const.value_in`).
 """
 
 import math
@@ -50,6 +54,45 @@ class Const:
 
     def __repr__(self):
         return repr(self.value)
+
+    def value_in(self, params):
+        """The constant's value under a call's shape parameters."""
+        return self.value
+
+
+class Param(Const):
+    """The ``index``-th literal of a cached query shape: a constant
+    whose value each call supplies.  ``negated`` is a literal under
+    unary minus (``-1`` parses as the negation of ``1``).  Reading
+    :attr:`value` is an error — a plan, projector or router must bind
+    it with :meth:`value_in`."""
+
+    __slots__ = ("index", "negated")
+
+    def __init__(self, index, negated=False):
+        self.index = index
+        self.negated = negated
+
+    @property
+    def value(self):
+        raise TypeError("unbound shape parameter {!r}".format(self))
+
+    def value_in(self, params):
+        value = params[self.index]
+        return -value if self.negated else value
+
+    def __neg__(self):
+        return Param(self.index, not self.negated)
+
+    def __eq__(self, other):
+        return (isinstance(other, Param) and other.index == self.index
+                and other.negated == self.negated)
+
+    def __hash__(self):
+        return hash(("param", self.index, self.negated))
+
+    def __repr__(self):
+        return "{}?{}".format("-" if self.negated else "", self.index)
 
 
 _BINOPS = {
@@ -235,3 +278,37 @@ class AssignAtom:
 
     def __repr__(self):
         return "{} := {}".format(self.var, self.expr)
+
+
+def bind(node, params):
+    """``node`` (an expression or a body atom) with every :class:`Param`
+    replaced by a :class:`Const` of its value in ``params``; the node
+    itself when it holds none."""
+    if isinstance(node, Param):
+        return Const(node.value_in(params))
+    if isinstance(node, (Var, Const)):
+        return node
+    if isinstance(node, PredAtom):
+        args = [bind(arg, params) for arg in node.args]
+        if all(new is old for new, old in zip(args, node.args)):
+            return node
+        return PredAtom(node.pred, args, node.negated)
+    if isinstance(node, BinOp):
+        left, right = bind(node.left, params), bind(node.right, params)
+        if left is node.left and right is node.right:
+            return node
+        return BinOp(node.op, left, right)
+    if isinstance(node, Call):
+        args = [bind(arg, params) for arg in node.args]
+        if all(new is old for new, old in zip(args, node.args)):
+            return node
+        return Call(node.fn, args)
+    if type(node) is CompareAtom:  # a subclass carries its own operands
+        left, right = bind(node.left, params), bind(node.right, params)
+        if left is node.left and right is node.right:
+            return node
+        return CompareAtom(node.op, left, right)
+    if isinstance(node, AssignAtom):
+        expr = bind(node.expr, params)
+        return node if expr is node.expr else AssignAtom(node.var, expr)
+    return node

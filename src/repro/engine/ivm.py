@@ -29,12 +29,7 @@ from repro import obs
 from repro import stats as global_stats
 from repro.ds.pmap import PMap
 from repro.engine.aggregates import AGGREGATES, agg_add, agg_remove
-from repro.engine.evaluator import (
-    Evaluator,
-    PredicateState,
-    _check_functional,
-    _HeadProjector,
-)
+from repro.engine.evaluator import Evaluator, PredicateState, _check_functional
 from repro.engine.ir import AssignAtom, PredAtom, Var
 from repro.engine.iterators import trie_iterator
 from repro.engine.sensitivity import SensitivityIndex, SensitivityRecorder
@@ -70,13 +65,15 @@ class IncrementalEngine:
     ``track_sensitivity`` makes every pass record its sensitivity
     intervals into the materialization's ``rule_indexes`` (transaction
     repair reads them); recording keeps those joins on the pure
-    executor.
+    executor.  ``params`` bind a cached shape's literals
+    (:class:`~repro.engine.evaluator.Evaluator`).
     """
 
-    def __init__(self, ruleset, *, track_sensitivity=False, backend=None):
+    def __init__(self, ruleset, *, track_sensitivity=False, backend=None,
+                 params=()):
         self.ruleset = ruleset
         self.track_sensitivity = track_sensitivity
-        self.evaluator = Evaluator(ruleset, backend=backend)
+        self.evaluator = Evaluator(ruleset, backend=backend, params=params)
         self._delta_rules = {}  # (rule index, position, kind) -> delta Rule
         self._local_vars_cache = {}  # rule index -> {atom idx: local positions}
         self._rule_index = {id(rule): i for i, rule in enumerate(ruleset.rules)}
@@ -333,7 +330,8 @@ class IncrementalEngine:
                 ):
                     projector = projectors.get(var_order)
                     if projector is None:
-                        projector = projectors[var_order] = _HeadProjector(rule, var_order)
+                        projector = projectors[var_order] = self.evaluator.head_projector(
+                            rule, var_order)
                     head = projector(binding)
                     count_changes[head] = count_changes.get(head, 0) + sign
                 _fold_into(indexes, rule_index, recorder)
@@ -397,7 +395,7 @@ class IncrementalEngine:
                 spec = projectors.get(var_order)
                 if spec is None:
                     spec = projectors[var_order] = (
-                        _HeadProjector(rule, var_order, drop_last=True),
+                        self.evaluator.head_projector(rule, var_order, drop_last=True),
                         list(var_order).index(rule.agg.value_var),
                     )
                 projector, value_position = spec
@@ -461,7 +459,8 @@ class IncrementalEngine:
         if not any(p in deltas for p in body_preds):
             return
         stratum_deltas = maintain_recursive_stratum(
-            self.ruleset, stratum, old_relations, new_relations, deltas
+            self.ruleset, stratum, old_relations, new_relations, deltas,
+            self.evaluator.params,
         )
         for pred, delta in stratum_deltas.items():
             if delta:

@@ -12,24 +12,28 @@ boils down to choosing a good variable order."  The planner:
   order), then trailing wildcard columns handled existentially;
 * attaches comparison and negation filters, and arithmetic assignments,
   to the earliest level at which they are fully bound.
+
+A plan depends on where a rule's constants sit, not on their values: a
+rule compiled for a cached query shape plans once with
+:class:`~repro.engine.ir.Param` slots, and :meth:`Plan.bind` puts each
+call's values into a copy.
 """
 
 import itertools
 
-from repro.engine.ir import AssignAtom, CompareAtom, Const, PredAtom, Var
+from repro.engine.ir import AssignAtom, CompareAtom, Const, Param, PredAtom, Var, bind
 
 
 class AtomPlan:
     """Execution shape of one positive atom."""
 
-    __slots__ = ("pred", "perm", "const_prefix", "levels", "atom")
+    __slots__ = ("pred", "perm", "const_prefix", "levels")
 
-    def __init__(self, pred, perm, const_prefix, levels, atom):
+    def __init__(self, pred, perm, const_prefix, levels):
         self.pred = pred
         self.perm = tuple(perm)
         self.const_prefix = tuple(const_prefix)
         self.levels = tuple(levels)  # global level index per variable level
-        self.atom = atom
 
     def __repr__(self):
         return "AtomPlan({}, perm={}, consts={}, levels={})".format(
@@ -63,6 +67,30 @@ class Plan:
         self.ground_atoms = ground_atoms  # fully-ground positive/negative atoms
         self.ground_filters = ground_filters  # variable-free comparisons
         self.output_positions = None
+
+    def bind(self, params):
+        """This plan with every shape parameter bound to its value in
+        ``params``: constant prefixes, filters, assignments and ground
+        atoms.  The plan itself when there are no parameters."""
+        if not params:
+            return self
+        atom_plans = [
+            AtomPlan(
+                ap.pred, ap.perm,
+                [c.value_in(params) if isinstance(c, Param) else c
+                 for c in ap.const_prefix],
+                ap.levels)
+            for ap in self.atom_plans
+        ]
+        return Plan(
+            self.var_order,
+            atom_plans,
+            {level: bind(atom, params) for level, atom in self.assigns.items()},
+            {level: [bind(entry, params) for entry in entries] if entries else entries
+             for level, entries in self.filters.items()},
+            [bind(atom, params) for atom in self.ground_atoms],
+            [bind(atom, params) for atom in self.ground_filters],
+        )
 
     def needs_index(self, atom_plan):
         """True when the atom requires a non-identity secondary index."""
@@ -103,6 +131,12 @@ def _rewrite_repeats(atoms):
         else:
             rewritten.append(PredAtom(atom.pred, new_args, atom.negated))
     return rewritten + extra
+
+
+def _const(term):
+    """A constant argument's plan entry: its value, or the
+    :class:`Param` itself for a shape's slot (bound per call)."""
+    return term if isinstance(term, Param) else term.value
 
 
 def _collect_vars(atoms):
@@ -284,9 +318,9 @@ def build_plan(atoms, var_order=None, output_vars=()):
                 + [pos for _, pos in var_positions]
                 + wildcard_positions
             )
-            const_prefix = [atom.args[i].value for i in const_positions]
+            const_prefix = [_const(atom.args[i]) for i in const_positions]
             levels = [level for level, _ in var_positions]
-            atom_plans.append(AtomPlan(atom.pred, perm, const_prefix, levels, atom))
+            atom_plans.append(AtomPlan(atom.pred, perm, const_prefix, levels))
         elif isinstance(atom, AssignAtom):
             level = level_of[atom.var]
             for name in atom.input_vars():
@@ -426,8 +460,9 @@ class RuleAnchor:
 
     ``kind`` is ``"var"`` (all shard-keyed atoms agree on one partition
     variable, named ``var``), ``"const"`` (they pin literal keys, listed
-    in ``consts`` — the coordinator routes by hashing them), or ``None``
-    for a rule that reads no partitioned data.
+    in ``consts`` — the coordinator routes by hashing them, binding a
+    shape's :class:`~repro.engine.ir.Param` first), or ``None`` for a
+    rule that reads no partitioned data.
     """
 
     __slots__ = ("kind", "var", "consts")
@@ -512,7 +547,7 @@ def _rule_class(rule, classes, reasons):
         elif isinstance(term, Var):
             positive_vars.add(term.name)
         elif isinstance(term, Const):
-            positive_consts.append(term.value)
+            positive_consts.append(_const(term))
     if not positive_vars and not positive_consts:
         if negated_keys:
             reasons.append(
@@ -551,7 +586,7 @@ def _rule_class(rule, classes, reasons):
                     "negated shard-keyed atom {} is not pinned to a literal "
                     "key alongside literal positive anchors".format(atom))
                 return BROKEN, RuleAnchor()
-            key_consts.append(term.value)
+            key_consts.append(_const(term))
         anchor = RuleAnchor("const", consts=key_consts)
         return SCATTERED, anchor
     k = next(iter(positive_vars))

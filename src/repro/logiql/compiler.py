@@ -270,6 +270,9 @@ class _Lowerer:
         if isinstance(node, ast.Wildcard):
             return ir.Var(self.fresh_var("w"))
         if isinstance(node, (ast.NumT, ast.StrT, ast.BoolT)):
+            # a cached shape's literal slot is already a constant
+            if isinstance(node.value, ir.Param):
+                return node.value
             return ir.Const(node.value)
         if isinstance(node, ast.Arith):
             return ir.BinOp(node.op, self._term(node.left), self._term(node.right))

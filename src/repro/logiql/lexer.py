@@ -1,5 +1,7 @@
 """Tokenizer for LogiQL source text."""
 
+import re
+
 
 class ParseError(ValueError):
     """Lexical or syntactic error, with position information."""
@@ -29,7 +31,6 @@ class Token:
 
 
 _PUNCT = [
-    # longest first
     ("<<", "LSHIFT"),
     (">>", "RSHIFT"),
     ("<-", "LARROW"),
@@ -64,12 +65,28 @@ _PUNCT = [
 ]
 
 
+#: the string escapes; any other escaped character stands for itself
+ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def unescape(body):
+    """A string literal's value, from the text between its quotes."""
+    if "\\" not in body:
+        return body
+    return _ESCAPE.sub(lambda m: ESCAPES.get(m.group(1), m.group(1)), body)
+
+
+_PUNCT_KINDS = dict(_PUNCT)
+
+#: a run of identifier characters: ``\w`` is exactly ``str.isalnum()``
+#: or ``_``
+_IDENT_CHARS = re.compile(r"\w*")
+
+
 def _is_ident_start(ch):
     return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch):
-    return ch.isalnum() or ch == "_"
 
 
 def tokenize(text):
@@ -120,9 +137,7 @@ def tokenize(text):
             while i < n and text[i] != '"':
                 if text[i] == "\\" and i + 1 < n:
                     escape = text[i + 1]
-                    parts.append(
-                        {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(escape, escape)
-                    )
+                    parts.append(ESCAPES.get(escape, escape))
                     i += 2
                 else:
                     if text[i] == "\n":
@@ -162,17 +177,14 @@ def tokenize(text):
         if _is_ident_start(ch):
             l0, c0 = here()
             start = i
-            while i < n and _is_ident_char(text[i]):
-                i += 1
+            i = _IDENT_CHARS.match(text, i).end()
             # namespace colons: ident ':' ident glue (lang:solve:max)
             while (
                 i + 1 < n
                 and text[i] == ":"
                 and _is_ident_start(text[i + 1])
             ):
-                i += 1
-                while i < n and _is_ident_char(text[i]):
-                    i += 1
+                i = _IDENT_CHARS.match(text, i + 1).end()
             name = text[start:i]
             if name == "true":
                 tokens.append(Token("BOOL", True, l0, c0))
@@ -181,15 +193,15 @@ def tokenize(text):
             else:
                 tokens.append(Token("IDENT", name, l0, c0))
             continue
-        matched = False
-        for text_punct, kind in _PUNCT:
-            if text.startswith(text_punct, i):
-                l0, c0 = here()
-                tokens.append(Token(kind, text_punct, l0, c0))
-                i += len(text_punct)
-                matched = True
-                break
-        if not matched:
+        # longest first: a two-character punctuator, else one character
+        punct = text[i:i + 2]
+        kind = _PUNCT_KINDS.get(punct)
+        if kind is None:
+            punct = ch
+            kind = _PUNCT_KINDS.get(ch)
+        if kind is None:
             raise ParseError("unexpected character {!r}".format(ch), *here())
+        tokens.append(Token(kind, punct, line, i - line_start + 1))
+        i += len(punct)
     tokens.append(Token("EOF", None, line, i - line_start + 1))
     return tokens

@@ -37,8 +37,10 @@ class _Parser:
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, offset=0):
-        index = min(self.position + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        try:
+            return self.tokens[self.position + offset]
+        except IndexError:  # past the end: the EOF token
+            return self.tokens[-1]
 
     def advance(self):
         token = self.tokens[self.position]
@@ -47,7 +49,7 @@ class _Parser:
         return token
 
     def check(self, kind, value=None):
-        token = self.peek()
+        token = self.tokens[self.position]  # never past EOF
         if token.kind != kind:
             return False
         return value is None or token.value == value

@@ -30,10 +30,11 @@ from repro import obs as _obs
 from repro import stats as _stats
 from repro.ds.versions import VersionGraph
 from repro.meta.metaengine import MetaEngine
-from repro.engine.evaluator import Evaluator, RuleSet
+from repro.engine.evaluator import Evaluator
 from repro.engine.ir import PredAtom
 from repro.engine.ivm import Materialization
 from repro.logiql.compiler import compile_program
+from repro.logiql.shapes import compile_shape
 from repro.runtime.constraints import refuse_unchecked
 from repro.runtime.errors import ConstraintViolation, TransactionAborted
 from repro.runtime.result import TxnResult
@@ -46,22 +47,25 @@ _block_counter = itertools.count(1)
 
 
 def run_query(state, source, answer=None, order_chooser=None):
-    """Compile and evaluate a query program against one pinned state,
-    on the join backend of the state's program.
+    """Compile (through the shape cache) and evaluate a query program
+    against one pinned state, on the join backend of the state's
+    program.
 
     The body shared by :func:`evaluate_query` and
     :func:`repro.obs.explain_query` (which passes its sampling
     optimizer as ``order_chooser``).  Returns ``(rules, evaluator,
-    relations, answer)``: the compiled query rules, the evaluator that
-    ran them, every relation after evaluation, and the resolved answer
-    predicate.  The answer (any head no query rule reads) comes back
-    as its sorted row list, not a :class:`Relation`: nothing keeps it.
+    relations, answer)``: the compiled query rules (a cached shape's,
+    shared by every call of it), the evaluator that ran them with this
+    call's literals, every relation after evaluation, and the resolved
+    answer predicate.  The answer (any head no query rule reads) comes
+    back as its sorted row list, not a :class:`Relation`: nothing keeps
+    it.
     """
-    with _obs.span("compile", chars=len(source)):
-        block = compile_program(source)
+    shape, params = compile_shape(source)
+    block = shape.block
     if block.reactive_rules:
         raise TransactionAborted("queries cannot contain reactive rules")
-    ruleset = RuleSet(block.rules)
+    ruleset = shape.ruleset()
     env = state.env_with_defaults()
     for rule in block.rules:
         for atom in rule.body:
@@ -72,6 +76,7 @@ def run_query(state, source, answer=None, order_chooser=None):
         ruleset,
         order_chooser=order_chooser,
         backend=state.artifacts.engine_backend,
+        params=params,
     )
     relations, _ = evaluator.evaluate(env, keep_state=False)
     if answer is None:
@@ -455,23 +460,23 @@ class Workspace:
         """
         with self._txn("exec") as window:
             state = self.state
-            with _obs.span("compile", chars=len(source)):
-                block = compile_program(source)
+            shape, params = compile_shape(source)
+            block = shape.block
             if block.rules and any(r.body for r in block.rules):
                 raise TransactionAborted(
                     "exec transactions may only contain reactive logic; "
                     "use addblock for derivation rules"
                 )
-            deltas = self._reactive_deltas(state, block.reactive_rules)
+            deltas = self._reactive_deltas(state, shape, params)
             return window.result(deltas=self._apply_deltas(state, deltas))
 
-    def _reactive_deltas(self, state, reactive_rules):
-        if not reactive_rules:
+    def _reactive_deltas(self, state, shape, params):
+        if not shape.block.reactive_rules:
             return {}
-        ruleset = RuleSet(list(reactive_rules))
+        ruleset = shape.reactive_ruleset()
         # the delta heads are read once below and dropped
         relations, _ = Evaluator(
-            ruleset, backend=self._engine_backend,
+            ruleset, backend=self._engine_backend, params=params,
         ).evaluate(reactive_env(state, ruleset), keep_state=False)
         return reactive_effects(relations, ruleset.derived)
 

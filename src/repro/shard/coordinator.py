@@ -77,7 +77,7 @@ import time
 from repro import obs as _obs
 from repro import stats as _stats
 from repro.engine.evaluator import Evaluator, RuleSet
-from repro.engine.ir import Const, PredAtom
+from repro.engine.ir import Const, Param, PredAtom, bind
 from repro.engine.planner import (
     KEY_KEYED,
     KEY_PARTIAL_AGG,
@@ -90,6 +90,7 @@ from repro.engine.rules import dependency_cone
 from repro.logiql import ast
 from repro.logiql.compiler import compile_program
 from repro.logiql.parser import parse_program
+from repro.logiql.shapes import compile_shape
 from repro.logiql.printer import unparse
 from repro.net.protocol import VerbNotServed, VerbSurface
 from repro.runtime.errors import (
@@ -188,6 +189,12 @@ def _state_program(program, answer_pred, partials):
             [ast.FuncAtom(_PARTIAL_PRED.format(fn), keys, value)
              for fn, value in zip(partials, values)]))
     return unparse(ast.Program(clauses))
+
+
+def _bound(key, params):
+    """A literal partition key from a rule anchor, a shape's slot bound
+    to its value in ``params``."""
+    return key.value_in(params) if isinstance(key, Param) else key
 
 
 def _literal(value):
@@ -312,10 +319,11 @@ class ShardedWorkspace(VerbSurface):
             rules.extend(block_rules)
         return rules
 
-    def _classify(self, rules, analysis=None):
+    def _classify(self, rules, analysis=None, params=()):
         """Classification plus the coordinator-side placement checks
         the per-rule transfer function cannot do (it does not know N):
-        literal partition keys must co-reside on one shard."""
+        literal partition keys (a shape's slots bound to ``params``)
+        must co-reside on one shard."""
         if analysis is None:
             analysis = classify_rules(rules, self.shard_map.partition)
         broken = list(analysis.broken)
@@ -323,12 +331,13 @@ class ShardedWorkspace(VerbSurface):
             anchor = analysis.anchors.get(id(rule))
             if anchor is None or anchor.kind != "const":
                 continue
-            owners = {self.shard_map.shard_of_key(c) for c in anchor.consts}
+            keys = [_bound(c, params) for c in anchor.consts]
+            owners = {self.shard_map.shard_of_key(key) for key in keys}
             if len(owners) > 1:
                 broken.append((
                     rule,
                     "literal partition keys {} land on different "
-                    "shards".format(list(anchor.consts))))
+                    "shards".format(keys)))
         return analysis, broken
 
     def addblock(self, source, *, name=None, timeout=None):
@@ -492,11 +501,10 @@ class ShardedWorkspace(VerbSurface):
         ``scatter``, ``fold`` or ``exchange``."""
         self._check_open()
         _stats.bump("shard.queries")
-        program = parse_program(source)
-        block = compile_program(program)
-        if block.reactive_rules:
+        shape, params = compile_shape(source)
+        if shape.block.reactive_rules:
             raise ShardError("queries cannot contain reactive rules")
-        qrules = list(block.rules)
+        qrules = list(shape.block.rules)
         if not qrules:
             return []
         analysis = classify_rules(
@@ -506,8 +514,8 @@ class ShardedWorkspace(VerbSurface):
             "_" if any(r.head_pred == "_" for r in qrules)
             else qrules[-1].head_pred)
         cls = analysis.class_of(answer_pred)
-        _, broken = self._classify(qrules, analysis)
-        owner = None if broken else self._const_owner(qrules, analysis)
+        _, broken = self._classify(qrules, analysis, params)
+        owner = None if broken else self._const_owner(qrules, analysis, params)
         if broken:
             mode = "exchange"
         elif owner is not None or cls.kind == KEY_REPLICATED:
@@ -519,7 +527,7 @@ class ShardedWorkspace(VerbSurface):
         with _obs.span("shard.query", answer=answer_pred,
                        placement=cls.kind, mode=mode) as span_:
             if mode == "exchange":
-                return self._query_exchange(qrules, answer_pred, span_)
+                return self._query_exchange(qrules, params, answer_pred, span_)
             if mode == "route":
                 if owner is None:
                     owner = 0  # replicated: any shard holds all of it
@@ -529,39 +537,40 @@ class ShardedWorkspace(VerbSurface):
                     source, answer=answer)]
             _stats.bump("shard.scatter_queries")
             if mode == "fold":
-                return self._query_fold(
-                    source, answer, program, answer_pred, cls.fn)
+                return self._query_fold(source, answer, answer_pred, cls.fn)
             return _union_rows(self._pool.gather(
                 self._pool.broadcast("query", source, answer=answer)))
 
-    def _const_owner(self, rules, analysis):
+    def _const_owner(self, rules, analysis, params):
         """The single shard owning every literal partition key of the
-        program, or ``None`` when the program is not all-literal."""
+        program (a shape's slots bound to ``params``), or ``None`` when
+        the program is not all-literal."""
         owners = set()
         for rule in rules:
             anchor = analysis.anchors.get(id(rule))
             if anchor is None or anchor.kind != "const":
                 return None
             owners.update(
-                self.shard_map.shard_of_key(c) for c in anchor.consts)
+                self.shard_map.shard_of_key(_bound(c, params))
+                for c in anchor.consts)
         if len(owners) == 1:
             return next(iter(owners))
         return None
 
-    def _query_fold(self, source, answer, program, answer_pred, fn):
+    def _query_fold(self, source, answer, answer_pred, fn):
         """Partial-state fold: every shard computes the aggregate's
         partials over its fragment in one wave; the coordinator merges
         them per group and finalises.  An aggregate whose only partial
         is itself travels as the query it already is; ``avg`` is
-        rewritten to ship ``(sum, count)``."""
+        rewritten, from its parsed text, to ship ``(sum, count)``."""
         partials = AGG_STATE[fn][0]
         if partials != (fn,):
-            source = _state_program(program, answer_pred, partials)
+            source = _state_program(parse_program(source), answer_pred, partials)
             answer = _STATE_PRED
         return self._recombine(fn, self._pool.gather(
             self._pool.broadcast("query", source, answer=answer)))
 
-    def _query_exchange(self, qrules, answer_pred, span_):
+    def _query_exchange(self, qrules, params, answer_pred, span_):
         """Pruned parallel exchange, for queries no shard can answer
         from its fragment alone (non-co-located joins, negation or
         aggregation over scattered rows).  Only the base predicates in
@@ -583,7 +592,7 @@ class ShardedWorkspace(VerbSurface):
             for atom in rule.body:
                 if isinstance(atom, PredAtom) and atom.pred not in derived:
                     wanted.setdefault(atom.pred, set()).add(tuple(
-                        arg if isinstance(arg, Const) else None
+                        bind(arg, params) if isinstance(arg, Const) else None
                         for arg in atom.args))
         everywhere = range(self.shard_map.n_shards)
         slots, futures = [], []
@@ -610,7 +619,7 @@ class ShardedWorkspace(VerbSurface):
             pred: Relation.from_iter(
                 len(next(iter(wanted[pred]))), rows[pred])
             for pred in wanted}
-        relations, _ = Evaluator(RuleSet(cone)).evaluate(base)
+        relations, _ = Evaluator(RuleSet(cone), params=params).evaluate(base)
         return sorted(relations[answer_pred])
 
     # -- writes ----------------------------------------------------------------
@@ -618,8 +627,8 @@ class ShardedWorkspace(VerbSurface):
     def exec(self, source, *, timeout=None):
         """Run a reactive write transaction across the fleet."""
         self._check_open()
-        block = compile_program(source)
-        owner = self._single_shard_owner(block)
+        shape, params = compile_shape(source)
+        owner = self._single_shard_owner(shape.block, params)
         if owner is not None:
             _stats.bump("shard.single_shard_execs")
             with _obs.span("shard.exec", mode="single", shard=owner):
@@ -627,11 +636,12 @@ class ShardedWorkspace(VerbSurface):
                     source, timeout=timeout)
         return self._exec_circuit(source, timeout)
 
-    def _single_shard_owner(self, block):
+    def _single_shard_owner(self, block, params):
         """The one shard a literal-key co-partitioned write program can
         run on as a plain transaction — every write lands on rows the
         shard owns and every read is owned or replicated.  ``None``
-        when the program needs the circuit."""
+        when the program needs the circuit.  A shape's literal keys are
+        bound to ``params``."""
         if block.rules or not block.reactive_rules:
             return None
         partition = self.shard_map.partition
@@ -643,7 +653,7 @@ class ShardedWorkspace(VerbSurface):
             head_key = rule.head_args[col]
             if not isinstance(head_key, Const):
                 return None
-            owners.add(self.shard_map.shard_of_key(head_key.value))
+            owners.add(self.shard_map.shard_of_key(head_key.value_in(params)))
             for atom in rule.body:
                 if not isinstance(atom, PredAtom):
                     continue
@@ -657,7 +667,7 @@ class ShardedWorkspace(VerbSurface):
                 term = atom.args[bcol]
                 if not isinstance(term, Const):
                     return None
-                owners.add(self.shard_map.shard_of_key(term.value))
+                owners.add(self.shard_map.shard_of_key(term.value_in(params)))
         if len(owners) == 1:
             return next(iter(owners))
         return None

@@ -24,10 +24,10 @@ import time
 
 from repro import obs
 from repro import stats as global_stats
-from repro.engine.evaluator import RuleSet
 from repro.engine.ivm import IncrementalEngine
 from repro.engine.sensitivity import SensitivityIndex
-from repro.logiql.compiler import compile_program, start_pred
+from repro.logiql.compiler import start_pred
+from repro.logiql.shapes import compile_shape
 from repro.runtime.errors import TransactionAborted
 from repro.runtime.state import reactive_effects, reactive_env
 
@@ -35,19 +35,23 @@ from repro.runtime.state import reactive_effects, reactive_env
 class PreparedTransaction:
     """One transaction in the repair framework (Figure 7a).
 
-    Built from LogiQL reactive source; ``execute`` runs it against a
+    Built from LogiQL reactive source, compiled once per shape
+    (:mod:`repro.logiql.shapes`); ``execute`` runs it against a
     workspace state, after which ``effects`` / ``sensitivity`` are
     available and ``correct`` may be called any number of times with
     incoming corrections.
     """
 
     def __init__(self, source, name=None):
-        block = compile_program(source)
-        if block.rules and any(r.body for r in block.rules):
+        shape, params = compile_shape(source)
+        if shape.block.rules and any(r.body for r in shape.block.rules):
             raise TransactionAborted("transactions must be reactive logic")
         self.name = name
-        self.ruleset = RuleSet(block.reactive_rules)
-        self.engine = IncrementalEngine(self.ruleset, track_sensitivity=True)
+        # the shape's rules are shared; this transaction's state is its
+        # engine's (delta rules, materialization) and its literals
+        self.ruleset = shape.reactive_ruleset()
+        self.engine = IncrementalEngine(
+            self.ruleset, track_sensitivity=True, params=params)
         self._mat = None
         self._sens_cache = None
         self.effects = {}
@@ -178,7 +182,6 @@ class RepairScheduler:
         self.workspace = workspace
         self.stats = {
             "transactions": 0,
-            "conflicts": 0,
             "repairs": 0,
             "execute_seconds": 0.0,
             "repair_seconds": 0.0,
@@ -211,12 +214,11 @@ class RepairScheduler:
                 composite, repaired, failed = repair_circuit(prepared)
                 if failed:
                     raise failed[0][1]
-                self.stats["conflicts"] += len(repaired)
                 self.stats["repairs"] += len(repaired)
                 self.stats["repair_seconds"] += sum(
                     txn.repair_seconds for txn in repaired)
                 if span_ is not None:
-                    span_.attrs["conflicts"] = len(repaired)
+                    span_.attrs["repairs"] = len(repaired)
                 # Phase 3: commit the composite effects as one group.
                 if commit and composite:
                     self.workspace._apply_deltas(state, composite)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ds import PMap, PSet, diff_pmap, diff_pset
+from repro.ds import PMap, PSet
 from repro.ds.treap import MISSING
 
 
@@ -100,25 +100,22 @@ class TestPSet:
 
 
 class TestDiffHelpers:
+    """``PMap.diff`` / ``PSet.diff``: the one structural diff."""
+
     def test_diff_pmap(self):
         old = PMap.from_dict({1: "a", 2: "b", 3: "c"})
         new = old.remove(1).set(2, "B").set(4, "d")
-        delta = diff_pmap(old, new)
-        assert delta.inserted == {4: "d"}
-        assert delta.deleted == {1: "a"}
-        assert delta.updated == {2: ("b", "B")}
-        assert len(delta) == 3 and bool(delta)
+        assert list(old.diff(new)) == [
+            (1, "a", MISSING), (2, "b", "B"), (4, MISSING, "d")]
 
     def test_diff_pmap_empty(self):
         m = PMap.from_dict({1: 1})
-        assert not diff_pmap(m, m)
+        assert not list(m.diff(m))
 
     def test_diff_pset(self):
         old = PSet.from_iter([1, 2, 3])
         new = old.remove(1).add(9)
-        delta = diff_pset(old, new)
-        assert delta.inserted == {9}
-        assert delta.deleted == {1}
+        assert list(old.diff(new)) == [(1, True, False), (9, False, True)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -129,11 +126,10 @@ class TestDiffHelpers:
 def test_diff_pmap_reconstructs(before, after):
     old = PMap.from_dict(before)
     new = PMap.from_dict(after)
-    delta = diff_pmap(old, new)
     rebuilt = dict(before)
-    for key in delta.deleted:
-        del rebuilt[key]
-    rebuilt.update(delta.inserted)
-    for key, (_, value) in delta.updated.items():
-        rebuilt[key] = value
+    for key, _, value in old.diff(new):
+        if value is MISSING:
+            del rebuilt[key]
+        else:
+            rebuilt[key] = value
     assert rebuilt == after

@@ -11,6 +11,7 @@ from repro.engine import rules as rules_module
 from repro.engine.evaluator import Evaluator, RuleSet
 from repro.engine.ir import PredAtom, Var
 from repro.engine.rules import Rule
+from repro.logiql import shapes
 from repro.runtime.workspace import Workspace
 from repro.storage.relation import Relation
 
@@ -99,12 +100,28 @@ def test_installed_rule_planned_once_across_loads(planned):
     assert planned[before:] == []
 
 
+def test_a_query_shape_is_planned_once(planned):
+    """Queries and execs that differ only in their literals share one
+    shape: the first call plans, every later one binds."""
+    ws = Workspace()
+    ws.addblock("edge(x, y) -> int(x), int(y).")
+    ws.load("edge", [(i, i + 1) for i in range(20)])
+    shapes._SHAPES.clear()
+    ws.query("_(x) <- edge(0, y), edge(y, x).")
+    ws.exec("+edge(100, 0).")
+    before = len(planned)
+    for k in range(1, 18):
+        assert ws.query("_(x) <- edge({}, y), edge(y, x).".format(k)) == [(k + 2,)]
+        ws.exec("+edge({}, 0).".format(100 + k))
+    assert planned[before:] == []
+
+
 def test_distinct_point_queries_retain_no_plans():
-    """An ad-hoc query's plans go with its compiled rules: a stream of
-    distinct statements on one workspace retains (almost) nothing.  The
-    warm-up is longer than the bounded caches a query may fill — the
-    columnar join setups (64) and the ambient trace ring under
-    ``REPRO_TRACE=1`` (256 roots)."""
+    """An ad-hoc query's plans live on its shape's rules: a stream of
+    distinct statements of one shape on one workspace retains (almost)
+    nothing.  The warm-up is longer than the bounded caches a query may
+    fill — the columnar join setups (64) and the ambient trace ring
+    under ``REPRO_TRACE=1`` (256 roots)."""
     ws = Workspace()
     ws.addblock("inventory[s] = v -> string(s), int(v).")
     ws.load("inventory", [("sku%05d" % i, i) for i in range(1000)])
@@ -121,6 +138,31 @@ def test_distinct_point_queries_retain_no_plans():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    assert retained < 500 * 1024
+
+
+def test_distinct_query_shapes_retain_a_bounded_cache():
+    """Distinct *shapes* (each names its own variable) fill the shape
+    cache to its bound and no further: past a warm-up longer than every
+    bounded cache a query may fill, each new shape evicts the least
+    recently used one."""
+    ws = Workspace()
+    ws.addblock("inventory[s] = v -> string(s), int(v).")
+    ws.load("inventory", [("sku%05d" % i, i) for i in range(1300)])
+    query = '_(v{0}) <- inventory["sku{0:05d}"] = v{0}.'
+    tracemalloc.start()
+    try:
+        for i in range(shapes.CACHE_SIZE + 44):
+            ws.query(query.format(i))
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(300, 1300):
+            assert ws.query(query.format(i)) == [(i,)]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(shapes._SHAPES) == shapes.CACHE_SIZE
     assert retained < 500 * 1024
 
 

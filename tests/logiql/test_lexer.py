@@ -77,3 +77,8 @@ class TestBasics:
 
     def test_backquote(self):
         assert kinds("`Stock") == ["BACKQUOTE", "IDENT"]
+
+    def test_unicode_identifiers_and_namespaces(self):
+        # an identifier runs over every str.isalnum() character
+        assert values("café2_ñ(x) lang:ré:max x:1") == [
+            "café2_ñ", "(", "x", ")", "lang:ré:max", "x", ":", 1]

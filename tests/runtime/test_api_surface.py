@@ -599,8 +599,8 @@ class TestKeywordOnlyConstructors:
     @pytest.mark.parametrize(
         "target, keywords",
         [
-            (Evaluator, {"order_chooser", "backend"}),
-            (IncrementalEngine, {"track_sensitivity", "backend"}),
+            (Evaluator, {"order_chooser", "backend", "params"}),
+            (IncrementalEngine, {"track_sensitivity", "backend", "params"}),
             (PreparedTransaction, set()),
             (evaluate_query, set()),
             (explain_query, {"sample_size", "max_candidates"}),
@@ -613,7 +613,8 @@ class TestKeywordOnlyConstructors:
     )
     def test_engine_keyword_sets(self, target, keywords):
         # a query's backend comes from the state's program and plans from
-        # each rule's memo: nothing here threads a cache or backend
+        # each rule's memo (``params`` are a cached shape's literals, bound
+        # per call): nothing here threads a cache or backend
         # through, and every join reads relations through treap iterators
         # (no caller picks a storage representation)
         params = inspect.signature(target).parameters.values()

@@ -9,6 +9,7 @@ scope stack).
 """
 
 from repro import Workspace
+from repro.logiql import shapes
 
 
 def triangle_workspace():
@@ -72,11 +73,12 @@ class TestProfileSpanTree:
     def test_plan_span_records_cache_disposition(self):
         ws = triangle_workspace()
         load_edges(ws)
+        shapes._SHAPES.clear()  # another test may have planned this shape
         with ws.profile() as prof:
             ws.query("_(a, b, c) <- edge(a, b), edge(b, c), edge(a, c).")
             ws.exec("+edge(0, 3).")
         dispositions = {p.attrs["cache"] for p in prof.find_all("plan")}
-        # the ad-hoc query's fresh rule is planned cold; the installed
+        # the ad-hoc query's fresh shape is planned cold; the installed
         # tri rule's maintenance passes reuse the plans its rules memoized
         assert dispositions == {"hit", "miss"}
 

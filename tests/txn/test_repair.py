@@ -140,6 +140,9 @@ class TestRepairScheduler:
         scheduler.run(batch)
         assert scheduler.stats["transactions"] == 3
         assert scheduler.stats["repairs"] == 1  # only the duplicate item
+        # one name per count: a repaired transaction is the conflict
+        assert set(scheduler.stats) == {
+            "transactions", "repairs", "execute_seconds", "repair_seconds"}
 
     def test_disjoint_batch_no_repairs(self):
         ws = make_ws(10)
