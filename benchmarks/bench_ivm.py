@@ -106,24 +106,41 @@ def test_unread_predicate_short_circuit(benchmark):
     pedantic(benchmark, maintain, rounds=5)
 
 
+def best_of_three(fn):
+    """Seconds of the fastest of three calls: one DRed apply of about
+    15 ms has been seen to take 50-96 ms when timed alone, most likely
+    a garbage collection landing in it."""
+    runs = []
+    for _ in range(3):
+        started = time.perf_counter()
+        fn()
+        runs.append(time.perf_counter() - started)
+    return min(runs)
+
+
 @pytest.mark.skipif(SMOKE, reason="smoke mode checks crashes, not shape")
 def test_ivm_shape(benchmark):
     """The proportionality claim, asserted: single-tuple IVM must be
-    >=20x cheaper than recomputation, and cost grows with delta size."""
+    >=20x cheaper than recomputation, cost grows with delta size, and
+    the module's ordering holds for one tuple: the counting engine
+    beats whole-program DRed, which beats recomputation."""
     engine, mat = _shared
     times = {}
     for k in (1, 64):
         started = time.perf_counter()
         engine.apply(mat, {"E": delta_of(k)})
         times[k] = time.perf_counter() - started
-    started = time.perf_counter()
-    Evaluator(RULESET).evaluate({"E": BASE.apply(delta_of(1))})
-    recompute = time.perf_counter() - started
-    print("\nIVM: delta=1 {:.4f}s  delta=64 {:.4f}s  recompute {:.4f}s".format(
-        times[1], times[64], recompute))
+    dred = DRedEngine(RULESET)
+    relations = dred.initialize({"E": BASE})
+    dred_1 = best_of_three(lambda: dred.apply(relations, {"E": delta_of(1)}))
+    recompute = best_of_three(
+        lambda: Evaluator(RULESET).evaluate({"E": BASE.apply(delta_of(1))}))
+    print("\nIVM: delta=1 {:.4f}s  delta=64 {:.4f}s  DRed delta=1 {:.4f}s  "
+          "recompute {:.4f}s".format(times[1], times[64], dred_1, recompute))
     assert recompute > 20 * times[1], (times, recompute)
     assert times[64] > times[1]
+    assert times[1] < dred_1 < recompute, (times, dred_1, recompute)
     benchmark.extra_info.update(
-        ivm_1=times[1], ivm_64=times[64], recompute=recompute
+        ivm_1=times[1], ivm_64=times[64], dred_1=dred_1, recompute=recompute
     )
     pedantic(benchmark, lambda: engine.apply(mat, {"E": delta_of(1)}), rounds=2)

@@ -10,229 +10,80 @@ Two roles in this system:
   with DRed so benchmarks can compare it against the counting +
   sensitivity-index engine (experiment E5).
 
-The algorithm: (1) over-delete — propagate deletions transitively using
-the old state; (2) rederive — restore over-deleted tuples that still
-have an alternative derivation; (3) insert — semi-naive propagation of
-additions over the new state.
+The algorithm, on the caller's evaluator (its backend and ``params``):
+
+1. over-delete — :meth:`Evaluator.propagate`, the semi-naive loop
+   recursive evaluation runs, seeded with what can take a derivation
+   away (removed tuples for positive atoms, added ones for negated)
+   over the old state, keeps every old tuple it reaches;
+2. rederive — one batched pass per rule joins the over-deleted heads,
+   as a leading ``@head`` relation, against the pruned state (old minus
+   over-deleted, lower strata new); the heads it derives are restored;
+3. insert — the same loop, seeded with the restored heads and what can
+   add a derivation (added tuples for positive atoms, removed ones for
+   negated), over the pruned state plus the restored heads, keeps
+   every head not yet there.
+
+Every pass rule is :meth:`Rule.delta_pass`, memoized on its rule, so a
+program's DRed passes are built and planned once.
 """
 
 from repro import obs
 from repro import stats as global_stats
 from repro.engine.evaluator import Evaluator
-from repro.engine.ir import Const, PredAtom, Var
-from repro.engine.lftj import LeapfrogTrieJoin
-from repro.engine.rules import Rule
 from repro.storage.relation import Delta, Relation
 
 
-def _run_delta_pass(evaluator, rule, position, tuple_set, env, arity):
-    """Head tuples derived when atom ``position`` ranges over
-    ``tuple_set`` and every other atom reads ``env``."""
-    delta_rule = rule.delta_pass(position, PredAtom("@delta", rule.body[position].args))
-    env = dict(env)
-    env["@delta"] = Relation.from_iter(arity, tuple_set)
-    var_order, bindings = evaluator.rule_bindings(delta_rule, env)
-    projector = evaluator.head_projector(delta_rule, var_order)
-    return {projector(binding) for binding in bindings}
-
-
-class _Derivability:
-    """Cached existence checks: is tuple ``t`` derivable by ``rule``?
-
-    Binds the head variables through one virtual single-tuple ``@head``
-    predicate so the LFTJ plan is built once per rule (and bound to a
-    cached shape's ``params``).
-    """
-
-    def __init__(self, rule, params=()):
-        head_vars = []
-        for arg in rule.head_args:
-            if isinstance(arg, Var) and arg.name not in head_vars:
-                head_vars.append(arg.name)
-        body = [PredAtom("@head", [Var(name) for name in head_vars])] if head_vars else []
-        body.extend(rule.body)
-        self.rule = rule
-        self.head_vars = head_vars
-        self.probe = Rule(rule.head_pred, rule.head_args, body, None, rule.n_keys)
-        self.params = params
-
-    def derivable(self, tup, env):
-        """True when ``tup`` has a derivation through this rule."""
-        values = {}
-        for arg, value in zip(self.rule.head_args, tup):
-            if isinstance(arg, Const):
-                if arg.value_in(self.params) != value:
-                    return False
-            else:
-                if arg.name in values and values[arg.name] != value:
-                    return False
-                values[arg.name] = value
-        probe_env = dict(env)
-        probe_env["@head"] = Relation.from_iter(
-            len(self.head_vars), [tuple(values[name] for name in self.head_vars)])
-        plan = self.probe.plan().bind(self.params)
-        executor = LeapfrogTrieJoin(plan, probe_env)
-        for _ in executor.run():
-            return True
-        return False
-
-
-def maintain_recursive_stratum(ruleset, stratum, old_relations, new_relations, deltas,
-                               params=()):
-    """DRed maintenance of one recursive stratum.
+def maintain_recursive_stratum(evaluator, stratum, old_relations, new_relations, deltas):
+    """DRed maintenance of one stratum of ``evaluator``'s rule set.
 
     ``new_relations`` holds updated lower strata and base predicates;
     the stratum's own entries are still the old versions.  ``deltas``
-    holds the lower-level deltas; ``params`` bind a cached shape's
-    literals.  Returns per-predicate deltas for the stratum (not yet
-    applied).
+    holds the lower-level deltas.  Returns per-predicate deltas for the
+    stratum (not yet applied).
 
     Each run is traced as an ``ivm.dred`` span whose attributes and the
-    ``dred.*`` counters record the three phases' work: fixpoint rounds,
-    over-deleted, rederived, and inserted tuple counts.
+    ``dred.*`` counters record the work: fixpoint rounds of both
+    propagations, over-deleted tuples, over-deleted tuples that are in
+    the result (rederived), and result tuples not in the old relation
+    (inserted).
     """
     with obs.span("ivm.dred", preds=len(stratum)):
         global_stats.bump("dred.runs")
-        return _dred_stratum(
-            ruleset, stratum, old_relations, new_relations, deltas, params
-        )
+        return _dred_stratum(evaluator, stratum, old_relations, new_relations, deltas)
 
 
-def _dred_stratum(ruleset, stratum, old_relations, new_relations, deltas, params):
-    evaluator = Evaluator(ruleset, params=params)
-    stratum_preds = set(stratum)
-    rules = [rule for pred in stratum for rule in ruleset.rules_by_head[pred]]
-
-    # Phase 1: over-delete.  Deletion-causing change of an atom is its
-    # removed set for positive atoms and its added set for negated ones.
-    overdeleted = {pred: set() for pred in stratum}
-    frontier = {}
-    for pred, delta in deltas.items():
-        frontier[pred] = {
-            "pos": set(delta.removed),
-            "neg": set(delta.added),
-        }
-
-    rounds = 0
-    pending = True
-    while pending:
-        pending = False
-        rounds += 1
-        new_frontier = {}
-        for rule in rules:
-            for position, atom in enumerate(rule.body):
-                if not isinstance(atom, PredAtom):
-                    continue
-                changed = frontier.get(atom.pred)
-                if not changed:
-                    continue
-                tuple_set = changed["neg"] if atom.negated else changed["pos"]
-                if not tuple_set:
-                    continue
-                heads = _run_delta_pass(
-                    evaluator,
-                    rule,
-                    position,
-                    tuple_set,
-                    old_relations,
-                    old_relations[atom.pred].arity,
-                )
-                fresh = {
-                    t
-                    for t in heads
-                    if t in old_relations[rule.head_pred]
-                    and t not in overdeleted[rule.head_pred]
-                }
-                if fresh:
-                    overdeleted[rule.head_pred] |= fresh
-                    entry = new_frontier.setdefault(
-                        rule.head_pred, {"pos": set(), "neg": set()}
-                    )
-                    entry["pos"] |= fresh
-                    pending = True
-        frontier = new_frontier
-
-    # Phase 2: remove over-deleted tuples and rederive survivors.
+def _dred_stratum(evaluator, stratum, old_relations, new_relations, deltas):
+    rules = [rule for pred in stratum for rule in evaluator.ruleset.rules_by_head[pred]]
+    # 1. over-delete, over the old state
+    overdeleted, rounds = evaluator.propagate(
+        rules,
+        {(pred, negated): delta.added if negated else delta.removed
+         for pred, delta in deltas.items() for negated in (False, True)},
+        dict(old_relations),
+        lambda pred, tup: tup in old_relations[pred],
+    )
+    # 2. rederive, over the pruned state
     env = dict(new_relations)
     for pred in stratum:
-        env[pred] = old_relations[pred].apply(
-            Delta.from_iters((), overdeleted[pred])
-        )
-    checkers = {}
-    rederived = {pred: set() for pred in stratum}
-    progress = True
-    while progress:
-        progress = False
-        for pred in stratum:
-            for tup in sorted(overdeleted[pred] - rederived[pred]):
-                for rule in ruleset.rules_by_head[pred]:
-                    checker = checkers.get(id(rule))
-                    if checker is None:
-                        checker = checkers[id(rule)] = _Derivability(rule, params)
-                    if checker.derivable(tup, env):
-                        rederived[pred].add(tup)
-                        env[pred] = env[pred].insert(tup)
-                        progress = True
-                        break
-
-    # Phase 3: insert additions (semi-naive over the new state).
-    insert_frontier = {}
-    for pred, delta in deltas.items():
-        insert_frontier[pred] = {
-            "pos": set(delta.added),
-            "neg": set(delta.removed),
-        }
-    inserted = {pred: set() for pred in stratum}
-    while insert_frontier:
-        rounds += 1
-        new_frontier = {}
-        for rule in rules:
-            for position, atom in enumerate(rule.body):
-                if not isinstance(atom, PredAtom):
-                    continue
-                changed = insert_frontier.get(atom.pred)
-                if not changed:
-                    continue
-                tuple_set = changed["neg"] if atom.negated else changed["pos"]
-                if not tuple_set:
-                    continue
-                heads = _run_delta_pass(
-                    evaluator,
-                    rule,
-                    position,
-                    tuple_set,
-                    env,
-                    env[atom.pred].arity,
-                )
-                fresh = {t for t in heads if t not in env[rule.head_pred]}
-                if atom.negated and fresh:
-                    # candidates sourced through a negated atom are not
-                    # witnessed by the pass itself (the negation may
-                    # still fail on another tuple); verify derivability
-                    checker = checkers.get(id(rule))
-                    if checker is None:
-                        checker = checkers[id(rule)] = _Derivability(rule, params)
-                    fresh = {t for t in fresh if checker.derivable(t, env)}
-                if fresh:
-                    inserted[rule.head_pred] |= fresh
-                    env[rule.head_pred] = env[rule.head_pred].apply(
-                        Delta.from_iters(fresh, ())
-                    )
-                    entry = new_frontier.setdefault(
-                        rule.head_pred, {"pos": set(), "neg": set()}
-                    )
-                    entry["pos"] |= fresh
-        insert_frontier = new_frontier
+        env[pred] = old_relations[pred].apply(Delta.from_iters((), overdeleted[pred]))
+    frontier = {(pred, negated): delta.removed if negated else delta.added
+                for pred, delta in deltas.items() for negated in (False, True)}
+    for pred, tuples in _rederive(evaluator, rules, overdeleted, env).items():
+        env[pred] = env[pred].apply(Delta.from_iters(tuples, ()))
+        frontier[pred, False] = tuples
+    # 3. insert, from the rederived heads and the lower strata's gains
+    _, insert_rounds = evaluator.propagate(
+        rules, frontier, env, lambda pred, tup: tup not in env[pred])
+    rounds += insert_rounds
 
     # ``env`` now holds the exact new extension of every stratum
-    # predicate (old - overdeleted + rederived + inserted); diff against
-    # the old versions to produce the net deltas.
-    result = {}
-    for pred in stratum:
-        result[pred] = old_relations[pred].diff(env[pred])
+    # predicate; diff against the old versions for the net deltas
+    result = {pred: old_relations[pred].diff(env[pred]) for pred in stratum}
     overdeleted_total = sum(len(tuples) for tuples in overdeleted.values())
-    rederived_total = sum(len(tuples) for tuples in rederived.values())
-    inserted_total = sum(len(tuples) for tuples in inserted.values())
+    removed_total = sum(len(delta.removed) for delta in result.values())
+    rederived_total = overdeleted_total - removed_total
+    inserted_total = sum(len(delta.added) for delta in result.values())
     global_stats.bump("dred.rounds", rounds)
     if overdeleted_total:
         global_stats.bump("dred.overdeleted", overdeleted_total)
@@ -247,6 +98,23 @@ def _dred_stratum(ruleset, stratum, old_relations, new_relations, deltas, params
         inserted=inserted_total,
     )
     return result
+
+
+def _rederive(evaluator, rules, overdeleted, env):
+    """The over-deleted heads that keep a derivation in ``env``: one
+    pass per rule, led by those heads."""
+    rederived = {pred: set() for pred in overdeleted}
+    for rule in rules:
+        heads = overdeleted[rule.head_pred]
+        if not heads:
+            continue
+        probe = rule.delta_pass(None, "@head")
+        scope = dict(env)
+        scope["@head"] = Relation.from_iter(len(rule.head_args), heads)
+        var_order, bindings = evaluator.rule_bindings(probe, scope)
+        project = evaluator.head_projector(probe, var_order)
+        rederived[rule.head_pred].update(project(binding) for binding in bindings)
+    return rederived
 
 
 class DRedEngine:
@@ -291,7 +159,7 @@ class DRedEngine:
                         deltas[pred] = delta
                 continue
             stratum_deltas = maintain_recursive_stratum(
-                self.ruleset, stratum, old_relations, new_relations, deltas
+                self.evaluator, stratum, old_relations, new_relations, deltas
             )
             for pred, delta in stratum_deltas.items():
                 if delta:

@@ -6,8 +6,9 @@ The evaluator materializes derived predicates stratum by stratum:
   *support counts* (number of derivations per head tuple) — the state
   rule-head maintenance needs (§3.2);
 * aggregate (P2P) rules build per-group aggregation state;
-* recursive strata run a semi-naive fixpoint (delta-driven rounds) and
-  are maintained by delete-rederive on updates.
+* recursive strata run the semi-naive loop (:meth:`Evaluator.propagate`,
+  delta-led rounds) and are maintained by delete-rederive on updates,
+  which runs the same loop.
 
 All materialization state is persistent, so workspace versions carry
 their evaluation state with them at O(1) branch cost.
@@ -333,61 +334,89 @@ class Evaluator:
             )
 
     def _evaluate_recursive(self, stratum, relations, states, chooser):
-        stratum_preds = set(stratum)
-        # one delta rule per (rule, recursive atom position), built before
-        # the rounds so its plan memo carries across every round
-        delta_rules = []
-        for pred in stratum:
-            for rule in self.ruleset.rules_by_head[pred]:
-                for position, atom in enumerate(rule.body):
-                    if (
-                        isinstance(atom, PredAtom)
-                        and not atom.negated
-                        and atom.pred in stratum_preds
-                    ):
-                        lead = PredAtom("@delta", atom.args)
-                        delta_rules.append(
-                            (pred, rule, atom.pred, rule.delta_pass(position, lead)))
+        # round 0: every rule against the empty stratum relations seeds
+        # the semi-naive loop
+        frontier = {}
         for pred in stratum:
             relations[pred] = Relation.empty(self.ruleset.head_arity(pred))
-        # round 0: all rules against the (empty) stratum relations
-        delta = {}
         for pred in stratum:
-            derived = self._fire_rules_once(pred, relations, chooser)
-            new = derived.subtract(relations[pred])
-            relations[pred] = relations[pred].union(new)
-            delta[pred] = new
-        # semi-naive rounds
-        while any(bool(d) for d in delta.values()):
-            next_delta = {pred: set() for pred in stratum}
-            for pred, rule, source, delta_rule in delta_rules:
-                if not delta[source]:
-                    continue
-                env = dict(relations)
-                env["@delta"] = delta[source]
-                var_order, bindings = self.rule_bindings(delta_rule, env, chooser(rule))
-                project = self.head_projector(delta_rule, var_order)
-                for binding in bindings:
-                    next_delta[pred].add(project(binding))
-            delta = {}
-            for pred in stratum:
-                fresh = [t for t in next_delta[pred] if t not in relations[pred]]
-                new = Relation.from_iter(self.ruleset.head_arity(pred), fresh)
-                relations[pred] = relations[pred].union(new)
-                delta[pred] = new
+            tuples = set()
+            for rule in self.ruleset.rules_by_head[pred]:
+                var_order, bindings = self.rule_bindings(rule, relations, chooser(rule))
+                project = self.head_projector(rule, var_order)
+                tuples.update(project(binding) for binding in bindings)
+            frontier[pred, False] = tuples
+        for pred in stratum:
+            relations[pred] = Relation.from_iter(
+                self.ruleset.head_arity(pred), frontier[pred, False])
+        rules = [rule for pred in stratum for rule in self.ruleset.rules_by_head[pred]]
+        self.propagate(rules, frontier, relations,
+                       lambda pred, tup: tup not in relations[pred], chooser)
         for pred in stratum:
             _check_functional(pred, self.ruleset.rules_by_head[pred][0], relations[pred])
             if states is not None:
                 states[pred] = PredicateState("recursive")
 
-    def _fire_rules_once(self, pred, relations, chooser):
-        tuples = set()
-        for rule in self.ruleset.rules_by_head[pred]:
-            var_order, bindings = self.rule_bindings(rule, relations, chooser(rule))
-            project = self.head_projector(rule, var_order)
-            for binding in bindings:
-                tuples.add(project(binding))
-        return Relation.from_iter(self.ruleset.head_arity(pred), tuples)
+    def propagate(self, rules, frontier, env, keep, recorder_for=None):
+        """The semi-naive loop: the one fixpoint recursive evaluation
+        and both DRed propagations (:mod:`repro.engine.dred`) run.
+
+        ``frontier`` maps ``(pred, negated)`` to the changed tuples a
+        positive (``negated=False``) or a negated atom of ``pred``
+        ranges over.  Each round runs one delta-led pass
+        (:meth:`Rule.delta_pass`) per rule and changed body atom against
+        ``env``: a positive atom is replaced by ``@delta`` over its
+        frontier; a negated one is led by ``@cand`` over its frontier's
+        bound columns and stays in the body, so the join checks it.  A
+        derived head joins the next frontier when ``keep(pred, tup)``
+        says so and it was not found before; a kept head ``env`` lacks
+        is added to ``env[pred]``, so later rounds read it.  The loop
+        ends when a round keeps nothing.  ``recorder_for(rule)`` gives
+        a pass's sensitivity recorder.
+
+        Returns ``(found, rounds)``: the kept heads per head predicate
+        of ``rules``, and the number of rounds run.
+        """
+        reads = {}  # (pred, negated) -> [(rule, body position)]
+        for rule in rules:
+            for position, atom in enumerate(rule.body):
+                if isinstance(atom, PredAtom):
+                    reads.setdefault((atom.pred, atom.negated), []).append((rule, position))
+        found = {rule.head_pred: set() for rule in rules}
+        frontier = {key: Relation.from_iter(env[key[0]].arity, tuples)
+                    for key, tuples in frontier.items() if tuples and key in reads}
+        rounds = 0
+        while frontier:
+            rounds += 1
+            heads = {pred: set() for pred in found}
+            for (pred, negated), changed in frontier.items():
+                for rule, position in reads[pred, negated]:
+                    scope = dict(env)
+                    if negated:
+                        delta_rule = rule.delta_pass(position, "@cand", check=True)
+                        local = rule.local_positions().get(position, ())
+                        bound = [p for p in range(changed.arity) if p not in local]
+                        scope["@cand"] = changed if not local else Relation.from_iter(
+                            len(bound), (tuple(t[p] for p in bound) for t in changed))
+                    else:
+                        delta_rule = rule.delta_pass(position)
+                        scope["@delta"] = changed
+                    recorder = recorder_for(rule) if recorder_for else None
+                    var_order, bindings = self.rule_bindings(delta_rule, scope, recorder)
+                    project = self.head_projector(delta_rule, var_order)
+                    heads[rule.head_pred].update(project(binding) for binding in bindings)
+            frontier = {}
+            for pred, derived in heads.items():
+                fresh = {tup for tup in derived - found[pred] if keep(pred, tup)}
+                if not fresh:
+                    continue
+                found[pred] |= fresh
+                changed = Relation.from_iter(env[pred].arity, fresh)
+                if (pred, False) in reads:
+                    frontier[pred, False] = changed
+                if any(tup not in env[pred] for tup in fresh):
+                    env[pred] = env[pred].union(changed)
+        return found, rounds
 
 
 def _check_functional(pred, rule, relation, added=None):

@@ -29,8 +29,9 @@ from repro import obs
 from repro import stats as global_stats
 from repro.ds.pmap import PMap
 from repro.engine.aggregates import AGGREGATES, agg_add, agg_remove
+from repro.engine.dred import maintain_recursive_stratum
 from repro.engine.evaluator import Evaluator, PredicateState, _check_functional
-from repro.engine.ir import AssignAtom, PredAtom, Var
+from repro.engine.ir import PredAtom
 from repro.engine.iterators import trie_iterator
 from repro.engine.sensitivity import SensitivityIndex, SensitivityRecorder
 from repro.storage.relation import Delta, Relation
@@ -74,8 +75,6 @@ class IncrementalEngine:
         self.ruleset = ruleset
         self.track_sensitivity = track_sensitivity
         self.evaluator = Evaluator(ruleset, backend=backend, params=params)
-        self._delta_rules = {}  # (rule index, position, kind) -> delta Rule
-        self._local_vars_cache = {}  # rule index -> {atom idx: local positions}
         self._rule_index = {id(rule): i for i, rule in enumerate(ruleset.rules)}
 
     # -- initial materialization --------------------------------------------
@@ -158,68 +157,7 @@ class IncrementalEngine:
                 span_.attrs["changed_preds"] = len(deltas)
             return new_mat, deltas
 
-    def _delta_rule(self, rule_index, position, rule, kind="tuple", bound_args=None):
-        """The rewritten rule for a delta pass at ``position`` (cached).
-
-        ``kind="tuple"``: atom ``position`` becomes a positive atom over
-        ``@delta`` (exact tuple-level counting).  ``kind="cand"``: the
-        atom becomes ``@cand`` over its bound argument positions
-        (existence-diff passes for atoms with local existential
-        variables).  Either leads the body (:meth:`Rule.delta_pass`).
-        ``kind="drop"``: the atom is removed entirely (no bound
-        positions at all).  Earlier predicate atoms read
-        ``@new:<pred>``, later ones ``@old:<pred>``.
-        """
-        key = (rule_index, position, kind)
-        cached = self._delta_rules.get(key)
-        if cached is None:
-            if kind == "tuple":
-                lead = PredAtom("@delta", rule.body[position].args)
-            elif kind == "cand":
-                lead = PredAtom("@cand", bound_args)
-            else:
-                lead = None
-            cached = self._delta_rules[key] = rule.delta_pass(
-                position, lead, "@new:", "@old:")
-        return cached
-
-    def _local_positions(self, rule_index, rule):
-        """Per body atom: argument positions holding *local* existential
-        variables (used once in the whole body and not needed by the
-        head) — the variables the planner treats as trailing wildcards.
-        """
-        cached = self._local_vars_cache.get(rule_index)
-        if cached is not None:
-            return cached
-        counts = {}
-        protected = set(rule.head_vars())
-        for atom in rule.body:
-            if isinstance(atom, PredAtom):
-                for arg in atom.args:
-                    if isinstance(arg, Var):
-                        counts[arg.name] = counts.get(arg.name, 0) + 1
-            elif isinstance(atom, AssignAtom):
-                protected |= atom.input_vars() | {atom.var}
-            else:
-                protected |= atom.var_names()
-        locals_ = {
-            name for name, count in counts.items() if count == 1
-        } - protected
-        result = {}
-        for index, atom in enumerate(rule.body):
-            if not isinstance(atom, PredAtom):
-                continue
-            positions = tuple(
-                p
-                for p, arg in enumerate(atom.args)
-                if isinstance(arg, Var) and arg.name in locals_
-            )
-            if positions:
-                result[index] = positions
-        self._local_vars_cache[rule_index] = result
-        return result
-
-    def _signed_bindings(self, rule_index, rule, old_relations, new_relations, deltas, recorder):
+    def _signed_bindings(self, rule, old_relations, new_relations, deltas, recorder):
         """Yield ``(sign, var_order, binding)`` for every change to the
         rule body's satisfying-assignment set.
 
@@ -227,9 +165,9 @@ class IncrementalEngine:
         (``new_1..new_{i-1}, Δ_i, old_{i+1}..old_k``; negation flips the
         delta's sign).  Atoms with local existential variables use
         existence-diff candidates: the atom's truth for a bound-prefix
-        can only change where the delta touches it.
+        can only change where the delta touches it.  Every pass rule is
+        the rule's memoized :meth:`~repro.engine.rules.Rule.delta_pass`.
         """
-        local_map = self._local_positions(rule_index, rule)
         for position, atom in enumerate(rule.body):
             if not isinstance(atom, PredAtom):
                 continue
@@ -241,9 +179,9 @@ class IncrementalEngine:
                 if isinstance(other, PredAtom):
                     env["@new:" + other.pred] = new_relations[other.pred]
                     env["@old:" + other.pred] = old_relations[other.pred]
-            local_positions = local_map.get(position)
+            local_positions = rule.local_positions().get(position)
             if not local_positions:
-                delta_rule = self._delta_rule(rule_index, position, rule)
+                delta_rule = rule.delta_pass(position, "@delta", "@new:", "@old:")
                 arity = new_relations[atom.pred].arity
                 passes = [
                     (1, delta.added if not atom.negated else delta.removed),
@@ -259,7 +197,8 @@ class IncrementalEngine:
                     for binding in bindings:
                         yield sign, var_order, binding
                 continue
-            # existence-diff path
+            # existence-diff path: the pass is led by ``@cand`` over the
+            # bound prefixes, or has no lead when no position is bound
             bound_positions = tuple(
                 p for p in range(len(atom.args)) if p not in local_positions
             )
@@ -279,21 +218,7 @@ class IncrementalEngine:
                 candidates[partial] = diff
                 if recorder is not None:
                     recorder.record_prefix(atom.pred, perm, partial)
-            if not bound_positions:
-                diff = candidates.get((), 0)
-                if diff == 0:
-                    continue
-                delta_rule = self._delta_rule(rule_index, position, rule, kind="drop")
-                var_order, bindings = self.evaluator.rule_bindings(
-                    delta_rule, dict(env), recorder
-                )
-                for binding in bindings:
-                    yield diff, var_order, binding
-                continue
-            bound_args = tuple(atom.args[p] for p in bound_positions)
-            delta_rule = self._delta_rule(
-                rule_index, position, rule, kind="cand", bound_args=bound_args
-            )
+            delta_rule = rule.delta_pass(position, "@cand", "@new:", "@old:")
             for sign in (1, -1):
                 matching = [k for k, d in candidates.items() if d == sign]
                 if not matching:
@@ -326,7 +251,7 @@ class IncrementalEngine:
                 recorder = SensitivityRecorder() if self.track_sensitivity else None
                 projectors = {}
                 for sign, var_order, binding in self._signed_bindings(
-                    rule_index, rule, old_relations, new_relations, deltas, recorder
+                    rule, old_relations, new_relations, deltas, recorder
                 ):
                     projector = projectors.get(var_order)
                     if projector is None:
@@ -390,7 +315,7 @@ class IncrementalEngine:
             touched_groups = {}
             projectors = {}
             for sign, var_order, binding in self._signed_bindings(
-                rule_index, rule, old_relations, new_relations, deltas, recorder
+                rule, old_relations, new_relations, deltas, recorder
             ):
                 spec = projectors.get(var_order)
                 if spec is None:
@@ -450,8 +375,6 @@ class IncrementalEngine:
     def _maintain_recursive(
         self, stratum, old_relations, new_relations, new_states, deltas
     ):
-        from repro.engine.dred import maintain_recursive_stratum
-
         body_preds = set()
         for pred in stratum:
             for rule in self.ruleset.rules_by_head[pred]:
@@ -459,9 +382,7 @@ class IncrementalEngine:
         if not any(p in deltas for p in body_preds):
             return
         stratum_deltas = maintain_recursive_stratum(
-            self.ruleset, stratum, old_relations, new_relations, deltas,
-            self.evaluator.params,
-        )
+            self.evaluator, stratum, old_relations, new_relations, deltas)
         for pred, delta in stratum_deltas.items():
             if delta:
                 new_relations[pred] = new_relations[pred].apply(delta)

@@ -39,7 +39,8 @@ class Rule:
     whose last head argument must be ``agg.result_var``.
     """
 
-    __slots__ = ("head_pred", "head_args", "body", "agg", "n_keys", "name", "_plans")
+    __slots__ = ("head_pred", "head_args", "body", "agg", "n_keys", "name",
+                 "_plans", "_passes", "_locals")
 
     def __init__(self, head_pred, head_args, body, agg=None, n_keys=None, name=None):
         self.head_pred = head_pred
@@ -51,6 +52,8 @@ class Rule:
         self.n_keys = n_keys
         self.name = name
         self._plans = {}  # var order (tuple or None) -> Plan
+        self._passes = {}  # delta_pass arguments -> rewritten Rule
+        self._locals = None  # local_positions(), once computed
         if agg is not None:
             last = self.head_args[-1]
             if not (isinstance(last, Var) and last.name == agg.result_var):
@@ -108,27 +111,81 @@ class Rule:
         """True when :meth:`plan` for ``var_order`` is already memoized."""
         return (tuple(var_order) if var_order is not None else None) in self._plans
 
-    def delta_pass(self, position, lead, new="", old=""):
+    def local_positions(self):
+        """Per body atom index: the argument positions holding *local*
+        existential variables (used once in the whole body, not needed
+        by the head, an assignment or a comparison) — the variables the
+        planner treats as trailing wildcards.  Memoized."""
+        if self._locals is None:
+            counts = {}
+            protected = set(self.head_vars())
+            for atom in self.body:
+                if isinstance(atom, PredAtom):
+                    for arg in atom.args:
+                        if isinstance(arg, Var):
+                            counts[arg.name] = counts.get(arg.name, 0) + 1
+                elif isinstance(atom, AssignAtom):
+                    protected |= atom.input_vars() | {atom.var}
+                else:
+                    protected |= atom.var_names()
+            locals_ = {name for name, count in counts.items() if count == 1} - protected
+            self._locals = {}
+            for index, atom in enumerate(self.body):
+                if isinstance(atom, PredAtom):
+                    positions = tuple(p for p, arg in enumerate(atom.args)
+                                      if isinstance(arg, Var) and arg.name in locals_)
+                    if positions:
+                        self._locals[index] = positions
+        return self._locals
+
+    def delta_pass(self, position, lead="@delta", new="", old="", check=False):
         """This rule rewritten for a delta pass over body atom ``position``.
 
-        The atom is replaced by ``lead`` — the pass's ``@delta`` /
-        ``@cand`` atom — placed *first* in the body, so the planner's
-        first-appearance order binds the delta's variables before any
-        other level opens and every other atom is only probed under them
-        (the semi-naive discipline: the delta drives the join).  With
-        ``lead=None`` the atom is dropped and the order kept.  Predicate
-        atoms before ``position`` read ``new + pred``, later ones
-        ``old + pred``.
+        Memoized on the rule next to its plans, so each pass is built,
+        and planned, once per rule and thus once per program; the
+        returned rule is shared and must not be changed.
+
+        The pass ranges over the ``lead`` relation, placed *first* in
+        the body, so the planner's first-appearance order binds its
+        variables before any other level opens and every other atom is
+        only probed under them (the semi-naive discipline: the delta
+        drives the join).  ``lead`` is one of:
+
+        * ``"@delta"`` — the atom's changed tuples: the atom becomes
+          ``@delta`` over its arguments;
+        * ``"@cand"`` — changed prefixes: the atom becomes ``@cand``
+          over its bound arguments (those holding no local variable,
+          :meth:`local_positions`), or is dropped when none is bound.
+          ``check=True`` keeps the atom after the lead, so the pass's
+          own join checks it — a negated atom's prefix absence;
+        * ``"@head"`` with ``position=None`` — head tuples: ``@head``
+          over the head's arguments, and the body kept whole, so the
+          pass derives those of them that have a derivation.
+
+        Predicate atoms before ``position`` read ``new + pred``, later
+        ones ``old + pred``.
         """
-        body = [] if lead is None else [lead]
-        for index, atom in enumerate(self.body):
-            if index == position:
-                continue
-            if isinstance(atom, PredAtom) and (new or old):
-                tag = new if index < position else old
-                atom = PredAtom(tag + atom.pred, atom.args, atom.negated)
-            body.append(atom)
-        return Rule(self.head_pred, self.head_args, body, self.agg, self.n_keys, self.name)
+        key = (position, lead, new, old, check)
+        rule = self._passes.get(key)
+        if rule is None:
+            if lead == "@head":
+                args = self.head_args
+            else:
+                args = self.body[position].args
+                if lead == "@cand":
+                    local = self.local_positions().get(position, ())
+                    args = [arg for p, arg in enumerate(args) if p not in local]
+            body = [PredAtom(lead, args)] if args or lead == "@delta" else []
+            for index, atom in enumerate(self.body):
+                if index == position and not check:
+                    continue
+                if isinstance(atom, PredAtom) and (new or old):
+                    tag = new if index < position else old
+                    atom = PredAtom(tag + atom.pred, atom.args, atom.negated)
+                body.append(atom)
+            rule = self._passes[key] = Rule(
+                self.head_pred, self.head_args, body, self.agg, self.n_keys, self.name)
+        return rule
 
     def __repr__(self):
         head = "{}({})".format(self.head_pred, ", ".join(map(repr, self.head_args)))

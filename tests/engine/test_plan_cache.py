@@ -84,6 +84,29 @@ def test_recursive_rounds_plan_each_delta_rule_once(planned):
     assert short == long <= 3
 
 
+def test_recursive_view_commits_plan_nothing_after_warm_up(planned):
+    """DRed's passes (over-delete, rederive, insert) are each rule's
+    memoized delta passes: once one commit has planned them, a one-edge
+    insert and a one-edge delete on a recursive view plan nothing, however
+    many semi-naive rounds they run."""
+    ws = Workspace()
+    ws.addblock(
+        """
+        edge(x, y) -> int(x), int(y).
+        reach(x, y) <- edge(x, y).
+        reach(x, z) <- reach(x, y), edge(y, z).
+        """
+    )
+    ws.load("edge", [(i, i + 1) for i in range(30)] + [(i, i + 2) for i in range(0, 30, 3)])
+    ws.load("edge", [], remove=[(10, 11)])  # the warm-up commit
+    before = len(planned)
+    rounds = global_stats.snapshot()
+    ws.load("edge", [(10, 11)])
+    ws.load("edge", [], remove=[(20, 21)])
+    assert global_stats.delta_since(rounds)["dred.rounds"] > 4
+    assert planned[before:] == []
+
+
 def test_installed_rule_planned_once_across_loads(planned):
     ws = Workspace()
     ws.addblock(
