@@ -566,8 +566,9 @@ class ColumnarTrieJoin:
 
     def _apply_filters(self, adapter, filters, columns, level):
         """Row-wise filter mask via the pure executor's filter logic."""
+        checks = [adapter._check(entry) for entry in filters]
         return np.fromiter(
-            (all(adapter._filter_holds(entry, bindings) for entry in filters)
+            (all(check(bindings) for check in checks)
              for bindings in self._bindings_rows(columns, level + 1)),
             bool, count=len(columns[0][1]),
         )
@@ -697,7 +698,7 @@ class ColumnarTrieJoin:
         plan = self.plan
         return (
             all(comparison.holds({}) for comparison in plan.ground_filters)
-            and all(adapter._filter_holds(atom, {}) for atom in plan.ground_atoms)
+            and all(adapter._check(probe)({}) for probe in plan.ground_atoms)
             and not self._setup.empty
         )
 

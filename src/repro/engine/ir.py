@@ -251,6 +251,16 @@ class CompareAtom:
             eval_expr(self.left, bindings), eval_expr(self.right, bindings)
         )
 
+    def check(self):
+        """:meth:`holds` as a closure, reading a variable compared with a
+        variable or a constant directly."""
+        if type(self) is CompareAtom and type(self.left) is Var and type(self.right) in (Var, Const):
+            op, name, right = _COMPARE_OPS[self.op], self.left.name, self.right
+            if type(right) is Var:
+                return lambda bindings, other=right.name: op(bindings[name], bindings[other])
+            return lambda bindings, value=right.value: op(bindings[name], value)
+        return self.holds
+
     def var_names(self):
         """All variable names on either side."""
         return expr_vars(self.left) | expr_vars(self.right)

@@ -3,14 +3,15 @@
 The paper's iterator contract:
 
 * linear: ``key() / next() / seek(v) / at_end()`` with O(log N) seeks
-  and amortized O(1 + log(N/m)) ascending scans;
+  and amortized O(1 + log(N/m)) ascending scans (``next`` here also
+  returns the key it lands on, ``TOP`` at end, as a trie ``seek`` does);
 * trie: additionally ``open()`` (descend to the first child) and
   ``up()`` (return to the parent), presenting an n-ary relation as a
   trie whose levels are argument positions.
 
 One backend implements the trie contract over a relation:
 :class:`TreapTrieIterator` navigates the persistent treap of the wanted
-permutation directly (seek = O(log N) root descent).  Fresh versions
+permutation directly, forward from a finger per open level.  Fresh versions
 produced by small deltas are iterable immediately — nothing is
 re-materialized, which the incremental-maintenance cost model depends
 on.  Large joins run vectorized instead (:mod:`repro.engine.columnar`).
@@ -19,62 +20,67 @@ on.  Large joins run vectorized instead (:mod:`repro.engine.columnar`).
 from repro.storage.datum import TOP
 
 
+def _lower_bound(node, key, stack):
+    """Pop the least node >= ``key`` in ``node``'s subtree or on ``stack``
+    (pending nodes, all >= ``key``), pushing the path's pending nodes."""
+    while node is not None:
+        if node.key < key:
+            node = node.right
+        else:
+            stack.append(node)
+            node = node.left
+    return stack.pop() if stack else None
+
+
 class TreapTrieIterator:
     """Trie navigation over a treap of lexicographically sorted tuples.
 
     ``fixed_prefix`` pre-binds leading columns to constants (the
     planner permutes constant arguments to the front, the moral
-    equivalent of the paper's virtual ``Const`` predicates).
+    equivalent of the paper's virtual ``Const`` predicates).  Each open
+    level keeps a finger: the node of its first tuple with the current
+    value plus the pending stack after it, so ``next`` and ``seek``
+    move forward in amortized O(1) per key passed (O(log N) at worst),
+    and ``open`` starts at the parent's finger.
     """
 
-    __slots__ = ("_root", "arity", "_prefix", "_values", "_at_end", "_fixed")
+    __slots__ = ("_root", "arity", "_values", "_levels", "_at_end", "_fixed")
 
     def __init__(self, root, arity, fixed_prefix=()):
         self._root = root
         self.arity = arity
         self._fixed = tuple(fixed_prefix)
         self._values = []  # current value at each open depth
+        self._levels = []  # [finger, pending stack, context] per open depth
         self._at_end = False
 
-    @property
-    def depth(self):
-        """Number of currently open levels (0 = at root)."""
-        return len(self._values)
-
-    def _lower_bound(self, key):
-        """First stored tuple >= ``key``, or ``None``."""
-        node = self._root
-        best = None
-        while node is not None:
-            if node.key < key:
-                node = node.right
-            else:
-                best = node.key
-                node = node.left
-        return best
-
-    def _position(self, seek_key):
-        """Move the current level to the first value whose full prefix
-        extends ``seek_key``; sets the at-end flag otherwise."""
-        depth = len(self._fixed) + len(self._values) - 1
-        found = self._lower_bound(seek_key)
-        context = seek_key[:depth]
-        if found is None or found[:depth] != context:
-            self._at_end = True
-            self._values[-1] = None
-        else:
-            self._at_end = False
-            self._values[-1] = found[depth]
+    def _forward(self, target):
+        """Move the level's finger to the first tuple >= ``target`` (never
+        back); returns the level's value there, ``TOP`` past its prefix."""
+        level = self._levels[-1]
+        node, stack, context = level
+        if node is not None and node.key < target:
+            while stack and stack[-1].key < target:
+                node = stack.pop()
+            level[0] = node = _lower_bound(node.right, target, stack)
+        depth = len(context)
+        self._at_end = node is None or node.key[:depth] != context
+        value = self._values[-1] = TOP if self._at_end else node.key[depth]
+        return value
 
     def open(self):
         """Descend to the first value at the next level."""
         context = self._fixed + tuple(self._values)
+        stack = list(self._levels[-1][1]) if self._levels else []
+        node = self._levels[-1][0] if self._levels else _lower_bound(self._root, context, stack)
+        self._levels.append([node, stack, context])
         self._values.append(None)
-        self._position(context)
+        self._forward(context)
 
     def up(self):
         """Return to the parent level (its position is unchanged)."""
         self._values.pop()
+        self._levels.pop()
         self._at_end = False
 
     def at_end(self):
@@ -87,25 +93,21 @@ class TreapTrieIterator:
 
     def next(self):
         """Advance to the next distinct value at the current level."""
-        context = self._fixed + tuple(self._values[:-1])
-        self._position(context + (self._values[-1], TOP))
+        return self._forward(self._levels[-1][2] + (self._values[-1], TOP))
 
     def seek(self, value):
-        """Least-upper-bound seek at the current level."""
-        context = self._fixed + tuple(self._values[:-1])
-        self._position(context + (value,))
+        """Least-upper-bound seek at the current level (forward only)."""
+        return self._forward(self._levels[-1][2] + (value,))
 
     def context(self):
         """Permuted prefix under which the current level is explored
         (fixed constants plus values bound at earlier levels)."""
-        return self._fixed + tuple(self._values[:-1])
+        return self._levels[-1][2]
 
     def check_fixed_prefix(self):
         """True iff a tuple with the fixed constant prefix exists."""
-        if not self._fixed:
-            return self._root is not None
-        found = self._lower_bound(self._fixed)
-        return found is not None and found[: len(self._fixed)] == self._fixed
+        found = _lower_bound(self._root, self._fixed, [])
+        return found is not None and found.key[: len(self._fixed)] == self._fixed
 
 
 class SingletonIterator:
@@ -133,6 +135,7 @@ class SingletonIterator:
     def next(self):
         """Exhausts the iterator."""
         self._at_end = True
+        return TOP
 
     def seek(self, value):
         """Positions at the value when ``value`` <= it, else at end."""

@@ -16,6 +16,9 @@ When given a ``stats`` dict the join counts its iterator movements
 (``seeks`` / ``nexts``) — the per-iterator cost accounting Veldhuizen's
 LFTJ paper frames its complexity analysis in.  With ``stats=None`` (the
 default) no counting work happens at all.
+
+:func:`leapfrog` yields the join's keys; it scans a lone iterator
+directly, reporting what a one-iterator join would.
 """
 
 from repro.storage.datum import BOTTOM, TOP
@@ -124,3 +127,24 @@ class LeapfrogJoin:
         self._record(self._p, value, it.key())
         self._p = (self._p + 1) % len(self._iters)
         self._search()
+
+
+def leapfrog(iters, trackers, stats=None):
+    """The keys common to ``iters``, ascending (``trackers`` as for LeapfrogJoin)."""
+    if len(iters) > 1:
+        join = LeapfrogJoin(iters, trackers, stats)
+        while not join.at_end():
+            yield join.key
+            join.next()
+        return
+    it, tracker = iters[0], trackers[0]
+    previous, key = BOTTOM, TOP if it.at_end() else it.key()
+    while True:
+        if tracker is not None:
+            tracker.record(previous, key)
+        if key is TOP:
+            return
+        yield key
+        if stats is not None:
+            stats["nexts"] = stats.get("nexts", 0) + 1
+        previous, key = key, it.next()

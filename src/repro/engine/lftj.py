@@ -6,15 +6,23 @@ leapfrog join per variable, exactly as the paper describes.  LFTJ is
 worst-case optimal for equi-joins [31, 42]: its running time is bounded
 by the worst-case cardinality of the query result up to log factors.
 
+Negation is a level operator: a negated atom whose level variable occurs
+in it once is a cursor the level's ascending candidates seek forward, one
+per parent binding (:meth:`~repro.engine.planner.Probe.cursor`); other
+predicate filters are plan-resolved :class:`~repro.engine.planner.Probe`
+lookups.
+
 When given a :class:`SensitivityRecorder`, every iterator movement,
 negation check, and constant-path probe records the sensitivity
 intervals that power incremental maintenance (§3.2) and transaction
 repair (§3.4).
 """
 
-from repro.engine.ir import CompareAtom, Const, PredAtom, Var
+from functools import partial
+
 from repro.engine.iterators import SingletonIterator, trie_iterator
-from repro.engine.leapfrog import LeapfrogJoin
+from repro.engine.leapfrog import leapfrog
+from repro.engine.planner import Probe
 
 
 class LeapfrogTrieJoin:
@@ -37,65 +45,11 @@ class LeapfrogTrieJoin:
         # seek/next/open movements for the tracing layer (None = free)
         self.stats = stats
 
-    # -- filters -----------------------------------------------------------
-
-    def _negation_holds(self, atom, bindings):
-        """Evaluate a negated atom; unbound local variables are
-        existential (prefix-absence check via a permuted index)."""
-        relation = self.relations[atom.pred]
-        bound = []
-        free = []
-        for position, arg in enumerate(atom.args):
-            if isinstance(arg, Const):
-                bound.append((position, arg.value))
-            elif arg.name in bindings:
-                bound.append((position, bindings[arg.name]))
-            else:
-                free.append(position)
-        perm = tuple(position for position, _ in bound) + tuple(free)
-        prefix = tuple(value for _, value in bound)
-        if self.recorder is not None and prefix:
-            self.recorder.tracker(
-                atom.pred, perm, len(prefix) - 1, prefix[:-1]
-            ).record(prefix[-1], prefix[-1])
-        elif self.recorder is not None:
-            self.recorder.record_everything(atom.pred)
-        if not free and perm == tuple(range(len(atom.args))):
-            return prefix not in relation
-        probe = trie_iterator(relation, perm, prefix)
-        return not probe.check_fixed_prefix()
-
-    def _positive_ground_holds(self, atom, bindings):
-        relation = self.relations[atom.pred]
-        bound = []
-        free = []
-        for position, arg in enumerate(atom.args):
-            if isinstance(arg, Const):
-                bound.append((position, arg.value))
-            elif arg.name in bindings:
-                bound.append((position, bindings[arg.name]))
-            else:
-                free.append(position)
-        perm = tuple(position for position, _ in bound) + tuple(free)
-        prefix = tuple(value for _, value in bound)
-        if self.recorder is not None and prefix:
-            self.recorder.tracker(
-                atom.pred, perm, len(prefix) - 1, prefix[:-1]
-            ).record(prefix[-1], prefix[-1])
-        elif self.recorder is not None:
-            # a nullary atom: any change to it matters
-            self.recorder.record_everything(atom.pred)
-        probe = trie_iterator(relation, perm, prefix)
-        return probe.check_fixed_prefix()
-
-    def _filter_holds(self, entry, bindings):
-        if isinstance(entry, CompareAtom):
-            return entry.holds(bindings)
-        if isinstance(entry, PredAtom):
-            if entry.negated:
-                return self._negation_holds(entry, bindings)
-            return self._positive_ground_holds(entry, bindings)
-        raise TypeError("unknown filter: {!r}".format(entry))
+    def _check(self, entry):
+        """A filter (a comparison or a :class:`Probe`) as a bindings check."""
+        if isinstance(entry, Probe):
+            return partial(entry.holds, self.relations, self.recorder)
+        return entry.check()
 
     # -- the search ----------------------------------------------------------
 
@@ -105,8 +59,8 @@ class LeapfrogTrieJoin:
         for comparison in plan.ground_filters:
             if not comparison.holds({}):
                 return
-        for atom in plan.ground_atoms:
-            if not self._filter_holds(atom, {}):
+        for probe in plan.ground_atoms:
+            if not probe.holds(self.relations, self.recorder, {}):
                 return
         iters = []
         for atom_plan in plan.atom_plans:
@@ -114,20 +68,21 @@ class LeapfrogTrieJoin:
             it = trie_iterator(relation, atom_plan.perm, atom_plan.const_prefix)
             if atom_plan.const_prefix:
                 if self.recorder is not None:
-                    prefix = atom_plan.const_prefix
-                    for depth in range(len(prefix)):
-                        self.recorder.tracker(
-                            atom_plan.pred, atom_plan.perm, depth, prefix[:depth]
-                        ).record(prefix[depth], prefix[depth])
+                    for depth in range(len(atom_plan.const_prefix)):
+                        self.recorder.record_prefix(atom_plan.pred, atom_plan.perm,
+                                                    atom_plan.const_prefix[:depth + 1])
                 if not it.check_fixed_prefix():
                     return
             iters.append(it)
         if not plan.var_order:
             yield ()
             return
-        yield from self._descend(0, iters, {})
+        filters = [plan.filters[level] for level in range(len(plan.var_order))]
+        self._checks = [[self._check(entry) for entry in entries] for entries in filters]
+        self._antis = [[(i, e) for i, e in enumerate(f) if getattr(e, "cursor_perm", None)] for f in filters]
+        yield from self._descend(0, iters, {}, {})
 
-    def _descend(self, level, iters, bindings):
+    def _descend(self, level, iters, bindings, opened):
         plan = self.plan
         var = plan.var_order[level]
         participants = plan.participants[level]
@@ -140,34 +95,31 @@ class LeapfrogTrieJoin:
             it = iters[atom_index]
             it.open()
             level_iters.append(it)
-            if self.recorder is not None:
-                atom_plan = plan.atom_plans[atom_index]
-                depth = len(atom_plan.const_prefix) + own_level
-                trackers.append(
-                    self.recorder.tracker(
-                        atom_plan.pred, atom_plan.perm, depth, it.context()
-                    )
-                )
-            else:
-                trackers.append(None)
+            atom_plan = plan.atom_plans[atom_index]
+            trackers.append(None if self.recorder is None else self.recorder.tracker(
+                atom_plan.pred, atom_plan.perm, len(atom_plan.const_prefix) + own_level,
+                it.context()))
         assign = plan.assigns.get(level)
         if assign is not None:
             level_iters.append(SingletonIterator(assign.compute(bindings)))
             trackers.append(None)
 
-        join = LeapfrogJoin(level_iters, trackers, stats)
-        filters = plan.filters[level]
+        checks = list(self._checks[level])
+        for index, anti in self._antis[level]:
+            checks[index] = anti.cursor(self.relations, self.recorder, stats, bindings, opened)
         last = level == len(plan.var_order) - 1
-        while not join.at_end():
+        for key in leapfrog(level_iters, trackers, stats):
             if stats is not None:
                 stats["steps"] = stats.get("steps", 0) + 1
-            bindings[var] = join.key
-            if all(self._filter_holds(f, bindings) for f in filters):
+            bindings[var] = key
+            for check in checks:
+                if not check(bindings):
+                    break
+            else:
                 if last:
                     yield tuple(bindings[name] for name in plan.var_order)
                 else:
-                    yield from self._descend(level + 1, iters, bindings)
-            join.next()
+                    yield from self._descend(level + 1, iters, bindings, opened)
         for atom_index, _ in participants:
             iters[atom_index].up()
         bindings.pop(var, None)

@@ -11,7 +11,8 @@ boils down to choosing a good variable order."  The planner:
   order (a secondary index when that differs from the declared column
   order), then trailing wildcard columns handled existentially;
 * attaches comparison and negation filters, and arithmetic assignments,
-  to the earliest level at which they are fully bound.
+  to the earliest level at which they are fully bound, a predicate
+  filter as a :class:`Probe` (an anti-seek cursor when it can be one).
 
 A plan depends on where a rule's constants sit, not on their values: a
 rule compiled for a cached query shape plans once with
@@ -19,9 +20,12 @@ rule compiled for a cached query shape plans once with
 call's values into a copy.
 """
 
+import copy
 import itertools
 
 from repro.engine.ir import AssignAtom, CompareAtom, Const, Param, PredAtom, Var, bind
+from repro.engine.iterators import trie_iterator
+from repro.storage.datum import TOP
 
 
 class AtomPlan:
@@ -39,6 +43,88 @@ class AtomPlan:
         return "AtomPlan({}, perm={}, consts={}, levels={})".format(
             self.pred, self.perm, self.const_prefix, self.levels
         )
+
+
+def _values(args, bindings):
+    return tuple(bindings[a.name] if type(a) is Var else a for a in args)
+
+
+class Probe:
+    """A predicate atom checked as a filter: present (or, negated,
+    absent) under its bound columns, unbound local columns existential.
+    ``perm`` lists the bound positions in argument order, then the free
+    ones; ``args`` holds each bound position's :class:`Var` or constant.
+    An anti-seek (a negated atom whose level variable ``var`` occurs in
+    it once) has ``cursor_perm``: ``args[lead]``'s columns, ``var``'s,
+    the free ones."""
+
+    __slots__ = ("pred", "negated", "perm", "args", "var", "cursor_perm", "lead")
+
+    def __init__(self, pred, negated, perm, args):
+        self.pred, self.negated, self.perm, self.args = pred, negated, perm, args
+        self.var, self.cursor_perm, self.lead = None, (), ()
+
+    def holds(self, relations, recorder, bindings):
+        prefix = _values(self.args, bindings)
+        if recorder is not None:
+            recorder.record_prefix(self.pred, self.perm, prefix)
+        relation = relations[self.pred]
+        if len(prefix) == len(self.perm):
+            return (prefix in relation) is not self.negated
+        return trie_iterator(relation, self.perm, prefix).check_fixed_prefix() is not self.negated
+
+    def cursor(self, relations, recorder, stats, bindings, opened):
+        """The anti-seek check of the level's ascending candidates under
+        one parent binding: the trie opened once at the prefix bound above
+        the level (``opened[self]``, the run's last iterator, when it has
+        that prefix), sought forward only past keys below a candidate.
+        ``anti_seeks`` counts the open and the seeks."""
+        prefix = _values([self.args[i] for i in self.lead], bindings)
+        it = opened.get(self)
+        if it is None or it.context() != prefix:
+            it = opened[self] = trie_iterator(relations[self.pred], self.cursor_perm, prefix)
+        else:
+            it.up()
+        it.open()
+        if stats is not None:
+            stats["anti_seeks"] = stats.get("anti_seeks", 0) + 1
+        var, key = self.var, TOP if it.at_end() else it.key()
+
+        def holds(bindings):
+            nonlocal key
+            if recorder is not None:
+                recorder.record_prefix(self.pred, self.perm, _values(self.args, bindings))
+            value = bindings[var]
+            if key < value:
+                if stats is not None:
+                    stats["anti_seeks"] += 1
+                key = it.seek(value)
+            return key != value
+
+        return holds
+
+    def bind(self, params):
+        bound = copy.copy(self)
+        bound.args = tuple(a.value_in(params) if isinstance(a, Param) else a for a in self.args)
+        return bound
+
+
+def _filter_probe(atom, level_of, var_order):
+    """``(level, probe)``: the :class:`Probe` of ``atom`` and the level
+    that binds its last variable (-1 when none does)."""
+    args = atom.args
+    perm = [i for i, a in enumerate(args) if isinstance(a, Const) or a.name in level_of]
+    free = [i for i in range(len(args)) if i not in perm]
+    probe = Probe(atom.pred, atom.negated, tuple(perm + free), tuple(
+        _const(args[i]) if isinstance(args[i], Const) else args[i] for i in perm))
+    level = max((level_of[args[i].name] for i in perm if isinstance(args[i], Var)), default=-1)
+    if atom.negated and level >= 0:
+        var = var_order[level]
+        at_level = [n for n, i in enumerate(perm) if getattr(args[i], "name", None) == var]
+        if len(at_level) == 1:
+            probe.var, probe.lead = var, tuple(n for n in range(len(perm)) if n != at_level[0])
+            probe.cursor_perm = tuple([perm[n] for n in probe.lead + tuple(at_level)] + free)
+    return level, probe
 
 
 class Plan:
@@ -63,8 +149,8 @@ class Plan:
             for own_level, global_level in enumerate(plan.levels):
                 self.participants[global_level].append((atom_index, own_level))
         self.assigns = assigns  # level -> AssignAtom
-        self.filters = filters  # level -> [CompareAtom | PredAtom(negated)]
-        self.ground_atoms = ground_atoms  # fully-ground positive/negative atoms
+        self.filters = filters  # level -> [CompareAtom | Probe]
+        self.ground_atoms = ground_atoms  # Probes of fully-ground atoms
         self.ground_filters = ground_filters  # variable-free comparisons
         self.output_positions = None
 
@@ -86,9 +172,10 @@ class Plan:
             self.var_order,
             atom_plans,
             {level: bind(atom, params) for level, atom in self.assigns.items()},
-            {level: [bind(entry, params) for entry in entries] if entries else entries
+            {level: [entry.bind(params) if isinstance(entry, Probe) else bind(entry, params)
+                     for entry in entries] if entries else entries
              for level, entries in self.filters.items()},
-            [bind(atom, params) for atom in self.ground_atoms],
+            [probe.bind(params) for probe in self.ground_atoms],
             [bind(atom, params) for atom in self.ground_filters],
         )
 
@@ -290,14 +377,8 @@ def build_plan(atoms, var_order=None, output_vars=()):
                 for arg in atom.args
             )
             if atom.negated or not has_var:
-                max_level = -1
-                for arg in atom.args:
-                    if isinstance(arg, Var) and arg.name in level_of:
-                        max_level = max(max_level, level_of[arg.name])
-                if max_level < 0:
-                    ground_atoms.append(atom)
-                else:
-                    filters[max_level].append(atom)
+                level, probe = _filter_probe(atom, level_of, var_order)
+                (filters[level] if level >= 0 else ground_atoms).append(probe)
                 continue
             const_positions = [
                 i for i, a in enumerate(atom.args) if isinstance(a, Const)

@@ -90,18 +90,6 @@ class SensitivityRecorder:
         contexts = levels.setdefault(level, {})
         return _Tracker(contexts.setdefault(tuple(context), set()))
 
-    def record_point(self, pred, tup):
-        """Record a point sensitivity on a full tuple (negation /
-        functional-lookup checks): both inserting and deleting ``tup``
-        may change the result."""
-        arity = len(tup)
-        perm = tuple(range(arity))
-        level = arity - 1 if arity else 0
-        context = tup[:-1] if arity else ()
-        self.tracker(pred, perm, level, context).record(
-            tup[-1] if arity else BOTTOM, tup[-1] if arity else TOP
-        )
-
     def record_prefix(self, pred, perm, prefix):
         """Record point sensitivity on a bound prefix under ``perm``
         (existence probes: any change below the prefix may matter)."""

@@ -66,14 +66,16 @@ _LOCK = threading.Lock()
 class Shape:
     """One compiled shape: the block (with :class:`Param` slots for a
     cached key, plain constants otherwise) and its rule sets, built on
-    first use and shared by every call."""
+    first use and shared by every call.  ``placement`` holds a shard
+    coordinator's ``(installed analysis, query analysis)`` pair."""
 
-    __slots__ = ("block", "_ruleset", "_reactive_ruleset")
+    __slots__ = ("block", "_ruleset", "_reactive_ruleset", "placement")
 
     def __init__(self, block):
         self.block = block
         self._ruleset = None
         self._reactive_ruleset = None
+        self.placement = None
 
     def ruleset(self):
         """The :class:`RuleSet` of the block's derivation rules."""

@@ -124,7 +124,8 @@ class ExplainReport:
     """Per-rule estimated-vs-actual join cost for one query.
 
     ``rules`` is a list of dicts with keys ``rule``, ``var_order``,
-    ``estimated_steps``, ``actual_steps``, ``error_ratio``, ``rows``,
+    ``estimated_steps``, ``actual_steps``, ``anti_seeks`` (negation
+    cursor moves), ``error_ratio``, ``rows``,
     ``indexes``, ``executions``, and the join path the rule took
     (``backend``: ``pure`` / ``columnar``) with the ``reason`` it was
     picked, and for an aggregate rule the ``fold`` that ran
@@ -241,6 +242,7 @@ def explain_query(state, source, answer=None, *, sample_size=256,
             "rule": label,
             "executions": len(spans),
             "actual_steps": actual,
+            "anti_seeks": sum(s.attrs.get("anti_seeks", 0) for s in spans),
             "rows": produced,
             "var_order": None,
             "estimated_steps": None,

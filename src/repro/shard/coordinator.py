@@ -507,9 +507,14 @@ class ShardedWorkspace(VerbSurface):
         qrules = list(shape.block.rules)
         if not qrules:
             return []
-        analysis = classify_rules(
-            qrules, self.shard_map.partition,
-            seed_classes=self._analysis.classes)
+        # the placement depends on the shape and the installed program
+        # only: classified once per installed-program analysis
+        installed, placement = shape.placement or (None, None)
+        if installed is not self._analysis:
+            installed, placement = self._analysis, classify_rules(
+                qrules, self.shard_map.partition, seed_classes=self._analysis.classes)
+            shape.placement = (installed, placement)
+        analysis = placement
         answer_pred = answer or (
             "_" if any(r.head_pred == "_" for r in qrules)
             else qrules[-1].head_pred)

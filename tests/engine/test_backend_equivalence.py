@@ -59,7 +59,7 @@ def run_join(atoms, env, var_order):
     relations = {
         name: Relation.from_iter(rel.arity, rel) for name, rel in env.items()
     }
-    plan = build_plan(list(atoms), var_order=list(var_order))
+    plan = build_plan(list(atoms), var_order=list(var_order), output_vars=var_order)
     return list(LeapfrogTrieJoin(plan, relations).run())
 
 
@@ -70,7 +70,7 @@ def run_columnar(atoms, env, var_order):
     relations = {
         name: Relation.from_iter(rel.arity, rel) for name, rel in env.items()
     }
-    plan = build_plan(list(atoms), var_order=list(var_order))
+    plan = build_plan(list(atoms), var_order=list(var_order), output_vars=var_order)
     executor = make_join(plan, relations, backend="columnar")
     assert isinstance(executor, ColumnarTrieJoin)
     return list(executor.run())
@@ -126,6 +126,59 @@ def test_lftj_equivalence_with_negation_and_constants(edges, marks, order, pin):
         "M": Relation.from_iter(1, marks),
     }
     assert run_columnar(atoms, env, order) == run_join(atoms, env, order)
+
+
+def _neg(pred, *args):
+    return PredAtom(pred, [Var(a) if isinstance(a, str) else Const(a) for a in args],
+                    negated=True)
+
+
+# (negated atoms on top of the path E(a, b), E(b, c); the test's own
+# membership check of each satisfying (a, b, c))
+NEGATION_CASES = {
+    "one per level": (
+        lambda pin: [_neg("M", "a"), _neg("M", "b"), _neg("N", "b", "c")],
+        lambda a, b, c, pin, M, N: (a,) not in M and (b,) not in M and (b, c) not in N),
+    "level variable first": (
+        lambda pin: [_neg("N", "c", "a")],
+        lambda a, b, c, pin, M, N: (c, a) not in N),
+    "repeated variable": (
+        lambda pin: [_neg("N", "c", "c")],
+        lambda a, b, c, pin, M, N: (c, c) not in N),
+    "existential local": (
+        lambda pin: [_neg("N", "c", "w")],
+        lambda a, b, c, pin, M, N: all(x != c for x, _ in N)),
+    "constants": (
+        lambda pin: [_neg("M", pin), _neg("N", pin, "b")],
+        lambda a, b, c, pin, M, N: (pin,) not in M and (pin, b) not in N),
+    "empty relation": (
+        lambda pin: [_neg("Z", "a", "c")],
+        lambda a, b, c, pin, M, N: True),
+}
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
+@pytest.mark.parametrize("case", sorted(NEGATION_CASES))
+@settings(max_examples=30, deadline=None)
+@given(edges_strategy, marks_strategy, edges_strategy, order_strategy,
+       st.integers(0, 7))
+def test_negation_matches_an_independent_oracle(case, edges, marks, negated, order, pin):
+    make_atoms, keeps = NEGATION_CASES[case]
+    atoms = [PredAtom("E", [Var("a"), Var("b")]), PredAtom("E", [Var("b"), Var("c")])]
+    atoms += make_atoms(pin)
+    env = {
+        "E": Relation.from_iter(2, edges),
+        "M": Relation.from_iter(1, marks),
+        "N": Relation.from_iter(2, negated),
+        "Z": Relation.empty(2),
+    }
+    expected = sorted(
+        tuple({"a": a, "b": b, "c": c}[name] for name in order)
+        for a, b in edges for b2, c in edges
+        if b == b2 and keeps(a, b, c, pin, marks, negated))
+    pure = run_join(atoms, env, order)
+    assert sorted(pure) == expected
+    assert run_columnar(atoms, env, order) == pure
 
 
 # -- workspace-level equivalence: IVM deltas, deletes, aggregates ----------

@@ -164,6 +164,34 @@ class TestFeatures:
         assert len(run(atoms, {"S": self.S, "T": self.T}, output=["x"])) == 3
 
 
+def test_anti_seeks_per_parent_binding_are_bounded_by_the_negated_keys():
+    """``_(c) <- E(0, b), E(b, c), !E(0, c)``: each parent ``b`` opens
+    one cursor on ``E(0, ·)`` and seeks it only past negated keys, so
+    ``anti_seeks`` is at most ``|E(0, ·)| + 1`` per ``b``, not one probe
+    per candidate ``c``; the leapfrog ``seeks`` do not include them."""
+    out = range(1, 11)
+    edges = [(0, b) for b in out] + [(b, c) for b in out for c in range(41)]
+    atoms = [
+        PredAtom("E", [Const(0), Var("b")]),
+        PredAtom("E", [Var("b"), Var("c")]),
+        PredAtom("E", [Const(0), Var("c")], negated=True),
+    ]
+    relations = {"E": Relation.from_iter(2, edges)}
+
+    def run_counted(atoms):
+        plan = build_plan(atoms, var_order=["b", "c"], output_vars=["c"])
+        stats = {}
+        return list(LeapfrogTrieJoin(plan, relations, stats=stats).run()), stats
+
+    rows, stats = run_counted(atoms)
+    assert {c for _, c in rows} == set(range(41)) - set(out)
+    assert stats["steps"] == len(out) * (1 + 41)  # one probe per candidate before
+    assert stats["anti_seeks"] <= len(out) * (len(out) + 1)
+    _, positive = run_counted(atoms[:2])
+    assert "anti_seeks" not in positive
+    assert (stats["seeks"], stats["nexts"]) == (positive["seeks"], positive["nexts"])
+
+
 class TestWorstCaseOptimality:
     def test_output_bounded_by_agm(self):
         """LFTJ search steps stay within ~AGM bound (N^1.5 for triangles)."""

@@ -9,10 +9,11 @@ domains.
 import itertools
 import random
 
-from repro.engine.ir import PredAtom, Var
+from repro.engine.ir import CompareAtom, PredAtom, Var
 from repro.engine.lftj import LeapfrogTrieJoin
 from repro.engine.planner import build_plan
 from repro.engine.sensitivity import SensitivityIndex, SensitivityRecorder
+from repro.storage.datum import BOTTOM, TOP
 from repro.storage.relation import Relation
 
 
@@ -120,3 +121,74 @@ class TestPrecision:
             if not index.tuple_affects("S", tup)
         ]
         assert skippable, "expected at least one provably irrelevant tuple"
+
+
+def _recorded(recorder):
+    """A recorder's contents as plain nested dicts:
+    ``pred -> perm -> depth -> context -> {(low, high)}``."""
+    return {
+        pred: {
+            perm: {
+                depth: {context: set(intervals) for context, intervals in contexts.items()}
+                for depth, contexts in levels.items()
+            }
+            for perm, levels in perms.items()
+        }
+        for pred, perms in recorder._data.items()
+    }
+
+
+class TestNegationRecordingIsPinned:
+    """The exact intervals a negated atom records, whichever operator
+    checks it: one point per checked candidate, on the atom's bound
+    columns in argument order, existential columns last."""
+
+    R = Relation.from_iter(2, [(0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (3, 3)])
+    E = Relation.from_iter(2, [(0, 2), (1, 0), (2, 1), (3, 0), (3, 3)])
+    R_RECORDED = {
+        (0, 1): {
+            0: {(): {(BOTTOM, 0), (0, 1), (1, 3), (3, TOP)}},
+            1: {
+                (0,): {(BOTTOM, 1), (1, 2), (2, 3), (3, TOP)},
+                (1,): {(BOTTOM, 0), (0, 2), (2, TOP)},
+                (3,): {(BOTTOM, 3), (3, TOP)},
+            },
+        }
+    }
+
+    def run(self, negated):
+        atoms = [
+            PredAtom("R", [Var("n"), Var("c")]),
+            negated,
+            CompareAtom("!=", Var("c"), Var("n")),
+        ]
+        plan = build_plan(atoms, var_order=["n", "c"], output_vars=["n", "c"])
+        recorder = SensitivityRecorder()
+        rows = list(LeapfrogTrieJoin(plan, {"R": self.R, "E": self.E}, recorder).run())
+        recorded = _recorded(recorder)
+        assert recorded.pop("R") == self.R_RECORDED
+        return rows, recorded
+
+    def test_level_variable_last(self):
+        rows, recorded = self.run(PredAtom("E", [Var("n"), Var("c")], negated=True))
+        assert rows == [(0, 1), (0, 3), (1, 2)]
+        assert recorded == {"E": {(0, 1): {1: {
+            (0,): {(1, 1), (2, 2), (3, 3)},
+            (1,): {(0, 0), (2, 2)},
+            (3,): {(3, 3)},
+        }}}}
+
+    def test_level_variable_first(self):
+        rows, recorded = self.run(PredAtom("E", [Var("c"), Var("n")], negated=True))
+        assert rows == [(0, 2), (1, 0)]
+        assert recorded == {"E": {(0, 1): {1: {
+            (0,): {(1, 1)},
+            (1,): {(0, 0)},
+            (2,): {(0, 0), (1, 1)},
+            (3,): {(0, 0), (3, 3)},
+        }}}}
+
+    def test_existential_column(self):
+        rows, recorded = self.run(PredAtom("E", [Var("c"), Var("w")], negated=True))
+        assert rows == []
+        assert recorded == {"E": {(0, 1): {0: {(): {(0, 0), (1, 1), (2, 2), (3, 3)}}}}}

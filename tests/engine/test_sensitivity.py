@@ -52,7 +52,7 @@ class TestRecorder:
 
     def test_record_point_and_everything(self):
         recorder = SensitivityRecorder()
-        recorder.record_point("N", ("a", 1))
+        recorder.record_prefix("N", (0, 1), ("a", 1))
         recorder.record_everything("B")
         index = SensitivityIndex().fold(recorder)
         assert index.tuple_affects("N", ("a", 1))

@@ -43,6 +43,19 @@ class TestExplainQuery:
         assert rule["error_ratio"] == pytest.approx(
             (rule["estimated_steps"] + 1.0) / (rule["actual_steps"] + 1.0))
 
+    def test_negation_cursor_moves_are_reported(self):
+        ws = Workspace(engine="pure")  # the anti-seek is the pure join's
+        ws.addblock("edge(x, y) -> int(x), int(y).")
+        ws.exec("+edge(1, 2). +edge(2, 3). +edge(1, 3). +edge(3, 4). +edge(1, 4).")
+        query = "_(z) <- edge(2, y), edge(y, z), !edge(2, z)."
+        with obs.Profile() as profile:
+            assert ws.query(query) == [(4,)]
+        (join,) = [s for s in profile.find_all("join") if s.attrs.get("rule") == "_"]
+        assert join.attrs["anti_seeks"] > 0
+        assert join.counters["join.anti_seeks"] == join.attrs["anti_seeks"]
+        (rule,) = ws.explain(query).rules
+        assert rule["anti_seeks"] > 0
+
     def test_actuals_survive_an_ambient_open_span(self, triangle_ws):
         # inside someone else's span (a traced server request) the
         # explain span is a child, not a root: the report must still

@@ -261,6 +261,31 @@ class TestEquivalence:
             assert rows == oracle_query(oracle, q)
             assert counters.get("shard.single_shard_queries") == 1
 
+    def test_a_query_shape_is_classified_once_per_installed_program(self, monkeypatch):
+        from repro.shard import coordinator
+
+        calls = []
+        real = coordinator.classify_rules
+
+        def spy(rules, *args, **kwargs):
+            calls.append(len(rules))
+            return real(rules, *args, **kwargs)
+
+        monkeypatch.setattr(coordinator, "classify_rules", spy)
+        sharded, oracle = make_pair()
+        shape = "_(l, q) <- lineitem({}, l, q). // classify-once"
+        with sharded:
+            assert sharded.query(shape.format(7)) == oracle_query(oracle, shape.format(7))
+            del calls[:]
+            assert sharded.query(shape.format(8)) == oracle_query(oracle, shape.format(8))
+            assert calls == []
+            view = "big(o) <- lineitem(o, _, q), q > 20."
+            sharded.addblock(view, name="view")
+            oracle.addblock(view, name="view")
+            del calls[:]
+            assert sharded.query(shape.format(9)) == oracle_query(oracle, shape.format(9))
+            assert calls == [1]
+
     def test_replicated_query_routes_to_one_shard(self):
         sharded, oracle = make_pair()
         q = "r(n, v) <- rate(n, v)."
