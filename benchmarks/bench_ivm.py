@@ -20,10 +20,9 @@ import time
 import pytest
 
 from repro.datasets.graphs import powerlaw_graph
-from repro.engine.dred import DRedEngine
 from repro.engine.evaluator import Evaluator, RuleSet
 from repro.engine.ir import PredAtom, Var
-from repro.engine.ivm import IncrementalEngine
+from repro.engine.ivm import DRedEngine, IncrementalEngine
 from repro.engine.rules import AggSpec, Rule
 from repro.storage.relation import Delta, Relation
 from conftest import SMOKE, pedantic, sizes

@@ -2,14 +2,23 @@
 
 Measures the k-way sorted-set intersection at the heart of LFTJ: cost
 scales with the smallest set and the skip distances, not the total
-input size (the amortized O(1 + log(N/m)) contract).
+input size (the amortized O(1 + log(N/m)) contract).  Each set is a
+unary relation read through the engine's own cursor, a trie iterator
+opened on it.
 """
 
 import pytest
 
 from repro.ds.pset import PSet
+from repro.engine.iterators import trie_iterator
 from repro.engine.leapfrog import LeapfrogJoin
+from repro.storage.relation import Relation
 from conftest import pedantic, sizes
+
+
+def unary(values):
+    """The unary relation of ``values``."""
+    return Relation(1, PSet.from_sorted((v,) for v in sorted(values)))
 
 
 def build_sets(n, k, stride):
@@ -18,12 +27,15 @@ def build_sets(n, k, stride):
     sets = []
     for index in range(k):
         extra = {stride * j + index + 1 for j in range(n)}
-        sets.append(PSet.from_iter(shared | extra))
+        sets.append(unary(shared | extra))
     return sets
 
 
 def run_intersection(sets):
-    join = LeapfrogJoin([s.cursor() for s in sets])
+    cursors = [trie_iterator(relation, (0,)) for relation in sets]
+    for cursor in cursors:
+        cursor.open()
+    join = LeapfrogJoin(cursors)
     count = 0
     while not join.at_end():
         count += 1
@@ -50,7 +62,7 @@ def test_unary_leapfrog_selectivity(benchmark, stride):
 def test_unary_leapfrog_skewed_sizes(benchmark):
     """A tiny set intersected with a huge one: cost follows the tiny
     side (each probe is one O(log N) seek)."""
-    small = PSet.from_sorted(range(0, 1000, 10))
-    big = PSet.from_sorted(range(sizes(1000000, 20000)))
+    small = unary(range(0, 1000, 10))
+    big = unary(range(sizes(1000000, 20000)))
     count = pedantic(benchmark, run_intersection, [small, big])
     assert count == 100

@@ -92,10 +92,6 @@ class PMap:
         """The ``index``-th smallest ``(key, value)``."""
         return treap.kth(self._root, index)
 
-    def cursor(self):
-        """A ``key/next/seek`` cursor (paper's linear-iterator contract)."""
-        return treap.Cursor(self._root)
-
     # -- persistent updates ----------------------------------------------
 
     def set(self, key, value):

@@ -1,8 +1,7 @@
 """Persistent sorted set over deterministic treaps.
 
 A thin veneer over the treap algebra storing ``None`` values.  Supports
-the efficient set algebra of [7] (union / intersection / difference) and
-the linear-iterator cursor used by leapfrog joins.
+the efficient set algebra of [7] (union / intersection / difference).
 """
 
 from repro.ds import treap
@@ -66,10 +65,6 @@ class PSet:
     def rank(self, element):
         """Number of elements strictly smaller than ``element``."""
         return treap.rank(self._root, element)
-
-    def cursor(self):
-        """A ``key/next/seek`` cursor (paper's linear-iterator contract)."""
-        return treap.Cursor(self._root)
 
     # -- persistent updates ----------------------------------------------
 

@@ -420,60 +420,3 @@ def diff(a, b):
     elif a.value != found.value or type(a.value) is not type(found.value):
         yield a.key, a.value, found.value
     yield from diff(a.right, b_right)
-
-
-class Cursor:
-    """Forward cursor over a treap implementing the paper's linear-iterator
-    contract: ``key``/``next``/``seek`` with O(log N) seeks (§3.2).
-
-    ``next`` is amortized O(1) via an explicit ancestor stack; ``seek``
-    re-descends from the root, which is O(log N) as required.
-    """
-
-    __slots__ = ("_root", "_stack", "_node")
-
-    def __init__(self, root):
-        self._root = root
-        self._stack = []
-        self._node = None
-        node = root
-        while node is not None:
-            self._stack.append(node)
-            node = node.left
-        self._advance_from_stack()
-
-    def _advance_from_stack(self):
-        self._node = self._stack.pop() if self._stack else None
-
-    def at_end(self):
-        """True when the cursor has moved past the last key."""
-        return self._node is None
-
-    def key(self):
-        """Key at the current position (cursor must not be at end)."""
-        return self._node.key
-
-    def value(self):
-        """Value at the current position (cursor must not be at end)."""
-        return self._node.value
-
-    def next(self):
-        """Advance to the next key in ascending order."""
-        node = self._node.right
-        while node is not None:
-            self._stack.append(node)
-            node = node.left
-        self._advance_from_stack()
-
-    def seek(self, key):
-        """Position at the least key >= ``key`` (forward only)."""
-        stack = []
-        node = self._root
-        while node is not None:
-            if node.key < key:
-                node = node.right
-            else:
-                stack.append(node)
-                node = node.left
-        self._stack = stack
-        self._advance_from_stack()

@@ -6,8 +6,9 @@ Two roles in this system:
   :class:`~repro.engine.ivm.IncrementalEngine` (support counts are not
   well defined through recursion);
 * the classical baseline the paper's maintenance algorithm "improves
-  significantly on" — :class:`DRedEngine` maintains a whole program
-  with DRed so benchmarks can compare it against the counting +
+  significantly on" — :class:`~repro.engine.ivm.DRedEngine` runs the
+  engine's maintenance loop with this algorithm for every stratum, so
+  benchmarks can compare it against the counting +
   sensitivity-index engine (experiment E5).
 
 The algorithm, on the caller's evaluator (its backend and ``params``):
@@ -24,14 +25,14 @@ The algorithm, on the caller's evaluator (its backend and ``params``):
    negated), over the pruned state plus the restored heads, keeps
    every head not yet there.
 
-Every pass rule is :meth:`Rule.delta_pass`, memoized on its rule, so a
-program's DRed passes are built and planned once.
+Every pass runs through :meth:`Evaluator.run_pass` on its rule's
+memoized :meth:`Rule.delta_pass`, so a program's DRed passes are built
+and planned once.
 """
 
 from repro import obs
 from repro import stats as global_stats
-from repro.engine.evaluator import Evaluator
-from repro.storage.relation import Delta, Relation
+from repro.storage.relation import Delta
 
 
 def maintain_recursive_stratum(evaluator, stratum, old_relations, new_relations, deltas):
@@ -85,12 +86,9 @@ def _dred_stratum(evaluator, stratum, old_relations, new_relations, deltas):
     rederived_total = overdeleted_total - removed_total
     inserted_total = sum(len(delta.added) for delta in result.values())
     global_stats.bump("dred.rounds", rounds)
-    if overdeleted_total:
-        global_stats.bump("dred.overdeleted", overdeleted_total)
-    if rederived_total:
-        global_stats.bump("dred.rederived", rederived_total)
-    if inserted_total:
-        global_stats.bump("dred.inserted", inserted_total)
+    global_stats.bump("dred.overdeleted", overdeleted_total)
+    global_stats.bump("dred.rederived", rederived_total)
+    global_stats.bump("dred.inserted", inserted_total)
     obs.annotate(
         rounds=rounds,
         overdeleted=overdeleted_total,
@@ -106,81 +104,8 @@ def _rederive(evaluator, rules, overdeleted, env):
     rederived = {pred: set() for pred in overdeleted}
     for rule in rules:
         heads = overdeleted[rule.head_pred]
-        if not heads:
-            continue
-        probe = rule.delta_pass(None, "@head")
-        scope = dict(env)
-        scope["@head"] = Relation.from_iter(len(rule.head_args), heads)
-        var_order, bindings = evaluator.rule_bindings(probe, scope)
-        project = evaluator.head_projector(probe, var_order)
-        rederived[rule.head_pred].update(project(binding) for binding in bindings)
+        if heads:
+            var_order, bindings = evaluator.run_pass(rule, None, heads, env)
+            project = evaluator.head_projector(rule, var_order)
+            rederived[rule.head_pred].update(project(binding) for binding in bindings)
     return rederived
-
-
-class DRedEngine:
-    """Whole-program DRed maintenance — the classical baseline.
-
-    Same interface as :class:`~repro.engine.ivm.IncrementalEngine`
-    (``initialize`` / ``apply``) but treats *every* stratum with
-    delete/rederive and keeps no counts or sensitivity indices.
-    """
-
-    def __init__(self, ruleset):
-        self.ruleset = ruleset
-        self.evaluator = Evaluator(ruleset)
-
-    def initialize(self, base_relations):
-        """Full evaluation (no auxiliary state)."""
-        relations, _ = self.evaluator.evaluate(base_relations)
-        return relations
-
-    def apply(self, relations, base_deltas):
-        """Maintain all derived predicates under base deltas."""
-        old_relations = dict(relations)
-        new_relations = dict(relations)
-        deltas = {}
-        for pred, delta in base_deltas.items():
-            normalized = delta.normalized(old_relations[pred])
-            if normalized:
-                deltas[pred] = normalized
-                new_relations[pred] = old_relations[pred].apply(normalized)
-        for stratum, recursive in zip(
-            self.ruleset.strata, self.ruleset.recursive_flags
-        ):
-            has_agg = any(self.ruleset.is_aggregate(p) for p in stratum)
-            if has_agg:
-                # DRed does not handle aggregates; recompute them
-                for pred in stratum:
-                    sub = Evaluator(RuleSubset(self.ruleset, pred))
-                    out, _ = sub.evaluate(new_relations)
-                    delta = old_relations[pred].diff(out[pred])
-                    new_relations[pred] = out[pred]
-                    if delta:
-                        deltas[pred] = delta
-                continue
-            stratum_deltas = maintain_recursive_stratum(
-                self.evaluator, stratum, old_relations, new_relations, deltas
-            )
-            for pred, delta in stratum_deltas.items():
-                if delta:
-                    new_relations[pred] = new_relations[pred].apply(delta)
-                    deltas[pred] = delta
-        return new_relations, deltas
-
-
-class RuleSubset:
-    """A :class:`RuleSet`-shaped view containing one predicate's rules."""
-
-    def __init__(self, ruleset, pred):
-        self.rules = list(ruleset.rules_by_head[pred])
-        self.rules_by_head = {pred: self.rules}
-        self.strata = [[pred]]
-        self.recursive_flags = [False]
-        self.derived = {pred}
-        self._parent = ruleset
-
-    def head_arity(self, pred):
-        return self._parent.head_arity(pred)
-
-    def is_aggregate(self, pred):
-        return self._parent.is_aggregate(pred)

@@ -16,6 +16,7 @@ their evaluation state with them at O(1) branch cost.
 
 from repro import obs
 from repro.ds.pmap import PMap
+from repro.ds.pset import PSet
 from repro.engine.aggregates import AGGREGATES, agg_add
 from repro.engine.columnar import make_join, resolve_backend
 from repro.engine.ir import Const, PredAtom, bind
@@ -112,11 +113,6 @@ class RuleSet:
         """Arity of a derived predicate's head."""
         return len(self.rules_by_head[pred][0].head_args)
 
-    def is_aggregate(self, pred):
-        """True when ``pred`` is defined by a P2P aggregation rule."""
-        group = self.rules_by_head.get(pred)
-        return bool(group) and group[0].agg is not None
-
 
 class Evaluator:
     """Evaluates a :class:`RuleSet` over base relations.
@@ -152,6 +148,7 @@ class Evaluator:
         self.order_chooser = order_chooser
         self.backend = resolve_backend(backend)
         self.params = params
+        self._projectors = {}  # (rule, var order, drop_last) -> _HeadProjector
 
     def _order_for(self, rule, relations):
         if self.order_chooser is None:
@@ -194,8 +191,13 @@ class Evaluator:
 
     def head_projector(self, rule, var_order, drop_last=False):
         """The :class:`_HeadProjector` of ``rule`` under this
-        evaluation's parameters."""
-        return _HeadProjector(rule, var_order, drop_last, self.params)
+        evaluation's parameters, memoized per variable order."""
+        key = (rule, var_order, drop_last)
+        projector = self._projectors.get(key)
+        if projector is None:
+            projector = self._projectors[key] = _HeadProjector(
+                rule, var_order, drop_last, self.params)
+        return projector
 
     def rule_bindings(self, rule, relations, recorder=None):
         """Iterate satisfying assignments of ``rule``'s body.
@@ -213,6 +215,22 @@ class Evaluator:
             bump_prefix = "join." if executor.backend == "pure" else None
             run = obs.traced_bindings("join", attrs, run, exec_stats, bump_prefix)
         return plan.var_order, run
+
+    def run_pass(self, rule, position, prefixes, env, recorder=None,
+                 new="", old="", check=False):
+        """``(var_order, bindings)`` of one delta pass
+        (:meth:`Rule.delta_pass`) over ``env``, led by ``prefixes``:
+        atom ``position``'s changed prefixes, or with ``position=None``
+        the heads to rederive.  The one place a lead relation is built:
+        a :class:`PSet` leads as it is, any other iterable is
+        deduplicated."""
+        lead, arity = (("@head", len(rule.head_args)) if position is None
+                       else ("@cand", len(rule.prefix_columns(position)[0])))
+        scope = dict(env)
+        scope[lead] = (Relation(arity, prefixes) if isinstance(prefixes, PSet)
+                       else Relation.from_iter(arity, prefixes))
+        return self.rule_bindings(
+            rule.delta_pass(position, new, old, check), scope, recorder)
 
     # -- full evaluation ---------------------------------------------------
 
@@ -363,16 +381,16 @@ class Evaluator:
 
         ``frontier`` maps ``(pred, negated)`` to the changed tuples a
         positive (``negated=False``) or a negated atom of ``pred``
-        ranges over.  Each round runs one delta-led pass
-        (:meth:`Rule.delta_pass`) per rule and changed body atom against
-        ``env``: a positive atom is replaced by ``@delta`` over its
-        frontier; a negated one is led by ``@cand`` over its frontier's
-        bound columns and stays in the body, so the join checks it.  A
-        derived head joins the next frontier when ``keep(pred, tup)``
-        says so and it was not found before; a kept head ``env`` lacks
-        is added to ``env[pred]``, so later rounds read it.  The loop
-        ends when a round keeps nothing.  ``recorder_for(rule)`` gives
-        a pass's sensitivity recorder.
+        ranges over.  Each round runs one pass (:meth:`run_pass`) per
+        rule and changed body atom against ``env``, led by the atom's
+        changed prefixes: its frontier tuples, projected on its bound
+        columns when it has a local variable.  A positive atom is
+        replaced by the lead; a negated one stays in the body, so the
+        join checks it.  A derived head joins the next frontier when
+        ``keep(pred, tup)`` says so and it was not found before; a kept
+        head ``env`` lacks is added to ``env[pred]``, so later rounds
+        read it.  The loop ends when a round keeps nothing.
+        ``recorder_for(rule)`` gives a pass's sensitivity recorder.
 
         Returns ``(found, rounds)``: the kept heads per head predicate
         of ``rules``, and the number of rounds run.
@@ -391,19 +409,13 @@ class Evaluator:
             heads = {pred: set() for pred in found}
             for (pred, negated), changed in frontier.items():
                 for rule, position in reads[pred, negated]:
-                    scope = dict(env)
-                    if negated:
-                        delta_rule = rule.delta_pass(position, "@cand", check=True)
-                        local = rule.local_positions().get(position, ())
-                        bound = [p for p in range(changed.arity) if p not in local]
-                        scope["@cand"] = changed if not local else Relation.from_iter(
-                            len(bound), (tuple(t[p] for p in bound) for t in changed))
-                    else:
-                        delta_rule = rule.delta_pass(position)
-                        scope["@delta"] = changed
+                    bound, local = rule.prefix_columns(position)
+                    prefixes = changed.tuples() if not local else {
+                        tuple(t[p] for p in bound) for t in changed}
                     recorder = recorder_for(rule) if recorder_for else None
-                    var_order, bindings = self.rule_bindings(delta_rule, scope, recorder)
-                    project = self.head_projector(delta_rule, var_order)
+                    var_order, bindings = self.run_pass(
+                        rule, position, prefixes, env, recorder, check=negated)
+                    project = self.head_projector(rule, var_order)
                     heads[rule.head_pred].update(project(binding) for binding in bindings)
             frontier = {}
             for pred, derived in heads.items():
@@ -420,14 +432,15 @@ class Evaluator:
 
 
 def _check_functional(pred, rule, relation, added=None):
-    """Enforce the functional dependency of ``R[keys] = value`` heads.
+    """Enforce the functional dependency of ``R[keys] = value`` heads
+    (an aggregate's holds by construction: one row per group).
 
     With ``added`` (the tuples a delta just added to ``relation``) only
     their keys are checked, each by one prefix lookup; without it the
     whole relation is scanned.
     """
     n_keys = rule.n_keys
-    if n_keys >= len(rule.head_args):
+    if n_keys >= len(rule.head_args) or rule.agg is not None:
         return
     if added is not None:
         for tup in added:

@@ -7,14 +7,21 @@ The maintenance problem is split exactly as the paper describes:
   changed atom position ``i``, join ``new_1 .. new_{i-1}, Δ_i,
   old_{i+1} .. old_k`` (the telescoping identity makes the signed union
   over ``i`` exactly the change in the satisfying-assignment multiset).
-  Negated atoms flip the sign of their deltas.  Every pass leads with
-  its delta atom, so its work is bounded by the delta; a rule is
-  visited only when its body reads a changed predicate.
+  A changed atom is its *changed prefixes*, the columns holding no
+  local existential variable: the delta's own tuples when there is no
+  such column, else the projections whose existence the delta flips.
+  Negated atoms flip the sign.  Every pass leads with those prefixes
+  (:meth:`~repro.engine.evaluator.Evaluator.run_pass`), so its work is
+  bounded by the delta.
 * **Rule-head maintenance**: support counts per derived tuple for plain
   rules, stored only above one (a tuple derived once is counted by its
   presence in the relation); per-group aggregation state for P2P
   rules; recursive strata fall back to delete/rederive
   (:mod:`repro.engine.dred`).
+
+One loop (:meth:`IncrementalEngine.apply`) visits every stratum a
+changed predicate reaches; :class:`DRedEngine`, the E5 baseline, runs
+it with DRed for every stratum.
 
 Sensitivity intervals are recorded only by an engine built with
 ``track_sensitivity=True`` — transaction repair (§3.4), which reads
@@ -27,14 +34,13 @@ reads them: §3.2's whole-rule skip is not taken (DESIGN.md §3).
 
 from repro import obs
 from repro import stats as global_stats
-from repro.ds.pmap import PMap
 from repro.engine.aggregates import AGGREGATES, agg_add, agg_remove
 from repro.engine.dred import maintain_recursive_stratum
-from repro.engine.evaluator import Evaluator, PredicateState, _check_functional
+from repro.engine.evaluator import Evaluator, RuleSet, _check_functional
 from repro.engine.ir import PredAtom
-from repro.engine.iterators import trie_iterator
+from repro.engine.planner import prefix_exists, same_columns
 from repro.engine.sensitivity import SensitivityIndex, SensitivityRecorder
-from repro.storage.relation import Delta, Relation
+from repro.storage.relation import Delta
 
 
 class Materialization:
@@ -51,13 +57,6 @@ class Materialization:
         self.relations = relations  # name -> Relation (base + derived)
         self.states = states  # name -> PredicateState
         self.rule_indexes = rule_indexes or {}  # rule index -> SensitivityIndex
-
-
-def _fold_into(indexes, rule_index, recorder):
-    """Replace one rule's index by it folded with a finished pass."""
-    if recorder is not None:
-        index = indexes.get(rule_index) or SensitivityIndex()
-        indexes[rule_index] = index.fold(recorder)
 
 
 class IncrementalEngine:
@@ -89,11 +88,7 @@ class IncrementalEngine:
         recorders = {}
 
         def recorder_for(rule):
-            index = self._rule_index[id(rule)]
-            recorder = recorders.get(index)
-            if recorder is None:
-                recorder = recorders[index] = SensitivityRecorder()
-            return recorder
+            return recorders.setdefault(self._rule_index[id(rule)], SensitivityRecorder())
 
         relations, states = self.evaluator.evaluate(
             base_relations, reuse=reuse,
@@ -137,253 +132,221 @@ class IncrementalEngine:
             for stratum, recursive in zip(
                 self.ruleset.strata, self.ruleset.recursive_flags
             ):
-                if recursive:
-                    self._maintain_recursive(
-                        stratum, old_relations, new_relations, new_states, deltas
-                    )
-                else:
-                    for pred in stratum:
-                        self._maintain_nonrecursive(
-                            pred,
-                            old_relations,
-                            new_relations,
-                            new_states,
-                            deltas,
-                            indexes,
-                        )
-            new_mat = Materialization(new_relations, new_states, indexes)
-            if span_ is not None:
-                span_.attrs["base_tuples"] = base_tuples
-                span_.attrs["changed_preds"] = len(deltas)
-            return new_mat, deltas
-
-    def _signed_bindings(self, rule, old_relations, new_relations, deltas, recorder):
-        """Yield ``(sign, var_order, binding)`` for every change to the
-        rule body's satisfying-assignment set.
-
-        Atoms without local variables use exact tuple-level telescoping
-        (``new_1..new_{i-1}, Δ_i, old_{i+1}..old_k``; negation flips the
-        delta's sign).  Atoms with local existential variables use
-        existence-diff candidates: the atom's truth for a bound-prefix
-        can only change where the delta touches it.  Every pass rule is
-        the rule's memoized :meth:`~repro.engine.rules.Rule.delta_pass`.
-        """
-        for position, atom in enumerate(rule.body):
-            if not isinstance(atom, PredAtom):
-                continue
-            delta = deltas.get(atom.pred)
-            if delta is None or not delta:
-                continue
-            env = {}
-            for other in rule.body:
-                if isinstance(other, PredAtom):
-                    env["@new:" + other.pred] = new_relations[other.pred]
-                    env["@old:" + other.pred] = old_relations[other.pred]
-            local_positions = rule.local_positions().get(position)
-            if not local_positions:
-                delta_rule = rule.delta_pass(position, "@delta", "@new:", "@old:")
-                arity = new_relations[atom.pred].arity
-                passes = [
-                    (1, delta.added if not atom.negated else delta.removed),
-                    (-1, delta.removed if not atom.negated else delta.added),
-                ]
-                for sign, tuple_set in passes:
-                    if not tuple_set:
+                rules = [rule for pred in stratum for rule in self.ruleset.rules_by_head[pred]]
+                # a stratum none of whose rule bodies read a changed
+                # predicate cannot change; skipping it before opening a
+                # span keeps traces to the strata actually visited
+                if not any(p in deltas for rule in rules for p in rule.body_preds()):
+                    continue
+                changed = self._maintain(stratum, recursive, rules, old_relations,
+                                         new_relations, new_states, deltas, indexes)
+                for pred, delta in changed.items():
+                    if not delta:
                         continue
-                    env["@delta"] = Relation(arity, tuple_set)
-                    var_order, bindings = self.evaluator.rule_bindings(
-                        delta_rule, dict(env), recorder
-                    )
-                    for binding in bindings:
-                        yield sign, var_order, binding
-                continue
-            # existence-diff path: the pass is led by ``@cand`` over the
-            # bound prefixes, or has no lead when no position is bound
-            bound_positions = tuple(
-                p for p in range(len(atom.args)) if p not in local_positions
-            )
-            perm = bound_positions + local_positions
-            old_rel = old_relations[atom.pred]
-            new_rel = new_relations[atom.pred]
-            candidates = {}
-            for tup in list(delta.added) + list(delta.removed):
-                partial = tuple(tup[p] for p in bound_positions)
-                if partial in candidates:
-                    continue
-                exists_old = trie_iterator(old_rel, perm, partial).check_fixed_prefix()
-                exists_new = trie_iterator(new_rel, perm, partial).check_fixed_prefix()
-                diff = int(exists_new) - int(exists_old)
-                if atom.negated:
-                    diff = -diff
-                candidates[partial] = diff
-                if recorder is not None:
-                    recorder.record_prefix(atom.pred, perm, partial)
-            delta_rule = rule.delta_pass(position, "@cand", "@new:", "@old:")
-            for sign in (1, -1):
-                matching = [k for k, d in candidates.items() if d == sign]
-                if not matching:
-                    continue
-                env["@cand"] = Relation.from_iter(len(bound_positions), matching)
-                var_order, bindings = self.evaluator.rule_bindings(
-                    delta_rule, dict(env), recorder
-                )
-                for binding in bindings:
-                    yield sign, var_order, binding
-
-    def _maintain_nonrecursive(
-        self, pred, old_relations, new_relations, new_states, deltas, indexes
-    ):
-        group = self.ruleset.rules_by_head[pred]
-        if group[0].agg is not None:
-            self._maintain_aggregate(pred, group[0], old_relations, new_relations,
-                                     new_states, deltas, indexes)
-            return
-        # a predicate none of whose rule bodies read a changed predicate
-        # cannot change; skipping before opening a span keeps traces to
-        # the predicates actually visited (a rule reading no changed
-        # predicate has no delta pass, so it yields nothing below)
-        if not any(p in deltas for rule in group for p in rule.body_preds()):
-            return
-        with obs.span("ivm.maintain", pred=pred, rules=len(group)) as span_:
-            count_changes = {}
-            for rule in group:
-                rule_index = self._rule_index[id(rule)]
-                recorder = SensitivityRecorder() if self.track_sensitivity else None
-                projectors = {}
-                for sign, var_order, binding in self._signed_bindings(
-                    rule, old_relations, new_relations, deltas, recorder
-                ):
-                    projector = projectors.get(var_order)
-                    if projector is None:
-                        projector = projectors[var_order] = self.evaluator.head_projector(
-                            rule, var_order)
-                    head = projector(binding)
-                    count_changes[head] = count_changes.get(head, 0) + sign
-                _fold_into(indexes, rule_index, recorder)
-            state = new_states[pred]
-            # only counts above one are stored: a head of the (pre-pass)
-            # relation without an entry has one derivation
-            counts, present = state.counts, new_relations[pred]
-            added, removed = [], []
-            support_updates = count_writes = 0
-            for head, change in count_changes.items():
-                if change == 0:
-                    continue
-                support_updates += 1
-                stored = counts.get(head)
-                old_count = stored if stored is not None else int(head in present)
-                new_count = old_count + change
-                if new_count < 0:
-                    raise AssertionError("negative support count for {} {}".format(pred, head))
-                if new_count > 1:
-                    counts = counts.set(head, new_count)
-                    count_writes += 1
-                elif stored is not None:
-                    counts = counts.remove(head)
-                    count_writes += 1
-                if new_count == 0:
-                    removed.append(head)
-                elif old_count == 0:
-                    added.append(head)
-            if support_updates:
-                global_stats.bump("ivm.support_updates", support_updates)
-            if count_writes:
-                global_stats.bump("ivm.count_writes", count_writes)
-                new_states[pred] = state.replace(counts=counts)
+                    if not recursive:  # DRed counts its own work (dred.*)
+                        global_stats.bump("ivm.delta_tuples",
+                                          len(delta.added) + len(delta.removed))
+                    new_relations[pred] = new_relations[pred].apply(delta)
+                    _check_functional(pred, self.ruleset.rules_by_head[pred][0],
+                                      new_relations[pred], delta.added)
+                    deltas[pred] = delta
             if span_ is not None:
-                span_.attrs.update(support_updates=support_updates, count_writes=count_writes,
-                                   added=len(added), removed=len(removed))
-            if not added and not removed:
-                return
-            delta = Delta.from_iters(added, removed)
-            global_stats.bump("ivm.delta_tuples", len(added) + len(removed))
-            new_relations[pred] = new_relations[pred].apply(delta)
-            _check_functional(pred, group[0], new_relations[pred], delta.added)
-            deltas[pred] = delta
+                span_.attrs.update(base_tuples=base_tuples, changed_preds=len(deltas))
+            return Materialization(new_relations, new_states, indexes), deltas
 
-    def _maintain_aggregate(
-        self, pred, rule, old_relations, new_relations, new_states, deltas, indexes
-    ):
-        if not any(p in deltas for p in rule.body_preds()):
-            return
-        rule_index = self._rule_index[id(rule)]
-        with obs.span("ivm.maintain", pred=pred, agg=rule.agg.fn) as span_:
+    def _maintain(self, stratum, recursive, rules, old_relations, new_relations,
+                  new_states, deltas, indexes):
+        """The deltas of one visited stratum, not yet applied: DRed for
+        a recursive stratum; else its one predicate's support counts or
+        aggregate groups, updated by the signed passes of its rules."""
+        if recursive:
+            return maintain_recursive_stratum(
+                self.evaluator, stratum, old_relations, new_relations, deltas)
+        pred = stratum[0]
+        agg = rules[0].agg
+        kind = {"rules": len(rules)} if agg is None else {"agg": agg.fn}
+        with obs.span("ivm.maintain", pred=pred, **kind) as span_:
+            update = _update_counts if agg is None else _update_groups
+            delta, new_states[pred], attrs = update(
+                self.evaluator, pred, new_states[pred], new_relations[pred],
+                self._passes(rules, old_relations, new_relations, deltas, indexes))
+            if span_ is not None:
+                span_.attrs.update(attrs)
+        return {pred: delta}
+
+    def _passes(self, rules, old_relations, new_relations, deltas, indexes):
+        """Yield ``(rule, sign, var_order, bindings)`` per delta pass of
+        ``rules``, one per changed body atom and sign
+        (:func:`_changed_prefixes`); a rule's recorder is folded into
+        its index once its passes are consumed."""
+        for rule in rules:
             recorder = SensitivityRecorder() if self.track_sensitivity else None
-            aggregate = AGGREGATES[rule.agg.fn]
-            state = new_states[pred]
-            groups = state.groups
-            touched_groups = {}
-            projectors = {}
-            for sign, var_order, binding in self._signed_bindings(
-                rule, old_relations, new_relations, deltas, recorder
-            ):
-                spec = projectors.get(var_order)
-                if spec is None:
-                    spec = projectors[var_order] = (
-                        self.evaluator.head_projector(rule, var_order, drop_last=True),
-                        list(var_order).index(rule.agg.value_var),
-                    )
-                projector, value_position = spec
-                group_key = projector(binding)
-                value = binding[value_position]
-                if group_key not in touched_groups:
-                    touched_groups[group_key] = groups.get(group_key)
-                current = groups.get(group_key)
-                if current is None:
-                    current = aggregate.empty()
-                if sign > 0:
-                    groups = groups.set(group_key, agg_add(rule.agg.fn, current, value))
-                else:
-                    updated = agg_remove(rule.agg.fn, current, value)
-                    if updated.is_empty():
-                        groups = groups.remove(group_key)
-                    else:
-                        groups = groups.set(group_key, updated)
-            _fold_into(indexes, rule_index, recorder)
-            if span_ is not None:
-                span_.attrs["groups_touched"] = len(touched_groups)
-            if not touched_groups:
-                return
-            global_stats.bump("ivm.support_updates", len(touched_groups))
-            added, removed = [], []
-            for group_key, old_state in touched_groups.items():
-                old_tuple = (
-                    group_key + (aggregate.result(old_state),)
-                    if old_state is not None and not old_state.is_empty()
-                    else None
-                )
-                new_state = groups.get(group_key)
-                new_tuple = (
-                    group_key + (aggregate.result(new_state),)
-                    if new_state is not None and not new_state.is_empty()
-                    else None
-                )
-                if old_tuple == new_tuple:
+            env = {tag + atom.pred: relations[atom.pred]
+                   for atom in rule.body if isinstance(atom, PredAtom)
+                   for tag, relations in (("@new:", new_relations), ("@old:", old_relations))}
+            for position, atom in enumerate(rule.body):
+                if not isinstance(atom, PredAtom) or not deltas.get(atom.pred):
                     continue
-                if old_tuple is not None:
-                    removed.append(old_tuple)
-                if new_tuple is not None:
-                    added.append(new_tuple)
-            new_states[pred] = state.replace(groups=groups)
-            if not added and not removed:
-                return
-            delta = Delta.from_iters(added, removed)
-            global_stats.bump("ivm.delta_tuples", len(added) + len(removed))
-            new_relations[pred] = new_relations[pred].apply(delta)
-            deltas[pred] = delta
+                for sign, prefixes in _changed_prefixes(
+                    rule, position, deltas[atom.pred], old_relations, new_relations,
+                    recorder,
+                ):
+                    if prefixes:
+                        var_order, bindings = self.evaluator.run_pass(
+                            rule, position, prefixes, env, recorder, "@new:", "@old:")
+                        yield rule, sign, var_order, bindings
+            if recorder is not None:
+                index = self._rule_index[id(rule)]
+                indexes[index] = (indexes.get(index) or SensitivityIndex()).fold(recorder)
 
-    def _maintain_recursive(
-        self, stratum, old_relations, new_relations, new_states, deltas
-    ):
-        body_preds = set()
-        for pred in stratum:
-            for rule in self.ruleset.rules_by_head[pred]:
-                body_preds |= rule.body_preds()
-        if not any(p in deltas for p in body_preds):
-            return
-        stratum_deltas = maintain_recursive_stratum(
-            self.evaluator, stratum, old_relations, new_relations, deltas)
-        for pred, delta in stratum_deltas.items():
-            if delta:
-                new_relations[pred] = new_relations[pred].apply(delta)
-                deltas[pred] = delta
+
+def _changed_prefixes(rule, position, delta, old_relations, new_relations, recorder):
+    """``((1, gained), (-1, lost))``: the prefixes of body atom
+    ``position`` whose truth ``delta`` flips (a negated atom swaps the
+    two).
+
+    An atom with no local column is its delta's tuples, as they are.
+    For one with a local column, a prefix is a tuple's
+    bound :meth:`~repro.engine.rules.Rule.prefix_columns`, and a
+    changed tuple witnesses it (when its repeated local columns agree);
+    an added prefix is kept when it is absent in the old relation, a
+    removed one when it is absent in the new.  Each distinct prefix is
+    probed once and recorded.
+    """
+    atom = rule.body[position]
+    bound, local = rule.prefix_columns(position)
+    if not local:
+        added, removed = delta.added, delta.removed
+    else:
+        perm = bound + local
+        same = same_columns(atom.args, perm, len(bound))
+        added, removed, seen = [], [], set()
+        for kept, tuples, other in ((added, delta.added, old_relations[atom.pred]),
+                                    (removed, delta.removed, new_relations[atom.pred])):
+            for tup in tuples:
+                prefix = tuple(tup[p] for p in bound)
+                if prefix in seen or any(tup[perm[i]] != tup[perm[j]] for i, j in same):
+                    continue
+                seen.add(prefix)
+                if not prefix_exists(other, perm, prefix, same):
+                    kept.append(prefix)
+                if recorder is not None:
+                    recorder.record_prefix(atom.pred, perm, prefix)
+    return ((1, removed), (-1, added)) if atom.negated else ((1, added), (-1, removed))
+
+
+def _update_counts(evaluator, pred, state, present, passes):
+    """``(delta or None, state, span attrs)`` of a counted predicate after
+    ``passes``.  Only counts above one are stored: a head of the
+    (pre-pass) relation ``present`` without an entry has one
+    derivation."""
+    count_changes = {}
+    for rule, sign, var_order, bindings in passes:
+        project = evaluator.head_projector(rule, var_order)
+        for binding in bindings:
+            head = project(binding)
+            count_changes[head] = count_changes.get(head, 0) + sign
+    counts = state.counts
+    added, removed = [], []
+    support_updates = count_writes = 0
+    for head, change in count_changes.items():
+        if change == 0:
+            continue
+        support_updates += 1
+        stored = counts.get(head)
+        old_count = stored if stored is not None else int(head in present)
+        new_count = old_count + change
+        if new_count < 0:
+            raise AssertionError("negative support count for {} {}".format(pred, head))
+        if new_count > 1:
+            counts = counts.set(head, new_count)
+            count_writes += 1
+        elif stored is not None:
+            counts = counts.remove(head)
+            count_writes += 1
+        if new_count == 0:
+            removed.append(head)
+        elif old_count == 0:
+            added.append(head)
+    global_stats.bump("ivm.support_updates", support_updates)
+    global_stats.bump("ivm.count_writes", count_writes)
+    if count_writes:
+        state = state.replace(counts=counts)
+    return Delta.from_iters(added, removed) if added or removed else None, state, {
+        "support_updates": support_updates, "count_writes": count_writes,
+        "added": len(added), "removed": len(removed)}
+
+
+def _update_groups(evaluator, pred, state, present, passes):
+    """``(delta or None, state, span attrs)`` of an aggregate predicate after
+    ``passes``: each binding adds its value to, or removes it from, its
+    group's state."""
+    fn = state.agg_fn
+    aggregate = AGGREGATES[fn]
+    groups = state.groups
+    touched_groups = {}
+    for rule, sign, var_order, bindings in passes:
+        project = evaluator.head_projector(rule, var_order, drop_last=True)
+        value_position = var_order.index(rule.agg.value_var)
+        for binding in bindings:
+            group_key = project(binding)
+            value = binding[value_position]
+            if group_key not in touched_groups:
+                touched_groups[group_key] = groups.get(group_key)
+            current = groups.get(group_key)
+            if current is None:
+                current = aggregate.empty()
+            if sign > 0:
+                groups = groups.set(group_key, agg_add(fn, current, value))
+            else:
+                updated = agg_remove(fn, current, value)
+                if updated.is_empty():
+                    groups = groups.remove(group_key)
+                else:
+                    groups = groups.set(group_key, updated)
+    attrs = {"groups_touched": len(touched_groups)}
+    if not touched_groups:
+        return None, state, attrs
+    global_stats.bump("ivm.support_updates", len(touched_groups))
+    added, removed = [], []
+    for group_key, old_state in touched_groups.items():
+        old, new = (None if group is None or group.is_empty() else aggregate.result(group)
+                    for group in (old_state, groups.get(group_key)))
+        if old != new:
+            if old is not None:
+                removed.append(group_key + (old,))
+            if new is not None:
+                added.append(group_key + (new,))
+    return Delta.from_iters(added, removed), state.replace(groups=groups), attrs
+
+
+class DRedEngine(IncrementalEngine):
+    """Whole-program DRed maintenance — the classical baseline (E5).
+
+    The engine's maintenance loop with delete/rederive
+    (:mod:`repro.engine.dred`) for *every* stratum, an aggregate
+    recomputed from scratch, and no counts or sensitivity indices
+    read.  ``initialize`` / ``apply`` take and return plain relation
+    dicts.
+    """
+
+    def __init__(self, ruleset):
+        super().__init__(ruleset)
+
+    def initialize(self, base_relations):
+        """Full evaluation: the relations."""
+        return super().initialize(base_relations).relations
+
+    def apply(self, relations, base_deltas):
+        """Maintain all derived predicates under base deltas: returns
+        ``(relations, all_deltas)``."""
+        mat, deltas = super().apply(Materialization(relations, {}), base_deltas)
+        return mat.relations, deltas
+
+    def _maintain(self, stratum, recursive, rules, old_relations, new_relations,
+                  new_states, deltas, indexes):
+        if rules[0].agg is None:
+            return maintain_recursive_stratum(
+                self.evaluator, stratum, old_relations, new_relations, deltas)
+        fresh, _ = Evaluator(RuleSet(rules)).evaluate(new_relations)
+        return {pred: old_relations[pred].diff(fresh[pred]) for pred in stratum}

@@ -23,6 +23,7 @@ call's values into a copy.
 import copy
 import itertools
 
+from repro.ds import treap
 from repro.engine.ir import AssignAtom, CompareAtom, Const, Param, PredAtom, Var, bind
 from repro.engine.iterators import trie_iterator
 from repro.storage.datum import TOP
@@ -49,19 +50,49 @@ def _values(args, bindings):
     return tuple(bindings[a.name] if type(a) is Var else a for a in args)
 
 
+def same_columns(args, perm, start):
+    """``(i, j)`` pairs of permuted columns, from ``start`` on, that
+    hold one variable: a free variable repeated in an atom is one
+    existential, so its columns must agree."""
+    first, pairs = {}, []
+    for column in range(start, len(perm)):
+        name = args[perm[column]].name
+        if name in first:
+            pairs.append((first[name], column))
+        else:
+            first[name] = column
+    return tuple(pairs)
+
+
+def prefix_exists(relation, perm, prefix, same=()):
+    """True iff ``relation`` permuted by ``perm`` holds a tuple that
+    starts with ``prefix`` and agrees on each column pair of ``same``
+    (:func:`same_columns`)."""
+    if not same:
+        return trie_iterator(relation, perm, prefix).check_fixed_prefix()
+    depth = len(prefix)
+    for tup, _ in treap.items_from(relation.index_root(perm), prefix):
+        if tup[:depth] != prefix:
+            break
+        if all(tup[i] == tup[j] for i, j in same):
+            return True
+    return False
+
+
 class Probe:
     """A predicate atom checked as a filter: present (or, negated,
-    absent) under its bound columns, unbound local columns existential.
-    ``perm`` lists the bound positions in argument order, then the free
-    ones; ``args`` holds each bound position's :class:`Var` or constant.
-    An anti-seek (a negated atom whose level variable ``var`` occurs in
-    it once) has ``cursor_perm``: ``args[lead]``'s columns, ``var``'s,
-    the free ones."""
+    absent) under its bound columns, unbound local columns existential
+    (one repeated free variable's columns agreeing, ``same``).  ``perm``
+    lists the bound positions in argument order, then the free ones;
+    ``args`` holds each bound position's :class:`Var` or constant.  An
+    anti-seek (a negated atom whose level variable ``var`` occurs in it
+    once, and with no repeated free variable) has ``cursor_perm``:
+    ``args[lead]``'s columns, ``var``'s, the free ones."""
 
-    __slots__ = ("pred", "negated", "perm", "args", "var", "cursor_perm", "lead")
+    __slots__ = ("pred", "negated", "perm", "args", "same", "var", "cursor_perm", "lead")
 
-    def __init__(self, pred, negated, perm, args):
-        self.pred, self.negated, self.perm, self.args = pred, negated, perm, args
+    def __init__(self, pred, negated, perm, args, same):
+        self.pred, self.negated, self.perm, self.args, self.same = pred, negated, perm, args, same
         self.var, self.cursor_perm, self.lead = None, (), ()
 
     def holds(self, relations, recorder, bindings):
@@ -71,7 +102,7 @@ class Probe:
         relation = relations[self.pred]
         if len(prefix) == len(self.perm):
             return (prefix in relation) is not self.negated
-        return trie_iterator(relation, self.perm, prefix).check_fixed_prefix() is not self.negated
+        return prefix_exists(relation, self.perm, prefix, self.same) is not self.negated
 
     def cursor(self, relations, recorder, stats, bindings, opened):
         """The anti-seek check of the level's ascending candidates under
@@ -116,9 +147,10 @@ def _filter_probe(atom, level_of, var_order):
     perm = [i for i, a in enumerate(args) if isinstance(a, Const) or a.name in level_of]
     free = [i for i in range(len(args)) if i not in perm]
     probe = Probe(atom.pred, atom.negated, tuple(perm + free), tuple(
-        _const(args[i]) if isinstance(args[i], Const) else args[i] for i in perm))
+        _const(args[i]) if isinstance(args[i], Const) else args[i] for i in perm),
+        same_columns(args, perm + free, len(perm)))
     level = max((level_of[args[i].name] for i in perm if isinstance(args[i], Var)), default=-1)
-    if atom.negated and level >= 0:
+    if atom.negated and level >= 0 and not probe.same:
         var = var_order[level]
         at_level = [n for n, i in enumerate(perm) if getattr(args[i], "name", None) == var]
         if len(at_level) == 1:

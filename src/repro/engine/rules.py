@@ -40,7 +40,7 @@ class Rule:
     """
 
     __slots__ = ("head_pred", "head_args", "body", "agg", "n_keys", "name",
-                 "_plans", "_passes", "_locals")
+                 "_plans", "_passes", "_columns")
 
     def __init__(self, head_pred, head_args, body, agg=None, n_keys=None, name=None):
         self.head_pred = head_pred
@@ -53,7 +53,7 @@ class Rule:
         self.name = name
         self._plans = {}  # var order (tuple or None) -> Plan
         self._passes = {}  # delta_pass arguments -> rewritten Rule
-        self._locals = None  # local_positions(), once computed
+        self._columns = None  # prefix_columns() per body atom, once computed
         if agg is not None:
             last = self.head_args[-1]
             if not (isinstance(last, Var) and last.name == agg.result_var):
@@ -111,71 +111,72 @@ class Rule:
         """True when :meth:`plan` for ``var_order`` is already memoized."""
         return (tuple(var_order) if var_order is not None else None) in self._plans
 
-    def local_positions(self):
-        """Per body atom index: the argument positions holding *local*
-        existential variables (used once in the whole body, not needed
-        by the head, an assignment or a comparison) — the variables the
-        planner treats as trailing wildcards.  Memoized."""
-        if self._locals is None:
+    def prefix_columns(self, position):
+        """``(bound, local)`` argument positions of body atom
+        ``position``: ``local`` holds *local* existential variables
+        (used once in the whole body, not needed by the head, an
+        assignment or a comparison) — the variables the planner treats
+        as trailing wildcards — and ``bound`` the rest, the columns of
+        the atom's changed prefixes.  A variable repeated in a negated
+        atom is used once: it is one existential, its columns agreeing
+        (:func:`~repro.engine.planner.same_columns`).  Memoized."""
+        if self._columns is None:
             counts = {}
             protected = set(self.head_vars())
             for atom in self.body:
                 if isinstance(atom, PredAtom):
-                    for arg in atom.args:
-                        if isinstance(arg, Var):
-                            counts[arg.name] = counts.get(arg.name, 0) + 1
+                    names = [arg.name for arg in atom.args if isinstance(arg, Var)]
+                    for name in set(names) if atom.negated else names:
+                        counts[name] = counts.get(name, 0) + 1
                 elif isinstance(atom, AssignAtom):
                     protected |= atom.input_vars() | {atom.var}
                 else:
                     protected |= atom.var_names()
             locals_ = {name for name, count in counts.items() if count == 1} - protected
-            self._locals = {}
+            self._columns = {}
             for index, atom in enumerate(self.body):
                 if isinstance(atom, PredAtom):
-                    positions = tuple(p for p, arg in enumerate(atom.args)
-                                      if isinstance(arg, Var) and arg.name in locals_)
-                    if positions:
-                        self._locals[index] = positions
-        return self._locals
+                    local = tuple(p for p, arg in enumerate(atom.args)
+                                  if isinstance(arg, Var) and arg.name in locals_)
+                    bound = tuple(p for p in range(len(atom.args)) if p not in local)
+                    self._columns[index] = bound, local
+        return self._columns[position]
 
-    def delta_pass(self, position, lead="@delta", new="", old="", check=False):
+    def delta_pass(self, position, new="", old="", check=False):
         """This rule rewritten for a delta pass over body atom ``position``.
 
         Memoized on the rule next to its plans, so each pass is built,
         and planned, once per rule and thus once per program; the
         returned rule is shared and must not be changed.
 
-        The pass ranges over the ``lead`` relation, placed *first* in
-        the body, so the planner's first-appearance order binds its
+        The pass ranges over a lead relation, placed *first* in the
+        body, so the planner's first-appearance order binds its
         variables before any other level opens and every other atom is
         only probed under them (the semi-naive discipline: the delta
-        drives the join).  ``lead`` is one of:
+        drives the join).  The lead is one of:
 
-        * ``"@delta"`` — the atom's changed tuples: the atom becomes
-          ``@delta`` over its arguments;
-        * ``"@cand"`` — changed prefixes: the atom becomes ``@cand``
-          over its bound arguments (those holding no local variable,
-          :meth:`local_positions`), or is dropped when none is bound.
-          ``check=True`` keeps the atom after the lead, so the pass's
-          own join checks it — a negated atom's prefix absence;
-        * ``"@head"`` with ``position=None`` — head tuples: ``@head``
+        * ``@cand`` — the atom's changed prefixes: the atom becomes
+          ``@cand`` over its bound :meth:`prefix_columns` (every argument
+          when it has no local variable), or is dropped when none is
+          bound.  ``check=True`` keeps the atom after the lead, so the
+          pass's own join checks it — a negated atom's prefix absence;
+        * ``@head``, with ``position=None`` — head tuples: ``@head``
           over the head's arguments, and the body kept whole, so the
           pass derives those of them that have a derivation.
 
         Predicate atoms before ``position`` read ``new + pred``, later
-        ones ``old + pred``.
+        ones ``old + pred``.  :meth:`~repro.engine.evaluator.Evaluator.run_pass`
+        builds the lead and runs the pass.
         """
-        key = (position, lead, new, old, check)
+        key = (position, new, old, check)
         rule = self._passes.get(key)
         if rule is None:
-            if lead == "@head":
-                args = self.head_args
+            if position is None:
+                lead, args = "@head", self.head_args
             else:
-                args = self.body[position].args
-                if lead == "@cand":
-                    local = self.local_positions().get(position, ())
-                    args = [arg for p, arg in enumerate(args) if p not in local]
-            body = [PredAtom(lead, args)] if args or lead == "@delta" else []
+                atom_args = self.body[position].args
+                lead, args = "@cand", [atom_args[p] for p in self.prefix_columns(position)[0]]
+            body = [PredAtom(lead, args)] if args else []
             for index, atom in enumerate(self.body):
                 if index == position and not check:
                     continue

@@ -54,9 +54,9 @@ def canonical_pred(name):
     """Map delta-pass predicate names back to their real predicate.
 
     Incremental passes rename atoms to ``@new:P`` / ``@old:P``; their
-    sensitivities belong to ``P``.  Purely virtual inputs (``@delta``,
-    ``@cand``, ``@head``) carry no user-visible sensitivity and map
-    to ``None``.
+    sensitivities belong to ``P``.  Purely virtual inputs (a pass's
+    ``@cand`` or ``@head`` lead) carry no user-visible sensitivity and
+    map to ``None``.
     """
     if name.startswith("@new:") or name.startswith("@old:"):
         name = name.split(":", 1)[1]

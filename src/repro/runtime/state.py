@@ -93,9 +93,6 @@ class ProgramArtifacts:
         ])
         self.engine_backend = engine_backend
         self.engine = IncrementalEngine(self.ruleset, backend=engine_backend)
-        self.reactive_ruleset = (
-            RuleSet(self.reactive_rules) if self.reactive_rules else None
-        )
         self.solve_variable_preds = {
             d.args[0].name
             for d in self.directives

@@ -1,13 +1,16 @@
 """Property tests for the linear-iterator contract (paper §3.2).
 
 ``next()`` visits values in ascending order; ``seek(v)`` lands at the
-least upper bound of ``v``; interleavings match a reference model.
+least upper bound of ``v``; interleavings match a reference model.  The
+cursor is the one the engine runs: a :class:`TreapTrieIterator` opened
+on a unary relation, moving forward from its level's finger.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ds.pset import PSet
+from repro.engine.iterators import trie_iterator
+from repro.storage.relation import Relation
 
 elements = st.sets(st.integers(-100, 100), min_size=0, max_size=40)
 operations = st.lists(
@@ -17,6 +20,13 @@ operations = st.lists(
     ),
     max_size=30,
 )
+
+
+def unary_cursor(values):
+    """A trie iterator opened on the unary relation of ``values``."""
+    cursor = trie_iterator(Relation.from_iter(1, [(v,) for v in values]), (0,))
+    cursor.open()
+    return cursor
 
 
 class _ModelCursor:
@@ -43,7 +53,7 @@ class _ModelCursor:
 @settings(max_examples=150, deadline=None)
 @given(elements, operations)
 def test_cursor_matches_model(values, script):
-    cursor = PSet.from_iter(values).cursor()
+    cursor = unary_cursor(values)
     model = _ModelCursor(values)
     assert cursor.at_end() == model.at_end()
     for op, argument in script:
@@ -66,7 +76,7 @@ def test_cursor_matches_model(values, script):
 @settings(max_examples=100, deadline=None)
 @given(elements)
 def test_full_scan_is_sorted(values):
-    cursor = PSet.from_iter(values).cursor()
+    cursor = unary_cursor(values)
     seen = []
     while not cursor.at_end():
         seen.append(cursor.key())
@@ -77,7 +87,7 @@ def test_full_scan_is_sorted(values):
 @settings(max_examples=100, deadline=None)
 @given(elements, st.integers(-120, 120))
 def test_seek_is_least_upper_bound(values, target):
-    cursor = PSet.from_iter(values).cursor()
+    cursor = unary_cursor(values)
     if cursor.at_end() or target < cursor.key():
         # forward-only: only seek from the very start when legal
         if not cursor.at_end() and target < cursor.key():

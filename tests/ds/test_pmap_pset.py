@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.ds import PMap, PSet
 from repro.ds.treap import MISSING
+from repro.engine.iterators import trie_iterator
+from repro.storage.relation import Relation
 
 
 class TestPMap:
@@ -93,8 +95,10 @@ class TestPSet:
         assert s.first() == 0 and s.last() == 90
 
     def test_cursor(self):
-        s = PSet.from_iter([2, 4, 5, 8, 10])
-        cursor = s.cursor()
+        # the engine reads a set of 1-tuples through a trie iterator
+        s = PSet.from_iter([(2,), (4,), (5,), (8,), (10,)])
+        cursor = trie_iterator(Relation(1, s), (0,))
+        cursor.open()
         cursor.seek(6)
         assert cursor.key() == 8
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ds import treap
-from repro.ds.treap import MISSING, Cursor
+from repro.ds.treap import MISSING
+from repro.engine.iterators import TreapTrieIterator
 
 
 def build(pairs):
@@ -174,10 +175,17 @@ class TestSetAlgebra:
         assert treap.difference(None, a) is None
 
 
+def unary_cursor(root):
+    """The engine's sorted cursor over a treap of 1-tuples, opened."""
+    cursor = TreapTrieIterator(root, 1)
+    cursor.open()
+    return cursor
+
+
 class TestCursor:
     def test_full_scan(self):
-        root = build([(k, None) for k in range(10)])
-        cursor = Cursor(root)
+        root = build([((k,), None) for k in range(10)])
+        cursor = unary_cursor(root)
         seen = []
         while not cursor.at_end():
             seen.append(cursor.key())
@@ -185,8 +193,8 @@ class TestCursor:
         assert seen == list(range(10))
 
     def test_seek_landing(self):
-        root = build([(k, None) for k in (0, 1, 3, 4, 5, 6, 7, 8, 9, 11)])
-        cursor = Cursor(root)
+        root = build([((k,), None) for k in (0, 1, 3, 4, 5, 6, 7, 8, 9, 11)])
+        cursor = unary_cursor(root)
         cursor.seek(2)
         assert cursor.key() == 3
         cursor.seek(8)
@@ -197,7 +205,7 @@ class TestCursor:
         assert cursor.at_end()
 
     def test_empty_cursor(self):
-        cursor = Cursor(None)
+        cursor = unary_cursor(None)
         assert cursor.at_end()
 
 

@@ -148,6 +148,11 @@ NEGATION_CASES = {
     "existential local": (
         lambda pin: [_neg("N", "c", "w")],
         lambda a, b, c, pin, M, N: all(x != c for x, _ in N)),
+    # T holds (x, y, min(x, y)) per (x, y) of N: a repeated existential
+    # is one variable, so T(c, w, w) needs a row of N with y <= c
+    "repeated existential": (
+        lambda pin: [_neg("T", "c", "w", "w")],
+        lambda a, b, c, pin, M, N: all(x != c or y > c for x, y in N)),
     "constants": (
         lambda pin: [_neg("M", pin), _neg("N", pin, "b")],
         lambda a, b, c, pin, M, N: (pin,) not in M and (pin, b) not in N),
@@ -170,6 +175,7 @@ def test_negation_matches_an_independent_oracle(case, edges, marks, negated, ord
         "E": Relation.from_iter(2, edges),
         "M": Relation.from_iter(1, marks),
         "N": Relation.from_iter(2, negated),
+        "T": Relation.from_iter(3, ((x, y, min(x, y)) for x, y in negated)),
         "Z": Relation.empty(2),
     }
     expected = sorted(

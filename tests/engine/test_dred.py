@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import stats as global_stats
-from repro.engine.dred import DRedEngine
 from repro.engine.evaluator import Evaluator, RuleSet
 from repro.engine.ir import Const, PredAtom, Var
-from repro.engine.ivm import IncrementalEngine
+from repro.engine.ivm import DRedEngine, IncrementalEngine
 from repro.engine.rules import AggSpec, Rule
 from repro.runtime.workspace import Workspace
 from repro.storage.relation import Delta, Relation
@@ -224,6 +223,43 @@ def test_recursion_through_negation_agrees_with_recompute(edges, blocked, update
         fresh, _ = Evaluator(ruleset).evaluate(
             {name: Relation.from_iter(2, tuples) for name, tuples in current.items()})
         for derived in ("reach", "odd", "even"):
+            expected = set(fresh[derived])
+            assert set(mat.relations[derived]) == expected, derived
+            assert set(relations[derived]) == expected, derived
+
+
+def test_recursive_atom_with_a_local_variable_agrees_with_recompute():
+    """``live(x) <- r(x, w)`` reads its recursive atom through a local
+    ``w``: its passes lead with the changed prefixes ``x``, not the
+    changed tuples.  The incremental engine, whole-program DRed and a
+    fresh evaluation must agree."""
+    x, y, z, w = Var("x"), Var("y"), Var("z"), Var("w")
+    ruleset = RuleSet([
+        Rule("r", [x, y], [PredAtom("E", [x, y])]),
+        Rule("r", [x, z], [PredAtom("r", [x, y]), PredAtom("E", [y, z]),
+                           PredAtom("live", [y])]),
+        Rule("live", [x], [PredAtom("r", [x, w]), PredAtom("S", [x])]),
+    ])
+    rng = random.Random(43)
+    current = {"E": {(rng.randrange(6), rng.randrange(6)) for _ in range(10)},
+               "S": {(rng.randrange(6),) for _ in range(4)}}
+    base = {pred: Relation.from_iter(len(next(iter(t))), t) for pred, t in current.items()}
+    ivm = IncrementalEngine(ruleset)
+    mat = ivm.initialize(base)
+    dred = DRedEngine(ruleset)
+    relations = dred.initialize(base)
+    for _ in range(60):
+        pred = rng.choice(["E", "E", "S"])
+        tup = (rng.randrange(6), rng.randrange(6))[:2 if pred == "E" else 1]
+        delta = (Delta.from_iters((), [tup]) if tup in current[pred]
+                 else Delta.from_iters([tup], ()))
+        current[pred] ^= {tup}
+        mat, _ = ivm.apply(mat, {pred: delta})
+        relations, _ = dred.apply(relations, {pred: delta})
+        fresh, _ = Evaluator(ruleset).evaluate({
+            "E": Relation.from_iter(2, current["E"]),
+            "S": Relation.from_iter(1, current["S"])})
+        for derived in ("r", "live"):
             expected = set(fresh[derived])
             assert set(mat.relations[derived]) == expected, derived
             assert set(relations[derived]) == expected, derived

@@ -198,6 +198,10 @@ def test_property_ivm_equals_recompute(initial, updates):
         Rule("nonref", [Var("x")],
              [PredAtom("E", [Var("x"), Var("y")]),
               PredAtom("E", [Var("x"), Var("x")], negated=True)]),
+        # a repeated existential: x has an edge and E has no self-loop
+        Rule("noloop", [Var("x")],
+             [PredAtom("E", [Var("x"), Var("y")]),
+              PredAtom("E", [Var("w"), Var("w")], negated=True)]),
     ]
     engine = IncrementalEngine(RuleSet(rules))
     mat = engine.initialize({"E": Relation.from_iter(2, initial)})
@@ -209,6 +213,9 @@ def test_property_ivm_equals_recompute(initial, updates):
         fresh = fresh_eval(rules, {"E": mat.relations["E"]})
         assert set(mat.relations["join"]) == set(fresh["join"])
         assert set(mat.relations["nonref"]) == set(fresh["nonref"])
+        assert set(mat.relations["noloop"]) == set(fresh["noloop"]) == {
+            (x,) for x, _ in mat.relations["E"]
+            if all(a != b for a, b in mat.relations["E"])}
 
 
 # -- support counts are stored only above one ---------------------------------
@@ -482,7 +489,7 @@ def _circulant_views(n_nodes):
 
 
 def test_one_edge_insert_seeks_do_not_grow_with_the_graph():
-    """Each delta pass leads with its ``@delta`` atom, so no level opens
+    """Each delta pass leads with its ``@cand`` atom, so no level opens
     over every source node: the seeks of one edge insert into ``reach2``
     and ``tri`` are about the same at 1,000 and 8,000 edges."""
 

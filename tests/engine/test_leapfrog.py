@@ -1,13 +1,21 @@
 """Unary leapfrog join — including the paper's Figure 3, verbatim."""
 
-from repro.ds.pset import PSet
+from repro.engine.iterators import trie_iterator
 from repro.engine.leapfrog import LeapfrogJoin
 from repro.engine.sensitivity import SensitivityIndex, SensitivityRecorder
 from repro.storage.datum import BOTTOM, TOP
+from repro.storage.relation import Relation
+
+
+def unary_cursor(values):
+    """A trie iterator opened on the unary relation of ``values``."""
+    cursor = trie_iterator(Relation.from_iter(1, [(v,) for v in values]), (0,))
+    cursor.open()
+    return cursor
 
 
 def run_join(*sets, recorder=None, names=None):
-    cursors = [PSet.from_iter(s).cursor() for s in sets]
+    cursors = [unary_cursor(s) for s in sets]
     trackers = None
     if recorder is not None:
         trackers = [
@@ -81,8 +89,7 @@ class TestLeapfrogGeneral:
         assert run_join(["a", "b", "d"], ["b", "c", "d"]) == ["b", "d"]
 
     def test_seek_interface(self):
-        cursors = [PSet.from_iter([1, 3, 5, 7, 9]).cursor(),
-                   PSet.from_iter([3, 5, 7]).cursor()]
+        cursors = [unary_cursor([1, 3, 5, 7, 9]), unary_cursor([3, 5, 7])]
         join = LeapfrogJoin(cursors)
         assert join.key == 3
         join.seek(6)

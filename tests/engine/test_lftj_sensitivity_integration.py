@@ -9,12 +9,16 @@ domains.
 import itertools
 import random
 
+from repro.engine import ivm
+from repro.engine.evaluator import RuleSet
 from repro.engine.ir import CompareAtom, PredAtom, Var
+from repro.engine.ivm import IncrementalEngine
 from repro.engine.lftj import LeapfrogTrieJoin
 from repro.engine.planner import build_plan
+from repro.engine.rules import Rule
 from repro.engine.sensitivity import SensitivityIndex, SensitivityRecorder
 from repro.storage.datum import BOTTOM, TOP
-from repro.storage.relation import Relation
+from repro.storage.relation import Delta, Relation
 
 
 def run_with_recorder(atoms, relations, var_order=None):
@@ -192,3 +196,43 @@ class TestNegationRecordingIsPinned:
         rows, recorded = self.run(PredAtom("E", [Var("c"), Var("w")], negated=True))
         assert rows == []
         assert recorded == {"E": {(0, 1): {0: {(): {(0, 0), (1, 1), (2, 2), (3, 3)}}}}}
+
+
+class TestRepairPassRecordingIsPinned:
+    """The intervals a tracked :meth:`IncrementalEngine.apply` records
+    over reactive rules whose changed atom has an existential column
+    (``w``, used once): one point per distinct changed prefix of ``A``,
+    probed once, and the lead-driven probes of ``B``."""
+
+    def test_existential_changed_atom(self, monkeypatch):
+        x, w = Var("x"), Var("w")
+        engine = IncrementalEngine(RuleSet([
+            Rule("+hit", [x], [PredAtom("A@start", [x, w]), PredAtom("B@start", [x])]),
+            Rule("+miss", [x], [PredAtom("B@start", [x]),
+                                PredAtom("A@start", [x, w], negated=True)]),
+        ]), track_sensitivity=True)
+        mat = engine.initialize({
+            "A@start": Relation.from_iter(2, [(1, 10), (2, 20), (2, 21), (4, 40)]),
+            "B@start": Relation.from_iter(1, [(1,), (2,), (3,), (4,), (5,)]),
+        })
+        recorders = []
+
+        class Capturing(SensitivityRecorder):
+            def __init__(self):
+                super().__init__()
+                recorders.append(self)
+
+        monkeypatch.setattr(ivm, "SensitivityRecorder", Capturing)
+        # prefix 2 is both added and removed, 5 is added twice
+        delta = Delta.from_iters([(3, 30), (2, 22), (5, 50), (5, 51)],
+                                 [(1, 10), (2, 20), (4, 40)])
+        mat, deltas = engine.apply(mat, {"A@start": delta})
+        assert sorted(deltas["+hit"].added) == [(3,), (5,)]
+        assert sorted(deltas["+hit"].removed) == [(1,), (4,)]
+        assert sorted(deltas["+miss"].added) == [(1,), (4,)]
+        assert sorted(deltas["+miss"].removed) == [(3,), (5,)]
+        pinned = {
+            "A": {(0, 1): {0: {(): {(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)}}}},
+            "B": {(0,): {0: {(): {(BOTTOM, 1), (3, 3), (4, 4), (5, 5)}}}},
+        }
+        assert [_recorded(recorder) for recorder in recorders] == [pinned, pinned]

@@ -21,8 +21,8 @@ class TestCanonicalNames:
         assert canonical_pred("@old:sales") == "sales"
 
     def test_virtuals_dropped(self):
-        assert canonical_pred("@delta") is None
         assert canonical_pred("@cand") is None
+        assert canonical_pred("@head") is None
         assert canonical_pred("@bound:x") is None
 
     def test_start_stripped(self):
