@@ -433,30 +433,31 @@ class Evaluator:
 
 def _check_functional(pred, rule, relation, added=None):
     """Enforce the functional dependency of ``R[keys] = value`` heads
-    (an aggregate's holds by construction: one row per group).
+    (an aggregate's holds by construction: one row per group)."""
+    if rule.agg is None and rule.n_keys < len(rule.head_args):
+        check_keys(pred, rule.n_keys, relation, added)
+
+
+def check_keys(pred, n_keys, relation, added=None, made="derived"):
+    """Raise :class:`FunctionalDependencyViolation` when ``relation``
+    (sorted rows) holds two rows for one ``n_keys``-column key.
 
     With ``added`` (the tuples a delta just added to ``relation``) only
     their keys are checked, each by one prefix lookup; without it the
-    whole relation is scanned.
+    whole relation is scanned.  ``made`` names how the rows came.
     """
-    n_keys = rule.n_keys
-    if n_keys >= len(rule.head_args) or rule.agg is not None:
-        return
+    message = "{}[{}] {} with conflicting values"
     if added is not None:
         for tup in added:
             key = tup[:n_keys]
             rows = relation.iter_prefix(key)
             next(rows)
             if next(rows, None) is not None:
-                raise FunctionalDependencyViolation(
-                    "{}[{}] derived with conflicting values".format(pred, key)
-                )
+                raise FunctionalDependencyViolation(message.format(pred, key, made))
         return
     previous_key = None
     for tup in relation:
         key = tup[:n_keys]
         if key == previous_key:
-            raise FunctionalDependencyViolation(
-                "{}[{}] derived with conflicting values".format(pred, key)
-            )
+            raise FunctionalDependencyViolation(message.format(pred, key, made))
         previous_key = key

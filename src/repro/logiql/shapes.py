@@ -4,9 +4,9 @@ An LFTJ plan depends on where a rule's constants sit, not on their
 values (PAPER.md §3.2), yet every op embeds its constants
 (``inventory["sku00042"]``, ``E(17, b)``).  So the per-op verbs —
 queries (:func:`repro.runtime.workspace.run_query`, hence
-``Workspace.query``, the service's readers and ``explain``),
-``Workspace.exec``, :class:`~repro.txn.repair.PreparedTransaction` and
-the shard coordinator's ``query`` / ``exec`` — compile through
+``Workspace.query``, the service's readers and ``explain``), every exec
+(:class:`~repro.txn.repair.PreparedTransaction`) and the shard
+coordinator's ``query`` / ``exec`` — compile through
 :func:`compile_shape`:
 
 * **Shape key.** One regular-expression pass lifts every string and
@@ -69,12 +69,12 @@ class Shape:
     first use and shared by every call.  ``placement`` holds a shard
     coordinator's ``(installed analysis, query analysis)`` pair."""
 
-    __slots__ = ("block", "_ruleset", "_reactive_ruleset", "placement")
+    __slots__ = ("block", "_ruleset", "_reactive", "placement")
 
     def __init__(self, block):
         self.block = block
         self._ruleset = None
-        self._reactive_ruleset = None
+        self._reactive = None  # (installed rules, RuleSet)
         self.placement = None
 
     def ruleset(self):
@@ -83,11 +83,16 @@ class Shape:
             self._ruleset = RuleSet(self.block.rules)
         return self._ruleset
 
-    def reactive_ruleset(self):
-        """The :class:`RuleSet` of the block's reactive rules."""
-        if self._reactive_ruleset is None:
-            self._reactive_ruleset = RuleSet(self.block.reactive_rules)
-        return self._reactive_ruleset
+    def reactive_ruleset(self, installed):
+        """The :class:`RuleSet` of the block's reactive rules plus the
+        ones a program ``installed`` (its
+        ``ProgramArtifacts.reactive_rules``), built once per installed
+        list; every program installing none shares one."""
+        memo = self._reactive
+        if memo is None or (memo[0] is not installed and (memo[0] or installed)):
+            memo = self._reactive = (
+                installed, RuleSet(self.block.reactive_rules + installed))
+        return memo[1]
 
 
 def shape_key(source):

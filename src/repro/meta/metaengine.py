@@ -21,6 +21,7 @@ from repro.ds.hashing import stable_hash
 from repro.engine.evaluator import RuleSet
 from repro.engine.ir import PredAtom
 from repro.engine.ivm import IncrementalEngine
+from repro.engine.planner import base_pred
 from repro.logiql.compiler import compile_program
 from repro.meta.metarules import META_BASE_PREDS, META_RULES_SOURCE
 from repro.storage.relation import Delta, Relation
@@ -59,17 +60,11 @@ def block_meta_facts(block_name, block):
         for atom in rule.body:
             if not isinstance(atom, PredAtom):
                 continue
-            name = atom.pred
-            base = name
-            if base.endswith("@start"):
-                base = base[: -len("@start")]
-            if base and base[0] in "+-":
-                base = base[1:]
-            note_pred(base)
+            note_pred(base_pred(atom.pred))
             if atom.negated:
-                facts["rule_body_negpred"].add((rid, name))
+                facts["rule_body_negpred"].add((rid, atom.pred))
             else:
-                facts["rule_body_pred"].add((rid, name))
+                facts["rule_body_pred"].add((rid, atom.pred))
     for decl in block.decls:
         facts["declared_pred"].add((decl.name,))
         note_pred(decl.name)

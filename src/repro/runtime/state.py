@@ -17,23 +17,15 @@ object by reference.
 
 from repro.ds.pmap import PMap
 from repro.engine.evaluator import RuleSet
-from repro.engine.ir import PredAtom
+from repro.engine.ir import Const, PredAtom
 from repro.engine.ivm import IncrementalEngine
-from repro.engine.rules import Rule
+from repro.engine.planner import base_pred
 from repro.logiql.compiler import RhsTest, start_pred
+from repro.meta.metaengine import MetaEngine
 from repro.runtime.constraints import ConstraintChecker
-from repro.storage.relation import Delta, Relation
+from repro.runtime.errors import UnknownPredicate
+from repro.storage.relation import Relation
 from repro.storage.schema import Schema
-
-
-def _strip_start(name):
-    return name[:-6] if name.endswith("@start") else name
-
-
-def _base_name(name):
-    if name and name[0] in "+-":
-        name = name[1:]
-    return _strip_start(name)
 
 
 class ProgramArtifacts:
@@ -107,47 +99,31 @@ class ProgramArtifacts:
         }
 
     def _infer_arities(self):
-        arities = {}
-        for decl in self.schema.predicates():
-            arities[decl.name] = decl.arity
+        """Declared arities, then fact arities, then the first use of
+        each predicate in a rule, constraint, predict or prob head or
+        body."""
+        arities = {decl.name: decl.arity for decl in self.schema.predicates()}
         for name, facts in self.facts.items():
-            for tup in facts:
-                arities[name] = len(tup)
-                break
-        all_rules = self.derivation_rules + self.reactive_rules
-        for rule in all_rules:
-            head = _base_name(rule.head_pred)
-            arities.setdefault(head, len(rule.head_args))
-            for atom in rule.body:
-                if isinstance(atom, PredAtom):
-                    name = _base_name(atom.pred)
-                    arities.setdefault(name, len(atom.args))
-        for constraint in self.constraints:
-            for atom in constraint.lhs + constraint.rhs:
-                if isinstance(atom, PredAtom):
-                    name = _base_name(atom.pred)
-                    if not name.startswith("@"):
-                        arities.setdefault(name, len(atom.args))
-        for predict in self.predict_rules:
-            arities.setdefault(predict.head_pred, predict.n_keys + 1)
-            for atom in predict.body:
-                if isinstance(atom, PredAtom):
-                    arities.setdefault(_base_name(atom.pred), len(atom.args))
-        for prob in self.prob_rules:
-            arities.setdefault(prob.head_pred, len(prob.head_args) + 1)
-            for atom in prob.body:
-                if isinstance(atom, PredAtom):
-                    arities.setdefault(_base_name(atom.pred), len(atom.args))
+            arities[name] = len(next(iter(facts)))
+        uses = [(base_pred(rule.head_pred), len(rule.head_args), rule.body)
+                for rule in self.derivation_rules + self.reactive_rules]
+        uses += [(None, None, c.lhs + c.rhs) for c in self.constraints]
+        uses += [(p.head_pred, p.n_keys + 1, p.body) for p in self.predict_rules]
+        uses += [(p.head_pred, len(p.head_args) + 1, p.body) for p in self.prob_rules]
+        for head, arity, body in uses:
+            if head is not None:
+                arities.setdefault(head, arity)
+            for atom in body:
+                if isinstance(atom, PredAtom) and atom.pred[0] != "@":
+                    arities.setdefault(base_pred(atom.pred), len(atom.args))
         return arities
 
     def arity_of(self, name):
         """Declared or inferred arity of a predicate."""
-        return self.arities.get(_base_name(name))
+        return self.arities.get(base_pred(name))
 
 
 def _is_ground(rule):
-    from repro.engine.ir import Const
-
     return all(isinstance(a, Const) for a in rule.head_args)
 
 
@@ -170,8 +146,6 @@ class WorkspaceState:
     @classmethod
     def empty(cls, engine_backend=None):
         """The initial, empty workspace state."""
-        from repro.meta.metaengine import MetaEngine
-
         artifacts = ProgramArtifacts(PMap.EMPTY, engine_backend)
         mat = artifacts.engine.initialize({})
         return cls(artifacts, PMap.EMPTY, mat, MetaEngine().initial())
@@ -188,8 +162,6 @@ class WorkspaceState:
             return relation
         arity = self.artifacts.arity_of(name)
         if arity is None:
-            from repro.runtime.errors import UnknownPredicate
-
             raise UnknownPredicate(name)
         return Relation.empty(arity)
 
@@ -203,38 +175,5 @@ class WorkspaceState:
 
     def start_env(self):
         """The ``@start`` environment reactive rules evaluate against."""
-        env = {}
-        for name, relation in self.env_with_defaults().items():
-            env[start_pred(name)] = relation
-        return env
-
-
-def reactive_env(state, ruleset):
-    """The environment the reactive ``ruleset`` runs against on
-    ``state``: its :meth:`~WorkspaceState.start_env`, plus an empty
-    relation for every predicate a body reads that neither the state
-    nor the ruleset supplies (a ``+p`` / ``-p`` no rule here derives)."""
-    env = state.start_env()
-    for rule in ruleset.rules:
-        for atom in rule.body:
-            if (isinstance(atom, PredAtom) and atom.pred not in env
-                    and atom.pred not in ruleset.derived):
-                arity = state.artifacts.arity_of(atom.pred)
-                if arity is None:
-                    arity = len(atom.args)
-                env[atom.pred] = Relation.empty(arity)
-    return env
-
-
-def reactive_effects(relations, heads):
-    """Read the evaluated ``+p`` / ``-p`` ``heads`` into one base delta
-    per written predicate, empty ones included, in name order.  A row
-    both inserted and deleted is deleted."""
-    effects = {}
-    for pred in sorted({head[1:] for head in heads}):
-        plus = relations.get("+" + pred)
-        minus = relations.get("-" + pred)
-        added = set(plus) if plus is not None else set()
-        removed = set(minus) if minus is not None else set()
-        effects[pred] = Delta.from_iters(added - removed, removed)
-    return effects
+        return {start_pred(name): relation
+                for name, relation in self.env_with_defaults().items()}

@@ -28,20 +28,26 @@ import time
 
 from repro import obs as _obs
 from repro import stats as _stats
+from repro.ds.pmap import PMap
 from repro.ds.versions import VersionGraph
 from repro.meta.metaengine import MetaEngine
-from repro.engine.evaluator import Evaluator
+from repro.engine.evaluator import (
+    Evaluator, FunctionalDependencyViolation, check_keys,
+)
+from repro.engine.columnar import resolve_backend
 from repro.engine.ir import PredAtom
 from repro.engine.ivm import Materialization
+from repro.engine.planner import base_pred
 from repro.logiql.compiler import compile_program
 from repro.logiql.shapes import compile_shape
 from repro.runtime.constraints import refuse_unchecked
 from repro.runtime.errors import ConstraintViolation, TransactionAborted
 from repro.runtime.result import TxnResult
-from repro.runtime.state import (
-    ProgramArtifacts, WorkspaceState, reactive_effects, reactive_env,
-)
+from repro.runtime.state import ProgramArtifacts, WorkspaceState
+from repro.storage.datum import PrimitiveType, check_type
+from repro.storage.pager import CheckpointStore
 from repro.storage.relation import Delta, Relation
+from repro.txn.repair import PreparedTransaction
 
 _block_counter = itertools.count(1)
 
@@ -69,9 +75,9 @@ def run_query(state, source, answer=None, order_chooser=None):
     env = state.env_with_defaults()
     for rule in block.rules:
         for atom in rule.body:
-            if isinstance(atom, PredAtom) and atom.pred not in env:
-                if atom.pred not in ruleset.derived:
-                    env[atom.pred] = Relation.empty(len(atom.args))
+            if (isinstance(atom, PredAtom) and atom.pred not in env
+                    and atom.pred not in ruleset.derived):
+                env[atom.pred] = Relation.empty(len(atom.args))
     evaluator = Evaluator(
         ruleset,
         order_chooser=order_chooser,
@@ -141,12 +147,11 @@ class Workspace:
     dictionary-encoded numpy arrays); ``None`` defers to the
     ``REPRO_ENGINE`` environment override and, without one, lets each
     join — view maintenance included — pick its executor from its input
-    size.
+    size.  An exec's reactive rules record sensitivities, so their joins
+    run pure whatever ``engine`` says.
     """
 
     def __init__(self, *, engine=None):
-        from repro.engine.columnar import resolve_backend
-
         self._engine_backend = resolve_backend(engine)
         self._graph = VersionGraph(WorkspaceState.empty(self._engine_backend))
         self.branch = "main"
@@ -193,8 +198,6 @@ class Workspace:
     # -- durability -------------------------------------------------------------
 
     def _pager(self, path):
-        from repro.storage.pager import CheckpointStore
-
         pager = self._pagers.get(path)
         if pager is None:
             pager = self._pagers[path] = CheckpointStore(path)
@@ -227,8 +230,6 @@ class Workspace:
         compiled program artifacts are rebuilt deterministically from
         the stored block sources.
         """
-        from repro.storage.pager import CheckpointStore
-
         workspace = cls(engine=engine)
         pager = CheckpointStore(path)
         with _stats.scope(workspace._counters):
@@ -393,6 +394,14 @@ class Workspace:
 
     def _rebuild(self, state, new_blocks, block_name, block):
         artifacts = ProgramArtifacts(new_blocks, self._engine_backend)
+        # installed reactive rules fire in every exec: one writing a
+        # derived predicate would abort them all
+        refused = artifacts.ruleset.derived.intersection(
+            base_pred(rule.head_pred) for rule in artifacts.reactive_rules)
+        if refused:
+            raise TransactionAborted(
+                "cannot write to derived predicate {}".format(
+                    ", ".join(sorted(refused))))
         old_artifacts = state.artifacts
 
         # base relations: carry over, then reconcile block facts
@@ -440,8 +449,6 @@ class Workspace:
         ):
             mat = artifacts.engine.initialize(
                 base_env, reuse=(reuse_relations, reuse_states))
-        from repro.ds.pmap import PMap
-
         return WorkspaceState(
             artifacts, PMap.from_dict(dict(base_env)), mat, meta_state
         )
@@ -455,30 +462,17 @@ class Workspace:
         constraint views included) that maintenance moved.  The service
         ``exec`` returns the written base deltas only.
 
-        Raises :class:`TransactionAborted` (leaving the head untouched)
-        on writes to derived predicates or constraint violations.
+        ``source`` (reactive rules only) runs with the installed blocks'
+        reactive rules as a :class:`~repro.txn.repair.PreparedTransaction`,
+        as on every transport.  Raises :class:`TransactionAborted`
+        (leaving the head untouched) on any other clause in ``source``,
+        on writes to derived predicates or on constraint violations.
         """
         with self._txn("exec") as window:
             state = self.state
-            shape, params = compile_shape(source)
-            block = shape.block
-            if block.rules and any(r.body for r in block.rules):
-                raise TransactionAborted(
-                    "exec transactions may only contain reactive logic; "
-                    "use addblock for derivation rules"
-                )
-            deltas = self._reactive_deltas(state, shape, params)
-            return window.result(deltas=self._apply_deltas(state, deltas))
-
-    def _reactive_deltas(self, state, shape, params):
-        if not shape.block.reactive_rules:
-            return {}
-        ruleset = shape.reactive_ruleset()
-        # the delta heads are read once below and dropped
-        relations, _ = Evaluator(
-            ruleset, backend=self._engine_backend, params=params,
-        ).evaluate(reactive_env(state, ruleset), keep_state=False)
-        return reactive_effects(relations, ruleset.derived)
+            txn = PreparedTransaction(source)
+            txn.execute(state)
+            return window.result(deltas=self._apply_deltas(state, txn.effects))
 
     def _stage_deltas(self, state, deltas):
         """Validate, maintain, and constraint-check one delta map
@@ -519,8 +513,16 @@ class Workspace:
                 if pred not in filtered:
                     self._validate_types(artifacts, pred, delta.added)
             new_bases = state.base_relations
-            for pred in filtered:
-                new_bases = new_bases.set(pred, new_mat.relations[pred])
+            for pred, delta in filtered.items():
+                relation = new_mat.relations[pred]
+                decl = artifacts.schema.get(pred)
+                if decl is not None and decl.is_functional:
+                    try:
+                        check_keys(pred, decl.n_keys, relation, delta.added,
+                                   made="written")
+                    except FunctionalDependencyViolation as exc:
+                        raise TransactionAborted(str(exc)) from None
+                new_bases = new_bases.set(pred, relation)
             new_state = WorkspaceState(
                 artifacts, new_bases, new_mat, state.meta_state
             )
@@ -541,8 +543,6 @@ class Workspace:
         are checked before they reach the sorted storage (mixed-type
         columns would not even be comparable), derived ones as the
         engine produces them, and whole relations on program edits."""
-        from repro.storage.datum import PrimitiveType, check_type
-
         decl = artifacts.schema.get(pred)
         if decl is None:
             return
@@ -591,25 +591,23 @@ class Workspace:
     def load(self, pred, tuples, remove=()):
         """Bulk-insert (and optionally remove) tuples of a base predicate.
 
-        Convenience equivalent of an ``exec`` with one ``+pred`` fact
-        per tuple; goes through the same maintenance and constraint
-        checking, and returns the same ``deltas``: ``pred``'s and every
-        derived predicate's that changed.
+        Writes the delta directly: it goes through the same maintenance
+        and constraint checking as an ``exec``, and returns the same
+        ``deltas`` (``pred``'s and every derived predicate's that
+        changed), but runs no reactive logic, so installed reactive
+        rules do not fire.
         """
         with self._txn("load", pred=pred) as window:
             state = self.state
-            tuples = [
-                tuple(t) if isinstance(t, (tuple, list)) else (t,) for t in tuples
-            ]
-            removals = [
-                tuple(t) if isinstance(t, (tuple, list)) else (t,) for t in remove
-            ]
+            def row(t):
+                return tuple(t) if isinstance(t, (tuple, list)) else (t,)
+            tuples = [row(t) for t in tuples]
+            removals = [row(t) for t in remove]
             if window.span is not None:
                 window.span.attrs["added"] = len(tuples)
                 window.span.attrs["removed"] = len(removals)
             applied = self._apply_deltas(
-                state, {pred: Delta.from_iters(tuples, removals)}
-            )
+                state, {pred: Delta.from_iters(tuples, removals)})
             return window.result(deltas=applied)
 
     # -- query ---------------------------------------------------------------------

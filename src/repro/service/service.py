@@ -581,6 +581,12 @@ class TransactionService(ShardParticipant):
                 pending.ticket.check("transaction {} missed its deadline in "
                                      "the commit queue", pending.txn.name)
                 self._fire("commit", pending.txn.name)
+                if (pending.snapshot.state.artifacts.reactive_rules
+                        != head.state.artifacts.reactive_rules):
+                    # a barrier changed the installed reactive rules since
+                    # the run: its effects are not the head program's
+                    pending.txn.execute(head.state)
+                    pending.snapshot = head
                 return self._corrections_since(
                     pending.snapshot, head, diff_cache)
 

@@ -27,7 +27,8 @@ classification (:func:`repro.engine.planner.classify_rules`):
   evaluates the cone over the fetched runs with a bare evaluator.
   Every mode is exact; no mode builds a workspace or keeps data here.
 * **exec** routes literal-key co-partitioned writes to the owning
-  shard as a plain transaction; anything else runs the **cross-shard
+  shard as a plain transaction while no installed block holds a
+  reactive rule; anything else runs the **cross-shard
   commit circuit** — the transaction-repair composition of Figure 7(b)
   stretched across processes, not classic 2PC:
 
@@ -250,6 +251,7 @@ class ShardedWorkspace(VerbSurface):
         # the compiled program (no data!): block name -> (source, rules)
         self._blocks = {}
         self._analysis = classify_rules([], shard_map.partition)
+        self._reactive_installed = False
         if verify:
             self._verify_members()
 
@@ -319,6 +321,12 @@ class ShardedWorkspace(VerbSurface):
             rules.extend(block_rules)
         return rules
 
+    def _installed(self, analysis):
+        """Adopt the installed blocks' ``analysis`` after a program edit."""
+        self._analysis = analysis
+        self._reactive_installed = any(
+            rule.head_pred[0] in "+-" for rule in self._installed_rules())
+
     def _classify(self, rules, analysis=None, params=()):
         """Classification plus the coordinator-side placement checks
         the per-rule transfer function cannot do (it does not know N):
@@ -379,7 +387,7 @@ class ShardedWorkspace(VerbSurface):
                         self._swallow(index, "removeblock", name)
                 raise failed[0][1]
         self._blocks[name] = (source, rules)
-        self._analysis = analysis
+        self._installed(analysis)
         _stats.bump("shard.addblocks")
         return results[0]
 
@@ -394,7 +402,7 @@ class ShardedWorkspace(VerbSurface):
             results = self._pool.gather(
                 self._pool.broadcast("removeblock", name))
         del self._blocks[name]
-        self._analysis, _ = self._classify(self._installed_rules())
+        self._installed(self._classify(self._installed_rules())[0])
         return results[0]
 
     def blocks(self):
@@ -645,9 +653,10 @@ class ShardedWorkspace(VerbSurface):
         """The one shard a literal-key co-partitioned write program can
         run on as a plain transaction — every write lands on rows the
         shard owns and every read is owned or replicated.  ``None``
-        when the program needs the circuit.  A shape's literal keys are
-        bound to ``params``."""
-        if block.rules or not block.reactive_rules:
+        when the program needs the circuit, as it does whenever the
+        installed program holds reactive rules.  A shape's literal keys
+        are bound to ``params``."""
+        if not block.reactive_rules or self._reactive_installed:
             return None
         partition = self.shard_map.partition
         owners = set()

@@ -76,7 +76,14 @@ class _ShardTxn:
 
     def execute(self, state):
         """No-op for the serial-commit fallback: the composed deltas are
-        coordinator-final and must be applied verbatim or not at all."""
+        coordinator-final and must be applied verbatim or not at all —
+        not at all once ``state`` installs other reactive rules than
+        the prepared run's."""
+        if state.artifacts.reactive_rules != self.snapshot.state.artifacts.reactive_rules:
+            raise ConflictError(
+                "the installed reactive rules changed under cross-shard "
+                "transaction {}; the coordinator must re-run the "
+                "circuit".format(self.name))
         return self.effects
 
 

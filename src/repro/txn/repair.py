@@ -24,12 +24,14 @@ import time
 
 from repro import obs
 from repro import stats as global_stats
+from repro.ds.pset import PSet
+from repro.engine.ir import PredAtom
 from repro.engine.ivm import IncrementalEngine
 from repro.engine.sensitivity import SensitivityIndex
 from repro.logiql.compiler import start_pred
 from repro.logiql.shapes import compile_shape
 from repro.runtime.errors import TransactionAborted
-from repro.runtime.state import reactive_effects, reactive_env
+from repro.storage.relation import Delta, Relation
 
 
 class PreparedTransaction:
@@ -37,21 +39,28 @@ class PreparedTransaction:
 
     Built from LogiQL reactive source, compiled once per shape
     (:mod:`repro.logiql.shapes`); ``execute`` runs it against a
-    workspace state, after which ``effects`` / ``sensitivity`` are
+    workspace state, together with the reactive rules that state's
+    program installs, after which ``effects`` / ``sensitivity`` are
     available and ``correct`` may be called any number of times with
-    incoming corrections.
+    incoming corrections.  Every exec runs here, whichever verb or
+    transport carries it.
     """
 
     def __init__(self, source, name=None):
         shape, params = compile_shape(source)
-        if shape.block.rules and any(r.body for r in shape.block.rules):
-            raise TransactionAborted("transactions must be reactive logic")
+        block = shape.block
+        if (block.rules or block.constraints or block.decls or block.entities
+                or block.directives or block.predict_rules or block.prob_rules):
+            raise TransactionAborted(
+                "exec transactions may only contain reactive logic; "
+                "use addblock for facts, declarations and derivation rules")
         self.name = name
         # the shape's rules are shared; this transaction's state is its
         # engine's (delta rules, materialization) and its literals
-        self.ruleset = shape.reactive_ruleset()
-        self.engine = IncrementalEngine(
-            self.ruleset, track_sensitivity=True, params=params)
+        self._shape = shape
+        self._params = params
+        self.ruleset = None
+        self.engine = None
         self._mat = None
         self._sens_cache = None
         self.effects = {}
@@ -60,9 +69,33 @@ class PreparedTransaction:
         self.repair_seconds = 0.0
 
     def _extract_effects(self):
-        # empty deltas included: a write matching no row still names its
-        # target, so committing it meets the derived-predicate check
-        self.effects = reactive_effects(self._mat.relations, self.ruleset.derived)
+        """One base delta per written predicate, empty ones included (a
+        write matching no row still names its target, so committing it
+        meets the derived-predicate check), in name order, read off the
+        ``+p`` / ``-p`` relations as they are.  A row both inserted and
+        deleted is deleted."""
+        relations = self._mat.relations
+        effects = {}
+        for pred in sorted({head[1:] for head in self.ruleset.derived}):
+            added, removed = (
+                relations[sign + pred].tuples() if sign + pred in relations
+                else PSet.EMPTY for sign in "+-")
+            effects[pred] = Delta(added - removed, removed)
+        self.effects = effects
+
+    def _env(self, state):
+        """The ``@start`` environment of ``state``, plus an empty relation
+        for every predicate a body reads that neither the state nor the
+        rules supply (a ``+p`` / ``-p`` no rule here derives)."""
+        env = state.start_env()
+        derived = self.ruleset.derived
+        for rule in self.ruleset.rules:
+            for atom in rule.body:
+                if (isinstance(atom, PredAtom) and atom.pred not in env
+                        and atom.pred not in derived):
+                    env[atom.pred] = Relation.empty(
+                        state.artifacts.arity_of(atom.pred) or len(atom.args))
+        return env
 
     # -- the transaction interface (Figure 7a) --------------------------------
 
@@ -71,8 +104,11 @@ class PreparedTransaction:
         with obs.span("repair.execute", txn=self.name) as span_:
             global_stats.bump("repair.executes")
             started = time.perf_counter()
-            self._mat = self.engine.initialize(
-                reactive_env(state, self.ruleset))
+            self.ruleset = self._shape.reactive_ruleset(
+                state.artifacts.reactive_rules)
+            self.engine = IncrementalEngine(
+                self.ruleset, track_sensitivity=True, params=self._params)
+            self._mat = self.engine.initialize(self._env(state))
             self._sens_cache = None
             self._extract_effects()
             self.execute_seconds = time.perf_counter() - started

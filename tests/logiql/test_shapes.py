@@ -241,3 +241,19 @@ def test_a_hit_answers_and_refuses_like_a_cold_compile(engine, values):
             assert result == run_op(cold, verb, source + COLD), source
     for pred in ("inventory", "price", "big", "total"):
         assert hit.rows(pred) == cold.rows(pred)
+
+
+def test_an_exec_shape_keeps_one_reactive_ruleset_per_installed_program():
+    shape = shapes.Shape(compile_program("+A(1)."))
+    own = shape.reactive_ruleset([])
+    # every program installing no reactive rule shares the shape's own
+    assert shape.reactive_ruleset([]) is own
+    assert own.derived == {"+A"}
+    installed = compile_program("+B(x) <- +A(x).").reactive_rules
+    fired = shape.reactive_ruleset(installed)
+    assert fired.derived == {"+A", "+B"}
+    assert shape.reactive_ruleset(installed) is fired
+    # a program edit installs a new list: built again, once
+    edited = list(installed)
+    assert shape.reactive_ruleset(edited) is not fired
+    assert shape.reactive_ruleset(edited) is shape.reactive_ruleset(edited)

@@ -17,7 +17,11 @@ recombined-aggregation scenario:
 * writes to the derived ``total`` view (a fact and a rule-driven
   write), which the fleet must refuse with the oracle's error class;
 * keyed, scattered, partial-state fold (``sum`` … ``avg``, grouped
-  and global, before and after deletes) and exchange queries.
+  and global, before and after deletes) and exchange queries;
+* last, a reactive block installed through the coordinator: every
+  later exec must fire its rule and run the repair circuit, a
+  literal-key write included (the earlier phases hold no reactive
+  block, so they still cover single-shard routing).
 
 Every observable — per-predicate global extensions and every query
 answer — must be **bit-identical** to a single-process
@@ -73,6 +77,13 @@ QUERIES = [
 DERIVED_WRITES = [
     "+total[500] = 7.",
     "+total[o] = 7 <- lineitem@start(o, _, _), o < 3.",
+]
+#: the final phase: an installed reactive rule, and the execs it fires in
+REACTIVE_BLOCK = "audit(o) -> int(o).\n+audit(o) <- +lineitem(o, _, _).\n"
+REACTIVE_EXECS = [
+    "+lineitem(700, 9700, 4).",
+    '+order(701, "c2"). +lineitem(701, 9701, 5). +lineitem(702, 9702, 1).',
+    "-lineitem(700, 9700, 4).",
 ]
 #: the aggregate cases re-run once more rows are gone
 AFTER_DELETES = [
@@ -223,6 +234,28 @@ def main(argv=None):
                 target.load("lineitem", [], remove=gone)
                 target.exec("-lineitem(500, 9001, 6).")
             check(AFTER_DELETES)
+
+            moved = {}
+            for target in (oracle, fleet):
+                target.addblock(REACTIVE_BLOCK, name="audit")
+                with stats.scope(moved if target is fleet else {}):
+                    for source in REACTIVE_EXECS:
+                        target.exec(source)
+            if not oracle.rows("audit"):
+                failures.append("the installed reactive rule never fired")
+            if moved.get("shard.single_shard_execs"):
+                failures.append(
+                    "an exec routed to one shard while a reactive block "
+                    "was installed")
+            for pred in ("order", "lineitem", "total", "audit"):
+                got = fleet.rows(pred)
+                want = sorted(tuple(r) for r in oracle.rows(pred))
+                status = "ok" if got == want else "MISMATCH"
+                print("after the reactive block, rows({}): {} fleet / {} "
+                      "oracle -> {}".format(pred, len(got), len(want), status))
+                if got != want:
+                    failures.append(
+                        "rows({}) diverged after the reactive block".format(pred))
     finally:
         for proc, log in procs:
             proc.terminate()
