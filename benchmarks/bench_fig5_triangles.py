@@ -145,12 +145,9 @@ def test_fig5_columnar_vs_pure(benchmark):
     skew is the adversarial case where pure LFTJ's adaptive leapfrogging
     sidesteps the wedge blowup that batched expand-then-probe must wade
     through (see DESIGN.md, "Engine backends")."""
-    from repro.engine.columnar import make_join  # noqa: F401 - import gate
-    from repro.storage.columnar import HAVE_NUMPY
-
-    if not HAVE_NUMPY:
-        pytest.skip("numpy not available")
     import numpy
+
+    from repro.engine.columnar import make_join
 
     pure_time, columnar_time, order, rows, n_edges = _backend_times(
         "powerlaw", POWERLAW_SIZES[-1]

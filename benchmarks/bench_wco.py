@@ -66,10 +66,6 @@ def test_wco_columnar_vs_pure(benchmark):
     from repro.engine.columnar import make_join
     from repro.engine.optimizer import SamplingOptimizer
     from repro.engine.rules import Rule
-    from repro.storage.columnar import HAVE_NUMPY
-
-    if not HAVE_NUMPY:
-        pytest.skip("numpy not available")
     import numpy
 
     n_nodes = sizes(1600, 200)

@@ -53,12 +53,6 @@ def _numpy_version():
     return numpy.__version__
 
 
-def _engine_backend():
-    from repro.engine.columnar import resolve_backend
-
-    return resolve_backend() or "per-plan"
-
-
 def _json_safe(value):
     if isinstance(value, dict):
         return {str(k): _json_safe(v) for k, v in value.items()}
@@ -108,7 +102,6 @@ def pytest_sessionfinish(session, exitstatus):
             "smoke": SMOKE,
             "python": platform.python_version(),
             "numpy": _numpy_version(),
-            "engine_backend": _engine_backend(),
             "cpu_count": os.cpu_count(),
             "engine_stats": counters,
             "histograms": histograms,

@@ -38,8 +38,8 @@ by the head keys and reduces them in numpy (``count``, ``min``,
 key per group.  Float sums, sums that could overflow ``int64`` and
 assigned (unencoded) variables fold row by row in the evaluator.
 
-Which executor runs a join is decided per plan by :func:`make_join`
-unless the caller (or ``REPRO_ENGINE``) forces one: the columnar
+Which executor runs a join is decided per plan by
+:func:`choose_backend`, the one place that choice is made: the columnar
 executor pays a setup per relation version that only a large join
 repays (:data:`COLUMNAR_MIN_ROWS`).
 
@@ -51,23 +51,16 @@ back to the pure executor — the oracle the backend-equivalence
 property test checks against.
 """
 
-import os
 import weakref
+
+import numpy as np
 
 from repro import stats as global_stats
 from repro.ds.pmap import PMap
 from repro.engine.aggregates import MultisetState, SumState
 from repro.engine.ir import CompareAtom, Const, Var
 from repro.engine.lftj import LeapfrogTrieJoin
-from repro.storage.columnar import HAVE_NUMPY, ColumnarUnsupported
-
-if HAVE_NUMPY:
-    import numpy as np
-else:  # pragma: no cover - numpy is part of the baked toolchain
-    np = None
-
-#: Recognized engine backends (the ``REPRO_ENGINE`` values).
-BACKENDS = ("pure", "columnar")
+from repro.storage.columnar import ColumnarUnsupported
 
 #: Rows a plan's first variable level draws its bindings from (the
 #: smallest constant-prefix range among the atoms that take part in it)
@@ -95,25 +88,6 @@ _NUMPY_COMPARE = {
 }
 
 
-def resolve_backend(explicit=None):
-    """The backend forced for every join: an explicit choice, else the
-    ``REPRO_ENGINE`` environment override, else ``None`` — each join
-    then picks its own executor (:func:`choose_backend`)."""
-    backend = explicit or os.environ.get("REPRO_ENGINE") or None
-    if backend is None:
-        return None
-    if backend not in BACKENDS:
-        raise ValueError(
-            "unknown engine backend {!r}; expected one of {}".format(
-                backend, "/".join(BACKENDS)
-            )
-        )
-    if backend == "columnar" and not HAVE_NUMPY:
-        global_stats.bump("join.columnar_unavailable")
-        return "pure"
-    return backend
-
-
 def first_level_rows(plan, relations):
     """Rows the plan's first variable level draws its bindings from:
     the smallest constant-prefix range among the atoms that take part
@@ -134,15 +108,12 @@ def first_level_rows(plan, relations):
 
 
 def choose_backend(plan, relations, recorder=None):
-    """``(backend, reason)`` for a join nothing forces: columnar when
-    its setup for these relation versions is already built or the
-    plan's first level draws on at least :data:`COLUMNAR_MIN_ROWS`
-    rows, pure otherwise — and always pure for a run that records
-    sensitivity intervals."""
+    """``(backend, reason)`` for one join: columnar when its setup for
+    these relation versions is already built or the plan's first level
+    draws on at least :data:`COLUMNAR_MIN_ROWS` rows, pure otherwise —
+    and always pure for a run that records sensitivity intervals."""
     if recorder is not None:
         return "pure", "records sensitivity"
-    if not HAVE_NUMPY:
-        return "pure", "numpy absent"
     if _built_setup_key(plan, relations) in _SETUP_CACHE:
         return "columnar", "setup built"
     rows = first_level_rows(plan, relations)
@@ -154,20 +125,21 @@ def choose_backend(plan, relations, recorder=None):
 def make_join(plan, relations, recorder=None, *, stats=None, backend=None):
     """Build the executor for one planned join.
 
-    ``backend`` forces ``"pure"`` or ``"columnar"``; ``None`` lets
-    :func:`choose_backend` pick per plan.  The columnar executor runs
-    only without a sensitivity recorder and when every participating
-    relation dictionary-encodes; otherwise the pure executor runs.  Both
-    honour the same ``run()`` contract; the returned executor's
-    ``reason`` says why it was picked, and each pick bumps
-    ``join.backend.pure`` or ``join.backend.columnar``.
+    ``None`` for ``backend`` lets :func:`choose_backend` pick, as every
+    evaluator does; ``"pure"`` or ``"columnar"`` forces one, for
+    benchmarks and executor tests that compare the two on one plan.
+    The columnar executor runs only without a sensitivity recorder and
+    when every participating relation dictionary-encodes; otherwise the
+    pure executor runs.  Both honour the same ``run()`` contract; the
+    returned executor's ``reason`` says why it was picked, and each
+    pick bumps ``join.backend.pure`` or ``join.backend.columnar``.
     """
     if backend is None:
         backend, reason = choose_backend(plan, relations, recorder)
     else:
         reason = "forced"
     executor = None
-    if backend == "columnar" and recorder is None and HAVE_NUMPY:
+    if backend == "columnar" and recorder is None:
         try:
             executor = ColumnarTrieJoin(plan, relations, stats=stats)
         except ColumnarUnsupported:

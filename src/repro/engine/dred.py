@@ -11,7 +11,7 @@ Two roles in this system:
   benchmarks can compare it against the counting +
   sensitivity-index engine (experiment E5).
 
-The algorithm, on the caller's evaluator (its backend and ``params``):
+The algorithm, on the caller's evaluator (and its ``params``):
 
 1. over-delete — :meth:`Evaluator.propagate`, the semi-naive loop
    recursive evaluation runs, seeded with what can take a derivation

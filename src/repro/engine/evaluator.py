@@ -18,7 +18,7 @@ from repro import obs
 from repro.ds.pmap import PMap
 from repro.ds.pset import PSet
 from repro.engine.aggregates import AGGREGATES, agg_add
-from repro.engine.columnar import make_join, resolve_backend
+from repro.engine.columnar import make_join
 from repro.engine.ir import Const, PredAtom, bind
 from repro.engine.planner import PlanError, build_plan
 from repro.engine.rules import stratify
@@ -26,7 +26,13 @@ from repro.storage.relation import Relation
 
 
 class FunctionalDependencyViolation(ValueError):
-    """Two derivations assign different values to one functional key."""
+    """Two rows assign different values to the functional key ``key`` of
+    ``pred``; ``made`` says how they came (``derived``, ``written``)."""
+
+    def __init__(self, pred, key, made="derived"):
+        super().__init__("{}[{}] {} with conflicting values".format(pred, key, made))
+        self.pred = pred
+        self.key = key
 
 
 class EvaluationError(ValueError):
@@ -120,15 +126,9 @@ class Evaluator:
     ``order_chooser(rule, relations)`` may supply LFTJ variable orders
     (the sampling optimizer plugs in here); by default the planner's
     first-appearance order is used.  Plans come from each rule's own
-    memo (:meth:`~repro.engine.rules.Rule.plan`).
-
-    ``backend`` forces the join executor: ``"pure"`` (the per-tuple
-    iterator oracle) or ``"columnar"`` (vectorized over
-    dictionary-encoded arrays, falling back to pure per join when a
-    relation does not encode or sensitivity recording is on).  ``None``
-    defers to the ``REPRO_ENGINE`` environment override and, without
-    one, lets each join pick its executor from its input size
-    (:func:`~repro.engine.columnar.choose_backend`).
+    memo (:meth:`~repro.engine.rules.Rule.plan`).  Each join picks its
+    executor, the per-tuple pure LFTJ or the columnar one, from its
+    input (:func:`~repro.engine.columnar.choose_backend`).
 
     ``params`` are the values of a cached query shape's literals
     (:mod:`repro.logiql.shapes`): every plan and head projection of this
@@ -136,17 +136,9 @@ class Evaluator:
     shared by every call of the shape.
     """
 
-    def __init__(
-        self,
-        ruleset,
-        *,
-        order_chooser=None,
-        backend=None,
-        params=(),
-    ):
+    def __init__(self, ruleset, *, order_chooser=None, params=()):
         self.ruleset = ruleset
         self.order_chooser = order_chooser
-        self.backend = resolve_backend(backend)
         self.params = params
         self._projectors = {}  # (rule, var order, drop_last) -> _HeadProjector
 
@@ -166,8 +158,7 @@ class Evaluator:
         with obs.span("plan", rule=rule.head_pred, cache=cache):
             plan = self._bound_plan(rule, var_order)
         exec_stats = {} if obs.tracing() else None
-        executor = make_join(plan, relations, recorder,
-                             stats=exec_stats, backend=self.backend)
+        executor = make_join(plan, relations, recorder, stats=exec_stats)
         attrs = {} if exec_stats is None else {
             "rule": rule.name or rule.head_pred,
             "vars": len(plan.var_order),
@@ -446,18 +437,17 @@ def check_keys(pred, n_keys, relation, added=None, made="derived"):
     their keys are checked, each by one prefix lookup; without it the
     whole relation is scanned.  ``made`` names how the rows came.
     """
-    message = "{}[{}] {} with conflicting values"
     if added is not None:
         for tup in added:
             key = tup[:n_keys]
             rows = relation.iter_prefix(key)
             next(rows)
             if next(rows, None) is not None:
-                raise FunctionalDependencyViolation(message.format(pred, key, made))
+                raise FunctionalDependencyViolation(pred, key, made)
         return
     previous_key = None
     for tup in relation:
         key = tup[:n_keys]
         if key == previous_key:
-            raise FunctionalDependencyViolation(message.format(pred, key, made))
+            raise FunctionalDependencyViolation(pred, key, made)
         previous_key = key

@@ -69,11 +69,10 @@ class IncrementalEngine:
     (:class:`~repro.engine.evaluator.Evaluator`).
     """
 
-    def __init__(self, ruleset, *, track_sensitivity=False, backend=None,
-                 params=()):
+    def __init__(self, ruleset, *, track_sensitivity=False, params=()):
         self.ruleset = ruleset
         self.track_sensitivity = track_sensitivity
-        self.evaluator = Evaluator(ruleset, backend=backend, params=params)
+        self.evaluator = Evaluator(ruleset, params=params)
         self._rule_index = {id(rule): i for i, rule in enumerate(ruleset.rules)}
 
     # -- initial materialization --------------------------------------------

@@ -131,7 +131,7 @@ class ExplainReport:
     picked, and for an aggregate rule the ``fold`` that ran
     (``"vector"`` or ``"rows: <reason>"``, else ``None``) —
     JSON/codec-safe so reports travel the wire unchanged.
-    ``backend`` on the report is the forced backend, or ``per-plan``."""
+    ``backend`` on the report is ``per-plan``: each join picks its own."""
 
     def __init__(self, source, answer, row_count, wall_s, backend, rules):
         self.source = source
@@ -201,13 +201,12 @@ def explain_query(state, source, answer=None, *, sample_size=256,
     estimate with the executed join's movement counts per rule.
 
     Evaluates through :func:`repro.runtime.workspace.run_query` with
-    the optimizer as its order chooser, on the backend of the state's
-    program, and collects the run under a private
-    :class:`~repro.obs.Profile` so it works with tracing globally off.
-    The ``join`` spans are read off the ``explain`` span itself, not the
-    profile's roots: under an ambient open span (a traced server
-    request) ``explain`` is a child, not a root, and the profile would
-    never see it."""
+    the optimizer as its order chooser, and collects the run under a
+    private :class:`~repro.obs.Profile` so it works with tracing
+    globally off.  The ``join`` spans are read off the ``explain`` span
+    itself, not the profile's roots: under an ambient open span (a
+    traced server request) ``explain`` is a child, not a root, and the
+    profile would never see it."""
     from repro.engine.ir import PredAtom
     from repro.engine.optimizer import SamplingOptimizer
     from repro.runtime.workspace import run_query
@@ -218,7 +217,7 @@ def explain_query(state, source, answer=None, *, sample_size=256,
     )
     with _core.Profile():
         with _core.span("explain", chars=len(source)) as explain_span:
-            rules, evaluator, relations, answer = run_query(
+            rules, relations, answer = run_query(
                 state, source, answer, optimizer)
     wall_s = time.perf_counter() - started
 
@@ -266,5 +265,5 @@ def explain_query(state, source, answer=None, *, sample_size=256,
 
     return ExplainReport(
         source, answer, len(relations[answer]), wall_s,
-        evaluator.backend or "per-plan", report_rules,
+        "per-plan", report_rules,
     )

@@ -11,7 +11,7 @@ returns one :class:`TxnResult` carrying:
 * ``deltas`` — ``{pred: Delta}``: a Workspace ``exec`` / ``load``
   returns every predicate its commit changed, base and derived; the
   service ``exec`` (every session and network transport) returns the
-  written base deltas only;
+  base rows its commit changed;
 * ``rows`` — the answer rows for query-shaped verbs, else ``None``;
 * ``stats`` — the engine counters bumped inside this transaction's
   window (index hits, join movement, IVM work, ...);

@@ -31,13 +31,11 @@ from repro.storage.schema import Schema
 class ProgramArtifacts:
     """Compiled program: combined rules, engines, checkers, metadata.
 
-    ``engine_backend`` is forwarded to the incremental engine's
-    evaluators and read by queries against states of this program.
     The rules are the blocks' own :class:`Rule` objects, so their plan
     memos survive every program edit that keeps their block.
     """
 
-    def __init__(self, blocks, engine_backend=None):
+    def __init__(self, blocks):
         self.blocks = blocks  # PMap name -> CompiledBlock
         self.rules = []
         self.reactive_rules = []
@@ -83,8 +81,7 @@ class ProgramArtifacts:
         self.ruleset = RuleSet(derivation_rules + [
             rule for constraint in self.checker.constraints for rule in constraint.rules
         ])
-        self.engine_backend = engine_backend
-        self.engine = IncrementalEngine(self.ruleset, backend=engine_backend)
+        self.engine = IncrementalEngine(self.ruleset)
         self.solve_variable_preds = {
             d.args[0].name
             for d in self.directives
@@ -144,9 +141,9 @@ class WorkspaceState:
         self.meta_state = meta_state
 
     @classmethod
-    def empty(cls, engine_backend=None):
+    def empty(cls):
         """The initial, empty workspace state."""
-        artifacts = ProgramArtifacts(PMap.EMPTY, engine_backend)
+        artifacts = ProgramArtifacts(PMap.EMPTY)
         mat = artifacts.engine.initialize({})
         return cls(artifacts, PMap.EMPTY, mat, MetaEngine().initial())
 

@@ -34,7 +34,6 @@ from repro.meta.metaengine import MetaEngine
 from repro.engine.evaluator import (
     Evaluator, FunctionalDependencyViolation, check_keys,
 )
-from repro.engine.columnar import resolve_backend
 from repro.engine.ir import PredAtom
 from repro.engine.ivm import Materialization
 from repro.engine.planner import base_pred
@@ -54,18 +53,16 @@ _block_counter = itertools.count(1)
 
 def run_query(state, source, answer=None, order_chooser=None):
     """Compile (through the shape cache) and evaluate a query program
-    against one pinned state, on the join backend of the state's
-    program.
+    against one pinned state.
 
     The body shared by :func:`evaluate_query` and
     :func:`repro.obs.explain_query` (which passes its sampling
-    optimizer as ``order_chooser``).  Returns ``(rules, evaluator,
-    relations, answer)``: the compiled query rules (a cached shape's,
-    shared by every call of it), the evaluator that ran them with this
-    call's literals, every relation after evaluation, and the resolved
-    answer predicate.  The answer (any head no query rule reads) comes
-    back as its sorted row list, not a :class:`Relation`: nothing keeps
-    it.
+    optimizer as ``order_chooser``).  Returns ``(rules, relations,
+    answer)``: the compiled query rules (a cached shape's, shared by
+    every call of it), every relation after evaluation, and the
+    resolved answer predicate.  The answer (any head no query rule
+    reads) comes back as its sorted row list, not a :class:`Relation`:
+    nothing keeps it.
     """
     shape, params = compile_shape(source)
     block = shape.block
@@ -78,16 +75,24 @@ def run_query(state, source, answer=None, order_chooser=None):
             if (isinstance(atom, PredAtom) and atom.pred not in env
                     and atom.pred not in ruleset.derived):
                 env[atom.pred] = Relation.empty(len(atom.args))
-    evaluator = Evaluator(
-        ruleset,
-        order_chooser=order_chooser,
-        backend=state.artifacts.engine_backend,
-        params=params,
-    )
-    relations, _ = evaluator.evaluate(env, keep_state=False)
+    relations, _ = Evaluator(
+        ruleset, order_chooser=order_chooser, params=params,
+    ).evaluate(env, keep_state=False)
     if answer is None:
         answer = "_" if "_" in ruleset.derived else block.rules[-1].head_pred
-    return block.rules, evaluator, relations, answer
+    return block.rules, relations, answer
+
+
+def _check_written_keys(artifacts, pred, relation, added):
+    """Abort when ``added`` gives a key of ``pred``, a functional base
+    predicate, a second value in ``relation`` (written as it is, or
+    reconciled from block facts)."""
+    decl = artifacts.schema.get(pred)
+    if decl is not None and decl.is_functional:
+        try:
+            check_keys(pred, decl.n_keys, relation, added, made="written")
+        except FunctionalDependencyViolation as exc:
+            raise TransactionAborted(str(exc)) from None
 
 
 def evaluate_query(state, source, answer=None):
@@ -98,7 +103,7 @@ def evaluate_query(state, source, answer=None):
     snapshot and evaluate while the head moves on).  Returns the sorted
     rows of the designated answer predicate.
     """
-    _, _, relations, answer = run_query(state, source, answer)
+    _, relations, answer = run_query(state, source, answer)
     return list(relations[answer])  # rows and relations iterate sorted
 
 
@@ -142,18 +147,14 @@ class _TxnWindow:
 class Workspace:
     """A versioned LogiQL workspace with named branches.
 
-    ``engine`` forces the join backend of every evaluator this
-    workspace creates: ``"pure"`` or ``"columnar"`` (vectorized over
-    dictionary-encoded numpy arrays); ``None`` defers to the
-    ``REPRO_ENGINE`` environment override and, without one, lets each
-    join — view maintenance included — pick its executor from its input
-    size.  An exec's reactive rules record sensitivities, so their joins
-    run pure whatever ``engine`` says.
+    Each join — view maintenance included — picks its executor, pure
+    or columnar, from its input size
+    (:func:`~repro.engine.columnar.choose_backend`).  An exec's
+    reactive rules record sensitivities, so their joins run pure.
     """
 
-    def __init__(self, *, engine=None):
-        self._engine_backend = resolve_backend(engine)
-        self._graph = VersionGraph(WorkspaceState.empty(self._engine_backend))
+    def __init__(self):
+        self._graph = VersionGraph(WorkspaceState.empty())
         self.branch = "main"
         self._meta_engine = MetaEngine()
         # per-workspace counter sink: every transaction runs under a
@@ -222,7 +223,7 @@ class Workspace:
                 self, fault_fire=fault_fire, watermark=watermark)
 
     @classmethod
-    def open(cls, path, *, engine=None):
+    def open(cls, path):
         """Reconstruct a workspace from the checkpoint at ``path``.
 
         Bit-identical restore: relation contents, support counts and
@@ -230,7 +231,7 @@ class Workspace:
         compiled program artifacts are rebuilt deterministically from
         the stored block sources.
         """
-        workspace = cls(engine=engine)
+        workspace = cls()
         pager = CheckpointStore(path)
         with _stats.scope(workspace._counters):
             pager.restore_into(workspace)
@@ -346,7 +347,6 @@ class Workspace:
             if value - baseline.get(key, 0)
         }
         counters["columnar"] = {
-            "backend": self._engine_backend or "per-plan",
             "chosen": {
                 backend: counters.get("join.backend." + backend, 0)
                 for backend in ("pure", "columnar")
@@ -393,7 +393,7 @@ class Workspace:
         return _obs.explain_query(self.state, source, answer)
 
     def _rebuild(self, state, new_blocks, block_name, block):
-        artifacts = ProgramArtifacts(new_blocks, self._engine_backend)
+        artifacts = ProgramArtifacts(new_blocks)
         # installed reactive rules fire in every exec: one writing a
         # derived predicate would abort them all
         refused = artifacts.ruleset.derived.intersection(
@@ -415,10 +415,10 @@ class Workspace:
             if before == after:
                 continue
             arity = artifacts.arity_of(pred) or old_artifacts.arity_of(pred)
-            relation = bases.get(pred, Relation.empty(arity))
-            bases[pred] = relation.apply(
-                Delta.from_iters(after - before, before - after)
-            )
+            relation = bases.get(pred, Relation.empty(arity)).apply(
+                Delta.from_iters(after - before, before - after))
+            _check_written_keys(artifacts, pred, relation, after - before)
+            bases[pred] = relation
             changed_bases.add(pred)
         base_env = {}
         for pred in artifacts.edb_preds:
@@ -460,7 +460,7 @@ class Workspace:
         whose ``deltas`` hold every predicate the commit changed: the
         written base predicates and the derived ones (hidden ``$``
         constraint views included) that maintenance moved.  The service
-        ``exec`` returns the written base deltas only.
+        ``exec`` returns the base rows its commit changed.
 
         ``source`` (reactive rules only) runs with the installed blocks'
         reactive rules as a :class:`~repro.txn.repair.PreparedTransaction`,
@@ -515,13 +515,7 @@ class Workspace:
             new_bases = state.base_relations
             for pred, delta in filtered.items():
                 relation = new_mat.relations[pred]
-                decl = artifacts.schema.get(pred)
-                if decl is not None and decl.is_functional:
-                    try:
-                        check_keys(pred, decl.n_keys, relation, delta.added,
-                                   made="written")
-                    except FunctionalDependencyViolation as exc:
-                        raise TransactionAborted(str(exc)) from None
+                _check_written_keys(artifacts, pred, relation, delta.added)
                 new_bases = new_bases.set(pred, relation)
             new_state = WorkspaceState(
                 artifacts, new_bases, new_mat, state.meta_state

@@ -79,13 +79,8 @@ class ServiceConfig:
       coordinator's shard map.  Both must be set together; both
       ``None`` (default) means the service is unsharded.
 
-    Engine selection (:mod:`repro.engine.columnar`):
-
-    * ``engine`` — join backend for workspaces the service constructs
-      itself (recovery or fresh start): ``"pure"`` (per-tuple LFTJ),
-      ``"columnar"`` (vectorized numpy backend), or ``None`` to defer
-      to the ``REPRO_ENGINE`` environment override / default.  A
-      workspace passed in explicitly keeps its own backend.
+    Join executors are not configured here: each join picks its own
+    (:func:`repro.engine.columnar.choose_backend`).
     """
 
     max_pending: int = 64
@@ -101,7 +96,6 @@ class ServiceConfig:
     slow_txn_s: float = None
     shard_index: int = None
     shard_count: int = None
-    engine: str = None
 
     def __post_init__(self):
         if (self.shard_index is None) != (self.shard_count is None):
@@ -114,13 +108,6 @@ class ServiceConfig:
                 raise ValueError(
                     "shard_index must be in [0, {}), got {}".format(
                         self.shard_count, self.shard_index))
-        if self.engine is not None:
-            from repro.engine.columnar import BACKENDS
-
-            if self.engine not in BACKENDS:
-                raise ValueError(
-                    "engine must be one of {}, got {!r}".format(
-                        "/".join(BACKENDS), self.engine))
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         if self.checkpoint_every_n_commits < 0:

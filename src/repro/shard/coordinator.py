@@ -885,15 +885,16 @@ class ShardedWorkspace(VerbSurface):
 
     def _commit_all(self, prepared, final, timeout):
         """Commit shard by shard in ascending order; compensate the
-        committed prefix if a later shard fails."""
+        committed prefix if a later shard fails.  Each shard reports
+        the rows its commit changed, which both the result and a
+        compensation take."""
         committed = []
         try:
             for index in sorted(prepared):
                 token = prepared.pop(index)["token"]
-                deltas = final[index]
-                self._pool.backend(index).shard_commit(
-                    token, deltas, timeout=timeout)
-                committed.append((index, deltas))
+                result = self._pool.backend(index).shard_commit(
+                    token, final[index], timeout=timeout)
+                committed.append((index, result.deltas))
         except BaseException as exc:
             self._abort_tokens(prepared)
             self._compensate(committed, exc)

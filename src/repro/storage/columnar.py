@@ -27,27 +27,21 @@ so the columnar and pure backends sort, compare, and hash identically.
 
 Values that do not encode (mutually incomparable or unhashable column
 contents) raise :class:`ColumnarUnsupported`; callers fall back to the
-pure-Python treap iterators.  ``numpy`` itself is imported lazily and
-its absence is reported the same way, so the pure path never needs it.
+pure-Python treap iterators.
 """
 
 from bisect import bisect_left
 
+import numpy as _np
+
 from repro.ds.hashing import canonical_key
-
-try:  # gate the accelerator dependency: absence means "pure path only"
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via HAVE_NUMPY gate
-    _np = None
-
-HAVE_NUMPY = _np is not None
 
 
 class ColumnarUnsupported(TypeError):
     """The relation's values cannot be dictionary-encoded.
 
     Raised for columns whose values are mutually incomparable or
-    unhashable, and when numpy is unavailable.  The engine treats it as
+    unhashable.  The engine treats it as
     "use the pure-Python backend", never as an error.
     """
 
@@ -80,8 +74,6 @@ def encode_column(values):
     numpy scalars, so decoded tuples are interchangeable with pure-path
     tuples under both ``==`` and ``stable_hash``).
     """
-    if _np is None:
-        raise ColumnarUnsupported("numpy is not available")
     array = _numeric_array(values)
     if array is not None:
         domain, codes = _np.unique(array, return_inverse=True)

@@ -666,7 +666,7 @@ class CheckpointStore:
         _stats.bump("pager.nodes_read")
         return node
 
-    def _restore_state(self, record, caches, engine_backend=None):
+    def _restore_state(self, record, caches):
         from repro.engine.evaluator import PredicateState
         from repro.engine.ivm import Materialization
         from repro.logiql.compiler import compile_program
@@ -689,7 +689,7 @@ class CheckpointStore:
             # never read back: the checkpoint may predate rules the
             # compiler now emits (a constraint's violation rules), and
             # program edits are revised through their edges
-            program = (ProgramArtifacts(blocks, engine_backend), MetaEngine().of_blocks(blocks))
+            program = (ProgramArtifacts(blocks), MetaEngine().of_blocks(blocks))
             program_cache[blocks_key] = program
         artifacts, meta_state = program
 
@@ -741,8 +741,8 @@ class CheckpointStore:
             # one version per distinct head; an older manifest's list of
             # every ancestor is ignored (no ancestor id exceeds its head's)
             versions = {
-                int(vid): Version.restore(int(vid), self._restore_state(
-                    record, caches, workspace._engine_backend))
+                int(vid): Version.restore(
+                    int(vid), self._restore_state(record, caches))
                 for vid, record in manifest["states"].items()
             }
             ensure_version_counter(max(versions, default=0))

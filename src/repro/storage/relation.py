@@ -368,7 +368,7 @@ class Relation:
         write after it.
 
         Raises :class:`~repro.storage.columnar.ColumnarUnsupported`
-        when the values do not dictionary-encode (or numpy is absent);
+        when the values do not dictionary-encode;
         the failure itself is cached so repeated probes stay cheap.
         """
         from repro.storage.columnar import ColumnarLayout, ColumnarUnsupported

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import columnar as columnar_mod
@@ -12,7 +12,6 @@ from repro.engine.ir import AssignAtom, BinOp, CompareAtom, Const, PredAtom, Var
 from repro.engine.iterators import trie_iterator
 from repro.engine.lftj import LeapfrogTrieJoin
 from repro.engine.planner import build_plan
-from repro.storage.columnar import HAVE_NUMPY
 from repro.storage.relation import Relation
 
 # -- the treap trie iterator enumerates its relation in order ---------------
@@ -76,7 +75,6 @@ def run_columnar(atoms, env, var_order):
     return list(executor.run())
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
 @settings(max_examples=60, deadline=None)
 @given(edges_strategy, order_strategy)
 def test_columnar_join_is_bit_identical_to_pure(edges, order):
@@ -96,7 +94,6 @@ mixed_key = st.one_of(st.integers(-4, 4), float_keys)
 mixed_edges = st.sets(st.tuples(mixed_key, mixed_key), min_size=1, max_size=30)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
 @settings(max_examples=60, deadline=None)
 @given(mixed_edges, order_strategy)
 def test_columnar_equivalence_with_mixed_numeric_keys(edges, order):
@@ -111,7 +108,6 @@ def test_columnar_equivalence_with_mixed_numeric_keys(edges, order):
     assert run_columnar(atoms, env, order) == run_join(atoms, env, order)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
 @settings(max_examples=60, deadline=None)
 @given(edges_strategy, marks_strategy, order_strategy, st.integers(0, 7))
 def test_lftj_equivalence_with_negation_and_constants(edges, marks, order, pin):
@@ -162,12 +158,15 @@ NEGATION_CASES = {
 }
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
 @pytest.mark.parametrize("case", sorted(NEGATION_CASES))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(edges_strategy, marks_strategy, edges_strategy, order_strategy,
        st.integers(0, 7))
-def test_negation_matches_an_independent_oracle(case, edges, marks, negated, order, pin):
+def test_negation_matches_an_independent_oracle(force_executor, case, edges, marks,
+                                                negated, order, pin):
+    """The join the engine builds, forced onto each executor, keeps
+    exactly the paths the test's own membership check keeps."""
     make_atoms, keeps = NEGATION_CASES[case]
     atoms = [PredAtom("E", [Var("a"), Var("b")]), PredAtom("E", [Var("b"), Var("c")])]
     atoms += make_atoms(pin)
@@ -182,9 +181,14 @@ def test_negation_matches_an_independent_oracle(case, edges, marks, negated, ord
         tuple({"a": a, "b": b, "c": c}[name] for name in order)
         for a, b in edges for b2, c in edges
         if b == b2 and keeps(a, b, c, pin, marks, negated))
-    pure = run_join(atoms, env, order)
-    assert sorted(pure) == expected
-    assert run_columnar(atoms, env, order) == pure
+    plan = build_plan(atoms, var_order=list(order), output_vars=order)
+    for executor in ("pure", "columnar"):
+        force_executor(executor)
+        columnar_mod._SETUP_CACHE.clear()
+        fresh = {name: Relation.from_iter(rel.arity, rel) for name, rel in env.items()}
+        join = make_join(plan, fresh)
+        assert join.backend == executor
+        assert list(join.run()) == expected  # in the pure enumeration order
 
 
 # -- workspace-level equivalence: IVM deltas, deletes, aggregates ----------
@@ -212,13 +216,14 @@ def _predicate_states(ws):
     }
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(edges_strategy, updates_strategy)
-def test_workspace_ivm_equivalence_across_backends(edges, updates):
+def test_workspace_ivm_equivalence_across_backends(force_executor, edges, updates):
     """The full stack — loads, IVM deltas with deletes, recursion, and
-    aggregates — produces bit-identical states under both backends,
-    support counts and aggregation groups included."""
+    aggregates — run on each forced executor, produces the bit-identical
+    state a pure workspace derives from the final edges at once, support
+    counts and aggregation groups included."""
     from repro import Workspace
 
     program = """
@@ -228,20 +233,26 @@ def test_workspace_ivm_equivalence_across_backends(edges, updates):
         reach(x, z) <- reach(x, y), edge(y, z).
         degree[x] = n <- agg<<n = count(y)>> edge(x, y).
     """
-    workspaces = []
-    for backend in ("pure", "columnar"):
-        ws = Workspace(engine=backend)
+    query = "_(a, c) <- edge(a, b), edge(b, c), a != c."
+    final = set(edges)
+    for sign, a, b in updates:
+        (final.add if sign == "+" else final.discard)((a, b))
+    force_executor("pure")
+    oracle = Workspace()
+    oracle.addblock(program)
+    oracle.load("edge", sorted(final))
+    answer = oracle.query(query)
+    for executor in ("pure", "columnar"):
+        force_executor(executor)
+        ws = Workspace()
         ws.addblock(program)
         ws.load("edge", sorted(edges))
         for sign, a, b in updates:
             ws.exec("{}edge({}, {}).".format(sign, a, b))
-        workspaces.append(ws)
-    pure_ws, col_ws = workspaces
-    for pred in ("edge", "tri", "reach", "degree"):
-        assert sorted(pure_ws.relation(pred)) == sorted(col_ws.relation(pred))
-    query = "_(a, c) <- edge(a, b), edge(b, c), a != c."
-    assert pure_ws.query(query) == col_ws.query(query)
-    assert _predicate_states(pure_ws) == _predicate_states(col_ws)
+        for pred in ("edge", "tri", "reach", "degree"):
+            assert sorted(ws.relation(pred)) == sorted(oracle.relation(pred)), executor
+        assert ws.query(query) == answer, executor
+        assert _predicate_states(ws) == _predicate_states(oracle), executor
 
 
 # -- columnar comparison filters: vectorized where exact, row-wise else ----
@@ -354,7 +365,6 @@ COMPARISON_CASES = {
 }
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
 @pytest.mark.parametrize("case", sorted(COMPARISON_CASES))
 def test_columnar_comparisons_match_pure(case):
     env, atoms = COMPARISON_CASES[case]
@@ -370,7 +380,6 @@ edge_value = st.one_of(
 operand = st.one_of(st.sampled_from(["a", "b", "c"]), edge_value)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
 @settings(max_examples=60, deadline=None)
 @given(
     st.sets(st.tuples(edge_value, edge_value), min_size=1, max_size=30),
@@ -455,48 +464,54 @@ def _agg_states(ws):
     return out
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sets(st.tuples(st.integers(0, 3), agg_value), min_size=1, max_size=12),
        st.sets(st.tuples(st.integers(0, 3), agg_float), max_size=8),
        st.sets(st.tuples(st.integers(0, 3), agg_word), max_size=8),
        agg_writes)
-def test_aggregates_fold_alike_on_every_backend(r_rows, f_rows, s_rows, writes):
-    """Pure, per-plan and columnar workspaces answer every aggregate
-    with the same bits (``repr``: ints stay ints, ``-0.0`` stays apart),
-    and their installed views hold the same aggregate states — after
-    the first evaluation and after writes with deletes between reads,
-    so the columnar reads go through patched layouts."""
+def test_aggregates_fold_alike_on_every_backend(force_executor, r_rows, f_rows,
+                                                s_rows, writes):
+    """Workspaces forced pure, left to choose, and forced columnar
+    answer every aggregate with the same bits (``repr``: ints stay
+    ints, ``-0.0`` stays apart), and their installed views hold the
+    same aggregate states — after the first evaluation and after writes
+    with deletes between reads, so the columnar reads go through
+    patched layouts."""
     from repro import Workspace
 
     pools = {"r": sorted(r_rows), "f": sorted(f_rows), "s": sorted(s_rows)}
     workspaces = []
     for backend in ("pure", None, "columnar"):
-        ws = Workspace(engine=backend)
+        force_executor(backend)
+        ws = Workspace()
         ws.addblock(AGG_SCHEMA)
         for pred, rows in pools.items():
             ws.load(pred, rows)
         ws.addblock(AGG_VIEWS)
-        workspaces.append(ws)
+        workspaces.append((backend, ws))
 
     def observe():
-        return [(_agg_states(ws), [repr(ws.query(q)) for q in AGG_QUERIES])
-                for ws in workspaces]
+        seen = []
+        for backend, ws in workspaces:
+            force_executor(backend)
+            seen.append((_agg_states(ws), [repr(ws.query(q)) for q in AGG_QUERIES]))
+        return seen
 
     pure, *others = observe()
     assert all(other == pure for other in others)
     for sign, pred, key, pick in writes:
         pool = pools[pred] or [(key, {"r": 0, "f": 2.5, "s": "a"}[pred])]
         row = (key, pool[pick % len(pool)][1])
-        for ws in workspaces:
+        for backend, ws in workspaces:
+            force_executor(backend)
             ws.load(pred, [row] if sign == "+" else [], remove=[row] if sign == "-" else [])
         pure, *others = observe()
         assert all(other == pure for other in others)
-    counted = workspaces[2].engine_stats()["columnar"]
+    counted = workspaces[2][1].engine_stats()["columnar"]
     assert counted["vector_folds"] > 0
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
 @pytest.mark.parametrize("engine, values, query, fold", [
     ("columnar", [(1, 2), (1, 3), (2, 5)],
      "_[k] = t <- agg<<t = sum(v)>> r(k, v).", "vector"),
@@ -511,10 +526,12 @@ def test_aggregates_fold_alike_on_every_backend(r_rows, f_rows, s_rows, writes):
     ("pure", [(1, 2), (1, 3)],
      "_[] = t <- agg<<t = sum(v)>> r(k, v).", "rows: pure join"),
 ])
-def test_the_join_span_and_explain_say_which_fold_ran(engine, values, query, fold):
+def test_the_join_span_and_explain_say_which_fold_ran(force_executor, engine, values,
+                                                      query, fold):
     from repro import Workspace, obs
 
-    ws = Workspace(engine=engine)
+    force_executor(engine)
+    ws = Workspace()
     ws.addblock("r(k, v) -> int(k), int(v).")
     ws.load("r", values)
     before = ws.engine_stats()["columnar"]["vector_folds"]
@@ -530,7 +547,7 @@ def test_the_join_span_and_explain_say_which_fold_ran(engine, values, query, fol
 
 
 @pytest.mark.parametrize("engine", ["pure", "columnar"])
-def test_a_relation_never_stores_negative_zero(engine):
+def test_a_relation_never_stores_negative_zero(force_executor, engine):
     """Every writer stores ``0.0`` for ``-0.0``, so the backends and
     the order of writes agree bit for bit, base rows and derived heads
     (copied or computed) alike."""
@@ -542,7 +559,8 @@ def test_a_relation_never_stores_negative_zero(engine):
         return [struct.pack("<d", x) for _, x in rows]
 
     zero = struct.pack("<d", 0.0)
-    ws = Workspace(engine=engine)
+    force_executor(engine)
+    ws = Workspace()
     ws.addblock("r(k, x) -> int(k), float(x). d(k, x) <- r(k, x). "
                 "n(k, y) <- r(k, x), y = x * -1.0.")
     ws.load("r", [(1, -0.0)])

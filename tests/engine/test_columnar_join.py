@@ -1,25 +1,17 @@
 """Columnar LFTJ executor: equivalence with the pure backend, fallback
-rules, and backend resolution."""
+rules, and how a join's executor is chosen."""
 
 import random
 
-import pytest
-
 from repro import stats as global_stats
 from repro.engine import columnar
-from repro.engine.columnar import (
-    ColumnarTrieJoin,
-    make_join,
-    resolve_backend,
-)
+from repro.engine.columnar import ColumnarTrieJoin, make_join
 from repro.engine.ir import AssignAtom, BinOp, CompareAtom, Const, PredAtom, Var
 from repro.engine.lftj import LeapfrogTrieJoin
 from repro.engine.planner import build_plan
 from repro.engine.sensitivity import SensitivityRecorder
-from repro.storage.columnar import HAVE_NUMPY, ColumnarUnsupported
+from repro.storage.columnar import ColumnarUnsupported
 from repro.storage.relation import Relation
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
 
 
 def both_runs(atoms, relations, var_order=None, output_vars=()):
@@ -175,32 +167,23 @@ class TestFallbacks:
 
 
 class TestResolveBackend:
-    def test_explicit_choice_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "pure")
-        assert resolve_backend("columnar") == "columnar"
+    """``make_join`` resolves a join's executor: the caller's ``backend``
+    when one is passed, else :func:`~repro.engine.columnar.choose_backend`."""
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "columnar")
-        assert resolve_backend() == "columnar"
+    def test_explicit_choice_wins(self, force_executor):
+        env = {"E": Relation.from_iter(2, random_edges(45, 30, 6))}
+        plan = build_plan(list(TRIANGLE), output_vars=("a", "b", "c"))
+        force_executor("pure")
+        join = make_join(plan, env, backend="columnar")
+        assert isinstance(join, ColumnarTrieJoin)
+        assert join.reason == "forced"
 
-    def test_default_chooses_per_plan(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert resolve_backend() is None
-
-    def test_invalid_name_rejected(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        with pytest.raises(ValueError):
-            resolve_backend("vectorized")
-        monkeypatch.setenv("REPRO_ENGINE", "nope")
-        with pytest.raises(ValueError):
-            resolve_backend()
-
-    def test_missing_numpy_degrades_to_pure(self, monkeypatch):
-        monkeypatch.setattr(columnar, "HAVE_NUMPY", False)
-        before = global_stats.snapshot()
-        assert resolve_backend("columnar") == "pure"
-        delta = global_stats.delta_since(before)
-        assert delta.get("join.columnar_unavailable") == 1
+    def test_default_chooses_per_plan(self):
+        env = {"E": Relation.from_iter(2, random_edges(45, 30, 6))}
+        plan = build_plan(list(TRIANGLE), output_vars=("a", "b", "c"))
+        backend, reason = columnar.choose_backend(plan, env)
+        join = make_join(plan, env)
+        assert (join.backend, join.reason) == (backend, reason)
 
 
 class TestCounters:
@@ -233,8 +216,8 @@ def tri_all_plan():
 
 
 class TestPerPlanChoice:
-    """Without a forced backend each join picks its executor from the
-    rows its first variable level draws on."""
+    """Each join picks its executor from the rows its first variable
+    level draws on."""
 
     def test_point_query_runs_pure(self):
         inventory = Relation.from_iter(
@@ -286,10 +269,9 @@ class TestPerPlanChoice:
                 output_vars=("b", "c"))
             assert columnar.first_level_rows(plan, env) == expected
 
-    def test_workspace_reports_each_decision(self, monkeypatch):
+    def test_workspace_reports_each_decision(self):
         from repro import Workspace
 
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
         ws = Workspace()
         ws.addblock("E(x, y) -> int(x), int(y).")
         ws.load("E", sorted(random_edges(57, columnar.COLUMNAR_MIN_ROWS + 500, 400)))
@@ -302,7 +284,6 @@ class TestPerPlanChoice:
         assert [backend for backend, _ in paths] == ["columnar", "pure"]
         assert ws.engine_stats()["columnar"]["chosen"] == {
             "pure": 1, "columnar": 1}
-        assert ws.engine_stats()["columnar"]["backend"] == "per-plan"
         report = ws.explain("_(b) <- E(3, b).")
         assert report.backend == "per-plan"
         assert [rule["backend"] for rule in report.rules] == ["pure"]

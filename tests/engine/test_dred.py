@@ -2,15 +2,13 @@
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import stats as global_stats
 from repro.engine.evaluator import Evaluator, RuleSet
 from repro.engine.ir import Const, PredAtom, Var
 from repro.engine.ivm import DRedEngine, IncrementalEngine
 from repro.engine.rules import AggSpec, Rule
-from repro.runtime.workspace import Workspace
 from repro.storage.relation import Delta, Relation
 
 TC_RULES = [
@@ -194,7 +192,8 @@ def _negation_rules():
 _PAIRS = st.tuples(st.integers(0, 4), st.integers(0, 4))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     edges=st.sets(_PAIRS, max_size=10),
     blocked=st.sets(_PAIRS, max_size=4),
@@ -202,30 +201,36 @@ _PAIRS = st.tuples(st.integers(0, 4), st.integers(0, 4))
         st.tuples(st.sampled_from(["E", "B"]), st.booleans(), _PAIRS),
         min_size=1, max_size=10),
 )
-def test_recursion_through_negation_agrees_with_recompute(edges, blocked, updates):
+def test_recursion_through_negation_agrees_with_recompute(force_executor, edges, blocked,
+                                                         updates):
     """Inserts and deletes to the edge predicate and to the negated one:
     removing a ``B`` tuple inserts through a negated atom inside the
     recursive strata, which holds only when no other ``B`` tuple still
     blocks the same prefix.  The incremental engine, whole-program DRed
-    and a fresh evaluation must agree on every derived predicate."""
+    and a fresh evaluation must agree on every derived predicate, the
+    first two on each forced executor, the fresh one on pure."""
     ruleset = RuleSet(_negation_rules())
-    base = {"E": Relation.from_iter(2, edges), "B": Relation.from_iter(2, blocked)}
-    ivm = IncrementalEngine(ruleset)
-    mat = ivm.initialize(base)
-    dred = DRedEngine(ruleset)
-    relations = dred.initialize(base)
+    force_executor("pure")
     current = {"E": set(edges), "B": set(blocked)}
+    expected = []
     for pred, insert, tup in updates:
-        delta = Delta.from_iters([tup], ()) if insert else Delta.from_iters((), [tup])
         (current[pred].add if insert else current[pred].discard)(tup)
-        mat, _ = ivm.apply(mat, {pred: delta})
-        relations, _ = dred.apply(relations, {pred: delta})
         fresh, _ = Evaluator(ruleset).evaluate(
             {name: Relation.from_iter(2, tuples) for name, tuples in current.items()})
-        for derived in ("reach", "odd", "even"):
-            expected = set(fresh[derived])
-            assert set(mat.relations[derived]) == expected, derived
-            assert set(relations[derived]) == expected, derived
+        expected.append({derived: set(fresh[derived]) for derived in ("reach", "odd", "even")})
+    for executor in ("pure", "columnar"):
+        force_executor(executor)
+        base = {"E": Relation.from_iter(2, edges), "B": Relation.from_iter(2, blocked)}
+        ivm = IncrementalEngine(ruleset)
+        mat = ivm.initialize(base)
+        dred = DRedEngine(ruleset)
+        relations = dred.initialize(base)
+        for (pred, insert, tup), derived in zip(updates, expected):
+            delta = Delta.from_iters([tup], ()) if insert else Delta.from_iters((), [tup])
+            mat, _ = ivm.apply(mat, {pred: delta})
+            relations, _ = dred.apply(relations, {pred: delta})
+            assert {name: set(mat.relations[name]) for name in derived} == derived, executor
+            assert {name: set(relations[name]) for name in derived} == derived, executor
 
 
 def test_recursive_atom_with_a_local_variable_agrees_with_recompute():
@@ -297,26 +302,3 @@ def test_rederive_respects_constant_and_repeated_head_arguments():
             fresh, _ = Evaluator(ruleset).evaluate({"E": Relation.from_iter(2, current)})
             assert set(relations["r"]) == set(fresh["r"])
             assert set(relations["s"]) == set(fresh["s"])
-
-
-def test_recursive_maintenance_keeps_an_explicit_backend(monkeypatch):
-    """A workspace's recursive strata are maintained on its own
-    backend: ``engine="pure"`` beats ``REPRO_ENGINE``, as everywhere
-    else (:func:`~repro.engine.columnar.resolve_backend`)."""
-    monkeypatch.setenv("REPRO_ENGINE", "columnar")
-    ws = Workspace(engine="pure")
-    ws.addblock("""
-        edge(x, y) -> int(x), int(y).
-        reach(x, y) <- edge(x, y).
-        reach(x, z) <- reach(x, y), edge(y, z).
-    """)
-    edges = [(i, i + 1) for i in range(40)] + [(i, i + 2) for i in range(0, 40, 4)]
-    ws.load("edge", edges)
-    before = global_stats.snapshot()
-    ws.load("edge", [], remove=[(21, 22)])
-    bumped = global_stats.delta_since(before)
-    assert bumped.get("dred.runs") == 1
-    assert bumped.get("join.backend.pure", 0) > 0
-    assert bumped.get("join.backend.columnar", 0) == 0
-    current = set(edges) - {(21, 22)}
-    assert set(ws.rows("reach")) == tc_closure(current)

@@ -5,7 +5,7 @@ import gc
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.evaluator import Evaluator, RuleSet
@@ -268,7 +268,8 @@ def assert_support_matches(mat, expected):
 
 
 @pytest.mark.parametrize("backend", ["pure", "columnar"])
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     initial=st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=12),
     updates=st.lists(
@@ -279,16 +280,18 @@ def assert_support_matches(mat, expected):
         max_size=8,
     ),
 )
-def test_property_stored_counts_are_the_ones_above_one(backend, initial, updates):
+def test_property_stored_counts_are_the_ones_above_one(force_executor, backend, initial,
+                                                      updates):
+    force_executor(backend)
     ruleset = RuleSet(SUPPORT_RULES)
-    engine = IncrementalEngine(ruleset, backend=backend)
+    engine = IncrementalEngine(ruleset)
     mat = engine.initialize({"E": Relation.from_iter(2, initial)})
     assert_support_matches(mat, derivations(set(initial)))
     for added, removed in updates:
         delta = Delta.from_iters(added - removed, removed)
         mat, _ = engine.apply(mat, {"E": delta})
         edges = set(mat.relations["E"])
-        fresh = Evaluator(ruleset, backend=backend).evaluate({"E": mat.relations["E"]})[0]
+        fresh = Evaluator(ruleset).evaluate({"E": mat.relations["E"]})[0]
         for pred in ("reach2", "sym", "hop", "oneway"):
             assert list(mat.relations[pred]) == list(fresh[pred]), pred
         assert_support_matches(mat, derivations(edges))
@@ -447,22 +450,19 @@ def test_views_graph_stores_only_multi_derivation_counts():
     assert ws.rows("tri") and len(states["tri"].counts) == 0
 
 
-def test_bulk_load_through_views_picks_columnar(monkeypatch):
+def test_bulk_load_through_views_picks_columnar(force_executor):
     """Maintenance carries no sensitivity recorder, so a load of over
     1,024 edges through installed views runs its large delta passes on
     the columnar executor, and derives what the pure executor does."""
     from repro import Workspace
     from repro.datasets.graphs import powerlaw_graph
-    from repro.storage.columnar import HAVE_NUMPY
 
-    if not HAVE_NUMPY:
-        pytest.skip("numpy not available")
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
     edges = powerlaw_graph(300, 3, seed=20150531)
     assert len(edges) >= 1024
     views, chosen = {}, {}
     for engine in (None, "pure"):
-        ws = Workspace(engine=engine)
+        force_executor(engine)
+        ws = Workspace()
         ws.addblock(IVM_VIEWS, name="views")
         ws.reset_engine_stats()
         ws.load("E", edges)
@@ -481,17 +481,18 @@ def _circulant_views(n_nodes):
     one-edge change touches the same neighbourhood at any size."""
     from repro import Workspace
 
-    ws = Workspace(engine="pure")
+    ws = Workspace()
     ws.addblock(IVM_VIEWS, name="views")
     ws.load("E", [(i, (i + step) % n_nodes)
                   for i in range(n_nodes) for step in (1, 3, 7)])
     return ws
 
 
-def test_one_edge_insert_seeks_do_not_grow_with_the_graph():
+def test_one_edge_insert_seeks_do_not_grow_with_the_graph(force_executor):
     """Each delta pass leads with its ``@cand`` atom, so no level opens
     over every source node: the seeks of one edge insert into ``reach2``
     and ``tri`` are about the same at 1,000 and 8,000 edges."""
+    force_executor("pure")
 
     def seeks(n_nodes):
         ws = _circulant_views(n_nodes)
@@ -507,7 +508,7 @@ def test_one_edge_insert_seeks_do_not_grow_with_the_graph():
     assert 0 < large <= 2 * small and small <= 2 * large
 
 
-def test_one_key_write_allocates_its_delta_not_the_relation():
+def test_one_key_write_allocates_its_delta_not_the_relation(force_executor):
     """A write to a relation a view reads costs its delta: one one-key
     ``exec`` peaks at about the same allocation over 32,000
     ``inventory`` rows as over 2,000 (no version carries a copy of the
@@ -516,8 +517,10 @@ def test_one_key_write_allocates_its_delta_not_the_relation():
 
     from repro import Workspace
 
+    force_executor("pure")
+
     def peak_bytes(n_rows):
-        ws = Workspace(engine="pure")
+        ws = Workspace()
         ws.addblock("hot(s) -> string(s). "
                     "inventory[s] = v -> string(s), int(v).", name="base")
         ws.load("inventory", [("s%d" % i, i) for i in range(n_rows)])
@@ -540,7 +543,7 @@ def test_one_key_write_allocates_its_delta_not_the_relation():
     assert large <= 2 * small, (small, large)
 
 
-def test_functional_check_reads_only_the_changed_keys(monkeypatch):
+def test_functional_check_reads_only_the_changed_keys(monkeypatch, force_executor):
     """A derived functional head checks its dependency per added key:
     the rows the check reads are the same at 1,000 and 8,000 rows."""
     from repro import Workspace
@@ -567,8 +570,10 @@ def test_functional_check_reads_only_the_changed_keys(monkeypatch):
         ivm, "_check_functional",
         lambda pred, rule, relation, *rest: real(pred, rule, Counting(relation), *rest))
 
+    force_executor("pure")
+
     def work(rows):
-        ws = Workspace(engine="pure")
+        ws = Workspace()
         ws.addblock("src(k, v) -> int(k), int(v). f[k] = v <- src(k, v).")
         ws.load("src", [(i, i * 2) for i in range(rows)])
         del read[:]

@@ -206,8 +206,8 @@ OPS = [
 ]
 
 
-def property_workspace(engine):
-    ws = Workspace(engine=engine)
+def property_workspace():
+    ws = Workspace()
     ws.addblock(PROPERTY_SCHEMA)
     ws.load("product", [("p1",), ("p2",)])
     ws.load("stock", [("p1", 4), ("p2", 5)])
@@ -229,8 +229,9 @@ def run_op(ws, verb, source):
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(values=st.lists(CONSTANTS, min_size=1, max_size=4))
-def test_a_hit_answers_and_refuses_like_a_cold_compile(engine, values):
-    hit, cold, warm = (property_workspace(engine) for _ in range(3))
+def test_a_hit_answers_and_refuses_like_a_cold_compile(force_executor, engine, values):
+    force_executor(engine)
+    hit, cold, warm = (property_workspace() for _ in range(3))
     for value in values:
         for verb, template in OPS:
             run_op(warm, verb, template.format(literal(sibling(value))))

@@ -43,8 +43,9 @@ class TestExplainQuery:
         assert rule["error_ratio"] == pytest.approx(
             (rule["estimated_steps"] + 1.0) / (rule["actual_steps"] + 1.0))
 
-    def test_negation_cursor_moves_are_reported(self):
-        ws = Workspace(engine="pure")  # the anti-seek is the pure join's
+    def test_negation_cursor_moves_are_reported(self, force_executor):
+        force_executor("pure")  # the anti-seek is the pure join's
+        ws = Workspace()
         ws.addblock("edge(x, y) -> int(x), int(y).")
         ws.exec("+edge(1, 2). +edge(2, 3). +edge(1, 3). +edge(3, 4). +edge(1, 4).")
         query = "_(z) <- edge(2, y), edge(y, z), !edge(2, z)."

@@ -589,7 +589,7 @@ class TestKeywordOnlyConstructors:
 
     @pytest.mark.parametrize(
         "ctor, keywords",
-        [(Workspace.__init__, {"engine"}), (Workspace.open, {"engine"})],
+        [(Workspace.__init__, set()), (Workspace.open, set())],
         ids=["init", "open"],
     )
     def test_workspace_keyword_sets(self, ctor, keywords):
@@ -599,8 +599,8 @@ class TestKeywordOnlyConstructors:
     @pytest.mark.parametrize(
         "target, keywords",
         [
-            (Evaluator, {"order_chooser", "backend", "params"}),
-            (IncrementalEngine, {"track_sensitivity", "backend", "params"}),
+            (Evaluator, {"order_chooser", "params"}),
+            (IncrementalEngine, {"track_sensitivity", "params"}),
             (PreparedTransaction, set()),
             (evaluate_query, set()),
             (explain_query, {"sample_size", "max_candidates"}),
@@ -612,11 +612,12 @@ class TestKeywordOnlyConstructors:
              "make_join"],
     )
     def test_engine_keyword_sets(self, target, keywords):
-        # a query's backend comes from the state's program and plans from
-        # each rule's memo (``params`` are a cached shape's literals, bound
-        # per call): nothing here threads a cache or backend
-        # through, and every join reads relations through treap iterators
-        # (no caller picks a storage representation)
+        # each join picks its executor and plans come from each rule's
+        # memo (``params`` are a cached shape's literals, bound per
+        # call): nothing here threads a cache or backend through, and
+        # every join reads relations through treap iterators (no caller
+        # picks a storage representation); only ``make_join`` can force
+        # an executor, for benchmarks and executor tests
         params = inspect.signature(target).parameters.values()
         assert {p.name for p in params if p.kind is p.KEYWORD_ONLY} == keywords
 
@@ -640,7 +641,7 @@ class TestKeywordOnlyConstructors:
             "checkpoint_path", "checkpoint_every_n_commits",
             "checkpoint_on_shutdown", "net_chunk_rows",
             "net_max_connections", "telemetry_interval_s", "telemetry_ring",
-            "slow_txn_s", "shard_index", "shard_count", "engine",
+            "slow_txn_s", "shard_index", "shard_count",
         ]
         # conflicts are always repaired: there is no mode to pick
         with pytest.raises(TypeError):

@@ -230,9 +230,11 @@ class TestViolationViews:
             ws.load("p", [("t",)])
         assert ws.rows("p") == [] and ws.rows("d") == []
 
-    def test_constraint_work_independent_of_relation_size(self):
+    def test_constraint_work_independent_of_relation_size(self, force_executor):
+        force_executor("pure")
+
         def work(rows):
-            ws = Workspace(engine="pure")
+            ws = Workspace()
             ws.addblock(
                 "Product(p) -> . inv[p] = v -> Product(p), int(v). "
                 "inv[p] = v -> v >= 0."
@@ -282,7 +284,7 @@ txn = st.dictionaries(op, st.booleans(), min_size=1, max_size=4)
 @settings(max_examples=30, deadline=None)
 @given(st.lists(txn, min_size=1, max_size=6))
 def test_commit_or_abort_matches_oracle(txns):
-    ws = Workspace(engine="pure")
+    ws = Workspace()
     ws.addblock(PROPERTY_SCHEMA)
     texts = {c.text for c in ws.state.artifacts.constraints}
     state = {"p": set(), "q": set(), "r": set()}

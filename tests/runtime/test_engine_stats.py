@@ -55,19 +55,20 @@ class TestResetRoundTrip:
 
 
 class TestWorkspaceIsolation:
-    def test_two_workspaces_do_not_cross_contaminate(self):
+    def test_two_workspaces_do_not_cross_contaminate(self, force_executor):
         """Two workspaces running identical workloads concurrently on
         separate threads must each report exactly their own work."""
         results = {}
         errors = []
         barrier = threading.Barrier(2)
+        # pure: columnar join setups are cached process-wide by content,
+        # so which of two identical workspaces pays the build (setups vs
+        # setup_hits) would be a thread race
+        force_executor("pure")
 
         def worker(name):
             try:
-                # pure: columnar join setups are cached process-wide by
-                # content, so which of two identical workspaces pays the
-                # build (setups vs setup_hits) would be a thread race
-                ws = Workspace(engine="pure")
+                ws = Workspace()
                 ws.addblock(SCHEMA)
                 barrier.wait(timeout=30)
                 run_workload(ws)

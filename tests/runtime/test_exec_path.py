@@ -5,6 +5,7 @@ Whichever transport carries an exec, it commits the same rows, fires the
 program's installed reactive rules, and refuses a source holding anything
 but reactive rules."""
 
+import re
 import threading
 
 import pytest
@@ -30,8 +31,11 @@ SHAPES = {
     '^inventory["a"] = v + 1 <- inventory@start["a"] = v.': {"inventory"},
     # a multi-fact insert and delete
     "+E(7, 8). +E(8, 9). -E(1, 2).": {"E"},
-    # matches no row: an empty delta that still names its target
+    # matches no row: its empty delta still meets the derived-write
+    # check, and the result reports no change
     "-E(100, 100).": {"E"},
+    # partly no-ops, on both shards of `E`
+    "+E(1, 2). -E(100, 100). +E(51, 1). +E(52, 1).": {"E"},
     # a join on @start
     "+seen(x) <- E@start(x, _), lineitem@start(x, _, _).": {"seen"},
     # a negation on @start
@@ -50,24 +54,16 @@ def _snapshot(target):
     return {pred: sorted(tuple(r) for r in target.rows(pred)) for pred in PREDS}
 
 
-def _changes(deltas, before):
-    """The rows ``deltas`` really change against the ``before`` snapshot,
-    per base predicate that changed."""
-    changes = {}
-    for pred, delta in deltas.items():
-        if pred not in before:
-            continue
-        rows = set(before[pred])
-        added = sorted(tuple(t) for t in delta.added if tuple(t) not in rows)
-        removed = sorted(tuple(t) for t in delta.removed if tuple(t) in rows)
-        if added or removed:
-            changes[pred] = (added, removed)
-    return changes
+def _rows(deltas):
+    return {pred: (sorted(tuple(t) for t in delta.added),
+                   sorted(tuple(t) for t in delta.removed))
+            for pred, delta in deltas.items()}
 
 
 class TestEffectsAreTheSameOnEveryTransport:
     """A bare workspace and every served transport commit the same rows
-    and report the same written base deltas for each exec shape."""
+    and report the same change for each exec shape: the rows its commit
+    changed, not the rows its source named."""
 
     @pytest.mark.parametrize("kind", TRANSPORTS[1:])
     @pytest.mark.parametrize("source", list(SHAPES))
@@ -81,12 +77,29 @@ class TestEffectsAreTheSameOnEveryTransport:
             assert _snapshot(target) == before
             result = target.exec(source)
             assert result.status == expected.status == "committed"
-            # the served result names every written predicate, a write
-            # that matched no row included
-            assert set(result.deltas) == SHAPES[source]
-            assert (_changes(result.deltas, before)
-                    == _changes(expected.deltas, before))
+            assert set(expected.deltas) <= SHAPES[source]
+            assert _rows(result.deltas) == _rows(expected.deltas)
             assert _snapshot(target) == _snapshot(oracle)
+
+    def test_a_group_reports_each_members_own_change(self):
+        """Members committed as one group: each reports the rows it
+        changed on top of the head and the members before it."""
+        from repro.service import FaultInjector
+        from tests.service.test_faults import commit_as_one_group, make_service
+
+        faults = FaultInjector()
+        with make_service(faults=faults, max_pending=8) as service:
+            outcomes = commit_as_one_group(service, faults, [
+                "+note(7). +note(8).",
+                "+note(7). +note(9). -note(1).",
+                "-note(8). -note(50).",
+            ])
+            assert [_rows(result.deltas) for result in outcomes] == [
+                {"note": ([(7,), (8,)], [])},
+                {"note": ([(9,)], [(1,)])},
+                {"note": ([], [(8,)])},
+            ]
+            assert service.rows("note") == [(7,), (9,)]
 
 
 class TestInstalledReactiveRulesFire:
@@ -277,3 +290,48 @@ class TestAFunctionalBasePredicateKeepsOneValuePerKey:
                 target.exec("+note(2).")
             assert [tuple(r) for r in target.rows("inv")] == [("x", 5)]
             assert [tuple(r) for r in target.rows("note")] == [(1,)]
+
+    @pytest.mark.parametrize("kind", TRANSPORTS)
+    def test_one_transaction_writing_two_values_for_a_key_aborts(self, kind):
+        with _transport(kind) as target:
+            _install(target)
+            before = _snapshot(target)
+            for source in ('+inventory["c"] = 1. +inventory["c"] = 2.',
+                           '+inventory["c"] = v <- inventory@start(_, v).'):
+                with pytest.raises(TransactionAborted, match=re.escape(
+                        "inventory[('c',)] written with conflicting values")):
+                    target.exec(source)
+            assert _snapshot(target) == before
+
+    @pytest.mark.parametrize("kind", ["workspace", "session", "tcp"])
+    def test_block_facts_meet_the_key_check(self, kind):
+        with _transport(kind) as target:
+            _install(target)
+            before = _snapshot(target)
+            with pytest.raises(TransactionAborted, match=re.escape(
+                    "inv[('x',)] written with conflicting values")):
+                target.addblock('inv[s] = n -> string(s), int(n).\n'
+                                'inv["x"] = 1. inv["x"] = 2.', name="two")
+            # a block fact against a loaded row
+            with pytest.raises(TransactionAborted, match=re.escape(
+                    "inventory[('a',)] written with conflicting values")):
+                target.addblock('inventory["a"] = 9.', name="clash")
+            assert _snapshot(target) == before
+            target.addblock('inventory["z"] = 9.', name="fresh")
+            assert ("z", 9) in [tuple(r) for r in target.rows("inventory")]
+
+    def test_a_repair_writing_two_values_for_a_key_aborts(self):
+        """The group's earlier writes give the member's rule a second
+        value when it is repaired: the member aborts, the rest commit."""
+        from repro.service import FaultInjector
+        from tests.service.test_faults import commit_as_one_group, make_service
+
+        faults = FaultInjector()
+        with make_service(faults=faults, max_pending=8) as service:
+            note, keyed = commit_as_one_group(service, faults, [
+                "+note(2).", '+counter["c"] = v <- note@start(v).'])
+            assert note.committed
+            assert isinstance(keyed, TransactionAborted)
+            assert str(keyed) == "counter[('c',)] written with conflicting values"
+            assert service.rows("counter") == [("hits", 0)]
+            assert service.rows("note") == [(1,), (2,)]

@@ -110,9 +110,8 @@ class TestObservabilityCommands:
 
         blob = output[output.index("{"):]
         stats = json.loads(blob[: blob.rindex("}") + 1])
-        assert stats["columnar"]["backend"] in ("per-plan", "pure", "columnar")
         # addblock's meta-engine maintains views: its joins are counted
-        # on whichever executor the backend setting picks
+        # on whichever executor each join picks
         assert sum(stats["columnar"]["chosen"].values()) >= 1
 
     def test_stats_prom_emits_exposition_text(self):

@@ -237,42 +237,3 @@ class TestStatsSurface:
             result = service.exec(BUMP)
             assert isinstance(result.stats, dict)
             assert result.latency_s is not None
-
-
-class TestEngineKnob:
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError):
-            ServiceConfig(engine="vectorized")
-
-    def test_engine_reaches_the_constructed_workspace(self):
-        from repro.engine.columnar import resolve_backend
-
-        with make_service(engine="columnar") as service:
-            assert service.workspace._engine_backend == resolve_backend(
-                "columnar"
-            )
-            service.exec(BUMP)
-            assert service.rows("counter") == [("hits", 1)]
-
-    def test_service_reads_run_on_the_configured_engine(self, monkeypatch):
-        from repro.engine.columnar import HAVE_NUMPY
-
-        if not HAVE_NUMPY:
-            pytest.skip("columnar backend needs numpy")
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        query = "_(a, b, c) <- edge(a, b), edge(b, c), edge(a, c)."
-        with make_service(engine="columnar") as service:
-            service.addblock("edge(x, y) -> int(x), int(y).")
-            service.load("edge", [(1, 2), (2, 3), (1, 3)])
-            result = service.query_result(query)
-            assert result.rows == [(1, 2, 3)]
-            assert result.stats.get("join.columnar_joins", 0) >= 1
-            assert service.explain(query).backend == "columnar"
-
-    def test_explicit_workspace_keeps_its_own_backend(self):
-        workspace = Workspace(engine="pure")
-        service = TransactionService(
-            workspace, config=ServiceConfig(engine="columnar")
-        )
-        with service:
-            assert workspace._engine_backend == "pure"

@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 from repro import stats as global_stats
 from repro.ds.hashing import canonical_key, stable_hash
 from repro.storage.columnar import (
-    HAVE_NUMPY,
     ColumnarLayout,
     ColumnarUnsupported,
     encode_column,
 )
 from repro.storage.relation import Delta, Relation
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
 
 
 class TestEncodeColumn:

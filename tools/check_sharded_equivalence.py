@@ -26,11 +26,7 @@ recombined-aggregation scenario:
 Every observable — per-predicate global extensions and every query
 answer — must be **bit-identical** to a single-process
 :class:`~repro.runtime.workspace.Workspace` fed the same verbs in the
-same order.  The shards run every join on the columnar executor
-(``REPRO_ENGINE=columnar`` in their environment), so their aggregates
-fold in numpy over patched layouts, while the oracle runs the pure
-one (``Workspace(engine="pure")``): the check compares backends too.
-And the coordinator's own counters must show that only the
+same order.  And the coordinator's own counters must show that only the
 exchange cases moved base data to the coordinator
 (``shard.gather_queries``): no aggregate ever does.  Exits non-zero on
 the first divergence.
@@ -104,7 +100,7 @@ def wait_port(port, deadline_s=20.0):
 
 def start_shards(n_shards, base_port, logs_dir):
     os.makedirs(logs_dir, exist_ok=True)
-    env = dict(os.environ, REPRO_ENGINE="columnar")
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(os.getcwd(), "src"),
                     env.get("PYTHONPATH")) if p)
@@ -177,7 +173,7 @@ def main(argv=None):
         endpoints = ",".join(
             "127.0.0.1:{}".format(args.base_port + i)
             for i in range(args.shards))
-        oracle = Workspace(engine="pure")
+        oracle = Workspace()
         want_refused = drive(oracle)
         with repro.connect("shards://" + endpoints,
                            partition=dict(PARTITION)) as fleet:
