@@ -88,6 +88,11 @@ def pytest_sessionfinish(session, exitstatus):
         return
     by_module = {}
     for bench in bench_session.benchmarks:
+        stats = getattr(bench, "stats", None)
+        if stats is not None and not stats.data:
+            # it raised before a round was recorded: its own error is
+            # the report, and min/max of no rounds would mask it
+            continue
         module = Path(bench.fullname.split("::")[0]).stem
         by_module.setdefault(module, []).append(_bench_entry(bench))
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -44,10 +44,12 @@ class Node:
     ``prio`` must be ``stable_hash(key)``: it is also the key's share of
     the subtree hash, so hashing a path copy re-hashes no key.  ``_h``
     memoizes that hash and stays ``None`` until :func:`tree_hash` reads
-    it.
+    it.  ``addr`` is the node's content address once a
+    :class:`repro.storage.pager.CheckpointStore` has encoded or restored
+    it (``None`` before): it lives exactly as long as the node.
     """
 
-    __slots__ = ("key", "value", "prio", "left", "right", "size", "_h")
+    __slots__ = ("key", "value", "prio", "left", "right", "size", "_h", "addr")
 
     def __init__(self, key, value, prio, left, right):
         self.key = key
@@ -57,6 +59,7 @@ class Node:
         self.right = right
         self.size = 1 + size(left) + size(right)
         self._h = None
+        self.addr = None
 
     def __repr__(self):
         return "Node({!r}, {!r}, size={})".format(self.key, self.value, self.size)

@@ -162,9 +162,9 @@ class Workspace:
         # different threads never contaminate each other's deltas
         self._counters = {}
         self._stats_baseline = {}
-        # checkpoint path -> CheckpointStore: keeps the id(node)->addr
-        # memo warm so repeated checkpoints to the same path stay
-        # incremental
+        # checkpoint path -> CheckpointStore: keeps the store's record
+        # index loaded, against which a walk prunes at nodes whose
+        # ``addr`` it already holds
         self._pagers = {}
 
     # -- state access ---------------------------------------------------------

@@ -170,7 +170,6 @@ class TransactionService(ShardParticipant):
         self._counters = {}
         self._rng = random.Random(0)  # fixed seed: backoff jitter replays
         self._rng_lock = threading.Lock()
-        self._history = []
         # the commit watermark: highest committed transaction sequence
         # number.  Written only on the committer thread; read (as one
         # atomic int) from any thread.  A service recovered from a
@@ -639,8 +638,8 @@ class TransactionService(ShardParticipant):
         return committed
 
     def _record_commits(self, members, state):
-        """Mark members committed and append them to the history —
-        without firing their events; the committer does that after the
+        """Mark members committed and advance the watermark — without
+        firing their events; the committer does that after the
         batch span has closed so waiters never see a half-built span.
 
         Each member's ``changes`` are the rows its effects changed in
@@ -663,16 +662,7 @@ class TransactionService(ShardParticipant):
                 if change:
                     pending.changes[pred] = change
                 written[pred] = (before, change)
-            seq = next(self._commit_seq)
-            self._watermark = seq
-            self._history.append({
-                "seq": seq,
-                "txn": pending.txn.name,
-                "source": pending.source,
-                "attempt": pending.attempt,
-                "repairs": pending.txn.repair_count,
-                "preds": sorted(pending.txn.effects),
-            })
+            self._watermark = next(self._commit_seq)
             _stats.bump("service.commits")
             self._commits_since_checkpoint += 1
             pending.committed = True
@@ -764,10 +754,6 @@ class TransactionService(ShardParticipant):
 
     # -- introspection ---------------------------------------------------------
 
-    def commit_history(self):
-        """The committed transactions in commit (= serialization) order."""
-        return list(self._history)
-
     def service_stats(self):
         """Counters attributed to this service's transactions, plus the
         admission window and commit-queue levels."""
@@ -776,7 +762,7 @@ class TransactionService(ShardParticipant):
             queued = len(self._queue)
         counters["in_flight"] = self._admission.depth
         counters["queued"] = queued
-        counters["committed"] = len(self._history)
+        counters["committed"] = counters.get("service.commits", 0)
         counters["checkpoints"] = self._checkpoint_count
         counters["watermark"] = self._watermark
         counters["role"] = self.role

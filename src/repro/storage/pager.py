@@ -15,9 +15,10 @@ recovery.  This module is that subsystem:
   live in append-only ``nodes-NNNNNN.pack`` files.
 
 * **Incremental checkpoints** — a checkpoint walks each root and prunes
-  the walk at every node already known to the store (an in-memory
-  ``id(node) → address`` memo catches survivors from the previous
-  checkpoint; the on-disk index catches everything else).  Work is
+  the walk at every node whose address (``Node.addr``, set when a node
+  is first encoded or restored) is already in the store's committed
+  index.  Every node that survived from the previous checkpoint or was
+  restored from this one carries such an address, so work is
   proportional to the diff since the last checkpoint, mirroring the
   version-DAG diffing of §3.
 
@@ -277,15 +278,14 @@ def _encode_node(key, value, left_addr, right_addr):
 
 
 class _PackWriter:
-    """Accumulates one checkpoint attempt's new records and memo
-    entries.  Everything here is staged: nothing becomes visible to
-    later checkpoints until the manifest swap commits the attempt."""
+    """Accumulates one checkpoint attempt's new records.  Everything
+    here is staged: nothing becomes visible to later checkpoints until
+    the manifest swap commits the attempt."""
 
-    __slots__ = ("pending", "memo", "bytes_written")
+    __slots__ = ("pending", "bytes_written")
 
     def __init__(self):
         self.pending = {}  # addr -> payload, insertion (= post) order
-        self.memo = {}  # id(node) -> (node ref, addr), this attempt
         self.bytes_written = 0
 
     def add(self, addr, payload):
@@ -306,7 +306,7 @@ class NodeStore:
         self.directory = directory
         self._index = {}
         self._pack_bytes = {}
-        self._loaded_packs = []
+        self._loaded_packs = set()
 
     def load_packs(self, pack_names):
         """Index the records of the manifest's committed packs."""
@@ -332,7 +332,7 @@ class NodeStore:
                     fh.seek(length, os.SEEK_CUR)
                     self._index[addr] = (name, payload_offset, length)
                     offset = payload_offset + length
-            self._loaded_packs.append(name)
+            self._loaded_packs.add(name)
 
     def __contains__(self, addr):
         return addr in self._index
@@ -393,7 +393,7 @@ class NodeStore:
     def commit_pack(self, name, locations):
         """Make a written pack's records visible (manifest committed)."""
         self._index.update(locations)
-        self._loaded_packs.append(name)
+        self._loaded_packs.add(name)
 
 
 def _fsync_dir(path):
@@ -413,18 +413,19 @@ def _fsync_dir(path):
 class CheckpointStore:
     """One durable checkpoint directory: node packs + atomic manifest.
 
-    Holds the write-side memo (``id(node) → address``) that makes
-    repeated checkpoints of the same workspace incremental: any node
+    Repeated checkpoints of the same workspace are incremental because
+    each node carries its own content address (``Node.addr``): any node
     that survived from the previous checkpoint — which, by structural
-    sharing, is almost all of them — prunes its whole subtree from the
-    walk.  Restored nodes are registered in the memo too, so the first
-    checkpoint after a restart is just as incremental.
+    sharing, is almost all of them — has an address already in the
+    store's index and prunes its whole subtree from the walk.  Restored
+    nodes get their address too, so the first checkpoint after a
+    restart is just as incremental.  The address lives and dies with
+    the node; the store holds no reference to any node.
     """
 
     def __init__(self, path):
         self.path = path
         self.store = NodeStore(path)
-        self._memo = {}  # id(node) -> (node ref, addr)
         self._manifest = None
         os.makedirs(path, exist_ok=True)
         manifest = read_manifest(path)
@@ -435,13 +436,18 @@ class CheckpointStore:
     # -- write side ----------------------------------------------------------
 
     def _write_tree(self, node, writer):
-        """Post-order walk writing unseen nodes; returns the root address."""
+        """Post-order walk writing unseen nodes; returns the root address.
+
+        Prunes at a node whose address is committed in this store or
+        staged by this attempt; an address set by a crashed attempt or
+        by another store is neither, so its subtree is walked again.
+        """
         if node is None:
             return b""
-        memo_hit = self._memo.get(id(node)) or writer.memo.get(id(node))
-        if memo_hit is not None:
+        addr = node.addr
+        if addr is not None and (addr in self.store or addr in writer.pending):
             _stats.bump("pager.nodes_pruned")
-            return memo_hit[1]
+            return addr
         left = self._write_tree(node.left, writer)
         right = self._write_tree(node.right, writer)
         payload = _encode_node(node.key, node.value, left, right)
@@ -451,7 +457,7 @@ class CheckpointStore:
         else:
             writer.add(addr, payload)
             _stats.bump("pager.nodes_written")
-        writer.memo[id(node)] = (node, addr)
+        node.addr = addr
         return addr
 
     def _relation_ref(self, relation, writer):
@@ -532,8 +538,8 @@ class CheckpointStore:
         if fault_fire is not None:
             # the crash-safety window: pack durable, manifest not yet
             # swapped — a crash here must leave the previous checkpoint
-            # fully intact (and the in-memory index/memo unstained, so
-            # a retry re-walks and re-writes the orphaned records)
+            # fully intact (and the in-memory index unstained, so a
+            # retry re-walks and re-writes the orphaned records)
             fault_fire("checkpoint")
 
         manifest = {
@@ -548,9 +554,6 @@ class CheckpointStore:
             "states": states,
         }
         self._commit_manifest(manifest, pack_name, locations)
-        # only now, with the attempt durable, may later walks prune at
-        # its nodes
-        self._memo.update(writer.memo)
         _stats.bump("pager.checkpoints")
         return {
             "seq": seq,
@@ -661,8 +664,8 @@ class CheckpointStore:
         left = self._load_tree(left_addr, node_cache)
         right = self._load_tree(right_addr, node_cache)
         node = treap.Node(key, value, stable_hash(key), left, right)
+        node.addr = addr
         node_cache[addr] = node
-        self._memo[id(node)] = (node, addr)
         _stats.bump("pager.nodes_read")
         return node
 

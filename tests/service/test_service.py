@@ -107,6 +107,8 @@ class TestConcurrency:
 
     def test_commit_history_is_a_serializable_order(self):
         with make_service(max_pending=16) as service:
+            start = service.commit_watermark
+
             def writer(n):
                 for _ in range(n):
                     service.exec(BUMP)
@@ -118,19 +120,12 @@ class TestConcurrency:
                 t.start()
             for t in threads:
                 t.join()
-            history = service.commit_history()
-            final = dict(service.rows("counter"))
-
-        # replaying the history in commit order on a fresh workspace
-        # must reproduce the same final state (serializability witness)
-        replay = Workspace()
-        replay.addblock(COUNTER, name="schema")
-        replay.load("counter", [("hits", 0)])
-        seqs = [entry["seq"] for entry in history]
-        assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
-        for entry in history:
-            replay.exec(entry["source"])
-        assert dict(replay.rows("counter")) == final
+            # every read-modify-write saw its predecessor's value (the
+            # serial outcome), and each commit took exactly one sequence
+            # number
+            assert service.rows("counter") == [("hits", 24)]
+            assert service.commit_watermark == start + 24
+            assert service.service_stats()["committed"] == 24
 
     def test_disjoint_writers_group_commit(self):
         with make_service(max_pending=16) as service:

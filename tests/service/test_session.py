@@ -3,7 +3,7 @@
 import pytest
 
 import repro
-from repro import TxnResult, Workspace
+from repro import TxnResult, Workspace, obs
 from repro.runtime.errors import ReproError
 from repro.service import ServiceConfig, TransactionService, connect
 
@@ -59,9 +59,9 @@ class TestSessionBehavior:
         with connect(name="alice") as session:
             session.addblock('c[s] = v -> string(s), int(v).', name="schema")
             session.load("c", [("k", 0)])
-            session.exec('^c["k"] = x <- c@start["k"] = y, x = y + 1.')
-            history = session.service.commit_history()
-            assert history and history[-1]["txn"] == "alice/txn-1"
+            with obs.Profile() as prof:
+                session.exec('^c["k"] = x <- c@start["k"] = y, x = y + 1.')
+            assert prof.find("service.exec").attrs["txn"] == "alice/txn-1"
 
     def test_closed_session_refuses_verbs(self):
         session = repro.connect()

@@ -83,6 +83,24 @@ class TestInjectedCrash:
         assert (99, 990) in ws2.relation("item")
         assert ws2.rows("doubled") == ws.rows("doubled")
 
+    def test_retry_writes_what_a_crash_free_twin_writes(self, tmp_path):
+        """Addresses a crashed attempt set on its nodes do not prune the
+        retry: it writes every record the crash-free checkpoint of the
+        same state writes."""
+        ws, twin = build_workspace(), build_workspace()
+        for workspace, name in ((ws, "crashed"), (twin, "twin")):
+            workspace.checkpoint(str(tmp_path / name))
+            workspace.load("item", [(99, 990)])
+        faults = FaultInjector().script("checkpoint", "crash")
+        with pytest.raises(InjectedCrash):
+            ws.checkpoint(str(tmp_path / "crashed"), fault_fire=faults.fire)
+
+        retry = ws.checkpoint(str(tmp_path / "crashed"))
+        clean = twin.checkpoint(str(tmp_path / "twin"))
+        assert retry["nodes_written"] == clean["nodes_written"] > 0
+        assert retry["store_nodes"] == clean["store_nodes"]
+        assert_matches(Workspace.open(str(tmp_path / "crashed")), snapshot(ws))
+
     def test_crash_on_first_checkpoint_leaves_no_manifest(self, tmp_path):
         ws = build_workspace()
         faults = FaultInjector().script("checkpoint", "crash")
