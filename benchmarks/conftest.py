@@ -11,7 +11,9 @@ workload parameters, wall times, and engine counters — so the perf
 trajectory can be tracked across PRs.
 
 ``BENCH_SMOKE=1`` shrinks every workload to tiny sizes (CI smoke mode:
-catch crashes on the perf path, don't measure).
+catch crashes on the perf path, don't measure) and writes its result
+files to ``benchmarks/results/smoke/`` (not committed), so a smoke run
+never overwrites a committed full-size result.
 """
 
 import json
@@ -26,6 +28,8 @@ from repro import stats as engine_stats
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
+if SMOKE:
+    RESULTS_DIR = RESULTS_DIR / "smoke"
 
 #: result-file aliases: module stem (minus ``bench_``) -> BENCH_<name>
 RESULT_ALIASES = {"service_throughput": "service", "net_throughput": "net"}
@@ -95,7 +99,7 @@ def pytest_sessionfinish(session, exitstatus):
             continue
         module = Path(bench.fullname.split("::")[0]).stem
         by_module.setdefault(module, []).append(_bench_entry(bench))
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     counters = engine_stats.snapshot()
     histograms = engine_stats.histograms()
     trace = obs.span_totals()

@@ -8,8 +8,8 @@ Two roles in this system:
 * the classical baseline the paper's maintenance algorithm "improves
   significantly on" — :class:`~repro.engine.ivm.DRedEngine` runs the
   engine's maintenance loop with this algorithm for every stratum, so
-  benchmarks can compare it against the counting +
-  sensitivity-index engine (experiment E5).
+  benchmarks can compare it against the counting engine
+  (experiment E5).
 
 The algorithm, on the caller's evaluator (and its ``params``):
 

@@ -225,7 +225,7 @@ class Evaluator:
 
     # -- full evaluation ---------------------------------------------------
 
-    def evaluate(self, base_relations, recorder_for=None, reuse=None,
+    def evaluate(self, base_relations, recorder=None, reuse=None,
                  keep_state=True):
         """Materialize every derived predicate.
 
@@ -245,10 +245,13 @@ class Evaluator:
         non-recursive head no rule reads is left as its sorted row list
         instead of a :class:`Relation` (functional dependencies are
         still enforced).
+
+        ``recorder`` (a
+        :class:`~repro.engine.sensitivity.SensitivityRecorder`) records
+        the sensitivity intervals of every join this evaluation runs.
         """
         relations = dict(base_relations)
         states = {} if keep_state else None
-        chooser = recorder_for or (lambda rule: None)
         reuse_relations, reuse_states = reuse if reuse is not None else ({}, {})
         for stratum, recursive in zip(self.ruleset.strata, self.ruleset.recursive_flags):
             if recursive:
@@ -257,24 +260,24 @@ class Evaluator:
                         relations[pred] = reuse_relations[pred]
                         states[pred] = reuse_states[pred]
                 else:
-                    self._evaluate_recursive(stratum, relations, states, chooser)
+                    self._evaluate_recursive(stratum, relations, states, recorder)
             else:
                 for pred in stratum:
                     if pred in reuse_relations:
                         relations[pred] = reuse_relations[pred]
                         states[pred] = reuse_states[pred]
                     else:
-                        self._evaluate_nonrecursive(pred, relations, states, chooser)
+                        self._evaluate_nonrecursive(pred, relations, states, recorder)
         return relations, states
 
-    def _evaluate_nonrecursive(self, pred, relations, states, chooser):
+    def _evaluate_nonrecursive(self, pred, relations, states, recorder):
         group = self.ruleset.rules_by_head[pred]
         if group[0].agg is not None:
-            self._evaluate_aggregate(pred, group[0], relations, states, chooser)
+            self._evaluate_aggregate(pred, group[0], relations, states, recorder)
             return
         counts = {}
         for rule in group:
-            var_order, bindings = self.rule_bindings(rule, relations, chooser(rule))
+            var_order, bindings = self.rule_bindings(rule, relations, recorder)
             project = self.head_projector(rule, var_order)
             for binding in bindings:
                 head = project(binding)
@@ -291,7 +294,7 @@ class Evaluator:
             states[pred] = PredicateState("count", counts=PMap.from_sorted_items(
                 sorted((head, n) for head, n in counts.items() if n > 1)))
 
-    def _evaluate_aggregate(self, pred, rule, relations, states, chooser):
+    def _evaluate_aggregate(self, pred, rule, relations, states, recorder):
         """One P2P aggregate rule.  A columnar join folds its code
         columns in numpy (:meth:`ColumnarTrieJoin.fold`); any other
         folds its bindings one at a time.  The ``join`` span's ``fold``
@@ -299,7 +302,7 @@ class Evaluator:
         fn = rule.agg.fn
         aggregate = AGGREGATES[fn]
         plan, executor, exec_stats, attrs = self._executor(
-            rule, relations, chooser(rule))
+            rule, relations, recorder)
         project = self.head_projector(rule, plan.var_order, drop_last=True)
         value_position = plan.var_order.index(rule.agg.value_var)
         bump_prefix = "join." if executor.backend == "pure" else None
@@ -342,7 +345,7 @@ class Evaluator:
                 agg_fn=fn,
             )
 
-    def _evaluate_recursive(self, stratum, relations, states, chooser):
+    def _evaluate_recursive(self, stratum, relations, states, recorder):
         # round 0: every rule against the empty stratum relations seeds
         # the semi-naive loop
         frontier = {}
@@ -351,7 +354,7 @@ class Evaluator:
         for pred in stratum:
             tuples = set()
             for rule in self.ruleset.rules_by_head[pred]:
-                var_order, bindings = self.rule_bindings(rule, relations, chooser(rule))
+                var_order, bindings = self.rule_bindings(rule, relations, recorder)
                 project = self.head_projector(rule, var_order)
                 tuples.update(project(binding) for binding in bindings)
             frontier[pred, False] = tuples
@@ -360,13 +363,13 @@ class Evaluator:
                 self.ruleset.head_arity(pred), frontier[pred, False])
         rules = [rule for pred in stratum for rule in self.ruleset.rules_by_head[pred]]
         self.propagate(rules, frontier, relations,
-                       lambda pred, tup: tup not in relations[pred], chooser)
+                       lambda pred, tup: tup not in relations[pred], recorder)
         for pred in stratum:
             _check_functional(pred, self.ruleset.rules_by_head[pred][0], relations[pred])
             if states is not None:
                 states[pred] = PredicateState("recursive")
 
-    def propagate(self, rules, frontier, env, keep, recorder_for=None):
+    def propagate(self, rules, frontier, env, keep, recorder=None):
         """The semi-naive loop: the one fixpoint recursive evaluation
         and both DRed propagations (:mod:`repro.engine.dred`) run.
 
@@ -381,7 +384,7 @@ class Evaluator:
         ``keep(pred, tup)`` says so and it was not found before; a kept
         head ``env`` lacks is added to ``env[pred]``, so later rounds
         read it.  The loop ends when a round keeps nothing.
-        ``recorder_for(rule)`` gives a pass's sensitivity recorder.
+        ``recorder`` records every pass's sensitivity intervals.
 
         Returns ``(found, rounds)``: the kept heads per head predicate
         of ``rules``, and the number of rounds run.
@@ -403,7 +406,6 @@ class Evaluator:
                     bound, local = rule.prefix_columns(position)
                     prefixes = changed.tuples() if not local else {
                         tuple(t[p] for p in bound) for t in changed}
-                    recorder = recorder_for(rule) if recorder_for else None
                     var_order, bindings = self.run_pass(
                         rule, position, prefixes, env, recorder, check=negated)
                     project = self.head_projector(rule, var_order)

@@ -23,13 +23,11 @@ One loop (:meth:`IncrementalEngine.apply`) visits every stratum a
 changed predicate reaches; :class:`DRedEngine`, the E5 baseline, runs
 it with DRed for every stratum.
 
-Sensitivity intervals are recorded only by an engine built with
-``track_sensitivity=True`` — transaction repair (§3.4), which reads
-them to find conflicts.  There, each pass records the regions it
-explores into a pass-local recorder, which is then folded into the
-rule's index to give the next version's index.  The index therefore
-over-approximates the ideal trace sensitivities.  Maintenance never
-reads them: §3.2's whole-rule skip is not taken (DESIGN.md §3).
+Maintenance records no sensitivity intervals and reads none: §3.2's
+whole-rule skip is not taken (DESIGN.md §3).  Only a transaction's
+initial run records them, through the ``recorder`` it hands
+:meth:`IncrementalEngine.initialize`; repair (§3.4) reads them to find
+conflicts.
 """
 
 from repro import obs
@@ -39,64 +37,47 @@ from repro.engine.dred import maintain_recursive_stratum
 from repro.engine.evaluator import Evaluator, RuleSet, _check_functional
 from repro.engine.ir import PredAtom
 from repro.engine.planner import prefix_exists, same_columns
-from repro.engine.sensitivity import SensitivityIndex, SensitivityRecorder
 from repro.storage.relation import Delta
 
 
 class Materialization:
-    """Relations + per-predicate state (+ per-rule sensitivities when
-    the engine tracks them).
+    """Relations + per-predicate state.
 
     Immutable snapshot: maintenance produces a new one, so
     materializations version and branch with workspaces.
     """
 
-    __slots__ = ("relations", "states", "rule_indexes")
+    __slots__ = ("relations", "states")
 
-    def __init__(self, relations, states, rule_indexes=None):
+    def __init__(self, relations, states):
         self.relations = relations  # name -> Relation (base + derived)
         self.states = states  # name -> PredicateState
-        self.rule_indexes = rule_indexes or {}  # rule index -> SensitivityIndex
 
 
 class IncrementalEngine:
     """Materializes a rule set and maintains it under base-data deltas.
 
-    ``track_sensitivity`` makes every pass record its sensitivity
-    intervals into the materialization's ``rule_indexes`` (transaction
-    repair reads them); recording keeps those joins on the pure
-    executor.  ``params`` bind a cached shape's literals
+    ``params`` bind a cached shape's literals
     (:class:`~repro.engine.evaluator.Evaluator`).
     """
 
-    def __init__(self, ruleset, *, track_sensitivity=False, params=()):
+    def __init__(self, ruleset, *, params=()):
         self.ruleset = ruleset
-        self.track_sensitivity = track_sensitivity
         self.evaluator = Evaluator(ruleset, params=params)
-        self._rule_index = {id(rule): i for i, rule in enumerate(ruleset.rules)}
 
     # -- initial materialization --------------------------------------------
 
-    def initialize(self, base_relations, reuse=None):
+    def initialize(self, base_relations, reuse=None, recorder=None):
         """Full evaluation.
 
         ``reuse`` carries over the relations and states of predicates
         unaffected by a program change (the live-programming path,
-        §3.3).
+        §3.3).  ``recorder`` (a
+        :class:`~repro.engine.sensitivity.SensitivityRecorder`) records
+        every join's sensitivity intervals.
         """
-        recorders = {}
-
-        def recorder_for(rule):
-            return recorders.setdefault(self._rule_index[id(rule)], SensitivityRecorder())
-
-        relations, states = self.evaluator.evaluate(
-            base_relations, reuse=reuse,
-            recorder_for=recorder_for if self.track_sensitivity else None,
-        )
-        return Materialization(relations, states, {
-            index: SensitivityIndex().fold(recorder)
-            for index, recorder in recorders.items()
-        })
+        return Materialization(*self.evaluator.evaluate(
+            base_relations, recorder, reuse=reuse))
 
     # -- maintenance ---------------------------------------------------------
 
@@ -114,7 +95,6 @@ class IncrementalEngine:
             old_relations = mat.relations
             new_relations = dict(old_relations)
             new_states = dict(mat.states)
-            indexes = dict(mat.rule_indexes)
             deltas = {}
             base_tuples = 0
             for pred, delta in base_deltas.items():
@@ -138,7 +118,7 @@ class IncrementalEngine:
                 if not any(p in deltas for rule in rules for p in rule.body_preds()):
                     continue
                 changed = self._maintain(stratum, recursive, rules, old_relations,
-                                         new_relations, new_states, deltas, indexes)
+                                         new_relations, new_states, deltas)
                 for pred, delta in changed.items():
                     if not delta:
                         continue
@@ -151,10 +131,10 @@ class IncrementalEngine:
                     deltas[pred] = delta
             if span_ is not None:
                 span_.attrs.update(base_tuples=base_tuples, changed_preds=len(deltas))
-            return Materialization(new_relations, new_states, indexes), deltas
+            return Materialization(new_relations, new_states), deltas
 
     def _maintain(self, stratum, recursive, rules, old_relations, new_relations,
-                  new_states, deltas, indexes):
+                  new_states, deltas):
         """The deltas of one visited stratum, not yet applied: DRed for
         a recursive stratum; else its one predicate's support counts or
         aggregate groups, updated by the signed passes of its rules."""
@@ -168,18 +148,16 @@ class IncrementalEngine:
             update = _update_counts if agg is None else _update_groups
             delta, new_states[pred], attrs = update(
                 self.evaluator, pred, new_states[pred], new_relations[pred],
-                self._passes(rules, old_relations, new_relations, deltas, indexes))
+                self._passes(rules, old_relations, new_relations, deltas))
             if span_ is not None:
                 span_.attrs.update(attrs)
         return {pred: delta}
 
-    def _passes(self, rules, old_relations, new_relations, deltas, indexes):
+    def _passes(self, rules, old_relations, new_relations, deltas):
         """Yield ``(rule, sign, var_order, bindings)`` per delta pass of
         ``rules``, one per changed body atom and sign
-        (:func:`_changed_prefixes`); a rule's recorder is folded into
-        its index once its passes are consumed."""
+        (:func:`_changed_prefixes`)."""
         for rule in rules:
-            recorder = SensitivityRecorder() if self.track_sensitivity else None
             env = {tag + atom.pred: relations[atom.pred]
                    for atom in rule.body if isinstance(atom, PredAtom)
                    for tag, relations in (("@new:", new_relations), ("@old:", old_relations))}
@@ -188,18 +166,14 @@ class IncrementalEngine:
                     continue
                 for sign, prefixes in _changed_prefixes(
                     rule, position, deltas[atom.pred], old_relations, new_relations,
-                    recorder,
                 ):
                     if prefixes:
                         var_order, bindings = self.evaluator.run_pass(
-                            rule, position, prefixes, env, recorder, "@new:", "@old:")
+                            rule, position, prefixes, env, new="@new:", old="@old:")
                         yield rule, sign, var_order, bindings
-            if recorder is not None:
-                index = self._rule_index[id(rule)]
-                indexes[index] = (indexes.get(index) or SensitivityIndex()).fold(recorder)
 
 
-def _changed_prefixes(rule, position, delta, old_relations, new_relations, recorder):
+def _changed_prefixes(rule, position, delta, old_relations, new_relations):
     """``((1, gained), (-1, lost))``: the prefixes of body atom
     ``position`` whose truth ``delta`` flips (a negated atom swaps the
     two).
@@ -210,7 +184,7 @@ def _changed_prefixes(rule, position, delta, old_relations, new_relations, recor
     changed tuple witnesses it (when its repeated local columns agree);
     an added prefix is kept when it is absent in the old relation, a
     removed one when it is absent in the new.  Each distinct prefix is
-    probed once and recorded.
+    probed once.
     """
     atom = rule.body[position]
     bound, local = rule.prefix_columns(position)
@@ -229,8 +203,6 @@ def _changed_prefixes(rule, position, delta, old_relations, new_relations, recor
                 seen.add(prefix)
                 if not prefix_exists(other, perm, prefix, same):
                     kept.append(prefix)
-                if recorder is not None:
-                    recorder.record_prefix(atom.pred, perm, prefix)
     return ((1, removed), (-1, added)) if atom.negated else ((1, added), (-1, removed))
 
 
@@ -324,9 +296,8 @@ class DRedEngine(IncrementalEngine):
 
     The engine's maintenance loop with delete/rederive
     (:mod:`repro.engine.dred`) for *every* stratum, an aggregate
-    recomputed from scratch, and no counts or sensitivity indices
-    read.  ``initialize`` / ``apply`` take and return plain relation
-    dicts.
+    recomputed from scratch, and no counts read.  ``initialize`` /
+    ``apply`` take and return plain relation dicts.
     """
 
     def __init__(self, ruleset):
@@ -343,7 +314,7 @@ class DRedEngine(IncrementalEngine):
         return mat.relations, deltas
 
     def _maintain(self, stratum, recursive, rules, old_relations, new_relations,
-                  new_states, deltas, indexes):
+                  new_states, deltas):
         if rules[0].agg is None:
             return maintain_recursive_stratum(
                 self.evaluator, stratum, old_relations, new_relations, deltas)

@@ -14,8 +14,7 @@ lookups.
 
 When given a :class:`SensitivityRecorder`, every iterator movement,
 negation check, and constant-path probe records the sensitivity
-intervals that power incremental maintenance (§3.2) and transaction
-repair (§3.4).
+intervals transaction repair reads (§3.4).
 """
 
 from functools import partial

@@ -11,15 +11,14 @@ also skips untouched rules during view maintenance, §3.2; this engine
 does not — its delta passes are already bounded by the delta, see
 DESIGN.md §3.)
 
-One evaluation pass records into a pass-local :class:`SensitivityRecorder`;
-:meth:`SensitivityIndex.fold` then merges what the pass saw into the
-contexts it touched and returns the next version's index.  An index is
-never modified after it is built, so versions share every untouched
-context and a commit's bookkeeping is proportional to what its passes
-recorded, not to the history before it.
+Only a transaction records (:class:`~repro.txn.repair.PreparedTransaction`):
+its one run hands one :class:`SensitivityRecorder` to every join, and
+the :class:`SensitivityIndex` built from it sorts and sweeps each
+context's intervals once, when a repair first asks.  Maintenance passes
+record nothing.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 from repro import stats as global_stats
 from repro.storage.datum import BOTTOM, TOP
@@ -51,15 +50,12 @@ _NULL_TRACKER = _NullTracker()
 
 
 def canonical_pred(name):
-    """Map delta-pass predicate names back to their real predicate.
+    """Map a recorded atom's predicate name to the real predicate.
 
-    Incremental passes rename atoms to ``@new:P`` / ``@old:P``; their
-    sensitivities belong to ``P``.  Purely virtual inputs (a pass's
-    ``@cand`` or ``@head`` lead) carry no user-visible sensitivity and
-    map to ``None``.
+    A transaction's ``P@start`` input is ``P``.  Purely virtual inputs
+    (a semi-naive pass's ``@cand`` lead) carry no user-visible
+    sensitivity and map to ``None``.
     """
-    if name.startswith("@new:") or name.startswith("@old:"):
-        name = name.split(":", 1)[1]
     if name.startswith("@"):
         return None
     if name.endswith("@start"):
@@ -68,7 +64,7 @@ def canonical_pred(name):
 
 
 class SensitivityRecorder:
-    """Collects the sensitivity intervals of one evaluation pass.
+    """Collects the sensitivity intervals of one run.
 
     Organized as ``pred -> perm -> level -> context -> {(low, high)}``
     where ``(pred, perm)`` identifies an atom *occurrence* by the storage
@@ -105,114 +101,54 @@ class SensitivityRecorder:
         e.g. for aggregations that scan whole groups)."""
         self.tracker(pred, (0,), 0, ()).record(BOTTOM, TOP)
 
-    def predicates(self):
-        """Names of predicates with recorded sensitivities."""
-        return set(self._data)
 
+def _merge(intervals):
+    """One context's intervals as parallel sorted ``(lows, highs)``
+    lists, by one sort and one sweep.
 
-_NO_INTERVALS = ((), ())
-
-
-def _fold_context(entry, raw):
-    """One context's ``(lows, highs)`` extended by the ``raw`` intervals.
-
-    The lists stay sorted and pairwise non-overlapping: an interval is
-    coalesced with the stored ones it *strictly* overlaps.  Touching
-    intervals (``[6,8]`` and ``[8,10]``) stay separate — the paper
-    reports them that way — and lookups remain correct for them because
-    they pick the last interval whose low endpoint does not exceed the
-    probed value.  The result does not depend on the order intervals
-    arrive in.  ``entry`` is shared with older index versions, so it is
-    copied before the first change and returned as-is when ``raw`` adds
-    nothing.
+    An interval is coalesced with those it *strictly* overlaps.
+    Touching intervals (``[6,8]`` and ``[8,10]``) stay separate — the
+    paper reports them that way — and lookups remain correct for them
+    because they pick the last interval whose low endpoint does not
+    exceed the probed value.
     """
-    lows, highs = entry
-    owned = False
-    for low, high in raw:
-        # stored intervals overlapping (low, high) are contiguous: they
-        # start below ``high`` and end above ``low``
-        end = bisect_left(lows, high)
-        start = end
-        while start and low < highs[start - 1]:
-            start -= 1
-        if start == end:
-            if end < len(lows) and lows[end] == low and highs[end] == high:
-                continue  # a point recorded before
+    lows, highs = [], []
+    for low, high in sorted(intervals):
+        if highs and low < highs[-1]:
+            if highs[-1] < high:
+                highs[-1] = high
         else:
-            if lows[start] < low:
-                low = lows[start]
-            if high < highs[end - 1]:
-                high = highs[end - 1]
-            if end - start == 1 and low == lows[start] and high == highs[start]:
-                continue  # inside one stored interval
-        if not owned:
-            lows, highs, owned = list(lows), list(highs), True
-        lows[start:end] = [low]
-        highs[start:end] = [high]
-    return (lows, highs) if owned else entry
+            lows.append(low)
+            highs.append(high)
+    return lows, highs
 
 
 class SensitivityIndex:
-    """Queryable sensitivity intervals: per context, sorted and disjoint.
+    """Queryable sensitivity intervals of one recorded run: per
+    context, sorted and pairwise non-overlapping.
 
-    ``by_pred`` maps ``pred -> perm -> level -> context -> (lows, highs)``
-    (parallel lists) and is read-only once the index is built.
+    Built once from a :class:`SensitivityRecorder`; ``by_pred`` maps
+    ``pred -> perm -> level -> context -> (lows, highs)`` (parallel
+    lists) and is read-only.
     """
 
     __slots__ = ("by_pred", "_total")
 
-    def __init__(self, by_pred=None, total=frozenset()):
-        self.by_pred = by_pred if by_pred is not None else {}
-        self._total = total  # predicates with blanket sensitivity
-
-    def fold(self, recorder):
-        """This index extended by one pass's recordings, as a new index.
-
-        Only the contexts the pass touched are visited; ``self`` is left
-        as it was and shares every context the pass added nothing to.
-        """
-        if not recorder._data:
-            return self
-        by_pred = dict(self.by_pred)
-        total = set()
-        folded = 0
+    def __init__(self, recorder):
+        self.by_pred = {}
+        self._total = set()  # predicates with blanket sensitivity
+        merged = 0
         for pred, perms in recorder._data.items():
-            new_perms = by_pred[pred] = dict(by_pred.get(pred, ()))
+            by_perm = self.by_pred[pred] = {}
             for perm, levels in perms.items():
-                new_levels = new_perms[perm] = dict(new_perms.get(perm, ()))
+                by_level = by_perm[perm] = {}
                 for level, contexts in levels.items():
-                    stored = new_levels.get(level, {})
-                    changed = {}
-                    for context, raw in contexts.items():
-                        folded += len(raw)
-                        entry = stored.get(context, _NO_INTERVALS)
-                        merged = _fold_context(entry, raw)
-                        if merged is not entry:
-                            changed[context] = merged
-                    if changed:
-                        new_levels[level] = {**stored, **changed}
+                    by_level[level] = {
+                        context: _merge(raw) for context, raw in contexts.items()}
+                    merged += sum(len(raw) for raw in contexts.values())
                     if level == 0 and (BOTTOM, TOP) in contexts.get((), ()):
-                        total.add(pred)
-        global_stats.bump("sensitivity.folded", folded)
-        return SensitivityIndex(by_pred, self._total | total)
-
-    @classmethod
-    def union(cls, indexes):
-        """One index covering everything any of ``indexes`` covers."""
-        recorder = SensitivityRecorder()
-        for index in indexes:
-            for pred, perms in index.by_pred.items():
-                for perm, levels in perms.items():
-                    for level, contexts in levels.items():
-                        for context, (lows, highs) in contexts.items():
-                            recorder.tracker(
-                                pred, perm, level, context
-                            ).intervals.update(zip(lows, highs))
-        return cls().fold(recorder)
-
-    def predicates(self):
-        """Names of predicates this run is sensitive to."""
-        return set(self.by_pred)
+                        self._total.add(pred)
+        global_stats.bump("sensitivity.folded", merged)
 
     def tuple_affects(self, pred, tup):
         """May inserting or deleting ``tup`` in ``pred`` change the run?"""

@@ -477,11 +477,7 @@ class ReproServer:
             store = self._sync_store
             if store is None:
                 raise ReproError("sync_manifest must precede sync_records")
-            records = []
-            for addr in addrs:
-                if addr in store:
-                    records.append((addr, store.get(addr)))
-            store.drop_payload_cache()
+            records = store.read_records(addrs)
             _stats.bump("net.sync.records_served", len(records))
             return records
 

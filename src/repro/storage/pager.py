@@ -293,6 +293,17 @@ class _PackWriter:
         self.bytes_written += len(payload) + _ADDR_BYTES + 4
 
 
+def _verified(addr, payload, pack_name, offset):
+    """``payload``, unless it does not hash to ``addr``."""
+    if _addr_of(payload) != addr:
+        raise ValueError(
+            "corrupt record in {} at offset {}: digest mismatch".format(
+                pack_name, offset
+            )
+        )
+    return payload
+
+
 class NodeStore:
     """Content-addressed records across the checkpoint's pack files.
 
@@ -353,14 +364,25 @@ class NodeStore:
             with open(os.path.join(self.directory, name), "rb") as fh:
                 blob = fh.read()
             self._pack_bytes[name] = blob
-        payload = blob[offset:offset + length]
-        if _addr_of(payload) != addr:
-            raise ValueError(
-                "corrupt record in {} at offset {}: digest mismatch".format(
-                    name, offset
-                )
-            )
-        return payload
+        return _verified(addr, blob[offset:offset + length], name, offset)
+
+    def read_records(self, addrs):
+        """``[(addr, payload)]`` for the ``addrs`` this store holds, in
+        request order and digest-verified.  Each payload is read at its
+        offset, with one ``open`` per pack, and no pack bytes are kept
+        (the replica feed; restore's whole-pack :meth:`get` caches)."""
+        by_pack = {}
+        for addr in addrs:
+            location = self._index.get(addr)
+            if location is not None:
+                by_pack.setdefault(location[0], []).append((location[1], location[2], addr))
+        payloads = {}
+        for name, records in by_pack.items():
+            with open(os.path.join(self.directory, name), "rb", buffering=0) as fh:
+                for offset, length, addr in sorted(records):
+                    fh.seek(offset)
+                    payloads[addr] = _verified(addr, fh.read(length), name, offset)
+        return [(addr, payloads[addr]) for addr in addrs if addr in payloads]
 
     def drop_payload_cache(self):
         """Release cached pack bytes (kept only for restore speed)."""

@@ -29,7 +29,7 @@ from repro.engine.evaluator import FunctionalDependencyViolation
 from repro.engine.ir import PredAtom
 from repro.engine.ivm import IncrementalEngine
 from repro.engine.planner import base_pred
-from repro.engine.sensitivity import SensitivityIndex
+from repro.engine.sensitivity import SensitivityIndex, SensitivityRecorder
 from repro.logiql.compiler import start_pred
 from repro.logiql.shapes import compile_shape
 from repro.runtime.errors import TransactionAborted
@@ -64,7 +64,8 @@ class PreparedTransaction:
         self.ruleset = None
         self.engine = None
         self._mat = None
-        self._sens_cache = None
+        self._recorder = None  # the execute run's, until sensitivity() reads it
+        self._index = None
         self.effects = {}
         self.repair_count = 0
         self.execute_seconds = 0.0
@@ -118,10 +119,10 @@ class PreparedTransaction:
             started = time.perf_counter()
             self.ruleset = self._shape.reactive_ruleset(
                 state.artifacts.reactive_rules)
-            self.engine = IncrementalEngine(
-                self.ruleset, track_sensitivity=True, params=self._params)
-            self._mat = self._maintain(self.engine.initialize, self._env(state))
-            self._sens_cache = None
+            self.engine = IncrementalEngine(self.ruleset, params=self._params)
+            self._recorder, self._index = SensitivityRecorder(), None
+            self._mat = self._maintain(
+                self.engine.initialize, self._env(state), None, self._recorder)
             self._extract_effects()
             self.execute_seconds = time.perf_counter() - started
             global_stats.observe("repair.execute.seconds", self.execute_seconds)
@@ -130,12 +131,21 @@ class PreparedTransaction:
             return self.effects
 
     def sensitivity(self):
-        """The sensitivity index of this transaction: all its rules' merged."""
-        if self._sens_cache is None:
-            self._sens_cache = SensitivityIndex.union(
-                self._mat.rule_indexes.values()
-            )
-        return self._sens_cache
+        """The sensitivity index of this transaction's run, built on the
+        first call.  After a repair it is that of one recorded
+        evaluation over the corrected inputs (``_mat``'s non-derived
+        relations): what a fresh run on the corrected state records."""
+        if self._index is None:
+            recorder = self._recorder
+            if recorder is None:
+                recorder = SensitivityRecorder()
+                derived = self.ruleset.derived
+                self.engine.evaluator.evaluate(
+                    {name: relation for name, relation in self._mat.relations.items()
+                     if name not in derived},
+                    recorder, keep_state=False)
+            self._index, self._recorder = SensitivityIndex(recorder), None
+        return self._index
 
     def relevant_corrections(self, corrections):
         """The corrections this transaction must be repaired with: all
@@ -155,7 +165,8 @@ class PreparedTransaction:
         """Incrementally repair under corrections (a dict of base
         deltas); updates effects.  This is the Figure 7(a) corrections
         input: the transaction's reactive materialization is maintained,
-        not re-executed."""
+        not re-executed, and records nothing (the next
+        :meth:`sensitivity` re-records)."""
         with obs.span("repair.correct", txn=self.name) as span_:
             global_stats.bump("repair.corrects")
             started = time.perf_counter()
@@ -167,7 +178,7 @@ class PreparedTransaction:
             if start_deltas:
                 self._mat, _ = self._maintain(
                     self.engine.apply, self._mat, start_deltas)
-                self._sens_cache = None
+                self._recorder = self._index = None
                 self._extract_effects()
             self.repair_count += 1
             elapsed = time.perf_counter() - started

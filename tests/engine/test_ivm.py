@@ -12,6 +12,7 @@ from repro.engine.evaluator import Evaluator, RuleSet
 from repro.engine.ir import AssignAtom, BinOp, CompareAtom, Const, PredAtom, Var
 from repro.engine.ivm import IncrementalEngine
 from repro.engine.rules import AggSpec, Rule
+from repro.engine.sensitivity import SensitivityIndex, SensitivityRecorder
 from repro.storage.relation import Delta, Relation
 
 TRIANGLE_RULES = [
@@ -75,17 +76,23 @@ class TestBasicMaintenance:
 
 class TestSensitivityShortCircuit:
     def test_unaffected_delta_skips_rule(self):
+        """One recorder across the run's rules: ``other`` reads ``F``
+        only under the constant 7, so an ``F`` row elsewhere cannot
+        change the run, and maintaining one under 7 leaves ``tri`` be."""
         E = Relation.from_iter(2, [(1, 2), (2, 3), (1, 3)])
         # view over a *different* predicate entirely
         rules = TRIANGLE_RULES + [
-            Rule("other", [Var("x")], [PredAtom("F", [Var("x")])]),
+            Rule("other", [Var("x")], [PredAtom("F", [Var("x"), Const(7)])]),
         ]
-        engine = IncrementalEngine(RuleSet(rules), track_sensitivity=True)
-        mat = engine.initialize({"E": E, "F": Relation.empty(1)})
-        index = mat.rule_indexes[1]
-        assert not index.tuple_affects("E", (5, 6))
-        mat, deltas = engine.apply(mat, {"F": Delta.from_iters([(7,)], ())})
-        assert set(mat.relations["other"]) == {(7,)}
+        engine = IncrementalEngine(RuleSet(rules))
+        recorder = SensitivityRecorder()
+        mat = engine.initialize({"E": E, "F": Relation.empty(2)}, recorder=recorder)
+        index = SensitivityIndex(recorder)
+        assert index.tuple_affects("E", (5, 6))
+        assert index.tuple_affects("F", (4, 7))
+        assert not index.tuple_affects("F", (4, 8))
+        mat, deltas = engine.apply(mat, {"F": Delta.from_iters([(4, 7)], ())})
+        assert set(mat.relations["other"]) == {(4,)}
         assert "tri" not in deltas
 
 
@@ -347,7 +354,6 @@ class TestVersionsOwnTheirSensitivities:
         assert materialized(ws.state.materialization) == materialized(
             control.state.materialization
         )
-        assert ws.state.materialization.rule_indexes == {}
 
     def test_concurrent_staging_on_one_snapshot(self):
         import sys
@@ -401,7 +407,49 @@ def test_commit_bookkeeping_does_not_grow_with_history():
     assert stored[120] == stored[20]
     assert ws.engine_stats()["ivm.applies"] == 120
     assert "sensitivity.folded" not in ws.engine_stats()
-    assert ws.state.materialization.rule_indexes == {}
+
+
+def test_maintenance_and_repair_joins_carry_no_recorder(monkeypatch):
+    """Only a transaction's initial run records sensitivity: no join of
+    :meth:`IncrementalEngine.apply` (counting, aggregate and DRed
+    strata) or of :meth:`PreparedTransaction.correct` gets a recorder."""
+    from repro import Workspace
+    from repro.engine import evaluator
+    from repro.txn.repair import PreparedTransaction
+
+    recorders = []
+    make_join = evaluator.make_join
+
+    def spy(plan, relations, recorder=None, **kwargs):
+        recorders.append(recorder)
+        return make_join(plan, relations, recorder, **kwargs)
+
+    monkeypatch.setattr(evaluator, "make_join", spy)
+    a, b, c, n = Var("a"), Var("b"), Var("c"), Var("n")
+    engine = IncrementalEngine(RuleSet(TRIANGLE_RULES + [
+        Rule("outdeg", [a, n], [PredAtom("E", [a, b])],
+             agg=AggSpec("count", "n", "b"), n_keys=1),
+        Rule("reach", [a, b], [PredAtom("E", [a, b])]),
+        Rule("reach", [a, c], [PredAtom("reach", [a, b]), PredAtom("E", [b, c])]),
+    ]))
+    mat = engine.initialize({"E": Relation.from_iter(2, [(1, 2), (2, 3), (1, 3)])})
+    del recorders[:]
+    mat, deltas = engine.apply(mat, {"E": Delta.from_iters([(3, 1)], [(1, 2)])})
+    assert {"tri", "outdeg", "reach"} <= set(deltas)
+    assert recorders and recorders == [None] * len(recorders)
+
+    ws = Workspace()
+    ws.addblock("inventory[s] = v -> string(s), int(v).")
+    ws.load("inventory", [("a", 5)])
+    first, second = (PreparedTransaction(
+        '^inventory["a"] = x <- inventory@start["a"] = y, x = y - 1.')
+        for _ in range(2))
+    first.execute(ws.state)
+    second.execute(ws.state)
+    del recorders[:]
+    second.correct(second.relevant_corrections(first.effects))
+    assert set(second.effects["inventory"].added) == {("a", 3)}
+    assert recorders and recorders == [None] * len(recorders)
 
 
 def test_live_objects_track_data_not_commits():

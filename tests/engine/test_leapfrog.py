@@ -42,7 +42,7 @@ class TestFigure3:
     def test_sensitivity_intervals_match_paper(self):
         recorder = SensitivityRecorder()
         run_join(self.A, self.B, self.C, recorder=recorder, names="ABC")
-        index = SensitivityIndex().fold(recorder)
+        index = SensitivityIndex(recorder)
         assert index.intervals_for("A")[0][()] == [
             (BOTTOM, 0), (2, 3), (8, 8), (10, 11),
         ]
@@ -56,7 +56,7 @@ class TestFigure3:
     def test_paper_claims_about_changes(self):
         recorder = SensitivityRecorder()
         run_join(self.A, self.B, self.C, recorder=recorder, names="ABC")
-        index = SensitivityIndex().fold(recorder)
+        index = SensitivityIndex(recorder)
         # "inserting the fact C(3) or deleting the fact C(4) would not
         # affect the computation"
         assert not index.tuple_affects("C", (3,))

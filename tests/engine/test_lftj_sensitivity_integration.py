@@ -9,7 +9,6 @@ domains.
 import itertools
 import random
 
-from repro.engine import ivm
 from repro.engine.evaluator import RuleSet
 from repro.engine.ir import CompareAtom, PredAtom, Var
 from repro.engine.ivm import IncrementalEngine
@@ -26,7 +25,7 @@ def run_with_recorder(atoms, relations, var_order=None):
                       output_vars=[v for v in (var_order or [])] or None)
     recorder = SensitivityRecorder()
     result = set(LeapfrogTrieJoin(plan, relations, recorder).run())
-    return result, SensitivityIndex().fold(recorder)
+    return result, SensitivityIndex(recorder)
 
 
 def exhaustive_soundness(atoms, relations, domain, var_order):
@@ -199,30 +198,23 @@ class TestNegationRecordingIsPinned:
 
 
 class TestRepairPassRecordingIsPinned:
-    """The intervals a tracked :meth:`IncrementalEngine.apply` records
-    over reactive rules whose changed atom has an existential column
-    (``w``, used once): one point per distinct changed prefix of ``A``,
-    probed once, and the lead-driven probes of ``B``."""
+    """The deltas :meth:`IncrementalEngine.apply` derives over reactive
+    rules whose changed atom has an existential column (``w``, used
+    once): one pass per distinct changed prefix of ``A``, probed once.
+    Maintenance records no intervals (``test_ivm.py``
+    ``test_maintenance_and_repair_joins_carry_no_recorder``)."""
 
-    def test_existential_changed_atom(self, monkeypatch):
+    def test_existential_changed_atom(self):
         x, w = Var("x"), Var("w")
         engine = IncrementalEngine(RuleSet([
             Rule("+hit", [x], [PredAtom("A@start", [x, w]), PredAtom("B@start", [x])]),
             Rule("+miss", [x], [PredAtom("B@start", [x]),
                                 PredAtom("A@start", [x, w], negated=True)]),
-        ]), track_sensitivity=True)
+        ]))
         mat = engine.initialize({
             "A@start": Relation.from_iter(2, [(1, 10), (2, 20), (2, 21), (4, 40)]),
             "B@start": Relation.from_iter(1, [(1,), (2,), (3,), (4,), (5,)]),
         })
-        recorders = []
-
-        class Capturing(SensitivityRecorder):
-            def __init__(self):
-                super().__init__()
-                recorders.append(self)
-
-        monkeypatch.setattr(ivm, "SensitivityRecorder", Capturing)
         # prefix 2 is both added and removed, 5 is added twice
         delta = Delta.from_iters([(3, 30), (2, 22), (5, 50), (5, 51)],
                                  [(1, 10), (2, 20), (4, 40)])
@@ -231,8 +223,3 @@ class TestRepairPassRecordingIsPinned:
         assert sorted(deltas["+hit"].removed) == [(1,), (4,)]
         assert sorted(deltas["+miss"].added) == [(1,), (4,)]
         assert sorted(deltas["+miss"].removed) == [(3,), (5,)]
-        pinned = {
-            "A": {(0, 1): {0: {(): {(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)}}}},
-            "B": {(0,): {0: {(): {(BOTTOM, 1), (3, 3), (4, 4), (5, 5)}}}},
-        }
-        assert [_recorded(recorder) for recorder in recorders] == [pinned, pinned]

@@ -12,7 +12,8 @@ from repro import stats as _stats
 from repro.net import NetSession, Replica, ReproServer
 from repro.net.protocol import ReplicaReadOnly
 from repro.service import ServiceConfig, TransactionService
-from repro.storage.pager import read_manifest
+from repro.storage import pager
+from repro.storage.pager import NodeStore, read_manifest
 
 N = 2000
 
@@ -37,6 +38,54 @@ def test_cold_sync_matches_leader(leader):
         assert info["ingested"] and info["fetched_records"] > 0
         assert sorted(rep.rows("item")) == [(i, i * 7) for i in range(N)]
         assert rep.query("_(v) <- item[3] = v.") == [(21,)]
+
+
+class _CountingFile:
+    """A pack file whose reads add their byte counts to ``read``."""
+
+    def __init__(self, fh, read):
+        self._fh = fh
+        self._read = read
+
+    def read(self, *args):
+        data = self._fh.read(*args)
+        self._read[0] += len(data)
+        return data
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def test_cold_sync_reads_each_record_once(leader, monkeypatch):
+    """The feed reads a batch's records at their offsets: a cold sync
+    of every record (many 256-record batches) reads at most twice their
+    bytes from the leader's packs, not a whole pack per batch."""
+    server, tmp = leader
+    leader_dir = os.path.join(tmp, "leader")
+    store = NodeStore(leader_dir)
+    store.load_packs(read_manifest(leader_dir)["packs"])
+    record_bytes = sum(len(store.get(addr)) for addr in store.addresses())
+    with NetSession(server.host, server.port) as s:
+        s.sync_manifest()  # the leader indexes its packs before counting
+    read = [0]
+
+    def counting_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        if os.path.dirname(path) == leader_dir and path.endswith(".pack"):
+            return _CountingFile(fh, read)
+        return fh
+
+    monkeypatch.setattr(pager, "open", counting_open, raising=False)
+    with Replica(server.host, server.port, os.path.join(tmp, "r0")) as rep:
+        info = rep.sync()
+    assert info["fetched_records"] == len(store) > 256
+    assert 0 < read[0] <= 2 * record_bytes, (read[0], record_bytes)
 
 
 def test_delta_sync_fetches_o_log_n_records(leader):

@@ -600,7 +600,7 @@ class TestKeywordOnlyConstructors:
         "target, keywords",
         [
             (Evaluator, {"order_chooser", "params"}),
-            (IncrementalEngine, {"track_sensitivity", "params"}),
+            (IncrementalEngine, {"params"}),
             (PreparedTransaction, set()),
             (evaluate_query, set()),
             (explain_query, {"sample_size", "max_candidates"}),

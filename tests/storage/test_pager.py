@@ -494,7 +494,6 @@ class TestSensitivityPayload:
         from3 = ws.state.materialization.states["from3"]
         assert dict(from3.counts.items()) == {(4,): 1}
         assert contents(ws) == contents(fresh)
-        assert ws.state.materialization.rule_indexes == {}
         for workspace in (ws, fresh):
             workspace.exec("+E(3, 11).")
         assert (11,) in ws.relation("from3")

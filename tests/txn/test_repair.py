@@ -187,3 +187,86 @@ class TestLockingBaseline:
         assert conflict_rates[0] < conflict_rates[1] < conflict_rates[2]
         assert conflict_rates[0] < 0.4
         assert conflict_rates[2] > 0.8
+
+
+def _one_tuple_corrections(domain):
+    """Every single-row insert and delete over ``domain`` (pred -> rows)."""
+    for pred, rows in domain.items():
+        for row in rows:
+            yield {pred: Delta.from_iters([row], ())}
+            yield {pred: Delta.from_iters((), [row])}
+
+
+class TestRepairedSensitivityIsAFreshRun:
+    """After ``correct``, ``sensitivity()`` is that of a fresh
+    transaction run on a workspace holding the corrected rows: the same
+    intervals, and the same answer to every later one-row correction."""
+
+    CASES = {
+        "functional_rmw": (
+            "inventory[s] = v -> string(s), int(v).",
+            {"inventory": [("a", 5), ("b", 7), ("d", 1)]},
+            '^inventory["b"] = x <- inventory@start["b"] = y, x = y - 1.',
+            '^inventory["b"] = 9. +inventory["c"] = 2.',
+            {"inventory": [(s, v) for s in "abcde" for v in (1, 2, 5, 7, 9)]},
+        ),
+        "negated_atom": (
+            "E(x, y) -> int(x), int(y). seen(x) -> int(x).",
+            {"E": [(1, 2), (3, 4), (5, 6)], "seen": [(3,)]},
+            "+seen(x) <- E@start(x, _), !seen@start(x).",
+            "+seen(1). +E(7, 8). -E(5, 6).",
+            {"E": [(x, y) for x in range(9) for y in (2, 4, 8)],
+             "seen": [(x,) for x in range(9)]},
+        ),
+        "aggregate_head": (
+            "amount(g, i, v) -> string(g), int(i), int(v). "
+            "total[g] = t -> string(g), int(t).",
+            {"amount": [("a", 1, 10), ("a", 2, 20), ("b", 1, 5)]},
+            '^total["a"] = t <- agg<<t = sum(v)>> amount@start("a", _, v).',
+            '+amount("a", 3, 4). -amount("a", 1, 10). +amount("c", 1, 1).',
+            {"amount": [(g, i, v) for g in "abc" for i in range(4)
+                        for v in (4, 10)]},
+        ),
+        "recursive": (
+            "E(x, y) -> int(x), int(y). seed(x) -> int(x). R(x) -> int(x).",
+            {"E": [(1, 2), (2, 3), (4, 5), (6, 7)], "seed": [(1,)]},
+            "+R(z) <- seed@start(z). +R(z) <- +R(y), E@start(y, z).",
+            "+E(3, 4). -E(1, 2). +E(1, 6).",
+            {"E": [(x, y) for x in range(8) for y in range(8)],
+             "seed": [(x,) for x in range(8)]},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_corrected_sensitivity_equals_a_fresh_run(self, case):
+        schema, rows, source, first, domain = self.CASES[case]
+        workspaces = []
+        for _ in range(2):
+            ws = Workspace()
+            ws.addblock(schema)
+            for pred, tuples in rows.items():
+                ws.load(pred, tuples)
+            workspaces.append(ws)
+        ws, corrected_ws = workspaces
+        committed = PreparedTransaction(first)
+        committed.execute(ws.state)
+        corrected_ws.exec(first)
+
+        repaired = PreparedTransaction(source)
+        repaired.execute(ws.state)
+        repaired.sensitivity()  # built before the repair, then dropped
+        relevant = repaired.relevant_corrections(committed.effects)
+        assert relevant
+        repaired.correct(relevant)
+        fresh = PreparedTransaction(source)
+        fresh.execute(corrected_ws.state)
+
+        assert ({p: (set(d.added), set(d.removed)) for p, d in repaired.effects.items()}
+                == {p: (set(d.added), set(d.removed)) for p, d in fresh.effects.items()})
+        assert repaired.sensitivity().by_pred == fresh.sensitivity().by_pred
+        answers = set()
+        for corrections in _one_tuple_corrections(domain):
+            answer = repaired.relevant_corrections(corrections)
+            assert answer == fresh.relevant_corrections(corrections), corrections
+            answers.add(bool(answer))
+        assert answers == {True, False}
