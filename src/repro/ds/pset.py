@@ -1,7 +1,7 @@
 """Persistent sorted set over deterministic treaps.
 
-A thin veneer over the treap algebra storing ``None`` values.  Supports
-the efficient set algebra of [7] (union / intersection / difference).
+A thin veneer over the treap algebra storing ``None`` values.  A batch
+of removals and additions is one :meth:`PSet.write`.
 """
 
 from repro.ds import treap
@@ -78,26 +78,12 @@ class PSet:
         root = treap.remove(self._root, element)
         return self if root is self._root else PSet(root)
 
-    def union(self, other):
-        """Set union (structure-sharing, output-sensitive)."""
-        return PSet(treap.union(self._root, other._root))
-
-    def intersect(self, other):
-        """Set intersection."""
-        return PSet(treap.intersection(self._root, other._root))
-
-    def subtract(self, other):
-        """Set difference ``self - other``."""
-        return PSet(treap.difference(self._root, other._root))
-
-    def __or__(self, other):
-        return self.union(other)
-
-    def __and__(self, other):
-        return self.intersect(other)
-
-    def __sub__(self, other):
-        return self.subtract(other)
+    def write(self, removed=(), added=()):
+        """Return a new set without the elements of ``removed`` and with
+        those of ``added``, both strictly ascending runs, written in one
+        descent (:func:`repro.ds.treap.write`)."""
+        root = treap.write(self._root, removed, added)
+        return self if root is self._root else PSet(root)
 
     # -- structural operations ---------------------------------------------
 

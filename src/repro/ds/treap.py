@@ -12,13 +12,17 @@ These are the workhorse structure of the whole system (paper §3.1):
   permits extensional equality testing in O(1) time, using pointer
   comparison").  Building a node hashes nothing: a path copy that no
   one compares costs no hashing at all.
-* Set union / intersection / difference use the split-based divide and
-  conquer of Blelloch & Reid-Miller [7], which is output-sensitive and
-  preserves subtree sharing.
+* A batch of edits is written in one descent (:func:`write`): a sorted
+  run of removed keys and one of inserted items go down the tree
+  together, each touched node is copied once, and a subtree no edit
+  reaches is shared as it is (the split-based, output-sensitive divide
+  and conquer of Blelloch & Reid-Miller [7], against a sorted run).
 
 This module exposes the raw node-level algebra.  User code should go
 through :class:`repro.ds.pmap.PMap` and :class:`repro.ds.pset.PSet`.
 """
+
+from bisect import bisect_left
 
 from repro.ds.hashing import combine_hashes, stable_hash
 
@@ -57,17 +61,12 @@ class Node:
         self.prio = prio
         self.left = left
         self.right = right
-        self.size = 1 + size(left) + size(right)
+        self.size = 1 + (left.size if left else 0) + (right.size if right else 0)
         self._h = None
         self.addr = None
 
     def __repr__(self):
         return "Node({!r}, {!r}, size={})".format(self.key, self.value, self.size)
-
-
-def make(key, value, left, right):
-    """Build a node with the deterministic priority for ``key``."""
-    return Node(key, value, stable_hash(key), left, right)
 
 
 def size(node):
@@ -191,63 +190,80 @@ def remove(node, key):
     return merge(node.left, node.right)
 
 
-def union(a, b, combine=None):
-    """Union of two treaps; on key clashes ``combine(a_val, b_val)`` wins.
+def write(node, removed=(), keys=(), values=None):
+    """Remove the strictly ascending ``removed`` keys and bind each of the
+    strictly ascending ``keys`` to its entry of ``values`` (all ``None``
+    by default: a set), in one descent; a key in both is bound.
 
-    Defaults to keeping the value from ``b`` (right-biased, so applying a
-    delta map over a base map behaves like an update).
-    """
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a is b:
-        return a
-    if not _wins(a, b):
-        a, b = b, a
-        if combine is not None:
-            original = combine
-            combine = lambda x, y: original(y, x)  # noqa: E731 - local adapter
-        else:
-            combine = lambda x, y: x  # noqa: E731 - keep b's value (now in x)
-    left, found, right = split(b, a.key)
-    value = a.value
-    if found is not None:
-        value = combine(a.value, found.value) if combine is not None else found.value
-    return Node(a.key, value, a.prio, union(a.left, left, combine), union(a.right, right, combine))
+    A present key gets its value replaced in place; a new key whose
+    priority beats a node's takes that node's part of the range, with no
+    separate split.  Each touched node is copied once (a removed node's
+    two sides are merged), each inserted key hashed once, an untouched
+    subtree shared, and ``node`` itself returned when nothing changes.
+    The result is :func:`from_sorted_items` of the resulting items."""
+    if not removed and not keys:
+        return node
+    for run in (removed, keys):
+        if not all(a < b for a, b in zip(run, run[1:])):
+            raise ValueError("treap.write requires strictly ascending runs")
+    if values is None:
+        values = (None,) * len(keys)
+    prios = [stable_hash(key) for key in keys]
 
+    def descend(node, lo, hi, r0, r1, i0, i1):
+        # the part of ``node`` strictly between ``lo`` and ``hi`` (an
+        # open side is MISSING), with removed[r0:r1] and keys[i0:i1]
+        while node is not None:
+            if lo is not MISSING and not lo < node.key:
+                node = node.right
+            elif hi is not MISSING and not node.key < hi:
+                node = node.left
+            else:
+                break
+        if node is None:
+            if i0 == i1:
+                return None
+            return _cartesian(zip(keys[i0:i1], values[i0:i1], prios[i0:i1]))
+        if i0 < i1:
+            top = prios[i0] if i1 - i0 == 1 else max(prios[i0:i1])
+            if top >= node.prio:
+                at = prios.index(top, i0, i1)
+                key = keys[at]
+                if top > node.prio or key < node.key:
+                    cut = bisect_left(removed, key, r0, r1)
+                    past = cut + (cut < r1 and removed[cut] == key)
+                    return Node(key, values[at], top,
+                                descend(node, lo, key, r0, cut, i0, at),
+                                descend(node, key, hi, past, r1, at + 1, i1))
+        key = node.key
+        cut, gone = r0, False
+        if r0 < r1:
+            cut = bisect_left(removed, key, r0, r1)
+            gone = cut < r1 and removed[cut] == key
+        at, hit = i0, False
+        if i0 < i1:
+            at = bisect_left(keys, key, i0, i1)
+            hit = at < i1 and keys[at] == key
+        left, right = node.left, node.right
+        if r0 < cut or i0 < at or lo is not MISSING:
+            left = descend(left, lo, MISSING, r0, cut, i0, at)
+        r0, i0 = cut + gone, at + hit
+        if r0 < r1 or i0 < i1 or hi is not MISSING:
+            right = descend(right, MISSING, hi, r0, r1, i0, i1)
+        value = node.value
+        if hit:
+            value = values[at]
+        elif gone:
+            return merge(left, right)
+        if (left is node.left and right is node.right and value == node.value
+                and type(value) is type(node.value)):
+            return node
+        return Node(key, value, node.prio, left, right)
 
-def intersection(a, b, combine=None):
-    """Intersection; values from ``a`` (or ``combine(a_val, b_val)``)."""
-    if a is None or b is None:
-        return None
-    if a is b:
-        return a
-    left, found, right = split(b, a.key)
-    new_left = intersection(a.left, left, combine)
-    new_right = intersection(a.right, right, combine)
-    if found is not None:
-        value = combine(a.value, found.value) if combine is not None else a.value
-        return Node(a.key, value, a.prio, new_left, new_right)
-    return merge(new_left, new_right)
-
-
-def difference(a, b):
-    """Keys of ``a`` not present in ``b`` (values from ``a``)."""
-    if a is None:
-        return None
-    if b is None:
-        return a
-    if a is b:
-        return None
-    left, found, right = split(b, a.key)
-    new_left = difference(a.left, left)
-    new_right = difference(a.right, right)
-    if found is not None:
-        return merge(new_left, new_right)
-    if new_left is a.left and new_right is a.right:
-        return a
-    return Node(a.key, a.value, a.prio, new_left, new_right)
+    try:
+        return descend(node, MISSING, MISSING, 0, len(removed), 0, len(keys))
+    finally:
+        descend = None  # it refers to itself: free it now, not at a gc pass
 
 
 def items(node):
@@ -333,13 +349,16 @@ def from_sorted_items(pairs):
     immutable nodes.  The result is bit-identical to repeated insertion
     (unique representation).
     """
+    return _cartesian((key, value, stable_hash(key)) for key, value in pairs)
+
+
+def _cartesian(triples):
+    """The treap of strictly key-ascending ``(key, value, prio)`` triples."""
     spine = []
-    last_key = MISSING
-    for key, value in pairs:
-        if last_key is not MISSING and not last_key < key:
-            raise ValueError("from_sorted_items requires strictly ascending keys")
-        last_key = key
-        mut = _Mut(key, value, stable_hash(key))
+    for key, value, prio in triples:
+        if spine and not spine[-1].key < key:
+            raise ValueError("a treap is built from strictly ascending keys")
+        mut = _Mut(key, value, prio)
         dropped = None
         while spine and not _wins(spine[-1], mut):
             dropped = spine.pop()

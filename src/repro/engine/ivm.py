@@ -17,7 +17,11 @@ The maintenance problem is split exactly as the paper describes:
   rules, stored only above one (a tuple derived once is counted by its
   presence in the relation); per-group aggregation state for P2P
   rules; recursive strata fall back to delete/rederive
-  (:mod:`repro.engine.dred`).
+  (:mod:`repro.engine.dred`).  A stratum's count or group changes are
+  gathered first and written into their map once, as two sorted runs
+  (:meth:`~repro.ds.pmap.PMap.write`); its row changes leave as a
+  :class:`~repro.storage.relation.Delta` of sorted runs, which
+  :meth:`~repro.storage.relation.Relation.apply` writes as they are.
 
 One loop (:meth:`IncrementalEngine.apply`) visits every stratum a
 changed predicate reaches; :class:`DRedEngine`, the E5 baseline, runs
@@ -32,6 +36,7 @@ conflicts.
 
 from repro import obs
 from repro import stats as global_stats
+from repro.ds.pset import PSet
 from repro.engine.aggregates import AGGREGATES, agg_add, agg_remove
 from repro.engine.dred import maintain_recursive_stratum
 from repro.engine.evaluator import Evaluator, RuleSet, _check_functional
@@ -156,7 +161,9 @@ class IncrementalEngine:
     def _passes(self, rules, old_relations, new_relations, deltas):
         """Yield ``(rule, sign, var_order, bindings)`` per delta pass of
         ``rules``, one per changed body atom and sign
-        (:func:`_changed_prefixes`)."""
+        (:func:`_changed_prefixes`).  A delta's runs are bulk-loaded
+        into lead sets once, however many atoms read them as they are."""
+        leads = {}  # pred -> its delta's (added, removed) lead sets
         for rule in rules:
             env = {tag + atom.pred: relations[atom.pred]
                    for atom in rule.body if isinstance(atom, PredAtom)
@@ -166,6 +173,7 @@ class IncrementalEngine:
                     continue
                 for sign, prefixes in _changed_prefixes(
                     rule, position, deltas[atom.pred], old_relations, new_relations,
+                    leads,
                 ):
                     if prefixes:
                         var_order, bindings = self.evaluator.run_pass(
@@ -173,12 +181,14 @@ class IncrementalEngine:
                         yield rule, sign, var_order, bindings
 
 
-def _changed_prefixes(rule, position, delta, old_relations, new_relations):
+def _changed_prefixes(rule, position, delta, old_relations, new_relations, leads):
     """``((1, gained), (-1, lost))``: the prefixes of body atom
     ``position`` whose truth ``delta`` flips (a negated atom swaps the
     two).
 
-    An atom with no local column is its delta's tuples, as they are.
+    An atom with no local column is its delta's tuples: each run is
+    bulk-loaded as it is, with no second sort, once per predicate
+    (``leads`` keeps the sets).
     For one with a local column, a prefix is a tuple's
     bound :meth:`~repro.engine.rules.Rule.prefix_columns`, and a
     changed tuple witnesses it (when its repeated local columns agree);
@@ -189,7 +199,11 @@ def _changed_prefixes(rule, position, delta, old_relations, new_relations):
     atom = rule.body[position]
     bound, local = rule.prefix_columns(position)
     if not local:
-        added, removed = delta.added, delta.removed
+        sets = leads.get(atom.pred)
+        if sets is None:
+            sets = leads[atom.pred] = (PSet.from_sorted(delta.added),
+                                       PSet.from_sorted(delta.removed))
+        added, removed = sets
     else:
         perm = bound + local
         same = same_columns(atom.args, perm, len(bound))
@@ -218,8 +232,8 @@ def _update_counts(evaluator, pred, state, present, passes):
             head = project(binding)
             count_changes[head] = count_changes.get(head, 0) + sign
     counts = state.counts
-    added, removed = [], []
-    support_updates = count_writes = 0
+    added, removed, writes, drops = [], [], [], []
+    support_updates = 0
     for head, change in count_changes.items():
         if change == 0:
             continue
@@ -230,20 +244,23 @@ def _update_counts(evaluator, pred, state, present, passes):
         if new_count < 0:
             raise AssertionError("negative support count for {} {}".format(pred, head))
         if new_count > 1:
-            counts = counts.set(head, new_count)
-            count_writes += 1
+            writes.append((head, new_count))
         elif stored is not None:
-            counts = counts.remove(head)
-            count_writes += 1
+            drops.append(head)
         if new_count == 0:
             removed.append(head)
         elif old_count == 0:
             added.append(head)
+    count_writes = len(writes) + len(drops)
     global_stats.bump("ivm.support_updates", support_updates)
     global_stats.bump("ivm.count_writes", count_writes)
     if count_writes:
-        state = state.replace(counts=counts)
-    return Delta.from_iters(added, removed) if added or removed else None, state, {
+        writes.sort()
+        drops.sort()
+        state = state.replace(counts=counts.write(drops, writes))
+    added.sort()
+    removed.sort()
+    return Delta(tuple(added), tuple(removed)) if added or removed else None, state, {
         "support_updates": support_updates, "count_writes": count_writes,
         "added": len(added), "removed": len(removed)}
 
@@ -255,40 +272,44 @@ def _update_groups(evaluator, pred, state, present, passes):
     fn = state.agg_fn
     aggregate = AGGREGATES[fn]
     groups = state.groups
-    touched_groups = {}
+    touched = {}  # group key -> its state before the passes, and after
     for rule, sign, var_order, bindings in passes:
         project = evaluator.head_projector(rule, var_order, drop_last=True)
         value_position = var_order.index(rule.agg.value_var)
         for binding in bindings:
             group_key = project(binding)
             value = binding[value_position]
-            if group_key not in touched_groups:
-                touched_groups[group_key] = groups.get(group_key)
-            current = groups.get(group_key)
+            before_after = touched.get(group_key)
+            if before_after is None:
+                stored = groups.get(group_key)
+                before_after = touched[group_key] = [stored, stored]
+            current = before_after[1]
             if current is None:
                 current = aggregate.empty()
             if sign > 0:
-                groups = groups.set(group_key, agg_add(fn, current, value))
+                before_after[1] = agg_add(fn, current, value)
             else:
                 updated = agg_remove(fn, current, value)
-                if updated.is_empty():
-                    groups = groups.remove(group_key)
-                else:
-                    groups = groups.set(group_key, updated)
-    attrs = {"groups_touched": len(touched_groups)}
-    if not touched_groups:
+                before_after[1] = None if updated.is_empty() else updated
+    attrs = {"groups_touched": len(touched)}
+    if not touched:
         return None, state, attrs
-    global_stats.bump("ivm.support_updates", len(touched_groups))
-    added, removed = [], []
-    for group_key, old_state in touched_groups.items():
+    global_stats.bump("ivm.support_updates", len(touched))
+    added, removed, writes, drops = [], [], [], []
+    for group_key, (old_state, new_state) in sorted(touched.items()):
+        if new_state is not None:
+            writes.append((group_key, new_state))
+        elif old_state is not None:
+            drops.append(group_key)
         old, new = (None if group is None or group.is_empty() else aggregate.result(group)
-                    for group in (old_state, groups.get(group_key)))
+                    for group in (old_state, new_state))
         if old != new:
             if old is not None:
                 removed.append(group_key + (old,))
             if new is not None:
                 added.append(group_key + (new,))
-    return Delta.from_iters(added, removed), state.replace(groups=groups), attrs
+    return (Delta(tuple(added), tuple(removed)),
+            state.replace(groups=groups.write(drops, writes)), attrs)
 
 
 class DRedEngine(IncrementalEngine):

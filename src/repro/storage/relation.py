@@ -3,7 +3,9 @@
 A relation version is a persistent treap of tuples in lexicographic
 order (the paper's "persistent B-tree-like data structures" for paged
 data, §3.1).  Updates produce new versions sharing structure; diffing
-two versions costs time proportional to their edit distance.
+two versions costs time proportional to their edit distance.  A
+:class:`Delta` is two sorted runs of rows, which :meth:`Relation.apply`
+writes into each treap in one descent.
 
 Secondary indexes are column permutations of the tuple set (paper §3.2:
 "a secondary index is required on one of the two predicates").  They are
@@ -18,6 +20,7 @@ never ``-0.0``, whichever writer wrote it.
 
 import random
 from math import copysign
+from operator import itemgetter
 
 from repro import stats
 from repro.ds import treap
@@ -30,20 +33,22 @@ from repro.storage.datum import TOP
 class Delta:
     """A set of insertions and deletions against one relation.
 
-    ``added`` and ``removed`` are disjoint :class:`PSet` s of tuples; a
-    delta is the paper's ``+R`` / ``-R`` pair (§2.2.1).
+    ``added`` and ``removed`` are sorted, duplicate-free runs (tuples)
+    of rows: a delta is the paper's ``+R`` / ``-R`` pair (§2.2.1), and
+    :meth:`Relation.apply` writes both runs into each treap in one
+    descent, so a delta builds no tree of its own.
     """
 
     __slots__ = ("added", "removed")
 
-    def __init__(self, added=None, removed=None):
-        self.added = added if added is not None else PSet.EMPTY
-        self.removed = removed if removed is not None else PSet.EMPTY
+    def __init__(self, added=(), removed=()):
+        self.added = added
+        self.removed = removed
 
     @classmethod
     def from_iters(cls, added=(), removed=()):
         """Build a delta from plain iterables of tuples."""
-        return cls(PSet.from_iter(added), PSet.from_iter(removed))
+        return cls(_run(added), _run(removed))
 
     def __bool__(self):
         return bool(self.added) or bool(self.removed)
@@ -57,9 +62,9 @@ class Delta:
 
     def then(self, later):
         """Compose: apply ``self`` first, ``later`` second."""
-        added = (self.added - later.removed) | later.added
-        removed = (self.removed - later.added) | later.removed
-        return Delta(added, removed)
+        return Delta.from_iters(
+            set(self.added).difference(later.removed).union(later.added),
+            set(self.removed).difference(later.added).union(later.removed))
 
     def normalized(self, base):
         """Restrict to changes that actually alter ``base``.
@@ -69,20 +74,17 @@ class Delta:
         tuples and deletions of absent tuples are dropped, so the
         result is exactly the edit set, its added tuples canonical.
         """
-        removed = self.removed - self.added
-        added = PSet.from_sorted(
-            _canonical(t) for t in self.added if t not in base)
-        removed = PSet.from_sorted(t for t in removed if t in base)
-        return Delta(added, removed)
-
-    def map_tuples(self, fn):
-        """A delta with ``fn`` applied to every tuple."""
-        return Delta.from_iters(
-            (fn(t) for t in self.added), (fn(t) for t in self.removed)
-        )
+        readded = set(self.added)
+        return Delta(tuple(_canonical(t) for t in self.added if t not in base),
+                     tuple(t for t in self.removed if t in base and t not in readded))
 
     def __repr__(self):
         return "Delta(+{}, -{})".format(len(self.added), len(self.removed))
+
+
+def _run(tuples):
+    """``tuples`` as a sorted, duplicate-free run."""
+    return tuple(sorted(set(tuples)))
 
 
 def _permute(tup, perm):
@@ -223,15 +225,17 @@ class Relation:
         tup = tuple(tup)
         if len(tup) != self.arity:
             raise ValueError("arity mismatch: {!r}".format(tup))
-        return self.apply(Delta(PSet.from_iter([tup])))
+        return self.apply(Delta((tup,)))
 
     def remove(self, tup):
         """New version excluding ``tup``."""
-        return self.apply(Delta(removed=PSet.from_iter([tuple(tup)])))
+        return self.apply(Delta(removed=(tuple(tup),)))
 
     def apply(self, delta):
-        """Apply a :class:`Delta`, maintaining cached secondary indexes
-        incrementally at O(|delta| log n), so the new version starts with
+        """Apply a :class:`Delta`: its two runs are written into the
+        primary treap in one descent (:func:`repro.ds.treap.write`), and
+        into each cached secondary index, permuted and sorted, in one
+        more, at O(|delta| log n) each; so the new version starts with
         every treap index of its parent already warm.
 
         Each columnar layout this version holds, encoded or pending, is
@@ -245,19 +249,19 @@ class Relation:
         write behind."""
         if not delta:
             return self
-        for t in delta.added:
+        added, removed = delta.added, delta.removed
+        for t in added:
             if 0.0 in t and _canonical(t) is not t:
-                delta = Delta(
-                    PSet.from_sorted(_canonical(t) for t in delta.added),
-                    delta.removed)
+                added = tuple(_canonical(t) for t in added)
                 break
-        tuples = (self._tuples - delta.removed) | delta.added
-        if tuples == self._tuples:
+        tuples = self._tuples.write(removed, added)
+        if tuples is self._tuples:
             return self
         indexes = {}
         for perm, index in self._indexes.items():
-            permuted = delta.map_tuples(lambda t, p=perm: _permute(t, p))
-            indexes[perm] = (index - permuted.removed) | permuted.added
+            permute = itemgetter(*perm)
+            indexes[perm] = index.write(sorted(map(permute, removed)),
+                                        sorted(map(permute, added)))
             stats.bump("relation.index_promotions")
         columnar = {}
         # a snapshot: a reader on another thread may add a layout
@@ -286,7 +290,7 @@ class Relation:
                 added.append(element)
             elif in_old and not in_new:
                 removed.append(element)
-        return Delta.from_iters(added, removed)
+        return Delta(tuple(added), tuple(removed))
 
     def union(self, other):
         """Set union of two same-arity relations.
@@ -298,17 +302,13 @@ class Relation:
             return self
         if not self:
             return other
-        return self.apply(Delta(added=other._tuples))
-
-    def intersect(self, other):
-        """Set intersection."""
-        return Relation(self.arity, self._tuples & other._tuples)
+        return self.apply(Delta(added=tuple(other._tuples)))
 
     def subtract(self, other):
         """Set difference (cache-promoting, like :meth:`union`)."""
         if not other or not self:
             return self
-        return self.apply(Delta(removed=other._tuples))
+        return self.apply(Delta(removed=tuple(other._tuples)))
 
     def project(self, columns):
         """Projection onto the given column positions (set semantics)."""

@@ -24,7 +24,6 @@ import time
 
 from repro import obs
 from repro import stats as global_stats
-from repro.ds.pset import PSet
 from repro.engine.evaluator import FunctionalDependencyViolation
 from repro.engine.ir import PredAtom
 from repro.engine.ivm import IncrementalEngine
@@ -80,10 +79,9 @@ class PreparedTransaction:
         relations = self._mat.relations
         effects = {}
         for pred in sorted({head[1:] for head in self.ruleset.derived}):
-            added, removed = (
-                relations[sign + pred].tuples() if sign + pred in relations
-                else PSet.EMPTY for sign in "+-")
-            effects[pred] = Delta(added - removed, removed)
+            added, removed = (relations.get(sign + pred, ()) for sign in "+-")
+            effects[pred] = Delta(tuple(t for t in added if t not in removed),
+                                  tuple(removed))
         self.effects = effects
 
     def _env(self, state):
@@ -112,15 +110,21 @@ class PreparedTransaction:
 
     # -- the transaction interface (Figure 7a) --------------------------------
 
-    def execute(self, state):
-        """Run against ``state``; records effects and sensitivities."""
+    def execute(self, state, *, record=True):
+        """Run against ``state``; records effects and sensitivities.
+
+        ``record=False`` is for a caller that checks this run against no
+        other transaction (a bare :meth:`Workspace.exec`): the run records
+        nothing, so each join picks its executor freely, and a later
+        :meth:`sensitivity` call records on demand."""
         with obs.span("repair.execute", txn=self.name) as span_:
             global_stats.bump("repair.executes")
             started = time.perf_counter()
             self.ruleset = self._shape.reactive_ruleset(
                 state.artifacts.reactive_rules)
             self.engine = IncrementalEngine(self.ruleset, params=self._params)
-            self._recorder, self._index = SensitivityRecorder(), None
+            self._recorder = SensitivityRecorder() if record else None
+            self._index = None
             self._mat = self._maintain(
                 self.engine.initialize, self._env(state), None, self._recorder)
             self._extract_effects()
@@ -132,9 +136,10 @@ class PreparedTransaction:
 
     def sensitivity(self):
         """The sensitivity index of this transaction's run, built on the
-        first call.  After a repair it is that of one recorded
-        evaluation over the corrected inputs (``_mat``'s non-derived
-        relations): what a fresh run on the corrected state records."""
+        first call.  After a repair, or after a run that recorded
+        nothing, it is that of one recorded evaluation over the
+        (corrected) inputs (``_mat``'s non-derived relations): what a
+        fresh run on that state records."""
         if self._index is None:
             recorder = self._recorder
             if recorder is None:

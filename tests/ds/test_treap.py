@@ -145,34 +145,27 @@ def _structure(node):
 
 
 class TestSetAlgebra:
+    """Union and difference are one :func:`treap.write` each: a run of
+    inserted items, a run of removed keys."""
+
     def test_union_values_right_biased(self):
         a = build([(1, "a1"), (2, "a2")])
-        b = build([(2, "b2"), (3, "b3")])
-        union = treap.union(a, b)
+        union = treap.write(a, (), [2, 3], ["b2", "b3"])
         assert dict(treap.items(union)) == {1: "a1", 2: "b2", 3: "b3"}
 
-    def test_union_combine(self):
-        a = build([(1, 10), (2, 20)])
-        b = build([(2, 2), (3, 3)])
-        union = treap.union(a, b, combine=lambda x, y: x + y)
-        assert dict(treap.items(union)) == {1: 10, 2: 22, 3: 3}
-
-    def test_intersection_difference(self):
+    def test_difference(self):
         a = build([(k, "a") for k in range(0, 20, 2)])
-        b = build([(k, "b") for k in range(0, 20, 3)])
-        inter = treap.intersection(a, b)
-        assert [k for k, _ in treap.items(inter)] == [0, 6, 12, 18]
-        assert all(v == "a" for _, v in treap.items(inter))
-        diff = treap.difference(a, b)
+        diff = treap.write(a, list(range(0, 20, 3)))
         assert [k for k, _ in treap.items(diff)] == [2, 4, 8, 10, 14, 16]
+        assert all(v == "a" for _, v in treap.items(diff))
 
     def test_algebra_with_empty(self):
         a = build([(1, None)])
-        assert treap.union(a, None) is a
-        assert treap.union(None, a) is a
-        assert treap.intersection(a, None) is None
-        assert treap.difference(a, None) is a
-        assert treap.difference(None, a) is None
+        assert treap.write(a) is a
+        assert treap.write(a, [0, 2], [1]) is a  # absent removes, a present key
+        assert treap.write(None, [1]) is None
+        assert treap.equal(treap.write(None, (), [1]), a)
+        assert treap.write(a, [1]) is None
 
 
 def unary_cursor(root):
@@ -262,17 +255,14 @@ def test_matches_dict_semantics(operations):
 @given(st.lists(keys, max_size=60), st.lists(keys, max_size=60))
 def test_set_algebra_laws(left, right):
     a = build([(k, None) for k in set(left)])
-    b = build([(k, None) for k in set(right)])
-    union_keys = {k for k, _ in treap.items(treap.union(a, b))}
-    inter_keys = {k for k, _ in treap.items(treap.intersection(a, b))}
-    diff_keys = {k for k, _ in treap.items(treap.difference(a, b))}
-    assert union_keys == set(left) | set(right)
-    assert inter_keys == set(left) & set(right)
-    assert diff_keys == set(left) - set(right)
+    runs = sorted(set(right))
+    union = treap.write(a, (), runs)
+    difference = treap.write(a, runs)
+    assert {k for k, _ in treap.items(union)} == set(left) | set(right)
+    assert {k for k, _ in treap.items(difference)} == set(left) - set(right)
     # canonical form: results equal freshly built treaps
-    assert treap.equal(
-        treap.union(a, b), build([(k, None) for k in union_keys])
-    )
+    for root in (union, difference):
+        assert _structure(root) == _structure(build(treap.items(root)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -326,7 +316,8 @@ def test_golden_tree_hashes():
 def test_every_node_priority_is_the_hash_of_its_key(left, right):
     a = build((k, None) for k in set(left))
     b = treap.from_sorted_items((k, k) for k in sorted(set(right)))
-    for root in (a, b, treap.union(a, b), treap.difference(a, b)):
+    runs = sorted(set(right))
+    for root in (a, b, treap.write(a, (), runs), treap.write(a, runs)):
         assert all(n.prio == treap.stable_hash(n.key) for n in _nodes(root))
 
 
@@ -455,3 +446,96 @@ def test_bulk_loaded_pset_is_the_inserted_tree():
     loaded = PSet.from_iter(elements)._root
     assert _structure(loaded) == _structure(inserted)
     assert treap.tree_hash(loaded) == treap.tree_hash(inserted)
+
+
+# -- the batched writer: one descent, the tree a fresh build would be --------
+
+
+def _key_bounds(node):
+    low = high = node
+    while low.left is not None:
+        low = low.left
+    while high.right is not None:
+        high = high.right
+    return low.key, high.key
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.integers(0, 300), st.integers(0, 3), max_size=150),
+       st.sets(st.integers(0, 320), max_size=25),
+       st.dictionaries(st.integers(0, 320), st.integers(0, 3), max_size=25),
+       st.booleans())
+def test_write_is_the_fresh_build_and_shares_what_it_does_not_touch(
+        base, removed, written, hashed):
+    """For any tree and disjoint runs of removed keys and written items
+    (present keys get their values replaced): the written tree has the
+    keys, shape and ``tree_hash`` of ``from_sorted_items`` over the
+    result, every priority is its key's hash, and every subtree no edit
+    key reaches (none between its outer neighbours, inclusive) is the
+    same object afterwards."""
+    removed = sorted(removed - set(written))
+    items = sorted(written.items())
+    root = treap.from_sorted_items(sorted(base.items()))
+    if hashed:
+        treap.tree_hash(root)
+    out = treap.write(root, removed, [k for k, _ in items], [v for _, v in items])
+    expected = dict(base)
+    for key in removed:
+        expected.pop(key, None)
+    expected.update(written)
+    fresh = treap.from_sorted_items(sorted(expected.items()))
+    assert _structure(out) == _structure(fresh)
+    assert treap.tree_hash(out) == treap.tree_hash(fresh)
+    assert all(n.prio == treap.stable_hash(n.key) for n in _nodes(out))
+    if expected == base:
+        assert out is root
+    kept = {id(n) for n in _nodes(out)}
+    keys = sorted(base)
+    edits = removed + [k for k, _ in items]
+    for node in _nodes(root):
+        low, high = _key_bounds(node)
+        at = keys.index(low)
+        outer_low = keys[at - 1] if at else -1
+        at = keys.index(high)
+        outer_high = keys[at + 1] if at + 1 < len(keys) else 10 ** 9
+        if not any(outer_low <= key <= outer_high for key in edits):
+            assert id(node) in kept
+
+
+def test_write_hashes_each_inserted_key_once_and_copies_each_node_once(monkeypatch):
+    """A 40-key insert with 20 removes into 1,500 keys: one hash per
+    inserted key, and the nodes built are the result's new nodes but
+    for the few a removed node's merge copies again."""
+    rng = random.Random(5)
+    keys = sorted({(rng.randrange(2000), rng.randrange(5)) for _ in range(1500)})
+    root = treap.from_sorted_items((k, None) for k in keys)
+    removed = sorted(rng.sample(keys, 20))
+    added = sorted({(rng.randrange(2000), rng.randrange(5)) for _ in range(40)} - set(keys))
+    hashed, built = [], [0]
+
+    def counting_hash(key, _real=treap.stable_hash):
+        hashed.append(key)
+        return _real(key)
+
+    def counting_init(self, *args, _real=treap.Node.__init__):
+        built[0] += 1
+        _real(self, *args)
+
+    monkeypatch.setattr(treap, "stable_hash", counting_hash)
+    monkeypatch.setattr(treap.Node, "__init__", counting_init)
+    out = treap.write(root, removed, added)
+    monkeypatch.undo()
+    assert sorted(hashed) == added
+    old = {id(n) for n in _nodes(root)}
+    new = sum(1 for n in _nodes(out) if id(n) not in old)
+    assert new <= built[0] <= new + len(removed) * 4, (new, built[0])
+    assert [k for k, _ in treap.items(out)] == sorted(set(keys) - set(removed) | set(added))
+
+
+def test_write_refuses_runs_out_of_order():
+    """An unsorted or repeated key would land twice in the tree: the
+    writer refuses it, as ``from_sorted_items`` does."""
+    root = treap.from_sorted_items((k, None) for k in range(10))
+    for removed, keys in (((), [4, 3]), ((), [12, 12]), ([5, 2], ())):
+        with pytest.raises(ValueError):
+            treap.write(root, removed, keys)

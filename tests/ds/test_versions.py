@@ -26,7 +26,7 @@ class TestVersion:
         v1 = Version(PMap.EMPTY)
         a = v1.commit(PMap.from_dict({1: 1}))
         b = v1.commit(PMap.from_dict({2: 2}))
-        merged = a.merge(b, a.state.update(b.state))
+        merged = a.merge(b, a.state.write((), list(b.state.items())))
         assert merged.parent_ids == (a.id, b.id)
         assert dict(merged.state.items()) == {1: 1, 2: 2}
 

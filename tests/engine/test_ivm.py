@@ -452,6 +452,44 @@ def test_maintenance_and_repair_joins_carry_no_recorder(monkeypatch):
     assert recorders and recorders == [None] * len(recorders)
 
 
+def test_a_bare_exec_records_nothing_and_a_session_exec_records(monkeypatch):
+    """Nothing checks a bare :meth:`Workspace.exec` against another
+    transaction, so its run hands no join a recorder and a big
+    rule-driven exec runs columnar; a session's exec, which the service
+    may have to repair, still records."""
+    import repro
+    from repro import Workspace, stats
+    from repro.engine import evaluator
+
+    recorders = []
+    make_join = evaluator.make_join
+
+    def spy(plan, relations, recorder=None, **kwargs):
+        recorders.append(recorder)
+        return make_join(plan, relations, recorder, **kwargs)
+
+    monkeypatch.setattr(evaluator, "make_join", spy)
+    schema = "E(x, y) -> int(x), int(y). F(x, y) -> int(x), int(y)."
+    rows = [(i, (i * 7) % 2000) for i in range(2000)]
+    rule = "+F(x, y) <- E@start(x, y), x < y."
+    ws = Workspace()
+    ws.addblock(schema)
+    ws.load("E", rows)
+    before = stats.snapshot()
+    del recorders[:]
+    ws.exec(rule)
+    assert recorders and recorders == [None] * len(recorders)
+    assert stats.delta_since(before).get("join.backend.columnar", 0) >= 1
+    assert len(ws.rows("F")) == sum(1 for x, y in rows if x < y)
+
+    with repro.connect() as session:
+        session.addblock(schema)
+        session.load("E", rows[:50])
+        del recorders[:]
+        session.exec(rule)
+    assert any(recorder is not None for recorder in recorders)
+
+
 def test_live_objects_track_data_not_commits():
     """A head does not pin the states it superseded: after 40 and after
     440 alternating insert/delete commits of one edge, the data is the
@@ -643,3 +681,40 @@ def test_functional_violation_is_caught_per_key():
                        match=r"f\[\(7,\)\] derived with conflicting values"):
         ws.exec("+src(7, 1). +src(9, 18).")
     assert ws.relation("f").lookup((7,)) == 14
+
+
+def test_a_64_edge_insert_builds_at_most_four_fifths_of_the_nodes_it_did(monkeypatch):
+    """One 64-edge ``exec`` on the ``ivm_views`` schema and views (a
+    300-node, degree-3 power-law graph) constructs 8,344 treap nodes;
+    it constructed 16,461 when a :class:`Delta` held two treaps and
+    every write was set algebra over them.  Deltas are sorted runs now,
+    written into each treap in one descent, so the bound is 0.8x that."""
+    from repro import Workspace
+    from repro.datasets.graphs import powerlaw_graph
+    from repro.ds import treap
+
+    ws = Workspace()
+    ws.addblock("E(x, y) -> int(x), int(y).\n"
+                "tri(a, b, c) <- E(a, b), E(b, c), E(a, c), a < b, b < c.\n"
+                "outdeg[a] = n <- agg<<n = count(b)>> E(a, b).\n"
+                "reach2(a, c) <- E(a, b), E(b, c).\n")
+    edges = sorted(set(powerlaw_graph(300, 3, seed=20150531)))
+    ws.load("E", edges)
+    rng = random.Random(64)
+    present, fresh = set(edges), []
+    while len(fresh) < 64:
+        edge = (rng.randrange(300), rng.randrange(300))
+        if edge[0] != edge[1] and edge not in present:
+            present.add(edge)
+            fresh.append(edge)
+    built = [0]
+
+    def counting(self, *args, _real=treap.Node.__init__):
+        built[0] += 1
+        _real(self, *args)
+
+    monkeypatch.setattr(treap.Node, "__init__", counting)
+    ws.exec("".join("+E({}, {}).".format(*edge) for edge in fresh))
+    monkeypatch.undo()
+    assert len(ws.rows("E")) == len(edges) + 64
+    assert built[0] <= 0.8 * 16461, built[0]

@@ -462,6 +462,44 @@ class TestSensitivityPayload:
         # every triangle has one derivation, so the map is empty
         assert state["pred_states"]["tri"]["counts"] == ""
 
+        # maintained writes, recorded before a delta's runs were written
+        # into each treap in one descent: an insert into non-empty
+        # relations, a delete, and a write to a relation with a promoted
+        # (1, 0) index; ``both`` keeps support counts above one
+        ws.addblock("both(a, b) <- edge(a, b). both(a, b) <- edge(b, a).",
+                    name="both")
+        golden = {
+            '+edge(3, 1). +edge(7, 3). +label(12, "n12").': (
+                "cdc0caf4a3c850d268b9d38eee33b759", "7601c80e9ff6fa3ebf9b1a8befe9f96f",
+                "a55ff7062c732a86393dae1e9d4f6abc", "9de3e830cbf257e2608f064df3353937",
+                "c256800e1193099c8d463c21b734f8ac", "573b9a44a34455cd9e27360afc43d89b",
+                "e8e34a78701e05a3b80b1151374c7096"),
+            '-edge(1, 3). -label(4, "n4").': (
+                "d919351f10a5bea269b46a0c51bc9f73", "e2267df08c10afe61c36c50ee62677b5",
+                "a55ff7062c732a86393dae1e9d4f6abc", "0de661964aa616709072f32a39ce2d9b",
+                "fb035f14c8888c56f74f0d354a418212", "6342c565fee614cc3b5fea88f44e458f",
+                "bb774691fbfa7216970ab1980918c8d1"),
+            "+edge(9, 5). -edge(4, 5).": (
+                "1f07ce8f56cbc42dee745c73277dbddc", "e2267df08c10afe61c36c50ee62677b5",
+                "8add341eb2af471b761a0a1e393526a9", "0de661964aa616709072f32a39ce2d9b",
+                "e64d2b735ec362443cf60ba3da6c4f12", "840d6c12a4beee409f1f78dccdc21477",
+                "a1b83971b992722aa040da72007cdf50"),
+        }
+        for text, addresses in golden.items():
+            if text.startswith("+edge(9"):
+                ws.query("_(x) <- edge(x, 5).")  # builds the (1, 0) index
+            with stats_scope() as counted:
+                ws.exec(text)
+            if text.startswith("+edge(9"):
+                assert counted.get("relation.index_promotions", 0) >= 1
+            ws.checkpoint(str(tmp_path))
+            state = _head_state(tmp_path)
+            relations, pred_states = state["relations"], state["pred_states"]
+            assert (state["base"]["edge"][1], state["base"]["label"][1],
+                    relations["both"][1], pred_states["both"]["counts"],
+                    relations["outdeg"][1], pred_states["outdeg"]["groups"],
+                    relations["tri"][1]) == addresses, text
+
     def test_checkpoint_with_raw_intervals_still_opens(self, tmp_path):
         """``fixtures/parent_checkpoint`` was written when manifests
         listed each rule's sensitivity intervals as a ``recorders``

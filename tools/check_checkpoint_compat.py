@@ -9,7 +9,11 @@ which, in both directions, checkpoints a workspace of views (a
 triangle join, a two-hop join whose heads can have several
 derivations, an aggregate, a constant-anchored rule and a constraint)
 from one tree, opens it from the other, and compares every relation's
-rows, once opened and after each of three maintained writes.  The
+rows, once opened and after each of three maintained writes.  When
+both trees write the same checkpoint format, each also runs the same
+workload on its own and checkpoints after every stage, and the two
+must give equal root addresses (base and derived relations, support
+counts, aggregate groups) at each.  The
 writes take a two-hop head from one derivation to two and back, and
 delete and re-insert an edge, so support counts a checkpoint stored
 are read and dropped again.  A reader whose checkpoint format is
@@ -49,18 +53,39 @@ ws.exec("-E(5, 6). ^score[7] = 1.")
 ws.checkpoint(sys.argv[1])
 '''
 
+# reach2(3, 13) goes from one derivation (via 8) to two (via 11) and
+# back; deleting E(21, 22) leaves reach2(20, 22) without one
+WRITES = ("+E(3, 11). ^score[8] = 3.", "-E(3, 11). -E(21, 22).", "+E(21, 22).")
+
 READ = r'''
 import json, sys
 from repro import Workspace
 ws = Workspace.open(sys.argv[1])
 stages = [{p: ws.rows(p) for p in sys.argv[2:]}]
-# reach2(3, 13) goes from one derivation (via 8) to two (via 11) and
-# back; deleting E(21, 22) leaves reach2(20, 22) without one
-for text in ("+E(3, 11). ^score[8] = 3.", "-E(3, 11). -E(21, 22).", "+E(21, 22)."):
+for text in %r:
     ws.exec(text)
     stages.append({p: ws.rows(p) for p in sys.argv[2:]})
 print(json.dumps(stages))
-'''
+''' % (WRITES,)
+
+# the root addresses of the head state WRITE checkpoints, and of the
+# one after each of WRITES, checkpointed into the same directory
+ADDRESSES = WRITE + r'''
+import json, os
+
+def head():
+    with open(os.path.join(sys.argv[1], "MANIFEST.json")) as fh:
+        manifest = json.load(fh)
+    state = manifest["states"][str(manifest["branches"]["main"])]
+    return {key: state[key] for key in ("base", "relations", "pred_states")}
+
+stages = [head()]
+for text in %r:
+    ws.exec(text)
+    ws.checkpoint(sys.argv[1])
+    stages.append(head())
+print(json.dumps(stages))
+''' % (WRITES,)
 
 FORMAT = "from repro.storage.pager import FORMAT_VERSION; print(FORMAT_VERSION)"
 
@@ -108,6 +133,27 @@ def write_and_open(writer_src, reader_src, workdir):
     return not differ
 
 
+def same_addresses(src_a, src_b, workdir):
+    """Both trees, running the same workload, must checkpoint the same
+    root addresses at every stage: unique representation makes a
+    tree's shape, and so its content address, a function of its rows
+    (and support counts), whichever code wrote them."""
+    stages = []
+    for name, src in (("a", src_a), ("b", src_b)):
+        out = _run(src, ADDRESSES, os.path.join(workdir, name))
+        if out is None:
+            return False
+        stages.append(json.loads(out))
+    differ = [
+        "{} {}".format(stage, key)
+        for stage, mine, theirs in zip(("written",) + STAGES[1:], *stages)
+        for key in mine if mine[key] != theirs[key]
+    ]
+    if differ:
+        sys.stderr.write("root addresses differ: {}\n".format(", ".join(differ)))
+    return not differ
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--other-src", required=True,
@@ -122,6 +168,16 @@ def main(argv=None):
             os.path.relpath(writer_src), os.path.relpath(reader_src),
             "ok" if passed else "FAILED", time.perf_counter() - started))
         ok = ok and passed
+    formats = {_run(src, FORMAT) for src in (args.other_src, HERE)}
+    if len(formats) == 1:
+        started = time.perf_counter()
+        with tempfile.TemporaryDirectory() as workdir:
+            passed = same_addresses(args.other_src, HERE, workdir)
+        print("root addresses, same workload in both: {} ({:.1f}s)".format(
+            "ok" if passed else "FAILED", time.perf_counter() - started))
+        ok = ok and passed
+    else:
+        print("root addresses not compared: checkpoint formats differ")
     return 0 if ok else 1
 
 
